@@ -5,11 +5,17 @@ are checked and then expanded transparently into every later declaration
 (the kernels have no delta reduction), assertions run against the mode's
 kernel. In lf mode every declaration passes the protected-symbol gate
 before any checking happens; this is the only place that gate runs.
+
+Checking yields one elaboration record per declaration: the declaration
+with every defined name expanded, how many context entries were in scope
+when it was checked, and, for a definition, the inferred type of its body.
+Translation, round trip and export read these records; this module is the
+only place definitions are expanded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import diagnostics as dk
 from .diagnostics import CheckError, fail
@@ -30,23 +36,37 @@ from .terms import Context, Term, substitute_parallel
 KERNELS: dict[str, Kernel] = {"pcert": PCERT_KERNEL, "lf": LF_KERNEL}
 
 
+@dataclass(frozen=True)
+class Elaborated:
+    decl: Declaration  # every defined name expanded
+    depth: int  # context entries in scope when the declaration was checked
+    inferred: Term | None = None  # a definition body's inferred type
+
+
 @dataclass
 class CheckedFile:
     mode: str
     context: Context
-    # definition name -> (expanded body, its checked type), in file order
-    definitions: dict[str, tuple[Term, Term]] = field(default_factory=dict)
-    decls: tuple[Declaration, ...] = ()
+    decls: tuple[Elaborated, ...]
+
+    def scope(self, depth: int) -> Context:
+        return Context(self.context.entries[:depth])
 
     @property
-    def kernel(self) -> Kernel:
-        return KERNELS[self.mode]
+    def definitions(self) -> dict[str, tuple[Term, Term]]:
+        """Definition name -> (expanded body, its checked type), in file order."""
+        return {
+            r.decl.name: (r.decl.body, r.decl.type if r.decl.type is not None else r.inferred)
+            for r in self.decls
+            if isinstance(r.decl, Definition)
+        }
 
 
 def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFile:
     kernel = KERNELS[parsed.mode]
     gate = parsed.mode == "lf"
-    result = CheckedFile(parsed.mode, Context(), decls=parsed.decls)
+    ctx = Context()
+    records: list[Elaborated] = []
     names: set[str] = set()
     expansions: dict[str, Term] = {}
 
@@ -60,42 +80,48 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
 
     for decl in parsed.decls:
         budget = _as_fuel(fuel)  # fresh per declaration unless a Fuel is shared
+        depth = len(ctx)
+        inferred = None
         try:
             match decl:
-                case SymbolDecl(name, ty, _):
+                case SymbolDecl(name, ty, span):
                     if name in names:
                         raise fail(dk.DUPLICATE_NAME, f"{name!r} declared twice")
                     ty = prepare(ty)
-                    kernel.sort_of(result.context, ty, budget)
-                    result.context = result.context.extend(name, ty)
+                    kernel.sort_of(ctx, ty, budget)
+                    ctx = ctx.extend(name, ty)
                     names.add(name)
-                case Definition(name, body, ty, _):
+                    decl = SymbolDecl(name, ty, span)
+                case Definition(name, body, ty, span):
                     if name in names:
                         raise fail(dk.DUPLICATE_NAME, f"{name!r} declared twice")
                     body = prepare(body)
-                    inferred = kernel.infer(result.context, body, budget)
+                    inferred = kernel.infer(ctx, body, budget)
                     if ty is not None:
                         ty = prepare(ty)
-                        kernel.sort_of(result.context, ty, budget)
-                        kernel.check(result.context, body, ty, budget)
-                    result.definitions[name] = (body, ty if ty is not None else inferred)
+                        kernel.sort_of(ctx, ty, budget)
+                        kernel.check(ctx, body, ty, budget)
                     expansions[name] = body
                     names.add(name)
-                case AssertJudgment(subject, ty, _):
+                    decl = Definition(name, body, ty, span)
+                case AssertJudgment(subject, ty, span):
                     subject, ty = prepare(subject), prepare(ty)
-                    kernel.sort_of(result.context, ty, budget)
-                    kernel.check(result.context, subject, ty, budget)
-                case AssertConv(a, b, _):
+                    kernel.sort_of(ctx, ty, budget)
+                    kernel.check(ctx, subject, ty, budget)
+                    decl = AssertJudgment(subject, ty, span)
+                case AssertConv(a, b, span):
                     a, b = prepare(a), prepare(b)
-                    kernel.infer(result.context, a, budget)
-                    kernel.infer(result.context, b, budget)
-                    if not kernel.convert(result.context, a, b, budget):
+                    kernel.infer(ctx, a, budget)
+                    kernel.infer(ctx, b, budget)
+                    if not kernel.convert(ctx, a, b, budget):
                         raise fail(
                             dk.NOT_CONVERTIBLE,
                             "terms are not convertible",
-                            context=result.context,
+                            context=ctx,
                             subject=a,
                         )
+                    decl = AssertConv(a, b, span)
         except CheckError as err:
             raise err.with_span(decl.span) if decl.span is not None else err
-    return result
+        records.append(Elaborated(decl, depth, inferred))
+    return CheckedFile(parsed.mode, ctx, tuple(records))

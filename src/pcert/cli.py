@@ -19,11 +19,10 @@ import os
 import sys
 
 from . import diagnostics as dk
-from .checker import check_file
+from .checker import CheckedFile, check_file
 from .diagnostics import CheckError
 from .export import export_lambdapi
 from .inverse import NotInImage, inverse_term
-from .pcert import KERNEL as PCERT_KERNEL
 from .rewrite import DEFAULT_FUEL, RuleSet, normalize
 from .syntax import (
     AssertConv,
@@ -35,7 +34,6 @@ from .syntax import (
     parse_file,
     print_file,
 )
-from .terms import Context, Term, substitute_parallel
 from .translate import translate_term, translate_type
 
 EXIT_OK = 0
@@ -62,7 +60,10 @@ def _exit_code(err: CheckError) -> int:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise CheckError(dk.Diagnostic(dk.PARSE_ERROR, f"{path}: not UTF-8 (byte {err.start})"))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -77,32 +78,20 @@ def _load(path: str) -> ParsedFile:
     return parse_file(_read(path), path)
 
 
-def _translate_decls(parsed: ParsedFile, fuel: int | None) -> list[Declaration]:
-    """Translate a checked pcert development declaration by declaration,
-    expanding definitions exactly as the checker did."""
+def _translate_decls(checked: CheckedFile, fuel: int | None) -> list[Declaration]:
+    """Translate a checked pcert development declaration by declaration."""
     out: list[Declaration] = []
-    ctx = Context()
-    expansions: dict[str, Term] = {}
-    for decl in parsed.decls:
-        match decl:
+    for record in checked.decls:
+        ctx = checked.scope(record.depth)
+        match record.decl:
             case SymbolDecl(name, ty, span):
-                ty = substitute_parallel(ty, expansions)
                 out.append(SymbolDecl(name, translate_type(ctx, ty, fuel), span))
-                ctx = ctx.extend(name, ty)
             case Definition(name, body, _, span):
-                body = substitute_parallel(body, expansions)
-                ty = PCERT_KERNEL.infer(ctx, body, fuel)
-                out.append(
-                    Definition(name, translate_term(ctx, body, fuel), translate_type(ctx, ty, fuel), span)
-                )
-                expansions[name] = body
+                body = translate_term(ctx, body, fuel)
+                out.append(Definition(name, body, translate_type(ctx, record.inferred, fuel), span))
             case AssertJudgment(subject, ty, span):
-                subject = substitute_parallel(subject, expansions)
-                ty = substitute_parallel(ty, expansions)
                 out.append(AssertJudgment(translate_term(ctx, subject, fuel), translate_type(ctx, ty, fuel), span))
             case AssertConv(a, b, span):
-                a = substitute_parallel(a, expansions)
-                b = substitute_parallel(b, expansions)
                 out.append(AssertConv(translate_term(ctx, a, fuel), translate_term(ctx, b, fuel), span))
     return out
 
@@ -116,8 +105,8 @@ def cmd_translate(path: str, out: str | None, fuel: int | None) -> int:
     parsed = _load(path)
     if parsed.mode != "pcert":
         raise CheckError(dk.Diagnostic(dk.WRONG_MODE, f"translate expects a pcert file, got mode {parsed.mode!r}"))
-    check_file(parsed, fuel)
-    translated = ParsedFile("lf", tuple(_translate_decls(parsed, fuel)), parsed.path)
+    checked = check_file(parsed, fuel)
+    translated = ParsedFile("lf", tuple(_translate_decls(checked, fuel)), parsed.path)
     text = print_file(translated)
     # machine-checked correctness: the printed output must reparse and pass
     # the lf kernel before anything is written
@@ -132,21 +121,11 @@ def cmd_roundtrip(path: str, fuel: int | None) -> int:
         raise CheckError(dk.Diagnostic(dk.WRONG_MODE, f"roundtrip expects a pcert file, got mode {parsed.mode!r}"))
     checked = check_file(parsed, fuel)
     failures: list[str] = []
-    ctx_prefixes: dict[str, Context] = {}
-    # reconstruct the context under which each definition was checked
-    ctx = Context()
-    expansions: dict[str, Term] = {}
-    for decl in parsed.decls:
-        match decl:
-            case SymbolDecl(name, ty, _):
-                ctx = ctx.extend(name, substitute_parallel(ty, expansions))
-            case Definition(name, body, _, _):
-                ctx_prefixes[name] = ctx
-                expansions[name] = substitute_parallel(body, expansions)
-
-    for name, (body, _) in checked.definitions.items():
-        ctx = ctx_prefixes[name]
-        encoded = translate_term(ctx, body, fuel)
+    for record in checked.decls:
+        if not isinstance(record.decl, Definition):
+            continue
+        name, body = record.decl.name, record.decl.body
+        encoded = translate_term(checked.scope(record.depth), body, fuel)
         back = inverse_term(encoded)
         if isinstance(back, NotInImage):
             failures.append(f"{name}: {back}")
@@ -167,25 +146,28 @@ def cmd_export(path: str | None, out: str | None, signature: bool, fuel: int | N
     if path is None:
         raise CheckError(dk.Diagnostic(dk.PARSE_ERROR, "export needs an input file unless --signature is given"))
     parsed = _load(path)
-    check_file(parsed, fuel)
+    checked = check_file(parsed, fuel)
     if parsed.mode == "pcert":
-        decls = _translate_decls(parsed, fuel)
+        decls = _translate_decls(checked, fuel)
     else:
         decls = list(parsed.decls)
     _emit(export_lambdapi(decls, mode="development"), out)
     return EXIT_OK
 
 
-def _fuel_value(args: argparse.Namespace) -> int | None:
-    if args.fuel is not None:
-        return args.fuel
-    env = os.environ.get("PCERT_FUEL")
-    if env is not None:
+def _fuel_value(args: argparse.Namespace) -> int:
+    fuel, source = args.fuel, "--fuel"
+    if fuel is None:
+        env, source = os.environ.get("PCERT_FUEL"), "PCERT_FUEL"
+        if env is None:
+            return DEFAULT_FUEL
         try:
-            return int(env)
+            fuel = int(env)
         except ValueError:
             raise CheckError(dk.Diagnostic(dk.PARSE_ERROR, f"PCERT_FUEL must be an integer, got {env!r}"))
-    return DEFAULT_FUEL
+    if fuel < 0:
+        raise CheckError(dk.Diagnostic(dk.PARSE_ERROR, f"{source} must not be negative, got {fuel}"))
+    return fuel
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,18 +35,10 @@ from .terms import (
 @dataclass(frozen=True)
 class SystemConfig:
     name: str
-    sorts: frozenset[str]
     axioms: Mapping[str, str]  # sort tag -> tag of its type
     products: Mapping[tuple[str, str], str]
     signature: Signature
     rules: RuleSet  # decides conversion and exposes products
-
-
-@dataclass(frozen=True)
-class Judgment:
-    context: Context
-    subject: Term
-    type: Term
 
 
 class Kernel:
@@ -66,10 +58,6 @@ class Kernel:
     def infer(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Term:
         fuel = _as_fuel(fuel)
         return self._infer(ctx, t, fuel)
-
-    def judge(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Judgment:
-        """The derived judgment ctx |- t : inferred type."""
-        return Judgment(ctx, t, self.infer(ctx, t, fuel))
 
     def _infer(self, ctx: Context, t: Term, fuel: Fuel) -> Term:
         cfg = self.config

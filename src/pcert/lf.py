@@ -22,7 +22,6 @@ from .terms import (
     Bound,
     Context,
     LF_KIND,
-    LF_SORTS,
     LF_TYPE,
     Prod,
     SigEntry,
@@ -144,7 +143,6 @@ RULES_R = _rules()
 
 LF_CONFIG = SystemConfig(
     name="lf",
-    sorts=LF_SORTS,
     axioms={"TYPE": "KIND"},
     products={("TYPE", "TYPE"): "TYPE", ("TYPE", "KIND"): "KIND"},
     signature=LF_SIGNATURE,

@@ -22,7 +22,6 @@ from .terms import (
     App,
     Context,
     KIND,
-    PCERT_SORTS,
     PROP,
     Prod,
     SigEntry,
@@ -82,7 +81,6 @@ BETA_PROJ = RuleSet((PROJECTION_RULE,), beta_enabled=True)
 
 PCERT_CONFIG = SystemConfig(
     name="pcert",
-    sorts=PCERT_SORTS,
     axioms={"Prop": "Type", "Type": "Kind"},
     products={
         ("Prop", "Prop"): "Prop",

@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 from .diagnostics import DUPLICATE_NAME, fail
 
 Term = Union["Sort", "Var", "Bound", "App", "Abs", "Prod", "SymApp"]
-
-PCERT_SORTS = frozenset({"Prop", "Type", "Kind"})
-LF_SORTS = frozenset({"TYPE", "KIND"})
 
 
 @dataclass(frozen=True)
@@ -104,23 +101,6 @@ def fresh_name(hint: str = "x") -> str:
     return f"{base}#{next(_fresh_counter)}"
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """Every subterm of t, the term itself first, binders not opened."""
-    yield t
-    match t:
-        case App(fun, arg):
-            yield from subterms(fun)
-            yield from subterms(arg)
-        case Abs(_, annot, body) | Prod(_, annot, body):
-            yield from subterms(annot)
-            yield from subterms(body)
-        case SymApp(_, args):
-            for a in args:
-                yield from subterms(a)
-        case _:
-            pass
-
-
 def free_vars(t: Term) -> set[str]:
     match t:
         case Var(name):
@@ -136,10 +116,6 @@ def free_vars(t: Term) -> set[str]:
             return out
         case _:
             return set()
-
-
-def symbols_used(t: Term) -> set[str]:
-    return {s.sym for s in subterms(t) if isinstance(s, SymApp)}
 
 
 def substitute_parallel(t: Term, mapping: dict[str, Term]) -> Term:
@@ -270,9 +246,6 @@ class Context:
                 return ty
         return None
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -281,9 +254,6 @@ class Context:
 
     def __repr__(self) -> str:
         return ", ".join(f"{n}: {ty!r}" for n, ty in self.entries) or "<empty>"
-
-
-EMPTY_CONTEXT = Context()
 
 
 @dataclass(frozen=True)

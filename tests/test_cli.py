@@ -158,3 +158,37 @@ def test_export_signature_needs_no_input_file(tmp_path):
 def test_export_without_file_or_signature_exits_two(capsys):
     assert main(["export"]) == 2
     assert "input file" in capsys.readouterr().err
+
+
+def test_translate_types_a_definition_by_its_inferred_type(tmp_path):
+    # the annotation is a beta-redex of the inferred type; the emitted type
+    # is the translation of the inferred one
+    src = tmp_path / "annotated.pcert"
+    src.write_text(
+        "symbol nat : Type;\n"
+        "symbol zero : nat;\n"
+        "symbol suc : nat -> nat;\n"
+        "symbol even : nat -> Prop;\n"
+        "definition two := suc (suc zero);\n"
+        "symbol h : even two;\n"
+        "definition t : psub(nat, (\\q: nat -> Prop. q) even) := pair(nat, even, two, h);\n"
+    )
+    out = tmp_path / "annotated.lf"
+    assert main(["translate", str(src), "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "definition t : El(psub(nat, even)) := pair(nat, even, suc (suc zero), h);" in lines
+
+
+def test_negative_fuel_exits_two(monkeypatch, capsys):
+    assert main(["check", corpus("stacks.pcert"), "--fuel", "-1"]) == 2
+    assert capsys.readouterr().err == "ParseError: --fuel must not be negative, got -1\n"
+    monkeypatch.setenv("PCERT_FUEL", "-3")
+    assert main(["check", corpus("stacks.pcert")]) == 2
+    assert capsys.readouterr().err == "ParseError: PCERT_FUEL must not be negative, got -3\n"
+
+
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.pcert"
+    bad.write_bytes(b"symbol T : Type;\nsymbol x\xff : T;\n")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == f"ParseError: {bad}: not UTF-8 (byte 25)\n"

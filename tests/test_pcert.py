@@ -247,10 +247,3 @@ def test_infer_rejects_wrong_symbol_arity():
     with pytest.raises(CheckError) as err:
         infer_pcert(fig_ctx(), SymApp("fst", (Var("T"),)))
     assert err.value.kind == "ArityMismatch"
-
-
-def test_judge_packages_the_derivation():
-    ctx = fig_ctx()
-    judgment = KERNEL.judge(ctx, SymApp("pair", (Var("T"), Var("p"), Var("m"), Var("h"))))
-    assert judgment.context is ctx
-    assert judgment.type == SymApp("psub", (Var("T"), Var("p")))
