@@ -9,6 +9,9 @@ before any checking happens; this is the only place that gate runs.
 Checking yields one elaboration record per declaration: the declaration
 with every defined name expanded, how many context entries were in scope
 when it was checked, and, for a definition, the inferred type of its body.
+Symbols are added with `Context.declare`, so the file's context is one shared
+table and `CheckedFile.scope(depth)` is an O(1) view of its first `depth`
+entries, not a copy.
 Translation, round trip and export read these records; this module is the
 only place definitions are expanded.
 """
@@ -50,7 +53,8 @@ class CheckedFile:
     decls: tuple[Elaborated, ...]
 
     def scope(self, depth: int) -> Context:
-        return Context(self.context.entries[:depth])
+        """The context a record was checked under: an O(1) view, no copy."""
+        return self.context.prefix(depth)
 
     @property
     def definitions(self) -> dict[str, tuple[Term, Term]]:
@@ -89,7 +93,7 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
                         raise fail(dk.DUPLICATE_NAME, f"{name!r} declared twice")
                     ty = prepare(ty)
                     kernel.sort_of(ctx, ty, budget)
-                    ctx = ctx.extend(name, ty)
+                    ctx = ctx.declare(name, ty)
                     names.add(name)
                     decl = SymbolDecl(name, ty, span)
                 case Definition(name, body, ty, span):

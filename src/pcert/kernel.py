@@ -170,7 +170,7 @@ class Kernel:
                 raise fail(dk.DUPLICATE_NAME, f"variable {name!r} declared twice", context=ctx)
             seen.add(name)
             self._sort_of(prefix, ty, fuel)
-            prefix = prefix.extend(name, ty)
+            prefix = prefix.declare(name, ty)
 
     def check(self, ctx: Context, term: Term, expected: Term, fuel: Fuel | int | None = None) -> Term:
         """Infer and compare against an expected type; returns the inferred type."""
@@ -193,7 +193,7 @@ class Kernel:
             ctx = Context()
             for x, ty in entry.telescope:
                 self._sort_of(ctx, ty, fuel)
-                ctx = ctx.extend(x, ty)
+                ctx = ctx.declare(x, ty)
             got = self.whnf(self._infer(ctx, entry.result, fuel), fuel)
             if got != entry.sort:
                 raise fail(

@@ -14,6 +14,7 @@ pattern variables. Public API terms are expected to be locally closed: every
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -229,28 +230,101 @@ def is_nondependent(cod: Term) -> bool:
     return not uses(cod, 0)
 
 
-@dataclass(frozen=True)
-class Context:
-    """Ordered variable declarations; names are pairwise distinct."""
+class _Table:
+    """Append-only declarations shared by every context view built on it."""
 
-    entries: tuple[tuple[str, Term], ...] = ()
+    __slots__ = ("names", "types", "index", "lock")
+
+    def __init__(self, entries: tuple[tuple[str, Term], ...] = ()):
+        self.names = [n for n, _ in entries]
+        self.types = [ty for _, ty in entries]
+        self.index = {n: i for i, n in enumerate(self.names)}
+        self.lock = threading.Lock()
+
+    def push(self, depth: int, name: str, ty: Term) -> bool:
+        """Append a row at `depth` if that is the tip; False if it is not."""
+        with self.lock:  # two views at the tip may race for it
+            if depth != len(self.names):
+                return False
+            self.index[name] = depth
+            self.names.append(name)
+            self.types.append(ty)
+            return True
+
+
+class Context:
+    """Ordered variable declarations; names are pairwise distinct.
+
+    A context is a view: the first `depth` rows of a table shared by every
+    context that grew from the same root, followed by a short tuple of
+    binders opened inside a term. The table maps each name to its row, so
+    `lookup` scans only the binders and then probes one dict, rejecting rows
+    at or past the depth (names declared after this view was taken).
+
+    Two ways to grow, because the two kinds of entry have different
+    lifetimes. `declare` is for file-level declarations, each of which every
+    later declaration sees: it appends a row to the shared table in O(1).
+    `extend` is for binders, opened and dropped again while walking a term:
+    it leaves the table alone and copies only the short binder tuple. Both
+    raise DuplicateName on a name already in scope. A `declare` on a view
+    below the table's tip, or one holding binders, copies its entries into a
+    fresh table first, so views taken earlier never see the new row. Rows
+    below a view's depth never change, so views are immutable values; only
+    the claim on the tip takes the table's lock.
+
+    Contexts compare and hash by identity: equal entries built separately
+    are different keys.
+    """
+
+    __slots__ = ("_table", "_depth", "_binders")
+
+    def __init__(self, table: _Table | None = None, depth: int = 0, binders: tuple[tuple[str, Term], ...] = ()):
+        self._table = _Table() if table is None else table
+        self._depth = depth
+        self._binders = binders
+
+    @property
+    def entries(self) -> tuple[tuple[str, Term], ...]:
+        table, depth = self._table, self._depth
+        return tuple(zip(table.names[:depth], table.types[:depth])) + self._binders
+
+    def declare(self, name: str, ty: Term) -> Context:
+        if self.lookup(name) is not None:
+            raise fail(DUPLICATE_NAME, f"variable {name!r} already declared")
+        table, depth = self._table, self._depth
+        if self._binders or not table.push(depth, name, ty):
+            table, depth = _Table(self.entries), len(self)
+            table.push(depth, name, ty)
+        return Context(table, depth + 1)
 
     def extend(self, name: str, ty: Term) -> Context:
         if self.lookup(name) is not None:
             raise fail(DUPLICATE_NAME, f"variable {name!r} already declared")
-        return Context(self.entries + ((name, ty),))
+        return Context(self._table, self._depth, self._binders + ((name, ty),))
+
+    def prefix(self, depth: int) -> Context:
+        """The first `depth` entries, as a view sharing this context's table."""
+        if not 0 <= depth <= len(self):
+            raise ValueError(f"prefix depth {depth} outside 0..{len(self)}")
+        if depth <= self._depth:
+            return Context(self._table, depth)
+        return Context(self._table, self._depth, self._binders[: depth - self._depth])
 
     def lookup(self, name: str) -> Term | None:
-        for n, ty in reversed(self.entries):
+        for n, ty in reversed(self._binders):
             if n == name:
                 return ty
+        table = self._table
+        row = table.index.get(name)
+        if row is not None and row < self._depth:
+            return table.types[row]
         return None
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._depth + len(self._binders)
 
     def __repr__(self) -> str:
         return ", ".join(f"{n}: {ty!r}" for n, ty in self.entries) or "<empty>"

@@ -37,10 +37,12 @@ class _Translation:
 
     def __init__(self, fuel: Fuel):
         self.fuel = fuel
-        self._sorts: dict[tuple[tuple[tuple[str, Term], ...], Term], str] = {}
+        # Contexts hash by identity; holding them in the keys keeps them
+        # alive, so a key's id cannot be reused by a later context.
+        self._sorts: dict[tuple[Context, Term], str] = {}
 
     def sort_of(self, ctx: Context, t: Term) -> str:
-        key = (ctx.entries, t)
+        key = (ctx, t)
         hit = self._sorts.get(key)
         if hit is None:
             hit = PCERT.sort_of(ctx, t, self.fuel).tag
@@ -126,11 +128,9 @@ def translate_type(ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Ter
 
 
 def translate_ctx(ctx: Context, fuel: Fuel | int | None = None) -> Context:
-    """Entrywise type translation under the growing translated prefix."""
+    """Entrywise type translation, each entry under the prefix before it."""
     fuel = _as_fuel(fuel)
     out = Context()
-    prefix = Context()
-    for name, ty in ctx:
-        out = out.extend(name, translate_type(prefix, ty, fuel))
-        prefix = prefix.extend(name, ty)
+    for depth, (name, ty) in enumerate(ctx):
+        out = out.declare(name, translate_type(ctx.prefix(depth), ty, fuel))
     return out

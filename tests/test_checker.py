@@ -16,9 +16,16 @@ def test_records_scope_and_expansion_over_the_corpus():
         assert len(checked.decls) == len(parsed.decls)
         declared: list = []
         defined: set[str] = set()
+        symbols = [(d.name, d.type) for d in (r.decl for r in checked.decls) if isinstance(d, SymbolDecl)]
         for record in checked.decls:
-            # in scope: exactly the symbols declared before it
-            assert checked.scope(record.depth).entries == tuple(declared), path.name
+            # in scope: exactly the symbols declared before it, and a lookup
+            # through the view never resolves a symbol declared later
+            scope = checked.scope(record.depth)
+            assert scope.entries == tuple(declared), path.name
+            for name, ty in declared:
+                assert scope.lookup(name) == ty, (path.name, name)
+            for name, _ in symbols[len(declared) :]:
+                assert scope.lookup(name) is None, (path.name, name)
             terms = [getattr(record.decl, f.name) for f in fields(record.decl) if f.name not in ("name", "span")]
             for term in terms:
                 if term is not None:

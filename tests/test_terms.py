@@ -1,10 +1,15 @@
-"""Substitution, alpha-equivalence and free variables."""
+"""Substitution, alpha-equivalence, free variables and contexts."""
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
 
 from genutil import BASE_CTX, TermGen
+from hypothesis import given, settings, strategies as st
+from pcert.diagnostics import DUPLICATE_NAME, CheckError
 from pcert.terms import (
     Abs,
     App,
@@ -107,3 +112,97 @@ def test_context_rejects_duplicates():
         assert "x" in str(err)
     else:
         raise AssertionError("duplicate declaration accepted")
+
+
+def test_declare_on_an_earlier_view_leaves_later_views_alone():
+    base = Context().declare("a", PROP)
+    later = base.declare("b", T)
+    assert base.lookup("b") is None
+    branch = base.declare("b", PROP)  # base is no longer the tip
+    assert branch.lookup("b") == PROP and later.lookup("b") == T
+    assert later.prefix(1).lookup("b") is None
+    assert branch.entries == (("a", PROP), ("b", PROP))
+
+
+class _YieldingList(list):
+    """A row list whose length check hands the interpreter to another thread,
+    widening the window between testing for the tip and appending to it."""
+
+    def __len__(self) -> int:
+        n = super().__len__()
+        time.sleep(1e-4)
+        return n
+
+
+def test_declare_from_threads_racing_for_the_tip():
+    workers, rounds = 4, 100
+    bases = [Context().declare("a", PROP) for _ in range(rounds)]
+    for base in bases:
+        base._table.names = _YieldingList(base._table.names)
+    got: list[list[Context | None]] = [[None] * rounds for _ in range(workers)]
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def work(k: int) -> None:
+        for r, base in enumerate(bases):
+            barrier.wait()  # all workers declare on the same tip at once
+            got[k][r] = base.declare(f"t{k}", Var(f"ty{k}"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(workers):
+        # each result holds the base and its own row, never another worker's
+        assert all(c is not None and c.entries == (("a", PROP), (f"t{k}", Var(f"ty{k}"))) for c in got[k])
+
+
+NAMES = "abcdefghij"
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("declare", "extend", "prefix", "lookup")),
+        st.integers(0, 1 << 16),  # which view to act on
+        st.sampled_from(NAMES),
+        st.integers(0, 1 << 16),  # prefix depth, modulo the view's length
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS)
+def test_context_views_agree_with_a_list_of_pairs(ops):
+    """Differential test against the plain model: a context is a list of
+    (name, type) pairs with distinct names, lookup finds the pair by name."""
+    views = [(Context(), [])]
+    for step, (op, pick, name, cut) in enumerate(ops):
+        ctx, model = views[pick % len(views)]
+        ty = Var(f"ty{step}")  # a type per step, so lookup shows which entry it found
+        if op == "lookup":
+            assert ctx.lookup(name) == dict(model).get(name)
+        elif op == "prefix":
+            depth = cut % (len(model) + 1)
+            views.append((ctx.prefix(depth), model[:depth]))
+        else:
+            clash = name in dict(model)
+            try:
+                grown = getattr(ctx, op)(name, ty)
+            except CheckError as err:
+                assert clash and err.diagnostic.kind == DUPLICATE_NAME
+            else:
+                assert not clash
+                views.append((grown, model + [(name, ty)]))
+        # every view, also one taken before later declarations, still
+        # resolves exactly its own entries
+        for view, entries in views:
+            assert view.entries == tuple(entries)
+            assert list(view) == entries
+            assert len(view) == len(entries)
+            for n in NAMES:
+                assert view.lookup(n) == dict(entries).get(n)
