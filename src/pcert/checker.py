@@ -4,16 +4,19 @@ A file is one context: symbol declarations extend it in order, definitions
 are checked and then expanded transparently into every later declaration
 (the kernels have no delta reduction), assertions run against the mode's
 kernel. In lf mode every declaration passes the protected-symbol gate
-before any checking happens; this is the only place that gate runs.
+before any checking happens. `LfKernel.infer` runs the same gate again, so
+an unannotated lf definition body and both `convertible` sides are walked
+twice; `sort_of` and `check` do not run it.
 
 Checking yields one elaboration record per declaration: the declaration
 with every defined name expanded, how many context entries were in scope
-when it was checked, and, for a definition, the inferred type of its body.
+when it was checked, and, for a definition, the inferred type of its body
+(an annotated body is inferred once, by `check` after the annotation's sort).
 Symbols are added with `Context.declare`, so the file's context is one shared
 table and `CheckedFile.scope(depth)` is an O(1) view of its first `depth`
-entries, not a copy.
-Translation, round trip and export read these records; this module is the
-only place definitions are expanded.
+entries, not a copy. Translation, round trip and export read these records
+without checking again: this module is the only place definitions are
+expanded and typability is established.
 """
 
 from __future__ import annotations
@@ -100,11 +103,12 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
                     if name in names:
                         raise fail(dk.DUPLICATE_NAME, f"{name!r} declared twice")
                     body = prepare(body)
-                    inferred = kernel.infer(ctx, body, budget)
-                    if ty is not None:
+                    if ty is None:
+                        inferred = kernel.infer(ctx, body, budget)
+                    else:
                         ty = prepare(ty)
                         kernel.sort_of(ctx, ty, budget)
-                        kernel.check(ctx, body, ty, budget)
+                        inferred = kernel.check(ctx, body, ty, budget)
                     expansions[name] = body
                     names.add(name)
                     decl = Definition(name, body, ty, span)

@@ -45,7 +45,7 @@ EXIT_ROUNDTRIP = 5
 
 _PARSE_KINDS = {dk.PARSE_ERROR, dk.ARITY_MISMATCH, dk.WRONG_MODE}
 
-BETA_ONLY = RuleSet((), beta_enabled=True)
+BETA_ONLY = RuleSet()
 
 
 def _exit_code(err: CheckError) -> int:

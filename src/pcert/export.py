@@ -149,8 +149,10 @@ def development_lines(decls: tuple[Declaration, ...] | list[Declaration]) -> lis
 
 
 def export_lambdapi(decls, mode: str = "development") -> str:
-    """Declarations must already have passed the lf kernel (UncheckedInput
-    is the caller's contract, not re-verified here)."""
+    """Declarations are expected to be checked; nothing is re-verified here.
+    `pcert export` passes an lf file's declarations after the lf kernel has
+    checked them, but a pcert file's translation without the lf re-check
+    that `pcert translate` runs."""
     if mode == "signature":
         return "\n".join(signature_lines()) + "\n"
     if mode == "development":

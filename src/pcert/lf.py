@@ -135,7 +135,6 @@ def _rules() -> RuleSet:
                 Prod("h", Prf(p), Prf(App(q, Bound(0)))),
             ),
         ),
-        beta_enabled=True,
     )
 
 

@@ -77,7 +77,7 @@ PROJECTION_RULE = RewriteRule(
     Var("m"),
 )
 
-BETA_PROJ = RuleSet((PROJECTION_RULE,), beta_enabled=True)
+BETA_PROJ = RuleSet((PROJECTION_RULE,))
 
 PCERT_CONFIG = SystemConfig(
     name="pcert",

@@ -103,14 +103,13 @@ class RewriteRule:
 
 
 class RuleSet:
-    """Oriented rules plus the beta switch; immutable once built."""
+    """Oriented rules, reduced alongside built-in beta; immutable once built."""
 
-    def __init__(self, rules: tuple[RewriteRule, ...] = (), beta_enabled: bool = True):
+    def __init__(self, rules: tuple[RewriteRule, ...] = ()):
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise fail("BadRule", "rule names must be distinct")
         self.rules = tuple(rules)
-        self.beta_enabled = beta_enabled
         self._by_head: dict[str, list[RewriteRule]] = {}
         for r in self.rules:
             self._by_head.setdefault(r.lhs.sym, []).append(r)
@@ -119,8 +118,7 @@ class RuleSet:
         return self._by_head.get(sym, [])
 
     def __repr__(self) -> str:
-        beta = "beta+" if self.beta_enabled else ""
-        return f"RuleSet({beta}{[r.name for r in self.rules]})"
+        return f"RuleSet({[r.name for r in self.rules]})"
 
 
 def match(pattern: Term, subject: Term, binding: dict[str, Term] | None = None) -> dict[str, Term] | None:
@@ -175,7 +173,7 @@ def whnf(rules: RuleSet, t: Term, fuel: Fuel | int | None = None) -> Term:
         match t:
             case App(f, a):
                 f2 = whnf(rules, f, fuel)
-                if rules.beta_enabled and isinstance(f2, Abs):
+                if isinstance(f2, Abs):
                     fuel.spend(t)
                     t = instantiate(f2.body, a)
                     continue
@@ -214,7 +212,7 @@ def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
         case App(f, a):
             f2 = _normalize_innermost(rules, f, fuel)
             a2 = _normalize_innermost(rules, a, fuel)
-            if rules.beta_enabled and isinstance(f2, Abs):
+            if isinstance(f2, Abs):
                 fuel.spend(App(f2, a2))
                 return _normalize_innermost(rules, instantiate(f2.body, a2), fuel)
             return App(f2, a2)

@@ -3,8 +3,11 @@
 Terms go to terms: sorts are objectified, products dispatch on the sorts of
 their domain and codomain to fa/impd/arrd, the four subtype symbols map to
 their encoded counterparts argument by argument. Types go to types through
-El/Prf according to their sort. Translation requires a typable subject and
-never normalizes its output; conversion checks do the normalizing.
+El/Prf according to their sort. Translation never normalizes its output;
+conversion checks do the normalizing. It is defined on checked terms only:
+`check_file`'s records establish typability, nothing here infers a pcert
+type again (only sorts are queried), and `pcert translate` re-checks the
+output in the lf kernel.
 """
 
 from __future__ import annotations
@@ -105,20 +108,9 @@ class _Translation:
 
 
 def translate_term(ctx: Context, m: Term, fuel: Fuel | int | None = None) -> Term:
-    """Requires m typable in ctx; NotTypable otherwise."""
-    tr = _Translation(_as_fuel(fuel))
-    try:
-        PCERT.infer(ctx, m, tr.fuel)
-    except dk.FuelError:
-        raise
-    except dk.CheckError as err:
-        raise fail(
-            dk.NOT_TYPABLE,
-            f"translation requires a typable subject: {err.diagnostic.message}",
-            context=ctx,
-            subject=m,
-        ) from err
-    return tr.term(ctx, m)
+    """Requires m typable in ctx, which check_file's records guarantee; callers
+    own that obligation, it is not re-checked here."""
+    return _Translation(_as_fuel(fuel)).term(ctx, m)
 
 
 def translate_type(ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Term:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-from pcert import Definition, SymbolDecl, check_file, corpus_path, free_vars, parse_file
+from pcert import Definition, SymbolDecl, check_file, cli, corpus_path, free_vars, parse_file
+from pcert.pcert import PcertKernel
 
 
 def test_records_scope_and_expansion_over_the_corpus():
@@ -37,3 +38,34 @@ def test_records_scope_and_expansion_over_the_corpus():
                     assert record.inferred is not None
                     defined.add(name)
         assert tuple(declared) == checked.context.entries
+
+
+def test_translation_reads_the_record_instead_of_inferring_again(monkeypatch, tmp_path):
+    # once check_file has returned, translate, roundtrip and export take every
+    # type they need from its records: a further pcert inference is a bug
+    # (sort queries on products still go through sort_of)
+    checked = {"done": False}
+    original_check_file, original_infer = cli.check_file, PcertKernel.infer
+
+    def check_file_then_close(*args, **kwargs):
+        result = original_check_file(*args, **kwargs)
+        checked["done"] = True
+        return result
+
+    def infer(self, *args, **kwargs):
+        assert not checked["done"], "pcert inference after check_file returned"
+        return original_infer(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_file", check_file_then_close)
+    monkeypatch.setattr(PcertKernel, "infer", infer)
+    pcert_files = sorted(p for p in corpus_path("").iterdir() if p.name.endswith(".pcert"))
+    assert pcert_files
+    for path in pcert_files:
+        for argv in (
+            ["translate", str(path), "-o", str(tmp_path / "out.lf")],
+            ["roundtrip", str(path)],
+            ["export", str(path), "-o", str(tmp_path / "out.lp")],
+        ):
+            checked["done"] = False
+            assert cli.main(argv) == 0, (path.name, argv[0])
+            assert checked["done"], (path.name, argv[0])

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
 from pcert import corpus_path
 from pcert.cli import main
 
-CORPUS_OK = ("prelude.pcert", "stacks.pcert", "bounded_lists.pcert", "even_numbers.pcert",
-             "even_pair.lf")
+CORPUS_PCERT = ("prelude.pcert", "stacks.pcert", "bounded_lists.pcert", "even_numbers.pcert")
+CORPUS_OK = CORPUS_PCERT + ("even_pair.lf",)
 
 
 def corpus(name: str) -> str:
@@ -64,7 +68,7 @@ def test_translate_ill_typed_exits_one(tmp_path):
 
 
 def test_roundtrip_corpus_files(capsys):
-    for name in ("prelude.pcert", "stacks.pcert", "bounded_lists.pcert", "even_numbers.pcert"):
+    for name in CORPUS_PCERT:
         assert main(["roundtrip", corpus(name)]) == 0
 
 
@@ -192,3 +196,47 @@ def test_non_utf8_file_exits_two(tmp_path, capsys):
     bad.write_bytes(b"symbol T : Type;\nsymbol x\xff : T;\n")
     assert main(["check", str(bad)]) == 2
     assert capsys.readouterr().err == f"ParseError: {bad}: not UTF-8 (byte 25)\n"
+
+
+def test_annotated_definition_infers_its_body_once(tmp_path, capsys):
+    # one beta step to apply the body, one to match the annotation: the body
+    # is inferred once, by the check against its annotation
+    src = tmp_path / "annotated.pcert"
+    src.write_text(
+        "symbol iota : Type; symbol a : iota; symbol f : iota -> iota;\n"
+        "symbol P : iota -> Prop; symbol h : P (f a);\n"
+        "definition t : P (f a) := (\\x: P ((\\y: iota. f y) a). x) h;\n"
+    )
+    assert main(["check", str(src), "--fuel", "2"]) == 0
+    assert main(["check", str(src), "--fuel", "1"]) == 3
+    assert f"{src}:3:1: FuelExhausted" in capsys.readouterr().err
+
+
+def test_definition_disagreeing_with_its_annotation_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.pcert"
+    bad.write_text("symbol T : Type;\nsymbol U : Type;\nsymbol x : T;\ndefinition y : U := x;\n")
+    assert main(["check", str(bad)]) == 1
+    assert f"{bad}:4:1: TypeMismatch" in capsys.readouterr().err
+
+
+def test_definition_annotation_is_checked_before_its_body(tmp_path, capsys):
+    bad = tmp_path / "bad.pcert"
+    bad.write_text("symbol T : Type;\nsymbol x : T;\ndefinition y : ghost := x x;\n")
+    assert main(["check", str(bad)]) == 1
+    assert f"{bad}:3:1: UnboundVariable" in capsys.readouterr().err
+
+
+# Emitted bytes, written by `pcert translate|export FILE -o OUT` on the
+# bundled corpus. Regenerate them only for a change meant to alter output.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = [(cmd, name) for name in CORPUS_PCERT for cmd in ("translate", "export")]
+GOLDEN_CASES.append(("export", "even_pair.lf"))
+
+
+@pytest.mark.parametrize(("command", "name"), GOLDEN_CASES)
+def test_output_matches_golden_bytes(command, name, tmp_path):
+    suffix = {"translate": "translate.lf", "export": "export.lp"}[command]
+    golden = GOLDEN / f"{name.rsplit('.', 1)[0]}.{suffix}"
+    out = tmp_path / "out"
+    assert main([command, corpus(name), "-o", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()

@@ -20,7 +20,7 @@ from pcert.terms import (
 )
 from pcert.translate import translate_term, translate_type
 
-BETA = RuleSet((), beta_enabled=True)
+BETA = RuleSet()
 
 
 def test_prop_object_inverts_to_sort():

@@ -75,7 +75,6 @@ def test_signature_arities_and_protection():
 
 
 def test_rule_set_is_exactly_the_completed_system():
-    assert RULES_R.beta_enabled
     t, p, q, u, m, h = (Var(n) for n in ("t", "p", "q", "u", "m", "h"))
     expected = {
         "pair_compress": (SymApp("pair", (t, p, m, h)), SymApp("pair'", (t, p, m))),

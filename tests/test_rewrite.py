@@ -35,7 +35,7 @@ from pcert.terms import (
     substitute_parallel,
 )
 
-BETA = RuleSet((), beta_enabled=True)
+BETA = RuleSet()
 
 
 def test_match_binds_variable():
@@ -188,7 +188,7 @@ def test_strategies_agree_on_random_encodings():
 def _one_step(rules: RuleSet, t: Term) -> Term | None:
     """Leftmost-outermost single rewrite step, implemented independently of
     the engine: plain pattern matching, explicit recursion into children."""
-    if rules.beta_enabled and isinstance(t, App) and isinstance(t.fun, Abs):
+    if isinstance(t, App) and isinstance(t.fun, Abs):
         return instantiate(t.fun.body, t.arg)
     if isinstance(t, SymApp):
         for rule in rules.rules_for(t.sym):

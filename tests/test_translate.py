@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from genutil import BASE_CTX, EquivalenceWalker, TermGen
 from pcert import check_file, corpus_path, parse_file
-from pcert.diagnostics import CheckError
 from pcert.lf import El, KERNEL as LF_KERNEL, KIND_ENC, PROP_ENC, PROP_OBJ, Prf, RULES_R, TYPE_ENC
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel, convertible, normalize
@@ -78,12 +75,6 @@ def test_type_translation_of_prop_normalizes_to_encoded_prop():
 def test_proof_types_wrap_prf():
     ctx = Context().extend("Q", PROP)
     assert translate_type(ctx, Var("Q")) == Prf(Var("Q"))
-
-
-def test_translate_requires_typable_subject():
-    with pytest.raises(CheckError) as err:
-        translate_term(Context(), Var("ghost"))
-    assert err.value.kind == "NotTypable"
 
 
 def test_translate_ctx_empty():
