@@ -15,6 +15,7 @@ is dangerous because termination of the rewrite systems is not established.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -170,6 +171,9 @@ def _fuel_value(args: argparse.Namespace) -> int:
     return fuel
 
 
+# Built on the first call of main, not at import. Building costs more than
+# parsing, so later calls in one process reuse the parser.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pcert", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,11 +19,20 @@ scope; signature symbols accept both the parenthesized call form and plain
 juxtaposition, and must be fully applied either way. In pcert mode the
 keywords Type/Kind/Prop are sort literals; in lf mode they name the nullary
 encodings of those sorts, while TYPE and KIND denote the framework sorts.
+
+The lexer is one regex scan of the text. It skips whitespace and comments
+inside the regex, reports the first character that starts no token through a
+catch-all group, and fills three flat lists: the kinds, values and start
+offsets of the tokens, ending in an eof entry. The parser indexes these lists.
+Lines and columns are computed only where a SourceSpan is built (for each
+declaration and for an error), by bisecting the newline offsets of the text,
+found once per text.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -35,7 +44,6 @@ from .terms import (
     App,
     Bound,
     Prod,
-    Signature,
     Sort,
     SymApp,
     Term,
@@ -97,53 +105,41 @@ class ParsedFile:
 
 # --- lexer -------------------------------------------------------------------
 
+# Whitespace and comments after a token. Each token match ends with them, so
+# the next match starts on a token or at the end of the text, and the
+# catch-all `bad` group sees only a character that starts no token.
+_SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>//[^\n]*)
-      | (?P<nl>\n)
-      | (?P<mode>\#MODE)
-      | (?P<assign>:=)
-      | (?P<arrow>->)
-      | (?P<punct>[(){}|,;:.!\\])
-      | (?P<id>[A-Za-z_][A-Za-z0-9_'?]*)
-    """,
-    re.VERBOSE,
+    r"(?: (?P<kw>(?:" + "|".join(sorted(KEYWORDS)) + r")(?![A-Za-z0-9_'?]))"
+    r"""  | (?P<id>[A-Za-z_][A-Za-z0-9_'?]*)
+          | (?P<assign>:=)
+          | (?P<arrow>->)
+          | (?P<punct>[(){}|,;:.!\\])
+          | (?P<mode>\#MODE)
+          | (?P<bad>.)
+        )"""
+    + _SKIP,
+    re.VERBOSE | re.DOTALL,
 )
+_LEADING_SKIP = re.compile(_SKIP)
+_NEWLINE = re.compile("\n")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # id | kw | punct | mode | assign | arrow | eof
-    value: str
-    line: int
-    column: int
-
-    def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file, self.line, self.column, max(1, len(self.value)))
-
-
-def _tokenize(text: str, file: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SurfaceError(f"unexpected character {text[pos]!r}", SourceSpan(file, line, col))
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Kinds, values and start offsets of the tokens of text, ending in eof."""
+    kinds: list[str] = []
+    values: list[str] = []
+    starts: list[int] = []
+    for m in _TOKEN_RE.finditer(text, _LEADING_SKIP.match(text).end()):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
-            if kind == "id" and value in KEYWORDS:
-                kind = "kw"
-            tokens.append(_Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+        kinds.append(kind)
+        values.append(m[kind])
+        starts.append(m.start())
+    kinds.append("eof")
+    values.append("")
+    starts.append(len(text))
+    return kinds, values, starts
 
 
 # --- parser ------------------------------------------------------------------
@@ -154,78 +150,85 @@ class _SymRef:
     """A signature symbol awaiting its arguments."""
 
     name: str
-    token: _Token
+    index: int  # of its token
 
 
-_ATOM_START = {("punct", "("), ("punct", "{")}
+_ARITIES = {mode: {name: entry.arity for name, entry in sig.items()} for mode, sig in _SIGNATURES.items()}
+
+# values of the tokens other than identifiers that start an atom
+_ATOM_START = frozenset({"(", "{", "Type", "Kind", "Prop"})
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], file: str):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token lists of one text; pos indexes them."""
+
+    def __init__(self, text: str, file: str, mode: str = "pcert"):
+        self.kinds, self.values, self.starts = _scan(text)
+        self.newlines = list(map(re.Match.start, _NEWLINE.finditer(text)))
         self.file = file
-        self.mode = "pcert"
-        self.sig: Signature = _SIGNATURES[self.mode]
+        self.pos = 0
+        self.mode = mode
+        self.arities = _ARITIES[mode]
+        if "bad" in self.kinds:
+            bad = self.kinds.index("bad")
+            raise self.error(f"unexpected character {self.values[bad]!r}", bad)
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def span(self, i: int) -> SourceSpan:
+        start = self.starts[i]
+        line = bisect_left(self.newlines, start)  # newlines before the token
+        column = start - self.newlines[line - 1] if line else start + 1
+        return SourceSpan(self.file, line + 1, column, max(1, len(self.values[i])))
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def error(self, message: str, i: int | None = None, kind: str = PARSE_ERROR) -> SurfaceError:
+        return SurfaceError(message, self.span(self.pos if i is None else i), kind)
 
-    def error(self, message: str, tok: _Token | None = None, kind: str = PARSE_ERROR) -> SurfaceError:
-        tok = tok or self.peek()
-        return SurfaceError(message, tok.span(self.file), kind)
-
-    def expect(self, kind: str, value: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value or kind
-            raise self.error(f"expected {want!r}, found {tok.value or 'end of input'!r}")
-        return self.next()
+    def expect(self, kind: str, value: str | None = None) -> int:
+        """Consume the next token, which must be of this kind and value; return its index."""
+        i = self.pos
+        if self.kinds[i] != kind or (value is not None and self.values[i] != value):
+            raise self.error(f"expected {value or kind!r}, found {self.values[i] or 'end of input'!r}")
+        self.pos = i + 1
+        return i
 
     # - file and declarations -
 
     def parse_file(self) -> ParsedFile:
-        if self.peek().kind == "mode":
-            self.next()
-            tok = self.expect("id")
-            if tok.value not in _SIGNATURES:
-                raise self.error(f"unknown mode {tok.value!r} (expected pcert or lf)", tok)
-            self.mode = tok.value
-            self.sig = _SIGNATURES[self.mode]
+        if self.kinds[0] == "mode":
+            self.pos = 1
+            i = self.expect("id")
+            if self.values[i] not in _SIGNATURES:
+                raise self.error(f"unknown mode {self.values[i]!r} (expected pcert or lf)", i)
+            self.mode = self.values[i]
+            self.arities = _ARITIES[self.mode]
         decls: list[Declaration] = []
-        while self.peek().kind != "eof":
+        while self.kinds[self.pos] != "eof":
             decls.append(self.parse_decl())
         return ParsedFile(self.mode, tuple(decls), self.file)
 
     def parse_decl(self) -> Declaration:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.value not in ("symbol", "definition", "assert", "convertible"):
-            raise self.error("expected a declaration (symbol/definition/assert/convertible)", tok)
-        self.next()
-        span = tok.span(self.file)
-        if tok.value == "symbol":
+        i = self.pos
+        keyword = self.values[i]
+        if self.kinds[i] != "kw" or keyword not in ("symbol", "definition", "assert", "convertible"):
+            raise self.error("expected a declaration (symbol/definition/assert/convertible)", i)
+        self.pos = i + 1
+        span = self.span(i)
+        if keyword == "symbol":
             name = self.parse_decl_name()
             self.expect("punct", ":")
             ty = self.parse_term()
             self.expect("punct", ";")
             return SymbolDecl(name, ty, span)
-        if tok.value == "definition":
+        if keyword == "definition":
             name = self.parse_decl_name()
             ty = None
-            if self.peek().kind == "punct" and self.peek().value == ":":
-                self.next()
+            if self.values[self.pos] == ":":
+                self.pos += 1
                 ty = self.parse_term()
             self.expect("assign")
             body = self.parse_term()
             self.expect("punct", ";")
             return Definition(name, body, ty, span)
-        if tok.value == "assert":
+        if keyword == "assert":
             subject = self.parse_term()
             self.expect("punct", ":")
             ty = self.parse_term()
@@ -240,133 +243,105 @@ class _Parser:
     def parse_decl_name(self) -> str:
         # Names from either signature are reserved in both modes so that a
         # checked development can always be translated and reprinted.
-        tok = self.expect("id")
-        if tok.value in _RESERVED_DECL_NAMES:
-            raise self.error(f"{tok.value!r} is a reserved symbol name", tok)
-        return tok.value
+        i = self.expect("id")
+        if self.values[i] in _RESERVED_DECL_NAMES:
+            raise self.error(f"{self.values[i]!r} is a reserved symbol name", i)
+        return self.values[i]
 
     # - terms -
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value in ("\\", "!"):
-            self.next()
-            name = self.expect("id").value
+        binder = self.values[self.pos]
+        if binder == "\\" or binder == "!":
+            self.pos += 1
+            name = self.values[self.expect("id")]
             self.expect("punct", ":")
             annot = self.parse_term()
             self.expect("punct", ".")
             body = self.parse_term()
-            return lam(name, annot, body) if tok.value == "\\" else pi(name, annot, body)
-        return self.parse_arrow()
-
-    def parse_arrow(self) -> Term:
+            return lam(name, annot, body) if binder == "\\" else pi(name, annot, body)
         lhs = self.parse_app()
-        if self.peek().kind == "arrow":
-            self.next()
-            rhs = self.parse_term()
-            return Prod("_", lhs, rhs)  # rhs never mentions the binder
+        if self.kinds[self.pos] == "arrow":
+            self.pos += 1
+            return Prod("_", lhs, self.parse_term())  # the right side never mentions the binder
         return lhs
 
-    def starts_atom(self, tok: _Token) -> bool:
-        if tok.kind == "id":
-            return True
-        if tok.kind == "kw" and tok.value in ("Type", "Kind", "Prop"):
-            return True
-        return (tok.kind, tok.value) in _ATOM_START
-
     def parse_app(self) -> Term:
-        atoms: list[Term | _SymRef] = [self.parse_atom()]
-        while self.starts_atom(self.peek()):
-            atoms.append(self.parse_atom())
-        for extra in atoms[1:]:
-            if isinstance(extra, _SymRef):
+        kinds, values = self.kinds, self.values
+        head = self.parse_atom()
+        args: list[Term | _SymRef] = []
+        while kinds[self.pos] == "id" or values[self.pos] in _ATOM_START:
+            args.append(self.parse_atom())
+        for arg in args:
+            if isinstance(arg, _SymRef):
                 raise self.error(
-                    f"symbol {extra.name!r} expects {self.sig.arity(extra.name)} arguments, got 0",
-                    extra.token,
-                    ARITY_MISMATCH,
+                    f"symbol {arg.name!r} expects {self.arities[arg.name]} arguments, got 0", arg.index, ARITY_MISMATCH
                 )
-        head = atoms[0]
         if isinstance(head, _SymRef):
-            arity = self.sig.arity(head.name)
-            given = len(atoms) - 1
-            if given < arity:
+            arity = self.arities[head.name]
+            if len(args) < arity:
                 raise self.error(
-                    f"symbol {head.name!r} expects {arity} arguments, got {given}",
-                    head.token,
-                    ARITY_MISMATCH,
+                    f"symbol {head.name!r} expects {arity} arguments, got {len(args)}", head.index, ARITY_MISMATCH
                 )
-            term: Term = SymApp(head.name, tuple(atoms[1 : 1 + arity]))  # type: ignore[arg-type]
-            rest = atoms[1 + arity :]
-        else:
-            term = head
-            rest = atoms[1:]
-        for arg in rest:
-            term = App(term, arg)  # type: ignore[arg-type]
-        return term
+            head, args = SymApp(head.name, tuple(args[:arity])), args[arity:]  # type: ignore[arg-type]
+        for arg in args:
+            head = App(head, arg)  # type: ignore[arg-type]
+        return head
 
     def parse_atom(self) -> Term | _SymRef:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.value in ("Type", "Kind", "Prop"):
-            self.next()
-            if self.mode == "pcert":
-                return Sort(tok.value)
-            return SymApp(tok.value)
-        if tok.kind == "id":
-            self.next()
-            name = tok.value
-            if name in ("TYPE", "KIND"):
-                return Sort(name)
-            if name in self.sig:
-                if self.peek().kind == "punct" and self.peek().value == "(":
-                    return self.parse_call(name, tok)
-                if self.sig.arity(name) == 0:
-                    return SymApp(name)
-                return _SymRef(name, tok)
-            return Var(name)
-        if tok.kind == "punct" and tok.value == "(":
-            self.next()
+        i = self.pos
+        value = self.values[i]
+        if self.kinds[i] == "id":
+            self.pos = i + 1
+            if value == "TYPE" or value == "KIND":
+                return Sort(value)
+            arity = self.arities.get(value)
+            if arity is None:
+                return Var(value)
+            if self.values[i + 1] == "(":
+                return self.parse_call(value, i)
+            return SymApp(value) if arity == 0 else _SymRef(value, i)
+        if value == "Type" or value == "Kind" or value == "Prop":
+            self.pos = i + 1
+            return Sort(value) if self.mode == "pcert" else SymApp(value)
+        if value == "(":
+            self.pos = i + 1
             inner = self.parse_term()
             self.expect("punct", ")")
             return inner
-        if tok.kind == "punct" and tok.value == "{":
-            self.next()
-            name = self.expect("id").value
+        if value == "{":
+            self.pos = i + 1
+            name = self.values[self.expect("id")]
             self.expect("punct", ":")
             ty = self.parse_term()
             self.expect("punct", "|")
             pred = self.parse_term()
             self.expect("punct", "}")
             return SymApp("psub", (ty, lam(name, ty, pred)))
-        raise self.error(f"expected a term, found {tok.value or 'end of input'!r}", tok)
+        raise self.error(f"expected a term, found {value or 'end of input'!r}", i)
 
-    def parse_call(self, name: str, tok: _Token) -> Term:
+    def parse_call(self, name: str, i: int) -> Term:
         self.expect("punct", "(")
         args = [self.parse_term()]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.next()
+        while self.values[self.pos] == ",":
+            self.pos += 1
             args.append(self.parse_term())
         self.expect("punct", ")")
-        arity = self.sig.arity(name)
+        arity = self.arities[name]
         if len(args) != arity:
-            raise self.error(
-                f"symbol {name!r} expects {arity} arguments, got {len(args)}",
-                tok,
-                ARITY_MISMATCH,
-            )
+            raise self.error(f"symbol {name!r} expects {arity} arguments, got {len(args)}", i, ARITY_MISMATCH)
         return SymApp(name, tuple(args))
 
 
 def parse_file(text: str, file: str = "<input>") -> ParsedFile:
-    return _Parser(_tokenize(text, file), file).parse_file()
+    return _Parser(text, file).parse_file()
 
 
 def parse_term(text: str, mode: str = "pcert") -> Term:
     """Parse a single term, for tests and tooling."""
-    parser = _Parser(_tokenize(text, "<term>"), "<term>")
-    parser.mode = mode
-    parser.sig = _SIGNATURES[mode]
+    parser = _Parser(text, "<term>", mode)
     term = parser.parse_term()
-    if parser.peek().kind != "eof":
+    if parser.kinds[parser.pos] != "eof":
         raise parser.error("trailing input after term")
     return term
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pcert
 from pcert import corpus_path
 from pcert.cli import main
 
@@ -224,6 +228,26 @@ def test_definition_annotation_is_checked_before_its_body(tmp_path, capsys):
     bad.write_text("symbol T : Type;\nsymbol x : T;\ndefinition y : ghost := x x;\n")
     assert main(["check", str(bad)]) == 1
     assert f"{bad}:3:1: UnboundVariable" in capsys.readouterr().err
+
+
+def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # main builds its argument parser once per process and reuses it
+    source = corpus("even_numbers.pcert")
+    calls = [
+        lambda out: ["export", "--signature"],
+        lambda out: ["check", source],
+        lambda out: ["export", source, "-o", str(out)],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(pcert.__file__).parents[1])}
+    for argv in calls:
+        code = main(argv(tmp_path / "in_process.lp"))
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pcert.cli", *argv(tmp_path / "fresh.lp")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert (tmp_path / "in_process.lp").read_bytes() == (tmp_path / "fresh.lp").read_bytes()
 
 
 # Emitted bytes, written by `pcert translate|export FILE -o OUT` on the

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genutil import TermGen
 from pcert import corpus_path
@@ -164,3 +167,151 @@ def test_overapplied_call_form_is_an_arity_error():
     with pytest.raises(SurfaceError) as err:
         parse_file("symbol x : psub(T, p, q);")
     assert err.value.kind == "ArityMismatch"
+
+
+# Every SurfaceError path of the front end, pinned to its exact report:
+# (parse_file or parse_term, source, kind, message, line, column, length).
+SURFACE_ERRORS = {
+    "unexpected character after a tab and a comment": (
+        "file", "symbol T : Type; // note $\n\t@", "ParseError", "unexpected character '@'", 2, 2, 1),
+    "unexpected character on a later line": (
+        "file", "symbol T : Type;\n// a comment\nsymbol x :\tT $ ;", "ParseError",
+        "unexpected character '$'", 3, 14, 1),
+    "unexpected character before a syntax error": (
+        "file", "symbol T Type; /", "ParseError", "unexpected character '/'", 1, 16, 1),
+    "expected punctuation": ("file", "symbol T Type;", "ParseError", "expected ':', found 'Type'", 1, 10, 4),
+    "expected punctuation at end of input": (
+        "file", "symbol T : Type", "ParseError", "expected ';', found 'end of input'", 1, 16, 1),
+    "end of input after a newline": (
+        "file", "symbol T : Type;\nsymbol U : T\n", "ParseError", "expected ';', found 'end of input'", 3, 1, 1),
+    "expected an identifier": ("file", "symbol : Type;", "ParseError", "expected 'id', found ':'", 1, 8, 1),
+    "expected an identifier, found a keyword": (
+        "file", "symbol symbol : Type;", "ParseError", "expected 'id', found 'symbol'", 1, 8, 6),
+    "expected assignment": ("file", "definition d : T T;", "ParseError", "expected 'assign', found ';'", 1, 19, 1),
+    "expected a term": ("file", "symbol T :;", "ParseError", "expected a term, found ';'", 1, 11, 1),
+    "expected a term at end of input": (
+        "file", "symbol T :", "ParseError", "expected a term, found 'end of input'", 1, 11, 1),
+    "expected binder dot": ("file", "symbol T : \\x: Type x;", "ParseError", "expected '.', found ';'", 1, 22, 1),
+    "expected subtype bar": ("file", "symbol T : {x : T p};", "ParseError", "expected '|', found '}'", 1, 20, 1),
+    "expected a declaration": (
+        "file", "symbol T : Type;\nfoo", "ParseError",
+        "expected a declaration (symbol/definition/assert/convertible)", 2, 1, 3),
+    "second mode line": (
+        "file", "#MODE lf #MODE pcert", "ParseError",
+        "expected a declaration (symbol/definition/assert/convertible)", 1, 10, 5),
+    "unknown mode": (
+        "file", "#MODE coq\nsymbol T : Type;", "ParseError", "unknown mode 'coq' (expected pcert or lf)", 1, 7, 3),
+    "mode without a name": ("file", "#MODE\nsymbol T : Type;", "ParseError", "expected 'id', found 'symbol'", 2, 1, 6),
+    "reserved pcert name": ("file", "symbol pair : Type;", "ParseError", "'pair' is a reserved symbol name", 1, 8, 4),
+    "reserved lf name in an indented definition": (
+        "file", "#MODE lf\n  definition El := TYPE;", "ParseError", "'El' is a reserved symbol name", 2, 14, 2),
+    "underapplied call": (
+        "file", "symbol x : fst(T);", "ArityMismatch", "symbol 'fst' expects 3 arguments, got 1", 1, 12, 3),
+    "overapplied call": (
+        "file", "symbol x : psub(T, p, q);", "ArityMismatch", "symbol 'psub' expects 2 arguments, got 3", 1, 12, 4),
+    "underapplied juxtaposition": (
+        "file", "#MODE lf\nsymbol x : fa t;", "ArityMismatch", "symbol 'fa' expects 2 arguments, got 1", 2, 12, 2),
+    "unapplied symbol as an argument": (
+        "file", "#MODE lf\nsymbol x : f fa;", "ArityMismatch", "symbol 'fa' expects 2 arguments, got 0", 2, 14, 2),
+    "trailing input after a term": ("term", "a b )", "ParseError", "trailing input after term", 1, 5, 1),
+    "trailing input after an arrow": ("term", "a -> b c;", "ParseError", "trailing input after term", 1, 9, 1),
+    "empty term": ("term", "", "ParseError", "expected a term, found 'end of input'", 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", SURFACE_ERRORS.values(), ids=SURFACE_ERRORS.keys())
+def test_surface_error_report_is_pinned(case):
+    entry, source, kind, message, line, column, length = case
+    with pytest.raises(SurfaceError) as err:
+        parse_file(source, "in.pcert") if entry == "file" else parse_term(source)
+    diagnostic = err.value.diagnostic
+    span = diagnostic.span
+    file = "in.pcert" if entry == "file" else "<term>"
+    assert (diagnostic.kind, diagnostic.message) == (kind, message)
+    assert (span.file, span.line, span.column, span.length) == (file, line, column, length)
+
+
+# (line, column, length) of every declaration of every bundled corpus file;
+# a declaration's span is its keyword.
+CORPUS_SPANS = {
+    "prelude.pcert": [(6, 1, 6), (7, 1, 6), (8, 1, 6), (10, 1, 10), (11, 1, 6)],
+    "stacks.pcert": [(5, 1, 6), (6, 1, 6), (7, 1, 6), (8, 1, 6), (9, 1, 6), (11, 1, 10), (12, 1, 10),
+                     (13, 1, 10), (15, 1, 6), (16, 1, 6), (18, 1, 6), (22, 1, 6), (25, 1, 6), (31, 1, 6)],
+    "bounded_lists.pcert": [(6, 1, 6), (7, 1, 6), (8, 1, 6), (9, 1, 6), (10, 1, 6), (11, 1, 6), (12, 1, 6),
+                            (13, 1, 10), (14, 1, 6), (17, 1, 6), (18, 1, 6), (20, 1, 10), (21, 1, 10),
+                            (22, 1, 10), (23, 1, 10), (25, 1, 6), (26, 1, 6), (27, 1, 11), (28, 1, 11)],
+    "even_numbers.pcert": [(6, 1, 6), (7, 1, 6), (8, 1, 6), (9, 1, 6), (11, 1, 10), (12, 1, 6), (13, 1, 6),
+                           (15, 1, 10), (16, 1, 10), (17, 1, 10), (19, 1, 6), (20, 1, 6), (21, 1, 11),
+                           (22, 1, 11), (23, 1, 11)],
+    "even_pair.lf": [(6, 1, 6), (7, 1, 6), (8, 1, 6), (9, 1, 6), (11, 1, 10), (12, 1, 6), (13, 1, 11)],
+    "even_pair_forged.lf": [(6, 1, 6), (7, 1, 6), (8, 1, 6), (10, 1, 10)],
+}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_declaration_spans_are_pinned(name):
+    parsed = parse_file(corpus_path(name).read_text(), name)
+    assert {d.span.file for d in parsed.decls} == {name}
+    assert [(d.span.line, d.span.column, d.span.length) for d in parsed.decls] == CORPUS_SPANS[name]
+
+
+def test_declaration_spans_after_tabs_comments_and_on_shared_lines():
+    source = (
+        "symbol A : Type; symbol B : A;\n"
+        "\t  definition c := B; // x assert c : A;\n"
+        "// y\n"
+        "\r\n"
+        "   assert c : A;convertible c, c;\n"
+    )
+    spans = [d.span for d in parse_file(source, "f").decls]
+    assert [(s.line, s.column, s.length) for s in spans] == [
+        (1, 1, 6), (1, 18, 6), (2, 4, 10), (5, 4, 6), (5, 17, 11)]
+
+
+def test_deep_nesting_still_parses():
+    depth = 200
+    nested = parse_file("definition d := " + "f (" * depth + "a" + ")" * depth + ";").decls[0].body
+    for _ in range(depth):
+        assert nested.fun == Var("f")
+        nested = nested.arg
+    assert nested == Var("a")
+    arrows = parse_file("symbol s : " + " -> ".join(["iota"] * (depth + 1)) + ";").decls[0].type
+    for _ in range(depth):
+        assert arrows.dom == Var("iota")
+        arrows = arrows.cod
+    assert arrows == Var("iota")
+
+
+# A token of the surface language, for mutating source text independently of
+# the lexer under test.
+_FUZZ_TOKEN = re.compile(r"//[^\n]*|[A-Za-z_][A-Za-z0-9_'?]*|:=|->|#MODE|\S")
+
+
+@st.composite
+def mutated_corpus(draw) -> str:
+    text = corpus_path(draw(st.sampled_from(CORPUS))).read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        spans = [m.span() for m in _FUZZ_TOKEN.finditer(text)]
+        start, end = draw(st.sampled_from(spans))
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "insert")))
+        if op == "delete":
+            text = text[:start] + text[end:]
+        elif op == "duplicate":
+            text = text[:end] + " " + text[start:end] + text[end:]
+        elif op == "swap":
+            other_start, other_end = draw(st.sampled_from(spans))
+            (a, b), (c, d) = sorted([(start, end), (other_start, other_end)])
+            text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+        else:
+            noise = draw(st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=4))
+            text = text[:start] + noise + text[start:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_corpus())
+def test_mutated_corpus_parses_or_raises_a_surface_error(text):
+    try:
+        parse_file(text, "fuzz")
+    except SurfaceError:
+        pass
