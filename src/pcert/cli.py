@@ -6,7 +6,8 @@
     pcert export FILE -o OUT [--signature] [--fuel N]
 
 Exit codes: 0 ok, 1 type error, 2 parse error (including wrong mode),
-3 fuel exhausted, 4 protected-symbol violation, 5 round-trip failure.
+3 resource bound: fuel or depth (input nested deeper than the interpreter's
+recursion limit), 4 protected-symbol violation, 5 round-trip failure.
 Diagnostics go to stderr, artifacts to stdout or the -o path. PCERT_FUEL
 overrides the default fuel; --fuel overrides both; 0 means unlimited, which
 is dangerous because termination of the rewrite systems is not established.
@@ -40,7 +41,7 @@ from .translate import translate_term, translate_type
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_PARSE_ERROR = 2
-EXIT_FUEL = 3
+EXIT_RESOURCE = 3
 EXIT_PROTECTED = 4
 EXIT_ROUNDTRIP = 5
 
@@ -50,8 +51,8 @@ BETA_ONLY = RuleSet()
 
 
 def _exit_code(err: CheckError) -> int:
-    if err.kind == dk.FUEL_EXHAUSTED:
-        return EXIT_FUEL
+    if err.kind in (dk.FUEL_EXHAUSTED, dk.DEPTH_EXCEEDED):
+        return EXIT_RESOURCE
     if err.kind == dk.PROTECTED_SYMBOL:
         return EXIT_PROTECTED
     if err.kind in _PARSE_KINDS:
@@ -208,6 +209,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "roundtrip":
             return cmd_roundtrip(args.file, fuel)
         return cmd_export(args.file, args.output, args.signature, fuel)
+    except RecursionError:
+        # the stack is unwound by now, so reporting needs no depth of its own
+        limit = sys.getrecursionlimit()
+        message = f"input nested deeper than the recursion limit ({limit}) allows"
+        err = CheckError(dk.Diagnostic(dk.DEPTH_EXCEEDED, message))
+        print(err.diagnostic, file=sys.stderr)
+        return _exit_code(err)
     except CheckError as err:
         print(err.diagnostic, file=sys.stderr)
         return _exit_code(err)

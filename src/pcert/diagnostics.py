@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Failure kinds. Parse-level kinds map to CLI exit code 2, FUEL_EXHAUSTED to 3,
-# PROTECTED_SYMBOL to 4; everything else is a type error (exit code 1).
+# Failure kinds. Parse-level kinds map to CLI exit code 2, the resource bounds
+# FUEL_EXHAUSTED and DEPTH_EXCEEDED to 3, PROTECTED_SYMBOL to 4; everything
+# else is a type error (exit code 1).
 PARSE_ERROR = "ParseError"
 ARITY_MISMATCH = "ArityMismatch"
 DUPLICATE_NAME = "DuplicateName"
@@ -18,6 +19,7 @@ DOMAIN_MISMATCH = "DomainMismatch"
 TYPE_MISMATCH = "TypeMismatch"
 ILLEGAL_PRODUCT = "IllegalProduct"
 FUEL_EXHAUSTED = "FuelExhausted"
+DEPTH_EXCEEDED = "DepthExceeded"
 PROTECTED_SYMBOL = "ProtectedSymbol"
 NOT_TYPABLE = "NotTypable"
 NOT_CONVERTIBLE = "NotConvertible"

@@ -1,14 +1,16 @@
 """Algorithmic checker for a pure type system with fixed-arity symbols.
 
-Both systems share the same inference rules; they differ only in sorts,
-axioms, product triples, signature and conversion. Inference synthesizes
-types bottom-up; the conversion rule is applied post hoc wherever a type is
-consumed (application arguments, symbol arguments, explicit checks).
+Both systems share the same inference rules and the same conversion; they
+differ only in configuration: sorts, axioms, product triples, signature,
+rewrite rules and the symbol arguments conversion ignores. Inference
+synthesizes types bottom-up; the conversion rule is applied post hoc
+wherever a type is consumed (application arguments, symbol arguments,
+explicit checks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import diagnostics as dk
@@ -39,6 +41,9 @@ class SystemConfig:
     products: Mapping[tuple[str, str], str]
     signature: Signature
     rules: RuleSet  # decides conversion and exposes products
+    # symbol -> position of the argument conversion never inspects: proof
+    # irrelevance as configuration (pcert skips a pair's certificate)
+    irrelevant: Mapping[str, int] = field(default_factory=dict)
 
 
 class Kernel:
@@ -47,10 +52,25 @@ class Kernel:
         self.signature = config.signature
         self.rules = config.rules
 
-    # Conversion is the one point where the systems genuinely diverge;
-    # subclasses may override.
     def convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel) -> bool:
-        return convertible(self.rules, a, b, fuel)
+        """Head-first conversion under this system's rules (`convertible`).
+
+        Each pair proven convertible is recorded on ctx's table, per kernel,
+        so proving it again anywhere in the same file is a lookup that
+        spends no fuel. Only whole pairs at this entry are recorded, never
+        the comparisons inside the recursion: those still pay for every
+        step, so a term whose unfolding doubles per link still costs fuel
+        exponential in the links.
+        """
+        if a == b:  # before the record: hashing a pair walks both terms
+            return True
+        proven = ctx.proven(self)
+        if (a, b) in proven:
+            return True
+        if not convertible(self.rules, a, b, fuel, self.config.irrelevant):
+            return False
+        proven.add((a, b))
+        return True
 
     def whnf(self, t: Term, fuel: Fuel) -> Term:
         return whnf(self.rules, t, fuel)

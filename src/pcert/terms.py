@@ -233,13 +233,14 @@ def is_nondependent(cod: Term) -> bool:
 class _Table:
     """Append-only declarations shared by every context view built on it."""
 
-    __slots__ = ("names", "types", "index", "lock")
+    __slots__ = ("names", "types", "index", "lock", "proven")
 
     def __init__(self, entries: tuple[tuple[str, Term], ...] = ()):
         self.names = [n for n, _ in entries]
         self.types = [ty for _, ty in entries]
         self.index = {n: i for i, n in enumerate(self.names)}
         self.lock = threading.Lock()
+        self.proven: dict[object, set[tuple[Term, Term]]] = {}
 
     def push(self, depth: int, name: str, ty: Term) -> bool:
         """Append a row at `depth` if that is the tip; False if it is not."""
@@ -319,6 +320,15 @@ class Context:
         if row is not None and row < self._depth:
             return table.types[row]
         return None
+
+    def proven(self, owner: object) -> set[tuple[Term, Term]]:
+        """The conversions `owner` (a kernel) has proven under this table.
+
+        Every view grown from one root shares the set, and a new root or a
+        copied table starts empty, so a record never outlives the file that
+        made it or reaches another owner.
+        """
+        return self._table.proven.setdefault(owner, set())
 
     def __iter__(self):
         return iter(self.entries)

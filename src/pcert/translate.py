@@ -4,10 +4,10 @@ Terms go to terms: sorts are objectified, products dispatch on the sorts of
 their domain and codomain to fa/impd/arrd, the four subtype symbols map to
 their encoded counterparts argument by argument. Types go to types through
 El/Prf according to their sort. Translation never normalizes its output;
-conversion checks do the normalizing. It is defined on checked terms only:
-`check_file`'s records establish typability, nothing here infers a pcert
-type again (only sorts are queried), and `pcert translate` re-checks the
-output in the lf kernel.
+conversion reduces what its comparison needs. It is defined on checked
+terms only: `check_file`'s records establish typability, nothing here
+infers a pcert type again (only sorts are queried), and `pcert translate`
+re-checks the output in the lf kernel.
 """
 
 from __future__ import annotations

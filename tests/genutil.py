@@ -4,7 +4,8 @@ Terms are generated bottom-up against a fixed base context, goal-directed so
 that every output is well typed by construction (the tests re-check that
 with the kernel anyway). The equational walker perturbs a typed seed with
 beta expansions/contractions, projection steps and certificate swaps, all of
-which preserve the conversion relation.
+which preserve the conversion relation. `normalize_and_compare` is the
+reference decision the kernels' head-first conversion is checked against.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import random
 
 from pcert import Context, check_file, parse_file
-from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ
-from pcert.rewrite import Fuel, match, normalize
+from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
+from pcert.rewrite import Fuel, RuleSet, match, normalize
 from pcert.terms import (
     Abs,
     App,
@@ -288,3 +289,22 @@ class EquivalenceWalker:
                 break
             current = stepped
         return current
+
+
+# --- the conversion oracle -----------------------------------------------------
+
+
+def normalize_and_compare(rules: RuleSet, a: Term, b: Term, fuel: Fuel, erase: bool = False) -> bool:
+    """Conversion by full normalization of both sides, then comparison.
+
+    With `erase` the normal forms are compared after `pi_erase`, which is
+    pcert's proof irrelevance. Slow (every subterm is normalized, pair
+    certificates included) but plainly right on the orthogonal rule sets,
+    so it is the oracle for `rewrite.convertible` and `Kernel.convert`.
+    """
+    if a == b:
+        return True
+    na, nb = normalize(rules, a, fuel), normalize(rules, b, fuel)
+    if erase:
+        na, nb = pi_erase(na), pi_erase(nb)
+    return na == nb

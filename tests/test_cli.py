@@ -216,6 +216,45 @@ def test_annotated_definition_infers_its_body_once(tmp_path, capsys):
     assert f"{src}:3:1: FuelExhausted" in capsys.readouterr().err
 
 
+def test_a_conversion_proven_once_costs_no_fuel_the_second_time(tmp_path, capsys):
+    # h's type reaches P a in one beta step; F h h needs that conversion for
+    # both arguments, and the second is a lookup that spends nothing
+    twice = (
+        "symbol iota : Type; symbol a : iota; symbol P : iota -> Prop;\n"
+        "symbol F : P a -> P a -> P a;\n"
+        "symbol h : P ((\\x: iota. x) a);\n"
+        "assert F h h : P a;\n"
+    )
+    src = tmp_path / "twice.pcert"
+    src.write_text(twice)
+    assert main(["check", str(src), "--fuel", "1"]) == 0
+    # a new pair still pays for its own steps: this one takes two
+    src.write_text(twice + "symbol h2 : P ((\\x: iota. x) ((\\x: iota. x) a));\nassert F h2 h2 : P a;\n")
+    assert main(["check", str(src), "--fuel", "1"]) == 3
+    assert f"{src}:6:1: FuelExhausted" in capsys.readouterr().err
+    assert main(["check", str(src), "--fuel", "2"]) == 0
+
+
+DEEP_INPUTS = {
+    "arrows": "symbol s : " + " -> ".join(["iota"] * 2001) + ";\n",
+    "applications": "assert " + "f (" * 2000 + "a" + ")" * 2000 + " : iota;\n",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "translate"])
+@pytest.mark.parametrize("shape", sorted(DEEP_INPUTS))
+def test_deep_input_exits_zero_or_three_without_a_traceback(tmp_path, capsys, command, shape):
+    src = tmp_path / "deep.pcert"
+    src.write_text("symbol iota : Type;\nsymbol a : iota;\nsymbol f : iota -> iota;\n" + DEEP_INPUTS[shape])
+    argv = [command, str(src)] + (["-o", str(tmp_path / "deep.lf")] if command == "translate" else [])
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("DepthExceeded: ") and err.count("\n") == 1
+
+
 def test_definition_disagreeing_with_its_annotation_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.pcert"
     bad.write_text("symbol T : Type;\nsymbol U : Type;\nsymbol x : T;\ndefinition y : U := x;\n")
