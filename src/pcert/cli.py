@@ -80,21 +80,21 @@ def _load(path: str) -> ParsedFile:
     return parse_file(_read(path), path)
 
 
-def _translate_decls(checked: CheckedFile, fuel: int | None) -> list[Declaration]:
+def _translate_decls(checked: CheckedFile) -> list[Declaration]:
     """Translate a checked pcert development declaration by declaration."""
     out: list[Declaration] = []
     for record in checked.decls:
         ctx = checked.scope(record.depth)
         match record.decl:
             case SymbolDecl(name, ty, span):
-                out.append(SymbolDecl(name, translate_type(ctx, ty, fuel), span))
+                out.append(SymbolDecl(name, translate_type(ctx, ty), span))
             case Definition(name, body, _, span):
-                body = translate_term(ctx, body, fuel)
-                out.append(Definition(name, body, translate_type(ctx, record.inferred, fuel), span))
+                body = translate_term(ctx, body)
+                out.append(Definition(name, body, translate_type(ctx, record.inferred), span))
             case AssertJudgment(subject, ty, span):
-                out.append(AssertJudgment(translate_term(ctx, subject, fuel), translate_type(ctx, ty, fuel), span))
+                out.append(AssertJudgment(translate_term(ctx, subject), translate_type(ctx, ty), span))
             case AssertConv(a, b, span):
-                out.append(AssertConv(translate_term(ctx, a, fuel), translate_term(ctx, b, fuel), span))
+                out.append(AssertConv(translate_term(ctx, a), translate_term(ctx, b), span))
     return out
 
 
@@ -108,7 +108,7 @@ def cmd_translate(path: str, out: str | None, fuel: int | None) -> int:
     if parsed.mode != "pcert":
         raise CheckError(dk.Diagnostic(dk.WRONG_MODE, f"translate expects a pcert file, got mode {parsed.mode!r}"))
     checked = check_file(parsed, fuel)
-    translated = ParsedFile("lf", tuple(_translate_decls(checked, fuel)), parsed.path)
+    translated = ParsedFile("lf", tuple(_translate_decls(checked)), parsed.path)
     text = print_file(translated)
     # machine-checked correctness: the printed output must reparse and pass
     # the lf kernel before anything is written
@@ -127,7 +127,7 @@ def cmd_roundtrip(path: str, fuel: int | None) -> int:
         if not isinstance(record.decl, Definition):
             continue
         name, body = record.decl.name, record.decl.body
-        encoded = translate_term(checked.scope(record.depth), body, fuel)
+        encoded = translate_term(checked.scope(record.depth), body)
         back = inverse_term(encoded)
         if isinstance(back, NotInImage):
             failures.append(f"{name}: {back}")
@@ -150,7 +150,7 @@ def cmd_export(path: str | None, out: str | None, signature: bool, fuel: int | N
     parsed = _load(path)
     checked = check_file(parsed, fuel)
     if parsed.mode == "pcert":
-        decls = _translate_decls(checked, fuel)
+        decls = _translate_decls(checked)
     else:
         decls = list(parsed.decls)
     _emit(export_lambdapi(decls, mode="development"), out)

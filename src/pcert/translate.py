@@ -1,13 +1,19 @@
-"""Type-directed translation from subtyping-land into the framework encoding.
+"""Translation from subtyping-land into the framework encoding.
 
-Terms go to terms: sorts are objectified, products dispatch on the sorts of
-their domain and codomain to fa/impd/arrd, the four subtype symbols map to
-their encoded counterparts argument by argument. Types go to types through
-El/Prf according to their sort. Translation never normalizes its output;
-conversion reduces what its comparison needs. It is defined on checked
-terms only: `check_file`'s records establish typability, nothing here
-infers a pcert type again (only sorts are queried), and `pcert translate`
-re-checks the output in the lf kernel.
+One structural pass over locally nameless terms: `Var` and `Bound` map to
+themselves, binder bodies are translated in place, sorts are objectified,
+products go to fa/impd/arrd by the sorts of their domain and codomain, and
+the subtype symbols map argument by argument. Types go to El/Prf by their
+sort, which on checked input the head of their translation decides: `arrd`,
+`psub` and `prop` head types of sort Type; a free `Var` has the sort its
+context type names, a `Bound` the one its binder's annotation names (carried
+down the recursion); anything else is a proposition. That is exact because
+pcert has no product rule into Kind: no function returns a type, and
+`fst(T, …)` is a type only when T is Prop. So no kernel is asked, nothing is
+reduced or charged to fuel, and no binder is opened. Typability is
+`check_file`'s obligation and `pcert translate` re-checks the output in the
+lf kernel; unchecked input fails with a diagnostic or translates to a term
+the lf kernel rejects.
 """
 
 from __future__ import annotations
@@ -15,114 +21,105 @@ from __future__ import annotations
 from . import diagnostics as dk
 from .diagnostics import fail
 from .lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
-from .pcert import KERNEL as PCERT
-from .rewrite import Fuel, _as_fuel
-from .terms import (
-    Abs,
-    App,
-    Context,
-    KIND,
-    Prod,
-    Sort,
-    SymApp,
-    Term,
-    Var,
-    abstract_var,
-    open_term,
-)
+from .terms import Abs, App, Bound, Context, KIND, Prod, Sort, SymApp, TYPE_, Term, Var
 
 # Subtype symbols keep their names across the encoding.
-_SYMBOL_MAP = {"psub": "psub", "pair": "pair", "fst": "fst", "snd": "snd"}
+_SUBTYPE_SYMBOLS = frozenset(("psub", "pair", "fst", "snd"))
+
+# The sort of a type whose translation has this head; other symbols head
+# propositions. `type` (the sort Type) is never a domain on checked input.
+_HEAD_SORTS = {"arrd": "Type", "psub": "Type", "prop": "Type", "type": "Kind"}
+
+_PRODUCT_HEADS = {("Type", "Type"): "arrd", ("Type", "Prop"): "fa", ("Prop", "Prop"): "impd"}
+_TYPE_FORMERS = {"Type": El, "Prop": Prf}
+
+Sorts = tuple[str | None, ...]  # per enclosing binder, innermost last
 
 
-class _Translation:
-    """One translation call: shares sort queries between subterms."""
+def _tag(ty: Term) -> str | None:
+    """The sort of a variable of type ty used as a type, if it is one."""
+    return ty.tag if isinstance(ty, Sort) else None
 
-    def __init__(self, fuel: Fuel):
-        self.fuel = fuel
-        # Contexts hash by identity; holding them in the keys keeps them
-        # alive, so a key's id cannot be reused by a later context.
-        self._sorts: dict[tuple[Context, Term], str] = {}
 
-    def sort_of(self, ctx: Context, t: Term) -> str:
-        key = (ctx, t)
-        hit = self._sorts.get(key)
-        if hit is None:
-            hit = PCERT.sort_of(ctx, t, self.fuel).tag
-            self._sorts[key] = hit
-        return hit
+def _term(ctx: Context, m: Term, sorts: Sorts) -> Term:
+    match m:
+        case Var(_):
+            return m
+        case Bound(k):
+            if k >= len(sorts):
+                raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{k}", context=ctx, subject=m)
+            return m
+        case Sort("Prop"):
+            return PROP_OBJ
+        case Sort("Type"):
+            return TYPE_OBJ
+        case Sort(tag):
+            raise fail(dk.NOT_TYPABLE, f"sort {tag} has no term translation", context=ctx, subject=m)
+        case App(f, a):
+            return App(_term(ctx, f, sorts), _term(ctx, a, sorts))
+        case Abs(hint, annot, body):
+            return Abs(hint, _type(ctx, annot, sorts), _term(ctx, body, sorts + (_tag(annot),)))
+        case Prod(hint, dom, cod):
+            inner = sorts + (_tag(dom),)
+            t_dom, t_cod = _term(ctx, dom, sorts), _term(ctx, cod, inner)
+            s_dom, s_cod = _sort(ctx, t_dom, sorts), _sort(ctx, t_cod, inner)
+            head = _PRODUCT_HEADS.get((s_dom, s_cod))
+            if head is None:
+                message = f"product over sorts ({s_dom}, {s_cod}) has no encoding"
+                raise fail(dk.ILLEGAL_PRODUCT, message, context=ctx, subject=m)
+            return SymApp(head, (t_dom, Abs(hint, _TYPE_FORMERS[s_dom](t_dom), t_cod)))
+        case SymApp(sym, args):
+            if sym not in _SUBTYPE_SYMBOLS:
+                raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
+            return SymApp(sym, tuple(_term(ctx, a, sorts) for a in args))
+    raise TypeError(f"not a term: {m!r}")
 
-    def term(self, ctx: Context, m: Term) -> Term:
-        match m:
-            case Var(_):
-                return m
-            case Sort("Prop"):
-                return PROP_OBJ
-            case Sort("Type"):
-                return TYPE_OBJ
-            case Sort(tag):
-                raise fail(dk.NOT_TYPABLE, f"sort {tag} has no term translation", context=ctx, subject=m)
-            case App(f, a):
-                return App(self.term(ctx, f), self.term(ctx, a))
-            case Abs(hint, annot, body):
-                v, opened = open_term(hint, body)
-                inner = self.term(ctx.extend(v.name, annot), opened)
-                return Abs(hint, self.type(ctx, annot), abstract_var(inner, v.name))
-            case Prod(hint, dom, cod):
-                v, opened = open_term(hint, cod)
-                inner_ctx = ctx.extend(v.name, dom)
-                s_dom = self.sort_of(ctx, dom)
-                s_cod = self.sort_of(inner_ctx, opened)
-                binder = Abs(hint, self.type(ctx, dom), abstract_var(self.term(inner_ctx, opened), v.name))
-                head = {
-                    ("Type", "Type"): "arrd",
-                    ("Type", "Prop"): "fa",
-                    ("Prop", "Prop"): "impd",
-                }.get((s_dom, s_cod))
-                if head is None:
-                    raise fail(
-                        dk.ILLEGAL_PRODUCT,
-                        f"product over sorts ({s_dom}, {s_cod}) has no encoding",
-                        context=ctx,
-                        subject=m,
-                    )
-                return SymApp(head, (self.term(ctx, dom), binder))
-            case SymApp(sym, args):
-                target = _SYMBOL_MAP.get(sym)
-                if target is None:
-                    raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
-                return SymApp(target, tuple(self.term(ctx, a) for a in args))
-        raise TypeError(f"not a term: {m!r}")
 
-    def type(self, ctx: Context, t: Term) -> Term:
-        if t == KIND:
-            return KIND_ENC
-        if t == Sort("Type"):
-            return TYPE_ENC
-        sort = self.sort_of(ctx, t)
-        if sort == "Type":
-            return El(self.term(ctx, t))
-        if sort == "Prop":
-            return Prf(self.term(ctx, t))
+def _sort(ctx: Context, t: Term, sorts: Sorts) -> str:
+    """The sort of a checked type, read off its translation t."""
+    match t:
+        case SymApp(sym, _) if sym in _HEAD_SORTS:
+            return _HEAD_SORTS[sym]
+        case Var(name):
+            ty = ctx.lookup(name)
+            if ty is None:
+                raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {name!r}", context=ctx, subject=t)
+            tag = _tag(ty)
+        case Bound(k):  # in range: _term checked it
+            tag = sorts[-1 - k]
+        case _:
+            return "Prop"
+    if tag is None:
+        raise fail(dk.NOT_A_SORT, f"{t!r} is not a type: its type is not a sort", context=ctx, subject=t)
+    return tag
+
+
+def _type(ctx: Context, t: Term, sorts: Sorts) -> Term:
+    if t == KIND:
+        return KIND_ENC
+    if t == TYPE_:
+        return TYPE_ENC
+    encoded = _term(ctx, t, sorts)
+    sort = _sort(ctx, encoded, sorts)
+    if sort not in _TYPE_FORMERS:
         raise fail(dk.NOT_A_SORT, f"no type translation at sort {sort}", context=ctx, subject=t)
+    return _TYPE_FORMERS[sort](encoded)
 
 
-def translate_term(ctx: Context, m: Term, fuel: Fuel | int | None = None) -> Term:
+def translate_term(ctx: Context, m: Term) -> Term:
     """Requires m typable in ctx, which check_file's records guarantee; callers
     own that obligation, it is not re-checked here."""
-    return _Translation(_as_fuel(fuel)).term(ctx, m)
+    return _term(ctx, m, ())
 
 
-def translate_type(ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Term:
+def translate_type(ctx: Context, t: Term) -> Term:
     """Requires t to be Kind or typable by a sort in ctx."""
-    tr = _Translation(_as_fuel(fuel))
-    return tr.type(ctx, t)
+    return _type(ctx, t, ())
 
 
-def translate_ctx(ctx: Context, fuel: Fuel | int | None = None) -> Context:
+def translate_ctx(ctx: Context) -> Context:
     """Entrywise type translation, each entry under the prefix before it."""
-    fuel = _as_fuel(fuel)
     out = Context()
     for depth, (name, ty) in enumerate(ctx):
-        out = out.declare(name, translate_type(ctx.prefix(depth), ty, fuel))
+        out = out.declare(name, translate_type(ctx.prefix(depth), ty))
     return out

@@ -5,7 +5,9 @@ that every output is well typed by construction (the tests re-check that
 with the kernel anyway). The equational walker perturbs a typed seed with
 beta expansions/contractions, projection steps and certificate swaps, all of
 which preserve the conversion relation. `normalize_and_compare` is the
-reference decision the kernels' head-first conversion is checked against.
+reference decision the kernels' head-first conversion is checked against,
+and `translate_by_kernel_sorts` the reference translation the one-pass
+`pcert.translate` is checked against.
 """
 
 from __future__ import annotations
@@ -13,9 +15,13 @@ from __future__ import annotations
 import random
 
 from pcert import Context, check_file, parse_file
+from pcert import diagnostics as dk
+from pcert.diagnostics import fail
+from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
 from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
 from pcert.rewrite import Fuel, RuleSet, match, normalize
 from pcert.terms import (
+    KIND,
     Abs,
     App,
     Bound,
@@ -308,3 +314,64 @@ def normalize_and_compare(rules: RuleSet, a: Term, b: Term, fuel: Fuel, erase: b
     if erase:
         na, nb = pi_erase(na), pi_erase(nb)
     return na == nb
+
+
+# --- the translation oracle ------------------------------------------------------
+
+_PRODUCT_HEADS = {("Type", "Type"): "arrd", ("Type", "Prop"): "fa", ("Prop", "Prop"): "impd"}
+
+
+def _sort_of(ctx: Context, t: Term) -> str:
+    return PCERT_KERNEL.sort_of(ctx, t).tag
+
+
+def _term_by_kernel_sorts(ctx: Context, m: Term) -> Term:
+    match m:
+        case Var(_):
+            return m
+        case Sort("Prop"):
+            return PROP_OBJ
+        case Sort("Type"):
+            return TYPE_OBJ
+        case App(f, a):
+            return App(_term_by_kernel_sorts(ctx, f), _term_by_kernel_sorts(ctx, a))
+        case Abs(hint, annot, body):
+            v, opened = open_term(hint, body)
+            inner = _term_by_kernel_sorts(ctx.extend(v.name, annot), opened)
+            return Abs(hint, _type_by_kernel_sorts(ctx, annot), abstract_var(inner, v.name))
+        case Prod(hint, dom, cod):
+            v, opened = open_term(hint, cod)
+            inner_ctx = ctx.extend(v.name, dom)
+            head = _PRODUCT_HEADS.get((_sort_of(ctx, dom), _sort_of(inner_ctx, opened)))
+            if head is None:
+                raise fail(dk.ILLEGAL_PRODUCT, f"product {m!r} has no encoding")
+            inner = abstract_var(_term_by_kernel_sorts(inner_ctx, opened), v.name)
+            binder = Abs(hint, _type_by_kernel_sorts(ctx, dom), inner)
+            return SymApp(head, (_term_by_kernel_sorts(ctx, dom), binder))
+        case SymApp(sym, args) if sym in ("psub", "pair", "fst", "snd"):
+            return SymApp(sym, tuple(_term_by_kernel_sorts(ctx, a) for a in args))
+    raise fail(dk.NOT_TYPABLE, f"no translation for {m!r}")
+
+
+def _type_by_kernel_sorts(ctx: Context, t: Term) -> Term:
+    if t == KIND:
+        return KIND_ENC
+    if t == Sort("Type"):
+        return TYPE_ENC
+    sort = _sort_of(ctx, t)
+    if sort not in ("Type", "Prop"):
+        raise fail(dk.NOT_A_SORT, f"no type translation at sort {sort}")
+    return (El if sort == "Type" else Prf)(_term_by_kernel_sorts(ctx, t))
+
+
+def translate_by_kernel_sorts(ctx: Context, t: Term, as_type: bool = False) -> Term:
+    """The translation of a term, or with `as_type` of a type, that asks the
+    pcert kernel for every sort it needs.
+
+    Binders are opened with fresh variables, so the kernel sees every
+    subterm under its full context. Slow (one inference per product and per
+    type position, each domain translated twice) but plainly right on typable
+    input, so it is the oracle for `translate_term` and `translate_type`,
+    which read sorts off the translation instead.
+    """
+    return _type_by_kernel_sorts(ctx, t) if as_type else _term_by_kernel_sorts(ctx, t)

@@ -42,22 +42,28 @@ def test_records_scope_and_expansion_over_the_corpus():
 
 def test_translation_reads_the_record_instead_of_inferring_again(monkeypatch, tmp_path):
     # once check_file has returned, translate, roundtrip and export take every
-    # type they need from its records: a further pcert inference is a bug
-    # (sort queries on products still go through sort_of)
+    # type and sort they need from its records: a further pcert inference,
+    # sort query or check is a bug
     checked = {"done": False}
-    original_check_file, original_infer = cli.check_file, PcertKernel.infer
+    original_check_file = cli.check_file
 
     def check_file_then_close(*args, **kwargs):
         result = original_check_file(*args, **kwargs)
         checked["done"] = True
         return result
 
-    def infer(self, *args, **kwargs):
-        assert not checked["done"], "pcert inference after check_file returned"
-        return original_infer(self, *args, **kwargs)
+    def closed_after_check(name):
+        original = getattr(PcertKernel, name)
+
+        def guarded(self, *args, **kwargs):
+            assert not checked["done"], f"pcert {name} after check_file returned"
+            return original(self, *args, **kwargs)
+
+        return guarded
 
     monkeypatch.setattr(cli, "check_file", check_file_then_close)
-    monkeypatch.setattr(PcertKernel, "infer", infer)
+    for name in ("infer", "sort_of", "check"):
+        monkeypatch.setattr(PcertKernel, name, closed_after_check(name))
     pcert_files = sorted(p for p in corpus_path("").iterdir() if p.name.endswith(".pcert"))
     assert pcert_files
     for path in pcert_files:

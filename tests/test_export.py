@@ -44,7 +44,7 @@ def test_empty_development_is_header_only():
 
 def test_stacks_development_export_shape():
     parsed = parse_file(corpus_path("stacks.pcert").read_text(), "stacks")
-    decls = _translate_decls(check_file(parsed), None)
+    decls = _translate_decls(check_file(parsed))
     text = export_lambdapi(decls, mode="development")
     assert "symbol stack : Type;" in text
     assert "symbol push :" in text

@@ -1,14 +1,25 @@
-"""The forward translation: clause behavior, preservation properties, correctness."""
+"""The forward translation: clause behavior, preservation properties, correctness.
+
+The one-pass translation reads each type's sort off its translated head; it
+is checked against `genutil.translate_by_kernel_sorts`, which asks the pcert
+kernel for every sort, on generated terms, their types and every record of
+the corpus.
+"""
 
 from __future__ import annotations
 
 import random
 
-from genutil import BASE_CTX, EquivalenceWalker, TermGen
-from pcert import check_file, corpus_path, parse_file
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genutil import BASE_CTX, EquivalenceWalker, TermGen, translate_by_kernel_sorts
+from pcert import CheckedFile, check_file, cli, corpus_path, parse_file, terms
+from pcert.diagnostics import CheckError
 from pcert.lf import El, KERNEL as LF_KERNEL, KIND_ENC, PROP_ENC, PROP_OBJ, Prf, RULES_R, TYPE_ENC
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel, convertible, normalize
+from pcert.syntax import AssertConv, AssertJudgment, Definition, SymbolDecl
 from pcert.terms import (
     Abs,
     App,
@@ -17,6 +28,7 @@ from pcert.terms import (
     Prod,
     Sort,
     SymApp,
+    Term,
     Var,
     alpha_eq,
     arrow,
@@ -145,3 +157,121 @@ def test_translation_output_is_not_normalized():
     got = translate_type(Context(), PROP)
     assert got == El(PROP_OBJ)
     assert got != PROP_ENC
+
+
+# --- one structural pass, checked against kernel-queried sorts -------------------
+
+# Prop binders, type-level redexes, fst(Prop, ...) types and subtype domains:
+# the places where a sort cannot be read off a type's syntax before translation.
+BINDERS_SURFACE = """#MODE pcert
+symbol iota : Type;
+symbol a : iota;
+symbol q : iota -> Prop;
+symbol N : Prop -> Prop;
+symbol m : {x: Prop | N x};
+symbol hq : (\\x: iota. q x) a;
+symbol hf : fst(Prop, \\x: Prop. N x, m);
+symbol all : !P: Prop. P -> P;
+symbol sub : !s: {x: iota | q x}. q (fst(iota, \\x: iota. q x, s));
+definition id := \\P: Prop. \\h: P. h;
+definition twice := \\P: Prop. !Q: Prop. P -> Q -> P;
+definition pick := \\s: {x: iota | q x}. fst(iota, \\x: iota. q x, s);
+definition use := \\h: (\\x: iota. q x) a. h;
+definition k := \\P: Prop. \\R: iota -> Prop. !y: iota. R y -> P;
+assert all : !P: Prop. P -> P;
+assert sub : !s: {x: iota | q x}. q (pick s);
+convertible pick (pair(iota, \\x: iota. q x, a, hq)), a;
+"""
+
+
+def checked_corpus() -> list[CheckedFile]:
+    files = sorted(p for p in corpus_path("").iterdir() if p.name.endswith(".pcert"))
+    assert files
+    return [check_file(parse_file(p.read_text(), p.name)) for p in files] + [
+        check_file(parse_file(BINDERS_SURFACE, "binders"))
+    ]
+
+
+def translated_positions(checked) -> list[tuple[Context, Term, bool]]:
+    """(scope, term, is a type) for every position `pcert translate` translates."""
+    out = []
+    for record in checked.decls:
+        ctx = checked.scope(record.depth)
+        match record.decl:
+            case SymbolDecl(_, ty, _):
+                out.append((ctx, ty, True))
+            case Definition(_, body, _, _):
+                out += [(ctx, body, False), (ctx, record.inferred, True)]
+            case AssertJudgment(subject, ty, _):
+                out += [(ctx, subject, False), (ctx, ty, True)]
+            case AssertConv(a, b, _):
+                out += [(ctx, a, False), (ctx, b, False)]
+    return out
+
+
+def agrees_with_the_oracle(ctx: Context, t: Term, as_type: bool) -> None:
+    got = translate_type(ctx, t) if as_type else translate_term(ctx, t)
+    assert got == translate_by_kernel_sorts(ctx, t, as_type), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generated_terms_and_types_translate_as_the_kernel_sorts_say(seed):
+    m, _ = TermGen(seed).some_term(5)
+    ty = PCERT_KERNEL.infer(BASE_CTX, m)
+    agrees_with_the_oracle(BASE_CTX, m, False)
+    agrees_with_the_oracle(BASE_CTX, ty, True)
+    if isinstance(ty, Sort):  # m is itself a type
+        agrees_with_the_oracle(BASE_CTX, m, True)
+
+
+def test_corpus_records_translate_as_the_kernel_sorts_say():
+    positions = [p for checked in checked_corpus() for p in translated_positions(checked)]
+    assert len(positions) > 50
+    for ctx, t, as_type in positions:
+        agrees_with_the_oracle(ctx, t, as_type)
+
+
+def test_binder_development_translates_and_rechecks(tmp_path):
+    path = tmp_path / "binders.pcert"
+    path.write_text(BINDERS_SURFACE)
+    assert cli.main(["translate", str(path), "-o", str(tmp_path / "out.lf")]) == 0
+
+
+def test_translation_opens_no_binder(monkeypatch):
+    def fresh_name(hint="x"):
+        raise AssertionError("translation opened a binder")
+
+    files = checked_corpus()
+    monkeypatch.setattr(terms, "fresh_name", fresh_name)
+    for checked in files:
+        assert cli._translate_decls(checked)
+
+
+GHOST = Var("ghost")
+
+
+@pytest.mark.parametrize(
+    "ctx, t",
+    [
+        (Context(), Bound(0)),
+        (Context(), GHOST),
+        (Context(), Prod("x", GHOST, Bound(0))),
+        (Context(), Abs("x", PROP, Bound(1))),
+        (Context().extend("T", TYPE).extend("a", Var("T")), Var("a")),
+        (Context().extend("Q", PROP), Prod("x", TYPE, Var("Q"))),
+        (Context(), Sort("KIND")),
+    ],
+)
+def test_ill_formed_types_fail_with_a_diagnostic(ctx, t):
+    with pytest.raises(CheckError):
+        translate_type(ctx, t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [Bound(0), Abs("x", PROP, Bound(1)), Prod("x", GHOST, Bound(0)), Sort("Kind"), SymApp("El", (GHOST,))],
+)
+def test_ill_formed_terms_fail_with_a_diagnostic(t):
+    with pytest.raises(CheckError):
+        translate_term(Context(), t)
