@@ -12,6 +12,13 @@ cross-check confluence in tests.
 Termination of the shipped rule sets is an open question, so every reduction
 spends from an explicit fuel budget and exhaustion is a hard error carrying
 the partially reduced term.
+
+`whnf` is only the public entry: it turns its fuel argument into a budget
+once and hands off to the private loop `_whnf`. The recursion is internal:
+rule arguments, normalization and conversion call `_whnf` directly. The loop
+builds nothing for a head that is already normal (it returns its argument
+itself) and builds a symbol application's subject once per rule attempt,
+for both `match` and `Fuel.spend`.
 """
 
 from __future__ import annotations
@@ -130,86 +137,102 @@ def match(pattern: Term, subject: Term, binding: dict[str, Term] | None = None) 
     """First-order matching of a rule left side against a subject."""
     if binding is None:
         binding = {}
-    match pattern:
-        case Var(name):
-            seen = binding.get(name)
-            if seen is not None and not alpha_eq(seen, subject):
-                return None
-            binding[name] = subject
-            return binding
-        case SymApp(sym, pargs):
-            if not isinstance(subject, SymApp) or subject.sym != sym or len(subject.args) != len(pargs):
-                return None
-            for p, s in zip(pargs, subject.args):
+    cls = type(pattern)
+    if cls is SymApp:
+        if type(subject) is not SymApp or subject.sym != pattern.sym or len(subject.args) != len(pattern.args):
+            return None
+        for p, s in zip(pattern.args, subject.args):
+            if type(p) is not Var:
                 if match(p, s, binding) is None:
                     return None
-            return binding
-        case _:
-            return binding if alpha_eq(pattern, subject) else None
+                continue
+            seen = binding.get(p.name)  # a pattern variable, bound here without a call
+            if seen is not None and not alpha_eq(seen, s):
+                return None
+            binding[p.name] = s
+        return binding
+    if cls is Var:
+        seen = binding.get(pattern.name)
+        if seen is not None and not alpha_eq(seen, subject):
+            return None
+        binding[pattern.name] = subject
+        return binding
+    return binding if alpha_eq(pattern, subject) else None
 
 
-def _try_rules(rules: RuleSet, sym: str, args: list[Term], fuel: Fuel) -> Term | None:
+def _try_rules(rules: RuleSet, t: SymApp, fuel: Fuel) -> tuple[Term | None, SymApp]:
     """One head step at a symbol application, reducing nested positions on
-    demand so that rule patterns can see the head of their arguments. The
-    (possibly reduced) argument list is kept either way."""
+    demand so that rule patterns can see the head of their arguments.
+
+    Returns the contractum, or None when no rule fires, together with the
+    subject with its reduced arguments, which is t itself when none changed.
+    """
+    sym = t.sym
     for rule in rules.rules_for(sym):
-        if len(rule.lhs.args) != len(args):
+        pargs = rule.lhs.args
+        if len(pargs) != len(t.args):
             continue
-        ok = True
-        for i, parg in enumerate(rule.lhs.args):
-            if isinstance(parg, SymApp):
-                args[i] = whnf(rules, args[i], fuel)
-                if not isinstance(args[i], SymApp):
-                    ok = False
+        for i, parg in enumerate(pargs):
+            if type(parg) is SymApp:
+                arg = _whnf(rules, t.args[i], fuel)
+                if arg is not t.args[i]:
+                    t = SymApp(sym, t.args[:i] + (arg,) + t.args[i + 1 :])
+                if type(arg) is not SymApp:
                     break
-        if not ok:
-            continue
-        binding = match(rule.lhs, SymApp(sym, tuple(args)))
-        if binding is not None:
-            fuel.spend(SymApp(sym, tuple(args)))
-            return substitute_parallel(rule.rhs, binding)
-    return None
+        else:
+            binding = match(rule.lhs, t)
+            if binding is not None:
+                fuel.spend(t)
+                return substitute_parallel(rule.rhs, binding), t
+    return None, t
 
 
 def whnf(rules: RuleSet, t: Term, fuel: Fuel | int | None = None) -> Term:
     """Weak head normal form: no rule and no beta redex at the head."""
-    fuel = _as_fuel(fuel)
+    return _whnf(rules, t, _as_fuel(fuel))
+
+
+def _whnf(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
+    """`whnf` on a budget; returns t itself when its head is already normal."""
+    by_head = rules._by_head
     while True:
-        match t:
-            case App(f, a):
-                f2 = whnf(rules, f, fuel)
-                if isinstance(f2, Abs):
-                    fuel.spend(t)
-                    t = instantiate(f2.body, a)
-                    continue
-                return App(f2, a) if f2 is not f else t
-            case SymApp(sym, args):
-                args_l = list(args)
-                reduced = _try_rules(rules, sym, args_l, fuel)
-                if reduced is None:
-                    return SymApp(sym, tuple(args_l))
-                t = reduced
-            case _:
+        cls = type(t)
+        if cls is App:
+            f = t.fun
+            f2 = _whnf(rules, f, fuel)
+            if type(f2) is Abs:
+                fuel.spend(t)
+                t = instantiate(f2.body, t.arg)
+                continue
+            return t if f2 is f else App(f2, t.arg)
+        if cls is SymApp and t.sym in by_head:
+            reduced, t = _try_rules(rules, t, fuel)
+            if reduced is None:
                 return t
+            t = reduced
+            continue
+        return t
 
 
 def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
-    t = whnf(rules, t, fuel)
-    match t:
-        case App(f, a):
-            return App(_normalize_outermost(rules, f, fuel), _normalize_outermost(rules, a, fuel))
-        case Abs(hint, annot, body):
-            v, opened = open_term(hint, body)
-            inner = _normalize_outermost(rules, opened, fuel)
-            return Abs(hint, _normalize_outermost(rules, annot, fuel), abstract_var(inner, v.name))
-        case Prod(hint, dom, cod):
-            v, opened = open_term(hint, cod)
-            inner = _normalize_outermost(rules, opened, fuel)
-            return Prod(hint, _normalize_outermost(rules, dom, fuel), abstract_var(inner, v.name))
-        case SymApp(sym, args):
-            return SymApp(sym, tuple(_normalize_outermost(rules, a, fuel) for a in args))
-        case _:
-            return t
+    t = _whnf(rules, t, fuel)
+    cls = type(t)
+    if cls is App:
+        return App(_normalize_outermost(rules, t.fun, fuel), _normalize_outermost(rules, t.arg, fuel))
+    if cls is Abs:
+        v, opened = open_term(t.hint, t.body)
+        inner = _normalize_outermost(rules, opened, fuel)
+        return Abs(t.hint, _normalize_outermost(rules, t.annot, fuel), abstract_var(inner, v.name))
+    if cls is Prod:
+        v, opened = open_term(t.hint, t.cod)
+        inner = _normalize_outermost(rules, opened, fuel)
+        return Prod(t.hint, _normalize_outermost(rules, t.dom, fuel), abstract_var(inner, v.name))
+    if cls is SymApp and t.args:
+        args = []
+        for a in t.args:
+            args.append(_normalize_outermost(rules, a, fuel))
+        return SymApp(t.sym, tuple(args))
+    return t
 
 
 def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
@@ -230,11 +253,9 @@ def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
             inner = _normalize_innermost(rules, opened, fuel)
             return Prod(hint, _normalize_innermost(rules, dom, fuel), abstract_var(inner, v.name))
         case SymApp(sym, args):
-            args_l = [_normalize_innermost(rules, a, fuel) for a in args]
-            reduced = _try_rules(rules, sym, args_l, fuel)
-            if reduced is None:
-                return SymApp(sym, tuple(args_l))
-            return _normalize_innermost(rules, reduced, fuel)
+            t = SymApp(sym, tuple(_normalize_innermost(rules, a, fuel) for a in args))
+            reduced, t = _try_rules(rules, t, fuel)
+            return t if reduced is None else _normalize_innermost(rules, reduced, fuel)
         case _:
             return t
 
@@ -281,22 +302,31 @@ def convertible(
 def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int]) -> bool:
     if a == b:
         return True
-    a, b = whnf(rules, a, fuel), whnf(rules, b, fuel)
-    match a, b:
-        case App(f, x), App(g, y):
-            return _convert(rules, f, g, fuel, irrelevant) and _convert(rules, x, y, fuel, irrelevant)
-        case SymApp(sym, xs), SymApp(other, ys):
-            if sym != other or len(xs) != len(ys):
+    a, b = _whnf(rules, a, fuel), _whnf(rules, b, fuel)
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is App:
+        return _convert(rules, a.fun, b.fun, fuel, irrelevant) and _convert(rules, a.arg, b.arg, fuel, irrelevant)
+    if cls is SymApp:
+        xs, ys = a.args, b.args
+        if a.sym != b.sym or len(xs) != len(ys):
+            return False
+        skip = irrelevant.get(a.sym)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if i != skip and not _convert(rules, x, y, fuel, irrelevant):
                 return False
-            skip = irrelevant.get(sym)
-            return all(i == skip or _convert(rules, x, y, fuel, irrelevant) for i, (x, y) in enumerate(zip(xs, ys)))
-        case (Abs(hint, dom, body), Abs(_, dom2, body2)) | (Prod(hint, dom, body), Prod(_, dom2, body2)):
-            if not _convert(rules, dom, dom2, fuel, irrelevant):
-                return False
-            v = Var(fresh_name(hint))
-            return _convert(rules, instantiate(body, v), instantiate(body2, v), fuel, irrelevant)
-        case _:
-            return a == b
+        return True
+    if cls is Abs:
+        dom, body, dom2, body2 = a.annot, a.body, b.annot, b.body
+    elif cls is Prod:
+        dom, body, dom2, body2 = a.dom, a.cod, b.dom, b.cod
+    else:
+        return a == b
+    if not _convert(rules, dom, dom2, fuel, irrelevant):
+        return False
+    v = Var(fresh_name(a.hint))
+    return _convert(rules, instantiate(body, v), instantiate(body2, v), fuel, irrelevant)
 
 
 # --- orthogonality report ---------------------------------------------------

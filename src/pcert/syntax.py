@@ -26,7 +26,8 @@ catch-all group, and fills three flat lists: the kinds, values and start
 offsets of the tokens, ending in an eof entry. The parser indexes these lists.
 Lines and columns are computed only where a SourceSpan is built (for each
 declaration and for an error), by bisecting the newline offsets of the text,
-found once per text.
+found once per text. Binder names are resolved to `Bound` indices as they
+are parsed, so each binder is built once and its body is never walked again.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from .terms import (
     free_vars,
     instantiate,
     is_nondependent,
-    lam,
-    pi,
 )
 
 KEYWORDS = frozenset({"symbol", "definition", "assert", "convertible", "Type", "Kind", "Prop"})
@@ -160,7 +159,13 @@ _ATOM_START = frozenset({"(", "{", "Type", "Kind", "Prop"})
 
 
 class _Parser:
-    """Recursive descent over the token lists of one text; pos indexes them."""
+    """Recursive descent over the token lists of one text; pos indexes them.
+
+    Binder names are resolved while parsing: `scope` maps each name to the
+    levels of the enclosing binders that bind it, innermost last, and
+    `depth` counts all enclosing binders, so an identifier bound at level l
+    is `Bound(depth - 1 - l)` and an unbound one a free `Var`.
+    """
 
     def __init__(self, text: str, file: str, mode: str = "pcert"):
         self.kinds, self.values, self.starts = _scan(text)
@@ -169,6 +174,8 @@ class _Parser:
         self.pos = 0
         self.mode = mode
         self.arities = _ARITIES[mode]
+        self.scope: dict[str | None, list[int]] = {}
+        self.depth = 0
         if "bad" in self.kinds:
             bad = self.kinds.index("bad")
             raise self.error(f"unexpected character {self.values[bad]!r}", bad)
@@ -258,13 +265,27 @@ class _Parser:
             self.expect("punct", ":")
             annot = self.parse_term()
             self.expect("punct", ".")
+            self.bind(name)
             body = self.parse_term()
-            return lam(name, annot, body) if binder == "\\" else pi(name, annot, body)
+            self.unbind(name)
+            return Abs(name, annot, body) if binder == "\\" else Prod(name, annot, body)
         lhs = self.parse_app()
         if self.kinds[self.pos] == "arrow":
             self.pos += 1
-            return Prod("_", lhs, self.parse_term())  # the right side never mentions the binder
+            self.bind(None)  # no name reaches an arrow's binder, but outer indices shift
+            cod = self.parse_term()
+            self.unbind(None)
+            return Prod("_", lhs, cod)
         return lhs
+
+    def bind(self, name: str | None) -> None:
+        """Enter a binder, which binds `name` (None: no identifier)."""
+        self.scope.setdefault(name, []).append(self.depth)
+        self.depth += 1
+
+    def unbind(self, name: str | None) -> None:
+        self.scope[name].pop()
+        self.depth -= 1
 
     def parse_app(self) -> Term:
         kinds, values = self.kinds, self.values
@@ -297,7 +318,8 @@ class _Parser:
                 return Sort(value)
             arity = self.arities.get(value)
             if arity is None:
-                return Var(value)
+                levels = self.scope.get(value)
+                return Bound(self.depth - 1 - levels[-1]) if levels else Var(value)
             if self.values[i + 1] == "(":
                 return self.parse_call(value, i)
             return SymApp(value) if arity == 0 else _SymRef(value, i)
@@ -315,9 +337,11 @@ class _Parser:
             self.expect("punct", ":")
             ty = self.parse_term()
             self.expect("punct", "|")
+            self.bind(name)
             pred = self.parse_term()
+            self.unbind(name)
             self.expect("punct", "}")
-            return SymApp("psub", (ty, lam(name, ty, pred)))
+            return SymApp("psub", (ty, Abs(name, ty, pred)))
         raise self.error(f"expected a term, found {value or 'end of input'!r}", i)
 
     def parse_call(self, name: str, i: int) -> Term:

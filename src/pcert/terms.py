@@ -9,6 +9,13 @@ auto-generated hashes respect it.
 Free variables (`Var`) are named and refer to context entries or to rewrite
 pattern variables. Public API terms are expected to be locally closed: every
 `Bound` index points at an enclosing binder of the same term.
+
+Substitution keeps sharing: `instantiate`, `abstract_var` and
+`substitute_parallel` return a node itself, not a copy, when nothing beneath
+it changed. A closed subterm is never rebuilt, so a value substituted for
+many occurrences stays one object, and comparing such subterms with `==`
+stops at object identity. Nothing depends on identity for its meaning;
+results are equal either way.
 """
 
 from __future__ import annotations
@@ -123,19 +130,32 @@ def substitute_parallel(t: Term, mapping: dict[str, Term]) -> Term:
     """Simultaneously replace free variables; values must be locally closed."""
     if not mapping:
         return t
-    match t:
-        case Var(name):
-            return mapping.get(name, t)
-        case App(fun, arg):
-            return App(substitute_parallel(fun, mapping), substitute_parallel(arg, mapping))
-        case Abs(hint, annot, body):
-            return Abs(hint, substitute_parallel(annot, mapping), substitute_parallel(body, mapping))
-        case Prod(hint, dom, cod):
-            return Prod(hint, substitute_parallel(dom, mapping), substitute_parallel(cod, mapping))
-        case SymApp(sym, args):
-            return SymApp(sym, tuple(substitute_parallel(a, mapping) for a in args))
-        case _:
-            return t
+    cls = type(t)
+    if cls is Var:
+        return mapping.get(t.name, t)
+    if cls is App:
+        fun, arg = substitute_parallel(t.fun, mapping), substitute_parallel(t.arg, mapping)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
+    if cls is Abs:
+        annot, body = substitute_parallel(t.annot, mapping), substitute_parallel(t.body, mapping)
+        return t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
+    if cls is Prod:
+        dom, cod = substitute_parallel(t.dom, mapping), substitute_parallel(t.cod, mapping)
+        return t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
+    if cls is SymApp:
+        args = []
+        for a in t.args:
+            args.append(substitute_parallel(a, mapping))
+        return t if _same(args, t.args) else SymApp(t.sym, tuple(args))
+    return t
+
+
+def _same(new: list[Term], old: tuple[Term, ...]) -> bool:
+    """True when each of new is the very object at its position in old."""
+    for n, o in zip(new, old):
+        if n is not o:
+            return False
+    return True
 
 
 def substitute(body: Term, binding: tuple[str, Term]) -> Term:
@@ -151,43 +171,56 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
     """Replace Bound(depth) by a locally closed value, closing the binder."""
-    match body:
-        case Bound(k):
-            if k == depth:
-                return value
-            if k > depth:
-                return Bound(k - 1)
-            return body
-        case Var() | Sort():
-            return body
-        case App(fun, arg):
-            return App(instantiate(fun, value, depth), instantiate(arg, value, depth))
-        case Abs(hint, annot, inner):
-            return Abs(hint, instantiate(annot, value, depth), instantiate(inner, value, depth + 1))
-        case Prod(hint, dom, cod):
-            return Prod(hint, instantiate(dom, value, depth), instantiate(cod, value, depth + 1))
-        case SymApp(sym, args):
-            return SymApp(sym, tuple(instantiate(a, value, depth) for a in args))
+    cls = type(body)
+    if cls is Var:
+        return body
+    if cls is Bound:
+        k = body.index
+        if k == depth:
+            return value
+        return Bound(k - 1) if k > depth else body
+    if cls is App:
+        fun, arg = instantiate(body.fun, value, depth), instantiate(body.arg, value, depth)
+        return body if fun is body.fun and arg is body.arg else App(fun, arg)
+    if cls is Abs:
+        annot, inner = instantiate(body.annot, value, depth), instantiate(body.body, value, depth + 1)
+        return body if annot is body.annot and inner is body.body else Abs(body.hint, annot, inner)
+    if cls is Prod:
+        dom, cod = instantiate(body.dom, value, depth), instantiate(body.cod, value, depth + 1)
+        return body if dom is body.dom and cod is body.cod else Prod(body.hint, dom, cod)
+    if cls is SymApp:
+        args = []
+        for a in body.args:
+            args.append(instantiate(a, value, depth))
+        return body if _same(args, body.args) else SymApp(body.sym, tuple(args))
+    if cls is Sort:
+        return body
     raise TypeError(f"not a term: {body!r}")
 
 
 def abstract_var(t: Term, name: str, depth: int = 0) -> Term:
     """Turn free occurrences of a named variable into Bound(depth)."""
-    match t:
-        case Var(n):
-            return Bound(depth) if n == name else t
-        case Bound(k):
-            return Bound(k + 1) if k >= depth else t
-        case Sort():
-            return t
-        case App(fun, arg):
-            return App(abstract_var(fun, name, depth), abstract_var(arg, name, depth))
-        case Abs(hint, annot, body):
-            return Abs(hint, abstract_var(annot, name, depth), abstract_var(body, name, depth + 1))
-        case Prod(hint, dom, cod):
-            return Prod(hint, abstract_var(dom, name, depth), abstract_var(cod, name, depth + 1))
-        case SymApp(sym, args):
-            return SymApp(sym, tuple(abstract_var(a, name, depth) for a in args))
+    cls = type(t)
+    if cls is Var:
+        return Bound(depth) if t.name == name else t
+    if cls is Bound:
+        return Bound(t.index + 1) if t.index >= depth else t
+    if cls is App:
+        fun, arg = abstract_var(t.fun, name, depth), abstract_var(t.arg, name, depth)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
+    if cls is Abs:
+        annot, body = abstract_var(t.annot, name, depth), abstract_var(t.body, name, depth + 1)
+        return t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
+    if cls is Prod:
+        dom, cod = abstract_var(t.dom, name, depth), abstract_var(t.cod, name, depth + 1)
+        return t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
+    if cls is SymApp:
+        args = []
+        for a in t.args:
+            args.append(abstract_var(a, name, depth))
+        return t if _same(args, t.args) else SymApp(t.sym, tuple(args))
+    if cls is Sort:
+        return t
     raise TypeError(f"not a term: {t!r}")
 
 

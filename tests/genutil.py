@@ -6,8 +6,11 @@ with the kernel anyway). The equational walker perturbs a typed seed with
 beta expansions/contractions, projection steps and certificate swaps, all of
 which preserve the conversion relation. `normalize_and_compare` is the
 reference decision the kernels' head-first conversion is checked against,
-and `translate_by_kernel_sorts` the reference translation the one-pass
-`pcert.translate` is checked against.
+`translate_by_kernel_sorts` the reference translation the one-pass
+`pcert.translate` is checked against, the `ref_*` reduction functions the
+reference the step-for-step reduction engine of `pcert.rewrite` is checked
+against, and `NamedParser` the reference the scope-resolving parser is
+checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from pcert import diagnostics as dk
 from pcert.diagnostics import fail
 from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
 from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
-from pcert.rewrite import Fuel, RuleSet, match, normalize
+from pcert.rewrite import Fuel, RuleSet, _as_fuel, match, normalize
+from pcert.syntax import _Parser, _SymRef
 from pcert.terms import (
     KIND,
     Abs,
@@ -375,3 +379,281 @@ def translate_by_kernel_sorts(ctx: Context, t: Term, as_type: bool = False) -> T
     which read sorts off the translation instead.
     """
     return _type_by_kernel_sorts(ctx, t) if as_type else _term_by_kernel_sorts(ctx, t)
+
+
+# --- the reduction reference -----------------------------------------------------
+#
+# The reduction functions as they were before substitution kept sharing and
+# `whnf` became a loop that allocates nothing: every node rebuilt, the
+# subject built anew per rule attempt, structural matching. They take the
+# same steps in the same order, so on any input they return an equal term,
+# leave the same fuel, draw the same fresh names and run out of fuel at the
+# same step on the same partial term.
+
+
+def ref_substitute_parallel(t: Term, mapping: dict[str, Term]) -> Term:
+    if not mapping:
+        return t
+    match t:
+        case Var(name):
+            return mapping.get(name, t)
+        case App(fun, arg):
+            return App(ref_substitute_parallel(fun, mapping), ref_substitute_parallel(arg, mapping))
+        case Abs(hint, annot, body):
+            return Abs(hint, ref_substitute_parallel(annot, mapping), ref_substitute_parallel(body, mapping))
+        case Prod(hint, dom, cod):
+            return Prod(hint, ref_substitute_parallel(dom, mapping), ref_substitute_parallel(cod, mapping))
+        case SymApp(sym, args):
+            return SymApp(sym, tuple(ref_substitute_parallel(a, mapping) for a in args))
+        case _:
+            return t
+
+
+def ref_instantiate(body: Term, value: Term, depth: int = 0) -> Term:
+    match body:
+        case Bound(k):
+            if k == depth:
+                return value
+            if k > depth:
+                return Bound(k - 1)
+            return body
+        case Var() | Sort():
+            return body
+        case App(fun, arg):
+            return App(ref_instantiate(fun, value, depth), ref_instantiate(arg, value, depth))
+        case Abs(hint, annot, inner):
+            return Abs(hint, ref_instantiate(annot, value, depth), ref_instantiate(inner, value, depth + 1))
+        case Prod(hint, dom, cod):
+            return Prod(hint, ref_instantiate(dom, value, depth), ref_instantiate(cod, value, depth + 1))
+        case SymApp(sym, args):
+            return SymApp(sym, tuple(ref_instantiate(a, value, depth) for a in args))
+    raise TypeError(f"not a term: {body!r}")
+
+
+def ref_abstract_var(t: Term, name: str, depth: int = 0) -> Term:
+    match t:
+        case Var(n):
+            return Bound(depth) if n == name else t
+        case Bound(k):
+            return Bound(k + 1) if k >= depth else t
+        case Sort():
+            return t
+        case App(fun, arg):
+            return App(ref_abstract_var(fun, name, depth), ref_abstract_var(arg, name, depth))
+        case Abs(hint, annot, body):
+            return Abs(hint, ref_abstract_var(annot, name, depth), ref_abstract_var(body, name, depth + 1))
+        case Prod(hint, dom, cod):
+            return Prod(hint, ref_abstract_var(dom, name, depth), ref_abstract_var(cod, name, depth + 1))
+        case SymApp(sym, args):
+            return SymApp(sym, tuple(ref_abstract_var(a, name, depth) for a in args))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _ref_open(hint: str, body: Term) -> tuple[Var, Term]:
+    v = Var(fresh_name(hint))
+    return v, ref_instantiate(body, v)
+
+
+def ref_match(pattern: Term, subject: Term, binding: dict[str, Term] | None = None) -> dict[str, Term] | None:
+    if binding is None:
+        binding = {}
+    match pattern:
+        case Var(name):
+            seen = binding.get(name)
+            if seen is not None and not alpha_eq(seen, subject):
+                return None
+            binding[name] = subject
+            return binding
+        case SymApp(sym, pargs):
+            if not isinstance(subject, SymApp) or subject.sym != sym or len(subject.args) != len(pargs):
+                return None
+            for p, s in zip(pargs, subject.args):
+                if ref_match(p, s, binding) is None:
+                    return None
+            return binding
+        case _:
+            return binding if alpha_eq(pattern, subject) else None
+
+
+def _ref_try_rules(rules: RuleSet, sym: str, args: list[Term], fuel: Fuel) -> Term | None:
+    for rule in rules.rules_for(sym):
+        if len(rule.lhs.args) != len(args):
+            continue
+        ok = True
+        for i, parg in enumerate(rule.lhs.args):
+            if isinstance(parg, SymApp):
+                args[i] = ref_whnf(rules, args[i], fuel)
+                if not isinstance(args[i], SymApp):
+                    ok = False
+                    break
+        if not ok:
+            continue
+        binding = ref_match(rule.lhs, SymApp(sym, tuple(args)))
+        if binding is not None:
+            fuel.spend(SymApp(sym, tuple(args)))
+            return ref_substitute_parallel(rule.rhs, binding)
+    return None
+
+
+def ref_whnf(rules: RuleSet, t: Term, fuel: Fuel | int | None = None) -> Term:
+    fuel = _as_fuel(fuel)
+    while True:
+        match t:
+            case App(f, a):
+                f2 = ref_whnf(rules, f, fuel)
+                if isinstance(f2, Abs):
+                    fuel.spend(t)
+                    t = ref_instantiate(f2.body, a)
+                    continue
+                return App(f2, a) if f2 is not f else t
+            case SymApp(sym, args):
+                args_l = list(args)
+                reduced = _ref_try_rules(rules, sym, args_l, fuel)
+                if reduced is None:
+                    return SymApp(sym, tuple(args_l))
+                t = reduced
+            case _:
+                return t
+
+
+def _ref_outermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
+    t = ref_whnf(rules, t, fuel)
+    match t:
+        case App(f, a):
+            return App(_ref_outermost(rules, f, fuel), _ref_outermost(rules, a, fuel))
+        case Abs(hint, annot, body):
+            v, opened = _ref_open(hint, body)
+            inner = _ref_outermost(rules, opened, fuel)
+            return Abs(hint, _ref_outermost(rules, annot, fuel), ref_abstract_var(inner, v.name))
+        case Prod(hint, dom, cod):
+            v, opened = _ref_open(hint, cod)
+            inner = _ref_outermost(rules, opened, fuel)
+            return Prod(hint, _ref_outermost(rules, dom, fuel), ref_abstract_var(inner, v.name))
+        case SymApp(sym, args):
+            return SymApp(sym, tuple(_ref_outermost(rules, a, fuel) for a in args))
+        case _:
+            return t
+
+
+def _ref_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
+    match t:
+        case App(f, a):
+            f2 = _ref_innermost(rules, f, fuel)
+            a2 = _ref_innermost(rules, a, fuel)
+            if isinstance(f2, Abs):
+                fuel.spend(App(f2, a2))
+                return _ref_innermost(rules, ref_instantiate(f2.body, a2), fuel)
+            return App(f2, a2)
+        case Abs(hint, annot, body):
+            v, opened = _ref_open(hint, body)
+            inner = _ref_innermost(rules, opened, fuel)
+            return Abs(hint, _ref_innermost(rules, annot, fuel), ref_abstract_var(inner, v.name))
+        case Prod(hint, dom, cod):
+            v, opened = _ref_open(hint, cod)
+            inner = _ref_innermost(rules, opened, fuel)
+            return Prod(hint, _ref_innermost(rules, dom, fuel), ref_abstract_var(inner, v.name))
+        case SymApp(sym, args):
+            args_l = [_ref_innermost(rules, a, fuel) for a in args]
+            reduced = _ref_try_rules(rules, sym, args_l, fuel)
+            if reduced is None:
+                return SymApp(sym, tuple(args_l))
+            return _ref_innermost(rules, reduced, fuel)
+        case _:
+            return t
+
+
+def ref_normalize(rules: RuleSet, t: Term, fuel: Fuel | int | None = None, strategy: str = "outermost") -> Term:
+    fuel = _as_fuel(fuel)
+    if strategy == "outermost":
+        return _ref_outermost(rules, t, fuel)
+    if strategy == "innermost":
+        return _ref_innermost(rules, t, fuel)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def ref_convertible(rules: RuleSet, a: Term, b: Term, fuel: Fuel | int | None = None, irrelevant=None) -> bool:
+    return _ref_convert(rules, a, b, _as_fuel(fuel), irrelevant or {})
+
+
+def _ref_convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant) -> bool:
+    if a == b:
+        return True
+    a, b = ref_whnf(rules, a, fuel), ref_whnf(rules, b, fuel)
+    match a, b:
+        case App(f, x), App(g, y):
+            return _ref_convert(rules, f, g, fuel, irrelevant) and _ref_convert(rules, x, y, fuel, irrelevant)
+        case SymApp(sym, xs), SymApp(other, ys):
+            if sym != other or len(xs) != len(ys):
+                return False
+            skip = irrelevant.get(sym)
+            return all(
+                i == skip or _ref_convert(rules, x, y, fuel, irrelevant) for i, (x, y) in enumerate(zip(xs, ys))
+            )
+        case (Abs(hint, dom, body), Abs(_, dom2, body2)) | (Prod(hint, dom, body), Prod(_, dom2, body2)):
+            if not _ref_convert(rules, dom, dom2, fuel, irrelevant):
+                return False
+            v = Var(fresh_name(hint))
+            return _ref_convert(rules, ref_instantiate(body, v), ref_instantiate(body2, v), fuel, irrelevant)
+        case _:
+            return a == b
+
+
+# --- the parsing reference --------------------------------------------------------
+
+
+class NamedParser(_Parser):
+    """The parser as it was before binder names were resolved while parsing:
+    every identifier is a free `Var`, and each binder is closed afterwards
+    with `terms.lam`/`terms.pi`, which walk its body once more."""
+
+    def parse_term(self) -> Term:
+        binder = self.values[self.pos]
+        if binder == "\\" or binder == "!":
+            self.pos += 1
+            name = self.values[self.expect("id")]
+            self.expect("punct", ":")
+            annot = self.parse_term()
+            self.expect("punct", ".")
+            body = self.parse_term()
+            return lam(name, annot, body) if binder == "\\" else pi(name, annot, body)
+        lhs = self.parse_app()
+        if self.kinds[self.pos] == "arrow":
+            self.pos += 1
+            return Prod("_", lhs, self.parse_term())
+        return lhs
+
+    def parse_atom(self) -> Term | _SymRef:
+        i = self.pos
+        value = self.values[i]
+        if self.kinds[i] == "id":
+            self.pos = i + 1
+            if value == "TYPE" or value == "KIND":
+                return Sort(value)
+            arity = self.arities.get(value)
+            if arity is None:
+                return Var(value)
+            if self.values[i + 1] == "(":
+                return self.parse_call(value, i)
+            return SymApp(value) if arity == 0 else _SymRef(value, i)
+        if value == "{":
+            self.pos = i + 1
+            name = self.values[self.expect("id")]
+            self.expect("punct", ":")
+            ty = self.parse_term()
+            self.expect("punct", "|")
+            pred = self.parse_term()
+            self.expect("punct", "}")
+            return SymApp("psub", (ty, lam(name, ty, pred)))
+        return super().parse_atom()
+
+
+def parse_file_named(text: str, file: str = "<input>"):
+    return NamedParser(text, file).parse_file()
+
+
+def parse_term_named(text: str, mode: str = "pcert") -> Term:
+    parser = NamedParser(text, "<term>", mode)
+    term = parser.parse_term()
+    if parser.kinds[parser.pos] != "eof":
+        raise parser.error("trailing input after term")
+    return term

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
+import random
 
-from genutil import BASE_CTX, TermGen
-from pcert import translate_term
+import genutil
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genutil import (
+    BASE_CTX,
+    EquivalenceWalker,
+    TermGen,
+    ref_convertible,
+    ref_normalize,
+    ref_whnf,
+)
+from pcert import rewrite, terms, translate_term
 from pcert.diagnostics import FuelError
-from pcert.lf import El, PROP_ENC, PROP_OBJ, Prf, RULES_R
+from pcert.lf import KERNEL as LF_KERNEL, El, PROP_ENC, PROP_OBJ, Prf, RULES_R
+from pcert.pcert import BETA_PROJ, KERNEL as PCERT_KERNEL
+from pcert.translate import translate_type
 from pcert.rewrite import (
     Fuel,
     RewriteRule,
@@ -251,3 +265,116 @@ def test_whnf_exposes_function_through_projection():
     packed = SymApp("pair'", (Var("t"), Var("p"), identity))
     t = App(SymApp("fst", (Var("t"), Var("p"), packed)), Var("a"))
     assert whnf(RULES_R, t) == Var("a")
+
+
+# --- the same steps as the reference ---------------------------------------------
+
+
+def test_whnf_returns_a_symbol_application_without_rules_itself():
+    t = SymApp("f", (Var("a"), App(lam("x", Var("T"), Var("x")), Var("b"))))
+    assert whnf(RULES_R, t) is t
+    # a head with rules whose patterns cannot see their argument's head
+    stuck = El(Var("v"))
+    assert whnf(RULES_R, stuck) is stuck
+
+
+def test_whnf_returns_a_weak_head_normal_form_itself():
+    for t in (
+        App(App(Var("f"), Var("a")), App(lam("x", Var("T"), Var("x")), Var("b"))),
+        lam("x", Var("T"), App(lam("y", Var("T"), Var("y")), Var("x"))),
+        Prod("x", El(PROP_OBJ), Var("Q")),
+        Var("x"),
+        Sort("Prop"),
+    ):
+        assert whnf(RULES_R, t) is t
+        assert whnf(BETA_PROJ, t) is t
+
+
+def test_match_rejects_a_nonlinear_pattern_whose_occurrences_differ():
+    x, a, b = Var("x"), Var("a"), Var("b")
+    assert match(SymApp("f", (x, x)), SymApp("f", (a, b))) is None
+    assert match(SymApp("f", (x, x)), SymApp("f", (a, a))) == {"x": a}
+    nested = SymApp("f", (x, SymApp("g", (x,))))
+    assert match(nested, SymApp("f", (a, SymApp("g", (b,))))) is None
+    assert match(nested, SymApp("f", (a, SymApp("g", (a,))))) == {"x": a}
+
+
+def _outcome(run, budget: int, module, matcher: str) -> tuple:
+    """What a reduction returns, or the partial term it stops on, the fuel
+    it leaves, and how many rule attempts it made (outermost calls of the
+    module's matcher, the ones that pass no binding)."""
+    original = getattr(module, matcher)
+    attempts = [0]
+
+    def counted(pattern, subject, binding=None):
+        if binding is None:
+            attempts[0] += 1
+        return original(pattern, subject, binding)
+
+    fuel = Fuel(budget)
+    setattr(module, matcher, counted)
+    try:
+        return ("done", run(fuel), fuel.remaining, attempts[0])
+    except FuelError as err:
+        return ("out of fuel", err.diagnostic.subject, fuel.remaining, attempts[0])
+    finally:
+        setattr(module, matcher, original)
+
+
+def _same_as_reference(reference, change, budget: int) -> tuple:
+    """Both outcomes, each drawn from the same fresh-name counter so that
+    binders opened on the way get the same names; they must be equal, and
+    so must the number of names drawn."""
+    start = next(terms._fresh_counter)
+    outcomes, ends = [], []
+    for run, module, matcher in ((reference, genutil, "ref_match"), (change, rewrite, "match")):
+        terms._fresh_counter = itertools.count(start)
+        outcomes.append(_outcome(run, budget, module, matcher))
+        ends.append(next(terms._fresh_counter))
+    terms._fresh_counter = itertools.count(max(ends) + 1)
+    assert outcomes[0] == outcomes[1]
+    assert ends[0] == ends[1]
+    return outcomes[1]
+
+
+FULL = 100_000
+
+
+def _agree_at_every_budget(reference, change) -> None:
+    """Equal under the full budget, and under small budgets around the
+    exact number of steps spent, where both must run out at the same step."""
+    kind, _, left, _ = _same_as_reference(reference, change, FULL)
+    assert kind == "done"
+    spent = FULL - left
+    for budget in sorted({0, 1, 2, spent // 2, max(spent - 1, 0), spent}):
+        kind, _, _, _ = _same_as_reference(reference, change, budget)
+        assert kind == ("done" if budget >= spent else "out of fuel")
+
+
+RULE_SETS = ((BETA_PROJ, PCERT_KERNEL.config.irrelevant), (RULES_R, LF_KERNEL.config.irrelevant))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reduction_takes_the_reference_steps_on_generated_terms(seed):
+    gen = TermGen(seed)
+    m, goal = gen.some_term(5)
+    walked = EquivalenceWalker(random.Random(seed)).walk(BASE_CTX, m, 2)
+    other = gen.term_of(goal, 4)
+    ty_m, ty_o = (PCERT_KERNEL.infer(BASE_CTX, t) for t in (m, other))
+    pcert_terms = (m, walked, other, ty_m)
+    lf_terms = (translate_term(BASE_CTX, m), translate_term(BASE_CTX, walked), translate_term(BASE_CTX, other),
+                translate_type(BASE_CTX, ty_m))
+    pairs = [(m, walked), (m, other), (ty_m, ty_o), (lf_terms[0], lf_terms[1]), (lf_terms[0], lf_terms[2]),
+             (lf_terms[3], translate_type(BASE_CTX, ty_o))]
+    for rules, irrelevant in RULE_SETS:
+        for t in pcert_terms + lf_terms:
+            _agree_at_every_budget(lambda f: ref_whnf(rules, t, f), lambda f: whnf(rules, t, f))
+            for strategy in ("outermost", "innermost"):
+                _agree_at_every_budget(
+                    lambda f: ref_normalize(rules, t, f, strategy), lambda f: normalize(rules, t, f, strategy)
+                )
+        for a, b in pairs:
+            _agree_at_every_budget(
+                lambda f: ref_convertible(rules, a, b, f, irrelevant), lambda f: convertible(rules, a, b, f, irrelevant)
+            )

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import TermGen
+from genutil import BASE_SURFACE, TermGen, parse_file_named, parse_term_named
 from pcert import corpus_path
 from pcert.diagnostics import SurfaceError
 from pcert.syntax import (
@@ -22,6 +22,7 @@ from pcert.syntax import (
 from pcert.terms import (
     Abs,
     App,
+    Bound,
     Prod,
     Sort,
     SymApp,
@@ -315,3 +316,66 @@ def test_mutated_corpus_parses_or_raises_a_surface_error(text):
         parse_file(text, "fuzz")
     except SurfaceError:
         pass
+
+
+# --- binder names resolved while parsing ------------------------------------------
+
+
+def same_parse(parse, parse_named, text: str, *args):
+    """The scope-resolving parser gives the terms, binder hints included, or
+    the error that closing each binder with lam/pi afterwards gives."""
+    try:
+        expected = parse_named(text, *args)
+    except SurfaceError as err:
+        with pytest.raises(SurfaceError) as got:
+            parse(text, *args)
+        assert (got.value.kind, str(got.value)) == (err.kind, str(err))
+        return
+    got = parse(text, *args)
+    assert got == expected
+    assert repr(got) == repr(expected)  # hints are not compared by ==
+
+
+SCOPE_CASES = (
+    "\\x: T. T -> P x",
+    "\\x: T. \\x: T. x",
+    "\\x: T. \\y: T. x -> y -> x",
+    "!x: T. (T -> P x) -> !y: P x. Q x y",
+    "{n: nat | leq n b}",
+    "\\n: nat. {m: {k: nat | leq k n} | leq m n}",
+    "\\x: {x: T | p x}. x",
+    "(T -> T) -> \\z: T. z",
+    "\\f: T -> T. \\x: T. f (f x)",
+    "!x: T. x -> !x: P x. x",
+    "\\fst: T. fst",
+    "\\a: T. fst(a, b, c) a",
+)
+
+
+@pytest.mark.parametrize("text", SCOPE_CASES)
+def test_scoped_parse_matches_closing_binders_afterwards(text):
+    same_parse(parse_term, parse_term_named, text)
+
+
+def test_scoped_parse_leaves_framework_sorts_and_symbols_unresolved():
+    for text in ("\\TYPE: TYPE. TYPE", "\\El: TYPE. El Prop", "\\x: TYPE. x -> KIND"):
+        same_parse(parse_term, parse_term_named, text, "lf")
+    assert parse_term("\\TYPE: TYPE. TYPE", "lf") == Abs("TYPE", Sort("TYPE"), Sort("TYPE"))
+    assert parse_term("\\x: T. T -> P x") == Abs("x", Var("T"), Prod("_", Var("T"), App(Var("P"), Bound(1))))
+
+
+def test_scoped_parse_matches_closing_binders_afterwards_on_the_corpus():
+    for name in CORPUS:
+        same_parse(parse_file, parse_file_named, corpus_path(name).read_text(), name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scoped_parse_matches_closing_binders_afterwards_on_generated_files(seed):
+    gen = TermGen(seed)
+    lines = [BASE_SURFACE]
+    for i in range(6):
+        t, goal = gen.some_term(5)
+        lines.append(f"definition d{i} : {print_term(goal)} := {print_term(t)};")
+        lines.append(f"assert {print_term(t)} : {print_term(goal)};")
+    same_parse(parse_file, parse_file_named, "\n".join(lines), "gen")

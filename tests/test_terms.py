@@ -13,15 +13,20 @@ from pcert.diagnostics import DUPLICATE_NAME, CheckError
 from pcert.terms import (
     Abs,
     App,
+    Bound,
     Context,
+    Prod,
     Sort,
     SymApp,
     Var,
+    abstract_var,
     alpha_eq,
     free_vars,
+    instantiate,
     lam,
     pi,
     substitute,
+    substitute_parallel,
 )
 
 PROP = Sort("Prop")
@@ -206,3 +211,38 @@ def test_context_views_agree_with_a_list_of_pairs(ops):
             assert len(view) == len(entries)
             for n in NAMES:
                 assert view.lookup(n) == dict(entries).get(n)
+
+
+# --- substitution keeps sharing ----------------------------------------------
+
+CLOSED = SymApp("pair", (T, Var("p"), Abs("y", T, App(Var("f"), Bound(0))), Var("h")))
+
+
+def test_instantiate_returns_unchanged_nodes_themselves():
+    assert instantiate(CLOSED, PROP) is CLOSED
+    body = App(App(CLOSED, Bound(0)), Prod("z", CLOSED, Bound(1)))
+    out = instantiate(body, Var("v"))
+    assert out == App(App(CLOSED, Var("v")), Prod("z", CLOSED, Var("v")))
+    assert out.fun.fun is CLOSED and out.arg.dom is CLOSED
+    # a binder whose body mentions only its own variable is left as it is
+    inner = Abs("w", T, Bound(0))
+    assert instantiate(App(inner, Bound(0)), PROP).fun is inner
+    # indices past the instantiated one still move down by one
+    assert instantiate(App(Bound(0), Abs("w", Bound(2), Bound(1))), PROP) == App(PROP, Abs("w", Bound(1), PROP))
+
+
+def test_abstract_var_returns_unchanged_nodes_themselves():
+    assert abstract_var(CLOSED, "x") is CLOSED
+    out = abstract_var(SymApp("g", (CLOSED, Var("x"))), "x")
+    assert out == SymApp("g", (CLOSED, Bound(0)))
+    assert out.args[0] is CLOSED
+
+
+def test_substitute_parallel_returns_unchanged_nodes_themselves():
+    assert substitute_parallel(CLOSED, {"x": PROP}) is CLOSED
+    out = substitute_parallel(Abs("y", CLOSED, App(Var("x"), CLOSED)), {"x": PROP})
+    assert out == Abs("y", CLOSED, App(PROP, CLOSED))
+    assert out.annot is CLOSED and out.body.arg is CLOSED
+    value = App(Var("f"), Var("a"))
+    shared = substitute_parallel(App(Var("x"), Var("x")), {"x": value})
+    assert shared.fun is value and shared.arg is value
