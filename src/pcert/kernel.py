@@ -60,7 +60,9 @@ class Kernel:
         spends no fuel. Only whole pairs at this entry are recorded, never
         the comparisons inside the recursion: those still pay for every
         step, so a term whose unfolding doubles per link still costs fuel
-        exponential in the links.
+        exponential in the links. Inside one call, `convertible` replays a
+        repeated sub-comparison instead of redoing it but charges its steps
+        again, so the time it takes is linear in the links.
         """
         if a == b:  # before the record: hashing a pair walks both terms
             return True

@@ -18,7 +18,9 @@ once and hands off to the private loop `_whnf`. The recursion is internal:
 rule arguments, normalization and conversion call `_whnf` directly. The loop
 builds nothing for a head that is already normal (it returns its argument
 itself) and builds a symbol application's subject once per rule attempt,
-for both `match` and `Fuel.spend`.
+for both `match` and `Fuel.spend`. Conversion replays a repeated
+sub-comparison from a memo that lives for one `convertible` call, charging
+its recorded steps through `Fuel.charge`.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ class Fuel:
         if self.remaining == 0:
             raise FuelError(at)
         self.remaining -= 1
+
+    def charge(self, steps: int) -> bool:
+        """Spend `steps` already known to be needed, all at once, if they
+        remain; otherwise spend nothing and return False."""
+        if self.remaining is None:
+            return True
+        if self.remaining < steps:
+            return False
+        self.remaining -= steps
+        return True
 
     def __repr__(self) -> str:
         return f"Fuel({self.remaining})"
@@ -295,26 +307,57 @@ def convertible(
     full normalization of both sides would give (with the irrelevant
     arguments erased), and the steps spent are a subset of the steps that
     normalization spends.
+
+    Beta hands out one argument object at every occurrence of its variable,
+    so the same pair of objects can come up for comparison many times. Each
+    sub-comparison's verdict and steps are memoized, by the identity of
+    both sides, for this one call. A repeat is charged its recorded steps
+    without being redone when they remain; when they do not, it is redone,
+    so fuel runs out at the same step on the same partial term. The fuel
+    spent, the fuel left and the verdict are those of redoing every
+    comparison; only the work done shrinks, from exponential to linear in
+    the links of a chain whose unfoldings share subterms.
     """
-    return _convert(rules, a, b, _as_fuel(fuel), irrelevant or {})
+    return _convert(rules, a, b, _as_fuel(fuel), irrelevant or {}, {})
 
 
-def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int]) -> bool:
+# (id(a), id(b)) -> (verdict, steps spent, a, b); the entry holds both terms
+# so that neither id can be reused by another object while the memo lives
+_Memo = dict[tuple[int, int], tuple[bool, int, Term, Term]]
+
+
+def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: _Memo) -> bool:
     if a == b:
         return True
+    key = (id(a), id(b))
+    seen = memo.get(key)
+    if seen is not None and fuel.charge(seen[1]):
+        return seen[0]
+    before = fuel.remaining
+    verdict = _convert_heads(rules, a, b, fuel, irrelevant, memo)
+    memo[key] = (verdict, 0 if before is None else before - fuel.remaining, a, b)
+    return verdict
+
+
+def _convert_heads(
+    rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: _Memo
+) -> bool:
+    """`_convert` once the sides differ and no memo entry can be charged."""
     a, b = _whnf(rules, a, fuel), _whnf(rules, b, fuel)
     cls = type(a)
     if cls is not type(b):
         return False
     if cls is App:
-        return _convert(rules, a.fun, b.fun, fuel, irrelevant) and _convert(rules, a.arg, b.arg, fuel, irrelevant)
+        return _convert(rules, a.fun, b.fun, fuel, irrelevant, memo) and _convert(
+            rules, a.arg, b.arg, fuel, irrelevant, memo
+        )
     if cls is SymApp:
         xs, ys = a.args, b.args
         if a.sym != b.sym or len(xs) != len(ys):
             return False
         skip = irrelevant.get(a.sym)
         for i, (x, y) in enumerate(zip(xs, ys)):
-            if i != skip and not _convert(rules, x, y, fuel, irrelevant):
+            if i != skip and not _convert(rules, x, y, fuel, irrelevant, memo):
                 return False
         return True
     if cls is Abs:
@@ -323,10 +366,10 @@ def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[s
         dom, body, dom2, body2 = a.dom, a.cod, b.dom, b.cod
     else:
         return a == b
-    if not _convert(rules, dom, dom2, fuel, irrelevant):
+    if not _convert(rules, dom, dom2, fuel, irrelevant, memo):
         return False
     v = Var(fresh_name(a.hint))
-    return _convert(rules, instantiate(body, v), instantiate(body2, v), fuel, irrelevant)
+    return _convert(rules, instantiate(body, v), instantiate(body2, v), fuel, irrelevant, memo)
 
 
 # --- orthogonality report ---------------------------------------------------

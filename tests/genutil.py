@@ -598,6 +598,26 @@ def _ref_convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant) -> bo
             return a == b
 
 
+def canonical_fresh_names(t: Term | bool) -> Term | bool:
+    """t with its fresh names (`terms.fresh_name`, the ones holding '#')
+    renumbered in order of first occurrence, so that two terms that differ
+    only in which fresh names their opened binders drew compare equal. A
+    verdict is returned as it is."""
+    if isinstance(t, bool):
+        return t
+    renamed: dict[str, Term] = {}
+
+    def walk(u: Term) -> None:
+        if isinstance(u, Var):
+            if "#" in u.name and u.name not in renamed:
+                renamed[u.name] = Var(f"{u.name.split('#', 1)[0]}#{len(renamed)}")
+        for child in _children(u):
+            walk(child)
+
+    walk(t)
+    return ref_substitute_parallel(t, renamed)
+
+
 # --- the parsing reference --------------------------------------------------------
 
 

@@ -289,6 +289,60 @@ def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys):
     assert (tmp_path / "in_process.lp").read_bytes() == (tmp_path / "fresh.lp").read_bytes()
 
 
+CHAIN_BASE = """symbol iota : Type;
+symbol P : iota -> Prop;
+symbol Q : Prop;
+symbol a : iota;
+symbol g : iota -> iota -> iota;
+symbol k : iota -> iota -> iota;
+symbol hP : !x: iota. P x;
+symbol hP' : !x: iota. P x;
+symbol hq : Q;
+symbol hq' : Q;
+definition Qp := \\x: iota. Q;
+"""
+
+
+def shared_chain_source(links: int) -> str:
+    """A `shared_defs`-style development: u(i+1) := (\\x. G x x) u(i), a
+    twin v(i+1) that reaches the same normal form through projections,
+    and an assertion per link that the two are convertible, whose fuel
+    doubles per link."""
+    lines = ["definition u0 := a;", "definition v0 := fst(iota, Qp, pair(iota, Qp, a, hq));"]
+    for i in range(links):
+        G, H = ("g", "hq") if i % 2 == 0 else ("k", "hq'")
+        body = (
+            f"fst(iota, Qp, pair(iota, Qp, {G} y y, {H}))",
+            f"{G} (fst(iota, Qp, pair(iota, Qp, y, {H}))) y",
+            f"{G} y (fst(iota, Qp, pair(iota, Qp, y, {H})))",
+        )[i % 3]
+        lines.append(f"definition u{i + 1} := (\\x: iota. {G} x x) u{i};")
+        lines.append(f"definition v{i + 1} := (\\y: iota. {body}) v{i};")
+        lines.append(f"convertible u{i + 1}, v{i + 1};")
+    lines.append(f"convertible pair(iota, P, u{links}, hP u{links}), pair(iota, P, v{links}, hP' v{links});")
+    return CHAIN_BASE + "\n".join(lines) + "\n"
+
+
+# Least --fuel under which each command accepts the 12-link chain, found by
+# bisection with conversion redoing every sub-comparison. Replaying repeated
+# sub-comparisons must charge the same steps: both budgets stay exact. Both
+# run out on the last declaration; translate's lf re-check of it takes more.
+CHAIN12_FUEL = {"check": (16405, "50:1"), "translate": (24757, "translated:51:1")}
+
+
+@pytest.mark.parametrize("command", sorted(CHAIN12_FUEL))
+def test_shared_chain_needs_the_same_fuel_as_redoing_every_comparison(command, tmp_path, capsys):
+    src = tmp_path / "chain12.pcert"
+    src.write_text(shared_chain_source(12))
+    out = ["-o", str(tmp_path / "out.lf")] if command == "translate" else []
+    fuel, where = CHAIN12_FUEL[command]
+    assert main([command, str(src), *out, "--fuel", str(fuel)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([command, str(src), *out, "--fuel", str(fuel - 1)]) == 3
+    diagnostic = "FuelExhausted: rewrite fuel exhausted before reaching a normal form"
+    assert capsys.readouterr().err == f"{src}:{where}: {diagnostic}\n"
+
+
 # Emitted bytes, written by `pcert translate|export FILE -o OUT` on the
 # bundled corpus. Regenerate them only for a change meant to alter output.
 GOLDEN = Path(__file__).parent / "golden"

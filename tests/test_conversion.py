@@ -6,6 +6,11 @@ translations. The pairs are related by equational walks (convertible) or
 drawn independently (mostly not). Head-first conversion must give the
 oracle's verdict within the fuel the oracle spent. Proven pairs are
 recorded per file and per kernel, at `convert`'s entry only.
+
+On chains whose unfoldings share subterms, a repeated sub-comparison is
+replayed from the memo of its `convertible` call: the fuel left and the
+budgets at which fuel runs out must be those of `genutil.ref_convertible`,
+which redoes every comparison, while the work done grows linearly.
 """
 
 from __future__ import annotations
@@ -15,13 +20,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import BASE_CTX, EquivalenceWalker, TermGen, normalize_and_compare
+from genutil import (
+    BASE_CTX,
+    IOTA,
+    QT,
+    EquivalenceWalker,
+    TermGen,
+    canonical_fresh_names,
+    normalize_and_compare,
+    ref_convertible,
+)
+from pcert import rewrite
 from pcert.diagnostics import FuelError
 from pcert.kernel import Kernel
 from pcert.lf import KERNEL as LF_KERNEL
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel
-from pcert.terms import TYPE_, App, Context, Term, Var, arrow, lam
+from pcert.terms import TYPE_, App, Context, SymApp, Term, Var, arrow, lam
 from pcert.translate import translate_term, translate_type
 
 ORACLE_FUEL = 1_000_000
@@ -99,3 +114,93 @@ def test_only_whole_pairs_are_recorded_not_their_sub_comparisons():
     assert PCERT_KERNEL.convert(root, App(Var("f"), REDEX), App(Var("f"), A), Fuel(1))
     with pytest.raises(FuelError):
         PCERT_KERNEL.convert(root, REDEX, A, Fuel(0))
+
+
+# --- chains whose unfoldings share subterms ----------------------------------
+
+
+def _g(x: Term, y: Term) -> Term:
+    return App(App(Var("g"), x), y)
+
+
+def _proj(t: Term, cert: str) -> Term:
+    qp = lam("x", IOTA, QT)  # a constant predicate: certificates never mention t
+    return SymApp("fst", (IOTA, qp, SymApp("pair", (IOTA, qp, t, Var(cert)))))
+
+
+def shared_chain(links: int, leaf: str = "a") -> tuple[Term, Term]:
+    """The u/v chains of the `shared_defs` benchmark as terms: u(i+1) is
+    (\\x. g x x) u(i), and v(i+1) reaches the same normal form through a
+    projection out of a pair, at one of three places. Each link holds the
+    link below it once, as one object; beta hands that object out twice,
+    so a comparison meets the same pair of objects again and again."""
+    x, y = Var("x"), Var("y")
+    u, v = Var(leaf), _proj(Var(leaf), "hq")
+    for i in range(links):
+        cert = ("hq", "hq'")[i % 2]
+        body = (_proj(_g(y, y), cert), _g(_proj(y, cert), y), _g(y, _proj(y, cert)))[i % 3]
+        u = App(lam("x", IOTA, _g(x, x)), u)
+        v = App(lam("y", IOTA, body), v)
+    return u, v
+
+
+def in_both_kernels(pairs: list[tuple[Term, Term]]) -> list[tuple[Kernel, Term, Term]]:
+    """Each pair in pcert and, translated, in lf."""
+    lf_pairs = [(translate_term(BASE_CTX, a), translate_term(BASE_CTX, b)) for a, b in pairs]
+    return [(PCERT_KERNEL, a, b) for a, b in pairs] + [(LF_KERNEL, a, b) for a, b in lf_pairs]
+
+
+def _outcome(decide, budget: int) -> tuple:
+    """The verdict, or the partial term fuel ran out on (fresh names
+    renumbered), and the fuel left."""
+    fuel = Fuel(budget)
+    try:
+        return decide(fuel), fuel.remaining
+    except FuelError as err:
+        return "out of fuel", canonical_fresh_names(err.diagnostic.subject), fuel.remaining
+
+
+@pytest.mark.parametrize("links", [1, 2, 3, 4, 5])
+def test_shared_chains_spend_the_reference_fuel_at_every_budget(links):
+    u, v = shared_chain(links)
+    w, _ = shared_chain(links, leaf="b")  # differs from v at the leaf only
+    for t in (u, v, w):
+        assert PCERT_KERNEL.infer(BASE_CTX, t) == IOTA
+    verdicts = []
+    for kernel, a, b in in_both_kernels([(u, v), (w, v)]):
+        full = Fuel(ORACLE_FUEL)
+        verdicts.append(ref_convertible(kernel.rules, a, b, full, kernel.config.irrelevant))
+        spent = ORACLE_FUEL - full.remaining
+        for budget in range(spent + 2):
+            # a fresh root context: no whole pair is proven yet
+            change = _outcome(lambda f: kernel.convert(Context(), a, b, f), budget)
+            reference = _outcome(lambda f: ref_convertible(kernel.rules, a, b, f, kernel.config.irrelevant), budget)
+            assert change == reference
+            assert (change[0] == "out of fuel") == (budget < spent)
+    assert verdicts == [True, False, True, False]
+
+
+def _work(kernel: Kernel, a: Term, b: Term) -> tuple[int, int]:
+    """Rule attempts made (outermost `match` calls) and fuel spent."""
+    attempts = [0]
+    original = rewrite.match
+
+    def counted(pattern, subject, binding=None):
+        if binding is None:
+            attempts[0] += 1
+        return original(pattern, subject, binding)
+
+    fuel = Fuel(ORACLE_FUEL)
+    rewrite.match = counted
+    try:
+        kernel.convert(Context(), a, b, fuel)
+    finally:
+        rewrite.match = original
+    return attempts[0], ORACLE_FUEL - fuel.remaining
+
+
+def test_shared_chains_take_work_linear_in_the_links_for_fuel_exponential_in_them():
+    for short, long in zip(in_both_kernels([shared_chain(6)]), in_both_kernels([shared_chain(12)])):
+        (attempts6, spent6), (attempts12, spent12) = _work(*short), _work(*long)
+        assert 0 < attempts12 < 4 * attempts6
+        assert 2**5 < spent12 / spent6 < 2**7

@@ -13,6 +13,7 @@ from genutil import (
     BASE_CTX,
     EquivalenceWalker,
     TermGen,
+    canonical_fresh_names,
     ref_convertible,
     ref_normalize,
     ref_whnf,
@@ -321,10 +322,16 @@ def _outcome(run, budget: int, module, matcher: str) -> tuple:
         setattr(module, matcher, original)
 
 
-def _same_as_reference(reference, change, budget: int) -> tuple:
+def _same_as_reference(reference, change, budget: int, exact: bool = True) -> tuple:
     """Both outcomes, each drawn from the same fresh-name counter so that
     binders opened on the way get the same names; they must be equal, and
-    so must the number of names drawn."""
+    so must the number of names drawn.
+
+    With exact=False (conversion, which replays a repeated sub-comparison
+    instead of redoing it) the result and the fuel left must still be
+    equal, and so must the partial term once its fresh names are
+    renumbered, but the change may make fewer rule attempts and draw fewer
+    names: those count work done, not behaviour."""
     start = next(terms._fresh_counter)
     outcomes, ends = [], []
     for run, module, matcher in ((reference, genutil, "ref_match"), (change, rewrite, "match")):
@@ -332,22 +339,29 @@ def _same_as_reference(reference, change, budget: int) -> tuple:
         outcomes.append(_outcome(run, budget, module, matcher))
         ends.append(next(terms._fresh_counter))
     terms._fresh_counter = itertools.count(max(ends) + 1)
-    assert outcomes[0] == outcomes[1]
-    assert ends[0] == ends[1]
+    if exact:
+        assert outcomes[0] == outcomes[1]
+        assert ends[0] == ends[1]
+    else:
+        (kind, result, left, attempts), (kind2, result2, left2, attempts2) = outcomes
+        assert (kind2, left2) == (kind, left)
+        assert canonical_fresh_names(result2) == canonical_fresh_names(result)
+        assert attempts2 <= attempts
+        assert ends[1] <= ends[0]
     return outcomes[1]
 
 
 FULL = 100_000
 
 
-def _agree_at_every_budget(reference, change) -> None:
+def _agree_at_every_budget(reference, change, exact: bool = True) -> None:
     """Equal under the full budget, and under small budgets around the
     exact number of steps spent, where both must run out at the same step."""
-    kind, _, left, _ = _same_as_reference(reference, change, FULL)
+    kind, _, left, _ = _same_as_reference(reference, change, FULL, exact)
     assert kind == "done"
     spent = FULL - left
     for budget in sorted({0, 1, 2, spent // 2, max(spent - 1, 0), spent}):
-        kind, _, _, _ = _same_as_reference(reference, change, budget)
+        kind, _, _, _ = _same_as_reference(reference, change, budget, exact)
         assert kind == ("done" if budget >= spent else "out of fuel")
 
 
@@ -376,5 +390,7 @@ def test_reduction_takes_the_reference_steps_on_generated_terms(seed):
                 )
         for a, b in pairs:
             _agree_at_every_budget(
-                lambda f: ref_convertible(rules, a, b, f, irrelevant), lambda f: convertible(rules, a, b, f, irrelevant)
+                lambda f: ref_convertible(rules, a, b, f, irrelevant),
+                lambda f: convertible(rules, a, b, f, irrelevant),
+                exact=False,
             )
