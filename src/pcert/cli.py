@@ -36,6 +36,7 @@ from .syntax import (
     parse_file,
     print_file,
 )
+from .terms import alpha_eq
 from .translate import translate_term, translate_type
 
 EXIT_OK = 0
@@ -126,13 +127,17 @@ def cmd_roundtrip(path: str, fuel: int | None) -> int:
     for record in checked.decls:
         if not isinstance(record.decl, Definition):
             continue
-        name, body = record.decl.name, record.decl.body
+        name, body, span = record.decl.name, record.decl.body, record.decl.span
         encoded = translate_term(checked.scope(record.depth), body)
         back = inverse_term(encoded)
         if isinstance(back, NotInImage):
             failures.append(f"{name}: {back}")
             continue
-        if normalize(BETA_ONLY, back, fuel) != normalize(BETA_ONLY, body, fuel):
+        try:
+            same = alpha_eq(normalize(BETA_ONLY, back, fuel), normalize(BETA_ONLY, body, fuel))
+        except CheckError as err:
+            raise err.with_span(span) if span is not None else err
+        if not same:
             failures.append(f"{name}: beta-normal forms differ after the round trip")
     if failures:
         for line in failures:

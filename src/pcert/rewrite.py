@@ -19,8 +19,10 @@ rule arguments, normalization and conversion call `_whnf` directly. The loop
 builds nothing for a head that is already normal (it returns its argument
 itself) and builds a symbol application's subject once per rule attempt,
 for both `match` and `Fuel.spend`. Conversion replays a repeated
-sub-comparison from a memo that lives for one `convertible` call, charging
-its recorded steps through `Fuel.charge`.
+sub-comparison from a memo that lives for one `convertible` call, and
+outermost normalization a repeated subterm's normal form from a memo that
+lives for one `normalize` call; both charge the recorded steps through
+`Fuel.charge`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .diagnostics import FuelError, fail
 from .terms import (
     Abs,
     App,
+    Bound,
     Prod,
+    Sort,
     SymApp,
     Term,
     Var,
@@ -226,25 +230,40 @@ def _whnf(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
         return t
 
 
-def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
-    t = _whnf(rules, t, fuel)
+# id(t) -> (normal form of t, steps spent reaching it, t); the entry holds t
+# so that its id cannot be reused by another object while the memo lives
+_NormalMemo = dict[int, tuple[Term, int, Term]]
+
+
+def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: _NormalMemo) -> Term:
     cls = type(t)
+    if cls is Var or cls is Bound or cls is Sort:
+        return t  # already normal: leaves bypass the memo
+    seen = memo.get(id(t))
+    if seen is not None and fuel.charge(seen[1]):
+        return seen[0]
+    before = fuel.remaining
+    u = _whnf(rules, t, fuel)
+    cls = type(u)
     if cls is App:
-        return App(_normalize_outermost(rules, t.fun, fuel), _normalize_outermost(rules, t.arg, fuel))
-    if cls is Abs:
-        v, opened = open_term(t.hint, t.body)
-        inner = _normalize_outermost(rules, opened, fuel)
-        return Abs(t.hint, _normalize_outermost(rules, t.annot, fuel), abstract_var(inner, v.name))
-    if cls is Prod:
-        v, opened = open_term(t.hint, t.cod)
-        inner = _normalize_outermost(rules, opened, fuel)
-        return Prod(t.hint, _normalize_outermost(rules, t.dom, fuel), abstract_var(inner, v.name))
-    if cls is SymApp and t.args:
+        nf = App(_normalize_outermost(rules, u.fun, fuel, memo), _normalize_outermost(rules, u.arg, fuel, memo))
+    elif cls is Abs:
+        v, opened = open_term(u.hint, u.body)
+        inner = _normalize_outermost(rules, opened, fuel, memo)
+        nf = Abs(u.hint, _normalize_outermost(rules, u.annot, fuel, memo), abstract_var(inner, v.name))
+    elif cls is Prod:
+        v, opened = open_term(u.hint, u.cod)
+        inner = _normalize_outermost(rules, opened, fuel, memo)
+        nf = Prod(u.hint, _normalize_outermost(rules, u.dom, fuel, memo), abstract_var(inner, v.name))
+    elif cls is SymApp and u.args:
         args = []
-        for a in t.args:
-            args.append(_normalize_outermost(rules, a, fuel))
-        return SymApp(t.sym, tuple(args))
-    return t
+        for a in u.args:
+            args.append(_normalize_outermost(rules, a, fuel, memo))
+        nf = SymApp(u.sym, tuple(args))
+    else:
+        nf = u
+    memo[id(t)] = (nf, 0 if before is None else before - fuel.remaining, t)
+    return nf
 
 
 def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
@@ -273,10 +292,22 @@ def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
 
 
 def normalize(rules: RuleSet, t: Term, fuel: Fuel | int | None = None, strategy: str = "outermost") -> Term:
-    """Full normal form: no subterm is a redex for any rule or for beta."""
+    """Full normal form: no subterm is a redex for any rule or for beta.
+
+    Beta hands out one argument object at every occurrence of its variable,
+    so the same object can come up for normalization many times. Outermost
+    normalization memoizes each subterm's normal form and the steps it
+    cost, by the identity of the subterm, for this one call. A repeat is
+    charged its recorded steps and returns the recorded normal form, when
+    the steps remain; when they do not, it is redone, so fuel runs out at
+    the same step on the same partial term. The fuel spent, the fuel left
+    and the normal form are those of normalizing every occurrence; the
+    result shares the repeated normal forms, so compare it with
+    `terms.alpha_eq`, which follows that sharing, rather than `==`.
+    """
     fuel = _as_fuel(fuel)
     if strategy == "outermost":
-        return _normalize_outermost(rules, t, fuel)
+        return _normalize_outermost(rules, t, fuel, {})
     if strategy == "innermost":
         return _normalize_innermost(rules, t, fuel)
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -14,8 +14,9 @@ Substitution keeps sharing: `instantiate`, `abstract_var` and
 `substitute_parallel` return a node itself, not a copy, when nothing beneath
 it changed. A closed subterm is never rebuilt, so a value substituted for
 many occurrences stays one object, and comparing such subterms with `==`
-stops at object identity. Nothing depends on identity for its meaning;
-results are equal either way.
+stops at object identity; `alpha_eq` also remembers the pairs it has proven
+equal, so it compares two such terms in time linear in their shared size.
+Nothing depends on identity for its meaning; results are equal either way.
 """
 
 from __future__ import annotations
@@ -165,8 +166,47 @@ def substitute(body: Term, binding: tuple[str, Term]) -> Term:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """True iff a and b differ only in bound-variable names."""
-    return a == b
+    """True iff a and b differ only in bound-variable names; always `a == b`.
+
+    `==` walks a term as a tree, so two separately built terms that share
+    subterms (normal forms, where beta handed one argument object to every
+    occurrence of its variable) take time in their unshared size. This
+    walk stops at object identity and remembers, for this one call, each
+    pair of objects it has proven equal, so it takes time in the number of
+    distinct pairs of nodes met instead.
+    """
+    return _alpha_eq(a, b, set())
+
+
+def _alpha_eq(a: Term, b: Term, proven: set[tuple[int, int]]) -> bool:
+    # both terms stay alive for the whole call, so their nodes' ids do too
+    if a is b:
+        return True
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    key = (id(a), id(b))
+    if key in proven:
+        return True
+    if cls is App:
+        equal = _alpha_eq(a.fun, b.fun, proven) and _alpha_eq(a.arg, b.arg, proven)
+    elif cls is Abs:
+        equal = _alpha_eq(a.annot, b.annot, proven) and _alpha_eq(a.body, b.body, proven)
+    elif cls is Prod:
+        equal = _alpha_eq(a.dom, b.dom, proven) and _alpha_eq(a.cod, b.cod, proven)
+    elif cls is SymApp:
+        xs, ys = a.args, b.args
+        if a.sym != b.sym or len(xs) != len(ys):
+            return False
+        for x, y in zip(xs, ys):
+            if not _alpha_eq(x, y, proven):
+                return False
+        equal = True
+    else:
+        return a == b
+    if equal:
+        proven.add(key)
+    return equal
 
 
 def instantiate(body: Term, value: Term, depth: int = 0) -> Term:

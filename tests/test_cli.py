@@ -235,18 +235,28 @@ def test_a_conversion_proven_once_costs_no_fuel_the_second_time(tmp_path, capsys
     assert main(["check", str(src), "--fuel", "2"]) == 0
 
 
+def _unfolding(redexes: int, depth: int = 20) -> str:
+    """A shallow definition whose beta-normal form is redexes * depth
+    applications deep, so that normalizing and comparing it recurse."""
+    h = "definition h := \\x: iota. " + "f (" * depth + "x" + ")" * depth + ";\n"
+    return h + "definition d := " + "h (" * redexes + "a" + ")" * redexes + ";\n"
+
+
 DEEP_INPUTS = {
     "arrows": "symbol s : " + " -> ".join(["iota"] * 2001) + ";\n",
     "applications": "assert " + "f (" * 2000 + "a" + ")" * 2000 + " : iota;\n",
+    "normal_form": _unfolding(100),  # 2000 deep: roundtrip exits 3, the others 0
+    "normal_form_in_limit": _unfolding(15),  # 300 deep: every command exits 0
 }
 
 
-@pytest.mark.parametrize("command", ["check", "translate"])
+@pytest.mark.parametrize("command", ["check", "translate", "roundtrip", "export"])
 @pytest.mark.parametrize("shape", sorted(DEEP_INPUTS))
 def test_deep_input_exits_zero_or_three_without_a_traceback(tmp_path, capsys, command, shape):
     src = tmp_path / "deep.pcert"
     src.write_text("symbol iota : Type;\nsymbol a : iota;\nsymbol f : iota -> iota;\n" + DEEP_INPUTS[shape])
-    argv = [command, str(src)] + (["-o", str(tmp_path / "deep.lf")] if command == "translate" else [])
+    out = ["-o", str(tmp_path / "deep.out")] if command in ("translate", "export") else []
+    argv = [command, str(src), *out]
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 3)
@@ -341,6 +351,48 @@ def test_shared_chain_needs_the_same_fuel_as_redoing_every_comparison(command, t
     assert main([command, str(src), *out, "--fuel", str(fuel - 1)]) == 3
     diagnostic = "FuelExhausted: rewrite fuel exhausted before reaching a normal form"
     assert capsys.readouterr().err == f"{src}:{where}: {diagnostic}\n"
+
+
+def nested_redexes_source(redexes: int) -> str:
+    """A definition of `redexes` nested (\\x: iota. g x x) redexes: its
+    normal form has 2^redexes - 1 applications of g, while `check` needs no
+    reduction at all."""
+    body = "(\\x: iota. g x x) (" * redexes + "a" + ")" * redexes
+    return f"symbol iota : Type;\nsymbol a : iota;\nsymbol g : iota -> iota -> iota;\ndefinition d := {body};\n"
+
+
+# Least --fuel under which `roundtrip` accepts nested_redexes_source(n),
+# found by bisection with normalization redoing every repeated subterm:
+# 2^n - 1 beta steps per side. Replaying a repeated subterm must charge the
+# same steps.
+ROUNDTRIP_FUEL = {6: 63, 16: 65535}
+
+
+@pytest.mark.parametrize("redexes", sorted(ROUNDTRIP_FUEL))
+def test_roundtrip_needs_the_same_fuel_as_normalizing_every_occurrence(tmp_path, capsys, redexes):
+    src = tmp_path / "redexes.pcert"
+    src.write_text(nested_redexes_source(redexes))
+    assert main(["check", str(src), "--fuel", "1"]) == 0  # normalization alone sets the bound
+    fuel = ROUNDTRIP_FUEL[redexes]
+    assert main(["roundtrip", str(src), "--fuel", str(fuel)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["roundtrip", str(src), "--fuel", str(fuel - 1)]) == 3
+    diagnostic = "FuelExhausted: rewrite fuel exhausted before reaching a normal form"
+    assert capsys.readouterr().err == f"{src}:4:1: {diagnostic}\n"
+
+
+def test_roundtrip_fuel_failure_points_at_the_definition(tmp_path, capsys):
+    src = tmp_path / "two.pcert"
+    src.write_text(
+        "symbol iota : Type;\nsymbol a : iota;\n"
+        "definition one := (\\x: iota. x) a;\n"
+        "symbol b : iota;\n"
+        "definition two := (\\x: iota. x) ((\\x: iota. x) b);\n"
+    )
+    assert main(["check", str(src), "--fuel", "1"]) == 0
+    assert main(["roundtrip", str(src), "--fuel", "1"]) == 3
+    assert capsys.readouterr().err.startswith(f"{src}:5:1: FuelExhausted: ")
+    assert main(["roundtrip", str(src), "--fuel", "2"]) == 0
 
 
 # Emitted bytes, written by `pcert translate|export FILE -o OUT` on the

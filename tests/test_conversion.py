@@ -10,7 +10,9 @@ recorded per file and per kernel, at `convert`'s entry only.
 On chains whose unfoldings share subterms, a repeated sub-comparison is
 replayed from the memo of its `convertible` call: the fuel left and the
 budgets at which fuel runs out must be those of `genutil.ref_convertible`,
-which redoes every comparison, while the work done grows linearly.
+which redoes every comparison, while the work done grows linearly. The
+same holds for outermost `normalize`, which replays a repeated subterm,
+against `genutil.ref_normalize`.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from genutil import (
     canonical_fresh_names,
     normalize_and_compare,
     ref_convertible,
+    ref_normalize,
 )
 from pcert import rewrite
 from pcert.diagnostics import FuelError
 from pcert.kernel import Kernel
 from pcert.lf import KERNEL as LF_KERNEL
 from pcert.pcert import KERNEL as PCERT_KERNEL
-from pcert.rewrite import Fuel
+from pcert.rewrite import Fuel, RuleSet, normalize
 from pcert.terms import TYPE_, App, Context, SymApp, Term, Var, arrow, lam
 from pcert.translate import translate_term, translate_type
 
@@ -151,11 +154,11 @@ def in_both_kernels(pairs: list[tuple[Term, Term]]) -> list[tuple[Kernel, Term, 
 
 
 def _outcome(decide, budget: int) -> tuple:
-    """The verdict, or the partial term fuel ran out on (fresh names
-    renumbered), and the fuel left."""
+    """The verdict or normal form, or the partial term fuel ran out on
+    (fresh names renumbered in both), and the fuel left."""
     fuel = Fuel(budget)
     try:
-        return decide(fuel), fuel.remaining
+        return canonical_fresh_names(decide(fuel)), fuel.remaining
     except FuelError as err:
         return "out of fuel", canonical_fresh_names(err.diagnostic.subject), fuel.remaining
 
@@ -204,3 +207,51 @@ def test_shared_chains_take_work_linear_in_the_links_for_fuel_exponential_in_the
         (attempts6, spent6), (attempts12, spent12) = _work(*short), _work(*long)
         assert 0 < attempts12 < 4 * attempts6
         assert 2**5 < spent12 / spent6 < 2**7
+
+
+NORMALIZE_RULES = {PCERT_KERNEL: (RuleSet(), PCERT_KERNEL.rules), LF_KERNEL: (RuleSet(), LF_KERNEL.rules)}
+
+
+@pytest.mark.parametrize("links", [1, 2, 3, 4, 5])
+def test_shared_chains_normalize_with_the_reference_fuel_at_every_budget(links):
+    for kernel, u, v in in_both_kernels([shared_chain(links)]):
+        for rules in NORMALIZE_RULES[kernel]:
+            for t in (u, v):
+                full = Fuel(ORACLE_FUEL)
+                ref_normalize(rules, t, full)
+                spent = ORACLE_FUEL - full.remaining
+                assert spent >= 2**links - 1  # u alone takes that many beta steps
+                for budget in range(spent + 2):
+                    change = _outcome(lambda f: normalize(rules, t, f), budget)
+                    reference = _outcome(lambda f: ref_normalize(rules, t, f), budget)
+                    assert change == reference
+                    assert (change[0] == "out of fuel") == (budget < spent)
+
+
+def _normalize_work(rules: RuleSet, t: Term) -> tuple[int, int]:
+    """Beta steps executed (outermost `instantiate` calls from `rewrite`)
+    and fuel spent."""
+    calls = [0]
+    original = rewrite.instantiate
+
+    def counted(body, value, depth=0):
+        calls[0] += 1
+        return original(body, value, depth)
+
+    fuel = Fuel(ORACLE_FUEL)
+    rewrite.instantiate = counted
+    try:
+        normalize(rules, t, fuel)
+    finally:
+        rewrite.instantiate = original
+    return calls[0], ORACLE_FUEL - fuel.remaining
+
+
+def test_shared_chains_normalize_in_work_linear_in_the_links_for_fuel_exponential_in_them():
+    for short, long in zip(in_both_kernels([shared_chain(6)]), in_both_kernels([shared_chain(12)])):
+        kernel = short[0]
+        for rules in NORMALIZE_RULES[kernel]:
+            for t6, t12 in zip(short[1:], long[1:]):
+                (work6, spent6), (work12, spent12) = _normalize_work(rules, t6), _normalize_work(rules, t12)
+                assert 0 < work12 < 3 * work6
+                assert 2**5 < spent12 / spent6 < 2**7

@@ -7,9 +7,12 @@ import sys
 import threading
 import time
 
-from genutil import BASE_CTX, TermGen
+from genutil import BASE_CTX, IOTA, EquivalenceWalker, TermGen, positions, ref_substitute_parallel, replace_at
 from hypothesis import given, settings, strategies as st
+from pcert import terms
 from pcert.diagnostics import DUPLICATE_NAME, CheckError
+from pcert.pcert import BETA_PROJ, KERNEL as PCERT_KERNEL
+from pcert.rewrite import normalize
 from pcert.terms import (
     Abs,
     App,
@@ -18,6 +21,7 @@ from pcert.terms import (
     Prod,
     Sort,
     SymApp,
+    Term,
     Var,
     abstract_var,
     alpha_eq,
@@ -100,6 +104,54 @@ def test_alpha_eq_equivalence_and_congruence():
         # congruence: equal parts build equal wholes
         assert alpha_eq(App(t, s), App(t, s))
         assert alpha_eq(lam("w", t, s), lam("v", t, s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_alpha_eq_answers_structural_equality_on_generated_pairs(seed):
+    gen = TermGen(seed)
+    m, goal = gen.some_term(5)
+    walked = EquivalenceWalker(random.Random(seed)).walk(BASE_CTX, m, 2)
+    other = gen.term_of(goal, 4)
+    found = [m, walked, other, PCERT_KERNEL.infer(BASE_CTX, m)]
+    # normal forms share subterms; rebuilt copies and renamed binders do not
+    found += [normalize(BETA_PROJ, t) for t in found[:3]]
+    found += [ref_substitute_parallel(t, {"#unused": PROP}) for t in found]
+    found += [lam("w", IOTA, t) for t in found[:4]] + [lam("v", IOTA, t) for t in found[:4]]
+    # near misses: one symbol or variable renamed, everything else shared
+    for path, opened, _, sub in positions(BASE_CTX, m):
+        if isinstance(sub, SymApp):
+            found.append(replace_at(m, path, opened, SymApp(sub.sym + "'", sub.args)))
+        elif isinstance(sub, Var):
+            found.append(replace_at(m, path, opened, Var(sub.name + "'")))
+    for a in found:
+        for b in found:
+            assert alpha_eq(a, b) == (a == b)
+
+
+def _doubling(links: int, leaf: str = "a") -> Term:
+    """g t t nested `links` deep over one object per level: 2^links leaves
+    as a tree."""
+    t = Var(leaf)
+    for _ in range(links):
+        t = App(App(Var("g"), t), t)
+    return t
+
+
+def test_alpha_eq_on_shared_terms_takes_work_linear_in_their_depth(monkeypatch):
+    calls = [0]
+    original = terms._alpha_eq
+
+    def counted(a, b, proven):
+        calls[0] += 1
+        return original(a, b, proven)
+
+    monkeypatch.setattr(terms, "_alpha_eq", counted)
+    for links in (10, 20, 40):  # == would walk 2^40 leaves
+        calls[0] = 0
+        assert alpha_eq(_doubling(links), _doubling(links))
+        assert not alpha_eq(_doubling(links), _doubling(links, leaf="b"))
+        assert 0 < calls[0] <= 10 * links + 10
 
 
 def test_free_vars():
