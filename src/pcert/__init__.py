@@ -15,22 +15,8 @@ from importlib import resources
 from .checker import CheckedFile, check_file
 from .diagnostics import CheckError, Diagnostic, SourceSpan
 from .inverse import NotInImage, inverse_term, inverse_type
-from .lf import (
-    LF_SIGNATURE,
-    RULES_R,
-    assert_public,
-    check_wf_lf,
-    convertible_lf,
-    infer_lf,
-)
-from .pcert import (
-    BETA_PROJ,
-    PCERT_SIGNATURE,
-    check_wf_pcert,
-    conv_pcert,
-    infer_pcert,
-    pi_erase,
-)
+from .lf import LF_SIGNATURE, RULES_R, assert_public, convertible_lf
+from .pcert import BETA_PROJ, PCERT_SIGNATURE, conv_pcert, pi_erase
 from .rewrite import (
     DEFAULT_FUEL,
     Fuel,

@@ -3,20 +3,21 @@
 A file is one context: symbol declarations extend it in order, definitions
 are checked and then expanded transparently into every later declaration
 (the kernels have no delta reduction), assertions run against the mode's
-kernel. In lf mode every declaration passes the protected-symbol gate
-before any checking happens. `LfKernel.infer` runs the same gate again, so
-an unannotated lf definition body and both `convertible` sides are walked
-twice; `sort_of` and `check` do not run it.
+kernel. This is the one boundary between user input and the kernels: every
+term of a declaration passes the protected-symbol gate of the kernel's
+signature once, as written and before any kernel call, so rewriting alone
+may introduce a protected symbol. The gate is a no-op for a signature that
+protects nothing. Expansions need no second walk: each was gated when its
+definition was, and expanding only replaces variable leaves.
 
 Checking yields one elaboration record per declaration: the declaration
-with every defined name expanded, how many context entries were in scope
-when it was checked, and, for a definition, the inferred type of its body
-(an annotated body is inferred once, by `check` after the annotation's sort).
-Symbols are added with `Context.declare`, so the file's context is one shared
-table and `CheckedFile.scope(depth)` is an O(1) view of its first `depth`
-entries, not a copy. Translation, round trip and export read these records
-without checking again: this module is the only place definitions are
-expanded and typability is established.
+with every defined name expanded and, for a definition, the inferred type of
+its body (an annotated body is inferred once, by `check` after the
+annotation's sort). A record is read under the file's context: a declaration
+is admitted only if every name it mentions was declared before it, and names
+are unique, so later entries never change what it refers to. Translation,
+round trip and export read these records without checking again: this module
+is the only place definitions are expanded and typability is established.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ KERNELS: dict[str, Kernel] = {"pcert": PCERT_KERNEL, "lf": LF_KERNEL}
 @dataclass(frozen=True)
 class Elaborated:
     decl: Declaration  # every defined name expanded
-    depth: int  # context entries in scope when the declaration was checked
     inferred: Term | None = None  # a definition body's inferred type
 
 
@@ -54,10 +54,6 @@ class CheckedFile:
     mode: str
     context: Context
     decls: tuple[Elaborated, ...]
-
-    def scope(self, depth: int) -> Context:
-        """The context a record was checked under: an O(1) view, no copy."""
-        return self.context.prefix(depth)
 
     @property
     def definitions(self) -> dict[str, tuple[Term, Term]]:
@@ -71,23 +67,19 @@ class CheckedFile:
 
 def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFile:
     kernel = KERNELS[parsed.mode]
-    gate = parsed.mode == "lf"
     ctx = Context()
     records: list[Elaborated] = []
     names: set[str] = set()
     expansions: dict[str, Term] = {}
 
     def prepare(t: Term) -> Term:
+        assert_public(t, kernel.signature)
         # definition bodies are already fully expanded, so one parallel pass
         # replaces every defined name
-        out = substitute_parallel(t, expansions)
-        if gate:
-            assert_public(out)
-        return out
+        return substitute_parallel(t, expansions)
 
     for decl in parsed.decls:
         budget = _as_fuel(fuel)  # fresh per declaration unless a Fuel is shared
-        depth = len(ctx)
         inferred = None
         try:
             match decl:
@@ -131,5 +123,5 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
                     decl = AssertConv(a, b, span)
         except CheckError as err:
             raise err.with_span(decl.span) if decl.span is not None else err
-        records.append(Elaborated(decl, depth, inferred))
+        records.append(Elaborated(decl, inferred))
     return CheckedFile(parsed.mode, ctx, tuple(records))

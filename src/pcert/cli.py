@@ -84,8 +84,8 @@ def _load(path: str) -> ParsedFile:
 def _translate_decls(checked: CheckedFile) -> list[Declaration]:
     """Translate a checked pcert development declaration by declaration."""
     out: list[Declaration] = []
+    ctx = checked.context
     for record in checked.decls:
-        ctx = checked.scope(record.depth)
         match record.decl:
             case SymbolDecl(name, ty, span):
                 out.append(SymbolDecl(name, translate_type(ctx, ty), span))
@@ -104,12 +104,16 @@ def cmd_check(path: str, fuel: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_translate(path: str, out: str | None, fuel: int | None) -> int:
+def _check_pcert(command: str, path: str, fuel: int | None) -> CheckedFile:
     parsed = _load(path)
     if parsed.mode != "pcert":
-        raise CheckError(dk.Diagnostic(dk.WRONG_MODE, f"translate expects a pcert file, got mode {parsed.mode!r}"))
-    checked = check_file(parsed, fuel)
-    translated = ParsedFile("lf", tuple(_translate_decls(checked)), parsed.path)
+        raise CheckError(dk.Diagnostic(dk.WRONG_MODE, f"{command} expects a pcert file, got mode {parsed.mode!r}"))
+    return check_file(parsed, fuel)
+
+
+def cmd_translate(path: str, out: str | None, fuel: int | None) -> int:
+    checked = _check_pcert("translate", path, fuel)
+    translated = ParsedFile("lf", tuple(_translate_decls(checked)), path)
     text = print_file(translated)
     # machine-checked correctness: the printed output must reparse and pass
     # the lf kernel before anything is written
@@ -119,16 +123,13 @@ def cmd_translate(path: str, out: str | None, fuel: int | None) -> int:
 
 
 def cmd_roundtrip(path: str, fuel: int | None) -> int:
-    parsed = _load(path)
-    if parsed.mode != "pcert":
-        raise CheckError(dk.Diagnostic(dk.WRONG_MODE, f"roundtrip expects a pcert file, got mode {parsed.mode!r}"))
-    checked = check_file(parsed, fuel)
+    checked = _check_pcert("roundtrip", path, fuel)
     failures: list[str] = []
     for record in checked.decls:
         if not isinstance(record.decl, Definition):
             continue
         name, body, span = record.decl.name, record.decl.body, record.decl.span
-        encoded = translate_term(checked.scope(record.depth), body)
+        encoded = translate_term(checked.context, body)
         back = inverse_term(encoded)
         if isinstance(back, NotInImage):
             failures.append(f"{name}: {back}")

@@ -43,7 +43,10 @@ def _ident(name: str) -> str:
     return name if _LP_ID.match(name) else f"{{|{name}|}}"
 
 
-def _show(t: Term, prec: int, binders: tuple[str, ...], pattern_vars: frozenset[str] = frozenset()) -> str:
+def _show(t: Term, prec: int, pattern_vars: frozenset[str] = frozenset()) -> str:
+    """Every binder body is instantiated with its display name before it is
+    shown, so on locally closed input no `Bound` is reached."""
+
     def wrap(body: str, level: int) -> str:
         return f"({body})" if level < prec else body
 
@@ -55,44 +58,43 @@ def _show(t: Term, prec: int, binders: tuple[str, ...], pattern_vars: frozenset[
         case Var(name):
             return f"${_ident(name)}" if name in pattern_vars else _ident(name)
         case Bound(k):
-            return binders[-1 - k] if k < len(binders) else f"?{k}"
+            return f"?{k}"
         case App(f, a):
-            return wrap(f"{_show(f, _APP, binders, pattern_vars)} {_show(a, _ATOM, binders, pattern_vars)}", _APP)
+            return wrap(f"{_show(f, _APP, pattern_vars)} {_show(a, _ATOM, pattern_vars)}", _APP)
         case Abs(hint, annot, body):
-            name = _fresh_display(hint, binders, body)
-            inner = _show(instantiate(body, Var(name)), _TERM, binders, pattern_vars)
-            return wrap(f"λ {name}: {_show(annot, _TERM, binders, pattern_vars)}, {inner}", _TERM)
+            name = _fresh_display(hint, body)
+            inner = _show(instantiate(body, Var(name)), _TERM, pattern_vars)
+            return wrap(f"λ {name}: {_show(annot, _TERM, pattern_vars)}, {inner}", _TERM)
         case Prod(hint, dom, cod):
             if is_nondependent(cod):
-                dropped = instantiate(cod, Var("_"))
-                return wrap(
-                    f"{_show(dom, _APP, binders, pattern_vars)} → {_show(dropped, _ARROW, binders, pattern_vars)}",
-                    _ARROW,
-                )
-            name = _fresh_display(hint, binders, cod)
-            inner = _show(instantiate(cod, Var(name)), _TERM, binders, pattern_vars)
-            return wrap(f"Π {name}: {_show(dom, _TERM, binders, pattern_vars)}, {inner}", _TERM)
+                return wrap(f"{_show(dom, _APP, pattern_vars)} → {_show(cod, _ARROW, pattern_vars)}", _ARROW)
+            name = _fresh_display(hint, cod)
+            inner = _show(instantiate(cod, Var(name)), _TERM, pattern_vars)
+            return wrap(f"Π {name}: {_show(dom, _TERM, pattern_vars)}, {inner}", _TERM)
         case SymApp(sym, args):
             if not args:
                 return _ident(sym)
-            shown = " ".join(_show(a, _ATOM, binders, pattern_vars) for a in args)
+            shown = " ".join(_show(a, _ATOM, pattern_vars) for a in args)
             return wrap(f"{_ident(sym)} {shown}", _APP)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _fresh_display(hint: str, binders: tuple[str, ...], body: Term) -> str:
+def _fresh_display(hint: str, body: Term) -> str:
+    """A name for the binder of body that clashes with none of its free names.
+    Lambdapi reads `_` in a term as a placeholder, so `_` names only a binder
+    that body does not use."""
     base = hint.split("#", 1)[0]
-    if not _LP_ID.match(base):
+    if not _LP_ID.match(base) or (base == "_" and not is_nondependent(body)):
         base = "x"
     name = base
-    taken = set(binders) | free_vars(body)
+    taken = free_vars(body)
     while name in taken:
         name += "'"
     return name
 
 
 def _lp_term(t: Term, pattern_vars: frozenset[str] = frozenset()) -> str:
-    return _show(t, _TERM, (), pattern_vars)
+    return _show(t, _TERM, pattern_vars)
 
 
 def _telescope_type(entry) -> Term:

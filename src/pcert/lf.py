@@ -8,7 +8,9 @@ symbols psub/pair/fst/snd plus the certificate-free pair' that orients proof
 irrelevance as rewriting.
 
 pair' is protected: it may not occur in user input, but rewriting is free to
-introduce it during conversion.
+introduce it during conversion. The protection is configuration, a flag on
+the signature entry; `check_file` gates user input against it, and the
+kernel itself is the generic one, typing pair' like any other symbol.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .terms import (
     Abs,
     App,
     Bound,
-    Context,
     LF_KIND,
     LF_TYPE,
     Prod,
@@ -152,8 +153,9 @@ LF_CONFIG = SystemConfig(
 def assert_public(t: Term, sig: Signature = LF_SIGNATURE) -> None:
     """Reject terms that mention a protected symbol anywhere, binders included.
 
-    Only user input goes through this gate; terms produced by rewriting
-    during conversion never do.
+    The error names the first occurrence in depth-first, left-to-right order
+    by its path from the root. Only user input goes through this gate, once,
+    in `check_file`; terms produced by rewriting during conversion never do.
     """
     protected = sig.protected_names()
     if not protected:
@@ -185,21 +187,8 @@ class LfKernel(Kernel):
     def __init__(self):
         super().__init__(LF_CONFIG)
 
-    def infer(self, ctx: Context, t: Term, fuel: Fuel | int | None = None, public: bool = True) -> Term:
-        if public:
-            assert_public(t, self.signature)
-        return super().infer(ctx, t, fuel)
-
 
 KERNEL = LfKernel()
-
-
-def check_wf_lf(ctx: Context, fuel: Fuel | int | None = None) -> None:
-    KERNEL.check_wf(ctx, fuel)
-
-
-def infer_lf(ctx: Context, m: Term, fuel: Fuel | int | None = None) -> Term:
-    return KERNEL.infer(ctx, m, fuel)
 
 
 def convertible_lf(a: Term, b: Term, fuel: Fuel | int | None = None) -> bool:

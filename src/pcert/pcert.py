@@ -125,14 +125,6 @@ class PcertKernel(Kernel):
 KERNEL = PcertKernel()
 
 
-def check_wf_pcert(ctx: Context, fuel: Fuel | int | None = None) -> None:
-    KERNEL.check_wf(ctx, fuel)
-
-
-def infer_pcert(ctx: Context, m: Term, fuel: Fuel | int | None = None) -> Term:
-    return KERNEL.infer(ctx, m, fuel)
-
-
 def conv_pcert(ctx: Context, a: Term, b: Term, fuel: Fuel | int | None = None) -> bool:
     """Complete only on terms typable in ctx; callers own that obligation."""
     return KERNEL.convert(ctx, a, b, _as_fuel(fuel))

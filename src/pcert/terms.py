@@ -376,14 +376,6 @@ class Context:
             raise fail(DUPLICATE_NAME, f"variable {name!r} already declared")
         return Context(self._table, self._depth, self._binders + ((name, ty),))
 
-    def prefix(self, depth: int) -> Context:
-        """The first `depth` entries, as a view sharing this context's table."""
-        if not 0 <= depth <= len(self):
-            raise ValueError(f"prefix depth {depth} outside 0..{len(self)}")
-        if depth <= self._depth:
-            return Context(self._table, depth)
-        return Context(self._table, self._depth, self._binders[: depth - self._depth])
-
     def lookup(self, name: str) -> Term | None:
         for n, ty in reversed(self._binders):
             if n == name:
@@ -436,6 +428,7 @@ class Signature:
 
     def __init__(self, entries: dict[str, SigEntry]):
         self._entries = dict(entries)
+        self._protected = frozenset(n for n, e in self._entries.items() if e.protected)
 
     def __contains__(self, sym: str) -> bool:
         return sym in self._entries
@@ -456,4 +449,4 @@ class Signature:
         return self._entries[sym].arity
 
     def protected_names(self) -> frozenset[str]:
-        return frozenset(n for n, e in self._entries.items() if e.protected)
+        return self._protected

@@ -118,8 +118,10 @@ def translate_type(ctx: Context, t: Term) -> Term:
 
 
 def translate_ctx(ctx: Context) -> Context:
-    """Entrywise type translation, each entry under the prefix before it."""
+    """Entrywise type translation. Each entry is read under the whole of ctx,
+    which resolves its names as its prefix does: names are unique, and on a
+    well-formed ctx an entry mentions only names declared before it."""
     out = Context()
-    for depth, (name, ty) in enumerate(ctx):
-        out = out.declare(name, translate_type(ctx.prefix(depth), ty))
+    for name, ty in ctx:
+        out = out.declare(name, translate_type(ctx, ty))
     return out

@@ -58,6 +58,22 @@ def test_stacks_development_export_shape():
     assert "{|nonempty_stack?|}" in text
 
 
+def test_a_used_binder_is_not_named_underscore():
+    # Lambdapi reads `_` in a term as a placeholder to infer, not as a bound
+    # variable; an unused `_` binder keeps its name
+    source = (
+        "symbol iota : Type;\n"
+        "symbol P : iota -> Prop;\n"
+        "symbol h : !_: iota. P _;\n"
+        "definition k := \\_: iota. \\x: iota. P _;\n"
+    )
+    decls = _translate_decls(check_file(parse_file(source, "binders")))
+    text = export_lambdapi(decls, mode="development")
+    assert "symbol h : Prf (fa iota (λ x: El iota, P x));" in text
+    assert "≔ λ x: El iota, λ x': El iota, P x;" in text
+    assert "symbol P : El (arrd iota (λ _: El iota, prop));" in text
+
+
 def test_export_is_deterministic():
     one = export_lambdapi((), mode="signature")
     two = export_lambdapi((), mode="signature")

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genutil import BASE_CTX, TermGen
+from pcert.cli import main
 from pcert.diagnostics import CheckError, ProtectedError
 from pcert.lf import (
     El,
@@ -16,11 +23,10 @@ from pcert.lf import (
     RULES_R,
     TYPE_ENC,
     assert_public,
-    check_wf_lf,
     convertible_lf,
-    infer_lf,
 )
 from pcert.rewrite import check_orthogonality
+from pcert.syntax import AssertConv, AssertJudgment, Definition, SymbolDecl, parse_file
 from pcert.terms import (
     Abs,
     App,
@@ -32,6 +38,7 @@ from pcert.terms import (
     Var,
     arrow,
     lam,
+    substitute_parallel,
 )
 from pcert.translate import translate_ctx, translate_term
 
@@ -92,27 +99,27 @@ def test_rule_set_is_exactly_the_completed_system():
 
 
 def test_check_wf_accepts_el_prop_entry():
-    check_wf_lf(Context().extend("t", El(PROP_OBJ)))
+    KERNEL.check_wf(Context().extend("t", El(PROP_OBJ)))
 
 
 def test_check_wf_empty():
-    check_wf_lf(Context())
+    KERNEL.check_wf(Context())
 
 
 def test_check_wf_rejects_proposition_object_as_type():
     ctx = lf_pred_ctx().extend("x", SymApp("fa", (Var("t"), Var("p"))))
     with pytest.raises(CheckError) as err:
-        check_wf_lf(ctx)
+        KERNEL.check_wf(ctx)
     assert err.value.kind == "NotASort"
 
 
 def test_infer_psub_yields_encoded_type():
     ctx = lf_pred_ctx()
-    assert infer_lf(ctx, SymApp("psub", (Var("t"), Var("p")))) == TYPE_ENC
+    assert KERNEL.infer(ctx, SymApp("psub", (Var("t"), Var("p")))) == TYPE_ENC
 
 
 def test_infer_prop_object():
-    assert infer_lf(Context(), PROP_OBJ) == TYPE_ENC
+    assert KERNEL.infer(Context(), PROP_OBJ) == TYPE_ENC
 
 
 def test_infer_translated_even_pair():
@@ -126,8 +133,8 @@ def test_infer_translated_even_pair():
     )
     the_pair = SymApp("pair", (Var("nat"), Var("even"), Var("two"), Var("h")))
     enc_ctx = translate_ctx(pcert_ctx)
-    check_wf_lf(enc_ctx)
-    got = infer_lf(enc_ctx, translate_term(pcert_ctx, the_pair))
+    KERNEL.check_wf(enc_ctx)
+    got = KERNEL.infer(enc_ctx, translate_term(pcert_ctx, the_pair))
     assert got == El(SymApp("psub", (Var("nat"), Var("even"))))
 
 
@@ -147,13 +154,126 @@ def test_assert_public_scans_under_binders():
     assert err.value.path  # points inside the abstraction
 
 
-def test_infer_lf_gates_user_input():
+def test_kernel_types_pair_prime_internally():
+    # the kernel holds no gate: user input is gated in check_file (see
+    # test_protected_symbol_anywhere_in_an_lf_file_exits_four), and the
+    # terms rewriting produces are typed like any other
     ctx = lf_pred_ctx().extend("m", El(Var("t")))
     forged = SymApp("pair'", (Var("t"), Var("p"), Var("m")))
-    with pytest.raises(ProtectedError):
-        infer_lf(ctx, forged)
-    # the same term is typable once the gate is bypassed internally
-    assert KERNEL.infer(ctx, forged, public=False) == El(SymApp("psub", (Var("t"), Var("p"))))
+    assert KERNEL.infer(ctx, forged) == El(SymApp("psub", (Var("t"), Var("p"))))
+
+
+# --- the input gate, over generated lf files ----------------------------------
+
+FORGED = "pair'(nat, even, three)"
+
+GATE_PRELUDE = """#MODE lf
+symbol nat : Type;
+symbol three : El nat;
+symbol even : El nat -> Prop;
+definition d1 := three;
+definition d2 := \\x: El nat. x;
+"""
+
+# Where the forged term goes: {} stands for a generated term that holds it.
+GATE_POSITIONS = (
+    "symbol s : {};",
+    "definition s := {};",
+    "definition s : {} := three;",
+    "definition s := \\y: {}. three;",
+    "assert {} : El nat;",
+    "assert three : {};",
+    "convertible {}, three;",
+    "convertible three, {};",
+)
+
+_GATE_TREES = st.recursive(
+    st.sampled_from(("nat", "three", "even", "d1", "d2", "y", FORGED)),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(("app", "lam", "pi", "arrow", "psub")), inner, inner),
+        st.tuples(st.sampled_from(("El", "Prf")), inner),
+        st.tuples(st.just("fst"), inner, inner, inner),
+        st.tuples(st.just("pair"), inner, inner, inner, inner),
+    ),
+    max_leaves=10,
+)
+
+
+def _surface(tree, hole: int) -> str:
+    """Surface text of a generated tree, with leaf number `hole` (modulo the
+    leaf count) replaced by the forged pair, so the text always holds one."""
+    leaves: list[str] = []
+
+    def collect(t) -> None:
+        if isinstance(t, str):
+            leaves.append(t)
+        else:
+            for child in t[1:]:
+                collect(child)
+
+    collect(tree)
+    leaves[hole % len(leaves)] = FORGED
+    queue = iter(leaves)
+
+    def show(t) -> str:
+        if isinstance(t, str):
+            return next(queue)
+        op, *args = t
+        shown = [show(a) for a in args]
+        match op:
+            case "app":
+                return f"({shown[0]} {shown[1]})"
+            case "lam":
+                return f"(\\y: {shown[0]}. {shown[1]})"
+            case "pi":
+                return f"(!y: {shown[0]}. {shown[1]})"
+            case "arrow":
+                return f"({shown[0]} -> {shown[1]})"
+        return f"{op}({', '.join(shown)})"
+
+    return show(tree)
+
+
+def _oracle_message(text: str, path: str) -> str:
+    """The gate as it ran before it moved into check_file: on each term of the
+    last declaration, in checking order, after expanding defined names."""
+    parsed = parse_file(text, path)
+    expansions = {d.name: d.body for d in parsed.decls if isinstance(d, Definition)}
+    decl = parsed.decls[-1]
+    expansions.pop(getattr(decl, "name", None), None)
+    match decl:
+        case SymbolDecl(_, ty, _):
+            terms = (ty,)
+        case Definition(_, body, ty, _):
+            terms = (body, ty)
+        case AssertJudgment(subject, ty, _):
+            terms = (subject, ty)
+        case AssertConv(a, b, _):
+            terms = (a, b)
+    try:
+        for term in terms:
+            if term is not None:
+                assert_public(substitute_parallel(term, expansions))
+    except ProtectedError as err:
+        return str(err.with_span(decl.span).diagnostic)
+    raise AssertionError(f"the oracle let {text!r} through")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GATE_POSITIONS), _GATE_TREES, st.integers(0, 1 << 8))
+def test_protected_symbol_anywhere_in_an_lf_file_exits_four(position, tree, hole):
+    text = GATE_PRELUDE + position.format(_surface(tree, hole)) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "forged.lf")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        expected = _oracle_message(text, path)
+        for argv in (["check", path], ["export", path, "-o", os.path.join(tmp, "out.lp")]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 4, (argv[0], text, err.getvalue())
+            assert err.getvalue() == expected + "\n"
 
 
 def test_encoding_equations_hold_under_conversion():
@@ -213,6 +333,6 @@ def test_application_exposes_product_through_rules():
         .extend("n", El(Var("nat")))
         .extend("f", El(SymApp("arrd", (Var("nat"), Abs("_", El(Var("nat")), Var("nat"))))))
     )
-    check_wf_lf(ctx)
+    KERNEL.check_wf(ctx)
     # the inferred type is the instantiated codomain, unreduced
-    assert convertible_lf(infer_lf(ctx, App(Var("f"), Var("n"))), El(Var("nat")))
+    assert convertible_lf(KERNEL.infer(ctx, App(Var("f"), Var("n"))), El(Var("nat")))

@@ -11,9 +11,7 @@ from pcert.diagnostics import CheckError
 from pcert.pcert import (
     KERNEL,
     PCERT_SIGNATURE,
-    check_wf_pcert,
     conv_pcert,
-    infer_pcert,
     pi_erase,
 )
 from pcert.terms import (
@@ -63,77 +61,77 @@ def test_signature_is_well_formed():
 
 
 def test_check_wf_empty():
-    check_wf_pcert(Context())
+    KERNEL.check_wf(Context())
 
 
 def test_check_wf_telescope_shape():
-    check_wf_pcert(Context().extend("T", TYPE).extend("p", arrow(Var("T"), PROP)))
+    KERNEL.check_wf(Context().extend("T", TYPE).extend("p", arrow(Var("T"), PROP)))
 
 
 def test_check_wf_rejects_non_sort_type():
     ctx = Context().extend("x", lam("y", PROP, Var("y")))
     with pytest.raises(CheckError) as err:
-        check_wf_pcert(ctx)
+        KERNEL.check_wf(ctx)
     assert err.value.kind == "NotASort"
 
 
 def test_infer_prop_is_type():
-    assert infer_pcert(Context(), PROP) == TYPE
+    assert KERNEL.infer(Context(), PROP) == TYPE
 
 
 def test_infer_kind_has_no_type():
     with pytest.raises(CheckError) as err:
-        infer_pcert(Context(), KIND)
+        KERNEL.infer(Context(), KIND)
     assert err.value.kind == "SortKindHasNoType"
 
 
 def test_infer_rejects_foreign_sorts():
     with pytest.raises(CheckError) as err:
-        infer_pcert(Context(), Sort("TYPE"))
+        KERNEL.infer(Context(), Sort("TYPE"))
     assert err.value.kind == "SortKindHasNoType"
 
 
 def test_infer_pair():
     ctx = fig_ctx()
     t = SymApp("pair", (Var("T"), Var("p"), Var("m"), Var("h")))
-    assert infer_pcert(ctx, t) == SymApp("psub", (Var("T"), Var("p")))
+    assert KERNEL.infer(ctx, t) == SymApp("psub", (Var("T"), Var("p")))
 
 
 def test_infer_identity_on_props():
-    got = infer_pcert(Context(), lam("x", PROP, Var("x")))
+    got = KERNEL.infer(Context(), lam("x", PROP, Var("x")))
     assert alpha_eq(got, pi("x", PROP, PROP))
 
 
 def test_infer_snd_returns_unreduced_type():
     ctx = fig_ctx()
     the_pair = SymApp("pair", (Var("T"), Var("p"), Var("m"), Var("h")))
-    got = infer_pcert(ctx, SymApp("snd", (Var("T"), Var("p"), the_pair)))
+    got = KERNEL.infer(ctx, SymApp("snd", (Var("T"), Var("p"), the_pair)))
     expected = App(Var("p"), SymApp("fst", (Var("T"), Var("p"), the_pair)))
     assert alpha_eq(got, expected)
 
 
 def test_infer_unbound_variable():
     with pytest.raises(CheckError) as err:
-        infer_pcert(Context(), Var("ghost"))
+        KERNEL.infer(Context(), Var("ghost"))
     assert err.value.kind == "UnboundVariable"
 
 
 def test_infer_not_a_function():
     with pytest.raises(CheckError) as err:
-        infer_pcert(BASE_CTX, App(Var("a"), Var("b")))
+        KERNEL.infer(BASE_CTX, App(Var("a"), Var("b")))
     assert err.value.kind == "NotAFunction"
 
 
 def test_infer_domain_mismatch():
     with pytest.raises(CheckError) as err:
-        infer_pcert(BASE_CTX, App(Var("f"), Var("hq")))
+        KERNEL.infer(BASE_CTX, App(Var("f"), Var("hq")))
     assert err.value.kind == "DomainMismatch"
 
 
 def test_infer_illegal_product():
     # abstraction over all types would need a product starting at Kind
     with pytest.raises(CheckError) as err:
-        infer_pcert(Context(), lam("T", TYPE, Var("T")))
+        KERNEL.infer(Context(), lam("T", TYPE, Var("T")))
     assert err.value.kind == "IllegalProduct"
 
 
@@ -197,7 +195,7 @@ def test_subject_reduction_at_test_scale():
     checked = 0
     for _ in range(40):
         m, _ = gen.some_term(5)
-        ty = infer_pcert(BASE_CTX, m)
+        ty = KERNEL.infer(BASE_CTX, m)
         reduct = None
         for path, opened, _, sub in positions(BASE_CTX, m):
             if isinstance(sub, App) and isinstance(sub.fun, Abs):
@@ -205,7 +203,7 @@ def test_subject_reduction_at_test_scale():
                 break
         if reduct is None:
             continue
-        ty2 = infer_pcert(BASE_CTX, reduct)
+        ty2 = KERNEL.infer(BASE_CTX, reduct)
         assert conv_pcert(BASE_CTX, ty, ty2)
         checked += 1
     assert checked >= 10
@@ -219,8 +217,8 @@ def test_proof_component_blindness():
         one = SymApp("pair", (Var("iota"), Var("P"), Var("a"), proof1))
         two = SymApp("pair", (Var("iota"), Var("P"), Var("a"), proof2))
         assert conv_pcert(BASE_CTX, one, two)
-        ty1 = infer_pcert(BASE_CTX, one)
-        ty2 = infer_pcert(BASE_CTX, two)
+        ty1 = KERNEL.infer(BASE_CTX, one)
+        ty2 = KERNEL.infer(BASE_CTX, two)
         assert conv_pcert(BASE_CTX, ty1, ty2)
 
 
@@ -245,5 +243,5 @@ def test_product_injectivity_consequence():
 
 def test_infer_rejects_wrong_symbol_arity():
     with pytest.raises(CheckError) as err:
-        infer_pcert(fig_ctx(), SymApp("fst", (Var("T"),)))
+        KERNEL.infer(fig_ctx(), SymApp("fst", (Var("T"),)))
     assert err.value.kind == "ArityMismatch"

@@ -177,7 +177,6 @@ def test_declare_on_an_earlier_view_leaves_later_views_alone():
     assert base.lookup("b") is None
     branch = base.declare("b", PROP)  # base is no longer the tip
     assert branch.lookup("b") == PROP and later.lookup("b") == T
-    assert later.prefix(1).lookup("b") is None
     assert branch.entries == (("a", PROP), ("b", PROP))
 
 
@@ -223,10 +222,9 @@ def test_declare_from_threads_racing_for_the_tip():
 NAMES = "abcdefghij"
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(("declare", "extend", "prefix", "lookup")),
+        st.sampled_from(("declare", "extend", "lookup")),
         st.integers(0, 1 << 16),  # which view to act on
         st.sampled_from(NAMES),
-        st.integers(0, 1 << 16),  # prefix depth, modulo the view's length
     ),
     max_size=40,
 )
@@ -238,14 +236,11 @@ def test_context_views_agree_with_a_list_of_pairs(ops):
     """Differential test against the plain model: a context is a list of
     (name, type) pairs with distinct names, lookup finds the pair by name."""
     views = [(Context(), [])]
-    for step, (op, pick, name, cut) in enumerate(ops):
+    for step, (op, pick, name) in enumerate(ops):
         ctx, model = views[pick % len(views)]
         ty = Var(f"ty{step}")  # a type per step, so lookup shows which entry it found
         if op == "lookup":
             assert ctx.lookup(name) == dict(model).get(name)
-        elif op == "prefix":
-            depth = cut % (len(model) + 1)
-            views.append((ctx.prefix(depth), model[:depth]))
         else:
             clash = name in dict(model)
             try:

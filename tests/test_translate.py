@@ -195,8 +195,8 @@ def checked_corpus() -> list[CheckedFile]:
 def translated_positions(checked) -> list[tuple[Context, Term, bool]]:
     """(scope, term, is a type) for every position `pcert translate` translates."""
     out = []
+    ctx = checked.context
     for record in checked.decls:
-        ctx = checked.scope(record.depth)
         match record.decl:
             case SymbolDecl(_, ty, _):
                 out.append((ctx, ty, True))
