@@ -18,6 +18,13 @@ is admitted only if every name it mentions was declared before it, and names
 are unique, so later entries never change what it refers to. Translation,
 round trip and export read these records without checking again: this module
 is the only place definitions are expanded and typability is established.
+
+Expansion hands one object to every use of a definition, and the parser
+interns its nodes, so repeated text is one object too. The kernels memoize
+inference by object identity on the file's context (see `pcert.kernel`), so
+an expanded definition is inferred once per file and replayed at each later
+use, charged the fuel that inferring it again would spend. Each declaration
+still gets its own budget unless a `Fuel` is shared.
 """
 
 from __future__ import annotations

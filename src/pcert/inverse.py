@@ -31,65 +31,99 @@ class NotInImage:
         return f"not in the image of the translation at {where}: {self.subterm!r}"
 
 
-def inverse_term(m: Term, _path: tuple[str, ...] = ()) -> Term | NotInImage:
-    match m:
-        case Var(_) | Bound(_):
+def inverse_term(m: Term) -> Term | NotInImage:
+    return _Inverter().term(m, ())
+
+
+def inverse_type(t: Term) -> Term | NotInImage:
+    return _Inverter().type_(t, ())
+
+
+class _Inverter:
+    """One inversion: the inverse of each subterm of the argument met again
+    is looked up by its identity, so a term that shares subterms is inverted
+    in time linear in its distinct subterms. Only successes are memoized; a
+    failure ends the walk at its first occurrence, with that path."""
+
+    def __init__(self):
+        # ids of subterms of the argument, which lives for the whole call
+        self.terms: dict[int, Term] = {}
+        self.types: dict[int, Term] = {}
+
+    def term(self, m: Term, path: tuple[str, ...]) -> Term | NotInImage:
+        if type(m) is Var or type(m) is Bound:
             return m
-        case Abs(hint, annot, body):
-            a = inverse_type(annot, _path + ("annot",))
-            if isinstance(a, NotInImage):
-                return a
-            b = inverse_term(body, _path + ("body",))
-            if isinstance(b, NotInImage):
-                return b
-            return Abs(hint, a, b)
-        case App(f, x):
-            fi = inverse_term(f, _path + ("fun",))
-            if isinstance(fi, NotInImage):
-                return fi
-            xi = inverse_term(x, _path + ("arg",))
-            if isinstance(xi, NotInImage):
-                return xi
-            return App(fi, xi)
-        case SymApp("prop", ()):
-            return Sort("Prop")
-        case SymApp(("fa" | "impd" | "arrd") as head, (left, Abs(hint, _, body))):
-            li = inverse_term(left, _path + (f"{head}.0",))
-            if isinstance(li, NotInImage):
-                return li
-            bi = inverse_term(body, _path + (f"{head}.1", "body"))
-            if isinstance(bi, NotInImage):
-                return bi
-            return Prod(hint, li, bi)
-        case SymApp(("psub" | "pair" | "fst" | "snd") as head, args):
-            out: list[Term] = []
-            for i, a in enumerate(args):
-                ai = inverse_term(a, _path + (f"{head}.{i}",))
-                if isinstance(ai, NotInImage):
-                    return ai
-                out.append(ai)
-            return SymApp(head, tuple(out))
-        case _:
-            return NotInImage(_path, m)
+        out = self.terms.get(id(m))
+        if out is None:
+            out = self._term(m, path)
+            if not isinstance(out, NotInImage):
+                self.terms[id(m)] = out
+        return out
 
+    def _term(self, m: Term, path: tuple[str, ...]) -> Term | NotInImage:
+        match m:
+            case Abs(hint, annot, body):
+                a = self.type_(annot, path + ("annot",))
+                if isinstance(a, NotInImage):
+                    return a
+                b = self.term(body, path + ("body",))
+                if isinstance(b, NotInImage):
+                    return b
+                return Abs(hint, a, b)
+            case App(f, x):
+                fi = self.term(f, path + ("fun",))
+                if isinstance(fi, NotInImage):
+                    return fi
+                xi = self.term(x, path + ("arg",))
+                if isinstance(xi, NotInImage):
+                    return xi
+                return App(fi, xi)
+            case SymApp("prop", ()):
+                return Sort("Prop")
+            case SymApp(("fa" | "impd" | "arrd") as head, (left, Abs(hint, _, body))):
+                li = self.term(left, path + (f"{head}.0",))
+                if isinstance(li, NotInImage):
+                    return li
+                bi = self.term(body, path + (f"{head}.1", "body"))
+                if isinstance(bi, NotInImage):
+                    return bi
+                return Prod(hint, li, bi)
+            case SymApp(("psub" | "pair" | "fst" | "snd") as head, args):
+                out: list[Term] = []
+                for i, a in enumerate(args):
+                    ai = self.term(a, path + (f"{head}.{i}",))
+                    if isinstance(ai, NotInImage):
+                        return ai
+                    out.append(ai)
+                return SymApp(head, tuple(out))
+            case _:
+                return NotInImage(path, m)
 
-def inverse_type(t: Term, _path: tuple[str, ...] = ()) -> Term | NotInImage:
-    match t:
-        case SymApp("Type", ()):
-            return Sort("Type")
-        case SymApp("Prop", ()):
-            return Sort("Prop")
-        case SymApp("El", (m,)):
-            return inverse_term(m, _path + ("El.0",))
-        case SymApp("Prf", (p,)):
-            return inverse_term(p, _path + ("Prf.0",))
-        case Prod(hint, dom, cod):
-            d = inverse_type(dom, _path + ("dom",))
-            if isinstance(d, NotInImage):
-                return d
-            c = inverse_type(cod, _path + ("cod",))
-            if isinstance(c, NotInImage):
-                return c
-            return Prod(hint, d, c)
-        case _:
-            return NotInImage(_path, t)
+    def type_(self, t: Term, path: tuple[str, ...]) -> Term | NotInImage:
+        out = self.types.get(id(t))
+        if out is None:
+            out = self._type(t, path)
+            if not isinstance(out, NotInImage):
+                self.types[id(t)] = out
+        return out
+
+    def _type(self, t: Term, path: tuple[str, ...]) -> Term | NotInImage:
+        match t:
+            case SymApp("Type", ()):
+                return Sort("Type")
+            case SymApp("Prop", ()):
+                return Sort("Prop")
+            case SymApp("El", (m,)):
+                return self.term(m, path + ("El.0",))
+            case SymApp("Prf", (p,)):
+                return self.term(p, path + ("Prf.0",))
+            case Prod(hint, dom, cod):
+                d = self.type_(dom, path + ("dom",))
+                if isinstance(d, NotInImage):
+                    return d
+                c = self.type_(cod, path + ("cod",))
+                if isinstance(c, NotInImage):
+                    return c
+                return Prod(hint, d, c)
+            case _:
+                return NotInImage(path, t)

@@ -6,6 +6,35 @@ rewrite rules and the symbol arguments conversion ignores. Inference
 synthesizes types bottom-up; the conversion rule is applied post hoc
 wherever a type is consumed (application arguments, symbol arguments,
 explicit checks).
+
+Definitions reach the kernel expanded, and expansion hands one object to
+every use, so the same term comes up for inference again and again, in
+one declaration and in every later one. Inference therefore memoizes each
+non-leaf term's type by the term's identity, per kernel, on the context's
+table, so the memo lives for one file like the record of proven
+conversions. An entry is used only under a view that sees at least the
+rows it was made under; that is weakening, sound because rows never change
+and every binder the kernel opens has a fresh name (a context the caller
+handed in with binders of its own gets no memo). A replay returns the
+recorded type and charges, through `Fuel.charge`, the entry's *redo cost*:
+what inferring the term again would spend today. That is
+
+- every step spent while inferring it (the `whnf` of types, conversions,
+  the charges of nested replays), less
+- the steps of each conversion whose pair mentions no binder opened during
+  this inference: a redo meets that very pair again, now in the file's
+  record of proven conversions, and gets it free. A pair that mentions
+  such a binder is met again under a new fresh name and costs its steps
+  again.
+
+The steps of each conversion are filed under the level of its pair, 1 +
+the position of the innermost binder it mentions (`Context.binder_level`),
+and an inference that began under b binders subtracts those filed at levels
+<= b during it (`_Replay`). When fewer steps remain than the redo cost, the
+term is inferred again for real, so fuel runs out at the same step on the
+same partial term as without the memo. Verdicts, fuel left and diagnostics
+are those of inferring every occurrence; only the work shrinks, to linear
+in the distinct subterms of a chain whose expansions share them.
 """
 
 from __future__ import annotations
@@ -46,6 +75,45 @@ class SystemConfig:
     irrelevant: Mapping[str, int] = field(default_factory=dict)
 
 
+_LEAVES = (Var, Sort, Bound)
+
+
+class _Replay:
+    """One public inference call's access to the file's inference memo.
+
+    `memo` is the kernel's record on the context's table (`Context.inferred`)
+    and lives, like the record of proven conversions, for one file: it maps
+    the id of each non-leaf term inferred to (its type, the `rows` of the
+    view it was inferred under, its redo cost, the term itself, so that the
+    id cannot be reused). A call whose context already holds binders gets no
+    memo: their names are the caller's and need not be fresh.
+
+    The ledger `low`/`total` files the steps of each conversion made inside
+    the inference by the level of the pair, 1 + the position of the
+    innermost binder it mentions (0: none); `free(b)` is the total filed at
+    levels <= b so far.
+    """
+
+    __slots__ = ("memo", "low", "total")
+
+    def __init__(self, kernel: Kernel, ctx: Context):
+        self.memo = None if ctx.binders else ctx.inferred(kernel)
+        self.low: list[int] = []  # low[b]: steps filed at levels <= b
+        self.total = 0  # steps filed at any level; all levels are < len(low)
+
+    def free(self, b: int) -> int:
+        low = self.low
+        return low[b] if b < len(low) else self.total
+
+    def file(self, level: int, steps: int) -> None:
+        low = self.low
+        while len(low) <= level:
+            low.append(self.total)
+        for i in range(level, len(low)):
+            low[i] += steps
+        self.total += steps
+
+
 class Kernel:
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -79,9 +147,25 @@ class Kernel:
 
     def infer(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Term:
         fuel = _as_fuel(fuel)
-        return self._infer(ctx, t, fuel)
+        return self._infer(ctx, t, fuel, _Replay(self, ctx))
 
-    def _infer(self, ctx: Context, t: Term, fuel: Fuel) -> Term:
+    def _infer(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
+        """Infer t's type, or replay it from the file's memo (see `_Replay`);
+        leaves bypass the memo."""
+        memo = run.memo
+        if memo is None or type(t) in _LEAVES:
+            return self._infer_node(ctx, t, fuel, run)
+        seen = memo.get(id(t))
+        if seen is not None and ctx.rows >= seen[1] and fuel.charge(seen[2]):
+            return seen[0]
+        b = len(ctx.binders)
+        spent, free = fuel.spent, run.free(b)
+        ty = self._infer_node(ctx, t, fuel, run)
+        memo[id(t)] = (ty, ctx.rows, fuel.spent - spent - (run.free(b) - free), t)
+        return ty
+
+    def _infer_node(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
+        """The inference rule at t's head; subterms go through `_infer`."""
         cfg = self.config
         match t:
             case Sort(tag):
@@ -102,7 +186,7 @@ class Kernel:
             case Bound(k):
                 raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{k}", context=ctx, subject=t)
             case App(f, a):
-                tf = self.whnf(self._infer(ctx, f, fuel), fuel)
+                tf = self.whnf(self._infer(ctx, f, fuel, run), fuel)
                 if not isinstance(tf, Prod):
                     raise fail(
                         dk.NOT_A_FUNCTION,
@@ -110,8 +194,8 @@ class Kernel:
                         context=ctx,
                         subject=t,
                     )
-                ta = self._infer(ctx, a, fuel)
-                if not self.convert(ctx, ta, tf.dom, fuel):
+                ta = self._infer(ctx, a, fuel, run)
+                if not self._convert(ctx, ta, tf.dom, fuel, run):
                     raise fail(
                         dk.DOMAIN_MISMATCH,
                         f"argument type {ta!r} does not match domain {tf.dom!r}",
@@ -120,11 +204,11 @@ class Kernel:
                     )
                 return instantiate(tf.cod, a)
             case Abs(hint, annot, body):
-                s_dom = self._sort_of(ctx, annot, fuel)
+                s_dom = self._sort_of(ctx, annot, fuel, run)
                 v, opened = open_term(hint, body)
                 inner_ctx = ctx.extend(v.name, annot)
-                body_ty = self._infer(inner_ctx, opened, fuel)
-                s_cod = self._sort_of(inner_ctx, body_ty, fuel)
+                body_ty = self._infer(inner_ctx, opened, fuel, run)
+                s_cod = self._sort_of(inner_ctx, body_ty, fuel, run)
                 if (s_dom, s_cod) not in cfg.products:
                     raise fail(
                         dk.ILLEGAL_PRODUCT,
@@ -134,9 +218,9 @@ class Kernel:
                     )
                 return Prod(hint, annot, abstract_var(body_ty, v.name))
             case Prod(hint, dom, cod):
-                s_dom = self._sort_of(ctx, dom, fuel)
+                s_dom = self._sort_of(ctx, dom, fuel, run)
                 v, opened = open_term(hint, cod)
-                s_cod = self._sort_of(ctx.extend(v.name, dom), opened, fuel)
+                s_cod = self._sort_of(ctx.extend(v.name, dom), opened, fuel, run)
                 s_res = cfg.products.get((s_dom, s_cod))
                 if s_res is None:
                     raise fail(
@@ -160,8 +244,8 @@ class Kernel:
                 binding: dict[str, Term] = {}
                 for (x, ty), arg in zip(entry.telescope, args):
                     expected = substitute_parallel(ty, binding)
-                    actual = self._infer(ctx, arg, fuel)
-                    if not self.convert(ctx, actual, expected, fuel):
+                    actual = self._infer(ctx, arg, fuel, run)
+                    if not self._convert(ctx, actual, expected, fuel, run):
                         raise fail(
                             dk.DOMAIN_MISMATCH,
                             f"argument {arg!r} of {sym!r} has type {actual!r}, expected {expected!r}",
@@ -172,15 +256,24 @@ class Kernel:
                 return substitute_parallel(entry.result, binding)
         raise TypeError(f"not a term: {t!r}")
 
-    def _sort_of(self, ctx: Context, t: Term, fuel: Fuel) -> str:
-        ty = self.whnf(self._infer(ctx, t, fuel), fuel)
+    def _convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel, run: _Replay) -> bool:
+        """`convert` inside an inference, filing the steps it spent by the
+        innermost binder the pair mentions, for the redo costs of `_infer`."""
+        spent = fuel.spent
+        verdict = self.convert(ctx, a, b, fuel)
+        if fuel.spent != spent and run.memo is not None:
+            run.file(ctx.binder_level(a, b), fuel.spent - spent)
+        return verdict
+
+    def _sort_of(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> str:
+        ty = self.whnf(self._infer(ctx, t, fuel, run), fuel)
         if not isinstance(ty, Sort):
             raise fail(dk.NOT_A_SORT, f"type of {t!r} is {ty!r}, not a sort", context=ctx, subject=t)
         return ty.tag
 
     def sort_of(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Sort:
         """The sort classifying t, or NotASort."""
-        return Sort(self._sort_of(ctx, t, _as_fuel(fuel)))
+        return Sort(self._sort_of(ctx, t, _as_fuel(fuel), _Replay(self, ctx)))
 
     def check_wf(self, ctx: Context, fuel: Fuel | int | None = None) -> None:
         """Each entry's type must be classified by a sort under its prefix."""
@@ -191,13 +284,13 @@ class Kernel:
             if name in seen:
                 raise fail(dk.DUPLICATE_NAME, f"variable {name!r} declared twice", context=ctx)
             seen.add(name)
-            self._sort_of(prefix, ty, fuel)
+            self._sort_of(prefix, ty, fuel, _Replay(self, prefix))
             prefix = prefix.declare(name, ty)
 
     def check(self, ctx: Context, term: Term, expected: Term, fuel: Fuel | int | None = None) -> Term:
         """Infer and compare against an expected type; returns the inferred type."""
         fuel = _as_fuel(fuel)
-        actual = self._infer(ctx, term, fuel)
+        actual = self._infer(ctx, term, fuel, _Replay(self, ctx))
         if not self.convert(ctx, actual, expected, fuel):
             raise fail(
                 dk.TYPE_MISMATCH,
@@ -214,9 +307,9 @@ class Kernel:
         for sym, entry in self.signature.items():
             ctx = Context()
             for x, ty in entry.telescope:
-                self._sort_of(ctx, ty, fuel)
+                self._sort_of(ctx, ty, fuel, _Replay(self, ctx))
                 ctx = ctx.declare(x, ty)
-            got = self.whnf(self._infer(ctx, entry.result, fuel), fuel)
+            got = self.whnf(self._infer(ctx, entry.result, fuel, _Replay(self, ctx)), fuel)
             if got != entry.sort:
                 raise fail(
                     dk.NOT_A_SORT,

@@ -22,7 +22,9 @@ for both `match` and `Fuel.spend`. Conversion replays a repeated
 sub-comparison from a memo that lives for one `convertible` call, and
 outermost normalization a repeated subterm's normal form from a memo that
 lives for one `normalize` call; both charge the recorded steps through
-`Fuel.charge`.
+`Fuel.charge`. Normalization closes each binder body with
+`terms.abstract_var_shared`, so a normal form under a binder keeps its
+sharing.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .terms import (
     free_vars,
     fresh_name,
     instantiate,
-    abstract_var,
+    abstract_var_shared,
     open_term,
     substitute_parallel,
 )
@@ -53,32 +55,39 @@ DEFAULT_FUEL = 100_000
 
 
 class Fuel:
-    """Budget of head-rewrite steps; exhaustion raises, never loops."""
+    """Budget of head-rewrite steps; exhaustion raises, never loops.
+
+    `spent` counts every step spent or charged, unlimited budgets included,
+    so a caller can measure what a piece of work cost by its difference.
+    """
 
     def __init__(self, remaining: int | None = DEFAULT_FUEL):
         if remaining is not None and remaining < 0:
             raise ValueError("fuel must be nonnegative")
         self.remaining = remaining
+        self.spent = 0
 
     @classmethod
     def unlimited(cls) -> Fuel:
         return cls(None)
 
     def spend(self, at: Term) -> None:
-        if self.remaining is None:
-            return
-        if self.remaining == 0:
-            raise FuelError(at)
-        self.remaining -= 1
+        remaining = self.remaining
+        if remaining is not None:
+            if remaining == 0:
+                raise FuelError(at)
+            self.remaining = remaining - 1
+        self.spent += 1
 
     def charge(self, steps: int) -> bool:
         """Spend `steps` already known to be needed, all at once, if they
         remain; otherwise spend nothing and return False."""
-        if self.remaining is None:
-            return True
-        if self.remaining < steps:
-            return False
-        self.remaining -= steps
+        remaining = self.remaining
+        if remaining is not None:
+            if remaining < steps:
+                return False
+            self.remaining = remaining - steps
+        self.spent += steps
         return True
 
     def __repr__(self) -> str:
@@ -242,7 +251,7 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: _NormalMemo)
     seen = memo.get(id(t))
     if seen is not None and fuel.charge(seen[1]):
         return seen[0]
-    before = fuel.remaining
+    before = fuel.spent
     u = _whnf(rules, t, fuel)
     cls = type(u)
     if cls is App:
@@ -250,11 +259,11 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: _NormalMemo)
     elif cls is Abs:
         v, opened = open_term(u.hint, u.body)
         inner = _normalize_outermost(rules, opened, fuel, memo)
-        nf = Abs(u.hint, _normalize_outermost(rules, u.annot, fuel, memo), abstract_var(inner, v.name))
+        nf = Abs(u.hint, _normalize_outermost(rules, u.annot, fuel, memo), abstract_var_shared(inner, v.name))
     elif cls is Prod:
         v, opened = open_term(u.hint, u.cod)
         inner = _normalize_outermost(rules, opened, fuel, memo)
-        nf = Prod(u.hint, _normalize_outermost(rules, u.dom, fuel, memo), abstract_var(inner, v.name))
+        nf = Prod(u.hint, _normalize_outermost(rules, u.dom, fuel, memo), abstract_var_shared(inner, v.name))
     elif cls is SymApp and u.args:
         args = []
         for a in u.args:
@@ -262,7 +271,7 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: _NormalMemo)
         nf = SymApp(u.sym, tuple(args))
     else:
         nf = u
-    memo[id(t)] = (nf, 0 if before is None else before - fuel.remaining, t)
+    memo[id(t)] = (nf, fuel.spent - before, t)
     return nf
 
 
@@ -278,11 +287,11 @@ def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
         case Abs(hint, annot, body):
             v, opened = open_term(hint, body)
             inner = _normalize_innermost(rules, opened, fuel)
-            return Abs(hint, _normalize_innermost(rules, annot, fuel), abstract_var(inner, v.name))
+            return Abs(hint, _normalize_innermost(rules, annot, fuel), abstract_var_shared(inner, v.name))
         case Prod(hint, dom, cod):
             v, opened = open_term(hint, cod)
             inner = _normalize_innermost(rules, opened, fuel)
-            return Prod(hint, _normalize_innermost(rules, dom, fuel), abstract_var(inner, v.name))
+            return Prod(hint, _normalize_innermost(rules, dom, fuel), abstract_var_shared(inner, v.name))
         case SymApp(sym, args):
             t = SymApp(sym, tuple(_normalize_innermost(rules, a, fuel) for a in args))
             reduced, t = _try_rules(rules, t, fuel)
@@ -364,9 +373,9 @@ def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[s
     seen = memo.get(key)
     if seen is not None and fuel.charge(seen[1]):
         return seen[0]
-    before = fuel.remaining
+    before = fuel.spent
     verdict = _convert_heads(rules, a, b, fuel, irrelevant, memo)
-    memo[key] = (verdict, 0 if before is None else before - fuel.remaining, a, b)
+    memo[key] = (verdict, fuel.spent - before, a, b)
     return verdict
 
 

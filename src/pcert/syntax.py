@@ -28,6 +28,16 @@ Lines and columns are computed only where a SourceSpan is built (for each
 declaration and for an error), by bisecting the newline offsets of the text,
 found once per text. Binder names are resolved to `Bound` indices as they
 are parsed, so each binder is built once and its body is never walked again.
+
+Nodes are interned for one parse: every node is built through one dict
+keyed by its class, its name, index, tag or binder hint, and the ids of its
+children, so text that occurs again anywhere in the file, such as an
+expanded definition in the output of `pcert translate`, parses to the very
+object it parsed to before, and the kernels' identity memos hit on it.
+The hint is part of the key, so binders written with different names stay
+distinct objects and print with their own names. The dict is plain, not
+weak: it lives only as long as the parse, and a hit costs less than
+building the node.
 """
 
 from __future__ import annotations
@@ -176,6 +186,7 @@ class _Parser:
         self.arities = _ARITIES[mode]
         self.scope: dict[str | None, list[int]] = {}
         self.depth = 0
+        self.nodes: dict[tuple, Term] = {}
         if "bad" in self.kinds:
             bad = self.kinds.index("bad")
             raise self.error(f"unexpected character {self.values[bad]!r}", bad)
@@ -268,14 +279,14 @@ class _Parser:
             self.bind(name)
             body = self.parse_term()
             self.unbind(name)
-            return Abs(name, annot, body) if binder == "\\" else Prod(name, annot, body)
+            return self.binder(Abs if binder == "\\" else Prod, name, annot, body)
         lhs = self.parse_app()
         if self.kinds[self.pos] == "arrow":
             self.pos += 1
             self.bind(None)  # no name reaches an arrow's binder, but outer indices shift
             cod = self.parse_term()
             self.unbind(None)
-            return Prod("_", lhs, cod)
+            return self.binder(Prod, "_", lhs, cod)
         return lhs
 
     def bind(self, name: str | None) -> None:
@@ -286,6 +297,39 @@ class _Parser:
     def unbind(self, name: str | None) -> None:
         self.scope[name].pop()
         self.depth -= 1
+
+    # - interned nodes: one object per distinct node of this parse -
+
+    def leaf(self, cls: type, value: str | int) -> Term:
+        """Var, Bound or Sort, interned by its name, index or tag."""
+        key = (cls, value)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(value)
+        return node
+
+    def app(self, fun: Term, arg: Term) -> Term:
+        key = (App, id(fun), id(arg))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = App(fun, arg)
+        return node
+
+    def binder(self, cls: type, hint: str, annot: Term, body: Term) -> Term:
+        """Abs or Prod; the hint is part of the key, so a binder keeps the
+        name it was written with."""
+        key = (cls, hint, id(annot), id(body))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(hint, annot, body)
+        return node
+
+    def sym(self, name: str, args: tuple[Term, ...] = ()) -> Term:
+        key = (SymApp, name, *map(id, args))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = SymApp(name, args)
+        return node
 
     def parse_app(self) -> Term:
         kinds, values = self.kinds, self.values
@@ -304,9 +348,9 @@ class _Parser:
                 raise self.error(
                     f"symbol {head.name!r} expects {arity} arguments, got {len(args)}", head.index, ARITY_MISMATCH
                 )
-            head, args = SymApp(head.name, tuple(args[:arity])), args[arity:]  # type: ignore[arg-type]
+            head, args = self.sym(head.name, tuple(args[:arity])), args[arity:]  # type: ignore[arg-type]
         for arg in args:
-            head = App(head, arg)  # type: ignore[arg-type]
+            head = self.app(head, arg)  # type: ignore[arg-type]
         return head
 
     def parse_atom(self) -> Term | _SymRef:
@@ -315,17 +359,17 @@ class _Parser:
         if self.kinds[i] == "id":
             self.pos = i + 1
             if value == "TYPE" or value == "KIND":
-                return Sort(value)
+                return self.leaf(Sort, value)
             arity = self.arities.get(value)
             if arity is None:
                 levels = self.scope.get(value)
-                return Bound(self.depth - 1 - levels[-1]) if levels else Var(value)
+                return self.leaf(Bound, self.depth - 1 - levels[-1]) if levels else self.leaf(Var, value)
             if self.values[i + 1] == "(":
                 return self.parse_call(value, i)
-            return SymApp(value) if arity == 0 else _SymRef(value, i)
+            return self.sym(value) if arity == 0 else _SymRef(value, i)
         if value == "Type" or value == "Kind" or value == "Prop":
             self.pos = i + 1
-            return Sort(value) if self.mode == "pcert" else SymApp(value)
+            return self.leaf(Sort, value) if self.mode == "pcert" else self.sym(value)
         if value == "(":
             self.pos = i + 1
             inner = self.parse_term()
@@ -341,7 +385,7 @@ class _Parser:
             pred = self.parse_term()
             self.unbind(name)
             self.expect("punct", "}")
-            return SymApp("psub", (ty, Abs(name, ty, pred)))
+            return self.sym("psub", (ty, self.binder(Abs, name, ty, pred)))
         raise self.error(f"expected a term, found {value or 'end of input'!r}", i)
 
     def parse_call(self, name: str, i: int) -> Term:
@@ -354,7 +398,7 @@ class _Parser:
         arity = self.arities[name]
         if len(args) != arity:
             raise self.error(f"symbol {name!r} expects {arity} arguments, got {len(args)}", i, ARITY_MISMATCH)
-        return SymApp(name, tuple(args))
+        return self.sym(name, tuple(args))
 
 
 def parse_file(text: str, file: str = "<input>") -> ParsedFile:

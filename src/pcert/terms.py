@@ -16,6 +16,8 @@ it changed. A closed subterm is never rebuilt, so a value substituted for
 many occurrences stays one object, and comparing such subterms with `==`
 stops at object identity; `alpha_eq` also remembers the pairs it has proven
 equal, so it compares two such terms in time linear in their shared size.
+`free_vars` visits each shared subterm once, and `abstract_var_shared`
+closes a shared term (a normal form) once per subterm and binder depth.
 Nothing depends on identity for its meaning; results are equal either way.
 """
 
@@ -110,21 +112,30 @@ def fresh_name(hint: str = "x") -> str:
     return f"{base}#{next(_fresh_counter)}"
 
 
-def free_vars(t: Term) -> set[str]:
-    match t:
-        case Var(name):
-            return {name}
-        case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
-        case Abs(_, annot, body) | Prod(_, annot, body):
-            return free_vars(annot) | free_vars(body)
-        case SymApp(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case _:
-            return set()
+def free_vars(*terms: Term) -> set[str]:
+    """Names of the free variables of terms; each shared subterm is visited
+    once, so the walk takes time in the number of distinct subterms."""
+    out: set[str] = set()
+    seen: set[int] = set()
+    todo = list(terms)
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is Var:
+            out.add(t.name)
+        elif cls is Sort or cls is Bound or id(t) in seen:
+            continue
+        else:
+            seen.add(id(t))
+            if cls is App:
+                todo += (t.fun, t.arg)
+            elif cls is Abs:
+                todo += (t.annot, t.body)
+            elif cls is Prod:
+                todo += (t.dom, t.cod)
+            elif cls is SymApp:
+                todo += t.args
+    return out
 
 
 def substitute_parallel(t: Term, mapping: dict[str, Term]) -> Term:
@@ -264,6 +275,51 @@ def abstract_var(t: Term, name: str, depth: int = 0) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
+def abstract_var_shared(t: Term, name: str) -> Term:
+    """`abstract_var(t, name)`, closing each subterm met again at the same
+    binder depth once: for one call, results are memoized by the identity of
+    the subterm and its depth, so the work is linear in the distinct
+    subterms of t rather than in its unshared size, and the result keeps
+    t's sharing. For closing a normal form, where beta handed one argument
+    object to every occurrence of its variable; the hot substitutions of
+    reduction and inference stay unmemoized, where the memo costs more than
+    it saves.
+    """
+    return _abstract_shared(t, name, 0, {})
+
+
+def _abstract_shared(t: Term, name: str, depth: int, memo: dict[tuple[int, int], Term]) -> Term:
+    # t is a subterm of the call's argument, alive for the whole call, so
+    # its id is not reused while the memo lives
+    cls = type(t)
+    if cls is Var:
+        return Bound(depth) if t.name == name else t
+    if cls is Bound:
+        return Bound(t.index + 1) if t.index >= depth else t
+    if cls is Sort:
+        return t
+    key = (id(t), depth)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if cls is App:
+        fun, arg = _abstract_shared(t.fun, name, depth, memo), _abstract_shared(t.arg, name, depth, memo)
+        out = t if fun is t.fun and arg is t.arg else App(fun, arg)
+    elif cls is Abs:
+        annot, body = _abstract_shared(t.annot, name, depth, memo), _abstract_shared(t.body, name, depth + 1, memo)
+        out = t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
+    elif cls is Prod:
+        dom, cod = _abstract_shared(t.dom, name, depth, memo), _abstract_shared(t.cod, name, depth + 1, memo)
+        out = t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
+    elif cls is SymApp:
+        args = [_abstract_shared(a, name, depth, memo) for a in t.args]
+        out = t if _same(args, t.args) else SymApp(t.sym, tuple(args))
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    memo[key] = out
+    return out
+
+
 def lam(name: str, annot: Term, body: Term) -> Abs:
     """Abstraction from named syntax: closes `name` in `body`."""
     return Abs(name, annot, abstract_var(body, name))
@@ -306,7 +362,7 @@ def is_nondependent(cod: Term) -> bool:
 class _Table:
     """Append-only declarations shared by every context view built on it."""
 
-    __slots__ = ("names", "types", "index", "lock", "proven")
+    __slots__ = ("names", "types", "index", "lock", "proven", "inferred")
 
     def __init__(self, entries: tuple[tuple[str, Term], ...] = ()):
         self.names = [n for n, _ in entries]
@@ -314,6 +370,7 @@ class _Table:
         self.index = {n: i for i, n in enumerate(self.names)}
         self.lock = threading.Lock()
         self.proven: dict[object, set[tuple[Term, Term]]] = {}
+        self.inferred: dict[object, dict[int, tuple]] = {}
 
     def push(self, depth: int, name: str, ty: Term) -> bool:
         """Append a row at `depth` if that is the tip; False if it is not."""
@@ -329,11 +386,12 @@ class _Table:
 class Context:
     """Ordered variable declarations; names are pairwise distinct.
 
-    A context is a view: the first `depth` rows of a table shared by every
+    A context is a view: the first `rows` rows of a table shared by every
     context that grew from the same root, followed by a short tuple of
-    binders opened inside a term. The table maps each name to its row, so
-    `lookup` scans only the binders and then probes one dict, rejecting rows
-    at or past the depth (names declared after this view was taken).
+    `binders` opened inside a term (both read-only). The table maps each
+    name to its row, so `lookup` scans only the binders and then probes one
+    dict, rejecting rows at or past `rows` (names declared after this view
+    was taken).
 
     Two ways to grow, because the two kinds of entry have different
     lifetimes. `declare` is for file-level declarations, each of which every
@@ -343,30 +401,30 @@ class Context:
     raise DuplicateName on a name already in scope. A `declare` on a view
     below the table's tip, or one holding binders, copies its entries into a
     fresh table first, so views taken earlier never see the new row. Rows
-    below a view's depth never change, so views are immutable values; only
+    below a view's `rows` never change, so views are immutable values; only
     the claim on the tip takes the table's lock.
 
     Contexts compare and hash by identity: equal entries built separately
     are different keys.
     """
 
-    __slots__ = ("_table", "_depth", "_binders")
+    __slots__ = ("_table", "rows", "binders")
 
-    def __init__(self, table: _Table | None = None, depth: int = 0, binders: tuple[tuple[str, Term], ...] = ()):
+    def __init__(self, table: _Table | None = None, rows: int = 0, binders: tuple[tuple[str, Term], ...] = ()):
         self._table = _Table() if table is None else table
-        self._depth = depth
-        self._binders = binders
+        self.rows = rows
+        self.binders = binders
 
     @property
     def entries(self) -> tuple[tuple[str, Term], ...]:
-        table, depth = self._table, self._depth
-        return tuple(zip(table.names[:depth], table.types[:depth])) + self._binders
+        table, depth = self._table, self.rows
+        return tuple(zip(table.names[:depth], table.types[:depth])) + self.binders
 
     def declare(self, name: str, ty: Term) -> Context:
         if self.lookup(name) is not None:
             raise fail(DUPLICATE_NAME, f"variable {name!r} already declared")
-        table, depth = self._table, self._depth
-        if self._binders or not table.push(depth, name, ty):
+        table, depth = self._table, self.rows
+        if self.binders or not table.push(depth, name, ty):
             table, depth = _Table(self.entries), len(self)
             table.push(depth, name, ty)
         return Context(table, depth + 1)
@@ -374,15 +432,15 @@ class Context:
     def extend(self, name: str, ty: Term) -> Context:
         if self.lookup(name) is not None:
             raise fail(DUPLICATE_NAME, f"variable {name!r} already declared")
-        return Context(self._table, self._depth, self._binders + ((name, ty),))
+        return Context(self._table, self.rows, self.binders + ((name, ty),))
 
     def lookup(self, name: str) -> Term | None:
-        for n, ty in reversed(self._binders):
+        for n, ty in reversed(self.binders):
             if n == name:
                 return ty
         table = self._table
         row = table.index.get(name)
-        if row is not None and row < self._depth:
+        if row is not None and row < self.rows:
             return table.types[row]
         return None
 
@@ -395,11 +453,30 @@ class Context:
         """
         return self._table.proven.setdefault(owner, set())
 
+    def inferred(self, owner: object) -> dict[int, tuple]:
+        """The types `owner` (a kernel) has inferred under this table, by the
+        identity of the term; what an entry holds is the owner's business.
+        Shared and scoped like `proven`.
+        """
+        return self._table.inferred.setdefault(owner, {})
+
+    def binder_level(self, *terms: Term) -> int:
+        """1 + the position of the innermost binder of this view that terms
+        mention; 0 when they mention none."""
+        binders = self.binders
+        if not binders:
+            return 0
+        names = free_vars(*terms)
+        for level in range(len(binders), 0, -1):
+            if binders[level - 1][0] in names:
+                return level
+        return 0
+
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self) -> int:
-        return self._depth + len(self._binders)
+        return self.rows + len(self.binders)
 
     def __repr__(self) -> str:
         return ", ".join(f"{n}: {ty!r}" for n, ty in self.entries) or "<empty>"

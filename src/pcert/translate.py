@@ -10,10 +10,13 @@ context type names, a `Bound` the one its binder's annotation names (carried
 down the recursion); anything else is a proposition. That is exact because
 pcert has no product rule into Kind: no function returns a type, and
 `fst(T, …)` is a type only when T is Prop. So no kernel is asked, nothing is
-reduced or charged to fuel, and no binder is opened. Typability is
-`check_file`'s obligation and `pcert translate` re-checks the output in the
-lf kernel; unchecked input fails with a diagnostic or translates to a term
-the lf kernel rejects.
+reduced or charged to fuel, and no binder is opened. A subterm met again
+under the same binder sorts is translated once per call (memoized by its
+identity and those sorts), so a term that shares subterms translates in
+time linear in its distinct subterms and its translation shares them too.
+Typability is `check_file`'s obligation and `pcert translate` re-checks the
+output in the lf kernel; unchecked input fails with a diagnostic or
+translates to a term the lf kernel rejects.
 """
 
 from __future__ import annotations
@@ -35,20 +38,34 @@ _TYPE_FORMERS = {"Type": El, "Prop": Prf}
 
 Sorts = tuple[str | None, ...]  # per enclosing binder, innermost last
 
+# (id of a subterm of the call's argument, binder sorts) -> its translation;
+# the argument lives for the whole call, so the ids are not reused
+_Memo = dict[tuple[int, Sorts], Term]
+
 
 def _tag(ty: Term) -> str | None:
     """The sort of a variable of type ty used as a type, if it is one."""
     return ty.tag if isinstance(ty, Sort) else None
 
 
-def _term(ctx: Context, m: Term, sorts: Sorts) -> Term:
+def _term(ctx: Context, m: Term, sorts: Sorts, memo: _Memo) -> Term:
+    cls = type(m)
+    if cls is Var:
+        return m
+    if cls is Bound:
+        if m.index >= len(sorts):
+            raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{m.index}", context=ctx, subject=m)
+        return m
+    key = (id(m), sorts)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _translate(ctx, m, sorts, memo)
+    return out
+
+
+def _translate(ctx: Context, m: Term, sorts: Sorts, memo: _Memo) -> Term:
+    """`_term` at a node that is not a variable."""
     match m:
-        case Var(_):
-            return m
-        case Bound(k):
-            if k >= len(sorts):
-                raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{k}", context=ctx, subject=m)
-            return m
         case Sort("Prop"):
             return PROP_OBJ
         case Sort("Type"):
@@ -56,12 +73,12 @@ def _term(ctx: Context, m: Term, sorts: Sorts) -> Term:
         case Sort(tag):
             raise fail(dk.NOT_TYPABLE, f"sort {tag} has no term translation", context=ctx, subject=m)
         case App(f, a):
-            return App(_term(ctx, f, sorts), _term(ctx, a, sorts))
+            return App(_term(ctx, f, sorts, memo), _term(ctx, a, sorts, memo))
         case Abs(hint, annot, body):
-            return Abs(hint, _type(ctx, annot, sorts), _term(ctx, body, sorts + (_tag(annot),)))
+            return Abs(hint, _type(ctx, annot, sorts, memo), _term(ctx, body, sorts + (_tag(annot),), memo))
         case Prod(hint, dom, cod):
             inner = sorts + (_tag(dom),)
-            t_dom, t_cod = _term(ctx, dom, sorts), _term(ctx, cod, inner)
+            t_dom, t_cod = _term(ctx, dom, sorts, memo), _term(ctx, cod, inner, memo)
             s_dom, s_cod = _sort(ctx, t_dom, sorts), _sort(ctx, t_cod, inner)
             head = _PRODUCT_HEADS.get((s_dom, s_cod))
             if head is None:
@@ -71,7 +88,7 @@ def _term(ctx: Context, m: Term, sorts: Sorts) -> Term:
         case SymApp(sym, args):
             if sym not in _SUBTYPE_SYMBOLS:
                 raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
-            return SymApp(sym, tuple(_term(ctx, a, sorts) for a in args))
+            return SymApp(sym, tuple(_term(ctx, a, sorts, memo) for a in args))
     raise TypeError(f"not a term: {m!r}")
 
 
@@ -94,12 +111,12 @@ def _sort(ctx: Context, t: Term, sorts: Sorts) -> str:
     return tag
 
 
-def _type(ctx: Context, t: Term, sorts: Sorts) -> Term:
+def _type(ctx: Context, t: Term, sorts: Sorts, memo: _Memo) -> Term:
     if t == KIND:
         return KIND_ENC
     if t == TYPE_:
         return TYPE_ENC
-    encoded = _term(ctx, t, sorts)
+    encoded = _term(ctx, t, sorts, memo)
     sort = _sort(ctx, encoded, sorts)
     if sort not in _TYPE_FORMERS:
         raise fail(dk.NOT_A_SORT, f"no type translation at sort {sort}", context=ctx, subject=t)
@@ -109,12 +126,12 @@ def _type(ctx: Context, t: Term, sorts: Sorts) -> Term:
 def translate_term(ctx: Context, m: Term) -> Term:
     """Requires m typable in ctx, which check_file's records guarantee; callers
     own that obligation, it is not re-checked here."""
-    return _term(ctx, m, ())
+    return _term(ctx, m, (), {})
 
 
 def translate_type(ctx: Context, t: Term) -> Term:
     """Requires t to be Kind or typable by a sort in ctx."""
-    return _type(ctx, t, ())
+    return _type(ctx, t, (), {})
 
 
 def translate_ctx(ctx: Context) -> Context:

@@ -9,17 +9,20 @@ reference decision the kernels' head-first conversion is checked against,
 `translate_by_kernel_sorts` the reference translation the one-pass
 `pcert.translate` is checked against, the `ref_*` reduction functions the
 reference the step-for-step reduction engine of `pcert.rewrite` is checked
-against, and `NamedParser` the reference the scope-resolving parser is
-checked against.
+against, `ref_infer` the reference the replaying inference of
+`pcert.kernel` is checked against, and `NamedParser` and `FreshParser` the
+references the scope-resolving and the interning parser are checked against.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 from pcert import Context, check_file, parse_file
 from pcert import diagnostics as dk
 from pcert.diagnostics import fail
+from pcert.kernel import Kernel
 from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
 from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
 from pcert.rewrite import Fuel, RuleSet, _as_fuel, match, normalize
@@ -41,6 +44,7 @@ from pcert.terms import (
     lam,
     open_term,
     pi,
+    substitute_parallel,
 )
 
 BASE_SURFACE = """#MODE pcert
@@ -673,6 +677,157 @@ def parse_file_named(text: str, file: str = "<input>"):
 
 def parse_term_named(text: str, mode: str = "pcert") -> Term:
     parser = NamedParser(text, "<term>", mode)
+    term = parser.parse_term()
+    if parser.kinds[parser.pos] != "eof":
+        raise parser.error("trailing input after term")
+    return term
+
+
+# --- the inference reference ------------------------------------------------------
+#
+# `Kernel._infer` as it was before it replayed repeated subterms from the
+# file's memo: every occurrence of a subterm is inferred again. Conversions
+# still go through `Kernel.convert`, so a pair proven earlier in the file is
+# free, which is what a redo gets for free and a replay must not charge.
+
+
+def ref_infer(kernel: Kernel, ctx: Context, t: Term, fuel: Fuel) -> Term:
+    cfg = kernel.config
+    match t:
+        case Sort(tag):
+            above = cfg.axioms.get(tag)
+            if above is None:
+                raise fail(
+                    dk.SORT_HAS_NO_TYPE, f"sort {tag} has no type in system {cfg.name}", context=ctx, subject=t
+                )
+            return Sort(above)
+        case Var(name):
+            ty = ctx.lookup(name)
+            if ty is None:
+                raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {name!r}", context=ctx, subject=t)
+            return ty
+        case Bound(k):
+            raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{k}", context=ctx, subject=t)
+        case App(f, a):
+            tf = kernel.whnf(ref_infer(kernel, ctx, f, fuel), fuel)
+            if not isinstance(tf, Prod):
+                raise fail(
+                    dk.NOT_A_FUNCTION, f"application head has non-product type {tf!r}", context=ctx, subject=t
+                )
+            ta = ref_infer(kernel, ctx, a, fuel)
+            if not kernel.convert(ctx, ta, tf.dom, fuel):
+                raise fail(
+                    dk.DOMAIN_MISMATCH,
+                    f"argument type {ta!r} does not match domain {tf.dom!r}",
+                    context=ctx,
+                    subject=t,
+                )
+            return instantiate(tf.cod, a)
+        case Abs(hint, annot, body):
+            s_dom = ref_sort_of(kernel, ctx, annot, fuel)
+            v, opened = open_term(hint, body)
+            inner_ctx = ctx.extend(v.name, annot)
+            body_ty = ref_infer(kernel, inner_ctx, opened, fuel)
+            s_cod = ref_sort_of(kernel, inner_ctx, body_ty, fuel)
+            if (s_dom, s_cod) not in cfg.products:
+                raise fail(
+                    dk.ILLEGAL_PRODUCT,
+                    f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
+                    context=ctx,
+                    subject=t,
+                )
+            return Prod(hint, annot, abstract_var(body_ty, v.name))
+        case Prod(hint, dom, cod):
+            s_dom = ref_sort_of(kernel, ctx, dom, fuel)
+            v, opened = open_term(hint, cod)
+            s_cod = ref_sort_of(kernel, ctx.extend(v.name, dom), opened, fuel)
+            s_res = cfg.products.get((s_dom, s_cod))
+            if s_res is None:
+                raise fail(
+                    dk.ILLEGAL_PRODUCT,
+                    f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
+                    context=ctx,
+                    subject=t,
+                )
+            return Sort(s_res)
+        case SymApp(sym, args):
+            entry = kernel.signature.get(sym)
+            if entry is None:
+                raise fail(dk.UNKNOWN_SYMBOL, f"unknown symbol {sym!r} in system {cfg.name}", context=ctx, subject=t)
+            if len(args) != entry.arity:
+                raise fail(
+                    dk.ARITY_MISMATCH,
+                    f"symbol {sym!r} expects {entry.arity} arguments, got {len(args)}",
+                    context=ctx,
+                    subject=t,
+                )
+            binding: dict[str, Term] = {}
+            for (x, ty), arg in zip(entry.telescope, args):
+                expected = substitute_parallel(ty, binding)
+                actual = ref_infer(kernel, ctx, arg, fuel)
+                if not kernel.convert(ctx, actual, expected, fuel):
+                    raise fail(
+                        dk.DOMAIN_MISMATCH,
+                        f"argument {arg!r} of {sym!r} has type {actual!r}, expected {expected!r}",
+                        context=ctx,
+                        subject=t,
+                    )
+                binding[x] = arg
+            return substitute_parallel(entry.result, binding)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def ref_sort_of(kernel: Kernel, ctx: Context, t: Term, fuel: Fuel) -> str:
+    ty = kernel.whnf(ref_infer(kernel, ctx, t, fuel), fuel)
+    if not isinstance(ty, Sort):
+        raise fail(dk.NOT_A_SORT, f"type of {t!r} is {ty!r}, not a sort", context=ctx, subject=t)
+    return ty.tag
+
+
+@contextlib.contextmanager
+def reference_inference():
+    """Every kernel infers through `ref_infer` inside the block."""
+    saved = Kernel._infer, Kernel._sort_of
+    Kernel._infer = lambda self, ctx, t, fuel, run: ref_infer(self, ctx, t, fuel)
+    Kernel._sort_of = lambda self, ctx, t, fuel, run: ref_sort_of(self, ctx, t, fuel)
+    try:
+        yield
+    finally:
+        Kernel._infer, Kernel._sort_of = saved
+
+
+def doubling_chain_source(links: int, mode: str = "pcert") -> str:
+    """d(i+1) := g d(i) d(i): every expansion hands one object to both
+    occurrences, so the expanded body of d(links) has 2^links leaves but
+    only links + 1 distinct subterms."""
+    lines = ["symbol iota : Type;", "symbol a : iota;", "symbol g : iota -> iota -> iota;", "definition d0 := a;"]
+    lines += [f"definition d{i + 1} := g d{i} d{i};" for i in range(links)]
+    return "\n".join(lines) + "\n"
+
+
+class FreshParser(_Parser):
+    """The parser as it was before it interned nodes: every node is built
+    anew, so repeated text gives equal but distinct objects."""
+
+    def leaf(self, cls: type, value: str | int) -> Term:
+        return cls(value)
+
+    def app(self, fun: Term, arg: Term) -> Term:
+        return App(fun, arg)
+
+    def binder(self, cls: type, hint: str, annot: Term, body: Term) -> Term:
+        return cls(hint, annot, body)
+
+    def sym(self, name: str, args: tuple[Term, ...] = ()) -> Term:
+        return SymApp(name, args)
+
+
+def parse_file_fresh(text: str, file: str = "<input>"):
+    return FreshParser(text, file).parse_file()
+
+
+def parse_term_fresh(text: str, mode: str = "pcert") -> Term:
+    parser = FreshParser(text, "<term>", mode)
     term = parser.parse_term()
     if parser.kinds[parser.pos] != "eof":
         raise parser.error("trailing input after term")

@@ -7,7 +7,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import BASE_SURFACE, TermGen, parse_file_named, parse_term_named
+from genutil import (
+    BASE_SURFACE,
+    TermGen,
+    parse_file_fresh,
+    parse_file_named,
+    parse_term_fresh,
+    parse_term_named,
+)
 from pcert import corpus_path
 from pcert.diagnostics import SurfaceError
 from pcert.syntax import (
@@ -16,6 +23,7 @@ from pcert.syntax import (
     SymbolDecl,
     parse_file,
     parse_term,
+    print_decl,
     print_file,
     print_term,
 )
@@ -379,3 +387,58 @@ def test_scoped_parse_matches_closing_binders_afterwards_on_generated_files(seed
         lines.append(f"definition d{i} : {print_term(goal)} := {print_term(t)};")
         lines.append(f"assert {print_term(t)} : {print_term(goal)};")
     same_parse(parse_file, parse_file_named, "\n".join(lines), "gen")
+
+
+# --- interning: one object per distinct node of a parse ------------------------------
+
+
+def test_interned_parse_prints_what_building_every_node_anew_prints():
+    for name in CORPUS:
+        text = corpus_path(name).read_text()
+        got, fresh = parse_file(text, name), parse_file_fresh(text, name)
+        assert got == fresh
+        assert print_file(got) == print_file(fresh)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_interned_parse_prints_the_same_on_generated_files(seed):
+    gen = TermGen(seed)
+    lines = [BASE_SURFACE]
+    for i in range(6):
+        t, goal = gen.some_term(5)
+        lines.append(f"definition d{i} : {print_term(goal)} := {print_term(t)};")
+        lines.append(f"assert {print_term(t)} : {print_term(goal)};")
+    text = "\n".join(lines)
+    got, fresh = parse_file(text, "gen"), parse_file_fresh(text, "gen")
+    assert got == fresh
+    assert print_file(got) == print_file(fresh)
+
+
+def test_repeated_text_is_one_object():
+    parsed = parse_file("definition d := g (f (\\x: T. x)) (f (\\x: T. x));\nassert f (\\x: T. x) : T;")
+    body = parsed.decls[0].body
+    assert body.fun.arg is body.arg
+    assert parsed.decls[1].subject is body.arg
+
+
+def test_alpha_equal_binders_with_different_names_stay_distinct():
+    parsed = parse_file("definition d := g (\\x: T. x) (\\y: T. y);\nsymbol s : !x: T. P x -> !y: T. P y;")
+    body = parsed.decls[0].body
+    assert body.fun.arg == body.arg and body.fun.arg is not body.arg
+    assert print_term(body) == "g (\\x: T. x) (\\y: T. y)"
+    # `P x` and `P y` are one node, App(P, ^0), printed under each binder's name
+    ty = parsed.decls[1].type
+    assert ty.cod.dom is ty.cod.cod.cod
+    assert print_decl(parsed.decls[1]) == "symbol s : !x: T. P x -> !y: T. P y;"
+
+
+@pytest.mark.parametrize("case", SURFACE_ERRORS.values(), ids=SURFACE_ERRORS.keys())
+def test_interning_leaves_surface_errors_as_they_were(case):
+    entry, source = case[:2]
+    reports = []
+    for parse in ((parse_file, parse_file_fresh) if entry == "file" else (parse_term, parse_term_fresh)):
+        with pytest.raises(SurfaceError) as err:
+            parse(source)
+        reports.append((err.value.kind, str(err.value), err.value.diagnostic.span))
+    assert reports[0] == reports[1]
