@@ -32,98 +32,100 @@ class NotInImage:
 
 
 def inverse_term(m: Term) -> Term | NotInImage:
-    return _Inverter().term(m, ())
+    return _term(m, (), {})
 
 
 def inverse_type(t: Term) -> Term | NotInImage:
-    return _Inverter().type_(t, ())
+    return _type(t, (), {})
 
 
-class _Inverter:
-    """One inversion: the inverse of each subterm of the argument met again
-    is looked up by its identity, so a term that shares subterms is inverted
-    in time linear in its distinct subterms. Only successes are memoized; a
-    failure ends the walk at its first occurrence, with that path."""
+# For one inversion, the id of each subterm of the argument (which lives for
+# the whole call, so the ids are not reused) -> its inverse. Only successes
+# are kept; a failure ends the walk at its first occurrence, with that path.
+# One memo serves terms and types: their clauses match disjoint heads, so no
+# node inverts as both.
+_Memo = dict[int, Term]
 
-    def __init__(self):
-        # ids of subterms of the argument, which lives for the whole call
-        self.terms: dict[int, Term] = {}
-        self.types: dict[int, Term] = {}
 
-    def term(self, m: Term, path: tuple[str, ...]) -> Term | NotInImage:
-        if type(m) is Var or type(m) is Bound:
-            return m
-        out = self.terms.get(id(m))
-        if out is None:
-            out = self._term(m, path)
-            if not isinstance(out, NotInImage):
-                self.terms[id(m)] = out
-        return out
+def _term(m: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
+    if type(m) is Var or type(m) is Bound:
+        return m
+    out = memo.get(id(m))
+    if out is None:
+        out = _invert_term(m, path, memo)
+        if not isinstance(out, NotInImage):
+            memo[id(m)] = out
+    return out
 
-    def _term(self, m: Term, path: tuple[str, ...]) -> Term | NotInImage:
-        match m:
-            case Abs(hint, annot, body):
-                a = self.type_(annot, path + ("annot",))
-                if isinstance(a, NotInImage):
-                    return a
-                b = self.term(body, path + ("body",))
-                if isinstance(b, NotInImage):
-                    return b
-                return Abs(hint, a, b)
-            case App(f, x):
-                fi = self.term(f, path + ("fun",))
-                if isinstance(fi, NotInImage):
-                    return fi
-                xi = self.term(x, path + ("arg",))
-                if isinstance(xi, NotInImage):
-                    return xi
-                return App(fi, xi)
-            case SymApp("prop", ()):
-                return Sort("Prop")
-            case SymApp(("fa" | "impd" | "arrd") as head, (left, Abs(hint, _, body))):
-                li = self.term(left, path + (f"{head}.0",))
-                if isinstance(li, NotInImage):
-                    return li
-                bi = self.term(body, path + (f"{head}.1", "body"))
-                if isinstance(bi, NotInImage):
-                    return bi
-                return Prod(hint, li, bi)
-            case SymApp(("psub" | "pair" | "fst" | "snd") as head, args):
-                out: list[Term] = []
-                for i, a in enumerate(args):
-                    ai = self.term(a, path + (f"{head}.{i}",))
-                    if isinstance(ai, NotInImage):
-                        return ai
-                    out.append(ai)
-                return SymApp(head, tuple(out))
-            case _:
-                return NotInImage(path, m)
 
-    def type_(self, t: Term, path: tuple[str, ...]) -> Term | NotInImage:
-        out = self.types.get(id(t))
-        if out is None:
-            out = self._type(t, path)
-            if not isinstance(out, NotInImage):
-                self.types[id(t)] = out
-        return out
+def _invert_term(m: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
+    """`_term` at a node that is not a variable."""
+    match m:
+        case Abs(hint, annot, body):
+            a = _type(annot, path + ("annot",), memo)
+            if isinstance(a, NotInImage):
+                return a
+            b = _term(body, path + ("body",), memo)
+            if isinstance(b, NotInImage):
+                return b
+            return Abs(hint, a, b)
+        case App(f, x):
+            fi = _term(f, path + ("fun",), memo)
+            if isinstance(fi, NotInImage):
+                return fi
+            xi = _term(x, path + ("arg",), memo)
+            if isinstance(xi, NotInImage):
+                return xi
+            return App(fi, xi)
+        case SymApp("prop", ()):
+            return Sort("Prop")
+        case SymApp(("fa" | "impd" | "arrd") as head, (left, Abs(hint, _, body))):
+            li = _term(left, path + (f"{head}.0",), memo)
+            if isinstance(li, NotInImage):
+                return li
+            bi = _term(body, path + (f"{head}.1", "body"), memo)
+            if isinstance(bi, NotInImage):
+                return bi
+            return Prod(hint, li, bi)
+        case SymApp(("psub" | "pair" | "fst" | "snd") as head, args):
+            out: list[Term] = []
+            for i, a in enumerate(args):
+                ai = _term(a, path + (f"{head}.{i}",), memo)
+                if isinstance(ai, NotInImage):
+                    return ai
+                out.append(ai)
+            return SymApp(head, tuple(out))
+        case _:
+            return NotInImage(path, m)
 
-    def _type(self, t: Term, path: tuple[str, ...]) -> Term | NotInImage:
-        match t:
-            case SymApp("Type", ()):
-                return Sort("Type")
-            case SymApp("Prop", ()):
-                return Sort("Prop")
-            case SymApp("El", (m,)):
-                return self.term(m, path + ("El.0",))
-            case SymApp("Prf", (p,)):
-                return self.term(p, path + ("Prf.0",))
-            case Prod(hint, dom, cod):
-                d = self.type_(dom, path + ("dom",))
-                if isinstance(d, NotInImage):
-                    return d
-                c = self.type_(cod, path + ("cod",))
-                if isinstance(c, NotInImage):
-                    return c
-                return Prod(hint, d, c)
-            case _:
-                return NotInImage(path, t)
+
+def _type(t: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
+    out = memo.get(id(t))
+    if out is None:
+        out = _invert_type(t, path, memo)
+        if not isinstance(out, NotInImage):
+            memo[id(t)] = out
+    return out
+
+
+def _invert_type(t: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
+    """`_type` at a node not met before."""
+    match t:
+        case SymApp("Type", ()):
+            return Sort("Type")
+        case SymApp("Prop", ()):
+            return Sort("Prop")
+        case SymApp("El", (m,)):
+            return _term(m, path + ("El.0",), memo)
+        case SymApp("Prf", (p,)):
+            return _term(p, path + ("Prf.0",), memo)
+        case Prod(hint, dom, cod):
+            d = _type(dom, path + ("dom",), memo)
+            if isinstance(d, NotInImage):
+                return d
+            c = _type(cod, path + ("cod",), memo)
+            if isinstance(c, NotInImage):
+                return c
+            return Prod(hint, d, c)
+        case _:
+            return NotInImage(path, t)

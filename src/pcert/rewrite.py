@@ -23,7 +23,7 @@ sub-comparison from a memo that lives for one `convertible` call, and
 outermost normalization a repeated subterm's normal form from a memo that
 lives for one `normalize` call; both charge the recorded steps through
 `Fuel.charge`. Normalization closes each binder body with
-`terms.abstract_var_shared`, so a normal form under a binder keeps its
+`terms.abstract_var`, so a normal form under a binder keeps its
 sharing.
 """
 
@@ -46,7 +46,7 @@ from .terms import (
     free_vars,
     fresh_name,
     instantiate,
-    abstract_var_shared,
+    abstract_var,
     open_term,
     substitute_parallel,
 )
@@ -259,11 +259,11 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: _NormalMemo)
     elif cls is Abs:
         v, opened = open_term(u.hint, u.body)
         inner = _normalize_outermost(rules, opened, fuel, memo)
-        nf = Abs(u.hint, _normalize_outermost(rules, u.annot, fuel, memo), abstract_var_shared(inner, v.name))
+        nf = Abs(u.hint, _normalize_outermost(rules, u.annot, fuel, memo), abstract_var(inner, v.name))
     elif cls is Prod:
         v, opened = open_term(u.hint, u.cod)
         inner = _normalize_outermost(rules, opened, fuel, memo)
-        nf = Prod(u.hint, _normalize_outermost(rules, u.dom, fuel, memo), abstract_var_shared(inner, v.name))
+        nf = Prod(u.hint, _normalize_outermost(rules, u.dom, fuel, memo), abstract_var(inner, v.name))
     elif cls is SymApp and u.args:
         args = []
         for a in u.args:
@@ -287,11 +287,11 @@ def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
         case Abs(hint, annot, body):
             v, opened = open_term(hint, body)
             inner = _normalize_innermost(rules, opened, fuel)
-            return Abs(hint, _normalize_innermost(rules, annot, fuel), abstract_var_shared(inner, v.name))
+            return Abs(hint, _normalize_innermost(rules, annot, fuel), abstract_var(inner, v.name))
         case Prod(hint, dom, cod):
             v, opened = open_term(hint, cod)
             inner = _normalize_innermost(rules, opened, fuel)
-            return Prod(hint, _normalize_innermost(rules, dom, fuel), abstract_var_shared(inner, v.name))
+            return Prod(hint, _normalize_innermost(rules, dom, fuel), abstract_var(inner, v.name))
         case SymApp(sym, args):
             t = SymApp(sym, tuple(_normalize_innermost(rules, a, fuel) for a in args))
             reduced, t = _try_rules(rules, t, fuel)

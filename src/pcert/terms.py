@@ -16,8 +16,8 @@ it changed. A closed subterm is never rebuilt, so a value substituted for
 many occurrences stays one object, and comparing such subterms with `==`
 stops at object identity; `alpha_eq` also remembers the pairs it has proven
 equal, so it compares two such terms in time linear in their shared size.
-`free_vars` visits each shared subterm once, and `abstract_var_shared`
-closes a shared term (a normal form) once per subterm and binder depth.
+`free_vars` visits each shared subterm once, and `abstract_var` closes a
+shared term (a normal form) once per subterm and binder depth.
 Nothing depends on identity for its meaning; results are equal either way.
 """
 
@@ -250,45 +250,19 @@ def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
 
 
 def abstract_var(t: Term, name: str, depth: int = 0) -> Term:
-    """Turn free occurrences of a named variable into Bound(depth)."""
-    cls = type(t)
-    if cls is Var:
-        return Bound(depth) if t.name == name else t
-    if cls is Bound:
-        return Bound(t.index + 1) if t.index >= depth else t
-    if cls is App:
-        fun, arg = abstract_var(t.fun, name, depth), abstract_var(t.arg, name, depth)
-        return t if fun is t.fun and arg is t.arg else App(fun, arg)
-    if cls is Abs:
-        annot, body = abstract_var(t.annot, name, depth), abstract_var(t.body, name, depth + 1)
-        return t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
-    if cls is Prod:
-        dom, cod = abstract_var(t.dom, name, depth), abstract_var(t.cod, name, depth + 1)
-        return t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
-    if cls is SymApp:
-        args = []
-        for a in t.args:
-            args.append(abstract_var(a, name, depth))
-        return t if _same(args, t.args) else SymApp(t.sym, tuple(args))
-    if cls is Sort:
-        return t
-    raise TypeError(f"not a term: {t!r}")
+    """Turn free occurrences of a named variable into Bound(depth).
 
-
-def abstract_var_shared(t: Term, name: str) -> Term:
-    """`abstract_var(t, name)`, closing each subterm met again at the same
-    binder depth once: for one call, results are memoized by the identity of
-    the subterm and its depth, so the work is linear in the distinct
-    subterms of t rather than in its unshared size, and the result keeps
-    t's sharing. For closing a normal form, where beta handed one argument
-    object to every occurrence of its variable; the hot substitutions of
-    reduction and inference stay unmemoized, where the memo costs more than
-    it saves.
+    For one call, results are memoized by the identity of the subterm and
+    its binder depth, so a subterm met again at the same depth is closed
+    once: the work is linear in the distinct subterms of t rather than in
+    its unshared size, and the result keeps t's sharing. That matters for a
+    normal form, where beta handed one argument object to every occurrence
+    of its variable.
     """
-    return _abstract_shared(t, name, 0, {})
+    return _abstract(t, name, depth, {})
 
 
-def _abstract_shared(t: Term, name: str, depth: int, memo: dict[tuple[int, int], Term]) -> Term:
+def _abstract(t: Term, name: str, depth: int, memo: dict[tuple[int, int], Term]) -> Term:
     # t is a subterm of the call's argument, alive for the whole call, so
     # its id is not reused while the memo lives
     cls = type(t)
@@ -303,16 +277,16 @@ def _abstract_shared(t: Term, name: str, depth: int, memo: dict[tuple[int, int],
     if out is not None:
         return out
     if cls is App:
-        fun, arg = _abstract_shared(t.fun, name, depth, memo), _abstract_shared(t.arg, name, depth, memo)
+        fun, arg = _abstract(t.fun, name, depth, memo), _abstract(t.arg, name, depth, memo)
         out = t if fun is t.fun and arg is t.arg else App(fun, arg)
     elif cls is Abs:
-        annot, body = _abstract_shared(t.annot, name, depth, memo), _abstract_shared(t.body, name, depth + 1, memo)
+        annot, body = _abstract(t.annot, name, depth, memo), _abstract(t.body, name, depth + 1, memo)
         out = t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
     elif cls is Prod:
-        dom, cod = _abstract_shared(t.dom, name, depth, memo), _abstract_shared(t.cod, name, depth + 1, memo)
+        dom, cod = _abstract(t.dom, name, depth, memo), _abstract(t.cod, name, depth + 1, memo)
         out = t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
     elif cls is SymApp:
-        args = [_abstract_shared(a, name, depth, memo) for a in t.args]
+        args = [_abstract(a, name, depth, memo) for a in t.args]
         out = t if _same(args, t.args) else SymApp(t.sym, tuple(args))
     else:
         raise TypeError(f"not a term: {t!r}")

@@ -10,10 +10,12 @@ context type names, a `Bound` the one its binder's annotation names (carried
 down the recursion); anything else is a proposition. That is exact because
 pcert has no product rule into Kind: no function returns a type, and
 `fst(T, …)` is a type only when T is Prop. So no kernel is asked, nothing is
-reduced or charged to fuel, and no binder is opened. A subterm met again
-under the same binder sorts is translated once per call (memoized by its
-identity and those sorts), so a term that shares subterms translates in
-time linear in its distinct subterms and its translation shares them too.
+reduced or charged to fuel, and no binder is opened. A subterm's
+translation depends only on the sorts of the enclosing binders its `Bound`s
+reach, so within one call it is memoized by the subterm's identity and
+those sorts alone: a subterm met again, at any binder depth, is translated
+once per reachable sorts, so a term that shares subterms translates in time
+linear in its distinct subterms and its translation shares them too.
 Typability is `check_file`'s obligation and `pcert translate` re-checks the
 output in the lf kernel; unchecked input fails with a diagnostic or
 translates to a term the lf kernel rejects.
@@ -38,9 +40,25 @@ _TYPE_FORMERS = {"Type": El, "Prop": Prf}
 
 Sorts = tuple[str | None, ...]  # per enclosing binder, innermost last
 
-# (id of a subterm of the call's argument, binder sorts) -> its translation;
-# the argument lives for the whole call, so the ids are not reused
-_Memo = dict[tuple[int, Sorts], Term]
+
+class _Memo:
+    """One call's translations, keyed by the id of a subterm of the call's
+    argument, which lives for the whole call, so the ids are not reused.
+
+    `out` maps (id, the sorts of the binders its `Bound`s reach) to the
+    translation and `reach` maps an id to how many binders that is. `low`
+    is the outermost binder level (0: the outermost binder of the call) any
+    `Bound` translated so far in the current subterm reaches; a subterm
+    starts it at its own depth and hands the minimum up, so the reach is
+    found during the translation, without walking the subterm again.
+    """
+
+    __slots__ = ("out", "reach", "low")
+
+    def __init__(self):
+        self.out: dict[tuple[int, Sorts], Term] = {}
+        self.reach: dict[int, int] = {}
+        self.low = 0
 
 
 def _tag(ty: Term) -> str | None:
@@ -52,14 +70,28 @@ def _term(ctx: Context, m: Term, sorts: Sorts, memo: _Memo) -> Term:
     cls = type(m)
     if cls is Var:
         return m
+    depth = len(sorts)
     if cls is Bound:
-        if m.index >= len(sorts):
+        level = depth - 1 - m.index
+        if level < 0:
             raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{m.index}", context=ctx, subject=m)
+        if level < memo.low:
+            memo.low = level
         return m
-    key = (id(m), sorts)
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = _translate(ctx, m, sorts, memo)
+    reach = memo.reach.get(id(m))
+    if reach is not None and reach <= depth:
+        out = memo.out.get((id(m), sorts[depth - reach :]))
+        if out is not None:
+            if depth - reach < memo.low:
+                memo.low = depth - reach
+            return out
+    low, memo.low = memo.low, depth
+    out = _translate(ctx, m, sorts, memo)
+    level = memo.low
+    if low < level:
+        memo.low = low
+    memo.reach[id(m)] = depth - level
+    memo.out[id(m), sorts[level:]] = out
     return out
 
 
@@ -75,7 +107,8 @@ def _translate(ctx: Context, m: Term, sorts: Sorts, memo: _Memo) -> Term:
         case App(f, a):
             return App(_term(ctx, f, sorts, memo), _term(ctx, a, sorts, memo))
         case Abs(hint, annot, body):
-            return Abs(hint, _type(ctx, annot, sorts, memo), _term(ctx, body, sorts + (_tag(annot),), memo))
+            t_annot = _type(ctx, annot, sorts, memo)
+            return Abs(hint, t_annot, _term(ctx, body, sorts + (_tag(annot),), memo))
         case Prod(hint, dom, cod):
             inner = sorts + (_tag(dom),)
             t_dom, t_cod = _term(ctx, dom, sorts, memo), _term(ctx, cod, inner, memo)
@@ -126,12 +159,12 @@ def _type(ctx: Context, t: Term, sorts: Sorts, memo: _Memo) -> Term:
 def translate_term(ctx: Context, m: Term) -> Term:
     """Requires m typable in ctx, which check_file's records guarantee; callers
     own that obligation, it is not re-checked here."""
-    return _term(ctx, m, (), {})
+    return _term(ctx, m, (), _Memo())
 
 
 def translate_type(ctx: Context, t: Term) -> Term:
     """Requires t to be Kind or typable by a sort in ctx."""
-    return _type(ctx, t, (), {})
+    return _type(ctx, t, (), _Memo())
 
 
 def translate_ctx(ctx: Context) -> Context:

@@ -29,7 +29,7 @@ from pcert.kernel import Kernel
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel
 from pcert.syntax import ParsedFile, print_file, print_term
-from pcert.terms import TYPE_, Abs, App, Bound, Context, SymApp, Var, alpha_eq
+from pcert.terms import TYPE_, Abs, App, Bound, Context, SymApp, Term, Var, alpha_eq
 from test_cli import shared_chain_source
 
 # Conversions under a binder that spend steps and mention the binder: a
@@ -192,7 +192,7 @@ def test_inference_work_is_at_most_quadratic_in_lambda_depth(monkeypatch, depend
 
 def test_translation_and_inversion_are_linear_on_doubling_chains(monkeypatch):
     translations = count_calls(monkeypatch, translate, "_term")
-    inversions = count_calls(monkeypatch, inverse._Inverter, "term")
+    inversions = count_calls(monkeypatch, inverse, "_term")
     counts = []
     for links in (10, 20, 30):
         checked = check_file(parse_file(doubling_chain_source(links)), 0)
@@ -202,3 +202,36 @@ def test_translation_and_inversion_are_linear_on_doubling_chains(monkeypatch):
         counts.append((translations[0], inversions[0]))
     for i in (0, 1):
         assert counts[2][i] - counts[1][i] == counts[1][i] - counts[0][i]
+
+
+def wide_under_lambdas(depth: int, width: int) -> Term:
+    """`\\x: iota. g w (g x (\\x: iota. g w (g x (... x))))`, depth
+    binders deep, where w is one closed term of width distinct nodes."""
+    w: Term = Var("a")
+    for _ in range(width):
+        w = App(Var("f"), w)
+    body: Term = Bound(0)
+    for _ in range(depth):
+        body = Abs("x", Var("iota"), App(App(Var("g"), w), App(App(Var("g"), Bound(0)), body)))
+    return body
+
+
+def test_a_closed_subterm_is_translated_once_at_any_binder_depth(monkeypatch):
+    translations = count_calls(monkeypatch, translate, "_translate")
+    counts = []
+    for depth, width in ((20, 20), (40, 40)):
+        translations[0] = 0
+        translate.translate_term(BASE_CTX, wide_under_lambdas(depth, width))
+        counts.append(translations[0])
+    # linear in depth + width; a memo keyed by every enclosing binder's
+    # sort translates w once per depth, and would give 4x
+    assert counts[1] <= 2 * counts[0] + 2
+
+
+def test_a_shared_open_subterm_is_translated_by_the_sort_of_its_binder():
+    # one object under binders of different sorts: its product is arrd
+    # over a type and impd over a proposition
+    shared = terms.Prod("_", Bound(0), Bound(1))
+    term = App(Abs("A", TYPE_, shared), Abs("A", terms.PROP, shared))
+    out = translate.translate_term(BASE_CTX, term)
+    assert (out.fun.body.sym, out.arg.body.sym) == ("arrd", "impd")
