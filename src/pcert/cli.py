@@ -125,6 +125,10 @@ def cmd_translate(path: str, out: str | None, fuel: int | None) -> int:
 def cmd_roundtrip(path: str, fuel: int | None) -> int:
     checked = _check_pcert("roundtrip", path, fuel)
     failures: list[str] = []
+    # one normalization memo for the command: expanded bodies share their
+    # earlier definitions' objects, whose normal forms are then replayed;
+    # each call still gets a fresh budget
+    normal_forms: dict = {}
     for record in checked.decls:
         if not isinstance(record.decl, Definition):
             continue
@@ -135,7 +139,10 @@ def cmd_roundtrip(path: str, fuel: int | None) -> int:
             failures.append(f"{name}: {back}")
             continue
         try:
-            same = alpha_eq(normalize(BETA_ONLY, back, fuel), normalize(BETA_ONLY, body, fuel))
+            same = alpha_eq(
+                normalize(BETA_ONLY, back, fuel, memo=normal_forms),
+                normalize(BETA_ONLY, body, fuel, memo=normal_forms),
+            )
         except CheckError as err:
             raise err.with_span(span) if span is not None else err
         if not same:

@@ -35,6 +35,11 @@ term is inferred again for real, so fuel runs out at the same step on the
 same partial term as without the memo. Verdicts, fuel left and diagnostics
 are those of inferring every occurrence; only the work shrinks, to linear
 in the distinct subterms of a chain whose expansions share them.
+
+Conversion keeps the same bargain across the file: `convert` hands
+`rewrite.convertible` the kernel's conversion memo on the same table, so a
+pair of objects compared in an earlier declaration is replayed at the steps
+it cost then (see `convertible`).
 """
 
 from __future__ import annotations
@@ -81,12 +86,13 @@ _LEAVES = (Var, Sort, Bound)
 class _Replay:
     """One public inference call's access to the file's inference memo.
 
-    `memo` is the kernel's record on the context's table (`Context.inferred`)
-    and lives, like the record of proven conversions, for one file: it maps
-    the id of each non-leaf term inferred to (its type, the `rows` of the
-    view it was inferred under, its redo cost, the term itself, so that the
-    id cannot be reused). A call whose context already holds binders gets no
-    memo: their names are the caller's and need not be fresh.
+    `memo` is the kernel's inference memo on the context's table
+    (`Context.records`) and lives, like the record of proven conversions,
+    for one file: it maps the id of each non-leaf term inferred to (its
+    type, the `rows` of the view it was inferred under, its redo cost, the
+    term itself, so that the id cannot be reused). A call whose context
+    already holds binders gets no memo: their names are the caller's and
+    need not be fresh.
 
     The ledger `low`/`total` files the steps of each conversion made inside
     the inference by the level of the pair, 1 + the position of the
@@ -97,7 +103,7 @@ class _Replay:
     __slots__ = ("memo", "low", "total")
 
     def __init__(self, kernel: Kernel, ctx: Context):
-        self.memo = None if ctx.binders else ctx.inferred(kernel)
+        self.memo = None if ctx.binders else ctx.records(kernel).inferred
         self.low: list[int] = []  # low[b]: steps filed at levels <= b
         self.total = 0  # steps filed at any level; all levels are < len(low)
 
@@ -125,21 +131,24 @@ class Kernel:
 
         Each pair proven convertible is recorded on ctx's table, per kernel,
         so proving it again anywhere in the same file is a lookup that
-        spends no fuel. Only whole pairs at this entry are recorded, never
+        spends no fuel; terms keep their hashes, so the lookup hashes neither
+        side again. Only whole pairs at this entry are recorded, never
         the comparisons inside the recursion: those still pay for every
         step, so a term whose unfolding doubles per link still costs fuel
-        exponential in the links. Inside one call, `convertible` replays a
-        repeated sub-comparison instead of redoing it but charges its steps
-        again, so the time it takes is linear in the links.
+        exponential in the links. `convertible` replays a repeated
+        sub-comparison from the kernel's conversion memo on the same table,
+        which lives for the file too, instead of redoing it, but charges its
+        steps again; so the time a chain of assertions takes is linear in
+        its links, though each assertion re-compares the earlier links.
         """
-        if a == b:  # before the record: hashing a pair walks both terms
+        if a == b:
             return True
-        proven = ctx.proven(self)
-        if (a, b) in proven:
+        records = ctx.records(self)
+        if (a, b) in records.proven:
             return True
-        if not convertible(self.rules, a, b, fuel, self.config.irrelevant):
+        if not convertible(self.rules, a, b, fuel, self.config.irrelevant, records.converted):
             return False
-        proven.add((a, b))
+        records.proven.add((a, b))
         return True
 
     def whnf(self, t: Term, fuel: Fuel) -> Term:

@@ -150,37 +150,57 @@ LF_CONFIG = SystemConfig(
 )
 
 
-def assert_public(t: Term, sig: Signature = LF_SIGNATURE) -> None:
+def assert_public(t: Term, sig: Signature = LF_SIGNATURE, clean: set[int] | None = None) -> None:
     """Reject terms that mention a protected symbol anywhere, binders included.
 
     The error names the first occurrence in depth-first, left-to-right order
     by its path from the root. Only user input goes through this gate, once,
     in `check_file`; terms produced by rewriting during conversion never do.
+    `clean` holds the ids of nodes already found free of protected symbols:
+    the walk skips them and adds each node it finds free, so a caller that
+    hands one set to every call walks each distinct node once. Skipping a
+    free node changes no first occurrence and no path. The caller keeps
+    those nodes alive while the set lives, so that no id is reused.
     """
     protected = sig.protected_names()
     if not protected:
         return
+    found = _first_protected(t, protected, set() if clean is None else clean)
+    if found is not None:
+        sym, path = found
+        raise ProtectedError(sym, tuple(reversed(path)))
 
-    def walk(s: Term, path: tuple[str, ...]) -> None:
-        match s:
-            case SymApp(sym, args):
-                if sym in protected:
-                    raise ProtectedError(sym, path)
-                for i, a in enumerate(args):
-                    walk(a, path + (f"{sym}.{i}",))
-            case App(f, a):
-                walk(f, path + ("fun",))
-                walk(a, path + ("arg",))
-            case Abs(_, annot, body):
-                walk(annot, path + ("annot",))
-                walk(body, path + ("body",))
-            case Prod(_, dom, cod):
-                walk(dom, path + ("dom",))
-                walk(cod, path + ("cod",))
-            case _:
-                pass
 
-    walk(t, ())
+def _first_protected(s: Term, protected: frozenset[str], clean: set[int]) -> tuple[str, list[str]] | None:
+    """The first protected symbol in s with its path from s reversed (built
+    only when one is found), or None after adding s to clean."""
+    cls = type(s)
+    if cls is SymApp:
+        if id(s) in clean:
+            return None
+        sym = s.sym
+        if sym in protected:
+            return sym, []
+        for i, a in enumerate(s.args):
+            found = _first_protected(a, protected, clean)
+            if found is not None:
+                found[1].append(f"{sym}.{i}")
+                return found
+    elif cls is App or cls is Abs or cls is Prod:
+        if id(s) in clean:
+            return None
+        for label in _CHILDREN[cls]:  # the labels are the field names
+            found = _first_protected(getattr(s, label), protected, clean)
+            if found is not None:
+                found[1].append(label)
+                return found
+    else:
+        return None  # a leaf
+    clean.add(id(s))
+    return None
+
+
+_CHILDREN = {App: ("fun", "arg"), Abs: ("annot", "body"), Prod: ("dom", "cod")}
 
 
 class LfKernel(Kernel):

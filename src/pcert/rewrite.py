@@ -19,12 +19,13 @@ rule arguments, normalization and conversion call `_whnf` directly. The loop
 builds nothing for a head that is already normal (it returns its argument
 itself) and builds a symbol application's subject once per rule attempt,
 for both `match` and `Fuel.spend`. Conversion replays a repeated
-sub-comparison from a memo that lives for one `convertible` call, and
-outermost normalization a repeated subterm's normal form from a memo that
-lives for one `normalize` call; both charge the recorded steps through
-`Fuel.charge`. Normalization closes each binder body with
-`terms.abstract_var`, so a normal form under a binder keeps its
-sharing.
+sub-comparison, and outermost normalization a repeated subterm's normal
+form, from a memo keyed by object identity; both charge the recorded steps
+through `Fuel.charge`. Each memo lives for one call unless the caller hands
+one in: the kernels keep one conversion memo per file on the context's
+table, and `roundtrip` one normalization memo per command. Normalization
+closes each binder body with `terms.abstract_var`, so a normal form under a
+binder keeps its sharing.
 """
 
 from __future__ import annotations
@@ -300,26 +301,39 @@ def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
             return t
 
 
-def normalize(rules: RuleSet, t: Term, fuel: Fuel | int | None = None, strategy: str = "outermost") -> Term:
+def normalize(
+    rules: RuleSet,
+    t: Term,
+    fuel: Fuel | int | None = None,
+    strategy: str = "outermost",
+    memo: _NormalMemo | None = None,
+) -> Term:
     """Full normal form: no subterm is a redex for any rule or for beta.
 
     Beta hands out one argument object at every occurrence of its variable,
     so the same object can come up for normalization many times. Outermost
     normalization memoizes each subterm's normal form and the steps it
-    cost, by the identity of the subterm, for this one call. A repeat is
-    charged its recorded steps and returns the recorded normal form, when
-    the steps remain; when they do not, it is redone, so fuel runs out at
-    the same step on the same partial term. The fuel spent, the fuel left
-    and the normal form are those of normalizing every occurrence; the
-    result shares the repeated normal forms, so compare it with
+    cost, by the identity of the subterm: for this one call, or for every
+    call handed the same `memo` under the same rules. A repeat is charged
+    its recorded steps and returns the recorded normal form, when the steps
+    remain; when they do not, it is redone, so fuel runs out at the same
+    step on the same partial term. An entry is a function of the subterm
+    and the rules alone, so the fuel spent, the fuel left and the normal
+    form are those of normalizing every occurrence, whatever the memo
+    holds; the result shares the repeated normal forms, so compare it with
     `terms.alpha_eq`, which follows that sharing, rather than `==`.
     """
     fuel = _as_fuel(fuel)
     if strategy == "outermost":
-        return _normalize_outermost(rules, t, fuel, {})
+        return _normalize_outermost(rules, t, fuel, {} if memo is None else memo)
     if strategy == "innermost":
         return _normalize_innermost(rules, t, fuel)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+# (id(a), id(b)) -> (verdict, steps spent, a, b); the entry holds both terms
+# so that neither id can be reused by another object while the memo lives
+_Memo = dict[tuple[int, int], tuple[bool, int, Term, Term]]
 
 
 def convertible(
@@ -328,6 +342,7 @@ def convertible(
     b: Term,
     fuel: Fuel | int | None = None,
     irrelevant: Mapping[str, int] | None = None,
+    memo: _Memo | None = None,
 ) -> bool:
     """Decide conversion head-first.
 
@@ -349,21 +364,21 @@ def convertible(
     normalization spends.
 
     Beta hands out one argument object at every occurrence of its variable,
-    so the same pair of objects can come up for comparison many times. Each
-    sub-comparison's verdict and steps are memoized, by the identity of
-    both sides, for this one call. A repeat is charged its recorded steps
+    and definitions reach the kernels expanded, so the same pair of objects
+    can come up for comparison many times, in one call and in every later
+    assertion of a file. Each sub-comparison's verdict and steps are
+    memoized by the identity of both sides: for this one call, or for every
+    call handed the same `memo` with the same rules and `irrelevant` (the
+    kernels keep one per file). A repeat is charged its recorded steps
     without being redone when they remain; when they do not, it is redone,
-    so fuel runs out at the same step on the same partial term. The fuel
-    spent, the fuel left and the verdict are those of redoing every
-    comparison; only the work done shrinks, from exponential to linear in
-    the links of a chain whose unfoldings share subterms.
+    so fuel runs out at the same step on the same partial term. An entry is
+    a function of the two objects, the rules and `irrelevant` alone, so the
+    fuel spent, the fuel left and the verdict are those of redoing every
+    comparison, whatever the memo holds; only the work done shrinks, from
+    exponential to linear in the links of a chain whose unfoldings share
+    subterms.
     """
-    return _convert(rules, a, b, _as_fuel(fuel), irrelevant or {}, {})
-
-
-# (id(a), id(b)) -> (verdict, steps spent, a, b); the entry holds both terms
-# so that neither id can be reused by another object while the memo lives
-_Memo = dict[tuple[int, int], tuple[bool, int, Term, Term]]
+    return _convert(rules, a, b, _as_fuel(fuel), irrelevant or {}, {} if memo is None else memo)
 
 
 def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: _Memo) -> bool:

@@ -3,8 +3,11 @@
 Terms are immutable. Binders are represented locally nameless: occurrences of
 a bound variable are `Bound` indices counting enclosing binders, while the
 binder itself keeps a display hint that is excluded from comparison. As a
-consequence structural equality (`==`) *is* alpha-equivalence, and the
-auto-generated hashes respect it.
+consequence structural equality (`==`) *is* alpha-equivalence. A composite
+node (`App`, `Abs`, `Prod`, `SymApp`) computes its structural hash on first
+use, from its children's hashes and without the hint, and keeps it on the
+node, so hashes respect `==` and hashing a term that shares subterms takes
+time in its distinct nodes, once per node.
 
 Free variables (`Var`) are named and refer to context entries or to rewrite
 pattern variables. Public API terms are expected to be locally closed: every
@@ -57,10 +60,21 @@ class Bound:
         return f"^{self.index}"
 
 
+def _keep_hash(node: Term, key: tuple) -> int:
+    h = hash(key)
+    object.__setattr__(node, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class App:
     fun: Term
     arg: Term
+    _hash = None  # not a field: the hash, once computed
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _keep_hash(self, (self.fun, self.arg))
 
     def __repr__(self) -> str:
         return f"({self.fun!r} {self.arg!r})"
@@ -71,6 +85,11 @@ class Abs:
     hint: str = field(compare=False)
     annot: Term
     body: Term
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _keep_hash(self, (self.annot, self.body))
 
     def __repr__(self) -> str:
         return f"(\\{self.hint}: {self.annot!r}. {self.body!r})"
@@ -81,6 +100,11 @@ class Prod:
     hint: str = field(compare=False)
     dom: Term
     cod: Term
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _keep_hash(self, (self.dom, self.cod))
 
     def __repr__(self) -> str:
         return f"(!{self.hint}: {self.dom!r}. {self.cod!r})"
@@ -90,6 +114,11 @@ class Prod:
 class SymApp:
     sym: str
     args: tuple[Term, ...] = ()
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _keep_hash(self, (self.sym, self.args))
 
     def __repr__(self) -> str:
         if not self.args:
@@ -333,18 +362,33 @@ def is_nondependent(cod: Term) -> bool:
     return not uses(cod, 0)
 
 
+class Records:
+    """What one owner (a kernel) has established under one table, so for one
+    file: the pairs it has proven convertible, and its inference and
+    conversion memos, whose entries are the owner's business. Every view
+    grown from one root shares them, and a new root or a copied table starts
+    empty, so a record never outlives the file that made it or reaches
+    another owner."""
+
+    __slots__ = ("proven", "inferred", "converted")
+
+    def __init__(self):
+        self.proven: set[tuple[Term, Term]] = set()
+        self.inferred: dict[int, tuple] = {}
+        self.converted: dict[tuple[int, int], tuple] = {}
+
+
 class _Table:
     """Append-only declarations shared by every context view built on it."""
 
-    __slots__ = ("names", "types", "index", "lock", "proven", "inferred")
+    __slots__ = ("names", "types", "index", "lock", "records")
 
     def __init__(self, entries: tuple[tuple[str, Term], ...] = ()):
         self.names = [n for n, _ in entries]
         self.types = [ty for _, ty in entries]
         self.index = {n: i for i, n in enumerate(self.names)}
         self.lock = threading.Lock()
-        self.proven: dict[object, set[tuple[Term, Term]]] = {}
-        self.inferred: dict[object, dict[int, tuple]] = {}
+        self.records: dict[object, Records] = {}
 
     def push(self, depth: int, name: str, ty: Term) -> bool:
         """Append a row at `depth` if that is the tip; False if it is not."""
@@ -418,21 +462,12 @@ class Context:
             return table.types[row]
         return None
 
-    def proven(self, owner: object) -> set[tuple[Term, Term]]:
-        """The conversions `owner` (a kernel) has proven under this table.
-
-        Every view grown from one root shares the set, and a new root or a
-        copied table starts empty, so a record never outlives the file that
-        made it or reaches another owner.
-        """
-        return self._table.proven.setdefault(owner, set())
-
-    def inferred(self, owner: object) -> dict[int, tuple]:
-        """The types `owner` (a kernel) has inferred under this table, by the
-        identity of the term; what an entry holds is the owner's business.
-        Shared and scoped like `proven`.
-        """
-        return self._table.inferred.setdefault(owner, {})
+    def records(self, owner: object) -> Records:
+        """The records of `owner` (a kernel) under this view's table."""
+        records = self._table.records.get(owner)
+        if records is None:  # setdefault: two threads may miss at once
+            records = self._table.records.setdefault(owner, Records())
+        return records
 
     def binder_level(self, *terms: Term) -> int:
         """1 + the position of the innermost binder of this view that terms

@@ -10,8 +10,10 @@ reference decision the kernels' head-first conversion is checked against,
 `pcert.translate` is checked against, the `ref_*` reduction functions the
 reference the step-for-step reduction engine of `pcert.rewrite` is checked
 against, `ref_infer` the reference the replaying inference of
-`pcert.kernel` is checked against, and `NamedParser` and `FreshParser` the
-references the scope-resolving and the interning parser are checked against.
+`pcert.kernel` is checked against, `reference_conversion` the reference the
+file-wide conversion memo of `Kernel.convert` is checked against, and
+`NamedParser` and `FreshParser` the references the scope-resolving and the
+interning parser are checked against.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import contextlib
 import random
 
 from pcert import Context, check_file, parse_file
-from pcert import diagnostics as dk
+from pcert import diagnostics as dk, kernel as kernel_module
 from pcert.diagnostics import fail
 from pcert.kernel import Kernel
 from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
 from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
-from pcert.rewrite import Fuel, RuleSet, _as_fuel, match, normalize
+from pcert.rewrite import Fuel, RuleSet, _as_fuel, convertible, match, normalize
 from pcert.syntax import _Parser, _SymRef
 from pcert.terms import (
     KIND,
@@ -794,6 +796,23 @@ def reference_inference():
         yield
     finally:
         Kernel._infer, Kernel._sort_of = saved
+
+
+@contextlib.contextmanager
+def reference_conversion():
+    """Inside the block every kernel conversion gets a fresh sub-comparison
+    memo per call, as before the memo lived for the file: `check_file` then
+    runs as it did before, with whole pairs still recorded as proven."""
+
+    def per_call(rules, a, b, fuel, irrelevant, memo):
+        return convertible(rules, a, b, fuel, irrelevant)
+
+    saved = kernel_module.convertible
+    kernel_module.convertible = per_call
+    try:
+        yield
+    finally:
+        kernel_module.convertible = saved
 
 
 def doubling_chain_source(links: int, mode: str = "pcert") -> str:

@@ -168,7 +168,7 @@ def test_inference_is_linear_in_the_links_of_shared_chains(monkeypatch):
     calls = count_calls(monkeypatch, Kernel, "_infer")
     doubling = infer_calls(calls, [doubling_chain_source(n) for n in (5, 10, 15)])
     assert doubling[2] - doubling[1] == doubling[1] - doubling[0]
-    uv = infer_calls(calls, ["#MODE pcert\n" + shared_chain_source(n) for n in (4, 8, 12)])
+    uv = infer_calls(calls, ["#MODE pcert\n" + shared_chain_source(n) for n in (8, 12, 16)])
     assert uv[2] - uv[1] == uv[1] - uv[0]
 
 
