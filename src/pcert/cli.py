@@ -36,7 +36,6 @@ from .syntax import (
     parse_file,
     print_file,
 )
-from .terms import alpha_eq
 from .translate import translate_term, translate_type
 
 EXIT_OK = 0
@@ -127,7 +126,9 @@ def cmd_roundtrip(path: str, fuel: int | None) -> int:
     failures: list[str] = []
     # one normalization memo for the command: expanded bodies share their
     # earlier definitions' objects, whose normal forms are then replayed;
-    # each call still gets a fresh budget
+    # each call still gets a fresh budget. The normal forms share the
+    # replayed objects, and `==` stops at shared objects, so comparing two
+    # of them takes time in their distinct nodes
     normal_forms: dict = {}
     for record in checked.decls:
         if not isinstance(record.decl, Definition):
@@ -139,9 +140,8 @@ def cmd_roundtrip(path: str, fuel: int | None) -> int:
             failures.append(f"{name}: {back}")
             continue
         try:
-            same = alpha_eq(
-                normalize(BETA_ONLY, back, fuel, memo=normal_forms),
-                normalize(BETA_ONLY, body, fuel, memo=normal_forms),
+            same = normalize(BETA_ONLY, back, fuel, memo=normal_forms) == normalize(
+                BETA_ONLY, body, fuel, memo=normal_forms
             )
         except CheckError as err:
             raise err.with_span(span) if span is not None else err

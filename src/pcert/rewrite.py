@@ -43,7 +43,6 @@ from .terms import (
     SymApp,
     Term,
     Var,
-    alpha_eq,
     free_vars,
     fresh_name,
     instantiate,
@@ -136,9 +135,6 @@ class RewriteRule:
         if extra:
             raise fail("BadRule", f"rule {self.name!r}: right side invents variables {sorted(extra)}")
 
-    def pattern_vars(self) -> set[str]:
-        return free_vars(self.lhs)
-
 
 class RuleSet:
     """Oriented rules, reduced alongside built-in beta; immutable once built."""
@@ -173,17 +169,17 @@ def match(pattern: Term, subject: Term, binding: dict[str, Term] | None = None) 
                     return None
                 continue
             seen = binding.get(p.name)  # a pattern variable, bound here without a call
-            if seen is not None and not alpha_eq(seen, s):
+            if seen is not None and seen != s:
                 return None
             binding[p.name] = s
         return binding
     if cls is Var:
         seen = binding.get(pattern.name)
-        if seen is not None and not alpha_eq(seen, subject):
+        if seen is not None and seen != subject:
             return None
         binding[pattern.name] = subject
         return binding
-    return binding if alpha_eq(pattern, subject) else None
+    return binding if pattern == subject else None
 
 
 def _try_rules(rules: RuleSet, t: SymApp, fuel: Fuel) -> tuple[Term | None, SymApp]:
@@ -320,8 +316,7 @@ def normalize(
     step on the same partial term. An entry is a function of the subterm
     and the rules alone, so the fuel spent, the fuel left and the normal
     form are those of normalizing every occurrence, whatever the memo
-    holds; the result shares the repeated normal forms, so compare it with
-    `terms.alpha_eq`, which follows that sharing, rather than `==`.
+    holds.
     """
     fuel = _as_fuel(fuel)
     if strategy == "outermost":
@@ -485,7 +480,7 @@ def _unify(a: Term, b: Term, binding: dict[str, Term]) -> bool:
         if a.sym != b.sym or len(a.args) != len(b.args):
             return False
         return all(_unify(x, y, binding) for x, y in zip(a.args, b.args))
-    return alpha_eq(a, b)
+    return a == b
 
 
 def check_orthogonality(rules: RuleSet) -> OrthogonalityReport:

@@ -16,11 +16,11 @@ pattern variables. Public API terms are expected to be locally closed: every
 Substitution keeps sharing: `instantiate`, `abstract_var` and
 `substitute_parallel` return a node itself, not a copy, when nothing beneath
 it changed. A closed subterm is never rebuilt, so a value substituted for
-many occurrences stays one object, and comparing such subterms with `==`
-stops at object identity; `alpha_eq` also remembers the pairs it has proven
-equal, so it compares two such terms in time linear in their shared size.
-`free_vars` visits each shared subterm once, and `abstract_var` closes a
-shared term (a normal form) once per subterm and binder depth.
+many occurrences stays one object. `==` stops at object identity and
+remembers, for one comparison, the pairs of nodes it has proven equal, so it
+compares two such terms in time linear in their shared size, however they
+were built. `free_vars` visits each shared subterm once, and `abstract_var`
+closes a shared term (a normal form) once per subterm and binder depth.
 Nothing depends on identity for its meaning; results are equal either way.
 """
 
@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 from .diagnostics import DUPLICATE_NAME, fail
@@ -60,70 +61,115 @@ class Bound:
         return f"^{self.index}"
 
 
-def _keep_hash(node: Term, key: tuple) -> int:
-    h = hash(key)
+class _Node:
+    """Base of the composite nodes: one `==`, alpha-equivalence (`_equal`),
+    and one hash, computed on first use from the fields `_key` names (hint
+    excluded) and kept on the node."""
+
+    _hash = None  # not a field: the hash, once computed
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(self) is not type(other):
+            return NotImplemented
+        return _equal(self, other, None)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _keep_hash(self)
+
+
+def _keep_hash(node: _Node) -> int:
+    h = hash(node._key(node))
     object.__setattr__(node, "_hash", h)
     return h
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, eq=False)
+class App(_Node):
     fun: Term
     arg: Term
-    _hash = None  # not a field: the hash, once computed
-
-    def __hash__(self) -> int:
-        h = self._hash
-        return h if h is not None else _keep_hash(self, (self.fun, self.arg))
+    _key = attrgetter("fun", "arg")
 
     def __repr__(self) -> str:
         return f"({self.fun!r} {self.arg!r})"
 
 
-@dataclass(frozen=True)
-class Abs:
-    hint: str = field(compare=False)
+@dataclass(frozen=True, eq=False)
+class Abs(_Node):
+    hint: str
     annot: Term
     body: Term
-    _hash = None
-
-    def __hash__(self) -> int:
-        h = self._hash
-        return h if h is not None else _keep_hash(self, (self.annot, self.body))
+    _key = attrgetter("annot", "body")
 
     def __repr__(self) -> str:
         return f"(\\{self.hint}: {self.annot!r}. {self.body!r})"
 
 
-@dataclass(frozen=True)
-class Prod:
-    hint: str = field(compare=False)
+@dataclass(frozen=True, eq=False)
+class Prod(_Node):
+    hint: str
     dom: Term
     cod: Term
-    _hash = None
-
-    def __hash__(self) -> int:
-        h = self._hash
-        return h if h is not None else _keep_hash(self, (self.dom, self.cod))
+    _key = attrgetter("dom", "cod")
 
     def __repr__(self) -> str:
         return f"(!{self.hint}: {self.dom!r}. {self.cod!r})"
 
 
-@dataclass(frozen=True)
-class SymApp:
+@dataclass(frozen=True, eq=False)
+class SymApp(_Node):
     sym: str
     args: tuple[Term, ...] = ()
-    _hash = None
-
-    def __hash__(self) -> int:
-        h = self._hash
-        return h if h is not None else _keep_hash(self, (self.sym, self.args))
+    _key = attrgetter("sym", "args")
 
     def __repr__(self) -> str:
         if not self.args:
             return self.sym
         return f"{self.sym}({', '.join(map(repr, self.args))})"
+
+
+def _equal(a: Term, b: Term, proven: set[tuple[int, int]] | None) -> bool:
+    """`a == b` for terms that are not one object. Child pairs that are one
+    object are equal unseen; other composite pairs are looked up in and
+    added to `proven`, the pairs (by id: both terms stay alive meanwhile)
+    this comparison has proven equal, so each is walked once. The outermost
+    pair, which cannot recur beneath itself, passes None and makes the set
+    only when it descends."""
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is SymApp:
+        if a.sym != b.sym or len(a.args) != len(b.args):
+            return False
+    else:
+        if cls is App:
+            x, y, u, v = a.fun, b.fun, a.arg, b.arg
+        elif cls is Prod:
+            x, y, u, v = a.dom, b.dom, a.cod, b.cod
+        elif cls is Abs:
+            x, y, u, v = a.annot, b.annot, a.body, b.body
+        else:
+            return a == b  # leaves
+        if x is y and u is v:
+            return True
+    key = None
+    if proven is None:
+        proven = set()
+    else:
+        key = (id(a), id(b))
+        if key in proven:
+            return True
+    if cls is SymApp:
+        for x, y in zip(a.args, b.args):
+            if x is not y and not _equal(x, y, proven):
+                return False
+    elif (x is not y and not _equal(x, y, proven)) or (u is not v and not _equal(u, v, proven)):
+        return False
+    if key is not None:
+        proven.add(key)
+    return True
 
 
 PROP = Sort("Prop")
@@ -206,47 +252,8 @@ def substitute(body: Term, binding: tuple[str, Term]) -> Term:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """True iff a and b differ only in bound-variable names; always `a == b`.
-
-    `==` walks a term as a tree, so two separately built terms that share
-    subterms (normal forms, where beta handed one argument object to every
-    occurrence of its variable) take time in their unshared size. This
-    walk stops at object identity and remembers, for this one call, each
-    pair of objects it has proven equal, so it takes time in the number of
-    distinct pairs of nodes met instead.
-    """
-    return _alpha_eq(a, b, set())
-
-
-def _alpha_eq(a: Term, b: Term, proven: set[tuple[int, int]]) -> bool:
-    # both terms stay alive for the whole call, so their nodes' ids do too
-    if a is b:
-        return True
-    cls = type(a)
-    if cls is not type(b):
-        return False
-    key = (id(a), id(b))
-    if key in proven:
-        return True
-    if cls is App:
-        equal = _alpha_eq(a.fun, b.fun, proven) and _alpha_eq(a.arg, b.arg, proven)
-    elif cls is Abs:
-        equal = _alpha_eq(a.annot, b.annot, proven) and _alpha_eq(a.body, b.body, proven)
-    elif cls is Prod:
-        equal = _alpha_eq(a.dom, b.dom, proven) and _alpha_eq(a.cod, b.cod, proven)
-    elif cls is SymApp:
-        xs, ys = a.args, b.args
-        if a.sym != b.sym or len(xs) != len(ys):
-            return False
-        for x, y in zip(xs, ys):
-            if not _alpha_eq(x, y, proven):
-                return False
-        equal = True
-    else:
-        return a == b
-    if equal:
-        proven.add(key)
-    return equal
+    """True iff a and b differ only in bound-variable names: `a == b`."""
+    return a == b
 
 
 def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
@@ -515,12 +522,6 @@ class Signature:
     def __init__(self, entries: dict[str, SigEntry]):
         self._entries = dict(entries)
         self._protected = frozenset(n for n, e in self._entries.items() if e.protected)
-
-    def __contains__(self, sym: str) -> bool:
-        return sym in self._entries
-
-    def __getitem__(self, sym: str) -> SigEntry:
-        return self._entries[sym]
 
     def get(self, sym: str) -> SigEntry | None:
         return self._entries.get(sym)

@@ -11,9 +11,11 @@ reference decision the kernels' head-first conversion is checked against,
 reference the step-for-step reduction engine of `pcert.rewrite` is checked
 against, `ref_infer` the reference the replaying inference of
 `pcert.kernel` is checked against, `reference_conversion` the reference the
-file-wide conversion memo of `Kernel.convert` is checked against, and
-`NamedParser` and `FreshParser` the references the scope-resolving and the
-interning parser are checked against.
+file-wide conversion memo of `Kernel.convert` is checked against,
+`ref_equal` and `ref_hash` the references the sharing-aware `==` and the
+kept hashes of terms are checked against, and `NamedParser` and
+`FreshParser` the references the scope-resolving and the interning parser
+are checked against.
 """
 
 from __future__ import annotations
@@ -385,6 +387,55 @@ def translate_by_kernel_sorts(ctx: Context, t: Term, as_type: bool = False) -> T
     which read sorts off the translation instead.
     """
     return _type_by_kernel_sorts(ctx, t) if as_type else _term_by_kernel_sorts(ctx, t)
+
+
+# --- the equality reference ------------------------------------------------------
+
+
+def ref_equal(a: Term, b: Term) -> bool:
+    """Structural equality as a tree walk, field by field, binder hints
+    ignored: `==` on terms as the dataclasses generated it."""
+    match a, b:
+        case App(f, x), App(g, y):
+            return ref_equal(f, g) and ref_equal(x, y)
+        case (Abs(_, s, t), Abs(_, u, v)) | (Prod(_, s, t), Prod(_, u, v)):
+            return ref_equal(s, u) and ref_equal(t, v)
+        case SymApp(f, xs), SymApp(g, ys):
+            return f == g and len(xs) == len(ys) and all(map(ref_equal, xs, ys))
+        case (Var(x), Var(y)) | (Bound(x), Bound(y)) | (Sort(x), Sort(y)):
+            return x == y
+    return False
+
+
+def ref_hash(t: Term) -> int:
+    """The hash of a term's compared fields, hint excluded, computed afresh
+    over nested tuples: `hash` on terms as the dataclasses generated it."""
+
+    def fields(t: Term):
+        match t:
+            case App(f, x):
+                return fields(f), fields(x)
+            case Abs(_, s, u) | Prod(_, s, u):
+                return fields(s), fields(u)
+            case SymApp(sym, args):
+                return sym, tuple(map(fields, args))
+        return t
+
+    return hash(fields(t))
+
+
+def rehinted(t: Term) -> Term:
+    """A copy of t built node by node with other binder hints."""
+    match t:
+        case App(f, a):
+            return App(rehinted(f), rehinted(a))
+        case Abs(hint, annot, body):
+            return Abs(hint + "'", rehinted(annot), rehinted(body))
+        case Prod(hint, dom, cod):
+            return Prod(hint + "'", rehinted(dom), rehinted(cod))
+        case SymApp(sym, args):
+            return SymApp(sym, tuple(rehinted(a) for a in args))
+    return t
 
 
 # --- the reduction reference -----------------------------------------------------

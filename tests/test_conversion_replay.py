@@ -25,6 +25,7 @@ from genutil import (
     doubling_chain_source,
     ref_substitute_parallel,
     reference_conversion,
+    rehinted,
 )
 from hypothesis import HealthCheck, given, settings, strategies as st
 from pcert import checker, cli, lf, parse_file, rewrite, terms
@@ -186,20 +187,6 @@ def test_hashing_a_doubling_dag_computes_each_node_hash_once(monkeypatch):
         assert computed[0] == 2 * levels
 
 
-def rehinted(t: Term) -> Term:
-    """A copy of t built node by node with other binder hints."""
-    match t:
-        case App(f, a):
-            return App(rehinted(f), rehinted(a))
-        case Abs(hint, annot, body):
-            return Abs(hint + "'", rehinted(annot), rehinted(body))
-        case Prod(hint, dom, cod):
-            return Prod(hint + "'", rehinted(dom), rehinted(cod))
-        case SymApp(sym, args):
-            return SymApp(sym, tuple(rehinted(a) for a in args))
-    return t
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_hashes_follow_equality_on_copies_built_apart(seed):
@@ -210,6 +197,37 @@ def test_hashes_follow_equality_on_copies_built_apart(seed):
     # hash the copies first, so that each computes its own cached hashes
     assert hash(copy) == hash(other) == hash(t)
     assert hash(App(t, copy)) == hash(App(other, t))
+
+
+def two_chains_source(links: int, mode: str) -> str:
+    """d(i+1) := g d(i) d(i) and e(i+1) := g e(i) e(i), then `convertible
+    d(links), e(links)`: two equal expansions with 2^links leaves each that
+    share no composite node."""
+    sort = "Type" if mode == "pcert" else "TYPE"
+    lines = [f"#MODE {mode}", f"symbol iota : {sort};", "symbol a : iota;", "symbol g : iota -> iota -> iota;"]
+    for c in "de":
+        lines.append(f"definition {c}0 := a;")
+        lines += [f"definition {c}{i + 1} := g {c}{i} {c}{i};" for i in range(links)]
+    lines.append(f"convertible d{links}, e{links};")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["pcert", "lf"])
+def test_equal_chains_built_apart_compare_in_work_linear_in_their_links(mode, monkeypatch):
+    walked = count_calls(monkeypatch, terms, "_equal")
+    counts = []
+    for links in (10, 20, 30, 40):  # a tree walk would visit 2^40 leaves per side
+        walked[0] = 0
+        fuel = Fuel.unlimited()
+        checked = check_file(parse_file(two_chains_source(links, mode)), fuel)
+        counts.append(walked[0])
+        assert fuel.spent == 0  # as when `==` walked trees
+        a, b = checked.decls[-1].decl.a, checked.decls[-1].decl.b
+        assert a is not b and a.fun is not b.fun
+        walked[0] = 0
+        assert checker.KERNELS[mode].convert(checked.context, a, b, fuel)
+        assert fuel.spent == 0 and 0 < walked[0] <= 4 * links + 4
+    assert counts[3] - counts[2] == counts[2] - counts[1] == counts[1] - counts[0], counts
 
 
 def test_the_gate_skips_clean_nodes_and_reports_the_same_first_occurrence():

@@ -1,4 +1,4 @@
-"""Substitution, alpha-equivalence, free variables and contexts."""
+"""Substitution, alpha-equivalence (`==`), free variables and contexts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,18 @@ import sys
 import threading
 import time
 
-from genutil import BASE_CTX, IOTA, EquivalenceWalker, TermGen, positions, ref_substitute_parallel, replace_at
+from genutil import (
+    BASE_CTX,
+    IOTA,
+    EquivalenceWalker,
+    TermGen,
+    positions,
+    ref_equal,
+    ref_hash,
+    ref_substitute_parallel,
+    rehinted,
+    replace_at,
+)
 from hypothesis import given, settings, strategies as st
 from pcert import terms
 from pcert.diagnostics import DUPLICATE_NAME, CheckError
@@ -109,14 +120,20 @@ def test_alpha_eq_equivalence_and_congruence():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_alpha_eq_answers_structural_equality_on_generated_pairs(seed):
+    """`==` and `hash` against a tree walk over the compared fields."""
     gen = TermGen(seed)
     m, goal = gen.some_term(5)
-    walked = EquivalenceWalker(random.Random(seed)).walk(BASE_CTX, m, 2)
-    other = gen.term_of(goal, 4)
-    found = [m, walked, other, PCERT_KERNEL.infer(BASE_CTX, m)]
+    walker = EquivalenceWalker(random.Random(seed))
+    found = [m]
+    for _ in range(3):  # each step of an equational walk
+        stepped = walker.step(BASE_CTX, found[-1])
+        if stepped is None:
+            break
+        found.append(stepped)
+    found += [gen.term_of(goal, 4), PCERT_KERNEL.infer(BASE_CTX, m)]
     # normal forms share subterms; rebuilt copies and renamed binders do not
-    found += [normalize(BETA_PROJ, t) for t in found[:3]]
-    found += [ref_substitute_parallel(t, {"#unused": PROP}) for t in found]
+    found += [normalize(BETA_PROJ, t) for t in found]
+    found += [ref_substitute_parallel(t, {"#unused": PROP}) for t in found] + [rehinted(t) for t in found]
     found += [lam("w", IOTA, t) for t in found[:4]] + [lam("v", IOTA, t) for t in found[:4]]
     # near misses: one symbol or variable renamed, everything else shared
     for path, opened, _, sub in positions(BASE_CTX, m):
@@ -125,8 +142,10 @@ def test_alpha_eq_answers_structural_equality_on_generated_pairs(seed):
         elif isinstance(sub, Var):
             found.append(replace_at(m, path, opened, Var(sub.name + "'")))
     for a in found:
+        assert hash(a) == ref_hash(a)
         for b in found:
-            assert alpha_eq(a, b) == (a == b)
+            equal = ref_equal(a, b)
+            assert (a == b) == equal and (a != b) != equal and alpha_eq(a, b) == equal
 
 
 def _doubling(links: int, leaf: str = "a") -> Term:
@@ -140,18 +159,36 @@ def _doubling(links: int, leaf: str = "a") -> Term:
 
 def test_alpha_eq_on_shared_terms_takes_work_linear_in_their_depth(monkeypatch):
     calls = [0]
-    original = terms._alpha_eq
+    original = terms._equal
 
     def counted(a, b, proven):
         calls[0] += 1
         return original(a, b, proven)
 
-    monkeypatch.setattr(terms, "_alpha_eq", counted)
-    for links in (10, 20, 40):  # == would walk 2^40 leaves
+    monkeypatch.setattr(terms, "_equal", counted)
+    for links in (10, 20, 40):  # a tree walk would visit 2^40 leaves
         calls[0] = 0
-        assert alpha_eq(_doubling(links), _doubling(links))
-        assert not alpha_eq(_doubling(links), _doubling(links, leaf="b"))
+        assert _doubling(links) == _doubling(links)
+        assert _doubling(links) != _doubling(links, leaf="b")
         assert 0 < calls[0] <= 10 * links + 10
+
+
+def test_equality_allocates_nothing_when_the_outermost_nodes_tell(monkeypatch):
+    made = [0]
+
+    def counted_set(*args):
+        made[0] += 1
+        return set(*args)
+
+    monkeypatch.setattr(terms, "set", counted_set, raising=False)
+    t = _doubling(3)
+    assert t == t and not t != t
+    assert t != Var("a") and Var("a") != t and t != PROP and t != "a"
+    assert t != Abs("x", t, t) and Prod("x", t, t) != Abs("x", t, t)
+    assert SymApp("s", (t,)) != SymApp("r", (t,)) and SymApp("s", (t,)) != SymApp("s", (t, t))
+    assert App(t.fun, t.arg) == t and Abs("x", t, t) == Abs("y", t, t)  # children are one object each
+    assert made[0] == 0
+    assert _doubling(3) == t and made[0] == 1  # one set for the whole comparison
 
 
 def test_free_vars():
