@@ -36,7 +36,7 @@ from .syntax import (
     parse_file,
     print_file,
 )
-from .translate import translate_term, translate_type
+from .translate import TranslationMemo, translate_term, translate_type
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -81,20 +81,23 @@ def _load(path: str) -> ParsedFile:
 
 
 def _translate_decls(checked: CheckedFile) -> list[Declaration]:
-    """Translate a checked pcert development declaration by declaration."""
+    """Translate a checked pcert development declaration by declaration.
+    Every record is read under the file's final context, so one memo serves
+    the whole file: a definition expanded into later declarations is
+    translated once, and its translation is one object wherever it occurs."""
     out: list[Declaration] = []
-    ctx = checked.context
+    ctx, memo = checked.context, TranslationMemo()
     for record in checked.decls:
         match record.decl:
             case SymbolDecl(name, ty, span):
-                out.append(SymbolDecl(name, translate_type(ctx, ty), span))
+                out.append(SymbolDecl(name, translate_type(ctx, ty, memo), span))
             case Definition(name, body, _, span):
-                body = translate_term(ctx, body)
-                out.append(Definition(name, body, translate_type(ctx, record.inferred), span))
+                body = translate_term(ctx, body, memo)
+                out.append(Definition(name, body, translate_type(ctx, record.inferred, memo), span))
             case AssertJudgment(subject, ty, span):
-                out.append(AssertJudgment(translate_term(ctx, subject), translate_type(ctx, ty), span))
+                out.append(AssertJudgment(translate_term(ctx, subject, memo), translate_type(ctx, ty, memo), span))
             case AssertConv(a, b, span):
-                out.append(AssertConv(translate_term(ctx, a), translate_term(ctx, b), span))
+                out.append(AssertConv(translate_term(ctx, a, memo), translate_term(ctx, b, memo), span))
     return out
 
 
@@ -124,18 +127,19 @@ def cmd_translate(path: str, out: str | None, fuel: int | None) -> int:
 def cmd_roundtrip(path: str, fuel: int | None) -> int:
     checked = _check_pcert("roundtrip", path, fuel)
     failures: list[str] = []
-    # one normalization memo for the command: expanded bodies share their
-    # earlier definitions' objects, whose normal forms are then replayed;
-    # each call still gets a fresh budget. The normal forms share the
+    # one translation, inversion and normalization memo each for the
+    # command: expanded bodies share their earlier definitions' objects,
+    # which are then translated, inverted and normalized once; each
+    # normalization still gets a fresh budget. The normal forms share the
     # replayed objects, and `==` stops at shared objects, so comparing two
     # of them takes time in their distinct nodes
-    normal_forms: dict = {}
+    translations, inverses, normal_forms = TranslationMemo(), {}, {}
     for record in checked.decls:
         if not isinstance(record.decl, Definition):
             continue
         name, body, span = record.decl.name, record.decl.body, record.decl.span
-        encoded = translate_term(checked.context, body)
-        back = inverse_term(encoded)
+        encoded = translate_term(checked.context, body, translations)
+        back = inverse_term(encoded, inverses)
         if isinstance(back, NotInImage):
             failures.append(f"{name}: {back}")
             continue

@@ -43,40 +43,57 @@ def _ident(name: str) -> str:
     return name if _LP_ID.match(name) else f"{{|{name}|}}"
 
 
-def _show(t: Term, prec: int, pattern_vars: frozenset[str] = frozenset()) -> str:
+# One rendering per node and precedence: (id, prec) -> (node, text). The
+# node is kept so that its id is not reused while the memo lives: binder
+# bodies are instantiated afresh before they are shown. A memo serves one
+# set of pattern variables, so the text depends on the node and prec alone.
+_Shown = dict[tuple[int, int], tuple[Term, str]]
+
+
+def _show(t: Term, prec: int, memo: _Shown, pattern_vars: frozenset[str] = frozenset()) -> str:
     """Every binder body is instantiated with its display name before it is
     shown, so on locally closed input no `Bound` is reached."""
-
-    def wrap(body: str, level: int) -> str:
-        return f"({body})" if level < prec else body
-
+    key = (id(t), prec)
+    seen = memo.get(key)
+    if seen is not None:
+        return seen[1]
     match t:
         case Sort("TYPE"):
-            return "TYPE"
+            out = "TYPE"
         case Sort(tag):
             raise fail(UNCHECKED_INPUT, f"sort {tag} has no Lambdapi syntax")
         case Var(name):
-            return f"${_ident(name)}" if name in pattern_vars else _ident(name)
+            out = f"${_ident(name)}" if name in pattern_vars else _ident(name)
         case Bound(k):
-            return f"?{k}"
+            out = f"?{k}"
         case App(f, a):
-            return wrap(f"{_show(f, _APP, pattern_vars)} {_show(a, _ATOM, pattern_vars)}", _APP)
+            out = _wrap(f"{_show(f, _APP, memo, pattern_vars)} {_show(a, _ATOM, memo, pattern_vars)}", _APP, prec)
         case Abs(hint, annot, body):
             name = _fresh_display(hint, body)
-            inner = _show(instantiate(body, Var(name)), _TERM, pattern_vars)
-            return wrap(f"λ {name}: {_show(annot, _TERM, pattern_vars)}, {inner}", _TERM)
+            inner = _show(instantiate(body, Var(name)), _TERM, memo, pattern_vars)
+            out = _wrap(f"λ {name}: {_show(annot, _TERM, memo, pattern_vars)}, {inner}", _TERM, prec)
         case Prod(hint, dom, cod):
             if is_nondependent(cod):
-                return wrap(f"{_show(dom, _APP, pattern_vars)} → {_show(cod, _ARROW, pattern_vars)}", _ARROW)
-            name = _fresh_display(hint, cod)
-            inner = _show(instantiate(cod, Var(name)), _TERM, pattern_vars)
-            return wrap(f"Π {name}: {_show(dom, _TERM, pattern_vars)}, {inner}", _TERM)
+                shown = f"{_show(dom, _APP, memo, pattern_vars)} → {_show(cod, _ARROW, memo, pattern_vars)}"
+                out = _wrap(shown, _ARROW, prec)
+            else:
+                name = _fresh_display(hint, cod)
+                inner = _show(instantiate(cod, Var(name)), _TERM, memo, pattern_vars)
+                out = _wrap(f"Π {name}: {_show(dom, _TERM, memo, pattern_vars)}, {inner}", _TERM, prec)
         case SymApp(sym, args):
             if not args:
-                return _ident(sym)
-            shown = " ".join(_show(a, _ATOM, pattern_vars) for a in args)
-            return wrap(f"{_ident(sym)} {shown}", _APP)
-    raise TypeError(f"not a term: {t!r}")
+                out = _ident(sym)
+            else:
+                shown = " ".join(_show(a, _ATOM, memo, pattern_vars) for a in args)
+                out = _wrap(f"{_ident(sym)} {shown}", _APP, prec)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    memo[key] = (t, out)
+    return out
+
+
+def _wrap(body: str, level: int, prec: int) -> str:
+    return f"({body})" if level < prec else body
 
 
 def _fresh_display(hint: str, body: Term) -> str:
@@ -93,8 +110,8 @@ def _fresh_display(hint: str, body: Term) -> str:
     return name
 
 
-def _lp_term(t: Term, pattern_vars: frozenset[str] = frozenset()) -> str:
-    return _show(t, _TERM, pattern_vars)
+def _lp_term(t: Term, memo: _Shown, pattern_vars: frozenset[str] = frozenset()) -> str:
+    return _show(t, _TERM, memo, pattern_vars)
 
 
 def _telescope_type(entry) -> Term:
@@ -118,13 +135,13 @@ def signature_lines(sig: Signature = LF_SIGNATURE, rules: RuleSet = RULES_R) -> 
         if name not in rewritten_heads:
             mods.append("constant")
         mods.append("symbol")
-        lines.append(f"{' '.join(mods)} {_ident(name)} : {_lp_term(_telescope_type(entry))};")
+        lines.append(f"{' '.join(mods)} {_ident(name)} : {_lp_term(_telescope_type(entry), {})};")
     lines.append("")
     lines.append("// rule (beta): (λ x: T, t) u ↪ t with u for x. Beta is native to")
     lines.append("// Lambdapi; it belongs to the rewrite system alongside the six below.")
     for rule in rules.rules:
-        pvars = frozenset(free_vars(rule.lhs))
-        lines.append(f"rule {_lp_term(rule.lhs, pvars)} ↪ {_lp_term(rule.rhs, pvars)};")
+        pvars, memo = frozenset(free_vars(rule.lhs)), {}
+        lines.append(f"rule {_lp_term(rule.lhs, memo, pvars)} ↪ {_lp_term(rule.rhs, memo, pvars)};")
     return lines
 
 
@@ -134,17 +151,18 @@ def development_lines(decls: tuple[Declaration, ...] | list[Declaration]) -> lis
         f"require open {ENCODING_MODULE};",
         "",
     ]
+    memo: _Shown = {}
     for decl in decls:
         match decl:
             case SymbolDecl(name, ty, _):
-                lines.append(f"symbol {_ident(name)} : {_lp_term(ty)};")
+                lines.append(f"symbol {_ident(name)} : {_lp_term(ty, memo)};")
             case Definition(name, body, ty, _):
-                annot = f" : {_lp_term(ty)}" if ty is not None else ""
-                lines.append(f"symbol {_ident(name)}{annot} ≔ {_lp_term(body)};")
+                annot = f" : {_lp_term(ty, memo)}" if ty is not None else ""
+                lines.append(f"symbol {_ident(name)}{annot} ≔ {_lp_term(body, memo)};")
             case AssertJudgment(subject, ty, _):
-                lines.append(f"assert ⊢ {_lp_term(subject)} : {_lp_term(ty)};")
+                lines.append(f"assert ⊢ {_lp_term(subject, memo)} : {_lp_term(ty, memo)};")
             case AssertConv(a, b, _):
-                lines.append(f"assert ⊢ {_lp_term(a)} ≡ {_lp_term(b)};")
+                lines.append(f"assert ⊢ {_lp_term(a, memo)} ≡ {_lp_term(b, memo)};")
             case _:
                 raise TypeError(f"not a declaration: {decl!r}")
     return lines
@@ -154,7 +172,10 @@ def export_lambdapi(decls, mode: str = "development") -> str:
     """Declarations are expected to be checked; nothing is re-verified here.
     `pcert export` passes an lf file's declarations after the lf kernel has
     checked them, but a pcert file's translation without the lf re-check
-    that `pcert translate` runs."""
+    that `pcert translate` runs. A development renders each distinct node
+    once per precedence, so the work is linear in the distinct nodes, not
+    in the size of the text, which expanded definitions can make
+    exponential."""
     if mode == "signature":
         return "\n".join(signature_lines()) + "\n"
     if mode == "development":

@@ -31,30 +31,34 @@ class NotInImage:
         return f"not in the image of the translation at {where}: {self.subterm!r}"
 
 
-def inverse_term(m: Term) -> Term | NotInImage:
-    return _term(m, (), {})
-
-
-def inverse_type(t: Term) -> Term | NotInImage:
-    return _type(t, (), {})
-
-
-# For one inversion, the id of each subterm of the argument (which lives for
-# the whole call, so the ids are not reused) -> its inverse. Only successes
-# are kept; a failure ends the walk at its first occurrence, with that path.
+# The id of each inverted subterm -> the subterm, kept so that its id is not
+# reused while the memo lives, and its inverse. A memo lives for one call,
+# or for every call handed the same one (`pcert roundtrip` hands one to all
+# the calls of a file). Only successes are kept, so a failure is found anew
+# by each call that meets it, with that call's path; a hit is a subterm
+# without failures, so the walk meets the same first failure either way.
 # One memo serves terms and types: their clauses match disjoint heads, so no
 # node inverts as both.
-_Memo = dict[int, Term]
+_Memo = dict[int, tuple[Term, Term]]
+
+
+def inverse_term(m: Term, memo: _Memo | None = None) -> Term | NotInImage:
+    return _term(m, (), {} if memo is None else memo)
+
+
+def inverse_type(t: Term, memo: _Memo | None = None) -> Term | NotInImage:
+    return _type(t, (), {} if memo is None else memo)
 
 
 def _term(m: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
     if type(m) is Var or type(m) is Bound:
         return m
-    out = memo.get(id(m))
-    if out is None:
-        out = _invert_term(m, path, memo)
-        if not isinstance(out, NotInImage):
-            memo[id(m)] = out
+    seen = memo.get(id(m))
+    if seen is not None:
+        return seen[1]
+    out = _invert_term(m, path, memo)
+    if not isinstance(out, NotInImage):
+        memo[id(m)] = (m, out)
     return out
 
 
@@ -100,11 +104,12 @@ def _invert_term(m: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInIma
 
 
 def _type(t: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
-    out = memo.get(id(t))
-    if out is None:
-        out = _invert_type(t, path, memo)
-        if not isinstance(out, NotInImage):
-            memo[id(t)] = out
+    seen = memo.get(id(t))
+    if seen is not None:
+        return seen[1]
+    out = _invert_type(t, path, memo)
+    if not isinstance(out, NotInImage):
+        memo[id(t)] = (t, out)
     return out
 
 

@@ -51,6 +51,11 @@ from .diagnostics import ARITY_MISMATCH, PARSE_ERROR, SourceSpan, SurfaceError
 from .lf import LF_SIGNATURE
 from .pcert import PCERT_SIGNATURE
 from .terms import (
+    KIND,
+    LF_KIND,
+    LF_TYPE,
+    PROP,
+    TYPE_,
     Abs,
     App,
     Bound,
@@ -164,6 +169,10 @@ class _SymRef:
 
 _ARITIES = {mode: {name: entry.arity for name, entry in sig.items()} for mode, sig in _SIGNATURES.items()}
 
+# a parsed sort is the module constant, so it is the very object the
+# signatures and the kernels build types from
+_SORT_NODES = {(Sort, sort.tag): sort for sort in (PROP, TYPE_, KIND, LF_TYPE, LF_KIND)}
+
 # values of the tokens other than identifiers that start an atom
 _ATOM_START = frozenset({"(", "{", "Type", "Kind", "Prop"})
 
@@ -186,7 +195,7 @@ class _Parser:
         self.arities = _ARITIES[mode]
         self.scope: dict[str | None, list[int]] = {}
         self.depth = 0
-        self.nodes: dict[tuple, Term] = {}
+        self.nodes: dict[tuple, Term] = dict(_SORT_NODES)
         if "bad" in self.kinds:
             bad = self.kinds.index("bad")
             raise self.error(f"unexpected character {self.values[bad]!r}", bad)
@@ -439,79 +448,105 @@ def _display_name(hint: str, taken: set[str]) -> str:
 
 
 class _Printer:
-    def __init__(self, term: Term):
-        self.avoid = free_vars(term)
+    """Renders one top-level term. The text of a node depends on it, `prec`,
+    the display names of the binders in scope and the free names of the
+    top-level term (`avoid`), which no display name may capture. So `memos`,
+    which callers may share across terms, holds one memo per `avoid`, keyed
+    by the other three. An entry keeps its node, so that its id is not
+    reused while the memo lives (an arrow's codomain is instantiated
+    afresh)."""
+
+    def __init__(self, term: Term, memos: dict[frozenset[str], dict]):
+        self.avoid = frozenset(free_vars(term))
+        self.memo: dict[tuple[int, int, tuple[str, ...]], tuple[Term, str]] = memos.setdefault(self.avoid, {})
 
     def show(self, t: Term, prec: int, binders: tuple[str, ...]) -> str:
+        cls = type(t)
+        if cls is Sort:
+            return t.tag
+        if cls is Var:
+            return t.name
+        if cls is Bound:
+            k = t.index
+            return binders[-1 - k] if k < len(binders) else f"^{k}"
+        key = (id(t), prec, binders)
+        seen = self.memo.get(key)
+        if seen is not None:
+            return seen[1]
         match t:
-            case Sort(tag):
-                return tag
-            case Var(name):
-                return name
-            case Bound(k):
-                return binders[-1 - k] if k < len(binders) else f"^{k}"
             case App(f, a):
                 body = f"{self.show(f, _APP, binders)} {self.show(a, _ATOM, binders)}"
-                return self.wrap(body, _APP, prec)
+                out = self.wrap(body, _APP, prec)
             case Abs(hint, annot, inner):
                 name = _display_name(hint, self.avoid | set(binders))
                 body = (
                     f"\\{name}: {self.show(annot, _TERM, binders)}. "
                     f"{self.show(inner, _TERM, binders + (name,))}"
                 )
-                return self.wrap(body, _TERM, prec)
+                out = self.wrap(body, _TERM, prec)
             case Prod(hint, dom, cod):
                 if is_nondependent(cod):
                     dropped = instantiate(cod, Var("_"))
                     body = f"{self.show(dom, _APP, binders)} -> {self.show(dropped, _TERM, binders)}"
-                    return self.wrap(body, _ARROW, prec)
-                name = _display_name(hint, self.avoid | set(binders))
-                body = (
-                    f"!{name}: {self.show(dom, _TERM, binders)}. "
-                    f"{self.show(cod, _TERM, binders + (name,))}"
-                )
-                return self.wrap(body, _TERM, prec)
+                    out = self.wrap(body, _ARROW, prec)
+                else:
+                    name = _display_name(hint, self.avoid | set(binders))
+                    body = (
+                        f"!{name}: {self.show(dom, _TERM, binders)}. "
+                        f"{self.show(cod, _TERM, binders + (name,))}"
+                    )
+                    out = self.wrap(body, _TERM, prec)
             case SymApp("psub", (ty, Abs(hint, annot, pred))) if annot == ty:
                 # the sugar drops the binder annotation, so it must equal the
                 # carrier or reparsing would change the term
                 name = _display_name(hint, self.avoid | set(binders))
-                return (
+                out = (
                     f"{{{name}: {self.show(ty, _TERM, binders)} | "
                     f"{self.show(pred, _TERM, binders + (name,))}}}"
                 )
             case SymApp(sym, args):
                 if not args:
-                    return sym
-                inner = ", ".join(self.show(a, _TERM, binders) for a in args)
-                return f"{sym}({inner})"
-        raise TypeError(f"not a term: {t!r}")
+                    out = sym
+                else:
+                    inner = ", ".join(self.show(a, _TERM, binders) for a in args)
+                    out = f"{sym}({inner})"
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+        self.memo[key] = (t, out)
+        return out
 
     @staticmethod
     def wrap(body: str, level: int, prec: int) -> str:
         return f"({body})" if level < prec else body
 
 
-def print_term(t: Term) -> str:
-    """Concrete syntax; parse_file(print(t)) yields a term alpha-equal to t."""
-    return _Printer(t).show(t, _TERM, ())
+def print_term(t: Term, memos: dict | None = None) -> str:
+    """Concrete syntax; parse_file(print(t)) yields a term alpha-equal to t.
+    Terms printed with one `memos` render a node they share once."""
+    return _Printer(t, {} if memos is None else memos).show(t, _TERM, ())
 
 
-def print_decl(decl: Declaration) -> str:
+def print_decl(decl: Declaration, memos: dict | None = None) -> str:
     match decl:
         case SymbolDecl(name, ty, _):
-            return f"symbol {name} : {print_term(ty)};"
+            return f"symbol {name} : {print_term(ty, memos)};"
         case Definition(name, body, ty, _):
             if ty is None:
-                return f"definition {name} := {print_term(body)};"
-            return f"definition {name} : {print_term(ty)} := {print_term(body)};"
+                return f"definition {name} := {print_term(body, memos)};"
+            return f"definition {name} : {print_term(ty, memos)} := {print_term(body, memos)};"
         case AssertJudgment(subject, ty, _):
-            return f"assert {print_term(subject)} : {print_term(ty)};"
+            return f"assert {print_term(subject, memos)} : {print_term(ty, memos)};"
         case AssertConv(a, b, _):
-            return f"convertible {print_term(a)}, {print_term(b)};"
+            return f"convertible {print_term(a, memos)}, {print_term(b, memos)};"
     raise TypeError(f"not a declaration: {decl!r}")
 
 
 def print_file(parsed: ParsedFile) -> str:
+    """One `memos` serves the file, so a node shared across declarations,
+    such as an expanded definition in `pcert translate`'s output, is
+    rendered once: the work is linear in the distinct nodes, not in the
+    size of the text."""
+    memos: dict = {}
     lines = [f"#MODE {parsed.mode}"]
-    lines.extend(print_decl(d) for d in parsed.decls)
+    lines.extend(print_decl(d, memos) for d in parsed.decls)
     return "\n".join(lines) + "\n"

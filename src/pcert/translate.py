@@ -12,10 +12,14 @@ pcert has no product rule into Kind: no function returns a type, and
 `fst(T, …)` is a type only when T is Prop. So no kernel is asked, nothing is
 reduced or charged to fuel, and no binder is opened. A subterm's
 translation depends only on the sorts of the enclosing binders its `Bound`s
-reach, so within one call it is memoized by the subterm's identity and
-those sorts alone: a subterm met again, at any binder depth, is translated
-once per reachable sorts, so a term that shares subterms translates in time
-linear in its distinct subterms and its translation shares them too.
+reach, so it is memoized by the subterm's identity and those sorts alone:
+a subterm met again, at any binder depth, is translated once per reachable
+sorts, so a term that shares subterms translates in time linear in its
+distinct subterms and its translation shares them too. The memo lives for
+one call, or for every call handed the same `TranslationMemo` under the same
+context: `pcert translate`, `export` and `roundtrip` hand one to all the
+calls of a file, so a definition expanded into later declarations is
+translated once per file.
 Typability is `check_file`'s obligation and `pcert translate` re-checks the
 output in the lf kernel; unchecked input fails with a diagnostic or
 translates to a term the lf kernel rejects.
@@ -41,23 +45,25 @@ _TYPE_FORMERS = {"Type": El, "Prop": Prf}
 Sorts = tuple[str | None, ...]  # per enclosing binder, innermost last
 
 
-class _Memo:
-    """One call's translations, keyed by the id of a subterm of the call's
-    argument, which lives for the whole call, so the ids are not reused.
+class TranslationMemo:
+    """Translations under one context, keyed by the id of a translated
+    subterm. `reach` keeps the subterm itself, so its id is not reused
+    while the memo lives.
 
     `out` maps (id, the sorts of the binders its `Bound`s reach) to the
-    translation and `reach` maps an id to how many binders that is. `low`
-    is the outermost binder level (0: the outermost binder of the call) any
-    `Bound` translated so far in the current subterm reaches; a subterm
-    starts it at its own depth and hands the minimum up, so the reach is
-    found during the translation, without walking the subterm again.
+    translation and `reach` maps an id to the subterm and how many binders
+    that is. `low` is the outermost binder level (0: the outermost binder of
+    the call) any `Bound` translated so far in the current subterm reaches;
+    a subterm starts it at its own depth and hands the minimum up, so the
+    reach is found during the translation, without walking the subterm
+    again.
     """
 
     __slots__ = ("out", "reach", "low")
 
     def __init__(self):
         self.out: dict[tuple[int, Sorts], Term] = {}
-        self.reach: dict[int, int] = {}
+        self.reach: dict[int, tuple[Term, int]] = {}
         self.low = 0
 
 
@@ -66,7 +72,7 @@ def _tag(ty: Term) -> str | None:
     return ty.tag if isinstance(ty, Sort) else None
 
 
-def _term(ctx: Context, m: Term, sorts: Sorts, memo: _Memo) -> Term:
+def _term(ctx: Context, m: Term, sorts: Sorts, memo: TranslationMemo) -> Term:
     cls = type(m)
     if cls is Var:
         return m
@@ -78,24 +84,25 @@ def _term(ctx: Context, m: Term, sorts: Sorts, memo: _Memo) -> Term:
         if level < memo.low:
             memo.low = level
         return m
-    reach = memo.reach.get(id(m))
-    if reach is not None and reach <= depth:
-        out = memo.out.get((id(m), sorts[depth - reach :]))
+    seen = memo.reach.get(id(m))
+    if seen is not None and seen[1] <= depth:
+        level = depth - seen[1]
+        out = memo.out.get((id(m), sorts[level:]))
         if out is not None:
-            if depth - reach < memo.low:
-                memo.low = depth - reach
+            if level < memo.low:
+                memo.low = level
             return out
     low, memo.low = memo.low, depth
     out = _translate(ctx, m, sorts, memo)
     level = memo.low
     if low < level:
         memo.low = low
-    memo.reach[id(m)] = depth - level
+    memo.reach[id(m)] = (m, depth - level)
     memo.out[id(m), sorts[level:]] = out
     return out
 
 
-def _translate(ctx: Context, m: Term, sorts: Sorts, memo: _Memo) -> Term:
+def _translate(ctx: Context, m: Term, sorts: Sorts, memo: TranslationMemo) -> Term:
     """`_term` at a node that is not a variable."""
     match m:
         case Sort("Prop"):
@@ -144,7 +151,7 @@ def _sort(ctx: Context, t: Term, sorts: Sorts) -> str:
     return tag
 
 
-def _type(ctx: Context, t: Term, sorts: Sorts, memo: _Memo) -> Term:
+def _type(ctx: Context, t: Term, sorts: Sorts, memo: TranslationMemo) -> Term:
     if t == KIND:
         return KIND_ENC
     if t == TYPE_:
@@ -156,22 +163,24 @@ def _type(ctx: Context, t: Term, sorts: Sorts, memo: _Memo) -> Term:
     return _TYPE_FORMERS[sort](encoded)
 
 
-def translate_term(ctx: Context, m: Term) -> Term:
+def translate_term(ctx: Context, m: Term, memo: TranslationMemo | None = None) -> Term:
     """Requires m typable in ctx, which check_file's records guarantee; callers
-    own that obligation, it is not re-checked here."""
-    return _term(ctx, m, (), _Memo())
+    own that obligation, it is not re-checked here. A `memo` handed in must
+    only ever have been used under ctx."""
+    return _term(ctx, m, (), TranslationMemo() if memo is None else memo)
 
 
-def translate_type(ctx: Context, t: Term) -> Term:
-    """Requires t to be Kind or typable by a sort in ctx."""
-    return _type(ctx, t, (), _Memo())
+def translate_type(ctx: Context, t: Term, memo: TranslationMemo | None = None) -> Term:
+    """Requires t to be Kind or typable by a sort in ctx; `memo` as for
+    translate_term."""
+    return _type(ctx, t, (), TranslationMemo() if memo is None else memo)
 
 
 def translate_ctx(ctx: Context) -> Context:
     """Entrywise type translation. Each entry is read under the whole of ctx,
     which resolves its names as its prefix does: names are unique, and on a
     well-formed ctx an entry mentions only names declared before it."""
-    out = Context()
+    out, memo = Context(), TranslationMemo()
     for name, ty in ctx:
-        out = out.declare(name, translate_type(ctx, ty))
+        out = out.declare(name, translate_type(ctx, ty, memo))
     return out

@@ -13,9 +13,10 @@ against, `ref_infer` the reference the replaying inference of
 `pcert.kernel` is checked against, `reference_conversion` the reference the
 file-wide conversion memo of `Kernel.convert` is checked against,
 `ref_equal` and `ref_hash` the references the sharing-aware `==` and the
-kept hashes of terms are checked against, and `NamedParser` and
+kept hashes of terms are checked against, `NamedParser` and
 `FreshParser` the references the scope-resolving and the interning parser
-are checked against.
+are checked against, and `ref_print_file` and `ref_development_lines` the
+references the memoizing printer and Lambdapi exporter are checked against.
 """
 
 from __future__ import annotations
@@ -25,12 +26,22 @@ import random
 
 from pcert import Context, check_file, parse_file
 from pcert import diagnostics as dk, kernel as kernel_module
-from pcert.diagnostics import fail
+from pcert.diagnostics import UNCHECKED_INPUT, fail
+from pcert.export import ENCODING_MODULE, _fresh_display, _ident
 from pcert.kernel import Kernel
 from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
 from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
 from pcert.rewrite import Fuel, RuleSet, _as_fuel, convertible, match, normalize
-from pcert.syntax import _Parser, _SymRef
+from pcert.syntax import (
+    AssertConv,
+    AssertJudgment,
+    Definition,
+    ParsedFile,
+    SymbolDecl,
+    _display_name,
+    _Parser,
+    _SymRef,
+)
 from pcert.terms import (
     KIND,
     Abs,
@@ -43,8 +54,10 @@ from pcert.terms import (
     Var,
     abstract_var,
     alpha_eq,
+    free_vars,
     fresh_name,
     instantiate,
+    is_nondependent,
     lam,
     open_term,
     pi,
@@ -902,3 +915,130 @@ def parse_term_fresh(text: str, mode: str = "pcert") -> Term:
     if parser.kinds[parser.pos] != "eof":
         raise parser.error("trailing input after term")
     return term
+
+
+# --- the printer references ------------------------------------------------------
+#
+# `syntax.print_file` and `export.development_lines` as they were before they
+# memoized their renderings: tree walks that render every occurrence of a
+# shared node again, so they take time in the size of the text.
+
+_TERM, _ARROW, _APP, _ATOM = 0, 1, 2, 3
+
+
+def _ref_wrap(body: str, level: int, prec: int) -> str:
+    return f"({body})" if level < prec else body
+
+
+def _ref_print(t: Term, prec: int, binders: tuple[str, ...], avoid: set[str]) -> str:
+    match t:
+        case Sort(tag):
+            return tag
+        case Var(name):
+            return name
+        case Bound(k):
+            return binders[-1 - k] if k < len(binders) else f"^{k}"
+        case App(f, a):
+            body = f"{_ref_print(f, _APP, binders, avoid)} {_ref_print(a, _ATOM, binders, avoid)}"
+            return _ref_wrap(body, _APP, prec)
+        case Abs(hint, annot, inner):
+            name = _display_name(hint, avoid | set(binders))
+            body = (
+                f"\\{name}: {_ref_print(annot, _TERM, binders, avoid)}. "
+                f"{_ref_print(inner, _TERM, binders + (name,), avoid)}"
+            )
+            return _ref_wrap(body, _TERM, prec)
+        case Prod(hint, dom, cod):
+            if is_nondependent(cod):
+                dropped = instantiate(cod, Var("_"))
+                body = f"{_ref_print(dom, _APP, binders, avoid)} -> {_ref_print(dropped, _TERM, binders, avoid)}"
+                return _ref_wrap(body, _ARROW, prec)
+            name = _display_name(hint, avoid | set(binders))
+            body = (
+                f"!{name}: {_ref_print(dom, _TERM, binders, avoid)}. "
+                f"{_ref_print(cod, _TERM, binders + (name,), avoid)}"
+            )
+            return _ref_wrap(body, _TERM, prec)
+        case SymApp("psub", (ty, Abs(hint, annot, pred))) if annot == ty:
+            name = _display_name(hint, avoid | set(binders))
+            return (
+                f"{{{name}: {_ref_print(ty, _TERM, binders, avoid)} | "
+                f"{_ref_print(pred, _TERM, binders + (name,), avoid)}}}"
+            )
+        case SymApp(sym, args):
+            if not args:
+                return sym
+            inner = ", ".join(_ref_print(a, _TERM, binders, avoid) for a in args)
+            return f"{sym}({inner})"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _ref_print_term(t: Term) -> str:
+    return _ref_print(t, _TERM, (), free_vars(t))
+
+
+def ref_print_file(parsed: ParsedFile) -> str:
+    lines = [f"#MODE {parsed.mode}"]
+    for decl in parsed.decls:
+        match decl:
+            case SymbolDecl(name, ty, _):
+                lines.append(f"symbol {name} : {_ref_print_term(ty)};")
+            case Definition(name, body, None, _):
+                lines.append(f"definition {name} := {_ref_print_term(body)};")
+            case Definition(name, body, ty, _):
+                lines.append(f"definition {name} : {_ref_print_term(ty)} := {_ref_print_term(body)};")
+            case AssertJudgment(subject, ty, _):
+                lines.append(f"assert {_ref_print_term(subject)} : {_ref_print_term(ty)};")
+            case AssertConv(a, b, _):
+                lines.append(f"convertible {_ref_print_term(a)}, {_ref_print_term(b)};")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_show(t: Term, prec: int) -> str:
+    match t:
+        case Sort("TYPE"):
+            return "TYPE"
+        case Sort(tag):
+            raise fail(UNCHECKED_INPUT, f"sort {tag} has no Lambdapi syntax")
+        case Var(name):
+            return _ident(name)
+        case Bound(k):
+            return f"?{k}"
+        case App(f, a):
+            return _ref_wrap(f"{_ref_show(f, _APP)} {_ref_show(a, _ATOM)}", _APP, prec)
+        case Abs(hint, annot, body):
+            name = _fresh_display(hint, body)
+            inner = _ref_show(instantiate(body, Var(name)), _TERM)
+            return _ref_wrap(f"λ {name}: {_ref_show(annot, _TERM)}, {inner}", _TERM, prec)
+        case Prod(hint, dom, cod):
+            if is_nondependent(cod):
+                return _ref_wrap(f"{_ref_show(dom, _APP)} → {_ref_show(cod, _ARROW)}", _ARROW, prec)
+            name = _fresh_display(hint, cod)
+            inner = _ref_show(instantiate(cod, Var(name)), _TERM)
+            return _ref_wrap(f"Π {name}: {_ref_show(dom, _TERM)}, {inner}", _TERM, prec)
+        case SymApp(sym, args):
+            if not args:
+                return _ident(sym)
+            shown = " ".join(_ref_show(a, _ATOM) for a in args)
+            return _ref_wrap(f"{_ident(sym)} {shown}", _APP, prec)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def ref_development_lines(decls) -> list[str]:
+    lines = [
+        "// Development checked against the encoding module.",
+        f"require open {ENCODING_MODULE};",
+        "",
+    ]
+    for decl in decls:
+        match decl:
+            case SymbolDecl(name, ty, _):
+                lines.append(f"symbol {_ident(name)} : {_ref_show(ty, _TERM)};")
+            case Definition(name, body, ty, _):
+                annot = f" : {_ref_show(ty, _TERM)}" if ty is not None else ""
+                lines.append(f"symbol {_ident(name)}{annot} ≔ {_ref_show(body, _TERM)};")
+            case AssertJudgment(subject, ty, _):
+                lines.append(f"assert ⊢ {_ref_show(subject, _TERM)} : {_ref_show(ty, _TERM)};")
+            case AssertConv(a, b, _):
+                lines.append(f"assert ⊢ {_ref_show(a, _TERM)} ≡ {_ref_show(b, _TERM)};")
+    return lines

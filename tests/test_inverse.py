@@ -58,6 +58,17 @@ def test_failure_path_is_leftmost_outermost():
     assert got.path == ("arg", "psub.0")
 
 
+def test_a_memo_shared_by_two_calls_keeps_successes_only():
+    # a failure is found again by the call that meets it, at that call's path
+    bad = SymApp("pair'", (Var("t"), Var("p"), Var("m")))
+    good = SymApp("psub", (Var("T"), Var("p")))
+    memo = {}
+    first = inverse_term(App(good, bad), memo)
+    second = inverse_term(App(bad, good), memo)
+    assert (first.path, second.path) == (("arg",), ("fun",))
+    assert inverse_term(good, memo) is inverse_term(App(good, Var("x")), memo).fun
+
+
 def test_inverse_type_el():
     assert inverse_type(El(Var("m"))) == Var("m")
 
