@@ -46,8 +46,8 @@ def inverse_term(m: Term, memo: _Memo | None = None) -> Term | NotInImage:
     return _term(m, (), {} if memo is None else memo)
 
 
-def inverse_type(t: Term, memo: _Memo | None = None) -> Term | NotInImage:
-    return _type(t, (), {} if memo is None else memo)
+def inverse_type(t: Term) -> Term | NotInImage:
+    return _type(t, (), {})
 
 
 def _term(m: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:

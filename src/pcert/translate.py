@@ -180,7 +180,7 @@ def translate_ctx(ctx: Context) -> Context:
     """Entrywise type translation. Each entry is read under the whole of ctx,
     which resolves its names as its prefix does: names are unique, and on a
     well-formed ctx an entry mentions only names declared before it."""
-    out, memo = Context(), TranslationMemo()
+    out = Context()
     for name, ty in ctx:
-        out = out.declare(name, translate_type(ctx, ty, memo))
+        out = out.declare(name, translate_type(ctx, ty))
     return out
