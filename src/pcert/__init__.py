@@ -14,7 +14,7 @@ from importlib import resources
 
 from .checker import CheckedFile, check_file
 from .diagnostics import CheckError, Diagnostic, SourceSpan
-from .inverse import NotInImage, inverse_term, inverse_type
+from .inverse import NotInImage, inverse_term
 from .lf import LF_SIGNATURE, RULES_R, assert_public, convertible_lf
 from .pcert import BETA_PROJ, PCERT_SIGNATURE, conv_pcert, pi_erase
 from .rewrite import (

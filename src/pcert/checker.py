@@ -35,13 +35,12 @@ shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import diagnostics as dk
 from .diagnostics import CheckError, fail
 from .kernel import Kernel
 from .lf import KERNEL as LF_KERNEL, assert_public
 from .pcert import KERNEL as PCERT_KERNEL
+from .record import Frozen, Record, set_field
 from .rewrite import Fuel, _as_fuel
 from .syntax import (
     AssertConv,
@@ -56,17 +55,24 @@ from .terms import Abs, App, Bound, Context, Prod, Sort, SymApp, Term, Var, _sam
 KERNELS: dict[str, Kernel] = {"pcert": PCERT_KERNEL, "lf": LF_KERNEL}
 
 
-@dataclass(frozen=True)
-class Elaborated:
-    decl: Declaration  # every defined name expanded
-    inferred: Term | None = None  # a definition body's inferred type
+class Elaborated(Frozen):
+    """A declaration with every defined name expanded, and a definition
+    body's inferred type."""
+
+    __slots__ = __match_args__ = ("decl", "inferred")
+
+    def __init__(self, decl: Declaration, inferred: Term | None = None):
+        set_field(self, "decl", decl)
+        set_field(self, "inferred", inferred)
 
 
-@dataclass
-class CheckedFile:
-    mode: str
-    context: Context
-    decls: tuple[Elaborated, ...]
+class CheckedFile(Record):
+    __slots__ = __match_args__ = ("mode", "context", "decls")
+
+    def __init__(self, mode: str, context: Context, decls: tuple[Elaborated, ...]):
+        self.mode = mode
+        self.context = context
+        self.decls = decls
 
     @property
     def definitions(self) -> dict[str, tuple[Term, Term]]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Frozen, Record, set_field
 
 # Failure kinds. Parse-level kinds map to CLI exit code 2, the resource bounds
 # FUEL_EXHAUSTED and DEPTH_EXCEEDED to 3, PROTECTED_SYMBOL to 4; everything
@@ -27,26 +27,40 @@ UNCHECKED_INPUT = "UncheckedInput"
 WRONG_MODE = "WrongMode"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line: int
-    column: int
-    length: int = 1
+class SourceSpan(Frozen):
+    __slots__ = __match_args__ = ("file", "line", "column", "length")
+
+    def __init__(self, file: str, line: int, column: int, length: int = 1):
+        set_field(self, "file", file)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
+        set_field(self, "length", length)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass
-class Diagnostic:
-    """A failure report: what went wrong, where, and on which judgment."""
+class Diagnostic(Record):
+    """A failure report: what went wrong, where, and on which judgment.
 
-    kind: str
-    message: str
-    span: SourceSpan | None = None
-    context: object | None = None  # the Context under which the check ran
-    subject: object | None = None  # the term under check
+    `context` is the Context under which the check ran, `subject` the term
+    under check. Mutable: `CheckError.with_span` fills the span in."""
+
+    __slots__ = __match_args__ = ("kind", "message", "span", "context", "subject")
+
+    def __init__(
+        self,
+        kind: str,
+        message: str,
+        span: SourceSpan | None = None,
+        context: object | None = None,
+        subject: object | None = None,
+    ):
+        self.kind = kind
+        self.message = message
+        self.span = span
+        self.context = context
+        self.subject = subject
 
     def __str__(self) -> str:
         loc = f"{self.span}: " if self.span is not None else ""

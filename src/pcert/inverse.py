@@ -14,17 +14,18 @@ has no clause: its normal forms are deliberately not invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Frozen, set_field
 from .terms import Abs, App, Bound, Prod, Sort, SymApp, Term, Var
 
 
-@dataclass(frozen=True)
-class NotInImage:
+class NotInImage(Frozen):
     """Path (child labels from the root) to the offending subterm."""
 
-    path: tuple[str, ...]
-    subterm: Term
+    __slots__ = __match_args__ = ("path", "subterm")
+
+    def __init__(self, path: tuple[str, ...], subterm: Term):
+        set_field(self, "path", path)
+        set_field(self, "subterm", subterm)
 
     def __str__(self) -> str:
         where = "/".join(self.path) if self.path else "root"
@@ -44,10 +45,6 @@ _Memo = dict[int, tuple[Term, Term]]
 
 def inverse_term(m: Term, memo: _Memo | None = None) -> Term | NotInImage:
     return _term(m, (), {} if memo is None else memo)
-
-
-def inverse_type(t: Term) -> Term | NotInImage:
-    return _type(t, (), {})
 
 
 def _term(m: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:

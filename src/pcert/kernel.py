@@ -44,11 +44,11 @@ it cost then (see `convertible`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import diagnostics as dk
 from .diagnostics import fail
+from .record import Frozen, set_field
 from .rewrite import Fuel, RuleSet, _as_fuel, convertible, whnf
 from .terms import (
     Abs,
@@ -68,16 +68,30 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    name: str
-    axioms: Mapping[str, str]  # sort tag -> tag of its type
-    products: Mapping[tuple[str, str], str]
-    signature: Signature
-    rules: RuleSet  # decides conversion and exposes products
-    # symbol -> position of the argument conversion never inspects: proof
-    # irrelevance as configuration (pcert skips a pair's certificate)
-    irrelevant: Mapping[str, int] = field(default_factory=dict)
+class SystemConfig(Frozen):
+    """What sets one system apart. `axioms` maps a sort tag to the tag of
+    its type; `rules` decide conversion and expose products; `irrelevant`
+    maps a symbol to the position of the argument conversion never
+    inspects: proof irrelevance as configuration (pcert skips a pair's
+    certificate), none unless given."""
+
+    __slots__ = __match_args__ = ("name", "axioms", "products", "signature", "rules", "irrelevant")
+
+    def __init__(
+        self,
+        name: str,
+        axioms: Mapping[str, str],
+        products: Mapping[tuple[str, str], str],
+        signature: Signature,
+        rules: RuleSet,
+        irrelevant: Mapping[str, int] | None = None,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "axioms", axioms)
+        set_field(self, "products", products)
+        set_field(self, "signature", signature)
+        set_field(self, "rules", rules)
+        set_field(self, "irrelevant", {} if irrelevant is None else irrelevant)
 
 
 _LEAVES = (Var, Sort, Bound)
@@ -284,18 +298,6 @@ class Kernel:
         """The sort classifying t, or NotASort."""
         return Sort(self._sort_of(ctx, t, _as_fuel(fuel), _Replay(self, ctx)))
 
-    def check_wf(self, ctx: Context, fuel: Fuel | int | None = None) -> None:
-        """Each entry's type must be classified by a sort under its prefix."""
-        fuel = _as_fuel(fuel)
-        seen: set[str] = set()
-        prefix = Context()
-        for name, ty in ctx:
-            if name in seen:
-                raise fail(dk.DUPLICATE_NAME, f"variable {name!r} declared twice", context=ctx)
-            seen.add(name)
-            self._sort_of(prefix, ty, fuel, _Replay(self, prefix))
-            prefix = prefix.declare(name, ty)
-
     def check(self, ctx: Context, term: Term, expected: Term, fuel: Fuel | int | None = None) -> Term:
         """Infer and compare against an expected type; returns the inferred type."""
         fuel = _as_fuel(fuel)
@@ -308,19 +310,3 @@ class Kernel:
                 subject=term,
             )
         return actual
-
-    def validate_signature(self, fuel: Fuel | int | None = None) -> None:
-        """Check each entry against its own telescope: telescope is well
-        formed, the result type has the recorded sort."""
-        fuel = _as_fuel(fuel)
-        for sym, entry in self.signature.items():
-            ctx = Context()
-            for x, ty in entry.telescope:
-                self._sort_of(ctx, ty, fuel, _Replay(self, ctx))
-                ctx = ctx.declare(x, ty)
-            got = self.whnf(self._infer(ctx, entry.result, fuel, _Replay(self, ctx)), fuel)
-            if got != entry.sort:
-                raise fail(
-                    dk.NOT_A_SORT,
-                    f"signature entry {sym!r}: result sort {got!r} differs from recorded {entry.sort!r}",
-                )

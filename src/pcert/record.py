@@ -1,0 +1,64 @@
+"""Value records: slotted classes with equality, hashing and repr over their
+fields.
+
+The package's data classes derive from `Record` instead of being generated
+by `dataclasses`: importing `dataclasses` (which imports `inspect`) and
+executing the code it generates for each class are a large share of the
+time `import pcert.cli` takes, which every run of `pcert` pays. A subclass
+lists its fields in constructor order in `__slots__` and in
+`__match_args__`, so positional `match` patterns bind them, and assigns
+them in an explicit `__init__`; a frozen record assigns through
+`set_field`, as the code `dataclasses` generates does.
+"""
+
+from __future__ import annotations
+
+set_field = object.__setattr__  # (record, name, value), past `Frozen.__setattr__`
+
+
+class Record:
+    """A mutable record, as a dataclass with `eq=True` is.
+
+    `==` holds between two instances of one class whose compared fields are
+    equal. The compared fields are `_compared`, which defaults to all of
+    `__match_args__`. The repr is the dataclass one, over every field. A
+    mutable record has no hash.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __init_subclass__(cls) -> None:
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls.__match_args__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """An immutable record, as a frozen dataclass is: assigning or deleting
+    a field raises AttributeError, and the hash is that of the tuple of the
+    compared fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -30,10 +30,10 @@ binder keeps its sharing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .diagnostics import FuelError, fail
+from .record import Frozen, set_field
 from .terms import (
     Abs,
     App,
@@ -123,13 +123,13 @@ def _check_pattern(lhs: Term, rule_name: str) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    name: str
-    lhs: SymApp
-    rhs: Term
+class RewriteRule(Frozen):
+    __slots__ = __match_args__ = ("name", "lhs", "rhs")
 
-    def __post_init__(self):
+    def __init__(self, name: str, lhs: SymApp, rhs: Term):
+        set_field(self, "name", name)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
         _check_pattern(self.lhs, self.name)
         extra = free_vars(self.rhs) - free_vars(self.lhs)
         if extra:
@@ -425,10 +425,15 @@ def _convert_heads(
 # --- orthogonality report ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    nonlinear: tuple[str, ...]  # rules whose lhs repeats a pattern variable
-    overlaps: tuple[tuple[str, str, str], ...]  # (rule, rule, position)
+class OrthogonalityReport(Frozen):
+    """`nonlinear`: the rules whose lhs repeats a pattern variable;
+    `overlaps`: (rule, rule, position) triples."""
+
+    __slots__ = __match_args__ = ("nonlinear", "overlaps")
+
+    def __init__(self, nonlinear: tuple[str, ...], overlaps: tuple[tuple[str, str, str], ...]):
+        set_field(self, "nonlinear", nonlinear)
+        set_field(self, "overlaps", overlaps)
 
     @property
     def ok(self) -> bool:

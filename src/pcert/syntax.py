@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Union
 
 from .diagnostics import ARITY_MISMATCH, PARSE_ERROR, SourceSpan, SurfaceError
 from .lf import LF_SIGNATURE
 from .pcert import PCERT_SIGNATURE
+from .record import Frozen, Record, set_field
 from .terms import (
     KIND,
     LF_KIND,
@@ -78,43 +78,57 @@ _RESERVED_DECL_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class SymbolDecl:
-    name: str
-    type: Term
-    span: SourceSpan | None = field(default=None, compare=False)
+class SymbolDecl(Frozen):
+    __slots__ = __match_args__ = ("name", "type", "span")
+    _compared = ("name", "type")  # not the span
+
+    def __init__(self, name: str, type: Term, span: SourceSpan | None = None):
+        set_field(self, "name", name)
+        set_field(self, "type", type)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    body: Term
-    type: Term | None = None
-    span: SourceSpan | None = field(default=None, compare=False)
+class Definition(Frozen):
+    __slots__ = __match_args__ = ("name", "body", "type", "span")
+    _compared = ("name", "body", "type")  # not the span
+
+    def __init__(self, name: str, body: Term, type: Term | None = None, span: SourceSpan | None = None):
+        set_field(self, "name", name)
+        set_field(self, "body", body)
+        set_field(self, "type", type)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class AssertJudgment:
-    subject: Term
-    type: Term
-    span: SourceSpan | None = field(default=None, compare=False)
+class AssertJudgment(Frozen):
+    __slots__ = __match_args__ = ("subject", "type", "span")
+    _compared = ("subject", "type")  # not the span
+
+    def __init__(self, subject: Term, type: Term, span: SourceSpan | None = None):
+        set_field(self, "subject", subject)
+        set_field(self, "type", type)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class AssertConv:
-    a: Term
-    b: Term
-    span: SourceSpan | None = field(default=None, compare=False)
+class AssertConv(Frozen):
+    __slots__ = __match_args__ = ("a", "b", "span")
+    _compared = ("a", "b")  # not the span
+
+    def __init__(self, a: Term, b: Term, span: SourceSpan | None = None):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "span", span)
 
 
 Declaration = Union[SymbolDecl, Definition, AssertJudgment, AssertConv]
 
 
-@dataclass(frozen=True)
-class ParsedFile:
-    mode: str
-    decls: tuple[Declaration, ...]
-    path: str = "<input>"
+class ParsedFile(Frozen):
+    __slots__ = __match_args__ = ("mode", "decls", "path")
+
+    def __init__(self, mode: str, decls: tuple[Declaration, ...], path: str = "<input>"):
+        set_field(self, "mode", mode)
+        set_field(self, "decls", decls)
+        set_field(self, "path", path)
 
 
 # --- lexer -------------------------------------------------------------------
@@ -159,12 +173,14 @@ def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
 # --- parser ------------------------------------------------------------------
 
 
-@dataclass
-class _SymRef:
-    """A signature symbol awaiting its arguments."""
+class _SymRef(Record):
+    """A signature symbol awaiting its arguments; `index` is its token's position."""
 
-    name: str
-    index: int  # of its token
+    __slots__ = __match_args__ = ("name", "index")
+
+    def __init__(self, name: str, index: int):
+        self.name = name
+        self.index = index
 
 
 _ARITIES = {mode: {name: entry.arity for name, entry in sig.items()} for mode, sig in _SIGNATURES.items()}

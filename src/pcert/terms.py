@@ -28,45 +28,80 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Union
 
 from .diagnostics import DUPLICATE_NAME, fail
+from .record import Frozen, set_field
 
 Term = Union["Sort", "Var", "Bound", "App", "Abs", "Prod", "SymApp"]
 
 
-@dataclass(frozen=True)
-class Sort:
-    tag: str  # "Prop" | "Type" | "Kind" | "TYPE" | "KIND"
+def _setters(cls: type) -> tuple:
+    """The setters of the slots `cls` declares, in order. A constructor
+    assigns its fields through them: they bypass the `__setattr__` that
+    rejects assignment, and cost less than `object.__setattr__`."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+class _Leaf(Frozen):
+    """Base of the leaves: `==` and hash over the one field `_value` reads.
+    The hash is that of the 1-tuple, which composite hashes are built from,
+    so hash values stay what they were."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value(self) == other._value(other)
+
+    def __hash__(self) -> int:
+        return hash((self._value(self),))
+
+
+class Sort(_Leaf):
+    __slots__ = __match_args__ = ("tag",)  # "Prop" | "Type" | "Kind" | "TYPE" | "KIND"
+    _value = attrgetter("tag")
+
+    def __init__(self, tag: str):
+        _sort_tag(self, tag)
 
     def __repr__(self) -> str:
         return self.tag
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Leaf):
+    __slots__ = __match_args__ = ("name",)
+    _value = attrgetter("name")
+
+    def __init__(self, name: str):
+        _var_name(self, name)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Bound:
-    index: int
+class Bound(_Leaf):
+    __slots__ = __match_args__ = ("index",)
+    _value = attrgetter("index")
+
+    def __init__(self, index: int):
+        _bound_index(self, index)
 
     def __repr__(self) -> str:
         return f"^{self.index}"
 
 
-class _Node:
+(_sort_tag,), (_var_name,), (_bound_index,) = _setters(Sort), _setters(Var), _setters(Bound)
+
+
+class _Node(Frozen):
     """Base of the composite nodes: one `==`, alpha-equivalence (`_equal`),
     and one hash, computed on first use from the fields `_key` names (hint
     excluded) and kept on the node."""
 
-    _hash = None  # not a field: the hash, once computed
+    __slots__ = ("_hash",)  # not a field: the hash once computed, else None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -86,48 +121,67 @@ def _keep_hash(node: _Node) -> int:
     return h
 
 
-@dataclass(frozen=True, eq=False)
 class App(_Node):
-    fun: Term
-    arg: Term
+    __slots__ = __match_args__ = ("fun", "arg")
     _key = attrgetter("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term):
+        _app_fun(self, fun)
+        _app_arg(self, arg)
+        _node_hash(self, None)
 
     def __repr__(self) -> str:
         return f"({self.fun!r} {self.arg!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class Abs(_Node):
-    hint: str
-    annot: Term
-    body: Term
+    __slots__ = __match_args__ = ("hint", "annot", "body")
     _key = attrgetter("annot", "body")
+
+    def __init__(self, hint: str, annot: Term, body: Term):
+        _abs_hint(self, hint)
+        _abs_annot(self, annot)
+        _abs_body(self, body)
+        _node_hash(self, None)
 
     def __repr__(self) -> str:
         return f"(\\{self.hint}: {self.annot!r}. {self.body!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class Prod(_Node):
-    hint: str
-    dom: Term
-    cod: Term
+    __slots__ = __match_args__ = ("hint", "dom", "cod")
     _key = attrgetter("dom", "cod")
+
+    def __init__(self, hint: str, dom: Term, cod: Term):
+        _prod_hint(self, hint)
+        _prod_dom(self, dom)
+        _prod_cod(self, cod)
+        _node_hash(self, None)
 
     def __repr__(self) -> str:
         return f"(!{self.hint}: {self.dom!r}. {self.cod!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class SymApp(_Node):
-    sym: str
-    args: tuple[Term, ...] = ()
+    __slots__ = __match_args__ = ("sym", "args")
     _key = attrgetter("sym", "args")
+
+    def __init__(self, sym: str, args: tuple[Term, ...] = ()):
+        _symapp_sym(self, sym)
+        _symapp_args(self, args)
+        _node_hash(self, None)
 
     def __repr__(self) -> str:
         if not self.args:
             return self.sym
         return f"{self.sym}({', '.join(map(repr, self.args))})"
+
+
+(_node_hash,) = _setters(_Node)
+_app_fun, _app_arg = _setters(App)
+_abs_hint, _abs_annot, _abs_body = _setters(Abs)
+_prod_hint, _prod_dom, _prod_cod = _setters(Prod)
+_symapp_sym, _symapp_args = _setters(SymApp)
 
 
 def _equal(a: Term, b: Term, proven: set[tuple[int, int]] | None) -> bool:
@@ -498,18 +552,20 @@ class Context:
         return ", ".join(f"{n}: {ty!r}" for n, ty in self.entries) or "<empty>"
 
 
-@dataclass(frozen=True)
-class SigEntry:
+class SigEntry(Frozen):
     """Typing of one fixed-arity symbol: telescope, result type, result sort.
 
     Telescope types may mention earlier telescope variables only; the result
     sort is the sort of the result type under the telescope.
     """
 
-    telescope: tuple[tuple[str, Term], ...]
-    result: Term
-    sort: Sort
-    protected: bool = False
+    __slots__ = __match_args__ = ("telescope", "result", "sort", "protected")
+
+    def __init__(self, telescope: tuple[tuple[str, Term], ...], result: Term, sort: Sort, protected: bool = False):
+        set_field(self, "telescope", telescope)
+        set_field(self, "result", result)
+        set_field(self, "sort", sort)
+        set_field(self, "protected", protected)
 
     @property
     def arity(self) -> int:

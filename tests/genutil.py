@@ -17,6 +17,8 @@ kept hashes of terms are checked against, `NamedParser` and
 `FreshParser` the references the scope-resolving and the interning parser
 are checked against, and `ref_print_file` and `ref_development_lines` the
 references the memoizing printer and Lambdapi exporter are checked against.
+`check_wf`, `validate_signature` and `inverse_type` are entry points that
+only the tests use.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import contextlib
 import random
 
 from pcert import Context, check_file, parse_file
-from pcert import diagnostics as dk, kernel as kernel_module
+from pcert import diagnostics as dk, inverse as inverse_module, kernel as kernel_module
 from pcert.diagnostics import UNCHECKED_INPUT, fail
 from pcert.export import ENCODING_MODULE, _fresh_display, _ident
+from pcert.inverse import NotInImage
 from pcert.kernel import Kernel
 from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
 from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
@@ -92,6 +95,44 @@ PROP = Sort("Prop")
 ARR_II = Prod("_", IOTA, IOTA)
 
 GOAL_POOL = [IOTA, IOTA, IOTA, PSUB_P, PSUB_P, QT, P_A, PROP, PROP, ARR_II]
+
+
+# --- entry points only the tests use --------------------------------------------
+
+
+def check_wf(kernel: Kernel, ctx: Context, fuel: Fuel | int | None = None) -> None:
+    """Each entry's type must be classified by a sort under its prefix."""
+    fuel = _as_fuel(fuel)
+    seen: set[str] = set()
+    prefix = Context()
+    for name, ty in ctx:
+        if name in seen:
+            raise fail(dk.DUPLICATE_NAME, f"variable {name!r} declared twice", context=ctx)
+        seen.add(name)
+        kernel.sort_of(prefix, ty, fuel)
+        prefix = prefix.declare(name, ty)
+
+
+def validate_signature(kernel: Kernel, fuel: Fuel | int | None = None) -> None:
+    """Check each entry of the kernel's signature against its own telescope:
+    the telescope is well formed, the result type has the recorded sort."""
+    fuel = _as_fuel(fuel)
+    for sym, entry in kernel.signature.items():
+        ctx = Context()
+        for x, ty in entry.telescope:
+            kernel.sort_of(ctx, ty, fuel)
+            ctx = ctx.declare(x, ty)
+        got = kernel.whnf(kernel.infer(ctx, entry.result, fuel), fuel)
+        if got != entry.sort:
+            raise fail(
+                dk.NOT_A_SORT,
+                f"signature entry {sym!r}: result sort {got!r} differs from recorded {entry.sort!r}",
+            )
+
+
+def inverse_type(t: Term) -> Term | NotInImage:
+    """The inverse of a translated type, with a memo of its own."""
+    return inverse_module._type(t, (), {})
 
 
 class TermGen:
@@ -407,7 +448,7 @@ def translate_by_kernel_sorts(ctx: Context, t: Term, as_type: bool = False) -> T
 
 def ref_equal(a: Term, b: Term) -> bool:
     """Structural equality as a tree walk, field by field, binder hints
-    ignored: `==` on terms as the dataclasses generated it."""
+    ignored: `==` on terms without sharing or memo."""
     match a, b:
         case App(f, x), App(g, y):
             return ref_equal(f, g) and ref_equal(x, y)
@@ -422,7 +463,7 @@ def ref_equal(a: Term, b: Term) -> bool:
 
 def ref_hash(t: Term) -> int:
     """The hash of a term's compared fields, hint excluded, computed afresh
-    over nested tuples: `hash` on terms as the dataclasses generated it."""
+    over nested tuples: `hash` on terms without the kept hash."""
 
     def fields(t: Term):
         match t:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from pcert import Definition, SymbolDecl, check_file, cli, corpus_path, free_vars, parse_file
 from pcert.pcert import PcertKernel
 
@@ -20,7 +18,7 @@ def test_records_scope_and_expansion_over_the_corpus():
             # a record mentions only symbols declared before it: reading it
             # under the file's context resolves each name as its scope did,
             # and no defined name survives expansion
-            terms = [getattr(record.decl, f.name) for f in fields(record.decl) if f.name not in ("name", "span")]
+            terms = [getattr(record.decl, f) for f in record.decl.__match_args__ if f not in ("name", "span")]
             terms.append(record.inferred)
             for term in terms:
                 if term is not None:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from genutil import BASE_CTX, TermGen
+from genutil import BASE_CTX, TermGen, inverse_type
 from pcert import check_file, conv_pcert, corpus_path, parse_file
-from pcert.inverse import NotInImage, inverse_term, inverse_type
+from pcert.inverse import NotInImage, inverse_term
 from pcert.lf import El, PROP_OBJ, Prf, TYPE_ENC
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import RuleSet, normalize

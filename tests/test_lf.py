@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import BASE_CTX, TermGen
+from genutil import BASE_CTX, TermGen, check_wf, validate_signature
 from pcert.cli import main
 from pcert.diagnostics import CheckError, ProtectedError
 from pcert.lf import (
@@ -72,7 +72,7 @@ def lf_pred_ctx() -> Context:
 
 
 def test_signature_is_well_formed():
-    KERNEL.validate_signature()
+    validate_signature(KERNEL)
 
 
 def test_signature_arities_and_protection():
@@ -99,17 +99,17 @@ def test_rule_set_is_exactly_the_completed_system():
 
 
 def test_check_wf_accepts_el_prop_entry():
-    KERNEL.check_wf(Context().extend("t", El(PROP_OBJ)))
+    check_wf(KERNEL, Context().extend("t", El(PROP_OBJ)))
 
 
 def test_check_wf_empty():
-    KERNEL.check_wf(Context())
+    check_wf(KERNEL, Context())
 
 
 def test_check_wf_rejects_proposition_object_as_type():
     ctx = lf_pred_ctx().extend("x", SymApp("fa", (Var("t"), Var("p"))))
     with pytest.raises(CheckError) as err:
-        KERNEL.check_wf(ctx)
+        check_wf(KERNEL, ctx)
     assert err.value.kind == "NotASort"
 
 
@@ -133,7 +133,7 @@ def test_infer_translated_even_pair():
     )
     the_pair = SymApp("pair", (Var("nat"), Var("even"), Var("two"), Var("h")))
     enc_ctx = translate_ctx(pcert_ctx)
-    KERNEL.check_wf(enc_ctx)
+    check_wf(KERNEL, enc_ctx)
     got = KERNEL.infer(enc_ctx, translate_term(pcert_ctx, the_pair))
     assert got == El(SymApp("psub", (Var("nat"), Var("even"))))
 
@@ -333,6 +333,6 @@ def test_application_exposes_product_through_rules():
         .extend("n", El(Var("nat")))
         .extend("f", El(SymApp("arrd", (Var("nat"), Abs("_", El(Var("nat")), Var("nat"))))))
     )
-    KERNEL.check_wf(ctx)
+    check_wf(KERNEL, ctx)
     # the inferred type is the instantiated codomain, unreduced
     assert convertible_lf(KERNEL.infer(ctx, App(Var("f"), Var("n"))), El(Var("nat")))

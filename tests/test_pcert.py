@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from genutil import BASE_CTX, EquivalenceWalker, TermGen, positions, replace_at
+from genutil import BASE_CTX, EquivalenceWalker, TermGen, check_wf, positions, replace_at, validate_signature
 from pcert.diagnostics import CheckError
 from pcert.pcert import (
     KERNEL,
@@ -55,23 +55,23 @@ def even_ctx() -> Context:
 
 
 def test_signature_is_well_formed():
-    KERNEL.validate_signature()
+    validate_signature(KERNEL)
     assert set(PCERT_SIGNATURE.names()) == {"psub", "pair", "fst", "snd"}
     assert [PCERT_SIGNATURE.arity(s) for s in ("psub", "pair", "fst", "snd")] == [2, 4, 3, 3]
 
 
 def test_check_wf_empty():
-    KERNEL.check_wf(Context())
+    check_wf(KERNEL, Context())
 
 
 def test_check_wf_telescope_shape():
-    KERNEL.check_wf(Context().extend("T", TYPE).extend("p", arrow(Var("T"), PROP)))
+    check_wf(KERNEL, Context().extend("T", TYPE).extend("p", arrow(Var("T"), PROP)))
 
 
 def test_check_wf_rejects_non_sort_type():
     ctx = Context().extend("x", lam("y", PROP, Var("y")))
     with pytest.raises(CheckError) as err:
-        KERNEL.check_wf(ctx)
+        check_wf(KERNEL, ctx)
     assert err.value.kind == "NotASort"
 
 

@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import BASE_CTX, EquivalenceWalker, TermGen, translate_by_kernel_sorts
+from genutil import BASE_CTX, EquivalenceWalker, TermGen, check_wf, translate_by_kernel_sorts
 from pcert import CheckedFile, check_file, cli, corpus_path, parse_file, terms
 from pcert.diagnostics import CheckError
 from pcert.lf import El, KERNEL as LF_KERNEL, KIND_ENC, PROP_ENC, PROP_OBJ, Prf, RULES_R, TYPE_ENC
@@ -100,13 +100,13 @@ def test_translate_ctx_telescope():
     # p's type must convert to the El/Prop chain the signature expects
     expected = Prod("x", El(Var("T")), PROP_ENC)
     assert convertible(RULES_R, got.lookup("p"), expected)
-    LF_KERNEL.check_wf(got)
+    check_wf(LF_KERNEL, got)
 
 
 def test_translate_ctx_of_stacks_corpus_is_well_formed():
     checked = check_file(parse_file(corpus_path("stacks.pcert").read_text(), "stacks"))
     translated = translate_ctx(checked.context)
-    LF_KERNEL.check_wf(translated)
+    check_wf(LF_KERNEL, translated)
     assert translated.lookup("stack") == TYPE_ENC
     # push : elt -> stack -> {s | nonempty s} becomes a two-step El chain
     push_ty = normalize(RULES_R, translated.lookup("push"))
@@ -143,7 +143,7 @@ def test_preservation_of_equivalence_smoke():
 def test_correctness_on_generated_judgments():
     gen = TermGen(53)
     enc_ctx = translate_ctx(BASE_CTX)
-    LF_KERNEL.check_wf(enc_ctx)
+    check_wf(LF_KERNEL, enc_ctx)
     for _ in range(40):
         m, _ = gen.some_term(5)
         ty = PCERT_KERNEL.infer(BASE_CTX, m)
