@@ -9,10 +9,11 @@ signature once, as written and before any kernel call, so rewriting alone
 may introduce a protected symbol. The gate is a no-op for a signature that
 protects nothing. Expansions need no second walk: each was gated when its
 definition was, and expanding only replaces variable leaves. The gate and
-the expansion each walk a distinct parsed node once per file: the gate
-skips nodes it has already found free of protected symbols, and expansion
-reuses a node's earlier result (`_expand`), so a term the parser shared
-across declarations costs its distinct nodes, not its unshared size.
+the expansion each walk a distinct parsed node once per file: each keeps a
+`terms.Memo` for the file, so the gate skips nodes it has already found
+free of protected symbols and `substitute_parallel` reuses a node's earlier
+expansion, and a term the parser shared across declarations costs its
+distinct nodes, not its unshared size.
 
 Checking yields one elaboration record per declaration: the declaration
 with every defined name expanded and, for a definition, the inferred type of
@@ -50,7 +51,7 @@ from .syntax import (
     ParsedFile,
     SymbolDecl,
 )
-from .terms import Abs, App, Bound, Context, Prod, Sort, SymApp, Term, Var, _same
+from .terms import Context, Memo, Term, substitute_parallel
 
 KERNELS: dict[str, Kernel] = {"pcert": PCERT_KERNEL, "lf": LF_KERNEL}
 
@@ -90,16 +91,18 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
     records: list[Elaborated] = []
     names: set[str] = set()
     expansions: dict[str, Term] = {}
-    # the file's boundary memos, by the ids of parsed nodes (which `parsed`
-    # keeps alive): nodes found free of protected symbols, and expansions
-    gated: set[int] = set()
-    expanded: dict[int, Term] = {}
+    # the file's boundary memos: nodes found free of protected symbols, and
+    # expansions. An expansion stays right as `expansions` grows: a
+    # declaration is admitted only if every name it mentions was declared
+    # before it, and a file stops at its first failure, so a name in an
+    # expanded node never gains an expansion later
+    gated, expanded = Memo(), Memo()
 
     def prepare(t: Term) -> Term:
         assert_public(t, kernel.signature, gated)
         # definition bodies are already fully expanded, so one parallel pass
         # replaces every defined name
-        return _expand(t, expansions, expanded) if expansions else t
+        return substitute_parallel(t, expansions, expanded)
 
     for decl in parsed.decls:
         budget = _as_fuel(fuel)  # fresh per declaration unless a Fuel is shared
@@ -149,35 +152,3 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
         records.append(Elaborated(decl, inferred))
     return CheckedFile(parsed.mode, ctx, tuple(records))
 
-
-def _expand(t: Term, expansions: dict[str, Term], memo: dict[int, Term]) -> Term:
-    """`substitute_parallel(t, expansions)`, memoized for the file by the
-    identity of each composite node, so a node the parser shared across
-    declarations is expanded once. An entry stays right as `expansions`
-    grows: a declaration is admitted only if every name it mentions was
-    declared before it, and a file stops at its first failure, so a name
-    in an expanded node never gains an expansion later."""
-    cls = type(t)
-    if cls is Var:
-        return expansions.get(t.name, t)
-    if cls is Sort or cls is Bound:
-        return t
-    out = memo.get(id(t))
-    if out is not None:
-        return out
-    if cls is App:
-        fun, arg = _expand(t.fun, expansions, memo), _expand(t.arg, expansions, memo)
-        out = t if fun is t.fun and arg is t.arg else App(fun, arg)
-    elif cls is Abs:
-        annot, body = _expand(t.annot, expansions, memo), _expand(t.body, expansions, memo)
-        out = t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
-    elif cls is Prod:
-        dom, cod = _expand(t.dom, expansions, memo), _expand(t.cod, expansions, memo)
-        out = t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
-    elif cls is SymApp:
-        args = [_expand(a, expansions, memo) for a in t.args]
-        out = t if _same(args, t.args) else SymApp(t.sym, tuple(args))
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    memo[id(t)] = out
-    return out

@@ -36,7 +36,8 @@ from .syntax import (
     parse_file,
     print_file,
 )
-from .translate import TranslationMemo, translate_term, translate_type
+from .terms import Memo
+from .translate import translate_term, translate_type
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -86,7 +87,7 @@ def _translate_decls(checked: CheckedFile) -> list[Declaration]:
     the whole file: a definition expanded into later declarations is
     translated once, and its translation is one object wherever it occurs."""
     out: list[Declaration] = []
-    ctx, memo = checked.context, TranslationMemo()
+    ctx, memo = checked.context, Memo()
     for record in checked.decls:
         match record.decl:
             case SymbolDecl(name, ty, span):
@@ -133,7 +134,7 @@ def cmd_roundtrip(path: str, fuel: int | None) -> int:
     # normalization still gets a fresh budget. The normal forms share the
     # replayed objects, and `==` stops at shared objects, so comparing two
     # of them takes time in their distinct nodes
-    translations, inverses, normal_forms = TranslationMemo(), {}, {}
+    translations, inverses, normal_forms = Memo(), Memo(), Memo()
     for record in checked.decls:
         if not isinstance(record.decl, Definition):
             continue

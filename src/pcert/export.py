@@ -5,7 +5,8 @@ symbols, the protected certificate-free pair, and the rewrite rules) as a
 standalone module; `development` emits a checked development against that
 module, one declaration per line group. The emitted text targets the
 Lambdapi checker; beta is native there, so it appears as a comment line
-rather than a rule statement.
+rather than a rule statement. A development renders each node once per
+precedence, from a `terms.Memo` kept for the whole development.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .terms import (
     Abs,
     App,
     Bound,
+    Memo,
     Prod,
     Signature,
     Sort,
@@ -28,6 +30,7 @@ from .terms import (
     Var,
     abstract_var,
     free_vars,
+    ident,
     instantiate,
     is_nondependent,
 )
@@ -43,20 +46,16 @@ def _ident(name: str) -> str:
     return name if _LP_ID.match(name) else f"{{|{name}|}}"
 
 
-# One rendering per node and precedence: (id, prec) -> (node, text). The
-# node is kept so that its id is not reused while the memo lives: binder
-# bodies are instantiated afresh before they are shown. A memo serves one
-# set of pattern variables, so the text depends on the node and prec alone.
-_Shown = dict[tuple[int, int], tuple[Term, str]]
-
-
-def _show(t: Term, prec: int, memo: _Shown, pattern_vars: frozenset[str] = frozenset()) -> str:
+def _show(t: Term, prec: int, memo: Memo, pattern_vars: frozenset[str] = frozenset()) -> str:
     """Every binder body is instantiated with its display name before it is
-    shown, so on locally closed input no `Bound` is reached."""
-    key = (id(t), prec)
+    shown, so on locally closed input no `Bound` is reached. `memo` (a
+    `terms.Memo`) renders each node once per precedence: (node, prec) ->
+    text. A memo serves one set of pattern variables, so the text depends on
+    the node and prec alone."""
+    key = (ident(t), prec)
     seen = memo.get(key)
     if seen is not None:
-        return seen[1]
+        return seen
     match t:
         case Sort("TYPE"):
             out = "TYPE"
@@ -88,8 +87,7 @@ def _show(t: Term, prec: int, memo: _Shown, pattern_vars: frozenset[str] = froze
                 out = _wrap(f"{_ident(sym)} {shown}", _APP, prec)
         case _:
             raise TypeError(f"not a term: {t!r}")
-    memo[key] = (t, out)
-    return out
+    return memo.put(key, out, t)
 
 
 def _wrap(body: str, level: int, prec: int) -> str:
@@ -110,7 +108,7 @@ def _fresh_display(hint: str, body: Term) -> str:
     return name
 
 
-def _lp_term(t: Term, memo: _Shown, pattern_vars: frozenset[str] = frozenset()) -> str:
+def _lp_term(t: Term, memo: Memo, pattern_vars: frozenset[str] = frozenset()) -> str:
     return _show(t, _TERM, memo, pattern_vars)
 
 
@@ -135,12 +133,12 @@ def signature_lines(sig: Signature = LF_SIGNATURE, rules: RuleSet = RULES_R) -> 
         if name not in rewritten_heads:
             mods.append("constant")
         mods.append("symbol")
-        lines.append(f"{' '.join(mods)} {_ident(name)} : {_lp_term(_telescope_type(entry), {})};")
+        lines.append(f"{' '.join(mods)} {_ident(name)} : {_lp_term(_telescope_type(entry), Memo())};")
     lines.append("")
     lines.append("// rule (beta): (λ x: T, t) u ↪ t with u for x. Beta is native to")
     lines.append("// Lambdapi; it belongs to the rewrite system alongside the six below.")
     for rule in rules.rules:
-        pvars, memo = frozenset(free_vars(rule.lhs)), {}
+        pvars, memo = frozenset(free_vars(rule.lhs)), Memo()
         lines.append(f"rule {_lp_term(rule.lhs, memo, pvars)} ↪ {_lp_term(rule.rhs, memo, pvars)};")
     return lines
 
@@ -151,7 +149,7 @@ def development_lines(decls: tuple[Declaration, ...] | list[Declaration]) -> lis
         f"require open {ENCODING_MODULE};",
         "",
     ]
-    memo: _Shown = {}
+    memo = Memo()
     for decl in decls:
         match decl:
             case SymbolDecl(name, ty, _):

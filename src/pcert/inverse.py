@@ -10,12 +10,15 @@ the failure reports the leftmost-outermost subterm that matched no clause.
 This is a left inverse of the translation up to beta only; nothing is
 claimed in the other direction. In particular the certificate-free pair'
 has no clause: its normal forms are deliberately not invertible.
+
+A subterm met again is inverted once per memo, a `terms.Memo` keyed by
+the subterm's identity and its role (term or type).
 """
 
 from __future__ import annotations
 
 from .record import Frozen, set_field
-from .terms import Abs, App, Bound, Prod, Sort, SymApp, Term, Var
+from .terms import Abs, App, Bound, Memo, Prod, Sort, SymApp, Term, Var, ident
 
 
 class NotInImage(Frozen):
@@ -32,34 +35,37 @@ class NotInImage(Frozen):
         return f"not in the image of the translation at {where}: {self.subterm!r}"
 
 
-# The id of each inverted subterm -> the subterm, kept so that its id is not
-# reused while the memo lives, and its inverse. A memo lives for one call,
-# or for every call handed the same one (`pcert roundtrip` hands one to all
-# the calls of a file). Only successes are kept, so a failure is found anew
-# by each call that meets it, with that call's path; a hit is a subterm
-# without failures, so the walk meets the same first failure either way.
-# One memo serves terms and types: their clauses match disjoint heads, so no
-# node inverts as both.
-_Memo = dict[int, tuple[Term, Term]]
+def inverse_term(m: Term, memo: Memo | None = None) -> Term | NotInImage:
+    return _term(m, (), Memo() if memo is None else memo)
 
 
-def inverse_term(m: Term, memo: _Memo | None = None) -> Term | NotInImage:
-    return _term(m, (), {} if memo is None else memo)
-
-
-def _term(m: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
+def _term(m: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
     if type(m) is Var or type(m) is Bound:
         return m
-    seen = memo.get(id(m))
+    return _remembered(_invert_term, m, path, memo)
+
+
+def _type(t: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
+    return _remembered(_invert_type, t, path, memo)
+
+
+def _remembered(invert, t: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
+    """`invert(t, path, memo)`, remembered in memo by t and its role (the
+    function, term or type inverse): a node can invert as a term and fail
+    as a type, an application for one. A memo lives for one call, or for
+    every call handed the same one (`pcert roundtrip` hands one to all the
+    calls of a file). Only successes are kept, so a failure is found anew
+    by each call that meets it, with that call's path; a hit is a subterm
+    without failures, so the walk meets the same first failure either way."""
+    key = (ident(t), invert)
+    seen = memo.get(key)
     if seen is not None:
-        return seen[1]
-    out = _invert_term(m, path, memo)
-    if not isinstance(out, NotInImage):
-        memo[id(m)] = (m, out)
-    return out
+        return seen
+    out = invert(t, path, memo)
+    return out if isinstance(out, NotInImage) else memo.put(key, out, t)
 
 
-def _invert_term(m: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
+def _invert_term(m: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
     """`_term` at a node that is not a variable."""
     match m:
         case Abs(hint, annot, body):
@@ -100,17 +106,7 @@ def _invert_term(m: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInIma
             return NotInImage(path, m)
 
 
-def _type(t: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
-    seen = memo.get(id(t))
-    if seen is not None:
-        return seen[1]
-    out = _invert_type(t, path, memo)
-    if not isinstance(out, NotInImage):
-        memo[id(t)] = (t, out)
-    return out
-
-
-def _invert_type(t: Term, path: tuple[str, ...], memo: _Memo) -> Term | NotInImage:
+def _invert_type(t: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
     """`_type` at a node not met before."""
     match t:
         case SymApp("Type", ()):

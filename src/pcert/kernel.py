@@ -10,10 +10,10 @@ explicit checks).
 Definitions reach the kernel expanded, and expansion hands one object to
 every use, so the same term comes up for inference again and again, in
 one declaration and in every later one. Inference therefore memoizes each
-non-leaf term's type by the term's identity, per kernel, on the context's
-table, so the memo lives for one file like the record of proven
-conversions. An entry is used only under a view that sees at least the
-rows it was made under; that is weakening, sound because rows never change
+non-leaf term's type by the term's identity (a `terms.Memo`), per kernel,
+on the context's table, so the memo lives for one file like the record of
+proven conversions. An entry is used only under a view that sees at least
+the rows it was made under; that is weakening, sound because rows never change
 and every binder the kernel opens has a fresh name (a context the caller
 handed in with binders of its own gets no memo). A replay returns the
 recorded type and charges, through `Fuel.charge`, the entry's *redo cost*:
@@ -62,6 +62,7 @@ from .terms import (
     Term,
     Var,
     abstract_var,
+    ident,
     instantiate,
     open_term,
     substitute_parallel,
@@ -101,12 +102,11 @@ class _Replay:
     """One public inference call's access to the file's inference memo.
 
     `memo` is the kernel's inference memo on the context's table
-    (`Context.records`) and lives, like the record of proven conversions,
-    for one file: it maps the id of each non-leaf term inferred to (its
-    type, the `rows` of the view it was inferred under, its redo cost, the
-    term itself, so that the id cannot be reused). A call whose context
-    already holds binders gets no memo: their names are the caller's and
-    need not be fresh.
+    (`Context.records`, a `terms.Memo`) and lives, like the record of proven
+    conversions, for one file: it maps each non-leaf term inferred to (its
+    type, the `rows` of the view it was inferred under, its redo cost). A
+    call whose context already holds binders gets no memo: their names are
+    the caller's and need not be fresh.
 
     The ledger `low`/`total` files the steps of each conversion made inside
     the inference by the level of the pair, 1 + the position of the
@@ -178,13 +178,13 @@ class Kernel:
         memo = run.memo
         if memo is None or type(t) in _LEAVES:
             return self._infer_node(ctx, t, fuel, run)
-        seen = memo.get(id(t))
+        seen = memo.get(ident(t))
         if seen is not None and ctx.rows >= seen[1] and fuel.charge(seen[2]):
             return seen[0]
         b = len(ctx.binders)
         spent, free = fuel.spent, run.free(b)
         ty = self._infer_node(ctx, t, fuel, run)
-        memo[id(t)] = (ty, ctx.rows, fuel.spent - spent - (run.free(b) - free), t)
+        memo.put(ident(t), (ty, ctx.rows, fuel.spent - spent - (run.free(b) - free)), t)
         return ty
 
     def _infer_node(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:

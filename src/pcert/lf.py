@@ -9,8 +9,9 @@ irrelevance as rewriting.
 
 pair' is protected: it may not occur in user input, but rewriting is free to
 introduce it during conversion. The protection is configuration, a flag on
-the signature entry; `check_file` gates user input against it, and the
-kernel itself is the generic one, typing pair' like any other symbol.
+the signature entry; `check_file` gates user input against it, with a
+`terms.Memo` of the nodes found clean for the file, and the kernel itself
+is the generic one, typing pair' like any other symbol.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .terms import (
     Bound,
     LF_KIND,
     LF_TYPE,
+    Memo,
     Prod,
     SigEntry,
     Signature,
@@ -31,6 +33,7 @@ from .terms import (
     Term,
     Var,
     arrow,
+    ident,
 )
 
 # Nullary encodings of the other system's sorts, and their inhabitants.
@@ -150,33 +153,32 @@ LF_CONFIG = SystemConfig(
 )
 
 
-def assert_public(t: Term, sig: Signature = LF_SIGNATURE, clean: set[int] | None = None) -> None:
+def assert_public(t: Term, sig: Signature = LF_SIGNATURE, clean: Memo | None = None) -> None:
     """Reject terms that mention a protected symbol anywhere, binders included.
 
     The error names the first occurrence in depth-first, left-to-right order
     by its path from the root. Only user input goes through this gate, once,
     in `check_file`; terms produced by rewriting during conversion never do.
-    `clean` holds the ids of nodes already found free of protected symbols:
-    the walk skips them and adds each node it finds free, so a caller that
-    hands one set to every call walks each distinct node once. Skipping a
-    free node changes no first occurrence and no path. The caller keeps
-    those nodes alive while the set lives, so that no id is reused.
+    `clean` (a `terms.Memo`) holds the nodes already found free of protected
+    symbols: the walk skips them and adds each node it finds free, so a
+    caller that hands one memo to every call walks each distinct node once.
+    Skipping a free node changes no first occurrence and no path.
     """
     protected = sig.protected_names()
     if not protected:
         return
-    found = _first_protected(t, protected, set() if clean is None else clean)
+    found = _first_protected(t, protected, Memo() if clean is None else clean)
     if found is not None:
         sym, path = found
         raise ProtectedError(sym, tuple(reversed(path)))
 
 
-def _first_protected(s: Term, protected: frozenset[str], clean: set[int]) -> tuple[str, list[str]] | None:
+def _first_protected(s: Term, protected: frozenset[str], clean: Memo) -> tuple[str, list[str]] | None:
     """The first protected symbol in s with its path from s reversed (built
     only when one is found), or None after adding s to clean."""
     cls = type(s)
     if cls is SymApp:
-        if id(s) in clean:
+        if ident(s) in clean:
             return None
         sym = s.sym
         if sym in protected:
@@ -187,7 +189,7 @@ def _first_protected(s: Term, protected: frozenset[str], clean: set[int]) -> tup
                 found[1].append(f"{sym}.{i}")
                 return found
     elif cls is App or cls is Abs or cls is Prod:
-        if id(s) in clean:
+        if ident(s) in clean:
             return None
         for label in _CHILDREN[cls]:  # the labels are the field names
             found = _first_protected(getattr(s, label), protected, clean)
@@ -196,7 +198,7 @@ def _first_protected(s: Term, protected: frozenset[str], clean: set[int]) -> tup
                 return found
     else:
         return None  # a leaf
-    clean.add(id(s))
+    clean.put(ident(s), True, s)
     return None
 
 

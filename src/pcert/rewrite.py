@@ -20,10 +20,11 @@ builds nothing for a head that is already normal (it returns its argument
 itself) and builds a symbol application's subject once per rule attempt,
 for both `match` and `Fuel.spend`. Conversion replays a repeated
 sub-comparison, and outermost normalization a repeated subterm's normal
-form, from a memo keyed by object identity; both charge the recorded steps
-through `Fuel.charge`. Each memo lives for one call unless the caller hands
-one in: the kernels keep one conversion memo per file on the context's
-table, and `roundtrip` one normalization memo per command. Normalization
+form, from a memo keyed by object identity (a `terms.Memo`, which holds
+its key nodes); both charge the recorded steps through `Fuel.charge`. Each
+memo lives for one call unless the caller hands one in: the kernels keep
+one conversion memo per file on the context's table, and `roundtrip` one
+normalization memo per command. Normalization
 closes each binder body with `terms.abstract_var`, so a normal form under a
 binder keeps its sharing.
 """
@@ -38,6 +39,7 @@ from .terms import (
     Abs,
     App,
     Bound,
+    Memo,
     Prod,
     Sort,
     SymApp,
@@ -45,6 +47,7 @@ from .terms import (
     Var,
     free_vars,
     fresh_name,
+    ident,
     instantiate,
     abstract_var,
     open_term,
@@ -236,16 +239,12 @@ def _whnf(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
         return t
 
 
-# id(t) -> (normal form of t, steps spent reaching it, t); the entry holds t
-# so that its id cannot be reused by another object while the memo lives
-_NormalMemo = dict[int, tuple[Term, int, Term]]
-
-
-def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: _NormalMemo) -> Term:
+def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Term:
+    """Entries: t -> (its normal form, the steps spent reaching it)."""
     cls = type(t)
     if cls is Var or cls is Bound or cls is Sort:
         return t  # already normal: leaves bypass the memo
-    seen = memo.get(id(t))
+    seen = memo.get(ident(t))
     if seen is not None and fuel.charge(seen[1]):
         return seen[0]
     before = fuel.spent
@@ -268,7 +267,7 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: _NormalMemo)
         nf = SymApp(u.sym, tuple(args))
     else:
         nf = u
-    memo[id(t)] = (nf, fuel.spent - before, t)
+    memo.put(ident(t), (nf, fuel.spent - before), t)
     return nf
 
 
@@ -302,7 +301,7 @@ def normalize(
     t: Term,
     fuel: Fuel | int | None = None,
     strategy: str = "outermost",
-    memo: _NormalMemo | None = None,
+    memo: Memo | None = None,
 ) -> Term:
     """Full normal form: no subterm is a redex for any rule or for beta.
 
@@ -320,15 +319,10 @@ def normalize(
     """
     fuel = _as_fuel(fuel)
     if strategy == "outermost":
-        return _normalize_outermost(rules, t, fuel, {} if memo is None else memo)
+        return _normalize_outermost(rules, t, fuel, Memo() if memo is None else memo)
     if strategy == "innermost":
         return _normalize_innermost(rules, t, fuel)
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-# (id(a), id(b)) -> (verdict, steps spent, a, b); the entry holds both terms
-# so that neither id can be reused by another object while the memo lives
-_Memo = dict[tuple[int, int], tuple[bool, int, Term, Term]]
 
 
 def convertible(
@@ -337,7 +331,7 @@ def convertible(
     b: Term,
     fuel: Fuel | int | None = None,
     irrelevant: Mapping[str, int] | None = None,
-    memo: _Memo | None = None,
+    memo: Memo | None = None,
 ) -> bool:
     """Decide conversion head-first.
 
@@ -373,24 +367,25 @@ def convertible(
     exponential to linear in the links of a chain whose unfoldings share
     subterms.
     """
-    return _convert(rules, a, b, _as_fuel(fuel), irrelevant or {}, {} if memo is None else memo)
+    return _convert(rules, a, b, _as_fuel(fuel), irrelevant or {}, Memo() if memo is None else memo)
 
 
-def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: _Memo) -> bool:
+def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: Memo) -> bool:
+    """Entries: the pair (a, b) -> (verdict, steps spent)."""
     if a == b:
         return True
-    key = (id(a), id(b))
+    key = (ident(a), ident(b))
     seen = memo.get(key)
     if seen is not None and fuel.charge(seen[1]):
         return seen[0]
     before = fuel.spent
     verdict = _convert_heads(rules, a, b, fuel, irrelevant, memo)
-    memo[key] = (verdict, fuel.spent - before, a, b)
+    memo.put(key, (verdict, fuel.spent - before), a, b)
     return verdict
 
 
 def _convert_heads(
-    rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: _Memo
+    rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: Memo
 ) -> bool:
     """`_convert` once the sides differ and no memo entry can be charged."""
     a, b = _whnf(rules, a, fuel), _whnf(rules, b, fuel)

@@ -36,8 +36,10 @@ expanded definition in the output of `pcert translate`, parses to the very
 object it parsed to before, and the kernels' identity memos hit on it.
 The hint is part of the key, so binders written with different names stay
 distinct objects and print with their own names. The dict is plain, not
-weak: it lives only as long as the parse, and a hit costs less than
-building the node.
+weak: it lives only as long as the parse, its values hold the children
+whose ids the keys are made of, and a hit costs less than building the
+node. The printer renders a node shared across the terms of a file once,
+from one `terms.Memo` per file.
 """
 
 from __future__ import annotations
@@ -59,12 +61,14 @@ from .terms import (
     Abs,
     App,
     Bound,
+    Memo,
     Prod,
     Sort,
     SymApp,
     Term,
     Var,
     free_vars,
+    ident,
     instantiate,
     is_nondependent,
 )
@@ -466,15 +470,13 @@ def _display_name(hint: str, taken: set[str]) -> str:
 class _Printer:
     """Renders one top-level term. The text of a node depends on it, `prec`,
     the display names of the binders in scope and the free names of the
-    top-level term (`avoid`), which no display name may capture. So `memos`,
-    which callers may share across terms, holds one memo per `avoid`, keyed
-    by the other three. An entry keeps its node, so that its id is not
-    reused while the memo lives (an arrow's codomain is instantiated
-    afresh)."""
+    top-level term (`avoid`), which no display name may capture. So `memo`,
+    a `terms.Memo` which callers may share across terms, is keyed by all
+    four."""
 
-    def __init__(self, term: Term, memos: dict[frozenset[str], dict]):
+    def __init__(self, term: Term, memo: Memo):
         self.avoid = frozenset(free_vars(term))
-        self.memo: dict[tuple[int, int, tuple[str, ...]], tuple[Term, str]] = memos.setdefault(self.avoid, {})
+        self.memo = memo
 
     def show(self, t: Term, prec: int, binders: tuple[str, ...]) -> str:
         cls = type(t)
@@ -485,10 +487,10 @@ class _Printer:
         if cls is Bound:
             k = t.index
             return binders[-1 - k] if k < len(binders) else f"^{k}"
-        key = (id(t), prec, binders)
+        key = (ident(t), prec, binders, self.avoid)
         seen = self.memo.get(key)
         if seen is not None:
-            return seen[1]
+            return seen
         match t:
             case App(f, a):
                 body = f"{self.show(f, _APP, binders)} {self.show(a, _ATOM, binders)}"
@@ -528,41 +530,40 @@ class _Printer:
                     out = f"{sym}({inner})"
             case _:
                 raise TypeError(f"not a term: {t!r}")
-        self.memo[key] = (t, out)
-        return out
+        return self.memo.put(key, out, t)
 
     @staticmethod
     def wrap(body: str, level: int, prec: int) -> str:
         return f"({body})" if level < prec else body
 
 
-def print_term(t: Term, memos: dict | None = None) -> str:
+def print_term(t: Term, memo: Memo | None = None) -> str:
     """Concrete syntax; parse_file(print(t)) yields a term alpha-equal to t.
-    Terms printed with one `memos` render a node they share once."""
-    return _Printer(t, {} if memos is None else memos).show(t, _TERM, ())
+    Terms printed with one `memo` render a node they share once."""
+    return _Printer(t, Memo() if memo is None else memo).show(t, _TERM, ())
 
 
-def print_decl(decl: Declaration, memos: dict | None = None) -> str:
+def print_decl(decl: Declaration, memo: Memo | None = None) -> str:
     match decl:
         case SymbolDecl(name, ty, _):
-            return f"symbol {name} : {print_term(ty, memos)};"
+            return f"symbol {name} : {print_term(ty, memo)};"
         case Definition(name, body, ty, _):
             if ty is None:
-                return f"definition {name} := {print_term(body, memos)};"
-            return f"definition {name} : {print_term(ty, memos)} := {print_term(body, memos)};"
+                return f"definition {name} := {print_term(body, memo)};"
+            return f"definition {name} : {print_term(ty, memo)} := {print_term(body, memo)};"
         case AssertJudgment(subject, ty, _):
-            return f"assert {print_term(subject, memos)} : {print_term(ty, memos)};"
+            return f"assert {print_term(subject, memo)} : {print_term(ty, memo)};"
         case AssertConv(a, b, _):
-            return f"convertible {print_term(a, memos)}, {print_term(b, memos)};"
+            return f"convertible {print_term(a, memo)}, {print_term(b, memo)};"
     raise TypeError(f"not a declaration: {decl!r}")
 
 
 def print_file(parsed: ParsedFile) -> str:
-    """One `memos` serves the file, so a node shared across declarations,
+    """One memo serves the file, so a node shared across declarations,
     such as an expanded definition in `pcert translate`'s output, is
     rendered once: the work is linear in the distinct nodes, not in the
     size of the text."""
-    memos: dict = {}
+    memo = Memo()
     lines = [f"#MODE {parsed.mode}"]
-    lines.extend(print_decl(d, memos) for d in parsed.decls)
+    lines.extend(print_decl(d, memo) for d in parsed.decls)
     return "\n".join(lines) + "\n"

@@ -22,6 +22,13 @@ compares two such terms in time linear in their shared size, however they
 were built. `free_vars` visits each shared subterm once, and `abstract_var`
 closes a shared term (a normal form) once per subterm and binder depth.
 Nothing depends on identity for its meaning; results are equal either way.
+
+Every cache that outlives one call is a `Memo`: a dict keyed by the
+identity of nodes (`ident`), whose entries hold the nodes their keys were
+made from, so an id cannot be reused by another node while its entry lives.
+Each memo is created where its lifetime starts (a file, a command, a
+printed file) and handed down; the walks that cache only for one call key
+by the ids of subterms of their argument, which lives for the call.
 """
 
 from __future__ import annotations
@@ -241,6 +248,30 @@ def fresh_name(hint: str = "x") -> str:
     return f"{base}#{next(_fresh_counter)}"
 
 
+# The part of a `Memo` key that stands for a node: its identity. It is the
+# builtin, so a lookup `memo.get(ident(t))` makes no Python-level call.
+ident = id
+
+
+class Memo(dict):
+    """A cache keyed by node identity that may outlive the call that fills
+    it. Look entries up with the dict's own methods, by keys made with
+    `ident`; store them with `put`, which holds the nodes a key was made
+    from for as long as the memo lives, so no other node can take their
+    ids and hit an entry that is not its own."""
+
+    __slots__ = ("_held",)
+
+    def __init__(self):
+        self._held: list[Term] = []
+
+    def put(self, key, value, *nodes: Term):
+        """Store value under key, made with `ident` from nodes; returns value."""
+        self[key] = value
+        self._held.extend(nodes)  # the nodes, not their tuple: one object fewer
+        return value
+
+
 def free_vars(*terms: Term) -> set[str]:
     """Names of the free variables of terms; each shared subterm is visited
     once, so the walk takes time in the number of distinct subterms."""
@@ -267,28 +298,42 @@ def free_vars(*terms: Term) -> set[str]:
     return out
 
 
-def substitute_parallel(t: Term, mapping: dict[str, Term]) -> Term:
-    """Simultaneously replace free variables; values must be locally closed."""
+def substitute_parallel(t: Term, mapping: dict[str, Term], memo: Memo | None = None) -> Term:
+    """Simultaneously replace free variables; values must be locally closed.
+
+    With a `memo`, each composite node's result is kept by the node's
+    identity, so a node met again, in this call or a later one handed the
+    same memo, is substituted once. An entry stays right for every later
+    call whose mapping gives the names beneath the node the same values.
+    """
     if not mapping:
         return t
     cls = type(t)
     if cls is Var:
         return mapping.get(t.name, t)
+    if cls is Sort or cls is Bound:
+        return t
+    if memo is not None:
+        out = memo.get(ident(t))
+        if out is not None:
+            return out
     if cls is App:
-        fun, arg = substitute_parallel(t.fun, mapping), substitute_parallel(t.arg, mapping)
-        return t if fun is t.fun and arg is t.arg else App(fun, arg)
-    if cls is Abs:
-        annot, body = substitute_parallel(t.annot, mapping), substitute_parallel(t.body, mapping)
-        return t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
-    if cls is Prod:
-        dom, cod = substitute_parallel(t.dom, mapping), substitute_parallel(t.cod, mapping)
-        return t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
-    if cls is SymApp:
+        fun, arg = substitute_parallel(t.fun, mapping, memo), substitute_parallel(t.arg, mapping, memo)
+        out = t if fun is t.fun and arg is t.arg else App(fun, arg)
+    elif cls is Abs:
+        annot, body = substitute_parallel(t.annot, mapping, memo), substitute_parallel(t.body, mapping, memo)
+        out = t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
+    elif cls is Prod:
+        dom, cod = substitute_parallel(t.dom, mapping, memo), substitute_parallel(t.cod, mapping, memo)
+        out = t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
+    elif cls is SymApp:
         args = []
         for a in t.args:
-            args.append(substitute_parallel(a, mapping))
-        return t if _same(args, t.args) else SymApp(t.sym, tuple(args))
-    return t
+            args.append(substitute_parallel(a, mapping, memo))
+        out = t if _same(args, t.args) else SymApp(t.sym, tuple(args))
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return out if memo is None else memo.put(ident(t), out, t)
 
 
 def _same(new: list[Term], old: tuple[Term, ...]) -> bool:
@@ -435,8 +480,8 @@ class Records:
 
     def __init__(self):
         self.proven: set[tuple[Term, Term]] = set()
-        self.inferred: dict[int, tuple] = {}
-        self.converted: dict[tuple[int, int], tuple] = {}
+        self.inferred = Memo()
+        self.converted = Memo()
 
 
 class _Table:

@@ -15,11 +15,11 @@ translation depends only on the sorts of the enclosing binders its `Bound`s
 reach, so it is memoized by the subterm's identity and those sorts alone:
 a subterm met again, at any binder depth, is translated once per reachable
 sorts, so a term that shares subterms translates in time linear in its
-distinct subterms and its translation shares them too. The memo lives for
-one call, or for every call handed the same `TranslationMemo` under the same
-context: `pcert translate`, `export` and `roundtrip` hand one to all the
-calls of a file, so a definition expanded into later declarations is
-translated once per file.
+distinct subterms and its translation shares them too. The memo (a
+`terms.Memo`) lives for one call, or for every call handed the same one
+under the same context: `pcert translate`, `export` and `roundtrip` hand
+one to all the calls of a file, so a definition expanded into later
+declarations is translated once per file.
 Typability is `check_file`'s obligation and `pcert translate` re-checks the
 output in the lf kernel; unchecked input fails with a diagnostic or
 translates to a term the lf kernel rejects.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from . import diagnostics as dk
 from .diagnostics import fail
 from .lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
-from .terms import Abs, App, Bound, Context, KIND, Prod, Sort, SymApp, TYPE_, Term, Var
+from .terms import Abs, App, Bound, Context, KIND, Memo, Prod, Sort, SymApp, TYPE_, Term, Var, ident
 
 # Subtype symbols keep their names across the encoding.
 _SUBTYPE_SYMBOLS = frozenset(("psub", "pair", "fst", "snd"))
@@ -45,34 +45,21 @@ _TYPE_FORMERS = {"Type": El, "Prop": Prf}
 Sorts = tuple[str | None, ...]  # per enclosing binder, innermost last
 
 
-class TranslationMemo:
-    """Translations under one context, keyed by the id of a translated
-    subterm. `reach` keeps the subterm itself, so its id is not reused
-    while the memo lives.
-
-    `out` maps (id, the sorts of the binders its `Bound`s reach) to the
-    translation and `reach` maps an id to the subterm and how many binders
-    that is. `low` is the outermost binder level (0: the outermost binder of
-    the call) any `Bound` translated so far in the current subterm reaches;
-    a subterm starts it at its own depth and hands the minimum up, so the
-    reach is found during the translation, without walking the subterm
-    again.
-    """
-
-    __slots__ = ("out", "reach", "low")
-
-    def __init__(self):
-        self.out: dict[tuple[int, Sorts], Term] = {}
-        self.reach: dict[int, tuple[Term, int]] = {}
-        self.low = 0
-
-
 def _tag(ty: Term) -> str | None:
     """The sort of a variable of type ty used as a type, if it is one."""
     return ty.tag if isinstance(ty, Sort) else None
 
 
-def _term(ctx: Context, m: Term, sorts: Sorts, memo: TranslationMemo) -> Term:
+def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
+    """The translation of m under binders of these sorts.
+
+    `memo` holds two entries per subterm: by the subterm alone, how many of
+    the enclosing binders its `Bound`s reach, and by the subterm and the
+    sorts of those binders, its translation. `low[0]` is the outermost
+    binder level (0: the outermost binder of the call) any `Bound`
+    translated so far in the current subterm reaches; a subterm starts it
+    at its own depth and hands the minimum up, so the reach is found during
+    the translation, without walking the subterm again."""
     cls = type(m)
     if cls is Var:
         return m
@@ -81,28 +68,27 @@ def _term(ctx: Context, m: Term, sorts: Sorts, memo: TranslationMemo) -> Term:
         level = depth - 1 - m.index
         if level < 0:
             raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{m.index}", context=ctx, subject=m)
-        if level < memo.low:
-            memo.low = level
+        if level < low[0]:
+            low[0] = level
         return m
-    seen = memo.reach.get(id(m))
-    if seen is not None and seen[1] <= depth:
-        level = depth - seen[1]
-        out = memo.out.get((id(m), sorts[level:]))
+    reach = memo.get(ident(m))
+    if reach is not None and reach <= depth:
+        level = depth - reach
+        out = memo.get((ident(m), sorts[level:]))
         if out is not None:
-            if level < memo.low:
-                memo.low = level
+            if level < low[0]:
+                low[0] = level
             return out
-    low, memo.low = memo.low, depth
-    out = _translate(ctx, m, sorts, memo)
-    level = memo.low
-    if low < level:
-        memo.low = low
-    memo.reach[id(m)] = (m, depth - level)
-    memo.out[id(m), sorts[level:]] = out
-    return out
+    outer, low[0] = low[0], depth
+    out = _translate(ctx, m, sorts, memo, low)
+    level = low[0]
+    if outer < level:
+        low[0] = outer
+    memo.put(ident(m), depth - level, m)
+    return memo.put((ident(m), sorts[level:]), out, m)
 
 
-def _translate(ctx: Context, m: Term, sorts: Sorts, memo: TranslationMemo) -> Term:
+def _translate(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
     """`_term` at a node that is not a variable."""
     match m:
         case Sort("Prop"):
@@ -112,13 +98,13 @@ def _translate(ctx: Context, m: Term, sorts: Sorts, memo: TranslationMemo) -> Te
         case Sort(tag):
             raise fail(dk.NOT_TYPABLE, f"sort {tag} has no term translation", context=ctx, subject=m)
         case App(f, a):
-            return App(_term(ctx, f, sorts, memo), _term(ctx, a, sorts, memo))
+            return App(_term(ctx, f, sorts, memo, low), _term(ctx, a, sorts, memo, low))
         case Abs(hint, annot, body):
-            t_annot = _type(ctx, annot, sorts, memo)
-            return Abs(hint, t_annot, _term(ctx, body, sorts + (_tag(annot),), memo))
+            t_annot = _type(ctx, annot, sorts, memo, low)
+            return Abs(hint, t_annot, _term(ctx, body, sorts + (_tag(annot),), memo, low))
         case Prod(hint, dom, cod):
             inner = sorts + (_tag(dom),)
-            t_dom, t_cod = _term(ctx, dom, sorts, memo), _term(ctx, cod, inner, memo)
+            t_dom, t_cod = _term(ctx, dom, sorts, memo, low), _term(ctx, cod, inner, memo, low)
             s_dom, s_cod = _sort(ctx, t_dom, sorts), _sort(ctx, t_cod, inner)
             head = _PRODUCT_HEADS.get((s_dom, s_cod))
             if head is None:
@@ -128,7 +114,7 @@ def _translate(ctx: Context, m: Term, sorts: Sorts, memo: TranslationMemo) -> Te
         case SymApp(sym, args):
             if sym not in _SUBTYPE_SYMBOLS:
                 raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
-            return SymApp(sym, tuple(_term(ctx, a, sorts, memo) for a in args))
+            return SymApp(sym, tuple(_term(ctx, a, sorts, memo, low) for a in args))
     raise TypeError(f"not a term: {m!r}")
 
 
@@ -151,29 +137,29 @@ def _sort(ctx: Context, t: Term, sorts: Sorts) -> str:
     return tag
 
 
-def _type(ctx: Context, t: Term, sorts: Sorts, memo: TranslationMemo) -> Term:
+def _type(ctx: Context, t: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
     if t == KIND:
         return KIND_ENC
     if t == TYPE_:
         return TYPE_ENC
-    encoded = _term(ctx, t, sorts, memo)
+    encoded = _term(ctx, t, sorts, memo, low)
     sort = _sort(ctx, encoded, sorts)
     if sort not in _TYPE_FORMERS:
         raise fail(dk.NOT_A_SORT, f"no type translation at sort {sort}", context=ctx, subject=t)
     return _TYPE_FORMERS[sort](encoded)
 
 
-def translate_term(ctx: Context, m: Term, memo: TranslationMemo | None = None) -> Term:
+def translate_term(ctx: Context, m: Term, memo: Memo | None = None) -> Term:
     """Requires m typable in ctx, which check_file's records guarantee; callers
     own that obligation, it is not re-checked here. A `memo` handed in must
     only ever have been used under ctx."""
-    return _term(ctx, m, (), TranslationMemo() if memo is None else memo)
+    return _term(ctx, m, (), Memo() if memo is None else memo, [0])
 
 
-def translate_type(ctx: Context, t: Term, memo: TranslationMemo | None = None) -> Term:
+def translate_type(ctx: Context, t: Term, memo: Memo | None = None) -> Term:
     """Requires t to be Kind or typable by a sort in ctx; `memo` as for
     translate_term."""
-    return _type(ctx, t, (), TranslationMemo() if memo is None else memo)
+    return _type(ctx, t, (), Memo() if memo is None else memo, [0])
 
 
 def translate_ctx(ctx: Context) -> Context:

@@ -50,6 +50,7 @@ from pcert.terms import (
     Abs,
     App,
     Bound,
+    Memo,
     Prod,
     Sort,
     SymApp,
@@ -132,7 +133,7 @@ def validate_signature(kernel: Kernel, fuel: Fuel | int | None = None) -> None:
 
 def inverse_type(t: Term) -> Term | NotInImage:
     """The inverse of a translated type, with a memo of its own."""
-    return inverse_module._type(t, (), {})
+    return inverse_module._type(t, (), Memo())
 
 
 class TermGen:

@@ -35,7 +35,7 @@ from pcert.lf import LF_SIGNATURE, assert_public
 from pcert.pcert import PCERT_CONFIG
 from pcert.rewrite import Fuel, convertible
 from pcert.syntax import ParsedFile, print_term
-from pcert.terms import Abs, App, Prod, SymApp, Term, Var
+from pcert.terms import Abs, App, Memo, Prod, SymApp, Term, Var
 from test_cli import shared_chain_source
 from test_replay import BINDER_DEFS, translated
 
@@ -118,7 +118,7 @@ def test_a_direct_call_without_a_memo_starts_afresh_and_a_shared_one_replays(mon
     checked = check_file(parse_file("#MODE pcert\n" + shared_chain_source(3)), 0)
     a, b = checked.decls[-1].decl.a, checked.decls[-1].decl.b
     runs = []
-    memo: dict = {}
+    memo = Memo()
     for shared in (None, None, memo, memo):
         fuel, calls[0] = Fuel.unlimited(), 0
         assert convertible(PCERT_CONFIG.rules, a, b, fuel, PCERT_CONFIG.irrelevant, shared)
@@ -158,7 +158,7 @@ def test_conversion_work_is_linear_in_the_links_of_shared_chains(monkeypatch):
 
 def test_the_boundary_walks_each_distinct_node_once(monkeypatch):
     gates = count_calls(monkeypatch, lf, "_first_protected")
-    expansions = count_calls(monkeypatch, checker, "_expand")
+    expansions = count_calls(monkeypatch, terms, "substitute_parallel")
     counts = []
     for links in (4, 8, 12):  # the printed translation has 2^links leaves
         parsed = parse_file(translated(doubling_chain_source(links)))
@@ -236,7 +236,7 @@ def test_the_gate_skips_clean_nodes_and_reports_the_same_first_occurrence():
     later = App(Abs("x", shared, App(shared, forged)), forged)
     with pytest.raises(ProtectedError) as fresh:
         assert_public(later, LF_SIGNATURE)
-    clean: set[int] = set()
+    clean = Memo()
     assert_public(App(shared, shared), LF_SIGNATURE, clean)
     assert id(shared) in clean
     with pytest.raises(ProtectedError) as memoized:

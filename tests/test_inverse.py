@@ -12,6 +12,7 @@ from pcert.terms import (
     Abs,
     App,
     Bound,
+    Memo,
     Prod,
     Sort,
     SymApp,
@@ -62,11 +63,21 @@ def test_a_memo_shared_by_two_calls_keeps_successes_only():
     # a failure is found again by the call that meets it, at that call's path
     bad = SymApp("pair'", (Var("t"), Var("p"), Var("m")))
     good = SymApp("psub", (Var("T"), Var("p")))
-    memo = {}
+    memo = Memo()
     first = inverse_term(App(good, bad), memo)
     second = inverse_term(App(bad, good), memo)
     assert (first.path, second.path) == (("arg",), ("fun",))
     assert inverse_term(good, memo) is inverse_term(App(good, Var("x")), memo).fun
+
+
+def test_a_node_inverted_as_a_term_is_still_no_type():
+    # `g a` inverts as a term but is no translated type, shared or not
+    for shared in (True, False):
+        t = App(Var("g"), Var("a"))
+        annot = t if shared else App(Var("g"), Var("a"))
+        got = inverse_term(App(App(Var("f"), t), Abs("h", annot, Bound(0))))
+        assert isinstance(got, NotInImage), shared
+        assert got.path == ("arg", "annot")
 
 
 def test_inverse_type_el():

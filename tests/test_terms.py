@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import gc
 import random
 import sys
 import threading
 import time
+from pathlib import Path
 
 from genutil import (
     BASE_CTX,
@@ -29,6 +32,7 @@ from pcert.terms import (
     App,
     Bound,
     Context,
+    Memo,
     Prod,
     Sort,
     SymApp,
@@ -37,6 +41,7 @@ from pcert.terms import (
     abstract_var,
     alpha_eq,
     free_vars,
+    ident,
     instantiate,
     lam,
     pi,
@@ -330,3 +335,64 @@ def test_substitute_parallel_returns_unchanged_nodes_themselves():
     value = App(Var("f"), Var("a"))
     shared = substitute_parallel(App(Var("x"), Var("x")), {"x": value})
     assert shared.fun is value and shared.arg is value
+
+
+# --- identity memos ---------------------------------------------------------
+
+
+class _Forgetful(Memo):
+    """A memo that does not hold its nodes: the control of the test below."""
+
+    def put(self, key, value, *nodes):
+        self[key] = value
+        return value
+
+
+def dead_id_taken(memo: Memo) -> bool:
+    """Store entries for nodes that then die, then build fresh nodes until
+    one takes the id of a dead one. The fresh nodes stay alive, so each
+    takes a block of its own; the allocator hands out the freed blocks
+    after some thousands of them (about 21 000 on CPython 3.11 when the
+    whole suite runs first)."""
+    leaf = Var("x")  # shared, so that only the nodes come and go
+    nodes = [App(leaf, leaf) for _ in range(200)]
+    for node in nodes:
+        memo.put(ident(node), True, node)
+    del nodes, node
+    gc.collect()
+    fresh = []
+    for _ in range(100_000):
+        fresh.append(App(leaf, leaf))
+        if ident(fresh[-1]) in memo:
+            return True
+    return False
+
+
+def test_a_memo_holds_the_nodes_its_keys_were_made_from():
+    assert dead_id_taken(_Forgetful())  # without holding, ids come back
+    assert not dead_id_taken(Memo())
+
+
+# Where a node's identity may be read: `terms`, which owns `Memo` and
+# `ident`, and the parser's interning methods, whose table values keep the
+# children whose ids their keys hold alive.
+_ID_ALLOWED = {"syntax.py": {"_Parser.app", "_Parser.binder", "_Parser.sym"}}
+
+
+def test_only_terms_and_the_parser_table_read_node_identities():
+    found = []
+    for path in sorted(Path(terms.__file__).parent.glob("*.py")):
+        if path.name == "terms.py":
+            continue
+        allowed = _ID_ALLOWED.get(path.name, set())
+
+        def visit(node: ast.AST, scope: str) -> None:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            if isinstance(node, ast.Name) and node.id == "id" and scope not in allowed:
+                found.append(f"{path.name}:{node.lineno} in {scope or 'module'}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert not found, "key caches with terms.Memo and terms.ident: " + ", ".join(found)
