@@ -20,13 +20,11 @@ juxtaposition, and must be fully applied either way. In pcert mode the
 keywords Type/Kind/Prop are sort literals; in lf mode they name the nullary
 encodings of those sorts, while TYPE and KIND denote the framework sorts.
 
-The lexer is one regex scan of the text. It skips whitespace and comments
-inside the regex, reports the first character that starts no token through a
-catch-all group, and fills three flat lists: the kinds, values and start
-offsets of the tokens, ending in an eof entry. The parser indexes these lists.
-Lines and columns are computed only where a SourceSpan is built (for each
-declaration and for an error), by bisecting the newline offsets of the text,
-found once per text. Binder names are resolved to `Bound` indices as they
+The lexer (`lexer.scan`) fills three flat lists, the kinds, values and
+start offsets of the tokens, which the parser indexes. Lines and columns
+are computed only where a SourceSpan is built (for each declaration and
+for an error), by bisecting the newline offsets of the text, found once
+per text. Binder names are resolved to `Bound` indices as they
 are parsed, so each binder is built once and its body is never walked again.
 
 Nodes are interned for one parse: every node is built through one dict
@@ -40,6 +38,13 @@ weak: it lives only as long as the parse, its values hold the children
 whose ids the keys are made of, and a hit costs less than building the
 node. The printer renders a node shared across the terms of a file once,
 from one `terms.Memo` per file.
+
+Text that occurs again is also read only once: the lexer copies the tokens
+of a parenthesised group whose exact text occurred before
+(`lexer.repeated_groups`), and the parser returns the node it parsed from
+the same text in the same binder frame (see `_Parser`), so reading back a
+translation that spells out an expanded definition many times takes time
+in its distinct groups, not in its size.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from bisect import bisect_left
 from typing import Union
 
 from .diagnostics import ARITY_MISMATCH, PARSE_ERROR, SourceSpan, SurfaceError
+from .lexer import KEYWORDS, repeated_groups, scan
 from .lf import LF_SIGNATURE
 from .pcert import PCERT_SIGNATURE
 from .record import Frozen, Record, set_field
@@ -72,8 +78,6 @@ from .terms import (
     instantiate,
     is_nondependent,
 )
-
-KEYWORDS = frozenset({"symbol", "definition", "assert", "convertible", "Type", "Kind", "Prop"})
 
 _SIGNATURES = {"pcert": PCERT_SIGNATURE, "lf": LF_SIGNATURE}
 
@@ -135,46 +139,9 @@ class ParsedFile(Frozen):
         set_field(self, "path", path)
 
 
-# --- lexer -------------------------------------------------------------------
-
-# Whitespace and comments after a token. Each token match ends with them, so
-# the next match starts on a token or at the end of the text, and the
-# catch-all `bad` group sees only a character that starts no token.
-_SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
-
-_TOKEN_RE = re.compile(
-    r"(?: (?P<kw>(?:" + "|".join(sorted(KEYWORDS)) + r")(?![A-Za-z0-9_'?]))"
-    r"""  | (?P<id>[A-Za-z_][A-Za-z0-9_'?]*)
-          | (?P<assign>:=)
-          | (?P<arrow>->)
-          | (?P<punct>[(){}|,;:.!\\])
-          | (?P<mode>\#MODE)
-          | (?P<bad>.)
-        )"""
-    + _SKIP,
-    re.VERBOSE | re.DOTALL,
-)
-_LEADING_SKIP = re.compile(_SKIP)
-_NEWLINE = re.compile("\n")
-
-
-def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
-    """Kinds, values and start offsets of the tokens of text, ending in eof."""
-    kinds: list[str] = []
-    values: list[str] = []
-    starts: list[int] = []
-    for m in _TOKEN_RE.finditer(text, _LEADING_SKIP.match(text).end()):
-        kind = m.lastgroup
-        kinds.append(kind)
-        values.append(m[kind])
-        starts.append(m.start())
-    kinds.append("eof")
-    values.append("")
-    starts.append(len(text))
-    return kinds, values, starts
-
-
 # --- parser ------------------------------------------------------------------
+
+_NEWLINE = re.compile("\n")
 
 
 class _SymRef(Record):
@@ -200,25 +167,50 @@ _ATOM_START = frozenset({"(", "{", "Type", "Kind", "Prop"})
 class _Parser:
     """Recursive descent over the token lists of one text; pos indexes them.
 
-    Binder names are resolved while parsing: `scope` maps each name to the
-    levels of the enclosing binders that bind it, innermost last, and
-    `depth` counts all enclosing binders, so an identifier bound at level l
-    is `Bound(depth - 1 - l)` and an unbound one a free `Var`.
+    Binder names are resolved while parsing: `names` lists the names of
+    the enclosing binders, innermost last, with None for an arrow, and
+    `scope` maps each name to the levels in `names` that bind it, so with
+    d enclosing binders an identifier bound at level l is `Bound(d - 1 - l)`
+    and an unbound one a free `Var`.
+
+    The span memo parses each repeated group once per binder frame. It
+    covers every parenthesised group `( ... )` and every symbol call
+    `s( ... )` whose parenthesised text occurs again in the text (see
+    `lexer.repeated_groups`). Its key is the name of that text (the offset
+    of its first occurrence), the calling symbol (None for a plain group)
+    and the frame, the tuple `names`, which fixes the index of every
+    `Bound` inside. On a
+    hit the parser moves `pos` past the group and returns the node parsed
+    before. That is the very object parsing the group again would return:
+    the parse of a group depends only on its tokens, the mode and the
+    frame, and interning returns the object built from the same parts. So
+    nothing downstream can tell a hit from a parse. A group whose parse
+    raises stores nothing, and the memo holds one entry per group parsed,
+    whatever the size of the text.
     """
 
     def __init__(self, text: str, file: str, mode: str = "pcert"):
-        self.kinds, self.values, self.starts = _scan(text)
+        repeats = repeated_groups(text)
+        self.kinds, self.values, self.starts = scan(text, repeats)
         self.newlines = list(map(re.Match.start, _NEWLINE.finditer(text)))
         self.file = file
         self.pos = 0
         self.mode = mode
         self.arities = _ARITIES[mode]
+        self.names: list[str | None] = []
         self.scope: dict[str | None, list[int]] = {}
-        self.depth = 0
         self.nodes: dict[tuple, Term] = dict(_SORT_NODES)
         if "bad" in self.kinds:
             bad = self.kinds.index("bad")
+            self.values[bad] = text[self.starts[bad]]
             raise self.error(f"unexpected character {self.values[bad]!r}", bad)
+        # the span memo: `shared` names each group whose text occurs again
+        # by the start of the first group with that text, and `parsed` maps
+        # a group key to its node and its number of tokens
+        self.shared: dict[int, int] = {}
+        for start, _, first in repeats:
+            self.shared[start] = self.shared[first] = first
+        self.parsed: dict[tuple, tuple[Term, int]] = {}
 
     def span(self, i: int) -> SourceSpan:
         start = self.starts[i]
@@ -320,12 +312,28 @@ class _Parser:
 
     def bind(self, name: str | None) -> None:
         """Enter a binder, which binds `name` (None: no identifier)."""
-        self.scope.setdefault(name, []).append(self.depth)
-        self.depth += 1
+        self.scope.setdefault(name, []).append(len(self.names))
+        self.names.append(name)
 
     def unbind(self, name: str | None) -> None:
         self.scope[name].pop()
-        self.depth -= 1
+        self.names.pop()
+
+    # - the span memo: a repeated group is parsed once per frame -
+
+    def recall(self, key: tuple, first: int) -> Term | None:
+        """The node of a group with this key parsed earlier, whose first
+        token is now `first`; on a hit, `pos` moves past the group."""
+        seen = self.parsed.get(key)
+        if seen is None:
+            return None
+        self.pos = first + seen[1]
+        return seen[0]
+
+    def remember(self, key: tuple, first: int, node: Term) -> Term:
+        """Store the node of the group from token `first` to `pos`."""
+        self.parsed[key] = (node, self.pos - first)
+        return node
 
     # - interned nodes: one object per distinct node of this parse -
 
@@ -392,7 +400,7 @@ class _Parser:
             arity = self.arities.get(value)
             if arity is None:
                 levels = self.scope.get(value)
-                return self.leaf(Bound, self.depth - 1 - levels[-1]) if levels else self.leaf(Var, value)
+                return self.leaf(Bound, len(self.names) - 1 - levels[-1]) if levels else self.leaf(Var, value)
             if self.values[i + 1] == "(":
                 return self.parse_call(value, i)
             return self.sym(value) if arity == 0 else _SymRef(value, i)
@@ -400,10 +408,16 @@ class _Parser:
             self.pos = i + 1
             return self.leaf(Sort, value) if self.mode == "pcert" else self.sym(value)
         if value == "(":
+            text = self.shared.get(self.starts[i])
+            key = None if text is None else (text, None, *self.names)
+            if key is not None:
+                node = self.recall(key, i)
+                if node is not None:
+                    return node
             self.pos = i + 1
             inner = self.parse_term()
             self.expect("punct", ")")
-            return inner
+            return inner if key is None else self.remember(key, i, inner)
         if value == "{":
             self.pos = i + 1
             name = self.values[self.expect("id")]
@@ -418,6 +432,12 @@ class _Parser:
         raise self.error(f"expected a term, found {value or 'end of input'!r}", i)
 
     def parse_call(self, name: str, i: int) -> Term:
+        text = self.shared.get(self.starts[i + 1])
+        key = None if text is None else (text, name, *self.names)
+        if key is not None:
+            node = self.recall(key, i)
+            if node is not None:
+                return node
         self.expect("punct", "(")
         args = [self.parse_term()]
         while self.values[self.pos] == ",":
@@ -427,7 +447,8 @@ class _Parser:
         arity = self.arities[name]
         if len(args) != arity:
             raise self.error(f"symbol {name!r} expects {arity} arguments, got {len(args)}", i, ARITY_MISMATCH)
-        return self.sym(name, tuple(args))
+        node = self.sym(name, tuple(args))
+        return node if key is None else self.remember(key, i, node)
 
 
 def parse_file(text: str, file: str = "<input>") -> ParsedFile:

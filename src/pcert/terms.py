@@ -19,9 +19,11 @@ it changed. A closed subterm is never rebuilt, so a value substituted for
 many occurrences stays one object. `==` stops at object identity and
 remembers, for one comparison, the pairs of nodes it has proven equal, so it
 compares two such terms in time linear in their shared size, however they
-were built. `free_vars` visits each shared subterm once, and `abstract_var`
-closes a shared term (a normal form) once per subterm and binder depth.
-Nothing depends on identity for its meaning; results are equal either way.
+were built. `free_vars` and `is_nondependent` visit each shared subterm
+once (per binder depth), `abstract_var` closes a shared term (a normal
+form) once per subterm and binder depth, and `instantiate` opens a binder
+over a shared closed term (an expanded definition) once per subterm and
+binder depth. Nothing depends on identity for its meaning; results are equal either way.
 
 Every cache that outlives one call is a `Memo`: a dict keyed by the
 identity of nodes (`ident`), whose entries hold the nodes their keys were
@@ -356,32 +358,55 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
-    """Replace Bound(depth) by a locally closed value, closing the binder."""
+    """Replace Bound(depth) by a locally closed value, closing the binder.
+
+    For one call, a subterm found unchanged is remembered by its identity
+    with the least depth it was found unchanged at (so it is unchanged at
+    every greater depth too), so a closed subterm met again, such as an
+    expanded definition under a binder, is walked once: the work is linear
+    in the distinct closed subterms of body. A changed subterm is rebuilt
+    at each occurrence, so the result is made of the very objects a tree
+    walk makes, and identity memos downstream hit exactly as they did.
+    """
+    return _instantiate(body, value, depth, None)
+
+
+def _instantiate(body: Term, value: Term, depth: int, same: dict[int, int] | None) -> Term:
+    # body is a subterm of the call's argument, alive for the whole call
     cls = type(body)
-    if cls is Var:
+    if cls is Var or cls is Sort:
         return body
     if cls is Bound:
         k = body.index
         if k == depth:
             return value
         return Bound(k - 1) if k > depth else body
+    if same is None:  # the outermost node, met once
+        same, key = {}, None
+    else:
+        key = id(body)
+        least = same.get(key)
+        if least is not None and least <= depth:
+            return body
     if cls is App:
-        fun, arg = instantiate(body.fun, value, depth), instantiate(body.arg, value, depth)
-        return body if fun is body.fun and arg is body.arg else App(fun, arg)
-    if cls is Abs:
-        annot, inner = instantiate(body.annot, value, depth), instantiate(body.body, value, depth + 1)
-        return body if annot is body.annot and inner is body.body else Abs(body.hint, annot, inner)
-    if cls is Prod:
-        dom, cod = instantiate(body.dom, value, depth), instantiate(body.cod, value, depth + 1)
-        return body if dom is body.dom and cod is body.cod else Prod(body.hint, dom, cod)
-    if cls is SymApp:
+        fun, arg = _instantiate(body.fun, value, depth, same), _instantiate(body.arg, value, depth, same)
+        out = body if fun is body.fun and arg is body.arg else App(fun, arg)
+    elif cls is Abs:
+        annot, inner = _instantiate(body.annot, value, depth, same), _instantiate(body.body, value, depth + 1, same)
+        out = body if annot is body.annot and inner is body.body else Abs(body.hint, annot, inner)
+    elif cls is Prod:
+        dom, cod = _instantiate(body.dom, value, depth, same), _instantiate(body.cod, value, depth + 1, same)
+        out = body if dom is body.dom and cod is body.cod else Prod(body.hint, dom, cod)
+    elif cls is SymApp:
         args = []
         for a in body.args:
-            args.append(instantiate(a, value, depth))
-        return body if _same(args, body.args) else SymApp(body.sym, tuple(args))
-    if cls is Sort:
-        return body
-    raise TypeError(f"not a term: {body!r}")
+            args.append(_instantiate(a, value, depth, same))
+        out = body if _same(args, body.args) else SymApp(body.sym, tuple(args))
+    else:
+        raise TypeError(f"not a term: {body!r}")
+    if out is body and key is not None:
+        same[key] = depth
+    return out
 
 
 def abstract_var(t: Term, name: str, depth: int = 0) -> Term:
@@ -450,22 +475,28 @@ def open_term(hint: str, body: Term) -> tuple[Var, Term]:
 
 
 def is_nondependent(cod: Term) -> bool:
-    """True when a product codomain never uses its binder."""
-
-    def uses(t: Term, depth: int) -> bool:
-        match t:
-            case Bound(k):
-                return k == depth
-            case App(fun, arg):
-                return uses(fun, depth) or uses(arg, depth)
-            case Abs(_, annot, body) | Prod(_, annot, body):
-                return uses(annot, depth) or uses(body, depth + 1)
-            case SymApp(_, args):
-                return any(uses(a, depth) for a in args)
-            case _:
+    """True when a product codomain never uses its binder. Each subterm is
+    visited once per binder depth, so the walk is linear in the distinct
+    subterms of cod."""
+    seen: set[tuple[int, int]] = set()  # subterms of cod, alive for the call
+    todo = [(cod, 0)]
+    while todo:
+        t, depth = todo.pop()
+        cls = type(t)
+        if cls is Bound:
+            if t.index == depth:
                 return False
-
-    return not uses(cod, 0)
+        elif cls is not Var and cls is not Sort and (id(t), depth) not in seen:
+            seen.add((id(t), depth))
+            if cls is App:
+                todo += ((t.fun, depth), (t.arg, depth))
+            elif cls is Abs:
+                todo += ((t.annot, depth), (t.body, depth + 1))
+            elif cls is Prod:
+                todo += ((t.dom, depth), (t.cod, depth + 1))
+            else:
+                todo += zip(t.args, itertools.repeat(depth))
+    return True
 
 
 class Records:

@@ -13,10 +13,13 @@ against, `ref_infer` the reference the replaying inference of
 `pcert.kernel` is checked against, `reference_conversion` the reference the
 file-wide conversion memo of `Kernel.convert` is checked against,
 `ref_equal` and `ref_hash` the references the sharing-aware `==` and the
-kept hashes of terms are checked against, `NamedParser` and
-`FreshParser` the references the scope-resolving and the interning parser
-are checked against, and `ref_print_file` and `ref_development_lines` the
-references the memoizing printer and Lambdapi exporter are checked against.
+kept hashes of terms are checked against, `NamedParser`, `FreshParser`
+and `UnmemoizedParser` the references the scope-resolving parser, the
+interning parser and its span memo are checked against,
+`ref_instantiate` and `ref_is_nondependent` the tree walks the sharing
+ones of `pcert.terms` are checked against, and `ref_print_file` and
+`ref_development_lines` the references the memoizing printer and Lambdapi
+exporter are checked against.
 `check_wf`, `validate_signature` and `inverse_type` are entry points that
 only the tests use.
 """
@@ -542,6 +545,19 @@ def ref_instantiate(body: Term, value: Term, depth: int = 0) -> Term:
     raise TypeError(f"not a term: {body!r}")
 
 
+def ref_is_nondependent(cod: Term, depth: int = 0) -> bool:
+    match cod:
+        case Bound(k):
+            return k != depth
+        case App(fun, arg):
+            return ref_is_nondependent(fun, depth) and ref_is_nondependent(arg, depth)
+        case Abs(_, annot, body) | Prod(_, annot, body):
+            return ref_is_nondependent(annot, depth) and ref_is_nondependent(body, depth + 1)
+        case SymApp(_, args):
+            return all(ref_is_nondependent(a, depth) for a in args)
+    return True
+
+
 def ref_abstract_var(t: Term, name: str, depth: int = 0) -> Term:
     match t:
         case Var(n):
@@ -930,9 +946,22 @@ def doubling_chain_source(links: int, mode: str = "pcert") -> str:
     return "\n".join(lines) + "\n"
 
 
-class FreshParser(_Parser):
+class UnmemoizedParser(_Parser):
+    """The parser as it was before its span memo: it interns nodes, but it
+    parses every occurrence of a repeated group again."""
+
+    def recall(self, key: tuple, first: int) -> None:
+        return None
+
+
+def parse_file_unmemoized(text: str, file: str = "<input>"):
+    return UnmemoizedParser(text, file).parse_file()
+
+
+class FreshParser(UnmemoizedParser):
     """The parser as it was before it interned nodes: every node is built
-    anew, so repeated text gives equal but distinct objects."""
+    anew, so repeated text gives equal but distinct objects. It bypasses
+    the span memo, which would hand out one object for repeated text."""
 
     def leaf(self, cls: type, value: str | int) -> Term:
         return cls(value)

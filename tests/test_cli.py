@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pcert
 from pcert import corpus_path
 from pcert.cli import main
+from test_syntax import mutated_corpus
 
 CORPUS_PCERT = ("prelude.pcert", "stacks.pcert", "bounded_lists.pcert", "even_numbers.pcert")
 CORPUS_OK = CORPUS_PCERT + ("even_pair.lf",)
@@ -242,11 +247,28 @@ def _unfolding(redexes: int, depth: int = 20) -> str:
     return h + "definition d := " + "h (" * redexes + "a" + ")" * redexes + ";\n"
 
 
+def _arrows(n: int) -> str:
+    return "symbol s : " + " -> ".join(["iota"] * (n + 1)) + ";\n"
+
+
+def _applications(n: int) -> str:
+    return "assert " + "f (" * n + "a" + ")" * n + " : iota;\n"
+
+
 DEEP_INPUTS = {
-    "arrows": "symbol s : " + " -> ".join(["iota"] * 2001) + ";\n",
-    "applications": "assert " + "f (" * 2000 + "a" + ")" * 2000 + " : iota;\n",
+    "arrows": _arrows(2000),
+    "applications": _applications(2000),
     "normal_form": _unfolding(100),  # 2000 deep: roundtrip exits 3, the others 0
     "normal_form_in_limit": _unfolding(15),  # 300 deep: every command exits 0
+}
+
+# The deepest arrows and applications each command passes, bisected under
+# pytest on CPython 3.11.7 with the default recursion limit of 1000, less 2%.
+# One more frame per level of a recursion would lower each by a fifth or
+# more, so a frame lost in the parser, the kernel or the printer fails here.
+DEPTH_FLOORS = {
+    "arrows": (_arrows, {"check": 310, "translate": 183, "roundtrip": 310, "export": 230}),  # 318/188/318/237
+    "applications": (_applications, dict.fromkeys(("check", "translate", "roundtrip", "export"), 308)),  # 315
 }
 
 
@@ -254,7 +276,8 @@ DEEP_INPUTS = {
 @pytest.mark.parametrize("shape", sorted(DEEP_INPUTS))
 def test_deep_input_exits_zero_or_three_without_a_traceback(tmp_path, capsys, command, shape):
     src = tmp_path / "deep.pcert"
-    src.write_text("symbol iota : Type;\nsymbol a : iota;\nsymbol f : iota -> iota;\n" + DEEP_INPUTS[shape])
+    base = "symbol iota : Type;\nsymbol a : iota;\nsymbol f : iota -> iota;\n"
+    src.write_text(base + DEEP_INPUTS[shape])
     out = ["-o", str(tmp_path / "deep.out")] if command in ("translate", "export") else []
     argv = [command, str(src), *out]
     code = main(argv)
@@ -263,6 +286,11 @@ def test_deep_input_exits_zero_or_three_without_a_traceback(tmp_path, capsys, co
     assert "Traceback" not in err
     if code == 3:
         assert err.startswith("DepthExceeded: ") and err.count("\n") == 1
+    if shape in DEPTH_FLOORS:
+        make, floors = DEPTH_FLOORS[shape]
+        src.write_text(base + make(floors[command]))
+        assert main(argv) == 0, f"{command} no longer passes {floors[command]} {shape}"
+        assert capsys.readouterr().err == ""
 
 
 def test_definition_disagreeing_with_its_annotation_exits_one(tmp_path, capsys):
@@ -409,3 +437,40 @@ def test_output_matches_golden_bytes(command, name, tmp_path):
     out = tmp_path / "out"
     assert main([command, corpus(name), "-o", str(out)]) == 0
     assert out.read_bytes() == golden.read_bytes()
+
+
+# --- fuzzing the driver ------------------------------------------------------
+
+
+@st.composite
+def fuzz_input(draw) -> bytes:
+    """A mutated corpus file, a corpus file with parentheses added or
+    removed, one with parentheses hidden in comments, or random bytes."""
+    kind = draw(st.sampled_from(("mutated", "parentheses", "comments", "bytes")))
+    if kind == "mutated":
+        return draw(mutated_corpus()).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=300))
+    text = Path(corpus(draw(st.sampled_from(CORPUS_OK)))).read_text()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        if kind == "parentheses":
+            text = text[:at] + draw(st.sampled_from(("(", ")", "((", "))", ""))) + text[at + 1:]
+        else:
+            text = text[:at] + draw(st.sampled_from(("// (", "// )", "//((\n", " // ) (\n"))) + text[at:]
+    return text.encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_input())
+def test_fuzzed_input_exits_with_a_documented_code_and_no_traceback(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "fuzz.pcert"
+        src.write_bytes(data)
+        for command in ("check", "translate", "roundtrip", "export"):
+            out = ["-o", str(Path(tmp) / "out")] if command in ("translate", "export") else []
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, str(src), *out, "--fuel", "100000"])
+            assert code in range(6), (command, code)
+            assert "Traceback" not in err.getvalue()

@@ -1,0 +1,256 @@
+"""The parser's span memo: a repeated group is read once per binder frame.
+
+Every test compares the memoizing parser with `genutil.UnmemoizedParser`,
+the same interning parser without the memo: the declarations, their spans,
+the pattern of shared objects and every surface error must be the same.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genutil import (
+    BASE_SURFACE,
+    TermGen,
+    doubling_chain_source,
+    parse_file_fresh,
+    parse_file_unmemoized,
+)
+from pcert import check_file, corpus_path
+from pcert import lexer, syntax
+from pcert.cli import _translate_decls, main
+from pcert.diagnostics import SurfaceError
+from pcert.lexer import repeated_groups, scan
+from pcert.syntax import ParsedFile, parse_file, print_file, print_term
+from pcert.terms import Abs, App, Prod, SymApp
+from test_cli import shared_chain_source
+from test_syntax import CORPUS, mutated_corpus
+
+
+def _children(t):
+    cls = type(t)
+    if cls is App:
+        return (t.fun, t.arg)
+    if cls is Abs or cls is Prod:
+        return (t.annot, t.body) if cls is Abs else (t.dom, t.cod)
+    if cls is SymApp:
+        return t.args
+    return ()
+
+
+def _terms(parsed: ParsedFile) -> list:
+    out = []
+    for decl in parsed.decls:
+        out += [getattr(decl, field) for field in decl.__match_args__ if field not in ("name", "span")]
+    return [t for t in out if t is not None]
+
+
+def assert_same_sharing(a: ParsedFile, b: ParsedFile) -> None:
+    """The objects of a and b correspond one to one: two positions hold the
+    same object in a exactly when they hold the same object in b."""
+    forward: dict[int, int] = {}
+    backward: dict[int, int] = {}
+    todo = list(zip(_terms(a), _terms(b)))
+    keep = []  # hold every visited node, so no id is reused during the walk
+    while todo:
+        x, y = todo.pop()
+        keep.append((x, y))
+        if forward.setdefault(id(x), id(y)) != id(y) or backward.setdefault(id(y), id(x)) != id(x):
+            raise AssertionError(f"sharing differs at {x!r}")
+        todo += zip(_children(x), _children(y))
+
+
+def same_parse(text: str) -> None:
+    """The memoizing parser reads text as the unmemoizing one does."""
+    assert scan(text, repeated_groups(text)) == scan(text, [])
+    try:
+        expected = parse_file_unmemoized(text, "f")
+    except SurfaceError as err:
+        with pytest.raises(SurfaceError) as got:
+            parse_file(text, "f")
+        assert (got.value.kind, str(got.value), got.value.diagnostic.span) == (
+            err.kind, str(err), err.diagnostic.span)
+        return
+    got = parse_file(text, "f")
+    assert got == expected
+    assert repr(got) == repr(expected)  # hints are not compared by ==
+    assert [d.span for d in got.decls] == [d.span for d in expected.decls]
+    assert_same_sharing(got, expected)
+
+
+def translation(source: str) -> str:
+    checked = check_file(parse_file(source, "src.pcert"))
+    return print_file(ParsedFile("lf", tuple(_translate_decls(checked)), "src.pcert"))
+
+
+def termgen_file(seed: int) -> str:
+    gen = TermGen(seed)
+    lines = [BASE_SURFACE]
+    for i in range(6):
+        t, goal = gen.some_term(5)
+        lines.append(f"definition d{i} : {print_term(goal)} := {print_term(t)};")
+        lines.append(f"assert {print_term(t)} : {print_term(goal)};")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_the_corpus_parses_as_without_the_memo(name):
+    same_parse(corpus_path(name).read_text())
+
+
+@pytest.mark.parametrize("source", [
+    shared_chain_source(4), shared_chain_source(9), doubling_chain_source(6), doubling_chain_source(10),
+], ids=["uv4", "uv9", "doubling6", "doubling10"])
+def test_translations_parse_as_without_the_memo(source):
+    same_parse(source)
+    same_parse(translation(source))
+
+
+def test_a_termgen_translation_parses_as_without_the_memo():
+    for seed in range(3):
+        source = termgen_file(seed)
+        same_parse(source)
+        same_parse(translation(source))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generated_files_parse_as_without_the_memo(seed):
+    same_parse(termgen_file(seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_corpus())
+def test_mutated_corpus_parses_or_fails_as_without_the_memo(text):
+    same_parse(text)
+
+
+REPEATED_GROUPS = {
+    # the same text under different binder frames resolves differently
+    "frames": "symbol g : T -> T -> T -> T;\n"
+              "definition d := \\x: T. \\y: T. g (g x y (g x y aaaaaaaaaaaaaaaaaa))"
+              " ((\\z: T. g x y (g x y aaaaaaaaaaaaaaaaaa)) (g x y (g x y aaaaaaaaaaaaaaaaaa))) y;",
+    # an arrow is a frame of its own
+    "arrows": "symbol s : (T -> P (f aaaaaaaaaaaaaaaaaaaaaaaa)) -> P (f aaaaaaaaaaaaaaaaaaaaaaaa);",
+    # a call and a plain group with the same parenthesised text
+    "calls": "#MODE lf\nsymbol c : El(arrd(iota, \\_: El(iota). iota));\n"
+             "definition d := c (arrd(iota, \\_: El(iota). iota));",
+    # parentheses inside comments, and comments inside repeated groups
+    "comments": "definition d := g (f a // ) ( unmatched\n b) (f a // ) ( unmatched\n b) // (\n;"
+                "\nassert (f a // ) ( unmatched\n b) : T;",
+    "comments_in_long_groups": "definition d := g (f aaaaaaaaaaaaaaaaaaaaaaaa // ) (\n b) (f aaaaaaaaaaaaaaaaaaaaaaaa // ) (\n b);"
+                               "\nassert (f aaaaaaaaaaaaaaaaaaaaaaaa // ) (\n b) : T;",
+    "comment_text_differs": "definition d := g (f aaaaaaaaaaaaaaaaaaaa // one\n b) (f aaaaaaaaaaaaaaaaaaaa // two\n b);",
+    # nested repeats, and repeats deeper than the hashed depth
+    "deep": "definition d := " + "f (" * 90 + "g aaaaaaaaaaaaaaaaaaaaaaaa" + ")" * 90 + ";\n"
+            "definition e := " + "f (" * 90 + "g aaaaaaaaaaaaaaaaaaaaaaaa" + ")" * 90 + ";",
+    # a repeated group after an error, and one whose first parse fails
+    "error_after": "definition d := g (f aaaaaaaaaaaaaaaaaaaaaaaa) ;; (f aaaaaaaaaaaaaaaaaaaaaaaa);",
+    "error_inside": "definition d := g (f aaaaaaaaaaaaaaaaaaaaaaaa :) (f aaaaaaaaaaaaaaaaaaaaaaaa :);",
+    "arity_inside": "definition d := g (pair(aaaaaaaaaaaaaaaaaaaaaaaa)) (pair(aaaaaaaaaaaaaaaaaaaaaaaa));",
+    "bad_character": "definition d := g (f aaaaaaaaaaaaaaaaaaaaaaaa) (f aaaaaaaaaaaaaaaaaaaaaaaa) $;",
+    "bad_in_group": "definition d := g (f aaaaaaaaaaaaaaaaaaaaaaa$) (f aaaaaaaaaaaaaaaaaaaaaaa$);",
+    "unbalanced": "definition d := g (f aaaaaaaaaaaaaaaaaaaaaaaa) (f aaaaaaaaaaaaaaaaaaaaaaaa)) (;",
+    "unclosed": "definition d := g (f aaaaaaaaaaaaaaaaaaaaaaaa) ((f aaaaaaaaaaaaaaaaaaaaaaaa);",
+}
+
+
+@pytest.mark.parametrize("text", REPEATED_GROUPS.values(), ids=REPEATED_GROUPS.keys())
+def test_repeated_groups_parse_as_without_the_memo(text):
+    same_parse(text)
+
+
+def test_colliding_hashes_make_no_repeats(monkeypatch):
+    # every group text hashes alike: only the texts themselves tell groups apart
+    monkeypatch.setattr(lexer, "hash", lambda text: 0, raising=False)
+    for text in REPEATED_GROUPS.values():
+        same_parse(text)
+    same_parse(translation(shared_chain_source(3)))
+
+
+def test_random_text_lexes_and_fails_as_without_the_memo():
+    rng = random.Random(7)
+    pieces = ["(", ")", "(f a b c d e f g h i j k)", "\\x: T.", "->", "// (\n", "g", " ", "\n", "$", "pair(",
+              ",", ";", "symbol", "definition d :=", "1", "'", "-", "/"]
+    for _ in range(400):
+        same_parse("".join(rng.choice(pieces) for _ in range(rng.randint(1, 40))))
+
+
+def test_a_hit_returns_the_interned_node_and_skips_the_group(monkeypatch):
+    group = "(f (\\x: T. x) aaaaaaaaaaaaaaaaaaaa)"
+    text = f"definition d := g {group} {group};\nassert {group} : T;"
+    hits = []
+    recall = syntax._Parser.recall
+
+    def recording(self, key, first):
+        node = recall(self, key, first)
+        hits.append(node is not None)
+        return node
+
+    monkeypatch.setattr(syntax._Parser, "recall", recording)
+    parsed = parse_file(text)
+    assert hits == [False, True, True]  # the first occurrence misses, the others hit
+    body = parsed.decls[0].body
+    assert body.arg is body.fun.arg is parsed.decls[1].subject
+    assert_same_sharing(parsed, parse_file_unmemoized(text))
+    fresh = parse_file_fresh(text).decls[0].body  # the reference bypasses the memo
+    assert fresh.arg == fresh.fun.arg and fresh.arg is not fresh.fun.arg
+
+
+def test_the_memo_holds_an_entry_per_group_parsed_not_per_occurrence():
+    # a 12-link doubling translation spells out 2^12 leaves in thousands of
+    # groups, but has few distinct groups per frame
+    text = translation(doubling_chain_source(12))
+    parser = syntax._Parser(text, "f")
+    parser.parse_file()
+    assert len(parser.parsed) < 60
+    assert len(parser.shared) <= text.count("(")
+
+
+def _parse_term_calls(monkeypatch, tmp_path, source: str) -> int:
+    calls = [0]
+    parse_term = syntax._Parser.parse_term
+
+    def counting(self):
+        calls[0] += 1
+        return parse_term(self)
+
+    monkeypatch.setattr(syntax._Parser, "parse_term", counting)
+    src = tmp_path / "chain.pcert"
+    src.write_text(source)
+    assert main(["translate", str(src), "-o", str(tmp_path / "chain.lf"), "--fuel", "0"]) == 0
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_reading_back_a_chain_translation_is_linear_in_links(monkeypatch, tmp_path):
+    # `translate` parses the source and reads its printed translation back;
+    # without the memo the calls grow quadratically (2 564/7 913/16 207/27 444)
+    counts = [_parse_term_calls(monkeypatch, tmp_path, shared_chain_source(n)) for n in (8, 16, 24, 32)]
+    steps = {b - a for a, b in zip(counts, counts[1:])}
+    assert len(steps) == 1, counts
+
+
+@pytest.mark.parametrize("source", [doubling_chain_source, shared_chain_source])
+def test_the_lexer_matches_a_number_of_tokens_linear_in_links(monkeypatch, source):
+    # the other tokens of a chain translation, most of them, are copied from
+    # the earlier group with the same text
+    matched = [0]
+    match = lexer._match
+
+    def counting(text, pos, end, values, starts):
+        before = len(values)
+        match(text, pos, end, values, starts)
+        matched[0] += len(values) - before
+
+    monkeypatch.setattr(lexer, "_match", counting)
+    counts = []
+    for links in (8, 10, 12, 14):
+        text = translation(source(links))
+        matched[0] = 0
+        scan(text, repeated_groups(text))
+        counts.append(matched[0])
+    assert len({b - a for a, b in zip(counts, counts[1:])}) == 1, counts

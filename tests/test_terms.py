@@ -16,14 +16,19 @@ from genutil import (
     EquivalenceWalker,
     TermGen,
     positions,
+    doubling_chain_source,
     ref_equal,
     ref_hash,
+    ref_instantiate,
+    ref_is_nondependent,
     ref_substitute_parallel,
     rehinted,
     replace_at,
 )
+import pytest
 from hypothesis import given, settings, strategies as st
 from pcert import terms
+from pcert.cli import main
 from pcert.diagnostics import DUPLICATE_NAME, CheckError
 from pcert.pcert import BETA_PROJ, KERNEL as PCERT_KERNEL
 from pcert.rewrite import normalize
@@ -43,6 +48,7 @@ from pcert.terms import (
     free_vars,
     ident,
     instantiate,
+    is_nondependent,
     lam,
     pi,
     substitute,
@@ -318,6 +324,72 @@ def test_instantiate_returns_unchanged_nodes_themselves():
     assert instantiate(App(inner, Bound(0)), PROP).fun is inner
     # indices past the instantiated one still move down by one
     assert instantiate(App(Bound(0), Abs("w", Bound(2), Bound(1))), PROP) == App(PROP, Abs("w", Bound(1), PROP))
+
+
+@st.composite
+def shared_terms(draw) -> Term:
+    """A term built bottom-up from a pool, so that subterms recur as one
+    object; leaves include loose `Bound` indices."""
+    pool: list[Term] = [Bound(0), Bound(1), Bound(2), Var("a"), Var("f"), PROP]
+    for _ in range(draw(st.integers(1, 14))):
+        pick = st.sampled_from(pool)
+        kind = draw(st.sampled_from(("app", "abs", "prod", "sym")))
+        if kind == "app":
+            node = App(draw(pick), draw(pick))
+        elif kind == "abs":
+            node = Abs("x", draw(pick), draw(pick))
+        elif kind == "prod":
+            node = Prod("y", draw(pick), draw(pick))
+        else:
+            node = SymApp("pair", tuple(draw(pick) for _ in range(draw(st.integers(0, 3)))))
+        pool.append(node)
+    return pool[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_terms(), st.integers(0, 2), st.sampled_from((Var("v"), App(Var("f"), Var("a")), PROP)))
+def test_instantiate_and_is_nondependent_agree_with_tree_walks(body, depth, value):
+    out = instantiate(body, value, depth)
+    expected = ref_instantiate(body, value, depth)
+    assert out == expected and repr(out) == repr(expected)
+    assert is_nondependent(body) == ref_is_nondependent(body)
+    # an unchanged subterm stays the very object wherever it occurs, and a
+    # changed one is rebuilt at each occurrence, as a tree walk rebuilds it
+    unchanged = instantiate(body, value, depth) is body
+    out = instantiate(App(body, body), value, depth)
+    assert (out.fun is body) == (out.fun is out.arg) == unchanged
+
+
+def _binder_over_doubling_calls(command: str, links: int, tmp_path) -> int:
+    """Python calls of `instantiate` and `is_nondependent` (and the
+    functions they recurse through) while `command` runs on a binder whose
+    annotation holds the expanded doubling definition d<links>."""
+    src = tmp_path / f"d{links}.pcert"
+    src.write_text(doubling_chain_source(links) + "symbol P : iota -> Prop;\n"
+                   f"assert (\\h: P d{links}. h) : P d{links} -> P d{links};\n")
+    walks = {"instantiate", "_instantiate", "is_nondependent", "uses"}
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == terms.__file__ and frame.f_code.co_name in walks:
+            calls[0] += 1
+
+    out = ["-o", str(tmp_path / "out")] if command == "export" else []
+    sys.setprofile(profile)
+    try:
+        code = main([command, str(src), *out, "--fuel", "0"])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    return calls[0]
+
+
+@pytest.mark.parametrize("command", ["check", "export"])
+def test_a_binder_over_an_expanded_definition_costs_linear_work(command, tmp_path, capsys):
+    # a tree walk of the body costs 4x per two links: 4 142/16 438/65 598
+    # calls for check at the parent
+    counts = [_binder_over_doubling_calls(command, links, tmp_path) for links in (10, 12, 14)]
+    assert counts[2] - counts[1] == counts[1] - counts[0], counts
 
 
 def test_abstract_var_returns_unchanged_nodes_themselves():
