@@ -41,7 +41,7 @@ from .diagnostics import CheckError, fail
 from .kernel import Kernel
 from .lf import KERNEL as LF_KERNEL, assert_public
 from .pcert import KERNEL as PCERT_KERNEL
-from .record import Frozen, Record, set_field
+from .record import Frozen, Record, setters
 from .rewrite import Fuel, _as_fuel
 from .syntax import (
     AssertConv,
@@ -63,8 +63,11 @@ class Elaborated(Frozen):
     __slots__ = __match_args__ = ("decl", "inferred")
 
     def __init__(self, decl: Declaration, inferred: Term | None = None):
-        set_field(self, "decl", decl)
-        set_field(self, "inferred", inferred)
+        _elab_decl(self, decl)
+        _elab_inferred(self, inferred)
+
+
+_elab_decl, _elab_inferred = setters(Elaborated)
 
 
 class CheckedFile(Record):
@@ -86,11 +89,21 @@ class CheckedFile(Record):
 
 
 def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFile:
+    """Check every declaration of a file in order; see the module docstring.
+
+    A declaration whose terms come out of the gate and the expansion as the
+    very objects that were parsed (it mentions no definition) keeps its
+    parsed record: only a changed term makes a new one. `fuel` is coerced
+    once: a `Fuel` is shared by the whole file, an int or None gives each
+    declaration a fresh budget of that size."""
     kernel = KERNELS[parsed.mode]
+    signature = kernel.signature
     ctx = Context()
     records: list[Elaborated] = []
     names: set[str] = set()
     expansions: dict[str, Term] = {}
+    shared = fuel if isinstance(fuel, Fuel) else None
+    limit = _as_fuel(fuel).remaining
     # the file's boundary memos: nodes found free of protected symbols, and
     # expansions. An expansion stays right as `expansions` grows: a
     # declaration is admitted only if every name it mentions was declared
@@ -99,56 +112,61 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
     gated, expanded = Memo(), Memo()
 
     def prepare(t: Term) -> Term:
-        assert_public(t, kernel.signature, gated)
+        assert_public(t, signature, gated)
         # definition bodies are already fully expanded, so one parallel pass
         # replaces every defined name
         return substitute_parallel(t, expansions, expanded)
 
     for decl in parsed.decls:
-        budget = _as_fuel(fuel)  # fresh per declaration unless a Fuel is shared
+        budget = shared if shared is not None else Fuel(limit)
         inferred = None
+        cls = type(decl)  # told by type, not by a `match` on class patterns, which costs more
         try:
-            match decl:
-                case SymbolDecl(name, ty, span):
-                    if name in names:
-                        raise fail(dk.DUPLICATE_NAME, f"{name!r} declared twice")
+            if cls is SymbolDecl:
+                name = decl.name
+                if name in names:
+                    raise fail(dk.DUPLICATE_NAME, f"{name!r} declared twice")
+                ty = prepare(decl.type)
+                kernel.sort_of(ctx, ty, budget)
+                ctx = ctx.declare(name, ty)
+                names.add(name)
+                if ty is not decl.type:
+                    decl = SymbolDecl(name, ty, decl.span)
+            elif cls is Definition:
+                name, ty = decl.name, decl.type
+                if name in names:
+                    raise fail(dk.DUPLICATE_NAME, f"{name!r} declared twice")
+                body = prepare(decl.body)
+                if ty is None:
+                    inferred = kernel.infer(ctx, body, budget)
+                else:
                     ty = prepare(ty)
                     kernel.sort_of(ctx, ty, budget)
-                    ctx = ctx.declare(name, ty)
-                    names.add(name)
-                    decl = SymbolDecl(name, ty, span)
-                case Definition(name, body, ty, span):
-                    if name in names:
-                        raise fail(dk.DUPLICATE_NAME, f"{name!r} declared twice")
-                    body = prepare(body)
-                    if ty is None:
-                        inferred = kernel.infer(ctx, body, budget)
-                    else:
-                        ty = prepare(ty)
-                        kernel.sort_of(ctx, ty, budget)
-                        inferred = kernel.check(ctx, body, ty, budget)
-                    expansions[name] = body
-                    names.add(name)
-                    decl = Definition(name, body, ty, span)
-                case AssertJudgment(subject, ty, span):
-                    subject, ty = prepare(subject), prepare(ty)
-                    kernel.sort_of(ctx, ty, budget)
-                    kernel.check(ctx, subject, ty, budget)
-                    decl = AssertJudgment(subject, ty, span)
-                case AssertConv(a, b, span):
-                    a, b = prepare(a), prepare(b)
-                    kernel.infer(ctx, a, budget)
-                    kernel.infer(ctx, b, budget)
-                    if not kernel.convert(ctx, a, b, budget):
-                        raise fail(
-                            dk.NOT_CONVERTIBLE,
-                            "terms are not convertible",
-                            context=ctx,
-                            subject=a,
-                        )
-                    decl = AssertConv(a, b, span)
+                    inferred = kernel.check(ctx, body, ty, budget)
+                expansions[name] = body
+                names.add(name)
+                if body is not decl.body or ty is not decl.type:
+                    decl = Definition(name, body, ty, decl.span)
+            elif cls is AssertJudgment:
+                subject, ty = prepare(decl.subject), prepare(decl.type)
+                kernel.sort_of(ctx, ty, budget)
+                kernel.check(ctx, subject, ty, budget)
+                if subject is not decl.subject or ty is not decl.type:
+                    decl = AssertJudgment(subject, ty, decl.span)
+            elif cls is AssertConv:
+                a, b = prepare(decl.a), prepare(decl.b)
+                kernel.infer(ctx, a, budget)
+                kernel.infer(ctx, b, budget)
+                if not kernel.convert(ctx, a, b, budget):
+                    raise fail(
+                        dk.NOT_CONVERTIBLE,
+                        "terms are not convertible",
+                        context=ctx,
+                        subject=a,
+                    )
+                if a is not decl.a or b is not decl.b:
+                    decl = AssertConv(a, b, decl.span)
         except CheckError as err:
             raise err.with_span(decl.span) if decl.span is not None else err
         records.append(Elaborated(decl, inferred))
     return CheckedFile(parsed.mode, ctx, tuple(records))
-

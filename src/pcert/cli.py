@@ -120,7 +120,17 @@ def cmd_translate(path: str, out: str | None, fuel: int | None) -> int:
     text = print_file(translated)
     # machine-checked correctness: the printed output must reparse and pass
     # the lf kernel before anything is written
-    check_file(parse_file(text, f"{path}:translated"), fuel)
+    reparsed = parse_file(text, f"{path}:translated")
+    try:
+        check_file(reparsed, fuel)
+    except CheckError as err:
+        # each source declaration translates to one declaration: report the
+        # span of the source declaration, not a line of text the user never sees
+        span = err.diagnostic.span
+        if span is not None:
+            index = [decl.span for decl in reparsed.decls].index(span)
+            err.diagnostic.span = translated.decls[index].span
+        raise
     _emit(text, out)
     return EXIT_OK
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .record import Frozen, Record, set_field
+from .record import Frozen, Record, setters
 
 # Failure kinds. Parse-level kinds map to CLI exit code 2, the resource bounds
 # FUEL_EXHAUSTED and DEPTH_EXCEEDED to 3, PROTECTED_SYMBOL to 4; everything
@@ -31,13 +31,16 @@ class SourceSpan(Frozen):
     __slots__ = __match_args__ = ("file", "line", "column", "length")
 
     def __init__(self, file: str, line: int, column: int, length: int = 1):
-        set_field(self, "file", file)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
-        set_field(self, "length", length)
+        _span_file(self, file)
+        _span_line(self, line)
+        _span_column(self, column)
+        _span_length(self, length)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
+
+
+_span_file, _span_line, _span_column, _span_length = setters(SourceSpan)
 
 
 class Diagnostic(Record):

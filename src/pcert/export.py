@@ -83,8 +83,11 @@ def _show(t: Term, prec: int, memo: Memo, pattern_vars: frozenset[str] = frozens
             if not args:
                 out = _ident(sym)
             else:
-                shown = " ".join(_show(a, _ATOM, memo, pattern_vars) for a in args)
-                out = _wrap(f"{_ident(sym)} {shown}", _APP, prec)
+                # a loop, not a generator expression: no frame of its own per argument
+                shown = []
+                for a in args:
+                    shown.append(_show(a, _ATOM, memo, pattern_vars))
+                out = _wrap(f"{_ident(sym)} {' '.join(shown)}", _APP, prec)
         case _:
             raise TypeError(f"not a term: {t!r}")
     return memo.put(key, out, t)

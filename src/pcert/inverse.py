@@ -17,7 +17,7 @@ the subterm's identity and its role (term or type).
 
 from __future__ import annotations
 
-from .record import Frozen, set_field
+from .record import Frozen, setters
 from .terms import Abs, App, Bound, Memo, Prod, Sort, SymApp, Term, Var, ident
 
 
@@ -27,12 +27,15 @@ class NotInImage(Frozen):
     __slots__ = __match_args__ = ("path", "subterm")
 
     def __init__(self, path: tuple[str, ...], subterm: Term):
-        set_field(self, "path", path)
-        set_field(self, "subterm", subterm)
+        _nii_path(self, path)
+        _nii_subterm(self, subterm)
 
     def __str__(self) -> str:
         where = "/".join(self.path) if self.path else "root"
         return f"not in the image of the translation at {where}: {self.subterm!r}"
+
+
+_nii_path, _nii_subterm = setters(NotInImage)
 
 
 def inverse_term(m: Term, memo: Memo | None = None) -> Term | NotInImage:

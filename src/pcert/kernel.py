@@ -48,9 +48,10 @@ from typing import Mapping
 
 from . import diagnostics as dk
 from .diagnostics import fail
-from .record import Frozen, set_field
-from .rewrite import Fuel, RuleSet, _as_fuel, convertible, whnf
+from .record import Frozen, setters
+from .rewrite import Fuel, RuleSet, _as_fuel, _whnf, convertible
 from .terms import (
+    SORTS,
     Abs,
     App,
     Bound,
@@ -87,12 +88,17 @@ class SystemConfig(Frozen):
         rules: RuleSet,
         irrelevant: Mapping[str, int] | None = None,
     ):
-        set_field(self, "name", name)
-        set_field(self, "axioms", axioms)
-        set_field(self, "products", products)
-        set_field(self, "signature", signature)
-        set_field(self, "rules", rules)
-        set_field(self, "irrelevant", {} if irrelevant is None else irrelevant)
+        _config_name(self, name)
+        _config_axioms(self, axioms)
+        _config_products(self, products)
+        _config_signature(self, signature)
+        _config_rules(self, rules)
+        _config_irrelevant(self, {} if irrelevant is None else irrelevant)
+
+
+_config_name, _config_axioms, _config_products, _config_signature, _config_rules, _config_irrelevant = (
+    setters(SystemConfig)
+)
 
 
 _LEAVES = (Var, Sort, Bound)
@@ -139,6 +145,10 @@ class Kernel:
         self.config = config
         self.signature = config.signature
         self.rules = config.rules
+        # the sort of each tag the configuration can infer, the module
+        # constant where there is one: sorts compare by value
+        tags = (*config.axioms, *config.axioms.values(), *config.products.values())
+        self.sorts = {tag: SORTS.get(tag) or Sort(tag) for tag in tags}
 
     def convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel) -> bool:
         """Head-first conversion under this system's rules (`convertible`).
@@ -166,10 +176,19 @@ class Kernel:
         return True
 
     def whnf(self, t: Term, fuel: Fuel) -> Term:
-        return whnf(self.rules, t, fuel)
+        """Weak head normal form under this system's rules, on the budget
+        the caller holds: `fuel` is a `Fuel` already, so it goes straight
+        to the loop `rewrite._whnf`, not through the public `rewrite.whnf`,
+        which would coerce it again."""
+        return _whnf(self.rules, t, fuel)
+
+    # The public entry points take a `Fuel`, an int or None. A `Fuel` is
+    # coerced by an `isinstance` test in place, not a call of `_as_fuel`:
+    # `check_file` hands every entry point of a declaration one `Fuel`.
 
     def infer(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Term:
-        fuel = _as_fuel(fuel)
+        if not isinstance(fuel, Fuel):
+            fuel = _as_fuel(fuel)
         return self._infer(ctx, t, fuel, _Replay(self, ctx))
 
     def _infer(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
@@ -188,95 +207,102 @@ class Kernel:
         return ty
 
     def _infer_node(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
-        """The inference rule at t's head; subterms go through `_infer`."""
+        """The inference rule at t's head; subterms go through `_infer`.
+        The head is told by `type(t)`, most frequent first, as the walks in
+        `terms` do: a `match` on class patterns costs several times more per
+        node."""
         cfg = self.config
-        match t:
-            case Sort(tag):
-                above = cfg.axioms.get(tag)
-                if above is None:
-                    raise fail(
-                        dk.SORT_HAS_NO_TYPE,
-                        f"sort {tag} has no type in system {cfg.name}",
-                        context=ctx,
-                        subject=t,
-                    )
-                return Sort(above)
-            case Var(name):
-                ty = ctx.lookup(name)
-                if ty is None:
-                    raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {name!r}", context=ctx, subject=t)
-                return ty
-            case Bound(k):
-                raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{k}", context=ctx, subject=t)
-            case App(f, a):
-                tf = self.whnf(self._infer(ctx, f, fuel, run), fuel)
-                if not isinstance(tf, Prod):
-                    raise fail(
-                        dk.NOT_A_FUNCTION,
-                        f"application head has non-product type {tf!r}",
-                        context=ctx,
-                        subject=t,
-                    )
-                ta = self._infer(ctx, a, fuel, run)
-                if not self._convert(ctx, ta, tf.dom, fuel, run):
+        cls = type(t)
+        if cls is Var:
+            ty = ctx.lookup(t.name)
+            if ty is None:
+                raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {t.name!r}", context=ctx, subject=t)
+            return ty
+        if cls is App:
+            tf = self.whnf(self._infer(ctx, t.fun, fuel, run), fuel)
+            if not isinstance(tf, Prod):
+                raise fail(
+                    dk.NOT_A_FUNCTION,
+                    f"application head has non-product type {tf!r}",
+                    context=ctx,
+                    subject=t,
+                )
+            a = t.arg
+            ta = self._infer(ctx, a, fuel, run)
+            if not self._convert(ctx, ta, tf.dom, fuel, run):
+                raise fail(
+                    dk.DOMAIN_MISMATCH,
+                    f"argument type {ta!r} does not match domain {tf.dom!r}",
+                    context=ctx,
+                    subject=t,
+                )
+            return instantiate(tf.cod, a)
+        if cls is Prod:
+            dom = t.dom
+            s_dom = self._sort_of(ctx, dom, fuel, run)
+            v, opened = open_term(t.hint, t.cod)
+            s_cod = self._sort_of(ctx.extend(v.name, dom), opened, fuel, run)
+            s_res = cfg.products.get((s_dom, s_cod))
+            if s_res is None:
+                raise fail(
+                    dk.ILLEGAL_PRODUCT,
+                    f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
+                    context=ctx,
+                    subject=t,
+                )
+            return self.sorts[s_res]
+        if cls is SymApp:
+            sym, args = t.sym, t.args
+            entry = self.signature.get(sym)
+            if entry is None:
+                raise fail(dk.UNKNOWN_SYMBOL, f"unknown symbol {sym!r} in system {cfg.name}", context=ctx, subject=t)
+            if len(args) != len(entry.telescope):
+                raise fail(
+                    dk.ARITY_MISMATCH,
+                    f"symbol {sym!r} expects {entry.arity} arguments, got {len(args)}",
+                    context=ctx,
+                    subject=t,
+                )
+            binding: dict[str, Term] = {}
+            for (x, ty), arg in zip(entry.telescope, args):
+                expected = substitute_parallel(ty, binding)
+                actual = self._infer(ctx, arg, fuel, run)
+                if not self._convert(ctx, actual, expected, fuel, run):
                     raise fail(
                         dk.DOMAIN_MISMATCH,
-                        f"argument type {ta!r} does not match domain {tf.dom!r}",
+                        f"argument {arg!r} of {sym!r} has type {actual!r}, expected {expected!r}",
                         context=ctx,
                         subject=t,
                     )
-                return instantiate(tf.cod, a)
-            case Abs(hint, annot, body):
-                s_dom = self._sort_of(ctx, annot, fuel, run)
-                v, opened = open_term(hint, body)
-                inner_ctx = ctx.extend(v.name, annot)
-                body_ty = self._infer(inner_ctx, opened, fuel, run)
-                s_cod = self._sort_of(inner_ctx, body_ty, fuel, run)
-                if (s_dom, s_cod) not in cfg.products:
-                    raise fail(
-                        dk.ILLEGAL_PRODUCT,
-                        f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
-                        context=ctx,
-                        subject=t,
-                    )
-                return Prod(hint, annot, abstract_var(body_ty, v.name))
-            case Prod(hint, dom, cod):
-                s_dom = self._sort_of(ctx, dom, fuel, run)
-                v, opened = open_term(hint, cod)
-                s_cod = self._sort_of(ctx.extend(v.name, dom), opened, fuel, run)
-                s_res = cfg.products.get((s_dom, s_cod))
-                if s_res is None:
-                    raise fail(
-                        dk.ILLEGAL_PRODUCT,
-                        f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
-                        context=ctx,
-                        subject=t,
-                    )
-                return Sort(s_res)
-            case SymApp(sym, args):
-                entry = self.signature.get(sym)
-                if entry is None:
-                    raise fail(dk.UNKNOWN_SYMBOL, f"unknown symbol {sym!r} in system {cfg.name}", context=ctx, subject=t)
-                if len(args) != entry.arity:
-                    raise fail(
-                        dk.ARITY_MISMATCH,
-                        f"symbol {sym!r} expects {entry.arity} arguments, got {len(args)}",
-                        context=ctx,
-                        subject=t,
-                    )
-                binding: dict[str, Term] = {}
-                for (x, ty), arg in zip(entry.telescope, args):
-                    expected = substitute_parallel(ty, binding)
-                    actual = self._infer(ctx, arg, fuel, run)
-                    if not self._convert(ctx, actual, expected, fuel, run):
-                        raise fail(
-                            dk.DOMAIN_MISMATCH,
-                            f"argument {arg!r} of {sym!r} has type {actual!r}, expected {expected!r}",
-                            context=ctx,
-                            subject=t,
-                        )
-                    binding[x] = arg
-                return substitute_parallel(entry.result, binding)
+                binding[x] = arg
+            return substitute_parallel(entry.result, binding)
+        if cls is Abs:
+            annot, hint = t.annot, t.hint
+            s_dom = self._sort_of(ctx, annot, fuel, run)
+            v, opened = open_term(hint, t.body)
+            inner_ctx = ctx.extend(v.name, annot)
+            body_ty = self._infer(inner_ctx, opened, fuel, run)
+            s_cod = self._sort_of(inner_ctx, body_ty, fuel, run)
+            if (s_dom, s_cod) not in cfg.products:
+                raise fail(
+                    dk.ILLEGAL_PRODUCT,
+                    f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
+                    context=ctx,
+                    subject=t,
+                )
+            return Prod(hint, annot, abstract_var(body_ty, v.name))
+        if cls is Sort:
+            above = cfg.axioms.get(t.tag)
+            if above is None:
+                raise fail(
+                    dk.SORT_HAS_NO_TYPE,
+                    f"sort {t.tag} has no type in system {cfg.name}",
+                    context=ctx,
+                    subject=t,
+                )
+            return self.sorts[above]
+        if cls is Bound:
+            raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{t.index}", context=ctx, subject=t)
         raise TypeError(f"not a term: {t!r}")
 
     def _convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel, run: _Replay) -> bool:
@@ -295,12 +321,18 @@ class Kernel:
         return ty.tag
 
     def sort_of(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Sort:
-        """The sort classifying t, or NotASort."""
-        return Sort(self._sort_of(ctx, t, _as_fuel(fuel), _Replay(self, ctx)))
+        """The sort classifying t, or NotASort. Sorts compare by value, so
+        the sort is the kernel's constant for its tag (`sorts`), not a new
+        node."""
+        if not isinstance(fuel, Fuel):
+            fuel = _as_fuel(fuel)
+        tag = self._sort_of(ctx, t, fuel, _Replay(self, ctx))
+        return self.sorts.get(tag) or Sort(tag)
 
     def check(self, ctx: Context, term: Term, expected: Term, fuel: Fuel | int | None = None) -> Term:
         """Infer and compare against an expected type; returns the inferred type."""
-        fuel = _as_fuel(fuel)
+        if not isinstance(fuel, Fuel):
+            fuel = _as_fuel(fuel)
         actual = self._infer(ctx, term, fuel, _Replay(self, ctx))
         if not self.convert(ctx, actual, expected, fuel):
             raise fail(

@@ -164,7 +164,7 @@ def assert_public(t: Term, sig: Signature = LF_SIGNATURE, clean: Memo | None = N
     caller that hands one memo to every call walks each distinct node once.
     Skipping a free node changes no first occurrence and no path.
     """
-    protected = sig.protected_names()
+    protected = sig.protected
     if not protected:
         return
     found = _first_protected(t, protected, Memo() if clean is None else clean)

@@ -7,13 +7,23 @@ executing the code it generates for each class are a large share of the
 time `import pcert.cli` takes, which every run of `pcert` pays. A subclass
 lists its fields in constructor order in `__slots__` and in
 `__match_args__`, so positional `match` patterns bind them, and assigns
-them in an explicit `__init__`; a frozen record assigns through
-`set_field`, as the code `dataclasses` generates does.
+them in an explicit `__init__`, the one constructor, with its keyword
+arguments and defaults.
+
+A frozen record assigns its fields through the setters of its slots
+(`setters`), module-level names bound once after the class: a setter
+bypasses the `__setattr__` that rejects assignment, as the code
+`dataclasses` generates does with `object.__setattr__`, and costs less,
+which counts for the records built once per declaration or per node.
 """
 
 from __future__ import annotations
 
-set_field = object.__setattr__  # (record, name, value), past `Frozen.__setattr__`
+
+def setters(cls: type) -> tuple:
+    """The setters of the slots `cls` declares, in order; each takes
+    (record, value)."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class Record:

@@ -15,7 +15,8 @@ the partially reduced term.
 
 `whnf` is only the public entry: it turns its fuel argument into a budget
 once and hands off to the private loop `_whnf`. The recursion is internal:
-rule arguments, normalization and conversion call `_whnf` directly. The loop
+rule arguments, normalization and conversion call `_whnf` directly, and so
+does `Kernel.whnf`, whose caller already holds a `Fuel`. The loop
 builds nothing for a head that is already normal (it returns its argument
 itself) and builds a symbol application's subject once per rule attempt,
 for both `match` and `Fuel.spend`. Conversion replays a repeated
@@ -34,7 +35,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .diagnostics import FuelError, fail
-from .record import Frozen, set_field
+from .record import Frozen, setters
 from .terms import (
     Abs,
     App,
@@ -130,13 +131,16 @@ class RewriteRule(Frozen):
     __slots__ = __match_args__ = ("name", "lhs", "rhs")
 
     def __init__(self, name: str, lhs: SymApp, rhs: Term):
-        set_field(self, "name", name)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
+        _rule_name(self, name)
+        _rule_lhs(self, lhs)
+        _rule_rhs(self, rhs)
         _check_pattern(self.lhs, self.name)
         extra = free_vars(self.rhs) - free_vars(self.lhs)
         if extra:
             raise fail("BadRule", f"rule {self.name!r}: right side invents variables {sorted(extra)}")
+
+
+_rule_name, _rule_lhs, _rule_rhs = setters(RewriteRule)
 
 
 class RuleSet:
@@ -427,8 +431,8 @@ class OrthogonalityReport(Frozen):
     __slots__ = __match_args__ = ("nonlinear", "overlaps")
 
     def __init__(self, nonlinear: tuple[str, ...], overlaps: tuple[tuple[str, str, str], ...]):
-        set_field(self, "nonlinear", nonlinear)
-        set_field(self, "overlaps", overlaps)
+        _report_nonlinear(self, nonlinear)
+        _report_overlaps(self, overlaps)
 
     @property
     def ok(self) -> bool:
@@ -443,6 +447,9 @@ class OrthogonalityReport(Frozen):
         for a, b, pos in self.overlaps:
             lines.append(f"overlap between {a!r} and {b!r} at {pos}")
         return "\n".join(lines)
+
+
+_report_nonlinear, _report_overlaps = setters(OrthogonalityReport)
 
 
 def _count_vars(t: Term, counts: dict[str, int]) -> None:

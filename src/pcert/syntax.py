@@ -57,13 +57,9 @@ from .diagnostics import ARITY_MISMATCH, PARSE_ERROR, SourceSpan, SurfaceError
 from .lexer import KEYWORDS, repeated_groups, scan
 from .lf import LF_SIGNATURE
 from .pcert import PCERT_SIGNATURE
-from .record import Frozen, Record, set_field
+from .record import Frozen, Record, setters
 from .terms import (
-    KIND,
-    LF_KIND,
-    LF_TYPE,
-    PROP,
-    TYPE_,
+    SORTS,
     Abs,
     App,
     Bound,
@@ -91,9 +87,12 @@ class SymbolDecl(Frozen):
     _compared = ("name", "type")  # not the span
 
     def __init__(self, name: str, type: Term, span: SourceSpan | None = None):
-        set_field(self, "name", name)
-        set_field(self, "type", type)
-        set_field(self, "span", span)
+        _symbol_name(self, name)
+        _symbol_type(self, type)
+        _symbol_span(self, span)
+
+
+_symbol_name, _symbol_type, _symbol_span = setters(SymbolDecl)
 
 
 class Definition(Frozen):
@@ -101,10 +100,13 @@ class Definition(Frozen):
     _compared = ("name", "body", "type")  # not the span
 
     def __init__(self, name: str, body: Term, type: Term | None = None, span: SourceSpan | None = None):
-        set_field(self, "name", name)
-        set_field(self, "body", body)
-        set_field(self, "type", type)
-        set_field(self, "span", span)
+        _definition_name(self, name)
+        _definition_body(self, body)
+        _definition_type(self, type)
+        _definition_span(self, span)
+
+
+_definition_name, _definition_body, _definition_type, _definition_span = setters(Definition)
 
 
 class AssertJudgment(Frozen):
@@ -112,9 +114,12 @@ class AssertJudgment(Frozen):
     _compared = ("subject", "type")  # not the span
 
     def __init__(self, subject: Term, type: Term, span: SourceSpan | None = None):
-        set_field(self, "subject", subject)
-        set_field(self, "type", type)
-        set_field(self, "span", span)
+        _judgment_subject(self, subject)
+        _judgment_type(self, type)
+        _judgment_span(self, span)
+
+
+_judgment_subject, _judgment_type, _judgment_span = setters(AssertJudgment)
 
 
 class AssertConv(Frozen):
@@ -122,9 +127,12 @@ class AssertConv(Frozen):
     _compared = ("a", "b")  # not the span
 
     def __init__(self, a: Term, b: Term, span: SourceSpan | None = None):
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "span", span)
+        _conv_a(self, a)
+        _conv_b(self, b)
+        _conv_span(self, span)
+
+
+_conv_a, _conv_b, _conv_span = setters(AssertConv)
 
 
 Declaration = Union[SymbolDecl, Definition, AssertJudgment, AssertConv]
@@ -134,9 +142,12 @@ class ParsedFile(Frozen):
     __slots__ = __match_args__ = ("mode", "decls", "path")
 
     def __init__(self, mode: str, decls: tuple[Declaration, ...], path: str = "<input>"):
-        set_field(self, "mode", mode)
-        set_field(self, "decls", decls)
-        set_field(self, "path", path)
+        _parsed_mode(self, mode)
+        _parsed_decls(self, decls)
+        _parsed_path(self, path)
+
+
+_parsed_mode, _parsed_decls, _parsed_path = setters(ParsedFile)
 
 
 # --- parser ------------------------------------------------------------------
@@ -158,10 +169,12 @@ _ARITIES = {mode: {name: entry.arity for name, entry in sig.items()} for mode, s
 
 # a parsed sort is the module constant, so it is the very object the
 # signatures and the kernels build types from
-_SORT_NODES = {(Sort, sort.tag): sort for sort in (PROP, TYPE_, KIND, LF_TYPE, LF_KIND)}
+_SORT_NODES = {(Sort, tag): sort for tag, sort in SORTS.items()}
 
 # values of the tokens other than identifiers that start an atom
 _ATOM_START = frozenset({"(", "{", "Type", "Kind", "Prop"})
+
+_DECL_KEYWORDS = frozenset({"symbol", "definition", "assert", "convertible"})
 
 
 class _Parser:
@@ -198,7 +211,7 @@ class _Parser:
         self.mode = mode
         self.arities = _ARITIES[mode]
         self.names: list[str | None] = []
-        self.scope: dict[str | None, list[int]] = {}
+        self.scope: dict[str, list[int]] = {}
         self.nodes: dict[tuple, Term] = dict(_SORT_NODES)
         if "bad" in self.kinds:
             bad = self.kinds.index("bad")
@@ -216,7 +229,7 @@ class _Parser:
         start = self.starts[i]
         line = bisect_left(self.newlines, start)  # newlines before the token
         column = start - self.newlines[line - 1] if line else start + 1
-        return SourceSpan(self.file, line + 1, column, max(1, len(self.values[i])))
+        return SourceSpan(self.file, line + 1, column, len(self.values[i]) or 1)
 
     def error(self, message: str, i: int | None = None, kind: str = PARSE_ERROR) -> SurfaceError:
         return SurfaceError(message, self.span(self.pos if i is None else i), kind)
@@ -245,47 +258,55 @@ class _Parser:
         return ParsedFile(self.mode, tuple(decls), self.file)
 
     def parse_decl(self) -> Declaration:
+        """One declaration. Its fixed tokens are checked in place, by value
+        (a punctuation value has one kind); `expect` is called only to
+        raise the error for a token that does not match."""
         i = self.pos
-        keyword = self.values[i]
-        if self.kinds[i] != "kw" or keyword not in ("symbol", "definition", "assert", "convertible"):
+        kinds, values = self.kinds, self.values
+        keyword = values[i]
+        if kinds[i] != "kw" or keyword not in _DECL_KEYWORDS:
             raise self.error("expected a declaration (symbol/definition/assert/convertible)", i)
-        self.pos = i + 1
         span = self.span(i)
+        self.pos = i = i + 1
+        if keyword == "symbol" or keyword == "definition":
+            # Names from either signature are reserved in both modes so that
+            # a checked development can always be translated and reprinted.
+            name = values[i]
+            if kinds[i] != "id":
+                self.expect("id")
+            if name in _RESERVED_DECL_NAMES:
+                raise self.error(f"{name!r} is a reserved symbol name", i)
+            self.pos = i = i + 1
         if keyword == "symbol":
-            name = self.parse_decl_name()
-            self.expect("punct", ":")
-            ty = self.parse_term()
-            self.expect("punct", ";")
-            return SymbolDecl(name, ty, span)
-        if keyword == "definition":
-            name = self.parse_decl_name()
+            if values[i] != ":":
+                self.expect("punct", ":")
+            self.pos = i + 1
+            decl = SymbolDecl(name, self.parse_term(), span)
+        elif keyword == "definition":
             ty = None
-            if self.values[self.pos] == ":":
-                self.pos += 1
+            if values[i] == ":":
+                self.pos = i + 1
                 ty = self.parse_term()
-            self.expect("assign")
-            body = self.parse_term()
-            self.expect("punct", ";")
-            return Definition(name, body, ty, span)
-        if keyword == "assert":
+            if kinds[self.pos] != "assign":
+                self.expect("assign")
+            self.pos += 1
+            decl = Definition(name, self.parse_term(), ty, span)
+        elif keyword == "assert":
             subject = self.parse_term()
-            self.expect("punct", ":")
-            ty = self.parse_term()
+            if values[self.pos] != ":":
+                self.expect("punct", ":")
+            self.pos += 1
+            decl = AssertJudgment(subject, self.parse_term(), span)
+        else:
+            a = self.parse_term()
+            if values[self.pos] != ",":
+                self.expect("punct", ",")
+            self.pos += 1
+            decl = AssertConv(a, self.parse_term(), span)
+        if values[self.pos] != ";":
             self.expect("punct", ";")
-            return AssertJudgment(subject, ty, span)
-        a = self.parse_term()
-        self.expect("punct", ",")
-        b = self.parse_term()
-        self.expect("punct", ";")
-        return AssertConv(a, b, span)
-
-    def parse_decl_name(self) -> str:
-        # Names from either signature are reserved in both modes so that a
-        # checked development can always be translated and reprinted.
-        i = self.expect("id")
-        if self.values[i] in _RESERVED_DECL_NAMES:
-            raise self.error(f"{self.values[i]!r} is a reserved symbol name", i)
-        return self.values[i]
+        self.pos += 1
+        return decl
 
     # - terms -
 
@@ -304,18 +325,20 @@ class _Parser:
         lhs = self.parse_app()
         if self.kinds[self.pos] == "arrow":
             self.pos += 1
-            self.bind(None)  # no name reaches an arrow's binder, but outer indices shift
+            # no name reaches an arrow's binder, so it enters `names` but
+            # not `scope`: outer indices shift all the same
+            self.names.append(None)
             cod = self.parse_term()
-            self.unbind(None)
+            self.names.pop()
             return self.binder(Prod, "_", lhs, cod)
         return lhs
 
-    def bind(self, name: str | None) -> None:
-        """Enter a binder, which binds `name` (None: no identifier)."""
+    def bind(self, name: str) -> None:
+        """Enter a binder, which binds `name`."""
         self.scope.setdefault(name, []).append(len(self.names))
         self.names.append(name)
 
-    def unbind(self, name: str | None) -> None:
+    def unbind(self, name: str) -> None:
         self.scope[name].pop()
         self.names.pop()
 
@@ -337,12 +360,10 @@ class _Parser:
 
     # - interned nodes: one object per distinct node of this parse -
 
-    def leaf(self, cls: type, value: str | int) -> Term:
-        """Var, Bound or Sort, interned by its name, index or tag."""
-        key = (cls, value)
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = cls(value)
+    def leaf(self, key: tuple) -> Term:
+        """The Var, Bound or Sort of key, (class, name, index or tag), on a
+        miss in the table: `parse_atom` looks the key up itself first."""
+        node = self.nodes[key] = key[0](key[1])
         return node
 
     def app(self, fun: Term, arg: Term) -> Term:
@@ -371,14 +392,19 @@ class _Parser:
     def parse_app(self) -> Term:
         kinds, values = self.kinds, self.values
         head = self.parse_atom()
-        args: list[Term | _SymRef] = []
-        while kinds[self.pos] == "id" or values[self.pos] in _ATOM_START:
-            args.append(self.parse_atom())
-        for arg in args:
-            if isinstance(arg, _SymRef):
-                raise self.error(
-                    f"symbol {arg.name!r} expects {self.arities[arg.name]} arguments, got 0", arg.index, ARITY_MISMATCH
-                )
+        if kinds[self.pos] != "id" and values[self.pos] not in _ATOM_START:
+            args: list[Term | _SymRef] | tuple[()] = ()  # an atom alone builds no list
+        else:
+            args = [self.parse_atom()]
+            while kinds[self.pos] == "id" or values[self.pos] in _ATOM_START:
+                args.append(self.parse_atom())
+            for arg in args:
+                if isinstance(arg, _SymRef):
+                    raise self.error(
+                        f"symbol {arg.name!r} expects {self.arities[arg.name]} arguments, got 0",
+                        arg.index,
+                        ARITY_MISMATCH,
+                    )
         if isinstance(head, _SymRef):
             arity = self.arities[head.name]
             if len(args) < arity:
@@ -396,17 +422,22 @@ class _Parser:
         if self.kinds[i] == "id":
             self.pos = i + 1
             if value == "TYPE" or value == "KIND":
-                return self.leaf(Sort, value)
+                key = (Sort, value)
+                return self.nodes.get(key) or self.leaf(key)
             arity = self.arities.get(value)
             if arity is None:
                 levels = self.scope.get(value)
-                return self.leaf(Bound, len(self.names) - 1 - levels[-1]) if levels else self.leaf(Var, value)
+                key = (Bound, len(self.names) - 1 - levels[-1]) if levels else (Var, value)
+                return self.nodes.get(key) or self.leaf(key)
             if self.values[i + 1] == "(":
                 return self.parse_call(value, i)
             return self.sym(value) if arity == 0 else _SymRef(value, i)
         if value == "Type" or value == "Kind" or value == "Prop":
             self.pos = i + 1
-            return self.leaf(Sort, value) if self.mode == "pcert" else self.sym(value)
+            if self.mode != "pcert":
+                return self.sym(value)
+            key = (Sort, value)
+            return self.nodes.get(key) or self.leaf(key)
         if value == "(":
             text = self.shared.get(self.starts[i])
             key = None if text is None else (text, None, *self.names)
@@ -416,7 +447,9 @@ class _Parser:
                     return node
             self.pos = i + 1
             inner = self.parse_term()
-            self.expect("punct", ")")
+            if self.values[self.pos] != ")":
+                self.expect("punct", ")")
+            self.pos += 1
             return inner if key is None else self.remember(key, i, inner)
         if value == "{":
             self.pos = i + 1
@@ -438,12 +471,14 @@ class _Parser:
             node = self.recall(key, i)
             if node is not None:
                 return node
-        self.expect("punct", "(")
+        self.pos = i + 2  # past the name and the "(" parse_atom found
         args = [self.parse_term()]
         while self.values[self.pos] == ",":
             self.pos += 1
             args.append(self.parse_term())
-        self.expect("punct", ")")
+        if self.values[self.pos] != ")":
+            self.expect("punct", ")")
+        self.pos += 1
         arity = self.arities[name]
         if len(args) != arity:
             raise self.error(f"symbol {name!r} expects {arity} arguments, got {len(args)}", i, ARITY_MISMATCH)
@@ -547,8 +582,12 @@ class _Printer:
                 if not args:
                     out = sym
                 else:
-                    inner = ", ".join(self.show(a, _TERM, binders) for a in args)
-                    out = f"{sym}({inner})"
+                    # a loop, not a generator expression: no frame of its
+                    # own per argument, so deep terms print as deep as they check
+                    shown = []
+                    for a in args:
+                        shown.append(self.show(a, _TERM, binders))
+                    out = f"{sym}({', '.join(shown)})"
             case _:
                 raise TypeError(f"not a term: {t!r}")
         return self.memo.put(key, out, t)

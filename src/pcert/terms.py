@@ -41,16 +41,9 @@ from operator import attrgetter
 from typing import Union
 
 from .diagnostics import DUPLICATE_NAME, fail
-from .record import Frozen, set_field
+from .record import Frozen, setters
 
 Term = Union["Sort", "Var", "Bound", "App", "Abs", "Prod", "SymApp"]
-
-
-def _setters(cls: type) -> tuple:
-    """The setters of the slots `cls` declares, in order. A constructor
-    assigns its fields through them: they bypass the `__setattr__` that
-    rejects assignment, and cost less than `object.__setattr__`."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class _Leaf(Frozen):
@@ -102,7 +95,7 @@ class Bound(_Leaf):
         return f"^{self.index}"
 
 
-(_sort_tag,), (_var_name,), (_bound_index,) = _setters(Sort), _setters(Var), _setters(Bound)
+(_sort_tag,), (_var_name,), (_bound_index,) = setters(Sort), setters(Var), setters(Bound)
 
 
 class _Node(Frozen):
@@ -126,7 +119,7 @@ class _Node(Frozen):
 
 def _keep_hash(node: _Node) -> int:
     h = hash(node._key(node))
-    object.__setattr__(node, "_hash", h)
+    _node_hash(node, h)
     return h
 
 
@@ -186,11 +179,11 @@ class SymApp(_Node):
         return f"{self.sym}({', '.join(map(repr, self.args))})"
 
 
-(_node_hash,) = _setters(_Node)
-_app_fun, _app_arg = _setters(App)
-_abs_hint, _abs_annot, _abs_body = _setters(Abs)
-_prod_hint, _prod_dom, _prod_cod = _setters(Prod)
-_symapp_sym, _symapp_args = _setters(SymApp)
+(_node_hash,) = setters(_Node)
+_app_fun, _app_arg = setters(App)
+_abs_hint, _abs_annot, _abs_body = setters(Abs)
+_prod_hint, _prod_dom, _prod_cod = setters(Prod)
+_symapp_sym, _symapp_args = setters(SymApp)
 
 
 def _equal(a: Term, b: Term, proven: set[tuple[int, int]] | None) -> bool:
@@ -240,6 +233,7 @@ TYPE_ = Sort("Type")
 KIND = Sort("Kind")
 LF_TYPE = Sort("TYPE")
 LF_KIND = Sort("KIND")
+SORTS = {sort.tag: sort for sort in (PROP, TYPE_, KIND, LF_TYPE, LF_KIND)}  # the sort constants by tag
 
 _fresh_counter = itertools.count(1)
 
@@ -527,16 +521,6 @@ class _Table:
         self.lock = threading.Lock()
         self.records: dict[object, Records] = {}
 
-    def push(self, depth: int, name: str, ty: Term) -> bool:
-        """Append a row at `depth` if that is the tip; False if it is not."""
-        with self.lock:  # two views at the tip may race for it
-            if depth != len(self.names):
-                return False
-            self.index[name] = depth
-            self.names.append(name)
-            self.types.append(ty)
-            return True
-
 
 class Context:
     """Ordered variable declarations; names are pairwise distinct.
@@ -553,7 +537,9 @@ class Context:
     later declaration sees: it appends a row to the shared table in O(1).
     `extend` is for binders, opened and dropped again while walking a term:
     it leaves the table alone and copies only the short binder tuple. Both
-    raise DuplicateName on a name already in scope. A `declare` on a view
+    raise DuplicateName on a name already in scope; at the tip, where the
+    view holds every row of the table, `declare` asks the table's index
+    and needs no `lookup`. A `declare` on a view
     below the table's tip, or one holding binders, copies its entries into a
     fresh table first, so views taken earlier never see the new row. Rows
     below a view's `rows` never change, so views are immutable values; only
@@ -576,13 +562,19 @@ class Context:
         return tuple(zip(table.names[:depth], table.types[:depth])) + self.binders
 
     def declare(self, name: str, ty: Term) -> Context:
+        table, depth = self._table, self.rows
+        with table.lock:  # two views at the tip may race for it
+            if not self.binders and depth == len(table.names):
+                # at the tip, the view holds every row the index names
+                if name in table.index:
+                    raise fail(DUPLICATE_NAME, f"variable {name!r} already declared")
+                table.index[name] = depth
+                table.names.append(name)
+                table.types.append(ty)
+                return Context(table, depth + 1)
         if self.lookup(name) is not None:
             raise fail(DUPLICATE_NAME, f"variable {name!r} already declared")
-        table, depth = self._table, self.rows
-        if self.binders or not table.push(depth, name, ty):
-            table, depth = _Table(self.entries), len(self)
-            table.push(depth, name, ty)
-        return Context(table, depth + 1)
+        return Context(_Table(self.entries + ((name, ty),)), len(self) + 1)
 
     def extend(self, name: str, ty: Term) -> Context:
         if self.lookup(name) is not None:
@@ -638,22 +630,27 @@ class SigEntry(Frozen):
     __slots__ = __match_args__ = ("telescope", "result", "sort", "protected")
 
     def __init__(self, telescope: tuple[tuple[str, Term], ...], result: Term, sort: Sort, protected: bool = False):
-        set_field(self, "telescope", telescope)
-        set_field(self, "result", result)
-        set_field(self, "sort", sort)
-        set_field(self, "protected", protected)
+        _entry_telescope(self, telescope)
+        _entry_result(self, result)
+        _entry_sort(self, sort)
+        _entry_protected(self, protected)
 
     @property
     def arity(self) -> int:
         return len(self.telescope)
 
 
+_entry_telescope, _entry_result, _entry_sort, _entry_protected = setters(SigEntry)
+
+
 class Signature:
-    """Finite mapping from symbol names to their typing entries."""
+    """Finite mapping from symbol names to their typing entries.
+    `protected` is the set of names of the protected entries, which the
+    input gate reads on every call."""
 
     def __init__(self, entries: dict[str, SigEntry]):
         self._entries = dict(entries)
-        self._protected = frozenset(n for n, e in self._entries.items() if e.protected)
+        self.protected = frozenset(n for n, e in self._entries.items() if e.protected)
 
     def get(self, sym: str) -> SigEntry | None:
         return self._entries.get(sym)
@@ -666,6 +663,3 @@ class Signature:
 
     def arity(self, sym: str) -> int:
         return self._entries[sym].arity
-
-    def protected_names(self) -> frozenset[str]:
-        return self._protected

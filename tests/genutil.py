@@ -963,8 +963,12 @@ class FreshParser(UnmemoizedParser):
     anew, so repeated text gives equal but distinct objects. It bypasses
     the span memo, which would hand out one object for repeated text."""
 
-    def leaf(self, cls: type, value: str | int) -> Term:
-        return cls(value)
+    def __init__(self, text: str, file: str, mode: str = "pcert"):
+        super().__init__(text, file, mode)
+        self.nodes = {}  # no sort constants either: every lookup misses
+
+    def leaf(self, key: tuple) -> Term:
+        return key[0](key[1])
 
     def app(self, fun: Term, arg: Term) -> Term:
         return App(fun, arg)

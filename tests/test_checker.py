@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+
+import pytest
+
 from pcert import Definition, SymbolDecl, check_file, cli, corpus_path, free_vars, parse_file
 from pcert.pcert import PcertKernel
 
@@ -66,3 +70,37 @@ def test_translation_reads_the_record_instead_of_inferring_again(monkeypatch, tm
             checked["done"] = False
             assert cli.main(argv) == 0, (path.name, argv[0])
             assert checked["done"], (path.name, argv[0])
+
+
+def _calls_to_parse_and_check(text: str) -> int:
+    """Python-level calls (`sys.setprofile` "call" events) made by
+    `parse_file` and `check_file` on text."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        check_file(parse_file(text))
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+# Most Python calls one more trivial declaration may cost to parse and check:
+# a pcert symbol of a declared type (37 before the per-declaration floor was
+# cut), and the lf symbol `translate`'s re-check reads for it (44 before).
+FLOOR_CALLS = {"pcert": ("symbol T : Type;\n", "T", 24), "lf": ("#MODE lf\nsymbol T : Type;\n", "El(T)", 28)}
+
+
+@pytest.mark.parametrize("mode", sorted(FLOOR_CALLS))
+def test_a_trivial_declaration_costs_a_handful_of_calls(mode):
+    head, ty, most = FLOOR_CALLS[mode]
+    counts = [
+        _calls_to_parse_and_check(head + "".join(f"symbol c{i} : {ty};\n" for i in range(n))) for n in (200, 400, 600)
+    ]
+    per_decl, rem = divmod(counts[1] - counts[0], 200)
+    assert counts[2] - counts[1] == counts[1] - counts[0] and rem == 0, counts
+    assert per_decl <= most, counts

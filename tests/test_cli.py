@@ -267,7 +267,7 @@ DEEP_INPUTS = {
 # One more frame per level of a recursion would lower each by a fifth or
 # more, so a frame lost in the parser, the kernel or the printer fails here.
 DEPTH_FLOORS = {
-    "arrows": (_arrows, {"check": 310, "translate": 183, "roundtrip": 310, "export": 230}),  # 318/188/318/237
+    "arrows": (_arrows, {"check": 310, "translate": 183, "roundtrip": 310, "export": 310}),  # 318/188/318/318
     "applications": (_applications, dict.fromkeys(("check", "translate", "roundtrip", "export"), 308)),  # 315
 }
 
@@ -364,8 +364,9 @@ def shared_chain_source(links: int) -> str:
 # Least --fuel under which each command accepts the 12-link chain, found by
 # bisection with conversion redoing every sub-comparison. Replaying repeated
 # sub-comparisons must charge the same steps: both budgets stay exact. Both
-# run out on the last declaration; translate's lf re-check of it takes more.
-CHAIN12_FUEL = {"check": (16405, "50:1"), "translate": (24757, "translated:51:1")}
+# run out on the last declaration; translate's lf re-check of it takes more,
+# and reports the span of the source declaration it translates.
+CHAIN12_FUEL = {"check": (16405, "50:1"), "translate": (24757, "50:1")}
 
 
 @pytest.mark.parametrize("command", sorted(CHAIN12_FUEL))
@@ -379,6 +380,23 @@ def test_shared_chain_needs_the_same_fuel_as_redoing_every_comparison(command, t
     assert main([command, str(src), *out, "--fuel", str(fuel - 1)]) == 3
     diagnostic = "FuelExhausted: rewrite fuel exhausted before reaching a normal form"
     assert capsys.readouterr().err == f"{src}:{where}: {diagnostic}\n"
+
+
+def test_a_recheck_failure_in_translate_points_at_the_source_declaration(tmp_path, capsys):
+    # comments, blank lines and indentation move the last declaration in the
+    # source away from its line and column in the printed translation
+    lines = shared_chain_source(12).splitlines()
+    lines.insert(1, "// the chain\n")
+    lines[-1] = "   " + lines[-1]
+    src = tmp_path / "chain12.pcert"
+    src.write_text("\n".join(lines) + "\n")
+    line = src.read_text().splitlines().index(lines[-1]) + 1
+    fuel = CHAIN12_FUEL["translate"][0] - 1  # enough for check, not for the lf re-check
+    assert main(["check", str(src), "--fuel", str(fuel)]) == 0
+    assert main(["translate", str(src), "-o", str(tmp_path / "out.lf"), "--fuel", str(fuel)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"{src}:{line}:4: FuelExhausted: rewrite fuel exhausted before reaching a normal form\n"
+    assert line != 51 and not (tmp_path / "out.lf").exists()
 
 
 def nested_redexes_source(redexes: int) -> str:

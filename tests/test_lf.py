@@ -77,7 +77,7 @@ def test_signature_is_well_formed():
 
 def test_signature_arities_and_protection():
     assert {name: LF_SIGNATURE.arity(name) for name in ARITIES} == ARITIES
-    assert LF_SIGNATURE.protected_names() == frozenset({"pair'"})
+    assert LF_SIGNATURE.protected == frozenset({"pair'"})
     assert set(LF_SIGNATURE.names()) == set(ARITIES)
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -139,3 +140,23 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     env = {**os.environ, "PYTHONPATH": str(Path(pcert.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Every run of `pcert` without a bytecode cache compiles each module again,
+# and the peak memory of compiling the largest module is the peak of a short
+# run. CPython's compiler allocates in steps that grow with the size of a
+# module (1.74 MiB for `syntax.py` and 1.81 MiB for `terms.py` on CPython
+# 3.11.7 before this bound), so a module that crosses one shows here first.
+COMPILE_PEAK_BYTES = 2 * 2**20
+
+
+@pytest.mark.parametrize("path", sorted(Path(pcert.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_each_module_compiles_within_its_memory_bound(path):
+    source = path.read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= COMPILE_PEAK_BYTES, f"{path.name} compiles with a {peak / 2**20:.2f} MiB peak"
