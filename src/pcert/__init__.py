@@ -54,7 +54,6 @@ from .terms import (
     Var,
     alpha_eq,
     free_vars,
-    substitute,
 )
 from .export import export_lambdapi
 from .translate import translate_ctx, translate_term, translate_type

@@ -6,7 +6,12 @@ standalone module; `development` emits a checked development against that
 module, one declaration per line group. The emitted text targets the
 Lambdapi checker; beta is native there, so it appears as a comment line
 rather than a rule statement. A development renders each node once per
-precedence, from a `terms.Memo` kept for the whole development.
+precedence, from a `terms.Memo` kept for the whole development, which also
+keeps each name's Lambdapi spelling (the identifier check runs once per
+name) and each node's free names, which binder names avoid (one walk of
+the distinct nodes, not one per binder). The renderer tells a node's kind
+by its type, the most frequent kind first; a leaf returns before any memo
+key is made.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .terms import (
     Term,
     Var,
     abstract_var,
+    free_names,
     free_vars,
     ident,
     instantiate,
@@ -48,64 +54,84 @@ def _ident(name: str) -> str:
 
 def _show(t: Term, prec: int, memo: Memo, pattern_vars: frozenset[str] = frozenset()) -> str:
     """Every binder body is instantiated with its display name before it is
-    shown, so on locally closed input no `Bound` is reached. `memo` (a
-    `terms.Memo`) renders each node once per precedence: (node, prec) ->
-    text. A memo serves one set of pattern variables, so the text depends on
-    the node and prec alone."""
+    shown, so on locally closed input no `Bound` is reached. Dispatched by
+    t's type, the most frequent first; a leaf returns before any memo key
+    is made. `memo` (a `terms.Memo`) renders each other node once per
+    precedence: (node, prec) -> text. It also keeps each name's Lambdapi
+    spelling, keyed by the name, and each node's free names
+    (`terms.free_names`), so the identifier check runs once per name and
+    the free names are found in one walk of the distinct nodes. A memo
+    serves one set of pattern variables, so the text depends on the node
+    and prec alone."""
+    cls = type(t)
+    if cls is Var:
+        name = t.name
+        out = memo.get(name)  # `_spelled`, inlined at the most frequent node
+        if out is None:
+            out = memo[name] = _ident(name)
+        return f"${out}" if name in pattern_vars else out
+    if cls is Sort:
+        if t.tag != "TYPE":
+            raise fail(UNCHECKED_INPUT, f"sort {t.tag} has no Lambdapi syntax")
+        return "TYPE"
+    if cls is Bound:
+        return f"?{t.index}"
     key = (ident(t), prec)
     seen = memo.get(key)
     if seen is not None:
         return seen
-    match t:
-        case Sort("TYPE"):
-            out = "TYPE"
-        case Sort(tag):
-            raise fail(UNCHECKED_INPUT, f"sort {tag} has no Lambdapi syntax")
-        case Var(name):
-            out = f"${_ident(name)}" if name in pattern_vars else _ident(name)
-        case Bound(k):
-            out = f"?{k}"
-        case App(f, a):
-            out = _wrap(f"{_show(f, _APP, memo, pattern_vars)} {_show(a, _ATOM, memo, pattern_vars)}", _APP, prec)
-        case Abs(hint, annot, body):
-            name = _fresh_display(hint, body)
-            inner = _show(instantiate(body, Var(name)), _TERM, memo, pattern_vars)
-            out = _wrap(f"λ {name}: {_show(annot, _TERM, memo, pattern_vars)}, {inner}", _TERM, prec)
-        case Prod(hint, dom, cod):
-            if is_nondependent(cod):
-                shown = f"{_show(dom, _APP, memo, pattern_vars)} → {_show(cod, _ARROW, memo, pattern_vars)}"
-                out = _wrap(shown, _ARROW, prec)
-            else:
-                name = _fresh_display(hint, cod)
-                inner = _show(instantiate(cod, Var(name)), _TERM, memo, pattern_vars)
-                out = _wrap(f"Π {name}: {_show(dom, _TERM, memo, pattern_vars)}, {inner}", _TERM, prec)
-        case SymApp(sym, args):
-            if not args:
-                out = _ident(sym)
-            else:
-                # a loop, not a generator expression: no frame of its own per argument
-                shown = []
-                for a in args:
-                    shown.append(_show(a, _ATOM, memo, pattern_vars))
-                out = _wrap(f"{_ident(sym)} {' '.join(shown)}", _APP, prec)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    if cls is SymApp:
+        args = t.args
+        if not args:
+            out = _spelled(t.sym, memo)
+        else:
+            # a loop, not a generator expression: no frame of its own per argument
+            shown = []
+            for a in args:
+                shown.append(_show(a, _ATOM, memo, pattern_vars))
+            body = f"{_spelled(t.sym, memo)} {' '.join(shown)}"
+            out = f"({body})" if _APP < prec else body
+    elif cls is App:
+        body = f"{_show(t.fun, _APP, memo, pattern_vars)} {_show(t.arg, _ATOM, memo, pattern_vars)}"
+        out = f"({body})" if _APP < prec else body
+    elif cls is Abs:
+        name = _fresh_display(t.hint, t.body, memo)
+        inner = _show(instantiate(t.body, Var(name)), _TERM, memo, pattern_vars)
+        body = f"λ {name}: {_show(t.annot, _TERM, memo, pattern_vars)}, {inner}"
+        out = f"({body})" if _TERM < prec else body
+    elif cls is Prod:
+        cod = t.cod
+        if is_nondependent(cod):
+            body = f"{_show(t.dom, _APP, memo, pattern_vars)} → {_show(cod, _ARROW, memo, pattern_vars)}"
+            out = f"({body})" if _ARROW < prec else body
+        else:
+            name = _fresh_display(t.hint, cod, memo)
+            inner = _show(instantiate(cod, Var(name)), _TERM, memo, pattern_vars)
+            body = f"Π {name}: {_show(t.dom, _TERM, memo, pattern_vars)}, {inner}"
+            out = f"({body})" if _TERM < prec else body
+    else:
+        raise TypeError(f"not a term: {t!r}")
     return memo.put(key, out, t)
 
 
-def _wrap(body: str, level: int, prec: int) -> str:
-    return f"({body})" if level < prec else body
+def _spelled(name: str, memo: Memo) -> str:
+    """`_ident(name)`, kept in memo by the name: a name is text, so it needs
+    no node held, and no other key of the memo is a string."""
+    out = memo.get(name)
+    if out is None:
+        out = memo[name] = _ident(name)
+    return out
 
 
-def _fresh_display(hint: str, body: Term) -> str:
-    """A name for the binder of body that clashes with none of its free names.
-    Lambdapi reads `_` in a term as a placeholder, so `_` names only a binder
-    that body does not use."""
+def _fresh_display(hint: str, body: Term, memo: Memo) -> str:
+    """A name for the binder of body that clashes with none of its free names
+    (kept in memo, see `_show`). Lambdapi reads `_` in a term as a
+    placeholder, so `_` names only a binder that body does not use."""
     base = hint.split("#", 1)[0]
     if not _LP_ID.match(base) or (base == "_" and not is_nondependent(body)):
         base = "x"
     name = base
-    taken = free_vars(body)
+    taken = free_names(body, memo)
     while name in taken:
         name += "'"
     return name

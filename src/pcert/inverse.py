@@ -12,13 +12,17 @@ claimed in the other direction. In particular the certificate-free pair'
 has no clause: its normal forms are deliberately not invertible.
 
 A subterm met again is inverted once per memo, a `terms.Memo` keyed by
-the subterm's identity and its role (term or type).
+the subterm's identity and its role (term or type). The walk tells a
+node's kind by its type, the most frequent kind first; a variable returns
+before any memo key is made. No path is built on the way down: a failure
+returns through its ancestors, which add their labels to it, so the path
+of `NotInImage` costs only the inversions that fail.
 """
 
 from __future__ import annotations
 
 from .record import Frozen, setters
-from .terms import Abs, App, Bound, Memo, Prod, Sort, SymApp, Term, Var, ident
+from .terms import PROP, TYPE_, Abs, App, Bound, Memo, Prod, SymApp, Term, Var, ident
 
 
 class NotInImage(Frozen):
@@ -39,94 +43,124 @@ _nii_path, _nii_subterm = setters(NotInImage)
 
 
 def inverse_term(m: Term, memo: Memo | None = None) -> Term | NotInImage:
-    return _term(m, (), Memo() if memo is None else memo)
+    return _reported(_term(m, Memo() if memo is None else memo))
 
 
-def _term(m: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
-    if type(m) is Var or type(m) is Bound:
+class _Miss:
+    """A subterm no clause matched, with the labels of its path, innermost
+    first: each enclosing node adds its own as the failure returns through
+    it, so no path is built on the way down."""
+
+    __slots__ = ("subterm", "labels")
+
+    def __init__(self, subterm: Term):
+        self.subterm, self.labels = subterm, []
+
+    def at(self, *labels: str) -> _Miss:
+        """The miss seen from the parent these labels lead down from."""
+        self.labels.extend(reversed(labels))
+        return self
+
+
+def _reported(out: Term | _Miss) -> Term | NotInImage:
+    if type(out) is _Miss:
+        return NotInImage(tuple(reversed(out.labels)), out.subterm)
+    return out
+
+
+_PRODUCT_HEADS = frozenset(("fa", "impd", "arrd"))
+_SUBTYPE_SYMBOLS = frozenset(("psub", "pair", "fst", "snd"))
+_TYPE_ROLE = "type"  # the second half of a type inverse's memo key
+
+
+def _term(m: Term, memo: Memo) -> Term | _Miss:
+    """The term inverse of m, dispatched by its type, the most frequent
+    first. A variable returns before any memo key is made; a successful
+    inverse is remembered in memo by m's identity alone (the type inverse
+    keys by a pair). A memo lives for one call, or for every call handed
+    the same one (`pcert roundtrip` hands one to all the calls of a file).
+    Only successes are kept, so a failure is found anew by each call that
+    meets it, with that call's path; a hit is a subterm without failures,
+    so the walk meets the same first failure either way."""
+    cls = type(m)
+    if cls is Var or cls is Bound:
         return m
-    return _remembered(_invert_term, m, path, memo)
+    seen = memo.get(ident(m))
+    if seen is not None:
+        return seen
+    if cls is SymApp:
+        sym, args = m.sym, m.args
+        if sym in _SUBTYPE_SYMBOLS:
+            out_args: list[Term] = []
+            for i, a in enumerate(args):
+                ai = _term(a, memo)
+                if type(ai) is _Miss:
+                    return ai.at(f"{sym}.{i}")
+                out_args.append(ai)
+            out = SymApp(sym, tuple(out_args))
+        elif sym in _PRODUCT_HEADS and len(args) == 2 and type(args[1]) is Abs:
+            left, scope = args
+            li = _term(left, memo)
+            if type(li) is _Miss:
+                return li.at(f"{sym}.0")
+            bi = _term(scope.body, memo)
+            if type(bi) is _Miss:
+                return bi.at(f"{sym}.1", "body")
+            out = Prod(scope.hint, li, bi)
+        elif sym == "prop" and not args:
+            out = PROP
+        else:
+            return _Miss(m)
+    elif cls is App:
+        fi = _term(m.fun, memo)
+        if type(fi) is _Miss:
+            return fi.at("fun")
+        xi = _term(m.arg, memo)
+        if type(xi) is _Miss:
+            return xi.at("arg")
+        out = App(fi, xi)
+    elif cls is Abs:
+        a = _type(m.annot, memo)
+        if type(a) is _Miss:
+            return a.at("annot")
+        b = _term(m.body, memo)
+        if type(b) is _Miss:
+            return b.at("body")
+        out = Abs(m.hint, a, b)
+    else:
+        return _Miss(m)
+    return memo.put(ident(m), out, m)
 
 
-def _type(t: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
-    return _remembered(_invert_type, t, path, memo)
-
-
-def _remembered(invert, t: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
-    """`invert(t, path, memo)`, remembered in memo by t and its role (the
-    function, term or type inverse): a node can invert as a term and fail
-    as a type, an application for one. A memo lives for one call, or for
-    every call handed the same one (`pcert roundtrip` hands one to all the
-    calls of a file). Only successes are kept, so a failure is found anew
-    by each call that meets it, with that call's path; a hit is a subterm
-    without failures, so the walk meets the same first failure either way."""
-    key = (ident(t), invert)
+def _type(t: Term, memo: Memo) -> Term | _Miss:
+    """The type inverse of t, remembered as `_term` remembers, under a key of
+    its own: a node can invert as a term and fail as a type, an application
+    for one."""
+    cls = type(t)
+    if cls is not SymApp and cls is not Prod:
+        return _Miss(t)
+    key = (ident(t), _TYPE_ROLE)
     seen = memo.get(key)
     if seen is not None:
         return seen
-    out = invert(t, path, memo)
-    return out if isinstance(out, NotInImage) else memo.put(key, out, t)
-
-
-def _invert_term(m: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
-    """`_term` at a node that is not a variable."""
-    match m:
-        case Abs(hint, annot, body):
-            a = _type(annot, path + ("annot",), memo)
-            if isinstance(a, NotInImage):
-                return a
-            b = _term(body, path + ("body",), memo)
-            if isinstance(b, NotInImage):
-                return b
-            return Abs(hint, a, b)
-        case App(f, x):
-            fi = _term(f, path + ("fun",), memo)
-            if isinstance(fi, NotInImage):
-                return fi
-            xi = _term(x, path + ("arg",), memo)
-            if isinstance(xi, NotInImage):
-                return xi
-            return App(fi, xi)
-        case SymApp("prop", ()):
-            return Sort("Prop")
-        case SymApp(("fa" | "impd" | "arrd") as head, (left, Abs(hint, _, body))):
-            li = _term(left, path + (f"{head}.0",), memo)
-            if isinstance(li, NotInImage):
-                return li
-            bi = _term(body, path + (f"{head}.1", "body"), memo)
-            if isinstance(bi, NotInImage):
-                return bi
-            return Prod(hint, li, bi)
-        case SymApp(("psub" | "pair" | "fst" | "snd") as head, args):
-            out: list[Term] = []
-            for i, a in enumerate(args):
-                ai = _term(a, path + (f"{head}.{i}",), memo)
-                if isinstance(ai, NotInImage):
-                    return ai
-                out.append(ai)
-            return SymApp(head, tuple(out))
-        case _:
-            return NotInImage(path, m)
-
-
-def _invert_type(t: Term, path: tuple[str, ...], memo: Memo) -> Term | NotInImage:
-    """`_type` at a node not met before."""
-    match t:
-        case SymApp("Type", ()):
-            return Sort("Type")
-        case SymApp("Prop", ()):
-            return Sort("Prop")
-        case SymApp("El", (m,)):
-            return _term(m, path + ("El.0",), memo)
-        case SymApp("Prf", (p,)):
-            return _term(p, path + ("Prf.0",), memo)
-        case Prod(hint, dom, cod):
-            d = _type(dom, path + ("dom",), memo)
-            if isinstance(d, NotInImage):
-                return d
-            c = _type(cod, path + ("cod",), memo)
-            if isinstance(c, NotInImage):
-                return c
-            return Prod(hint, d, c)
-        case _:
-            return NotInImage(path, t)
+    if cls is SymApp:
+        sym, args = t.sym, t.args
+        if len(args) == 1 and (sym == "El" or sym == "Prf"):
+            out = _term(args[0], memo)
+            if type(out) is _Miss:
+                return out.at(f"{sym}.0")
+        elif sym == "Type" and not args:
+            out = TYPE_
+        elif sym == "Prop" and not args:
+            out = PROP
+        else:
+            return _Miss(t)
+    else:
+        d = _type(t.dom, memo)
+        if type(d) is _Miss:
+            return d.at("dom")
+        c = _type(t.cod, memo)
+        if type(c) is _Miss:
+            return c.at("cod")
+        out = Prod(t.hint, d, c)
+    return memo.put(key, out, t)

@@ -37,7 +37,11 @@ distinct objects and print with their own names. The dict is plain, not
 weak: it lives only as long as the parse, its values hold the children
 whose ids the keys are made of, and a hit costs less than building the
 node. The printer renders a node shared across the terms of a file once,
-from one `terms.Memo` per file.
+from one `terms.Memo` per file, which also keeps each node's free names:
+the names a binder's display name must avoid are found in one walk of the
+file's distinct nodes, not one walk per printed term. The printer tells a
+node's kind by its type, the most frequent kind first, and a leaf returns
+before any memo key is made.
 
 Text that occurs again is also read only once: the lexer copies the tokens
 of a parenthesised group whose exact text occurred before
@@ -69,7 +73,7 @@ from .terms import (
     SymApp,
     Term,
     Var,
-    free_vars,
+    free_names,
     ident,
     instantiate,
     is_nondependent,
@@ -528,73 +532,69 @@ class _Printer:
     the display names of the binders in scope and the free names of the
     top-level term (`avoid`), which no display name may capture. So `memo`,
     a `terms.Memo` which callers may share across terms, is keyed by all
-    four."""
+    four. The same memo keeps each node's free names (`terms.free_names`),
+    so the terms of one printed file find theirs in one walk of its
+    distinct nodes."""
 
     def __init__(self, term: Term, memo: Memo):
-        self.avoid = frozenset(free_vars(term))
+        self.avoid = free_names(term, memo)
         self.memo = memo
 
     def show(self, t: Term, prec: int, binders: tuple[str, ...]) -> str:
+        """Dispatched by t's type, the most frequent first; a leaf returns
+        before any memo key is made."""
         cls = type(t)
-        if cls is Sort:
-            return t.tag
         if cls is Var:
             return t.name
         if cls is Bound:
             k = t.index
             return binders[-1 - k] if k < len(binders) else f"^{k}"
+        if cls is Sort:
+            return t.tag
         key = (ident(t), prec, binders, self.avoid)
         seen = self.memo.get(key)
         if seen is not None:
             return seen
-        match t:
-            case App(f, a):
-                body = f"{self.show(f, _APP, binders)} {self.show(a, _ATOM, binders)}"
-                out = self.wrap(body, _APP, prec)
-            case Abs(hint, annot, inner):
-                name = _display_name(hint, self.avoid | set(binders))
-                body = (
-                    f"\\{name}: {self.show(annot, _TERM, binders)}. "
-                    f"{self.show(inner, _TERM, binders + (name,))}"
-                )
-                out = self.wrap(body, _TERM, prec)
-            case Prod(hint, dom, cod):
-                if is_nondependent(cod):
-                    dropped = instantiate(cod, Var("_"))
-                    body = f"{self.show(dom, _APP, binders)} -> {self.show(dropped, _TERM, binders)}"
-                    out = self.wrap(body, _ARROW, prec)
-                else:
-                    name = _display_name(hint, self.avoid | set(binders))
-                    body = (
-                        f"!{name}: {self.show(dom, _TERM, binders)}. "
-                        f"{self.show(cod, _TERM, binders + (name,))}"
-                    )
-                    out = self.wrap(body, _TERM, prec)
-            case SymApp("psub", (ty, Abs(hint, annot, pred))) if annot == ty:
+        if cls is SymApp:
+            sym, args = t.sym, t.args
+            if not args:
+                out = sym
+            elif sym == "psub" and len(args) == 2 and type(args[1]) is Abs and args[1].annot == args[0]:
                 # the sugar drops the binder annotation, so it must equal the
                 # carrier or reparsing would change the term
-                name = _display_name(hint, self.avoid | set(binders))
+                pred = args[1]
+                name = _display_name(pred.hint, self.avoid | set(binders))
                 out = (
-                    f"{{{name}: {self.show(ty, _TERM, binders)} | "
-                    f"{self.show(pred, _TERM, binders + (name,))}}}"
+                    f"{{{name}: {self.show(args[0], _TERM, binders)} | "
+                    f"{self.show(pred.body, _TERM, binders + (name,))}}}"
                 )
-            case SymApp(sym, args):
-                if not args:
-                    out = sym
-                else:
-                    # a loop, not a generator expression: no frame of its
-                    # own per argument, so deep terms print as deep as they check
-                    shown = []
-                    for a in args:
-                        shown.append(self.show(a, _TERM, binders))
-                    out = f"{sym}({', '.join(shown)})"
-            case _:
-                raise TypeError(f"not a term: {t!r}")
+            else:
+                # a loop, not a generator expression: no frame of its
+                # own per argument, so deep terms print as deep as they check
+                shown = []
+                for a in args:
+                    shown.append(self.show(a, _TERM, binders))
+                out = f"{sym}({', '.join(shown)})"
+        elif cls is App:
+            body = f"{self.show(t.fun, _APP, binders)} {self.show(t.arg, _ATOM, binders)}"
+            out = f"({body})" if _APP < prec else body
+        elif cls is Abs:
+            name = _display_name(t.hint, self.avoid | set(binders))
+            body = f"\\{name}: {self.show(t.annot, _TERM, binders)}. {self.show(t.body, _TERM, binders + (name,))}"
+            out = f"({body})" if _TERM < prec else body
+        elif cls is Prod:
+            cod = t.cod
+            if is_nondependent(cod):
+                dropped = instantiate(cod, Var("_"))
+                body = f"{self.show(t.dom, _APP, binders)} -> {self.show(dropped, _TERM, binders)}"
+                out = f"({body})" if _ARROW < prec else body
+            else:
+                name = _display_name(t.hint, self.avoid | set(binders))
+                body = f"!{name}: {self.show(t.dom, _TERM, binders)}. {self.show(cod, _TERM, binders + (name,))}"
+                out = f"({body})" if _TERM < prec else body
+        else:
+            raise TypeError(f"not a term: {t!r}")
         return self.memo.put(key, out, t)
-
-    @staticmethod
-    def wrap(body: str, level: int, prec: int) -> str:
-        return f"({body})" if level < prec else body
 
 
 def print_term(t: Term, memo: Memo | None = None) -> str:

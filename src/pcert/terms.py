@@ -20,10 +20,12 @@ many occurrences stays one object. `==` stops at object identity and
 remembers, for one comparison, the pairs of nodes it has proven equal, so it
 compares two such terms in time linear in their shared size, however they
 were built. `free_vars` and `is_nondependent` visit each shared subterm
-once (per binder depth), `abstract_var` closes a shared term (a normal
-form) once per subterm and binder depth, and `instantiate` opens a binder
-over a shared closed term (an expanded definition) once per subterm and
-binder depth. Nothing depends on identity for its meaning; results are equal either way.
+once (per binder depth), `free_names` keeps each node's free names in a
+`Memo`, so the calls handed one (a printed file) visit each node once,
+`abstract_var` closes a shared term (a normal form) once per subterm and
+binder depth, and `instantiate` opens a binder over a shared closed term
+(an expanded definition) once per subterm and binder depth. Nothing
+depends on identity for its meaning; results are equal either way.
 
 Every cache that outlives one call is a `Memo`: a dict keyed by the
 identity of nodes (`ident`), whose entries hold the nodes their keys were
@@ -294,6 +296,37 @@ def free_vars(*terms: Term) -> set[str]:
     return out
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def free_names(t: Term, memo: Memo) -> frozenset[str]:
+    """The names of the free variables of t, kept in `memo` by t's identity:
+    the calls handed one memo (a printer hands one to a whole file) visit
+    each distinct node once between them. A leaf returns before any memo
+    key is made."""
+    cls = type(t)
+    if cls is Var:
+        return frozenset((t.name,))
+    if cls is Sort or cls is Bound:
+        return _NO_NAMES
+    out = memo.get(ident(t))
+    if out is not None:
+        return out
+    if cls is App:
+        out = free_names(t.fun, memo) | free_names(t.arg, memo)
+    elif cls is SymApp:
+        out = _NO_NAMES
+        for a in t.args:
+            out = out | free_names(a, memo)
+    elif cls is Abs:
+        out = free_names(t.annot, memo) | free_names(t.body, memo)
+    else:
+        out = free_names(t.dom, memo) | free_names(t.cod, memo)
+    memo[ident(t)] = out  # `put`, inlined: one call fewer per node
+    memo._held.append(t)
+    return out
+
+
 def substitute_parallel(t: Term, mapping: dict[str, Term], memo: Memo | None = None) -> Term:
     """Simultaneously replace free variables; values must be locally closed.
 
@@ -338,12 +371,6 @@ def _same(new: list[Term], old: tuple[Term, ...]) -> bool:
         if n is not o:
             return False
     return True
-
-
-def substitute(body: Term, binding: tuple[str, Term]) -> Term:
-    """Capture-avoiding single substitution of a named free variable."""
-    name, value = binding
-    return substitute_parallel(body, {name: value})
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -660,6 +687,3 @@ class Signature:
 
     def items(self):
         return self._entries.items()
-
-    def arity(self, sym: str) -> int:
-        return self._entries[sym].arity

@@ -20,6 +20,11 @@ distinct subterms and its translation shares them too. The memo (a
 under the same context: `pcert translate`, `export` and `roundtrip` hand
 one to all the calls of a file, so a definition expanded into later
 declarations is translated once per file.
+Each walker tells a node's kind by its type (`type(m) is App`), the most
+frequent kind first, not by a `match` on class patterns, which costs
+several times more per node; a leaf (`Var`, `Bound`, a sort) returns
+before any memo key is made, and a node's reach is filed beside the
+translation entry that holds the node.
 Typability is `check_file`'s obligation and `pcert translate` re-checks the
 output in the lf kernel; unchecked input fails with a diagnostic or
 translates to a term the lf kernel rejects.
@@ -29,8 +34,8 @@ from __future__ import annotations
 
 from . import diagnostics as dk
 from .diagnostics import fail
-from .lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
-from .terms import Abs, App, Bound, Context, KIND, Memo, Prod, Sort, SymApp, TYPE_, Term, Var, ident
+from .lf import KIND_ENC, PROP_OBJ, TYPE_ENC, TYPE_OBJ
+from .terms import Abs, App, Bound, Context, Memo, Prod, Sort, SymApp, Term, Var, ident
 
 # Subtype symbols keep their names across the encoding.
 _SUBTYPE_SYMBOLS = frozenset(("psub", "pair", "fst", "snd"))
@@ -40,26 +45,23 @@ _SUBTYPE_SYMBOLS = frozenset(("psub", "pair", "fst", "snd"))
 _HEAD_SORTS = {"arrd": "Type", "psub": "Type", "prop": "Type", "type": "Kind"}
 
 _PRODUCT_HEADS = {("Type", "Type"): "arrd", ("Type", "Prop"): "fa", ("Prop", "Prop"): "impd"}
-_TYPE_FORMERS = {"Type": El, "Prop": Prf}
+_TYPE_FORMERS = {"Type": "El", "Prop": "Prf"}  # the type of a term, by its sort
+_SORT_OBJECTS = {"Prop": PROP_OBJ, "Type": TYPE_OBJ}
 
 Sorts = tuple[str | None, ...]  # per enclosing binder, innermost last
-
-
-def _tag(ty: Term) -> str | None:
-    """The sort of a variable of type ty used as a type, if it is one."""
-    return ty.tag if isinstance(ty, Sort) else None
 
 
 def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
     """The translation of m under binders of these sorts.
 
-    `memo` holds two entries per subterm: by the subterm alone, how many of
-    the enclosing binders its `Bound`s reach, and by the subterm and the
-    sorts of those binders, its translation. `low[0]` is the outermost
-    binder level (0: the outermost binder of the call) any `Bound`
-    translated so far in the current subterm reaches; a subterm starts it
-    at its own depth and hands the minimum up, so the reach is found during
-    the translation, without walking the subterm again."""
+    A leaf returns before any memo key is made. `memo` holds two entries per
+    other subterm: by the subterm alone, how many of the enclosing binders
+    its `Bound`s reach, and by the subterm and the sorts of those binders,
+    its translation. `low[0]` is the outermost binder level (0: the
+    outermost binder of the call) any `Bound` translated so far in the
+    current subterm reaches; a subterm starts it at its own depth and hands
+    the minimum up, so the reach is found during the translation, without
+    walking the subterm again."""
     cls = type(m)
     if cls is Var:
         return m
@@ -71,6 +73,11 @@ def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Te
         if level < low[0]:
             low[0] = level
         return m
+    if cls is Sort:
+        out = _SORT_OBJECTS.get(m.tag)
+        if out is None:
+            raise fail(dk.NOT_TYPABLE, f"sort {m.tag} has no term translation", context=ctx, subject=m)
+        return out
     reach = memo.get(ident(m))
     if reach is not None and reach <= depth:
         level = depth - reach
@@ -84,69 +91,73 @@ def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Te
     level = low[0]
     if outer < level:
         low[0] = outer
-    memo.put(ident(m), depth - level, m)
+    memo[ident(m)] = depth - level  # m is held by the entry put next
     return memo.put((ident(m), sorts[level:]), out, m)
 
 
 def _translate(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
-    """`_term` at a node that is not a variable."""
-    match m:
-        case Sort("Prop"):
-            return PROP_OBJ
-        case Sort("Type"):
-            return TYPE_OBJ
-        case Sort(tag):
-            raise fail(dk.NOT_TYPABLE, f"sort {tag} has no term translation", context=ctx, subject=m)
-        case App(f, a):
-            return App(_term(ctx, f, sorts, memo, low), _term(ctx, a, sorts, memo, low))
-        case Abs(hint, annot, body):
-            t_annot = _type(ctx, annot, sorts, memo, low)
-            return Abs(hint, t_annot, _term(ctx, body, sorts + (_tag(annot),), memo, low))
-        case Prod(hint, dom, cod):
-            inner = sorts + (_tag(dom),)
-            t_dom, t_cod = _term(ctx, dom, sorts, memo, low), _term(ctx, cod, inner, memo, low)
-            s_dom, s_cod = _sort(ctx, t_dom, sorts), _sort(ctx, t_cod, inner)
-            head = _PRODUCT_HEADS.get((s_dom, s_cod))
-            if head is None:
-                message = f"product over sorts ({s_dom}, {s_cod}) has no encoding"
-                raise fail(dk.ILLEGAL_PRODUCT, message, context=ctx, subject=m)
-            return SymApp(head, (t_dom, Abs(hint, _TYPE_FORMERS[s_dom](t_dom), t_cod)))
-        case SymApp(sym, args):
-            if sym not in _SUBTYPE_SYMBOLS:
-                raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
-            return SymApp(sym, tuple(_term(ctx, a, sorts, memo, low) for a in args))
+    """`_term` at a node that is not a leaf, dispatched by its type, the
+    most frequent first."""
+    cls = type(m)
+    if cls is App:
+        return App(_term(ctx, m.fun, sorts, memo, low), _term(ctx, m.arg, sorts, memo, low))
+    if cls is Abs:
+        annot = m.annot
+        t_annot = _type(ctx, annot, sorts, memo, low)
+        inner = sorts + (annot.tag if type(annot) is Sort else None,)
+        return Abs(m.hint, t_annot, _term(ctx, m.body, inner, memo, low))
+    if cls is SymApp:
+        sym = m.sym
+        if sym not in _SUBTYPE_SYMBOLS:
+            raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
+        args = []  # a loop, not a generator expression: no frame of its own
+        for a in m.args:
+            args.append(_term(ctx, a, sorts, memo, low))
+        return SymApp(sym, tuple(args))
+    if cls is Prod:
+        dom = m.dom
+        inner = sorts + (dom.tag if type(dom) is Sort else None,)
+        t_dom, t_cod = _term(ctx, dom, sorts, memo, low), _term(ctx, m.cod, inner, memo, low)
+        s_dom, s_cod = _sort(ctx, t_dom, sorts), _sort(ctx, t_cod, inner)
+        head = _PRODUCT_HEADS.get((s_dom, s_cod))
+        if head is None:
+            message = f"product over sorts ({s_dom}, {s_cod}) has no encoding"
+            raise fail(dk.ILLEGAL_PRODUCT, message, context=ctx, subject=m)
+        return SymApp(head, (t_dom, Abs(m.hint, SymApp(_TYPE_FORMERS[s_dom], (t_dom,)), t_cod)))
     raise TypeError(f"not a term: {m!r}")
 
 
 def _sort(ctx: Context, t: Term, sorts: Sorts) -> str:
     """The sort of a checked type, read off its translation t."""
-    match t:
-        case SymApp(sym, _) if sym in _HEAD_SORTS:
-            return _HEAD_SORTS[sym]
-        case Var(name):
-            ty = ctx.lookup(name)
-            if ty is None:
-                raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {name!r}", context=ctx, subject=t)
-            tag = _tag(ty)
-        case Bound(k):  # in range: _term checked it
-            tag = sorts[-1 - k]
-        case _:
-            return "Prop"
+    cls = type(t)
+    if cls is SymApp:
+        return _HEAD_SORTS.get(t.sym, "Prop")
+    if cls is Var:
+        ty = ctx.lookup(t.name)
+        if ty is None:
+            raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {t.name!r}", context=ctx, subject=t)
+        tag = ty.tag if type(ty) is Sort else None
+    elif cls is Bound:  # in range: _term checked it
+        tag = sorts[-1 - t.index]
+    else:
+        return "Prop"
     if tag is None:
         raise fail(dk.NOT_A_SORT, f"{t!r} is not a type: its type is not a sort", context=ctx, subject=t)
     return tag
 
 
 def _type(ctx: Context, t: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
-    if t == KIND:
-        return KIND_ENC
-    if t == TYPE_:
-        return TYPE_ENC
+    if type(t) is Sort:
+        if t.tag == "Kind":
+            return KIND_ENC
+        if t.tag == "Type":
+            return TYPE_ENC
     encoded = _term(ctx, t, sorts, memo, low)
     sort = _sort(ctx, encoded, sorts)
-    if sort not in _TYPE_FORMERS:
+    former = _TYPE_FORMERS.get(sort)
+    if former is None:
         raise fail(dk.NOT_A_SORT, f"no type translation at sort {sort}", context=ctx, subject=t)
-    return _TYPE_FORMERS[sort](encoded)
+    return SymApp(former, (encoded,))
 
 
 def translate_term(ctx: Context, m: Term, memo: Memo | None = None) -> Term:

@@ -17,11 +17,13 @@ kept hashes of terms are checked against, `NamedParser`, `FreshParser`
 and `UnmemoizedParser` the references the scope-resolving parser, the
 interning parser and its span memo are checked against,
 `ref_instantiate` and `ref_is_nondependent` the tree walks the sharing
-ones of `pcert.terms` are checked against, and `ref_print_file` and
+ones of `pcert.terms` are checked against, `ref_print_file` and
 `ref_development_lines` the references the memoizing printer and Lambdapi
-exporter are checked against.
-`check_wf`, `validate_signature` and `inverse_type` are entry points that
-only the tests use.
+exporter are checked against, and `ref_inverse_term` and `ref_inverse_type`
+the reference the inverse, which builds a failure's path only on failure,
+is checked against.
+`check_wf`, `validate_signature`, `inverse_type` and `substitute` are entry
+points that only the tests use.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import random
 from pcert import Context, check_file, parse_file
 from pcert import diagnostics as dk, inverse as inverse_module, kernel as kernel_module
 from pcert.diagnostics import UNCHECKED_INPUT, fail
-from pcert.export import ENCODING_MODULE, _fresh_display, _ident
+from pcert.export import _LP_ID, ENCODING_MODULE, _ident
 from pcert.inverse import NotInImage
 from pcert.kernel import Kernel
 from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
@@ -136,7 +138,13 @@ def validate_signature(kernel: Kernel, fuel: Fuel | int | None = None) -> None:
 
 def inverse_type(t: Term) -> Term | NotInImage:
     """The inverse of a translated type, with a memo of its own."""
-    return inverse_module._type(t, (), Memo())
+    return inverse_module._reported(inverse_module._type(t, Memo()))
+
+
+def substitute(body: Term, binding: tuple[str, Term]) -> Term:
+    """Capture-avoiding single substitution of a named free variable."""
+    name, value = binding
+    return substitute_parallel(body, {name: value})
 
 
 class TermGen:
@@ -992,6 +1000,74 @@ def parse_term_fresh(text: str, mode: str = "pcert") -> Term:
     return term
 
 
+# --- the inverse reference -------------------------------------------------------
+#
+# `pcert.inverse` as it was before it built failure paths lazily: a tree walk
+# with no memo that extends the path at every node on the way down.
+
+
+def ref_inverse_term(m: Term, path: tuple[str, ...] = ()) -> Term | NotInImage:
+    match m:
+        case Var() | Bound():
+            return m
+        case Abs(hint, annot, body):
+            a = ref_inverse_type(annot, path + ("annot",))
+            if isinstance(a, NotInImage):
+                return a
+            b = ref_inverse_term(body, path + ("body",))
+            if isinstance(b, NotInImage):
+                return b
+            return Abs(hint, a, b)
+        case App(f, x):
+            fi = ref_inverse_term(f, path + ("fun",))
+            if isinstance(fi, NotInImage):
+                return fi
+            xi = ref_inverse_term(x, path + ("arg",))
+            if isinstance(xi, NotInImage):
+                return xi
+            return App(fi, xi)
+        case SymApp("prop", ()):
+            return Sort("Prop")
+        case SymApp(("fa" | "impd" | "arrd") as head, (left, Abs(hint, _, body))):
+            li = ref_inverse_term(left, path + (f"{head}.0",))
+            if isinstance(li, NotInImage):
+                return li
+            bi = ref_inverse_term(body, path + (f"{head}.1", "body"))
+            if isinstance(bi, NotInImage):
+                return bi
+            return Prod(hint, li, bi)
+        case SymApp(("psub" | "pair" | "fst" | "snd") as head, args):
+            out: list[Term] = []
+            for i, a in enumerate(args):
+                ai = ref_inverse_term(a, path + (f"{head}.{i}",))
+                if isinstance(ai, NotInImage):
+                    return ai
+                out.append(ai)
+            return SymApp(head, tuple(out))
+    return NotInImage(path, m)
+
+
+def ref_inverse_type(t: Term, path: tuple[str, ...] = ()) -> Term | NotInImage:
+    match t:
+        case SymApp("Type", ()):
+            return Sort("Type")
+        case SymApp("Prop", ()):
+            return Sort("Prop")
+        case SymApp("El", (m,)):
+            return ref_inverse_term(m, path + ("El.0",))
+        case SymApp("Prf", (p,)):
+            return ref_inverse_term(p, path + ("Prf.0",))
+        case Prod(hint, dom, cod):
+            d = ref_inverse_type(dom, path + ("dom",))
+            if isinstance(d, NotInImage):
+                return d
+            c = ref_inverse_type(cod, path + ("cod",))
+            if isinstance(c, NotInImage):
+                return c
+            return Prod(hint, d, c)
+    return NotInImage(path, t)
+
+
 # --- the printer references ------------------------------------------------------
 #
 # `syntax.print_file` and `export.development_lines` as they were before they
@@ -1069,6 +1145,17 @@ def ref_print_file(parsed: ParsedFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ref_fresh_display(hint: str, body: Term) -> str:
+    base = hint.split("#", 1)[0]
+    if not _LP_ID.match(base) or (base == "_" and not is_nondependent(body)):
+        base = "x"
+    name = base
+    taken = free_vars(body)
+    while name in taken:
+        name += "'"
+    return name
+
+
 def _ref_show(t: Term, prec: int) -> str:
     match t:
         case Sort("TYPE"):
@@ -1082,13 +1169,13 @@ def _ref_show(t: Term, prec: int) -> str:
         case App(f, a):
             return _ref_wrap(f"{_ref_show(f, _APP)} {_ref_show(a, _ATOM)}", _APP, prec)
         case Abs(hint, annot, body):
-            name = _fresh_display(hint, body)
+            name = _ref_fresh_display(hint, body)
             inner = _ref_show(instantiate(body, Var(name)), _TERM)
             return _ref_wrap(f"λ {name}: {_ref_show(annot, _TERM)}, {inner}", _TERM, prec)
         case Prod(hint, dom, cod):
             if is_nondependent(cod):
                 return _ref_wrap(f"{_ref_show(dom, _APP)} → {_ref_show(cod, _ARROW)}", _ARROW, prec)
-            name = _fresh_display(hint, cod)
+            name = _ref_fresh_display(hint, cod)
             inner = _ref_show(instantiate(cod, Var(name)), _TERM)
             return _ref_wrap(f"Π {name}: {_ref_show(dom, _TERM)}, {inner}", _TERM, prec)
         case SymApp(sym, args):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from genutil import BASE_CTX, TermGen, inverse_type
+from genutil import BASE_CTX, TermGen, inverse_type, ref_inverse_term, ref_inverse_type
+from hypothesis import given, settings, strategies as st
 from pcert import check_file, conv_pcert, corpus_path, parse_file
 from pcert.inverse import NotInImage, inverse_term
 from pcert.lf import El, PROP_OBJ, Prf, TYPE_ENC
@@ -16,6 +17,7 @@ from pcert.terms import (
     Prod,
     Sort,
     SymApp,
+    Term,
     Var,
     alpha_eq,
 )
@@ -131,3 +133,102 @@ def test_type_round_trip_is_convertible():
         back = inverse_type(translate_type(BASE_CTX, ty))
         assert not isinstance(back, NotInImage)
         assert conv_pcert(BASE_CTX, back, ty)
+
+
+# --- the failure path, built only on failure ------------------------------------
+
+# Closed terms outside the image, one per way to leave it: a `pair'` normal
+# form, a bare `Type`, `El`/`Prf` of a head with no encoding, a product head
+# not applied to an abstraction, a sort.
+OUT_OF_IMAGE = [
+    SymApp("pair'", (Var("iota"), Var("P"), Var("a"))),
+    TYPE_ENC,
+    El(SymApp("pair'", (Var("iota"), Var("P"), Var("b")))),
+    Prf(TYPE_ENC),
+    El(Var("iota")),
+    SymApp("fa", (Var("iota"), Var("P"))),
+    SymApp("prop", (Var("a"),)),
+    Sort("TYPE"),
+]
+
+
+def children(t: Term) -> tuple[Term, ...]:
+    if type(t) is App:
+        return (t.fun, t.arg)
+    if type(t) is Abs:
+        return (t.annot, t.body)
+    if type(t) is Prod:
+        return (t.dom, t.cod)
+    if type(t) is SymApp:
+        return t.args
+    return ()
+
+
+def rebuilt(t: Term, kids: list[Term]) -> Term:
+    if type(t) is App:
+        return App(*kids)
+    if type(t) is Abs:
+        return Abs(t.hint, *kids)
+    if type(t) is Prod:
+        return Prod(t.hint, *kids)
+    return SymApp(t.sym, tuple(kids))
+
+
+def plant(t: Term, where: int, bad: Term) -> Term:
+    """t with its subterm number `where % size` (preorder) replaced by the
+    closed term bad; every subterm off the path stays the same object."""
+    size = [0]
+
+    def count(s: Term) -> None:
+        size[0] += 1
+        for c in children(s):
+            count(c)
+
+    count(t)
+    left = [where % size[0]]
+
+    def go(s: Term) -> Term:
+        if left[0] == 0:
+            left[0] = -1
+            return bad
+        left[0] -= 1
+        kids = list(children(s))
+        for i, c in enumerate(kids):
+            if left[0] < 0:
+                break
+            kids[i] = go(c)
+        return rebuilt(s, kids) if kids else s
+
+    return go(t)
+
+
+def assert_same_outcome(got, want) -> None:
+    if isinstance(want, NotInImage):
+        assert isinstance(got, NotInImage), (got, want)
+        assert got.path == want.path
+        assert got.subterm is want.subterm
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    spots=st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from(OUT_OF_IMAGE)), min_size=1, max_size=2),
+)
+def test_failure_paths_equal_the_eager_reference(seed, spots):
+    gen = TermGen(seed)
+    m, _ = gen.some_term(4)
+    encoded = translate_term(BASE_CTX, m)
+    ty = translate_type(BASE_CTX, PCERT_KERNEL.infer(BASE_CTX, m))
+    broken, broken_ty = encoded, ty
+    for where, bad in spots:
+        broken, broken_ty = plant(broken, where, bad), plant(broken_ty, where, bad)
+    assert_same_outcome(inverse_term(broken), ref_inverse_term(broken))
+    assert_same_outcome(inverse_type(broken_ty), ref_inverse_type(broken_ty))
+    # a memo that already holds the successes of the intact term skips the
+    # subterms the two share, and still finds the first failure by its path
+    memo = Memo()
+    assert_same_outcome(inverse_term(encoded, memo), ref_inverse_term(encoded))
+    assert_same_outcome(inverse_term(broken, memo), ref_inverse_term(broken))
+    assert_same_outcome(inverse_term(App(encoded, broken), memo), ref_inverse_term(App(encoded, broken)))

@@ -76,7 +76,7 @@ def test_signature_is_well_formed():
 
 
 def test_signature_arities_and_protection():
-    assert {name: LF_SIGNATURE.arity(name) for name in ARITIES} == ARITIES
+    assert {name: LF_SIGNATURE.get(name).arity for name in ARITIES} == ARITIES
     assert LF_SIGNATURE.protected == frozenset({"pair'"})
     assert set(LF_SIGNATURE.names()) == set(ARITIES)
 

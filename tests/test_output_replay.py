@@ -6,10 +6,16 @@ inversion, and the printer and the Lambdapi exporter render each shared node
 once per file. The references are per-call translation and the tree-walking
 printers `genutil.ref_print_file` and `genutil.ref_development_lines`: the
 emitted bytes must be theirs, and the work must grow linearly in the links
-of chains whose text grows exponentially.
+of chains whose text grows exponentially. The walkers tell a node's kind by
+its type, never by a class pattern, and translating and inverting a fixed
+development stay within a number of Python calls per declaration.
 """
 
 from __future__ import annotations
+
+import ast
+import inspect
+import sys
 
 import pytest
 from genutil import doubling_chain_source, ref_development_lines, ref_print_file
@@ -17,7 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pcert import check_file, cli, corpus_path, export, inverse, parse_file, syntax, translate
 from pcert.export import development_lines
 from pcert.syntax import AssertConv, AssertJudgment, Definition, ParsedFile, SymbolDecl, parse_term, print_file
-from pcert.terms import KIND, LF_KIND, LF_TYPE, PROP, TYPE_
+from pcert.inverse import inverse_term
+from pcert.terms import KIND, LF_KIND, LF_TYPE, PROP, TYPE_, Memo
 from pcert.translate import translate_term, translate_type
 from test_cli import CORPUS_OK, shared_chain_source
 from test_replay import count_calls, termgen_development
@@ -209,3 +216,79 @@ def test_roundtrip_inverts_a_shared_chain_in_work_linear_in_its_links(monkeypatc
         assert cli.main(["roundtrip", str(src), "--fuel", "0"]) == 0
         counts.append(calls[0])
     assert_linear(counts)
+
+
+# --- per-node cost: dispatch by type, leaves first --------------------------------
+
+TERM_CLASSES = {"Sort", "Var", "Bound", "App", "Abs", "Prod", "SymApp"}
+
+# The per-node walkers of the output half, by module (a method as Class.name).
+WALKERS = {
+    translate: ("_term", "_translate", "_sort", "_type"),
+    inverse: ("_term", "_type"),
+    syntax: ("_Printer.show",),
+    export: ("_show", "_fresh_display"),
+}
+
+
+def functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+    return out
+
+
+@pytest.mark.parametrize("module", list(WALKERS), ids=lambda m: m.__name__)
+def test_the_output_walkers_dispatch_by_type_not_by_class_patterns(module):
+    # a `match` on class patterns costs several times a `type(t) is` test
+    # per node; no function of the output half's modules may use one on terms
+    tree = ast.parse(inspect.getsource(module))
+    defs = functions(tree)
+    assert set(WALKERS[module]) <= set(defs)
+    patterns = {ast.unparse(n.cls) for n in ast.walk(tree) if isinstance(n, ast.MatchClass)}
+    assert not patterns & TERM_CLASSES
+
+
+def calls_made(fn) -> int:
+    """Python-level calls (`sys.setprofile` "call" events) made by fn()."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+# Most Python calls per declaration of one fixed generated development
+# (39 declarations, 20 definitions): translating every declaration as
+# `translate` and `export` do (41.6 with class-pattern dispatch, two memo
+# entries put per node and a sort test by `==`), and inverting every
+# definition body's translation as `roundtrip` does (18.3 with a path tuple
+# built per node).
+OUTPUT_FLOOR = {"translate": 27, "inverse": 14}
+
+
+def output_half_work(stage: str):
+    checked = check_file(parse_file(termgen_development(7, 20)), 0)
+    if stage == "translate":
+        return lambda: cli._translate_decls(checked), len(checked.decls)
+    memo, inverses = Memo(), Memo()
+    bodies = [r.decl.body for r in checked.decls if isinstance(r.decl, Definition)]
+    encoded = [translate_term(checked.context, body, memo) for body in bodies]
+    return lambda: [inverse_term(e, inverses) for e in encoded], len(checked.decls)
+
+
+@pytest.mark.parametrize("stage", sorted(OUTPUT_FLOOR))
+def test_the_output_half_costs_a_bounded_number_of_calls_per_declaration(stage):
+    work, decls = output_half_work(stage)
+    per_decl = calls_made(work) / decls
+    assert per_decl <= OUTPUT_FLOOR[stage], per_decl

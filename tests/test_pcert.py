@@ -57,7 +57,7 @@ def even_ctx() -> Context:
 def test_signature_is_well_formed():
     validate_signature(KERNEL)
     assert set(PCERT_SIGNATURE.names()) == {"psub", "pair", "fst", "snd"}
-    assert [PCERT_SIGNATURE.arity(s) for s in ("psub", "pair", "fst", "snd")] == [2, 4, 3, 3]
+    assert [PCERT_SIGNATURE.get(s).arity for s in ("psub", "pair", "fst", "snd")] == [2, 4, 3, 3]
 
 
 def test_check_wf_empty():

@@ -23,6 +23,7 @@ from genutil import (
     ref_is_nondependent,
     ref_substitute_parallel,
     rehinted,
+    substitute,
     replace_at,
 )
 import pytest
@@ -51,7 +52,6 @@ from pcert.terms import (
     is_nondependent,
     lam,
     pi,
-    substitute,
     substitute_parallel,
 )
 
