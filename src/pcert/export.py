@@ -8,8 +8,9 @@ Lambdapi checker; beta is native there, so it appears as a comment line
 rather than a rule statement. A development renders each node once per
 precedence, from a `terms.Memo` kept for the whole development, which also
 keeps each name's Lambdapi spelling (the identifier check runs once per
-name) and each node's free names, which binder names avoid (one walk of
-the distinct nodes, not one per binder). The renderer tells a node's kind
+name), each node's free names, which binder names avoid, and each node's
+loose bound indices, which tell whether a binder is used (one walk of the
+distinct nodes, not one per binder). The renderer tells a node's kind
 by its type, the most frequent kind first; a leaf returns before any memo
 key is made.
 """
@@ -38,7 +39,7 @@ from .terms import (
     free_vars,
     ident,
     instantiate,
-    is_nondependent,
+    loose_bounds,
 )
 
 ENCODING_MODULE = "pcert.encoding"
@@ -58,9 +59,10 @@ def _show(t: Term, prec: int, memo: Memo, pattern_vars: frozenset[str] = frozens
     t's type, the most frequent first; a leaf returns before any memo key
     is made. `memo` (a `terms.Memo`) renders each other node once per
     precedence: (node, prec) -> text. It also keeps each name's Lambdapi
-    spelling, keyed by the name, and each node's free names
-    (`terms.free_names`), so the identifier check runs once per name and
-    the free names are found in one walk of the distinct nodes. A memo
+    spelling, keyed by the name, and each node's free names and loose
+    bound indices (`terms.free_names`, `terms.loose_bounds`), so the
+    identifier check runs once per name, and the free names and each
+    binder's dependence are found in one walk of the distinct nodes. A memo
     serves one set of pattern variables, so the text depends on the node
     and prec alone."""
     cls = type(t)
@@ -101,7 +103,7 @@ def _show(t: Term, prec: int, memo: Memo, pattern_vars: frozenset[str] = frozens
         out = f"({body})" if _TERM < prec else body
     elif cls is Prod:
         cod = t.cod
-        if is_nondependent(cod):
+        if not loose_bounds(cod, memo) & 1:
             body = f"{_show(t.dom, _APP, memo, pattern_vars)} → {_show(cod, _ARROW, memo, pattern_vars)}"
             out = f"({body})" if _ARROW < prec else body
         else:
@@ -128,7 +130,7 @@ def _fresh_display(hint: str, body: Term, memo: Memo) -> str:
     (kept in memo, see `_show`). Lambdapi reads `_` in a term as a
     placeholder, so `_` names only a binder that body does not use."""
     base = hint.split("#", 1)[0]
-    if not _LP_ID.match(base) or (base == "_" and not is_nondependent(body)):
+    if not _LP_ID.match(base) or (base == "_" and loose_bounds(body, memo) & 1):
         base = "x"
     name = base
     taken = free_names(body, memo)

@@ -5,21 +5,27 @@ inside the regex, reports the first character that starts no token through a
 catch-all branch, and fills three flat lists: the kinds, values and start
 offsets of the tokens, ending in an eof entry, which the parser indexes.
 
-Before scanning, `repeated_groups` makes one pass over the parentheses of the
-text, outside comments, and finds the parenthesised groups whose exact text
-occurred before. `scan` copies the tokens of such a group from its first
-occurrence instead of matching them again, and the parser reads the group
-once per binder frame (see `syntax._Parser`). So a text that spells out the
-same expanded definitions many times, as the output of `pcert translate`
-does, is read in time linear in its distinct groups rather than its size.
+Before scanning, `repeated_groups` makes one pass left to right over the
+parentheses of the text, outside comments, and finds the parenthesised
+groups whose exact text occurred before: at each "(", it tries the groups
+closed so far that begin with the same characters, and jumps past a
+repeat, so no parenthesis inside a repeat is visited. `scan` then makes
+each repeat one token of kind "group", which names the "(" token of the
+repeat's first occurrence, instead of matching its text again, and the
+parser reads a group token from that occurrence's tokens once per binder
+frame (see `syntax._Parser`); an error found that way is reported from a
+re-read of the text without group tokens, with the span as written. So a
+text that spells out the same expanded definitions many times, as the
+output of `pcert translate` does, is read in time linear in its distinct
+groups rather than its size.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import accumulate, compress, islice, repeat
-from operator import itemgetter, ne
+from itertools import islice, repeat
+from operator import itemgetter
 
 KEYWORDS = frozenset({"symbol", "definition", "assert", "convertible", "Type", "Kind", "Prop"})
 
@@ -52,36 +58,65 @@ def _blank(comment: re.Match) -> str:
 
 
 def repeated_groups(text: str) -> list[tuple[int, int, int]]:
-    """Find the parenthesised groups of text whose exact text occurs again.
-    Returns (start, end, first) for each later occurrence, in the order of
-    the text, where `first` starts the earliest group with the same text.
-    Only groups of at least `_GROUP_MIN` characters, nested at most
-    `_GROUP_DEPTH` deep, take part: shorter ones parse faster than they are
-    looked up, and the depth bound keeps the hashing linear in the text."""
-    bare = _COMMENT_RE.sub(_blank, text) if "//" in text else text
-    # one past each parenthesis outside comments
-    ends = accumulate(map((1).__add__, map(len, bare.replace(")", "(").split("("))))
+    """Find the parenthesised groups of text whose exact text occurred
+    before, outside any other such group. Returns (start, end, first) for
+    each, in the order of the text, where `first` starts the group that
+    first had the same text.
+
+    One pass goes left to right over the parentheses outside comments,
+    each found by `str.find` from the one before. At each "(", the groups
+    closed so far that begin with the same `_GROUP_MIN` characters are
+    tried with `str.startswith`; a group that matches one of them is a
+    repeat, and the search goes on from its end, so no parenthesis inside
+    a repeat is found and no text is hashed but those prefixes. Only groups
+    of at least `_GROUP_MIN` characters, nested at most `_GROUP_DEPTH`
+    deep, take part: shorter ones parse faster than they are looked up,
+    and deeper ones would be tried at every level."""
+    size = len(text)
+    # "()" after the text: both searches find a parenthesis, and the walk
+    # ends at that "("
+    bare = (_COMMENT_RE.sub(_blank, text) if "//" in text else text) + "()"
+    find = bare.find
+    closed: dict[str, list[tuple[int, int]]] = {}  # prefix -> (start, end) of the groups closed so far
     opened: list[int] = []
-    starts: list[int] = []
-    stops: list[int] = []
-    for end in islice(ends, bare.count("(") + bare.count(")")):
-        if text[end - 1] == "(":
-            opened.append(end - 1)
-        elif opened:  # else an unmatched ")": parsing fails on it
-            start = opened.pop()
-            if end - start >= _GROUP_MIN and len(opened) < _GROUP_DEPTH:
-                starts.append(start)
-                stops.append(end)
-    hashes = list(map(hash, map(text.__getitem__, map(slice, starts, stops))))
-    # groups close inner first, so of equal texts, which never nest, the
-    # earliest closes first and is the last one this dict is given
-    firsts = list(map(dict(zip(reversed(hashes), reversed(starts))).__getitem__, hashes))
-    repeats = [
-        (start, end, first)
-        for start, end, first in compress(zip(starts, stops, firsts), map(ne, firsts, starts))
-        if text.startswith(text[start:end], first)  # not a collision of hashes
-    ]
-    repeats.sort()
+    repeats: list[tuple[int, int, int]] = []
+    push, pop, recall = opened.append, opened.pop, closed.get
+    least, deepest = _GROUP_MIN, _GROUP_DEPTH
+    start, close = find("("), find(")")
+    while True:
+        if close < start:
+            if opened:  # else an unmatched ")": parsing fails on it
+                first = pop()
+                if close - first >= least - 1 and len(opened) < deepest:
+                    prefix = text[first:first + least]
+                    seen = recall(prefix)
+                    if seen is None:
+                        closed[prefix] = [(first, close + 1)]
+                    else:
+                        seen.append((first, close + 1))
+            close = find(")", close + 1)
+            continue
+        if start == size:
+            break
+        seen = closed and recall(text[start:start + least])
+        if seen and len(opened) < deepest:
+            for first, end in seen:
+                # equal texts hold the same parentheses, so a group that
+                # starts with a closed group's text is that group again; one
+                # that does not close where that text would is not tried
+                stop = end + start - first
+                if text[stop - 1:stop] == ")" and text.startswith(text[first:end], start):
+                    repeats.append((start, stop, first))
+                    start = find("(", stop)
+                    if close < stop:
+                        close = find(")", stop)
+                    break
+            else:
+                push(start)
+                start = find("(", start + 1)
+            continue
+        push(start)
+        start = find("(", start + 1)
     return repeats
 
 
@@ -94,27 +129,31 @@ def _match(text: str, pos: int, end: int, values: list[str | None], starts: list
         starts += map(re.Match.start, batch)
 
 
-def scan(text: str, repeats: list[tuple[int, int, int]]) -> tuple[list[str], list[str], list[int]]:
-    """Kinds, values and start offsets of the tokens of text, ending in eof;
-    a character that starts no token has the kind "bad" and the value None.
-    The tokens of each repeated group (see `repeated_groups`) are copied
-    from the group that first had its text, with their offsets moved, not
-    matched again."""
+def scan(
+    text: str, repeats: list[tuple[int, int, int]]
+) -> tuple[list[str], list[str], list[int], dict[int, int]]:
+    """Kinds, values and start offsets of the tokens of text, ending in eof,
+    and the group tokens; a character that starts no token has the kind
+    "bad" and the value None. Each repeat (see `repeated_groups`) is one
+    token of kind "group" and value "(" at the repeat's offset, and the
+    returned dict maps its index to the index of the "(" token of the
+    repeat's first occurrence, whose tokens it stands for: no token of a
+    repeat is matched or copied."""
     values: list[str | None] = []
     starts: list[int] = []
+    groups: dict[int, int] = {}
     pos = _LEADING_SKIP.match(text).end()
     for start, end, first in repeats:
-        if start < pos:
-            continue  # inside a group already copied
         _match(text, pos, start, values, starts)
-        a = bisect_left(starts, first)
-        b = bisect_left(starts, first + end - start, a)
-        values += values[a:b]
-        starts += map((start - first).__add__, starts[a:b])
+        groups[len(values)] = bisect_left(starts, first)
+        values.append("(")
+        starts.append(start)
         pos = _LEADING_SKIP.match(text, end).end()
     _match(text, pos, len(text), values, starts)
     kinds = list(map(_KINDS.get, values, repeat("id")))
+    for i in groups:
+        kinds[i] = "group"
     kinds.append("eof")
     values.append("")
     starts.append(len(text))
-    return kinds, values, starts
+    return kinds, values, starts, groups

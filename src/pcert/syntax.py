@@ -43,10 +43,12 @@ file's distinct nodes, not one walk per printed term. The printer tells a
 node's kind by its type, the most frequent kind first, and a leaf returns
 before any memo key is made.
 
-Text that occurs again is also read only once: the lexer copies the tokens
-of a parenthesised group whose exact text occurred before
-(`lexer.repeated_groups`), and the parser returns the node it parsed from
-the same text in the same binder frame (see `_Parser`), so reading back a
+Text that occurs again is also read only once: the lexer finds each
+parenthesised group whose exact text occurred before, left to right, and
+makes it one group token that names the group's first occurrence
+(`lexer.repeated_groups`, `lexer.scan`), and the parser returns the node it
+parsed from that occurrence in the same binder frame, or parses the
+occurrence's tokens in place (see `_Parser`). So reading back a
 translation that spells out an expanded definition many times takes time
 in its distinct groups, not in its size.
 """
@@ -75,8 +77,7 @@ from .terms import (
     Var,
     free_names,
     ident,
-    instantiate,
-    is_nondependent,
+    loose_bounds,
 )
 
 _SIGNATURES = {"pcert": PCERT_SIGNATURE, "lf": LF_SIGNATURE}
@@ -190,25 +191,39 @@ class _Parser:
     d enclosing binders an identifier bound at level l is `Bound(d - 1 - l)`
     and an unbound one a free `Var`.
 
-    The span memo parses each repeated group once per binder frame. It
-    covers every parenthesised group `( ... )` and every symbol call
-    `s( ... )` whose parenthesised text occurs again in the text (see
-    `lexer.repeated_groups`). Its key is the name of that text (the offset
-    of its first occurrence), the calling symbol (None for a plain group)
-    and the frame, the tuple `names`, which fixes the index of every
-    `Bound` inside. On a
-    hit the parser moves `pos` past the group and returns the node parsed
-    before. That is the very object parsing the group again would return:
-    the parse of a group depends only on its tokens, the mode and the
-    frame, and interning returns the object built from the same parts. So
-    nothing downstream can tell a hit from a parse. A group whose parse
+    The span memo parses each repeated group once per binder frame. The
+    lexer finds the parenthesised groups whose text occurred before, left
+    to right (`lexer.repeated_groups`), and makes each of them one token
+    of kind "group" that names the "(" token of the group's first
+    occurrence (`lexer.scan`). The memo covers a group token read as a
+    parenthesised term `( ... )` or as the arguments of a symbol call
+    `s( ... )`, and the first occurrence it names. Its key is the index of
+    the first occurrence's "(" token, the calling symbol (None for a plain
+    group) and the frame, the tuple `names`, which fixes the index of
+    every `Bound` inside. Parsing a first occurrence stores its node. At a
+    group token, a hit returns the node stored; a miss (a new frame or a
+    new callee) parses the first occurrence's tokens in place, which
+    stores their node, and either way `pos` moves past the group token.
+    The node is the very object parsing the repeat's own text would
+    return: the parse of a group depends only on its tokens, the mode and
+    the frame, and interning returns the object built from the same parts.
+    So nothing downstream can tell a hit from a parse. A group whose parse
     raises stores nothing, and the memo holds one entry per group parsed,
     whatever the size of the text.
+
+    An error raised while parsing a first occurrence in place would carry
+    the span of that occurrence, not of the text as written; `jumps`
+    counts the in-place parses under way, and `parse_file` and
+    `parse_term` read the text again without group tokens when an error
+    leaves one unfinished. Only the error path pays for that.
     """
 
-    def __init__(self, text: str, file: str, mode: str = "pcert"):
-        repeats = repeated_groups(text)
-        self.kinds, self.values, self.starts = scan(text, repeats)
+    def __init__(self, text: str, file: str, mode: str = "pcert", repeats: list | None = None):
+        """`repeats` lists the groups read as group tokens: by default those
+        `lexer.repeated_groups` finds, and with [] none."""
+        self.kinds, self.values, self.starts, groups = scan(
+            text, repeated_groups(text) if repeats is None else repeats
+        )
         self.newlines = list(map(re.Match.start, _NEWLINE.finditer(text)))
         self.file = file
         self.pos = 0
@@ -221,13 +236,13 @@ class _Parser:
             bad = self.kinds.index("bad")
             self.values[bad] = text[self.starts[bad]]
             raise self.error(f"unexpected character {self.values[bad]!r}", bad)
-        # the span memo: `shared` names each group whose text occurs again
-        # by the start of the first group with that text, and `parsed` maps
-        # a group key to its node and its number of tokens
-        self.shared: dict[int, int] = {}
-        for start, _, first in repeats:
-            self.shared[start] = self.shared[first] = first
-        self.parsed: dict[tuple, tuple[Term, int]] = {}
+        # the span memo: `shared` maps each group token, and the "(" token
+        # of each first occurrence, to the index of that "(" token, and
+        # `parsed` maps a group key to its node
+        self.shared = {first: first for first in groups.values()}
+        self.shared.update(groups)
+        self.parsed: dict[tuple, Term] = {}
+        self.jumps = 0
 
     def span(self, i: int) -> SourceSpan:
         start = self.starts[i]
@@ -348,18 +363,21 @@ class _Parser:
 
     # - the span memo: a repeated group is parsed once per frame -
 
-    def recall(self, key: tuple, first: int) -> Term | None:
-        """The node of a group with this key parsed earlier, whose first
-        token is now `first`; on a hit, `pos` moves past the group."""
-        seen = self.parsed.get(key)
-        if seen is None:
-            return None
-        self.pos = first + seen[1]
-        return seen[0]
-
-    def remember(self, key: tuple, first: int, node: Term) -> Term:
-        """Store the node of the group from token `first` to `pos`."""
-        self.parsed[key] = (node, self.pos - first)
+    def recall(self, i: int, first: int, callee: str | None) -> Term:
+        """The node of group token i, read as the arguments of `callee` or,
+        for None, as a parenthesised term: the node stored for the key, or
+        else the node of its first occurrence's tokens (from token `first`)
+        parsed in place. `pos` moves past the group token."""
+        node = self.parsed.get((first, callee, *self.names))
+        if node is None:
+            self.jumps += 1
+            if callee is None:
+                self.pos = first
+                node = self.parse_atom()
+            else:  # the symbol's index places only an error, which `parse_file` re-reads
+                node = self.parse_call(callee, first - 1)
+            self.jumps -= 1
+        self.pos = i + 1
         return node
 
     # - interned nodes: one object per distinct node of this parse -
@@ -443,18 +461,17 @@ class _Parser:
             key = (Sort, value)
             return self.nodes.get(key) or self.leaf(key)
         if value == "(":
-            text = self.shared.get(self.starts[i])
-            key = None if text is None else (text, None, *self.names)
-            if key is not None:
-                node = self.recall(key, i)
-                if node is not None:
-                    return node
+            first = self.shared.get(i)
+            if first is not None and first != i:
+                return self.recall(i, first, None)
             self.pos = i + 1
             inner = self.parse_term()
             if self.values[self.pos] != ")":
                 self.expect("punct", ")")
             self.pos += 1
-            return inner if key is None else self.remember(key, i, inner)
+            if first is not None:
+                self.parsed[(first, None, *self.names)] = inner
+            return inner
         if value == "{":
             self.pos = i + 1
             name = self.values[self.expect("id")]
@@ -469,13 +486,11 @@ class _Parser:
         raise self.error(f"expected a term, found {value or 'end of input'!r}", i)
 
     def parse_call(self, name: str, i: int) -> Term:
-        text = self.shared.get(self.starts[i + 1])
-        key = None if text is None else (text, name, *self.names)
-        if key is not None:
-            node = self.recall(key, i)
-            if node is not None:
-                return node
-        self.pos = i + 2  # past the name and the "(" parse_atom found
+        """The call of symbol token i, whose "(" parse_atom found next."""
+        first = self.shared.get(i + 1)
+        if first is not None and first != i + 1:
+            return self.recall(i + 1, first, name)
+        self.pos = i + 2
         args = [self.parse_term()]
         while self.values[self.pos] == ",":
             self.pos += 1
@@ -487,17 +502,33 @@ class _Parser:
         if len(args) != arity:
             raise self.error(f"symbol {name!r} expects {arity} arguments, got {len(args)}", i, ARITY_MISMATCH)
         node = self.sym(name, tuple(args))
-        return node if key is None else self.remember(key, i, node)
+        if first is not None:
+            self.parsed[(first, name, *self.names)] = node
+        return node
 
 
 def parse_file(text: str, file: str = "<input>") -> ParsedFile:
-    return _Parser(text, file).parse_file()
+    parser = _Parser(text, file)
+    try:
+        return parser.parse_file()
+    except SurfaceError:
+        if not parser.jumps:
+            raise
+    # raised in place, the error has the span of a first occurrence: read
+    # the text again without group tokens, for the span as written
+    return _Parser(text, file, "pcert", []).parse_file()
 
 
 def parse_term(text: str, mode: str = "pcert") -> Term:
     """Parse a single term, for tests and tooling."""
     parser = _Parser(text, "<term>", mode)
-    term = parser.parse_term()
+    try:
+        term = parser.parse_term()
+    except SurfaceError:
+        if not parser.jumps:
+            raise
+        parser = _Parser(text, "<term>", mode, [])  # as in `parse_file`
+        term = parser.parse_term()
     if parser.kinds[parser.pos] != "eof":
         raise parser.error("trailing input after term")
     return term
@@ -532,9 +563,10 @@ class _Printer:
     the display names of the binders in scope and the free names of the
     top-level term (`avoid`), which no display name may capture. So `memo`,
     a `terms.Memo` which callers may share across terms, is keyed by all
-    four. The same memo keeps each node's free names (`terms.free_names`),
-    so the terms of one printed file find theirs in one walk of its
-    distinct nodes."""
+    four. The same memo keeps each node's free names and loose bound
+    indices (`terms.free_names`, `terms.loose_bounds`), so the terms of one
+    printed file find their names, and whether each arrow uses its binder,
+    in one walk of its distinct nodes."""
 
     def __init__(self, term: Term, memo: Memo):
         self.avoid = free_names(term, memo)
@@ -548,7 +580,8 @@ class _Printer:
             return t.name
         if cls is Bound:
             k = t.index
-            return binders[-1 - k] if k < len(binders) else f"^{k}"
+            # a dangling index counts no placeholder (see the Prod case)
+            return binders[-1 - k] if k < len(binders) else f"^{k - binders.count('')}"
         if cls is Sort:
             return t.tag
         key = (ident(t), prec, binders, self.avoid)
@@ -584,9 +617,13 @@ class _Printer:
             out = f"({body})" if _TERM < prec else body
         elif cls is Prod:
             cod = t.cod
-            if is_nondependent(cod):
-                dropped = instantiate(cod, Var("_"))
-                body = f"{self.show(t.dom, _APP, binders)} -> {self.show(dropped, _TERM, binders)}"
+            loose = loose_bounds(cod, self.memo)
+            if not loose & 1:
+                # an arrow: the codomain is shown as it stands, under a
+                # placeholder for the unused binder, which no display name
+                # equals; a codomain with no loose index needs none
+                inner = binders + ("",) if loose else binders
+                body = f"{self.show(t.dom, _APP, binders)} -> {self.show(cod, _TERM, inner)}"
                 out = f"({body})" if _ARROW < prec else body
             else:
                 name = _display_name(t.hint, self.avoid | set(binders))

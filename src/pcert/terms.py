@@ -19,8 +19,8 @@ it changed. A closed subterm is never rebuilt, so a value substituted for
 many occurrences stays one object. `==` stops at object identity and
 remembers, for one comparison, the pairs of nodes it has proven equal, so it
 compares two such terms in time linear in their shared size, however they
-were built. `free_vars` and `is_nondependent` visit each shared subterm
-once (per binder depth), `free_names` keeps each node's free names in a
+were built. `free_vars` visits each shared subterm once, `free_names`
+and `loose_bounds` keep each node's free names and loose indices in a
 `Memo`, so the calls handed one (a printed file) visit each node once,
 `abstract_var` closes a shared term (a normal form) once per subterm and
 binder depth, and `instantiate` opens a binder over a shared closed term
@@ -327,6 +327,37 @@ def free_names(t: Term, memo: Memo) -> frozenset[str]:
     return out
 
 
+def loose_bounds(t: Term, memo: Memo) -> int:
+    """The indices of the `Bound`s of t that no binder inside t binds, as a
+    bit mask (bit k for index k), kept in `memo` under `~ident(t)`, which
+    no other kind of entry uses. A product's codomain uses its binder when
+    bit 0 of its mask is set, so a printer reads each arrow's dependence
+    from one walk of the file's distinct nodes, not one walk per arrow. A
+    leaf returns before any memo key is made."""
+    cls = type(t)
+    if cls is Bound:
+        return 1 << t.index
+    if cls is Var or cls is Sort:
+        return 0
+    key = ~ident(t)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if cls is App:
+        out = loose_bounds(t.fun, memo) | loose_bounds(t.arg, memo)
+    elif cls is SymApp:
+        out = 0
+        for a in t.args:
+            out |= loose_bounds(a, memo)
+    elif cls is Abs:
+        out = loose_bounds(t.annot, memo) | loose_bounds(t.body, memo) >> 1
+    else:
+        out = loose_bounds(t.dom, memo) | loose_bounds(t.cod, memo) >> 1
+    memo[key] = out  # `put`, inlined: one call fewer per node
+    memo._held.append(t)
+    return out
+
+
 def substitute_parallel(t: Term, mapping: dict[str, Term], memo: Memo | None = None) -> Term:
     """Simultaneously replace free variables; values must be locally closed.
 
@@ -496,28 +527,9 @@ def open_term(hint: str, body: Term) -> tuple[Var, Term]:
 
 
 def is_nondependent(cod: Term) -> bool:
-    """True when a product codomain never uses its binder. Each subterm is
-    visited once per binder depth, so the walk is linear in the distinct
-    subterms of cod."""
-    seen: set[tuple[int, int]] = set()  # subterms of cod, alive for the call
-    todo = [(cod, 0)]
-    while todo:
-        t, depth = todo.pop()
-        cls = type(t)
-        if cls is Bound:
-            if t.index == depth:
-                return False
-        elif cls is not Var and cls is not Sort and (id(t), depth) not in seen:
-            seen.add((id(t), depth))
-            if cls is App:
-                todo += ((t.fun, depth), (t.arg, depth))
-            elif cls is Abs:
-                todo += ((t.annot, depth), (t.body, depth + 1))
-            elif cls is Prod:
-                todo += ((t.dom, depth), (t.cod, depth + 1))
-            else:
-                todo += zip(t.args, itertools.repeat(depth))
-    return True
+    """True when a product codomain never uses its binder; the walk visits
+    each distinct subterm of cod once (see `loose_bounds`)."""
+    return not loose_bounds(cod, Memo()) & 1
 
 
 class Records:

@@ -29,7 +29,9 @@ points that only the tests use.
 from __future__ import annotations
 
 import contextlib
+import gc
 import random
+import sys
 
 from pcert import Context, check_file, parse_file
 from pcert import diagnostics as dk, inverse as inverse_module, kernel as kernel_module
@@ -66,7 +68,6 @@ from pcert.terms import (
     free_vars,
     fresh_name,
     instantiate,
-    is_nondependent,
     lam,
     open_term,
     pi,
@@ -760,7 +761,11 @@ def canonical_fresh_names(t: Term | bool) -> Term | bool:
 class NamedParser(_Parser):
     """The parser as it was before binder names were resolved while parsing:
     every identifier is a free `Var`, and each binder is closed afterwards
-    with `terms.lam`/`terms.pi`, which walk its body once more."""
+    with `terms.lam`/`terms.pi`, which walk its body once more. It reads
+    every group's own tokens, as the parser did then."""
+
+    def __init__(self, text: str, file: str, mode: str = "pcert"):
+        super().__init__(text, file, mode, [])
 
     def parse_term(self) -> Term:
         binder = self.values[self.pos]
@@ -945,6 +950,30 @@ def reference_conversion():
         kernel_module.convertible = saved
 
 
+def calls_made(fn, builtins: bool = False) -> int:
+    """Python-level calls (`sys.setprofile` "call" events) made by fn(),
+    and with `builtins` its calls of built-in functions and methods as well
+    ("c_call" events). The garbage collector is paused meanwhile, so the
+    count does not depend on what earlier work left for it to collect."""
+    counted = ("call", "c_call") if builtins else ("call",)
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event in counted:
+            calls[0] += 1
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls[0]
+
+
 def doubling_chain_source(links: int, mode: str = "pcert") -> str:
     """d(i+1) := g d(i) d(i): every expansion hands one object to both
     occurrences, so the expanded body of d(links) has 2^links leaves but
@@ -956,10 +985,11 @@ def doubling_chain_source(links: int, mode: str = "pcert") -> str:
 
 class UnmemoizedParser(_Parser):
     """The parser as it was before its span memo: it interns nodes, but it
-    parses every occurrence of a repeated group again."""
+    reads no group tokens, so it parses every occurrence of a repeated
+    group from its own tokens."""
 
-    def recall(self, key: tuple, first: int) -> None:
-        return None
+    def __init__(self, text: str, file: str, mode: str = "pcert"):
+        super().__init__(text, file, mode, [])
 
 
 def parse_file_unmemoized(text: str, file: str = "<input>"):
@@ -1100,7 +1130,7 @@ def _ref_print(t: Term, prec: int, binders: tuple[str, ...], avoid: set[str]) ->
             )
             return _ref_wrap(body, _TERM, prec)
         case Prod(hint, dom, cod):
-            if is_nondependent(cod):
+            if ref_is_nondependent(cod):
                 dropped = instantiate(cod, Var("_"))
                 body = f"{_ref_print(dom, _APP, binders, avoid)} -> {_ref_print(dropped, _TERM, binders, avoid)}"
                 return _ref_wrap(body, _ARROW, prec)
@@ -1147,7 +1177,7 @@ def ref_print_file(parsed: ParsedFile) -> str:
 
 def _ref_fresh_display(hint: str, body: Term) -> str:
     base = hint.split("#", 1)[0]
-    if not _LP_ID.match(base) or (base == "_" and not is_nondependent(body)):
+    if not _LP_ID.match(base) or (base == "_" and not ref_is_nondependent(body)):
         base = "x"
     name = base
     taken = free_vars(body)
@@ -1173,7 +1203,7 @@ def _ref_show(t: Term, prec: int) -> str:
             inner = _ref_show(instantiate(body, Var(name)), _TERM)
             return _ref_wrap(f"λ {name}: {_ref_show(annot, _TERM)}, {inner}", _TERM, prec)
         case Prod(hint, dom, cod):
-            if is_nondependent(cod):
+            if ref_is_nondependent(cod):
                 return _ref_wrap(f"{_ref_show(dom, _APP)} → {_ref_show(cod, _ARROW)}", _ARROW, prec)
             name = _ref_fresh_display(hint, cod)
             inner = _ref_show(instantiate(cod, Var(name)), _TERM)

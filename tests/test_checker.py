@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
+from genutil import calls_made
 from pcert import Definition, SymbolDecl, check_file, cli, corpus_path, free_vars, parse_file
 from pcert.pcert import PcertKernel
 
@@ -73,20 +72,8 @@ def test_translation_reads_the_record_instead_of_inferring_again(monkeypatch, tm
 
 
 def _calls_to_parse_and_check(text: str) -> int:
-    """Python-level calls (`sys.setprofile` "call" events) made by
-    `parse_file` and `check_file` on text."""
-    calls = [0]
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[0] += 1
-
-    sys.setprofile(profile)
-    try:
-        check_file(parse_file(text))
-    finally:
-        sys.setprofile(None)
-    return calls[0]
+    """Python-level calls made by `parse_file` and `check_file` on text."""
+    return calls_made(lambda: check_file(parse_file(text)))
 
 
 # Most Python calls one more trivial declaration may cost to parse and check:

@@ -15,16 +15,24 @@ from __future__ import annotations
 
 import ast
 import inspect
-import sys
 
 import pytest
-from genutil import doubling_chain_source, ref_development_lines, ref_print_file
+from genutil import _ref_print_term, calls_made, doubling_chain_source, ref_development_lines, ref_print_file
 from hypothesis import HealthCheck, given, settings, strategies as st
 from pcert import check_file, cli, corpus_path, export, inverse, parse_file, syntax, translate
 from pcert.export import development_lines
-from pcert.syntax import AssertConv, AssertJudgment, Definition, ParsedFile, SymbolDecl, parse_term, print_file
+from pcert.syntax import (
+    AssertConv,
+    AssertJudgment,
+    Definition,
+    ParsedFile,
+    SymbolDecl,
+    parse_term,
+    print_file,
+    print_term,
+)
 from pcert.inverse import inverse_term
-from pcert.terms import KIND, LF_KIND, LF_TYPE, PROP, TYPE_, Memo
+from pcert.terms import KIND, LF_KIND, LF_TYPE, PROP, TYPE_, Abs, App, Bound, Memo, Prod, Var
 from pcert.translate import translate_term, translate_type
 from test_cli import CORPUS_OK, shared_chain_source
 from test_replay import count_calls, termgen_development
@@ -150,6 +158,14 @@ def test_printers_and_translation_emit_the_bytes_of_the_references_on_generated_
     assert_same_bytes(termgen_development(seed, count), f"gen{seed}")
 
 
+def test_an_open_codomain_prints_as_the_reference_prints_it():
+    # under an arrow, an index that points past the term prints as it
+    # would once the arrow's unused binder were dropped
+    for body in (App(Bound(1), Bound(3)), Abs("x", Bound(2), App(Bound(0), Bound(4)))):
+        for t in (Prod("_", Var("a"), body), Prod("y", Var("a"), Prod("_", Bound(0), body))):
+            assert print_term(t) == _ref_print_term(t)
+
+
 def test_a_parsed_sort_is_the_module_constant():
     assert parse_term("Prop") is PROP
     assert parse_term("Type") is TYPE_
@@ -252,22 +268,6 @@ def test_the_output_walkers_dispatch_by_type_not_by_class_patterns(module):
     assert not patterns & TERM_CLASSES
 
 
-def calls_made(fn) -> int:
-    """Python-level calls (`sys.setprofile` "call" events) made by fn()."""
-    calls = [0]
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[0] += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls[0]
-
-
 # Most Python calls per declaration of one fixed generated development
 # (39 declarations, 20 definitions): translating every declaration as
 # `translate` and `export` do (41.6 with class-pattern dispatch, two memo
@@ -292,3 +292,20 @@ def test_the_output_half_costs_a_bounded_number_of_calls_per_declaration(stage):
     work, decls = output_half_work(stage)
     per_decl = calls_made(work) / decls
     assert per_decl <= OUTPUT_FLOOR[stage], per_decl
+
+
+def _arrow_spine(arrows: int) -> Prod:
+    """a0 -> a1 -> ... -> iota"""
+    t = Var("iota")
+    for i in reversed(range(arrows)):
+        t = Prod("_", Var(f"a{i}"), t)
+    return t
+
+
+@pytest.mark.parametrize("printer", [print_term, lambda t: export._lp_term(t, Memo())], ids=["print_term", "export"])
+def test_printing_an_arrow_spine_is_linear_in_its_arrows(printer):
+    # an arrow's dependence read by a walk of its codomain made both
+    # printers quadratic: 3.98x the calls for twice the arrows
+    spines = {n: _arrow_spine(n) for n in (200, 400)}
+    calls = {n: calls_made(lambda: printer(t), builtins=True) for n, t in spines.items()}
+    assert calls[400] <= 2.2 * calls[200], calls

@@ -1,8 +1,9 @@
 """The parser's span memo: a repeated group is read once per binder frame.
 
 Every test compares the memoizing parser with `genutil.UnmemoizedParser`,
-the same interning parser without the memo: the declarations, their spans,
-the pattern of shared objects and every surface error must be the same.
+the same interning parser without group tokens or the memo: the
+declarations, their spans, the pattern of shared objects and every surface
+error must be the same.
 """
 
 from __future__ import annotations
@@ -15,16 +16,18 @@ from hypothesis import given, settings, strategies as st
 from genutil import (
     BASE_SURFACE,
     TermGen,
+    calls_made,
     doubling_chain_source,
     parse_file_fresh,
     parse_file_unmemoized,
+    parse_term_fresh,
 )
 from pcert import check_file, corpus_path
 from pcert import lexer, syntax
 from pcert.cli import _translate_decls, main
 from pcert.diagnostics import SurfaceError
 from pcert.lexer import repeated_groups, scan
-from pcert.syntax import ParsedFile, parse_file, print_file, print_term
+from pcert.syntax import ParsedFile, parse_file, parse_term, print_file, print_term
 from pcert.terms import Abs, App, Prod, SymApp
 from test_cli import shared_chain_source
 from test_syntax import CORPUS, mutated_corpus
@@ -63,9 +66,37 @@ def assert_same_sharing(a: ParsedFile, b: ParsedFile) -> None:
         todo += zip(_children(x), _children(y))
 
 
+def expanded(kinds, values, starts, groups):
+    """The token lists with each group token replaced by the tokens of the
+    first occurrence it names (themselves expanded), moved to its offset."""
+    out = []
+
+    def copy(lo: int, hi: int, shift: int) -> None:
+        for i in range(lo, hi):
+            first = groups.get(i)
+            if first is None:
+                out.append((kinds[i], values[i], starts[i] + shift))
+                continue
+            assert (kinds[i], values[i], kinds[first], values[first]) == ("group", "(", "punct", "(")
+            assert starts[first] < starts[i]
+            end, depth = first, 0
+            while True:  # a group token inside is a whole group
+                depth += (values[end], kinds[end]) == ("(", "punct")
+                depth -= values[end] == ")"
+                end += 1
+                if not depth:
+                    break
+            copy(first, end, shift + starts[i] - starts[first])
+
+    copy(0, len(kinds), 0)
+    return [list(column) for column in zip(*out)]
+
+
 def same_parse(text: str) -> None:
     """The memoizing parser reads text as the unmemoizing one does."""
-    assert scan(text, repeated_groups(text)) == scan(text, [])
+    *tokens, groups = scan(text, [])
+    assert groups == {}
+    assert expanded(*scan(text, repeated_groups(text))) == tokens
     try:
         expected = parse_file_unmemoized(text, "f")
     except SurfaceError as err:
@@ -157,15 +188,87 @@ REPEATED_GROUPS = {
     "unclosed": "definition d := g (f aaaaaaaaaaaaaaaaaaaaaaaa) ((f aaaaaaaaaaaaaaaaaaaaaaaa);",
 }
 
+# a first occurrence read as a plain group and its repeat as a call's
+# arguments, or the reverse, where only the repeat fails to parse: the
+# error is raised while the first occurrence's tokens are parsed in place
+CROSSED_GROUPS = {
+    "plain_then_call": "definition d := g (aaaaaaaaaaaaaaaaaaaaaaaa b);\n"
+                       "assert psub(aaaaaaaaaaaaaaaaaaaaaaaa b) : T;",
+    "call_then_plain": "definition d := psub(aaaaaaaaaaaaaaaaaaaaaaaa, b);\n"
+                       "assert g (aaaaaaaaaaaaaaaaaaaaaaaa, b) : T;",
+    # the failing repeat holds a repeat of its own, which hits
+    "nested": "definition d := psub(aaaaaaaaaaaaaaaaaaaaaaaa, b);\n"
+              "definition e := g (psub(aaaaaaaaaaaaaaaaaaaaaaaa, b) c);\n"
+              "assert psub(psub(aaaaaaaaaaaaaaaaaaaaaaaa, b) c) : T;",
+}
+REPEATED_GROUPS.update(CROSSED_GROUPS)
+
 
 @pytest.mark.parametrize("text", REPEATED_GROUPS.values(), ids=REPEATED_GROUPS.keys())
 def test_repeated_groups_parse_as_without_the_memo(text):
     same_parse(text)
 
 
-def test_colliding_hashes_make_no_repeats(monkeypatch):
-    # every group text hashes alike: only the texts themselves tell groups apart
-    monkeypatch.setattr(lexer, "hash", lambda text: 0, raising=False)
+@pytest.mark.parametrize("text", CROSSED_GROUPS.values(), ids=CROSSED_GROUPS.keys())
+def test_an_error_inside_a_group_parsed_in_place_has_the_span_as_written(text):
+    parser = syntax._Parser(text, "f")
+    with pytest.raises(SurfaceError):
+        parser.parse_file()
+    assert parser.jumps == 1  # raised in place, so `parse_file` reads the text again
+    same_parse(text)
+
+
+def test_a_term_fails_in_a_group_parsed_in_place_as_written():
+    text = "g (aaaaaaaaaaaaaaaaaaaaaaaa b)\n  psub(aaaaaaaaaaaaaaaaaaaaaaaa b)"
+    errors = []
+    for parse in (parse_term, parse_term_fresh):
+        with pytest.raises(SurfaceError) as err:
+            parse(text)
+        errors.append((err.value.kind, str(err.value), err.value.diagnostic.span))
+    assert errors[0] == errors[1] and errors[0][2].line == 2
+
+
+def test_an_error_after_a_group_parsed_in_place_is_raised_as_found():
+    # the repeat is read in a new frame, from its first occurrence's tokens
+    group = "(f aaaaaaaaaaaaaaaaaaaaaaaa x)"
+    text = f"definition d := \\x: T. {group};\ndefinition e := \\y: T. \\x: T. {group} ;;"
+    parser = syntax._Parser(text, "f")
+    with pytest.raises(SurfaceError):
+        parser.parse_file()
+    assert parser.jumps == 0 and len(parser.parsed) == 2
+    same_parse(text)
+
+
+def test_only_groups_within_the_depth_bound_take_part():
+    # (h ...) nested k deep in one of two outer groups has k + 1 groups
+    # around it, and only it occurs twice
+    def nested(head: str, depth: int) -> str:
+        return f"{head} (" * depth + f"{head} (h aaaaaaaaaaaaaaaaaaaaaaaa)" + ")" * depth
+
+    bound = lexer._GROUP_DEPTH
+    for first, second, repeats in ((0, bound - 2, 1), (bound - 2, 0, 1), (0, bound - 1, 0), (bound - 1, 0, 0)):
+        text = f"definition d := g ({nested('p', first)}) ({nested('q', second)});"
+        assert len(repeated_groups(text)) == repeats, (first, second)
+        same_parse(text)
+
+
+def test_only_groups_of_the_least_length_take_part():
+    for size, repeats in ((lexer._GROUP_MIN, 1), (lexer._GROUP_MIN - 1, 0)):
+        group = "(f " + "a" * (size - 4) + ")"
+        text = f"definition d := g {group} {group};"
+        assert len(group) == size and len(repeated_groups(text)) == repeats
+        same_parse(text)
+
+
+def test_groups_sharing_a_prefix_are_not_repeats(monkeypatch):
+    # four groups alike in their first 24 characters, two of one length
+    groups = ["(f aaaaaaaaaaaaaaaaaaaaaaaa b)", "(f aaaaaaaaaaaaaaaaaaaaaaaa c)", "(f aaaaaaaaaaaaaaaaaaaaaaaa b c)"]
+    text = f"definition d := g {' '.join(groups)} {groups[0]};"
+    assert repeated_groups(text) == [(text.rindex(groups[0]), len(text) - 1, text.index(groups[0]))]
+    same_parse(text)
+    # every group begins with the same one character: only the texts
+    # themselves tell groups apart
+    monkeypatch.setattr(lexer, "_GROUP_MIN", 1)
     for text in REPEATED_GROUPS.values():
         same_parse(text)
     same_parse(translation(shared_chain_source(3)))
@@ -182,17 +285,26 @@ def test_random_text_lexes_and_fails_as_without_the_memo():
 def test_a_hit_returns_the_interned_node_and_skips_the_group(monkeypatch):
     group = "(f (\\x: T. x) aaaaaaaaaaaaaaaaaaaa)"
     text = f"definition d := g {group} {group};\nassert {group} : T;"
-    hits = []
-    recall = syntax._Parser.recall
+    hits, terms = [], [0]
+    recall, read_term = syntax._Parser.recall, syntax._Parser.parse_term
 
-    def recording(self, key, first):
-        node = recall(self, key, first)
-        hits.append(node is not None)
+    def counting(self):
+        terms[0] += 1
+        return read_term(self)
+
+    def recording(self, i, first, callee):
+        before = terms[0]
+        node = recall(self, i, first, callee)
+        hits.append(terms[0] == before)  # a hit parses nothing
         return node
 
+    monkeypatch.setattr(syntax._Parser, "parse_term", counting)
     monkeypatch.setattr(syntax._Parser, "recall", recording)
     parsed = parse_file(text)
-    assert hits == [False, True, True]  # the first occurrence misses, the others hit
+    assert hits == [True, True]  # the first occurrence is parsed and stored, its repeats hit
+    hits.clear()
+    parse_file(f"definition d := \\x: T. \\y: T. g {group} {group} {group};")
+    assert hits == [True, True]  # under binders too
     body = parsed.decls[0].body
     assert body.arg is body.fun.arg is parsed.decls[1].subject
     assert_same_sharing(parsed, parse_file_unmemoized(text))
@@ -254,3 +366,12 @@ def test_the_lexer_matches_a_number_of_tokens_linear_in_links(monkeypatch, sourc
         scan(text, repeated_groups(text))
         counts.append(matched[0])
     assert len({b - a for a, b in zip(counts, counts[1:])}) == 1, counts
+
+
+def test_reading_back_a_doubling_translation_is_linear_in_its_distinct_groups():
+    # the text doubles per link, its distinct groups grow by a few; a lexer
+    # that visits every parenthesis and hashes every group made 7 455
+    # calls at 10 links and 99 959 at 14
+    texts = {links: translation(doubling_chain_source(links)) for links in (10, 14)}
+    calls = {links: calls_made(lambda: parse_file(text), builtins=True) for links, text in texts.items()}
+    assert calls[14] < 2 * calls[10], calls

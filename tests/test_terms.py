@@ -15,6 +15,7 @@ from genutil import (
     IOTA,
     EquivalenceWalker,
     TermGen,
+    calls_made,
     positions,
     doubling_chain_source,
     ref_equal,
@@ -361,33 +362,21 @@ def test_instantiate_and_is_nondependent_agree_with_tree_walks(body, depth, valu
 
 
 def _binder_over_doubling_calls(command: str, links: int, tmp_path) -> int:
-    """Python calls of `instantiate` and `is_nondependent` (and the
-    functions they recurse through) while `command` runs on a binder whose
-    annotation holds the expanded doubling definition d<links>."""
+    """Python calls made while `command` runs on a binder whose annotation
+    holds the expanded doubling definition d<links>, after a first run of
+    the same file has made every call that only a first run makes."""
     src = tmp_path / f"d{links}.pcert"
     src.write_text(doubling_chain_source(links) + "symbol P : iota -> Prop;\n"
                    f"assert (\\h: P d{links}. h) : P d{links} -> P d{links};\n")
-    walks = {"instantiate", "_instantiate", "is_nondependent", "uses"}
-    calls = [0]
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == terms.__file__ and frame.f_code.co_name in walks:
-            calls[0] += 1
-
-    out = ["-o", str(tmp_path / "out")] if command == "export" else []
-    sys.setprofile(profile)
-    try:
-        code = main([command, str(src), *out, "--fuel", "0"])
-    finally:
-        sys.setprofile(None)
-    assert code == 0
-    return calls[0]
+    argv = [command, str(src), *(["-o", str(tmp_path / "out")] if command == "export" else []), "--fuel", "0"]
+    assert main(argv) == 0
+    return calls_made(lambda: main(argv))
 
 
 @pytest.mark.parametrize("command", ["check", "export"])
 def test_a_binder_over_an_expanded_definition_costs_linear_work(command, tmp_path, capsys):
-    # a tree walk of the body costs 4x per two links: 4 142/16 438/65 598
-    # calls for check at the parent
+    # a tree walk of the body by `instantiate` and `is_nondependent` costs
+    # 4x per two links: 4 142/16 438/65 598 calls of the two for check
     counts = [_binder_over_doubling_calls(command, links, tmp_path) for links in (10, 12, 14)]
     assert counts[2] - counts[1] == counts[1] - counts[0], counts
 
