@@ -38,7 +38,6 @@ from .terms import (
     free_names,
     free_vars,
     ident,
-    instantiate,
     loose_bounds,
 )
 
@@ -53,18 +52,18 @@ def _ident(name: str) -> str:
     return name if _LP_ID.match(name) else f"{{|{name}|}}"
 
 
-def _show(t: Term, prec: int, memo: Memo, pattern_vars: frozenset[str] = frozenset()) -> str:
-    """Every binder body is instantiated with its display name before it is
-    shown, so on locally closed input no `Bound` is reached. Dispatched by
-    t's type, the most frequent first; a leaf returns before any memo key
-    is made. `memo` (a `terms.Memo`) renders each other node once per
-    precedence: (node, prec) -> text. It also keeps each name's Lambdapi
-    spelling, keyed by the name, and each node's free names and loose
-    bound indices (`terms.free_names`, `terms.loose_bounds`), so the
+def _show(t: Term, prec: int, binders: tuple[str, ...], memo: Memo, pattern_vars: frozenset[str]) -> str:
+    """A bound variable is shown by the display name of its binder, from
+    `binders`, innermost last. Dispatched by t's type, the most frequent
+    first; a leaf returns before any memo key is made. `memo` (a
+    `terms.Memo`) renders each other node once per precedence and binder
+    names: (node, prec, binders) -> text. It also keeps each name's
+    Lambdapi spelling, keyed by the name, and each node's free names and
+    loose bound indices (`terms.free_names`, `terms.loose_bounds`), so the
     identifier check runs once per name, and the free names and each
     binder's dependence are found in one walk of the distinct nodes. A memo
-    serves one set of pattern variables, so the text depends on the node
-    and prec alone."""
+    serves one set of pattern variables, so the text depends on the node,
+    prec and binders alone."""
     cls = type(t)
     if cls is Var:
         name = t.name
@@ -77,8 +76,10 @@ def _show(t: Term, prec: int, memo: Memo, pattern_vars: frozenset[str] = frozens
             raise fail(UNCHECKED_INPUT, f"sort {t.tag} has no Lambdapi syntax")
         return "TYPE"
     if cls is Bound:
-        return f"?{t.index}"
-    key = (ident(t), prec)
+        k = t.index
+        # a dangling index counts the named binders only (see the Prod case)
+        return binders[-1 - k] if k < len(binders) else f"?{k - len(binders) + binders.count('')}"
+    key = (ident(t), prec, binders)
     seen = memo.get(key)
     if seen is not None:
         return seen
@@ -90,26 +91,31 @@ def _show(t: Term, prec: int, memo: Memo, pattern_vars: frozenset[str] = frozens
             # a loop, not a generator expression: no frame of its own per argument
             shown = []
             for a in args:
-                shown.append(_show(a, _ATOM, memo, pattern_vars))
+                shown.append(_show(a, _ATOM, binders, memo, pattern_vars))
             body = f"{_spelled(t.sym, memo)} {' '.join(shown)}"
             out = f"({body})" if _APP < prec else body
     elif cls is App:
-        body = f"{_show(t.fun, _APP, memo, pattern_vars)} {_show(t.arg, _ATOM, memo, pattern_vars)}"
+        body = f"{_show(t.fun, _APP, binders, memo, pattern_vars)} {_show(t.arg, _ATOM, binders, memo, pattern_vars)}"
         out = f"({body})" if _APP < prec else body
     elif cls is Abs:
-        name = _fresh_display(t.hint, t.body, memo)
-        inner = _show(instantiate(t.body, Var(name)), _TERM, memo, pattern_vars)
-        body = f"λ {name}: {_show(t.annot, _TERM, memo, pattern_vars)}, {inner}"
+        name = _fresh_display(t.hint, t.body, binders, memo)
+        inner = _show(t.body, _TERM, binders + (name,), memo, pattern_vars)
+        body = f"λ {name}: {_show(t.annot, _TERM, binders, memo, pattern_vars)}, {inner}"
         out = f"({body})" if _TERM < prec else body
     elif cls is Prod:
         cod = t.cod
-        if not loose_bounds(cod, memo) & 1:
-            body = f"{_show(t.dom, _APP, memo, pattern_vars)} → {_show(cod, _ARROW, memo, pattern_vars)}"
+        loose = loose_bounds(cod, memo)
+        if not loose & 1:
+            # an arrow: the codomain is shown under a placeholder for the
+            # unused binder, which no display name equals; a codomain with
+            # no loose index needs none
+            inner = _show(cod, _ARROW, binders + ("",) if loose else binders, memo, pattern_vars)
+            body = f"{_show(t.dom, _APP, binders, memo, pattern_vars)} → {inner}"
             out = f"({body})" if _ARROW < prec else body
         else:
-            name = _fresh_display(t.hint, cod, memo)
-            inner = _show(instantiate(cod, Var(name)), _TERM, memo, pattern_vars)
-            body = f"Π {name}: {_show(t.dom, _TERM, memo, pattern_vars)}, {inner}"
+            name = _fresh_display(t.hint, cod, binders, memo)
+            inner = _show(cod, _TERM, binders + (name,), memo, pattern_vars)
+            body = f"Π {name}: {_show(t.dom, _TERM, binders, memo, pattern_vars)}, {inner}"
             out = f"({body})" if _TERM < prec else body
     else:
         raise TypeError(f"not a term: {t!r}")
@@ -125,22 +131,26 @@ def _spelled(name: str, memo: Memo) -> str:
     return out
 
 
-def _fresh_display(hint: str, body: Term, memo: Memo) -> str:
-    """A name for the binder of body that clashes with none of its free names
-    (kept in memo, see `_show`). Lambdapi reads `_` in a term as a
-    placeholder, so `_` names only a binder that body does not use."""
+def _fresh_display(hint: str, body: Term, binders: tuple[str, ...], memo: Memo) -> str:
+    """A name for the binder of body that clashes with none of its free
+    names (kept in memo, see `_show`) and with no name of the enclosing
+    `binders` it reaches. Lambdapi reads `_` in a term as a placeholder,
+    so `_` names only a binder that body does not use."""
     base = hint.split("#", 1)[0]
-    if not _LP_ID.match(base) or (base == "_" and loose_bounds(body, memo) & 1):
+    loose = loose_bounds(body, memo)
+    if not _LP_ID.match(base) or (base == "_" and loose & 1):
         base = "x"
     name = base
     taken = free_names(body, memo)
-    while name in taken:
+    reach = loose >> 1  # bit k: the binder k levels out, binders[-1 - k]
+    reached = {binders[-1 - k] for k in range(min(reach.bit_length(), len(binders))) if reach >> k & 1}
+    while name in taken or name in reached:
         name += "'"
     return name
 
 
 def _lp_term(t: Term, memo: Memo, pattern_vars: frozenset[str] = frozenset()) -> str:
-    return _show(t, _TERM, memo, pattern_vars)
+    return _show(t, _TERM, (), memo, pattern_vars)
 
 
 def _telescope_type(entry) -> Term:

@@ -21,6 +21,7 @@ of `NotInImage` costs only the inversions that fail.
 
 from __future__ import annotations
 
+from .lf import PRODUCT_HEADS, SUBTYPE_SYMBOLS
 from .record import Frozen, setters
 from .terms import PROP, TYPE_, Abs, App, Bound, Memo, Prod, SymApp, Term, Var, ident
 
@@ -68,8 +69,7 @@ def _reported(out: Term | _Miss) -> Term | NotInImage:
     return out
 
 
-_PRODUCT_HEADS = frozenset(("fa", "impd", "arrd"))
-_SUBTYPE_SYMBOLS = frozenset(("psub", "pair", "fst", "snd"))
+_PRODUCT_HEADS = frozenset(PRODUCT_HEADS.values())
 _TYPE_ROLE = "type"  # the second half of a type inverse's memo key
 
 
@@ -90,7 +90,7 @@ def _term(m: Term, memo: Memo) -> Term | _Miss:
         return seen
     if cls is SymApp:
         sym, args = m.sym, m.args
-        if sym in _SUBTYPE_SYMBOLS:
+        if sym in SUBTYPE_SYMBOLS:
             out_args: list[Term] = []
             for i, a in enumerate(args):
                 ai = _term(a, memo)

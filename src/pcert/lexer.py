@@ -13,11 +13,9 @@ repeat, so no parenthesis inside a repeat is visited. `scan` then makes
 each repeat one token of kind "group", which names the "(" token of the
 repeat's first occurrence, instead of matching its text again, and the
 parser reads a group token from that occurrence's tokens once per binder
-frame (see `syntax._Parser`); an error found that way is reported from a
-re-read of the text without group tokens, with the span as written. So a
-text that spells out the same expanded definitions many times, as the
-output of `pcert translate` does, is read in time linear in its distinct
-groups rather than its size.
+frame (see `syntax._Parser`). So a text that spells out the same expanded
+definitions many times, as the output of `pcert translate` does, is read
+in time linear in its distinct groups rather than its size.
 """
 
 from __future__ import annotations
@@ -26,6 +24,9 @@ import re
 from bisect import bisect_left
 from itertools import islice, repeat
 from operator import itemgetter
+
+from .lf import LF_SIGNATURE
+from .pcert import PCERT_SIGNATURE
 
 KEYWORDS = frozenset({"symbol", "definition", "assert", "convertible", "Type", "Kind", "Prop"})
 
@@ -37,6 +38,11 @@ _SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
 # catch-all instead and leaves it None.
 _TOKEN_RE = re.compile(r"""(?:([A-Za-z_][A-Za-z0-9_'?]*|:=|->|[(){}|,;:.!\\]|\#MODE)|.)""" + _SKIP, re.DOTALL)
 _LEADING_SKIP = re.compile(_SKIP)
+
+# The names of the signature symbols of both modes: a group right after a
+# symbol of the mode is read as its arguments, and after any other token as
+# a parenthesised term (see `scan`).
+SYMBOLS = frozenset(PCERT_SIGNATURE.names()) | frozenset(LF_SIGNATURE.names())
 
 # the kind of every token value that is not an identifier
 _KINDS = {
@@ -134,18 +140,28 @@ def scan(
 ) -> tuple[list[str], list[str], list[int], dict[int, int]]:
     """Kinds, values and start offsets of the tokens of text, ending in eof,
     and the group tokens; a character that starts no token has the kind
-    "bad" and the value None. Each repeat (see `repeated_groups`) is one
-    token of kind "group" and value "(" at the repeat's offset, and the
-    returned dict maps its index to the index of the "(" token of the
-    repeat's first occurrence, whose tokens it stands for: no token of a
-    repeat is matched or copied."""
+    "bad" and the value None. A repeat (see `repeated_groups`) is one token
+    of kind "group" and value "(" at the repeat's offset, and the returned
+    dict maps its index to the index of the "(" token of the repeat's first
+    occurrence, whose tokens it stands for: no token of the repeat is
+    matched or copied. That holds for a repeat read the way its first
+    occurrence is: the tokens before the two name the same signature
+    symbol, or neither names one. Any other repeat is matched as ordinary
+    tokens, so a group token reads as its first occurrence did but for the
+    binder frame, and no parse error depends on the frame."""
     values: list[str | None] = []
     starts: list[int] = []
     groups: dict[int, int] = {}
     pos = _LEADING_SKIP.match(text).end()
     for start, end, first in repeats:
         _match(text, pos, start, values, starts)
-        groups[len(values)] = bisect_left(starts, first)
+        j = bisect_left(starts, first)
+        # the tokens just before the first occurrence and before the repeat
+        was, now = values[j - 1] if j else None, values[-1]
+        if was != now and (was in SYMBOLS or now in SYMBOLS):
+            pos = start
+            continue
+        groups[len(values)] = j
         values.append("(")
         starts.append(start)
         pos = _LEADING_SKIP.match(text, end).end()

@@ -45,6 +45,12 @@ PROP_OBJ = SymApp("prop")
 
 PAIR_PRIME = "pair'"
 
+# The symbol tables of the encoding: the subtype symbols keep their names
+# across it, and a product goes to a head by the sorts of its domain and
+# codomain.
+SUBTYPE_SYMBOLS = frozenset(("psub", "pair", "fst", "snd"))
+PRODUCT_HEADS = {("Type", "Type"): "arrd", ("Type", "Prop"): "fa", ("Prop", "Prop"): "impd"}
+
 
 def El(t: Term) -> SymApp:
     return SymApp("El", (t,))

@@ -60,7 +60,7 @@ from bisect import bisect_left
 from typing import Union
 
 from .diagnostics import ARITY_MISMATCH, PARSE_ERROR, SourceSpan, SurfaceError
-from .lexer import KEYWORDS, repeated_groups, scan
+from .lexer import KEYWORDS, SYMBOLS, repeated_groups, scan
 from .lf import LF_SIGNATURE
 from .pcert import PCERT_SIGNATURE
 from .record import Frozen, Record, setters
@@ -82,9 +82,7 @@ from .terms import (
 
 _SIGNATURES = {"pcert": PCERT_SIGNATURE, "lf": LF_SIGNATURE}
 
-_RESERVED_DECL_NAMES = (
-    frozenset(PCERT_SIGNATURE.names()) | frozenset(LF_SIGNATURE.names()) | {"TYPE", "KIND"}
-)
+_RESERVED_DECL_NAMES = SYMBOLS | {"TYPE", "KIND"}
 
 
 class SymbolDecl(Frozen):
@@ -193,29 +191,22 @@ class _Parser:
 
     The span memo parses each repeated group once per binder frame. The
     lexer finds the parenthesised groups whose text occurred before, left
-    to right (`lexer.repeated_groups`), and makes each of them one token
-    of kind "group" that names the "(" token of the group's first
-    occurrence (`lexer.scan`). The memo covers a group token read as a
-    parenthesised term `( ... )` or as the arguments of a symbol call
-    `s( ... )`, and the first occurrence it names. Its key is the index of
-    the first occurrence's "(" token, the calling symbol (None for a plain
-    group) and the frame, the tuple `names`, which fixes the index of
-    every `Bound` inside. Parsing a first occurrence stores its node. At a
-    group token, a hit returns the node stored; a miss (a new frame or a
-    new callee) parses the first occurrence's tokens in place, which
-    stores their node, and either way `pos` moves past the group token.
-    The node is the very object parsing the repeat's own text would
-    return: the parse of a group depends only on its tokens, the mode and
-    the frame, and interning returns the object built from the same parts.
-    So nothing downstream can tell a hit from a parse. A group whose parse
-    raises stores nothing, and the memo holds one entry per group parsed,
-    whatever the size of the text.
-
-    An error raised while parsing a first occurrence in place would carry
-    the span of that occurrence, not of the text as written; `jumps`
-    counts the in-place parses under way, and `parse_file` and
-    `parse_term` read the text again without group tokens when an error
-    leaves one unfinished. Only the error path pays for that.
+    to right (`lexer.repeated_groups`), and makes each one that is read
+    the way its first occurrence was, as a parenthesised term `( ... )` or
+    as the arguments of the same symbol `s( ... )`, one token of kind
+    "group" that names the "(" token of the first occurrence
+    (`lexer.scan`). The memo's key is the index of that "(" token and the
+    frame, the tuple `names`, which fixes the index of every `Bound`
+    inside. Parsing a first occurrence stores its node. At a group token,
+    a hit returns the node stored; a miss (a new frame) parses the first
+    occurrence's tokens in place, which stores their node, and either way
+    `pos` moves past the group token. The node is the very object parsing
+    the repeat's own text would return: the parse of a group depends only
+    on its tokens, the mode, the callee and the frame, and interning
+    returns the object built from the same parts. So nothing downstream
+    can tell a hit from a parse. A parse in place cannot fail, since the
+    first occurrence parsed and no error depends on the frame, and the
+    memo holds one entry per group parsed, whatever the size of the text.
     """
 
     def __init__(self, text: str, file: str, mode: str = "pcert", repeats: list | None = None):
@@ -242,7 +233,6 @@ class _Parser:
         self.shared = {first: first for first in groups.values()}
         self.shared.update(groups)
         self.parsed: dict[tuple, Term] = {}
-        self.jumps = 0
 
     def span(self, i: int) -> SourceSpan:
         start = self.starts[i]
@@ -368,15 +358,13 @@ class _Parser:
         for None, as a parenthesised term: the node stored for the key, or
         else the node of its first occurrence's tokens (from token `first`)
         parsed in place. `pos` moves past the group token."""
-        node = self.parsed.get((first, callee, *self.names))
+        node = self.parsed.get((first, *self.names))
         if node is None:
-            self.jumps += 1
             if callee is None:
                 self.pos = first
                 node = self.parse_atom()
-            else:  # the symbol's index places only an error, which `parse_file` re-reads
+            else:
                 node = self.parse_call(callee, first - 1)
-            self.jumps -= 1
         self.pos = i + 1
         return node
 
@@ -470,7 +458,7 @@ class _Parser:
                 self.expect("punct", ")")
             self.pos += 1
             if first is not None:
-                self.parsed[(first, None, *self.names)] = inner
+                self.parsed[(first, *self.names)] = inner
             return inner
         if value == "{":
             self.pos = i + 1
@@ -503,32 +491,18 @@ class _Parser:
             raise self.error(f"symbol {name!r} expects {arity} arguments, got {len(args)}", i, ARITY_MISMATCH)
         node = self.sym(name, tuple(args))
         if first is not None:
-            self.parsed[(first, name, *self.names)] = node
+            self.parsed[(first, *self.names)] = node
         return node
 
 
 def parse_file(text: str, file: str = "<input>") -> ParsedFile:
-    parser = _Parser(text, file)
-    try:
-        return parser.parse_file()
-    except SurfaceError:
-        if not parser.jumps:
-            raise
-    # raised in place, the error has the span of a first occurrence: read
-    # the text again without group tokens, for the span as written
-    return _Parser(text, file, "pcert", []).parse_file()
+    return _Parser(text, file).parse_file()
 
 
 def parse_term(text: str, mode: str = "pcert") -> Term:
     """Parse a single term, for tests and tooling."""
     parser = _Parser(text, "<term>", mode)
-    try:
-        term = parser.parse_term()
-    except SurfaceError:
-        if not parser.jumps:
-            raise
-        parser = _Parser(text, "<term>", mode, [])  # as in `parse_file`
-        term = parser.parse_term()
+    term = parser.parse_term()
     if parser.kinds[parser.pos] != "eof":
         raise parser.error("trailing input after term")
     return term
@@ -538,12 +512,7 @@ def parse_term(text: str, mode: str = "pcert") -> Term:
 
 _TERM, _ARROW, _APP, _ATOM = 0, 1, 2, 3
 
-_RESERVED_DISPLAY = (
-    KEYWORDS
-    | {"TYPE", "KIND"}
-    | set(PCERT_SIGNATURE.names())
-    | set(LF_SIGNATURE.names())
-)
+_RESERVED_DISPLAY = KEYWORDS | _RESERVED_DECL_NAMES
 
 _ID_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_'?]*\Z")
 

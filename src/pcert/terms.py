@@ -526,12 +526,6 @@ def open_term(hint: str, body: Term) -> tuple[Var, Term]:
     return v, instantiate(body, v)
 
 
-def is_nondependent(cod: Term) -> bool:
-    """True when a product codomain never uses its binder; the walk visits
-    each distinct subterm of cod once (see `loose_bounds`)."""
-    return not loose_bounds(cod, Memo()) & 1
-
-
 class Records:
     """What one owner (a kernel) has established under one table, so for one
     file: the pairs it has proven convertible, and its inference and

@@ -34,17 +34,13 @@ from __future__ import annotations
 
 from . import diagnostics as dk
 from .diagnostics import fail
-from .lf import KIND_ENC, PROP_OBJ, TYPE_ENC, TYPE_OBJ
+from .lf import KIND_ENC, PRODUCT_HEADS, PROP_OBJ, SUBTYPE_SYMBOLS, TYPE_ENC, TYPE_OBJ
 from .terms import Abs, App, Bound, Context, Memo, Prod, Sort, SymApp, Term, Var, ident
-
-# Subtype symbols keep their names across the encoding.
-_SUBTYPE_SYMBOLS = frozenset(("psub", "pair", "fst", "snd"))
 
 # The sort of a type whose translation has this head; other symbols head
 # propositions. `type` (the sort Type) is never a domain on checked input.
 _HEAD_SORTS = {"arrd": "Type", "psub": "Type", "prop": "Type", "type": "Kind"}
 
-_PRODUCT_HEADS = {("Type", "Type"): "arrd", ("Type", "Prop"): "fa", ("Prop", "Prop"): "impd"}
 _TYPE_FORMERS = {"Type": "El", "Prop": "Prf"}  # the type of a term, by its sort
 _SORT_OBJECTS = {"Prop": PROP_OBJ, "Type": TYPE_OBJ}
 
@@ -108,7 +104,7 @@ def _translate(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) 
         return Abs(m.hint, t_annot, _term(ctx, m.body, inner, memo, low))
     if cls is SymApp:
         sym = m.sym
-        if sym not in _SUBTYPE_SYMBOLS:
+        if sym not in SUBTYPE_SYMBOLS:
             raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
         args = []  # a loop, not a generator expression: no frame of its own
         for a in m.args:
@@ -119,7 +115,7 @@ def _translate(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) 
         inner = sorts + (dom.tag if type(dom) is Sort else None,)
         t_dom, t_cod = _term(ctx, dom, sorts, memo, low), _term(ctx, m.cod, inner, memo, low)
         s_dom, s_cod = _sort(ctx, t_dom, sorts), _sort(ctx, t_cod, inner)
-        head = _PRODUCT_HEADS.get((s_dom, s_cod))
+        head = PRODUCT_HEADS.get((s_dom, s_cod))
         if head is None:
             message = f"product over sorts ({s_dom}, {s_cod}) has no encoding"
             raise fail(dk.ILLEGAL_PRODUCT, message, context=ctx, subject=m)

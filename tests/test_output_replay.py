@@ -166,6 +166,16 @@ def test_an_open_codomain_prints_as_the_reference_prints_it():
             assert print_term(t) == _ref_print_term(t)
 
 
+def test_an_open_term_exports_as_the_reference_exports_it():
+    # the reference opens each named binder, which shifts a dangling index
+    # down by one, and renders an arrow's codomain as it stands
+    bodies = (App(Bound(0), Bound(3)), App(Bound(1), Bound(3)), Abs("x", Bound(2), App(Bound(0), Bound(4))))
+    for body in bodies:
+        for t in (Abs("x", Var("a"), body), Prod("y", Var("a"), body), Prod("y", Var("a"), Prod("_", Bound(0), body))):
+            decls = [SymbolDecl("c", t), AssertJudgment(App(t, Bound(5)), Prod("_", t, Bound(2)))]
+            assert development_lines(decls) == ref_development_lines(decls)
+
+
 def test_a_parsed_sort_is_the_module_constant():
     assert parse_term("Prop") is PROP
     assert parse_term("Type") is TYPE_

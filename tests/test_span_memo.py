@@ -29,7 +29,7 @@ from pcert.diagnostics import SurfaceError
 from pcert.lexer import repeated_groups, scan
 from pcert.syntax import ParsedFile, parse_file, parse_term, print_file, print_term
 from pcert.terms import Abs, App, Prod, SymApp
-from test_cli import shared_chain_source
+from test_cli import fuzz_input, shared_chain_source
 from test_syntax import CORPUS, mutated_corpus
 
 
@@ -169,6 +169,9 @@ REPEATED_GROUPS = {
     # a call and a plain group with the same parenthesised text
     "calls": "#MODE lf\nsymbol c : El(arrd(iota, \\_: El(iota). iota));\n"
              "definition d := c (arrd(iota, \\_: El(iota). iota));",
+    # the arguments of the same symbol, read again in a new frame
+    "same_callee": "#MODE lf\nsymbol c : El(arrd(iota, \\_: El(iota). iota));\n"
+                   "definition d := \\x: El(iota). El(arrd(iota, \\_: El(iota). iota));",
     # parentheses inside comments, and comments inside repeated groups
     "comments": "definition d := g (f a // ) ( unmatched\n b) (f a // ) ( unmatched\n b) // (\n;"
                 "\nassert (f a // ) ( unmatched\n b) : T;",
@@ -190,7 +193,7 @@ REPEATED_GROUPS = {
 
 # a first occurrence read as a plain group and its repeat as a call's
 # arguments, or the reverse, where only the repeat fails to parse: the
-# error is raised while the first occurrence's tokens are parsed in place
+# lexer matches the repeat's own tokens, where the error is found
 CROSSED_GROUPS = {
     "plain_then_call": "definition d := g (aaaaaaaaaaaaaaaaaaaaaaaa b);\n"
                        "assert psub(aaaaaaaaaaaaaaaaaaaaaaaa b) : T;",
@@ -210,22 +213,64 @@ def test_repeated_groups_parse_as_without_the_memo(text):
 
 
 @pytest.mark.parametrize("text", CROSSED_GROUPS.values(), ids=CROSSED_GROUPS.keys())
+def test_a_repeat_read_otherwise_than_its_first_occurrence_is_no_group_token(text):
+    repeats = repeated_groups(text)
+    kinds, _, starts, groups = scan(text, repeats)
+    crossed = repeats[-1][0]  # the repeat on the last line
+    assert kinds[starts.index(crossed)] == "punct"
+    assert len(groups) == len(repeats) - 1  # the nested case keeps its other repeat
+
+
+@pytest.mark.parametrize("text", CROSSED_GROUPS.values(), ids=CROSSED_GROUPS.keys())
 def test_an_error_inside_a_group_parsed_in_place_has_the_span_as_written(text):
-    parser = syntax._Parser(text, "f")
-    with pytest.raises(SurfaceError):
-        parser.parse_file()
-    assert parser.jumps == 1  # raised in place, so `parse_file` reads the text again
+    with pytest.raises(SurfaceError) as err:
+        parse_file(text, "f")
+    assert err.value.diagnostic.span.line == text.count("\n") + 1  # in the repeat
     same_parse(text)
 
 
+def _errors_raised_in_place(texts) -> int:
+    """How many `SurfaceError`s `_Parser.recall` raises while texts are parsed."""
+    raised = [0]
+    recall = syntax._Parser.recall
+
+    def counting(self, *args):
+        try:
+            return recall(self, *args)
+        except SurfaceError:
+            raised[0] += 1
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(syntax._Parser, "recall", counting)
+        for text in texts:
+            try:
+                parse_file(text, "f")
+            except SurfaceError:
+                pass
+    return raised[0]
+
+
+def test_no_error_is_raised_in_a_group_parsed_in_place():
+    # a repeat read as its first occurrence was parses as it did
+    assert _errors_raised_in_place([*REPEATED_GROUPS.values(), *random_texts()]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mutated_corpus(), fuzz_input().map(lambda data: data.decode("utf-8", "replace"))))
+def test_no_error_is_raised_in_a_group_parsed_in_place_in_fuzzed_text(text):
+    assert _errors_raised_in_place([text]) == 0
+
+
 def test_a_term_fails_in_a_group_parsed_in_place_as_written():
-    text = "g (aaaaaaaaaaaaaaaaaaaaaaaa b)\n  psub(aaaaaaaaaaaaaaaaaaaaaaaa b)"
-    errors = []
-    for parse in (parse_term, parse_term_fresh):
-        with pytest.raises(SurfaceError) as err:
-            parse(text)
-        errors.append((err.value.kind, str(err.value), err.value.diagnostic.span))
-    assert errors[0] == errors[1] and errors[0][2].line == 2
+    for head in ("g ", ""):  # a first occurrence at token 0 has no token before it
+        text = f"{head}(aaaaaaaaaaaaaaaaaaaaaaaa b)\n  psub(aaaaaaaaaaaaaaaaaaaaaaaa b)"
+        errors = []
+        for parse in (parse_term, parse_term_fresh):
+            with pytest.raises(SurfaceError) as err:
+                parse(text)
+            errors.append((err.value.kind, str(err.value), err.value.diagnostic.span))
+        assert errors[0] == errors[1] and errors[0][2].line == 2, head
 
 
 def test_an_error_after_a_group_parsed_in_place_is_raised_as_found():
@@ -233,9 +278,9 @@ def test_an_error_after_a_group_parsed_in_place_is_raised_as_found():
     group = "(f aaaaaaaaaaaaaaaaaaaaaaaa x)"
     text = f"definition d := \\x: T. {group};\ndefinition e := \\y: T. \\x: T. {group} ;;"
     parser = syntax._Parser(text, "f")
-    with pytest.raises(SurfaceError):
+    with pytest.raises(SurfaceError) as err:
         parser.parse_file()
-    assert parser.jumps == 0 and len(parser.parsed) == 2
+    assert len(parser.parsed) == 2 and err.value.diagnostic.span.line == 2
     same_parse(text)
 
 
@@ -274,12 +319,16 @@ def test_groups_sharing_a_prefix_are_not_repeats(monkeypatch):
     same_parse(translation(shared_chain_source(3)))
 
 
-def test_random_text_lexes_and_fails_as_without_the_memo():
+def random_texts() -> list[str]:
     rng = random.Random(7)
     pieces = ["(", ")", "(f a b c d e f g h i j k)", "\\x: T.", "->", "// (\n", "g", " ", "\n", "$", "pair(",
               ",", ";", "symbol", "definition d :=", "1", "'", "-", "/"]
-    for _ in range(400):
-        same_parse("".join(rng.choice(pieces) for _ in range(rng.randint(1, 40))))
+    return ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 40))) for _ in range(400)]
+
+
+def test_random_text_lexes_and_fails_as_without_the_memo():
+    for text in random_texts():
+        same_parse(text)
 
 
 def test_a_hit_returns_the_interned_node_and_skips_the_group(monkeypatch):
