@@ -15,6 +15,17 @@ free of protected symbols and `substitute_parallel` reuses a node's earlier
 expansion, and a term the parser shared across declarations costs its
 distinct nodes, not its unshared size.
 
+A parsed file also knows the names its terms mention (`ParsedFile.mentioned`,
+read off the parser's intern table), and two walks are skipped by them. The
+gate is skipped when no protected symbol of the signature is among them, and
+a definition is recorded for expansion only when its name is, so a file that
+names no definition, such as the output of `pcert translate`, expands
+nothing. This is sound because every node of a parse, a node recalled for a
+repeated group included, was built once through the intern table, so a name
+it does not hold occurs in none of the file's terms: the gate could find no
+protected symbol and the expansion no variable to replace. A file built in
+code has no names (None) and takes both walks.
+
 Checking yields one elaboration record per declaration: the declaration
 with every defined name expanded and, for a definition, the inferred type of
 its body (an annotated body is inferred once, by `check` after the
@@ -110,12 +121,18 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
     # before it, and a file stops at its first failure, so a name in an
     # expanded node never gains an expansion later
     gated, expanded = Memo(), Memo()
+    # the names the parse built (None: unknown): a file that names no
+    # protected symbol skips the gate, and a definition it never names is
+    # never expanded, so a file that names none skips the expansion walk
+    mentioned = parsed.mentioned
+    gate = mentioned is None or not signature.protected.isdisjoint(mentioned)
 
     def prepare(t: Term) -> Term:
-        assert_public(t, signature, gated)
+        if gate:
+            assert_public(t, signature, gated)
         # definition bodies are already fully expanded, so one parallel pass
         # replaces every defined name
-        return substitute_parallel(t, expansions, expanded)
+        return substitute_parallel(t, expansions, expanded) if expansions else t
 
     for decl in parsed.decls:
         budget = shared if shared is not None else Fuel(limit)
@@ -143,7 +160,8 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
                     ty = prepare(ty)
                     kernel.sort_of(ctx, ty, budget)
                     inferred = kernel.check(ctx, body, ty, budget)
-                expansions[name] = body
+                if mentioned is None or name in mentioned:
+                    expansions[name] = body
                 names.add(name)
                 if body is not decl.body or ty is not decl.type:
                     decl = Definition(name, body, ty, decl.span)

@@ -40,6 +40,20 @@ Conversion keeps the same bargain across the file: `convert` hands
 `rewrite.convertible` the kernel's conversion memo on the same table, so a
 pair of objects compared in an earlier declaration is replayed at the steps
 it cost then (see `convertible`).
+
+So does the head normal form of a function's type, which the application
+rule needs: in the lf encoding a symbol typed `El(arrd(...))` becomes a
+product again at every use. A third memo on the same table maps each type
+object reduced there to (its weak head normal form, the steps reducing it
+spent); a replay charges those steps through `Fuel.charge`, and when they
+do not remain the type is reduced again for real, so fuel runs out at the
+same step on the same partial term (`_head`). The bargain is exact because
+an entry depends on the term and the rules alone: the kernel has no
+delta-reduction and `whnf` never reads the context, so an entry holds under
+every view and every binder, and the steps a replay charges are the steps
+reducing again would spend. Product, variable and sort types are already
+normal and skip the memo, and so does `_sort_of`, whose types are nearly
+always sorts already; `Kernel.whnf` itself replays nothing.
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ from .terms import (
     App,
     Bound,
     Context,
+    Memo,
     Prod,
     Signature,
     Sort,
@@ -118,12 +133,17 @@ class _Replay:
     the inference by the level of the pair, 1 + the position of the
     innermost binder it mentions (0: none); `free(b)` is the total filed at
     levels <= b so far.
+
+    `heads` is the kernel's head normal form memo on the same table, which
+    holds under any binders (see `Kernel._head`).
     """
 
-    __slots__ = ("memo", "low", "total")
+    __slots__ = ("memo", "heads", "low", "total")
 
     def __init__(self, kernel: Kernel, ctx: Context):
-        self.memo = None if ctx.binders else ctx.records(kernel).inferred
+        records = ctx.records(kernel)
+        self.memo = None if ctx.binders else records.inferred
+        self.heads = records.heads
         self.low: list[int] = []  # low[b]: steps filed at levels <= b
         self.total = 0  # steps filed at any level; all levels are < len(low)
 
@@ -219,7 +239,7 @@ class Kernel:
                 raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {t.name!r}", context=ctx, subject=t)
             return ty
         if cls is App:
-            tf = self.whnf(self._infer(ctx, t.fun, fuel, run), fuel)
+            tf = self._head(self._infer(ctx, t.fun, fuel, run), fuel, run.heads)
             if not isinstance(tf, Prod):
                 raise fail(
                     dk.NOT_A_FUNCTION,
@@ -313,6 +333,21 @@ class Kernel:
         if fuel.spent != spent and run.memo is not None:
             run.file(ctx.binder_level(a, b), fuel.spent - spent)
         return verdict
+
+    def _head(self, t: Term, fuel: Fuel, heads: Memo) -> Term:
+        """`whnf` of a function's type, replayed from the file's memo `heads`
+        at the steps it spent when they remain, else reduced again for real;
+        entries: t -> (its weak head normal form, the steps spent)."""
+        cls = type(t)
+        if cls is Prod or cls is Var or cls is Sort:
+            return t  # already normal: skips the memo
+        seen = heads.get(ident(t))
+        if seen is not None and fuel.charge(seen[1]):
+            return seen[0]
+        spent = fuel.spent
+        u = _whnf(self.rules, t, fuel)
+        heads.put(ident(t), (u, fuel.spent - spent), t)
+        return u
 
     def _sort_of(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> str:
         ty = self.whnf(self._infer(ctx, t, fuel, run), fuel)

@@ -142,15 +142,30 @@ Declaration = Union[SymbolDecl, Definition, AssertJudgment, AssertConv]
 
 
 class ParsedFile(Frozen):
-    __slots__ = __match_args__ = ("mode", "decls", "path")
+    """A file's mode and declarations. `mentioned` holds the names of the
+    free identifiers and signature symbols its terms contain, as the parser
+    read them off its intern table: a name outside it occurs in none of the
+    terms, so `check_file` skips the walks such a name would need. None, the
+    default for a file built in code, means unknown. It is derived, not part
+    of the file's value: `==`, the repr and match patterns leave it out."""
 
-    def __init__(self, mode: str, decls: tuple[Declaration, ...], path: str = "<input>"):
+    __match_args__ = ("mode", "decls", "path")
+    __slots__ = (*__match_args__, "mentioned")
+
+    def __init__(
+        self,
+        mode: str,
+        decls: tuple[Declaration, ...],
+        path: str = "<input>",
+        mentioned: frozenset[str] | None = None,
+    ):
         _parsed_mode(self, mode)
         _parsed_decls(self, decls)
         _parsed_path(self, path)
+        _parsed_mentioned(self, mentioned)
 
 
-_parsed_mode, _parsed_decls, _parsed_path = setters(ParsedFile)
+_parsed_mode, _parsed_decls, _parsed_path, _parsed_mentioned = setters(ParsedFile)
 
 
 # --- parser ------------------------------------------------------------------
@@ -207,6 +222,12 @@ class _Parser:
     can tell a hit from a parse. A parse in place cannot fail, since the
     first occurrence parsed and no error depends on the frame, and the
     memo holds one entry per group parsed, whatever the size of the text.
+
+    Every node of a parse, a recalled one too, was built through the intern
+    table `nodes`, so once the file is parsed the keys `(Var, name)` and
+    `(SymApp, name, ...)` of the table name exactly the free identifiers and
+    symbols of its terms. `parse_file` reads them into a frozenset, the
+    file's `mentioned`, which keeps neither the table nor the parser alive.
     """
 
     def __init__(self, text: str, file: str, mode: str = "pcert", repeats: list | None = None):
@@ -264,7 +285,10 @@ class _Parser:
         decls: list[Declaration] = []
         while self.kinds[self.pos] != "eof":
             decls.append(self.parse_decl())
-        return ParsedFile(self.mode, tuple(decls), self.file)
+        # every node of the parse, a recalled group's too, was built through
+        # the intern table, so its keys name every free identifier and symbol
+        mentioned = frozenset([key[1] for key in self.nodes if key[0] is Var or key[0] is SymApp])
+        return ParsedFile(self.mode, tuple(decls), self.file, mentioned)
 
     def parse_decl(self) -> Declaration:
         """One declaration. Its fixed tokens are checked in place, by value

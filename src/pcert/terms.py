@@ -528,18 +528,19 @@ def open_term(hint: str, body: Term) -> tuple[Var, Term]:
 
 class Records:
     """What one owner (a kernel) has established under one table, so for one
-    file: the pairs it has proven convertible, and its inference and
-    conversion memos, whose entries are the owner's business. Every view
-    grown from one root shares them, and a new root or a copied table starts
-    empty, so a record never outlives the file that made it or reaches
-    another owner."""
+    file: the pairs it has proven convertible, and its inference, conversion
+    and head normal form memos, whose entries are the owner's business.
+    Every view grown from one root shares them, and a new root or a copied
+    table starts empty, so a record never outlives the file that made it or
+    reaches another owner."""
 
-    __slots__ = ("proven", "inferred", "converted")
+    __slots__ = ("proven", "inferred", "converted", "heads")
 
     def __init__(self):
         self.proven: set[tuple[Term, Term]] = set()
         self.inferred = Memo()
         self.converted = Memo()
+        self.heads = Memo()
 
 
 class _Table:

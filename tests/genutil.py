@@ -767,6 +767,9 @@ class NamedParser(_Parser):
     def __init__(self, text: str, file: str, mode: str = "pcert"):
         super().__init__(text, file, mode, [])
 
+    def parse_file(self) -> ParsedFile:
+        return names_unknown(super().parse_file())
+
     def parse_term(self) -> Term:
         binder = self.values[self.pos]
         if binder == "\\" or binder == "!":
@@ -806,6 +809,13 @@ class NamedParser(_Parser):
             self.expect("punct", "}")
             return SymApp("psub", (ty, lam(name, ty, pred)))
         return super().parse_atom()
+
+
+def names_unknown(parsed: ParsedFile) -> ParsedFile:
+    """parsed as a file built in code, without its `mentioned` names, so
+    `check_file` takes every walk; a reference parser that builds nodes
+    outside the intern table cannot read the names off it."""
+    return ParsedFile(parsed.mode, parsed.decls, parsed.path)
 
 
 def parse_file_named(text: str, file: str = "<input>"):
@@ -1004,6 +1014,9 @@ class FreshParser(UnmemoizedParser):
     def __init__(self, text: str, file: str, mode: str = "pcert"):
         super().__init__(text, file, mode)
         self.nodes = {}  # no sort constants either: every lookup misses
+
+    def parse_file(self) -> ParsedFile:
+        return names_unknown(super().parse_file())
 
     def leaf(self, key: tuple) -> Term:
         return key[0](key[1])

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from genutil import calls_made
-from pcert import Definition, SymbolDecl, check_file, cli, corpus_path, free_vars, parse_file
+from genutil import calls_made, names_unknown, parse_file_unmemoized
+from pcert import Definition, ParsedFile, SymbolDecl, check_file, cli, corpus_path, free_vars, parse_file
+from pcert.diagnostics import PROTECTED_SYMBOL, CheckError
+from pcert.lexer import repeated_groups, scan
 from pcert.pcert import PcertKernel
+from pcert.syntax import print_file
 
 
 def test_records_scope_and_expansion_over_the_corpus():
@@ -76,18 +79,87 @@ def _calls_to_parse_and_check(text: str) -> int:
     return calls_made(lambda: check_file(parse_file(text)))
 
 
-# Most Python calls one more trivial declaration may cost to parse and check:
-# a pcert symbol of a declared type (37 before the per-declaration floor was
-# cut), and the lf symbol `translate`'s re-check reads for it (44 before).
-FLOOR_CALLS = {"pcert": ("symbol T : Type;\n", "T", 24), "lf": ("#MODE lf\nsymbol T : Type;\n", "El(T)", 28)}
+_LF_P = "symbol P : El(arrd(T, \\_: El(T). prop));\n"
+
+# Most Python calls one more trivial unit of declarations may cost to parse
+# and check: a pcert symbol of a declared type (37 before the per-declaration
+# floor was cut, 23 before a file that names no definition or protected
+# symbol skipped the expansion and the gate), the lf symbol `translate`'s
+# re-check reads for it (44, then 28), and a constant with a certificate of
+# a predicate on it, in pcert and as the re-check reads it (66 and 163
+# before the lf kernel replayed the head normal form of `P`'s type).
+FLOOR_CALLS = {
+    "pcert": ("symbol T : Type;\n", "symbol c{0} : T;\n", 21),
+    "lf": ("#MODE lf\nsymbol T : Type;\n", "symbol c{0} : El(T);\n", 25),
+    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 61),
+    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 130),
+}
 
 
 @pytest.mark.parametrize("mode", sorted(FLOOR_CALLS))
 def test_a_trivial_declaration_costs_a_handful_of_calls(mode):
-    head, ty, most = FLOOR_CALLS[mode]
-    counts = [
-        _calls_to_parse_and_check(head + "".join(f"symbol c{i} : {ty};\n" for i in range(n))) for n in (200, 400, 600)
-    ]
+    head, unit, most = FLOOR_CALLS[mode]
+    texts = [head + "".join(unit.format(i) for i in range(n)) for n in (200, 400, 600)]
+    _calls_to_parse_and_check(texts[0])  # the first check hashes module constants once per process
+    counts = [_calls_to_parse_and_check(text) for text in texts]
     per_decl, rem = divmod(counts[1] - counts[0], 200)
     assert counts[2] - counts[1] == counts[1] - counts[0] and rem == 0, counts
     assert per_decl <= most, counts
+
+
+# --- the walks a file's names let check_file skip ------------------------------------
+
+# `pair'` and the defined name `dee` occur only inside a repeated group, whose
+# repeats the lexer makes group tokens: the parser recalls their nodes, so
+# the names reach the file's `mentioned` from the first occurrence alone.
+PROTECTED_IN_GROUP = """#MODE lf
+symbol iota : Type;
+symbol P : El iota -> Prop;
+symbol apple : El iota;
+symbol forget : El (psub(iota, P)) -> El iota;
+definition e := forget (forget (pair'(iota, P, apple)));
+assert forget (forget (pair'(iota, P, apple))) : El iota;
+"""
+DEFINED_IN_GROUP = """symbol iota : Type;
+symbol apple : iota;
+symbol glue : iota -> iota -> iota;
+definition dee := glue apple apple;
+definition e := glue (glue dee (glue apple apple)) (glue dee (glue apple apple));
+assert glue (glue dee (glue apple apple)) apple : iota;
+"""
+
+
+def test_a_protected_symbol_only_in_group_tokens_is_still_gated(tmp_path):
+    assert scan(PROTECTED_IN_GROUP, repeated_groups(PROTECTED_IN_GROUP))[3]
+    parsed = parse_file(PROTECTED_IN_GROUP)
+    assert "pair'" in parsed.mentioned
+    reports = []
+    for source in (parsed, names_unknown(parsed), parse_file_unmemoized(PROTECTED_IN_GROUP)):
+        with pytest.raises(CheckError) as err:
+            check_file(source)
+        reports.append((err.value.kind, str(err.value.diagnostic), err.value.diagnostic.span))
+    assert reports[0][0] == PROTECTED_SYMBOL
+    assert reports[0] == reports[1] == reports[2]
+    path = tmp_path / "forged.lf"
+    path.write_text(PROTECTED_IN_GROUP)
+    assert cli.main(["check", str(path)]) == cli.EXIT_PROTECTED
+
+
+def test_a_definition_named_only_in_group_tokens_is_still_expanded():
+    assert scan(DEFINED_IN_GROUP, repeated_groups(DEFINED_IN_GROUP))[3]
+    parsed = parse_file(DEFINED_IN_GROUP)
+    checked = check_file(parsed)
+    assert checked.decls == check_file(parse_file_unmemoized(DEFINED_IN_GROUP)).decls
+    assert checked.decls == check_file(names_unknown(parsed)).decls
+    for record in checked.decls[4:]:  # every use of `dee` was expanded
+        terms = [getattr(record.decl, f) for f in record.decl.__match_args__ if f not in ("name", "span")]
+        assert "dee" not in free_vars(*(t for t in terms if t is not None)), record.decl
+
+
+def test_a_file_that_names_no_definition_is_checked_as_one_that_does():
+    # the definitions of `translate`'s output are never named again, so its
+    # re-check records no expansion and walks no term for one
+    text = print_file(ParsedFile("lf", tuple(cli._translate_decls(check_file(parse_file(DEFINED_IN_GROUP))))))
+    parsed = parse_file(text)
+    assert not {"dee", "e"} & parsed.mentioned
+    assert check_file(parsed).decls == check_file(names_unknown(parsed)).decls

@@ -24,7 +24,7 @@ from genutil import (
 )
 from hypothesis import HealthCheck, given, settings, strategies as st
 from pcert import check_file, cli, inverse, parse_file, terms, translate
-from pcert.diagnostics import UNBOUND_VARIABLE, CheckError
+from pcert.diagnostics import UNBOUND_VARIABLE, CheckError, FuelError
 from pcert.kernel import Kernel
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel
@@ -92,6 +92,43 @@ def test_the_binder_conversions_spend_fuel_and_are_replayed():
     assert fuel_needed(parsed) > 0
     assert_same_at_every_budget(text, "binders.pcert")
     assert_same_at_every_budget(translated(text), "binders.lf")
+
+
+def wide_lf_source(n: int) -> str:
+    """The shape of `translate`'s output on a wide context: one function
+    symbol of type `El(arrd(...))` applied to many constants, and `Prf(P cN)`
+    asserted for many `cN`. Each use of `g` or `P` needs the head normal form
+    of its type, which the kernel reduces once and then replays."""
+    lines = [
+        "#MODE lf",
+        "symbol T : Type;",
+        "symbol P : El(arrd(T, \\_: El(T). prop));",
+        "symbol g : El(arrd(T, \\_: El(T). arrd(T, \\_': El(T). T)));",
+    ]
+    lines += [f"symbol c{i} : El(T);" for i in range(n)]
+    lines += [f"symbol h{i} : Prf(P c{i});" for i in range(n)]
+    lines += [f"assert g c{i} c{(i + 1) % n} : El(T);" for i in range(n)]
+    lines += [f"assert h{i} : Prf(P c{i});" for i in range(n)]
+    lines += [f"symbol k{i} : Prf(P (g c{i} c0));" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_function_types_replay_their_head_normal_forms_at_every_budget(monkeypatch):
+    # some budget must run out inside a head normal form that the memo
+    # holds, where the replay cannot be charged and reduces again for real
+    replayable_when_out = []
+    head = Kernel._head
+
+    def spied(self, t, fuel, heads):
+        try:
+            return head(self, t, fuel, heads)
+        except FuelError:
+            replayable_when_out.append(terms.ident(t) in heads)
+            raise
+
+    monkeypatch.setattr(Kernel, "_head", spied)
+    assert_same_at_every_budget(wide_lf_source(6), "wide.lf")
+    assert True in replayable_when_out
 
 
 def termgen_development(seed: int, count: int) -> str:

@@ -28,7 +28,7 @@ from pcert.cli import _translate_decls, main
 from pcert.diagnostics import SurfaceError
 from pcert.lexer import repeated_groups, scan
 from pcert.syntax import ParsedFile, parse_file, parse_term, print_file, print_term
-from pcert.terms import Abs, App, Prod, SymApp
+from pcert.terms import Abs, App, Prod, SymApp, Var
 from test_cli import fuzz_input, shared_chain_source
 from test_syntax import CORPUS, mutated_corpus
 
@@ -49,6 +49,22 @@ def _terms(parsed: ParsedFile) -> list:
     for decl in parsed.decls:
         out += [getattr(decl, field) for field in decl.__match_args__ if field not in ("name", "span")]
     return [t for t in out if t is not None]
+
+
+def names_by_walk(parsed: ParsedFile) -> frozenset[str]:
+    """The free identifiers and signature symbols of parsed's terms, found by
+    walking each distinct node."""
+    out, seen, todo = set(), set(), _terms(parsed)
+    while todo:
+        t = todo.pop()
+        if type(t) is Var:
+            out.add(t.name)
+        elif id(t) not in seen:
+            seen.add(id(t))
+            if type(t) is SymApp:
+                out.add(t.sym)
+            todo += _children(t)
+    return frozenset(out)
 
 
 def assert_same_sharing(a: ParsedFile, b: ParsedFile) -> None:
@@ -110,6 +126,9 @@ def same_parse(text: str) -> None:
     assert repr(got) == repr(expected)  # hints are not compared by ==
     assert [d.span for d in got.decls] == [d.span for d in expected.decls]
     assert_same_sharing(got, expected)
+    # == leaves the names out: the intern table of either parse names just
+    # what its terms hold, a recalled group's included
+    assert got.mentioned == expected.mentioned == names_by_walk(got)
 
 
 def translation(source: str) -> str:
