@@ -121,9 +121,6 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
     # before it, and a file stops at its first failure, so a name in an
     # expanded node never gains an expansion later
     gated, expanded = Memo(), Memo()
-    # the names the parse built (None: unknown): a file that names no
-    # protected symbol skips the gate, and a definition it never names is
-    # never expanded, so a file that names none skips the expansion walk
     mentioned = parsed.mentioned
     gate = mentioned is None or not signature.protected.isdisjoint(mentioned)
 

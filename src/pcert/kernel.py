@@ -45,15 +45,15 @@ So does the head normal form of a function's type, which the application
 rule needs: in the lf encoding a symbol typed `El(arrd(...))` becomes a
 product again at every use. A third memo on the same table maps each type
 object reduced there to (its weak head normal form, the steps reducing it
-spent); a replay charges those steps through `Fuel.charge`, and when they
-do not remain the type is reduced again for real, so fuel runs out at the
-same step on the same partial term (`_head`). The bargain is exact because
-an entry depends on the term and the rules alone: the kernel has no
-delta-reduction and `whnf` never reads the context, so an entry holds under
-every view and every binder, and the steps a replay charges are the steps
-reducing again would spend. Product, variable and sort types are already
-normal and skip the memo, and so does `_sort_of`, whose types are nearly
-always sorts already; `Kernel.whnf` itself replays nothing.
+spent), and `rewrite.whnf_replayed` charges those steps through
+`Fuel.charge`; when they do not remain the type is reduced again for real,
+so fuel runs out at the same step on the same partial term. The bargain is
+exact because an entry depends on the term and the rules alone: the kernel
+has no delta-reduction and `whnf` never reads the context, so an entry
+holds under every view and every binder, and the steps a replay charges
+are the steps reducing again would spend. A type that is neither an
+application nor a symbol application skips the memo, and so does
+`_sort_of`, whose types are nearly always sorts already; `Kernel.whnf` itself replays nothing.
 """
 
 from __future__ import annotations
@@ -63,14 +63,13 @@ from typing import Mapping
 from . import diagnostics as dk
 from .diagnostics import fail
 from .record import Frozen, setters
-from .rewrite import Fuel, RuleSet, _as_fuel, _whnf, convertible
+from .rewrite import Fuel, RuleSet, _as_fuel, _whnf, convertible, whnf_replayed
 from .terms import (
     SORTS,
     Abs,
     App,
     Bound,
     Context,
-    Memo,
     Prod,
     Signature,
     Sort,
@@ -135,7 +134,7 @@ class _Replay:
     levels <= b so far.
 
     `heads` is the kernel's head normal form memo on the same table, which
-    holds under any binders (see `Kernel._head`).
+    holds under any binders (see `rewrite.whnf_replayed`).
     """
 
     __slots__ = ("memo", "heads", "low", "total")
@@ -239,7 +238,7 @@ class Kernel:
                 raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {t.name!r}", context=ctx, subject=t)
             return ty
         if cls is App:
-            tf = self._head(self._infer(ctx, t.fun, fuel, run), fuel, run.heads)
+            tf = whnf_replayed(self.rules, self._infer(ctx, t.fun, fuel, run), fuel, run.heads)
             if not isinstance(tf, Prod):
                 raise fail(
                     dk.NOT_A_FUNCTION,
@@ -333,21 +332,6 @@ class Kernel:
         if fuel.spent != spent and run.memo is not None:
             run.file(ctx.binder_level(a, b), fuel.spent - spent)
         return verdict
-
-    def _head(self, t: Term, fuel: Fuel, heads: Memo) -> Term:
-        """`whnf` of a function's type, replayed from the file's memo `heads`
-        at the steps it spent when they remain, else reduced again for real;
-        entries: t -> (its weak head normal form, the steps spent)."""
-        cls = type(t)
-        if cls is Prod or cls is Var or cls is Sort:
-            return t  # already normal: skips the memo
-        seen = heads.get(ident(t))
-        if seen is not None and fuel.charge(seen[1]):
-            return seen[0]
-        spent = fuel.spent
-        u = _whnf(self.rules, t, fuel)
-        heads.put(ident(t), (u, fuel.spent - spent), t)
-        return u
 
     def _sort_of(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> str:
         ty = self.whnf(self._infer(ctx, t, fuel, run), fuel)

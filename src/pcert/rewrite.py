@@ -20,11 +20,13 @@ does `Kernel.whnf`, whose caller already holds a `Fuel`. The loop
 builds nothing for a head that is already normal (it returns its argument
 itself) and builds a symbol application's subject once per rule attempt,
 for both `match` and `Fuel.spend`. Conversion replays a repeated
-sub-comparison, and outermost normalization a repeated subterm's normal
-form, from a memo keyed by object identity (a `terms.Memo`, which holds
-its key nodes); both charge the recorded steps through `Fuel.charge`. Each
-memo lives for one call unless the caller hands one in: the kernels keep
-one conversion memo per file on the context's table, and `roundtrip` one
+sub-comparison, outermost normalization a repeated subterm's normal
+form, and `whnf_replayed` a repeated term's weak head normal form, from a
+memo keyed by object identity (a `terms.Memo`, which holds its key nodes);
+all charge the recorded steps through `Fuel.charge` and reduce again for
+real when they do not remain. Each memo lives for one call unless the
+caller hands one in: the kernels keep one conversion and one head normal
+form memo per file on the context's table, and `roundtrip` one
 normalization memo per command. Normalization
 closes each binder body with `terms.abstract_var`, so a normal form under a
 binder keeps its sharing.
@@ -241,6 +243,22 @@ def _whnf(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
             t = reduced
             continue
         return t
+
+
+def whnf_replayed(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Term:
+    """`_whnf` replayed from `memo` at the steps it spent when they remain,
+    else reduced again for real. Entries: t -> (its weak head normal form,
+    the steps spent reaching it); an entry depends on t and the rules alone."""
+    cls = type(t)
+    if cls is not App and cls is not SymApp:
+        return t  # already normal: bypasses the memo
+    seen = memo.get(ident(t))
+    if seen is not None and fuel.charge(seen[1]):
+        return seen[0]
+    before = fuel.spent
+    u = _whnf(rules, t, fuel)
+    memo.put(ident(t), (u, fuel.spent - before), t)
+    return u
 
 
 def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Term:

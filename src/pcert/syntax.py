@@ -145,24 +145,19 @@ class ParsedFile(Frozen):
     """A file's mode and declarations. `mentioned` holds the names of the
     free identifiers and signature symbols its terms contain, as the parser
     read them off its intern table: a name outside it occurs in none of the
-    terms, so `check_file` skips the walks such a name would need. None, the
-    default for a file built in code, means unknown. It is derived, not part
-    of the file's value: `==`, the repr and match patterns leave it out."""
+    terms, so `check_file` skips the walks such a name would need. Only
+    `parse_file` fills it; a file built in code has None, unknown, and
+    takes every walk. It is derived, not part of the file's value: `==`,
+    the repr and match patterns leave it out."""
 
     __match_args__ = ("mode", "decls", "path")
     __slots__ = (*__match_args__, "mentioned")
 
-    def __init__(
-        self,
-        mode: str,
-        decls: tuple[Declaration, ...],
-        path: str = "<input>",
-        mentioned: frozenset[str] | None = None,
-    ):
+    def __init__(self, mode: str, decls: tuple[Declaration, ...], path: str = "<input>"):
         _parsed_mode(self, mode)
         _parsed_decls(self, decls)
         _parsed_path(self, path)
-        _parsed_mentioned(self, mentioned)
+        _parsed_mentioned(self, None)
 
 
 _parsed_mode, _parsed_decls, _parsed_path, _parsed_mentioned = setters(ParsedFile)
@@ -223,11 +218,10 @@ class _Parser:
     first occurrence parsed and no error depends on the frame, and the
     memo holds one entry per group parsed, whatever the size of the text.
 
-    Every node of a parse, a recalled one too, was built through the intern
-    table `nodes`, so once the file is parsed the keys `(Var, name)` and
-    `(SymApp, name, ...)` of the table name exactly the free identifiers and
-    symbols of its terms. `parse_file` reads them into a frozenset, the
-    file's `mentioned`, which keeps neither the table nor the parser alive.
+    `parse_file` reads the names of the keys `(Var, name)` and `(SymApp,
+    name, ...)` of the intern table `nodes` into the file's `mentioned` (see
+    `ParsedFile`), a frozenset that keeps neither the table nor the parser
+    alive.
     """
 
     def __init__(self, text: str, file: str, mode: str = "pcert", repeats: list | None = None):
@@ -285,10 +279,9 @@ class _Parser:
         decls: list[Declaration] = []
         while self.kinds[self.pos] != "eof":
             decls.append(self.parse_decl())
-        # every node of the parse, a recalled group's too, was built through
-        # the intern table, so its keys name every free identifier and symbol
-        mentioned = frozenset([key[1] for key in self.nodes if key[0] is Var or key[0] is SymApp])
-        return ParsedFile(self.mode, tuple(decls), self.file, mentioned)
+        parsed = ParsedFile(self.mode, tuple(decls), self.file)
+        _parsed_mentioned(parsed, frozenset([key[1] for key in self.nodes if key[0] is Var or key[0] is SymApp]))
+        return parsed
 
     def parse_decl(self) -> Declaration:
         """One declaration. Its fixed tokens are checked in place, by value

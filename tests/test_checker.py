@@ -133,6 +133,10 @@ def test_a_protected_symbol_only_in_group_tokens_is_still_gated(tmp_path):
     assert scan(PROTECTED_IN_GROUP, repeated_groups(PROTECTED_IN_GROUP))[3]
     parsed = parse_file(PROTECTED_IN_GROUP)
     assert "pair'" in parsed.mentioned
+    # a caller cannot hand in names: a file built in code takes every walk
+    assert names_unknown(parsed).mentioned is None
+    with pytest.raises(TypeError):
+        ParsedFile(parsed.mode, parsed.decls, parsed.path, frozenset())
     reports = []
     for source in (parsed, names_unknown(parsed), parse_file_unmemoized(PROTECTED_IN_GROUP)):
         with pytest.raises(CheckError) as err:

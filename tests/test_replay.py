@@ -23,7 +23,7 @@ from genutil import (
     reference_inference,
 )
 from hypothesis import HealthCheck, given, settings, strategies as st
-from pcert import check_file, cli, inverse, parse_file, terms, translate
+from pcert import check_file, cli, inverse, kernel, parse_file, terms, translate
 from pcert.diagnostics import UNBOUND_VARIABLE, CheckError, FuelError
 from pcert.kernel import Kernel
 from pcert.pcert import KERNEL as PCERT_KERNEL
@@ -117,16 +117,16 @@ def test_function_types_replay_their_head_normal_forms_at_every_budget(monkeypat
     # some budget must run out inside a head normal form that the memo
     # holds, where the replay cannot be charged and reduces again for real
     replayable_when_out = []
-    head = Kernel._head
+    head = kernel.whnf_replayed
 
-    def spied(self, t, fuel, heads):
+    def spied(rules, t, fuel, heads):
         try:
-            return head(self, t, fuel, heads)
+            return head(rules, t, fuel, heads)
         except FuelError:
             replayable_when_out.append(terms.ident(t) in heads)
             raise
 
-    monkeypatch.setattr(Kernel, "_head", spied)
+    monkeypatch.setattr(kernel, "whnf_replayed", spied)
     assert_same_at_every_budget(wide_lf_source(6), "wide.lf")
     assert True in replayable_when_out
 
