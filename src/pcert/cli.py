@@ -125,10 +125,12 @@ def cmd_translate(path: str, out: str | None, fuel: int | None) -> int:
         check_file(reparsed, fuel)
     except CheckError as err:
         # each source declaration translates to one declaration: report the
-        # span of the source declaration, not a line of text the user never sees
+        # span of the source declaration, not a line of text the user never
+        # sees; the failing declaration's span is the very object, so no
+        # other span is resolved
         span = err.diagnostic.span
         if span is not None:
-            index = [decl.span for decl in reparsed.decls].index(span)
+            index = next(i for i, decl in enumerate(reparsed.decls) if decl.span is span)
             err.diagnostic.span = translated.decls[index].span
         raise
     _emit(text, out)

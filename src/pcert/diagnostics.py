@@ -28,7 +28,12 @@ WRONG_MODE = "WrongMode"
 
 
 class SourceSpan(Frozen):
-    __slots__ = __match_args__ = ("file", "line", "column", "length")
+    """A place in a file. The parser makes its spans by `span_at`: such a
+    span holds the scanned text (`lexer.Source`) and a token index, and
+    finds its fields when one is first read."""
+
+    __match_args__ = ("file", "line", "column", "length")
+    __slots__ = (*__match_args__, "_source", "_token")
 
     def __init__(self, file: str, line: int, column: int, length: int = 1):
         _span_file(self, file)
@@ -36,11 +41,31 @@ class SourceSpan(Frozen):
         _span_column(self, column)
         _span_length(self, length)
 
+    def __getattr__(self, name: str) -> object:
+        # reached only for an unset slot: a field of a span from `span_at`,
+        # read for the first time
+        if name not in SourceSpan.__match_args__:
+            raise AttributeError(name)
+        for set_field, value in zip(_SPAN_FIELDS, self._source.locate(self._token)):
+            set_field(self, value)
+        return getattr(self, name)
+
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-_span_file, _span_line, _span_column, _span_length = setters(SourceSpan)
+_span_file, _span_line, _span_column, _span_length, _span_source, _span_token = setters(SourceSpan)
+_SPAN_FIELDS = (_span_file, _span_line, _span_column, _span_length)
+_new = object.__new__
+
+
+def span_at(source: object, token: int) -> SourceSpan:
+    """The span of token `token` of `source`, a `lexer.Source`, whose
+    `locate` gives the fields when one is first read."""
+    span = _new(SourceSpan)
+    _span_source(span, source)
+    _span_token(span, token)
+    return span
 
 
 class Diagnostic(Record):
@@ -114,10 +139,15 @@ class ProtectedError(CheckError):
 
 
 class SurfaceError(CheckError):
-    """Parse-level failure (bad token, bad declaration, bad symbol arity)."""
+    """Parse-level failure (bad token, bad declaration, bad symbol arity).
+    Its span is set once, at construction, so its text is made only when
+    asked for, and a span from the parser is resolved only if read."""
 
     def __init__(self, message: str, span: SourceSpan | None = None, kind: str = PARSE_ERROR):
-        super().__init__(Diagnostic(kind, message, span=span))
+        self.diagnostic = Diagnostic(kind, message, span=span)
+
+    def __str__(self) -> str:
+        return str(self.diagnostic)
 
 
 def fail(kind: str, message: str, *, context: object = None, subject: object = None) -> CheckError:

@@ -2,8 +2,12 @@
 
 The lexer is one regex scan of the text. It skips whitespace and comments
 inside the regex, reports the first character that starts no token through a
-catch-all branch, and fills three flat lists: the kinds, values and start
-offsets of the tokens, ending in an eof entry, which the parser indexes.
+catch-all branch, and fills two flat lists, the kinds and values of the
+tokens, ending in an eof entry, which the parser indexes. It keeps no token
+offsets: those are read only for spans, which are made for each declaration
+and each error but resolved only when read, so `Source` finds a token's
+offset again, by matching the regex over the one segment of the text that
+holds it, and its line and column in a table of the text's newlines.
 
 Before scanning, `repeated_groups` makes one pass left to right over the
 parentheses of the text, outside comments, and finds the parenthesised
@@ -21,9 +25,8 @@ in time linear in its distinct groups rather than its size.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import islice, repeat
-from operator import itemgetter
 
 from .lf import LF_SIGNATURE
 from .pcert import PCERT_SIGNATURE
@@ -35,7 +38,7 @@ KEYWORDS = frozenset({"symbol", "definition", "assert", "convertible", "Type", "
 _SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
 
 # Group 1 is the token; a character that starts no token matches the
-# catch-all instead and leaves it None.
+# catch-all instead, and `findall` gives it the value "".
 _TOKEN_RE = re.compile(r"""(?:([A-Za-z_][A-Za-z0-9_'?]*|:=|->|[(){}|,;:.!\\]|\#MODE)|.)""" + _SKIP, re.DOTALL)
 _LEADING_SKIP = re.compile(_SKIP)
 
@@ -50,11 +53,11 @@ _KINDS = {
     ":=": "assign",
     "->": "arrow",
     "#MODE": "mode",
-    None: "bad",
+    "": "bad",
     **dict.fromkeys("(){}|,;:.!\\", "punct"),
 }
-_token = itemgetter(1)
 _COMMENT_RE = re.compile(r"//[^\n]*")
+_NEWLINE_RE = re.compile("\n")
 _GROUP_MIN = 24
 _GROUP_DEPTH = 64
 
@@ -126,50 +129,124 @@ def repeated_groups(text: str) -> list[tuple[int, int, int]]:
     return repeats
 
 
-def _match(text: str, pos: int, end: int, values: list[str | None], starts: list[int]) -> None:
-    """Append the values and start offsets of the tokens from pos to end;
-    the matches are taken a batch at a time, so few are alive at once."""
-    matches = _TOKEN_RE.finditer(text, pos, end)
-    while batch := list(islice(matches, 256)):
-        values += map(_token, batch)
-        starts += map(re.Match.start, batch)
+
+
+class Source:
+    """A scanned text, which finds where its tokens are only when asked.
+
+    `scan` collects token values, not offsets, a segment of the text at a
+    time, and records the segment table: `heads[k]` is the index of the
+    first token of segment k and `offsets[k]` the offset where it starts.
+    Token i lies in the last segment whose first token is at most i, and
+    it starts where the (i - heads[k])-th match of the token regex from
+    `offsets[k]` starts: a segment starts on a token, and the regex reads
+    the text after it as the scan did. A group token is a segment of its
+    own, at the repeat's "(". The offsets of a segment's tokens are found
+    once, when a span in it is first read, and the offsets of the text's
+    newlines when the first span is, so reading every span of a file takes
+    time linear in its size. A span the parser makes holds this object and
+    a token index (`diagnostics.span_at`), not the parser, and resolves
+    itself when read."""
+
+    __slots__ = ("text", "file", "heads", "offsets", "count", "starts", "newlines")
+
+    def __init__(self, text: str, file: str, heads: list[int], offsets: list[int], count: int):
+        self.text = text
+        self.file = file
+        self.heads = heads
+        self.offsets = offsets
+        self.count = count  # the tokens before eof
+        self.starts: dict[int, list[int]] = {}  # segment -> the offsets of its tokens
+        self.newlines: list[int] | None = None
+
+    def offset(self, i: int) -> int:
+        """Where token i starts; eof starts at the end of the text."""
+        if i >= self.count:
+            return len(self.text)
+        heads = self.heads
+        k = bisect_right(heads, i) - 1
+        starts = self.starts.get(k)
+        if starts is None:
+            size = (heads[k + 1] if k + 1 < len(heads) else self.count) - heads[k]
+            matches = islice(_TOKEN_RE.finditer(self.text, self.offsets[k]), size)
+            starts = self.starts[k] = list(map(re.Match.start, matches))
+        return starts[i - heads[k]]
+
+    def locate(self, i: int) -> tuple[str, int, int, int]:
+        """The file, line, column and length of token i, as `SourceSpan`
+        holds them; eof and a character that starts no token have length 1."""
+        text = self.text
+        start = self.offset(i)
+        token = _TOKEN_RE.match(text, start)
+        length = len(token[1] or " ") if token else 1
+        if self.newlines is None:
+            self.newlines = list(map(re.Match.start, _NEWLINE_RE.finditer(text)))
+        line = bisect_left(self.newlines, start)  # the newlines before the token
+        column = start - self.newlines[line - 1] if line else start + 1
+        return self.file, line + 1, column, length
 
 
 def scan(
-    text: str, repeats: list[tuple[int, int, int]]
-) -> tuple[list[str], list[str], list[int], dict[int, int]]:
-    """Kinds, values and start offsets of the tokens of text, ending in eof,
-    and the group tokens; a character that starts no token has the kind
-    "bad" and the value None. A repeat (see `repeated_groups`) is one token
-    of kind "group" and value "(" at the repeat's offset, and the returned
-    dict maps its index to the index of the "(" token of the repeat's first
-    occurrence, whose tokens it stands for: no token of the repeat is
-    matched or copied. That holds for a repeat read the way its first
-    occurrence is: the tokens before the two name the same signature
-    symbol, or neither names one. Any other repeat is matched as ordinary
-    tokens, so a group token reads as its first occurrence did but for the
-    binder frame, and no parse error depends on the frame."""
-    values: list[str | None] = []
-    starts: list[int] = []
+    text: str, repeats: list[tuple[int, int, int]], file: str = "<input>"
+) -> tuple[list[str], list[str], dict[int, int], Source]:
+    """Kinds and values of the tokens of text, ending in eof, the group
+    tokens, and the text's `Source`; a character that starts no token has
+    the kind "bad" and the value "". A repeat (see `repeated_groups`) is one
+    token of kind "group" and value "(", and the returned dict maps its
+    index to the index of the "(" token of the repeat's first occurrence,
+    whose tokens it stands for: no token of the repeat is matched or
+    copied. That holds for a repeat read the way its first occurrence is:
+    the tokens before the two name the same signature symbol, or neither
+    names one. Any other repeat is matched as ordinary tokens, so a group
+    token reads as its first occurrence did but for the binder frame, and
+    no parse error depends on the frame.
+
+    The values are collected by `findall` a segment at a time, and no
+    offset is kept. Segments end at each repeat and at each first
+    occurrence, so the index of a first occurrence's "(" token is known
+    when its repeats are reached."""
+    values: list[str] = []
     groups: dict[int, int] = {}
+    heads: list[int] = []
+    offsets: list[int] = []
+    findall = _TOKEN_RE.findall
+    # the offsets of the first occurrences, in order, and the index of the
+    # token at each one passed so far
+    cuts = sorted({first for _, _, first in repeats})
+    cuts.append(len(text))
+    firsts: dict[int, int] = {}
+    c = 0
     pos = _LEADING_SKIP.match(text).end()
     for start, end, first in repeats:
-        _match(text, pos, start, values, starts)
-        j = bisect_left(starts, first)
+        while cuts[c] < start:
+            cut = cuts[c]
+            heads.append(len(values))
+            offsets.append(pos)
+            values += findall(text, pos, cut)
+            firsts[cut] = len(values)
+            pos = cut
+            c += 1
+        heads.append(len(values))
+        offsets.append(pos)
+        values += findall(text, pos, start)
+        j = firsts[first]
         # the tokens just before the first occurrence and before the repeat
         was, now = values[j - 1] if j else None, values[-1]
         if was != now and (was in SYMBOLS or now in SYMBOLS):
             pos = start
             continue
         groups[len(values)] = j
+        heads.append(len(values))
+        offsets.append(start)
         values.append("(")
-        starts.append(start)
         pos = _LEADING_SKIP.match(text, end).end()
-    _match(text, pos, len(text), values, starts)
+    heads.append(len(values))
+    offsets.append(pos)
+    values += findall(text, pos)
     kinds = list(map(_KINDS.get, values, repeat("id")))
     for i in groups:
         kinds[i] = "group"
+    source = Source(text, file, heads, offsets, len(values))
     kinds.append("eof")
     values.append("")
-    starts.append(len(text))
-    return kinds, values, starts, groups
+    return kinds, values, groups, source

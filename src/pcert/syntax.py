@@ -20,12 +20,13 @@ juxtaposition, and must be fully applied either way. In pcert mode the
 keywords Type/Kind/Prop are sort literals; in lf mode they name the nullary
 encodings of those sorts, while TYPE and KIND denote the framework sorts.
 
-The lexer (`lexer.scan`) fills three flat lists, the kinds, values and
-start offsets of the tokens, which the parser indexes. Lines and columns
-are computed only where a SourceSpan is built (for each declaration and
-for an error), by bisecting the newline offsets of the text, found once
-per text. Binder names are resolved to `Bound` indices as they
-are parsed, so each binder is built once and its body is never walked again.
+The lexer (`lexer.scan`) fills two flat lists, the kinds and values of
+the tokens, which the parser indexes, and no offsets. The span of each
+declaration and of an error holds the text's `lexer.Source` and a token
+index (`diagnostics.span_at`), and finds its line and column only when
+read, so a well-formed file is parsed and checked without computing one.
+Binder names are resolved to `Bound` indices as they are parsed, so each
+binder is built once and its body is never walked again.
 
 Nodes are interned for one parse: every node is built through one dict
 keyed by its class, its name, index, tag or binder hint, and the ids of its
@@ -56,12 +57,11 @@ in its distinct groups, not in its size.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from typing import Union
 
-from .diagnostics import ARITY_MISMATCH, PARSE_ERROR, SourceSpan, SurfaceError
+from .diagnostics import ARITY_MISMATCH, PARSE_ERROR, SourceSpan, SurfaceError, span_at
 from .lexer import KEYWORDS, SYMBOLS, repeated_groups, scan
-from .lf import LF_SIGNATURE
+from .lf import KIND_ENC, LF_SIGNATURE, PROP_ENC, PROP_OBJ, TYPE_ENC, TYPE_OBJ
 from .pcert import PCERT_SIGNATURE
 from .record import Frozen, Record, setters
 from .terms import (
@@ -165,8 +165,6 @@ _parsed_mode, _parsed_decls, _parsed_path, _parsed_mentioned = setters(ParsedFil
 
 # --- parser ------------------------------------------------------------------
 
-_NEWLINE = re.compile("\n")
-
 
 class _SymRef(Record):
     """A signature symbol awaiting its arguments; `index` is its token's position."""
@@ -181,11 +179,20 @@ class _SymRef(Record):
 _ARITIES = {mode: {name: entry.arity for name, entry in sig.items()} for mode, sig in _SIGNATURES.items()}
 
 # a parsed sort is the module constant, so it is the very object the
-# signatures and the kernels build types from
+# signatures and the kernels build types from; so is a parsed lf encoding of
+# a sort, which `sym` takes from here on its first use, so that the intern
+# table, and the file's `mentioned`, hold only the names the text uses
 _SORT_NODES = {(Sort, tag): sort for tag, sort in SORTS.items()}
+_CONSTANTS = {
+    "pcert": {},
+    "lf": {(SymApp, node.sym): node for node in (KIND_ENC, TYPE_ENC, PROP_ENC, TYPE_OBJ, PROP_OBJ)},
+}
 
 # values of the tokens other than identifiers that start an atom
 _ATOM_START = frozenset({"(", "{", "Type", "Kind", "Prop"})
+
+# the identifiers that are sorts, not variables
+_NOT_VARIABLES = frozenset({"TYPE", "KIND"})
 
 _DECL_KEYWORDS = frozenset({"symbol", "definition", "assert", "convertible"})
 
@@ -224,23 +231,19 @@ class _Parser:
     alive.
     """
 
-    def __init__(self, text: str, file: str, mode: str = "pcert", repeats: list | None = None):
-        """`repeats` lists the groups read as group tokens: by default those
-        `lexer.repeated_groups` finds, and with [] none."""
-        self.kinds, self.values, self.starts, groups = scan(
-            text, repeated_groups(text) if repeats is None else repeats
-        )
-        self.newlines = list(map(re.Match.start, _NEWLINE.finditer(text)))
+    def __init__(self, text: str, file: str, mode: str = "pcert"):
+        self.kinds, self.values, groups, self.source = self.tokens(text, file)
         self.file = file
         self.pos = 0
         self.mode = mode
         self.arities = _ARITIES[mode]
+        self.constants = _CONSTANTS[mode]
         self.names: list[str | None] = []
         self.scope: dict[str, list[int]] = {}
         self.nodes: dict[tuple, Term] = dict(_SORT_NODES)
         if "bad" in self.kinds:
             bad = self.kinds.index("bad")
-            self.values[bad] = text[self.starts[bad]]
+            self.values[bad] = text[self.source.offset(bad)]
             raise self.error(f"unexpected character {self.values[bad]!r}", bad)
         # the span memo: `shared` maps each group token, and the "(" token
         # of each first occurrence, to the index of that "(" token, and
@@ -249,14 +252,14 @@ class _Parser:
         self.shared.update(groups)
         self.parsed: dict[tuple, Term] = {}
 
-    def span(self, i: int) -> SourceSpan:
-        start = self.starts[i]
-        line = bisect_left(self.newlines, start)  # newlines before the token
-        column = start - self.newlines[line - 1] if line else start + 1
-        return SourceSpan(self.file, line + 1, column, len(self.values[i]) or 1)
+    @staticmethod
+    def tokens(text: str, file: str) -> tuple:
+        """`lexer.scan` of text, with the repeats `lexer.repeated_groups`
+        finds read as group tokens."""
+        return scan(text, repeated_groups(text), file)
 
     def error(self, message: str, i: int | None = None, kind: str = PARSE_ERROR) -> SurfaceError:
-        return SurfaceError(message, self.span(self.pos if i is None else i), kind)
+        return SurfaceError(message, span_at(self.source, self.pos if i is None else i), kind)
 
     def expect(self, kind: str, value: str | None = None) -> int:
         """Consume the next token, which must be of this kind and value; return its index."""
@@ -276,6 +279,7 @@ class _Parser:
                 raise self.error(f"unknown mode {self.values[i]!r} (expected pcert or lf)", i)
             self.mode = self.values[i]
             self.arities = _ARITIES[self.mode]
+            self.constants = _CONSTANTS[self.mode]
         decls: list[Declaration] = []
         while self.kinds[self.pos] != "eof":
             decls.append(self.parse_decl())
@@ -292,7 +296,7 @@ class _Parser:
         keyword = values[i]
         if kinds[i] != "kw" or keyword not in _DECL_KEYWORDS:
             raise self.error("expected a declaration (symbol/definition/assert/convertible)", i)
-        span = self.span(i)
+        span = span_at(self.source, i)
         self.pos = i = i + 1
         if keyword == "symbol" or keyword == "definition":
             # Names from either signature are reserved in both modes so that
@@ -337,8 +341,10 @@ class _Parser:
     # - terms -
 
     def parse_term(self) -> Term:
-        binder = self.values[self.pos]
-        if binder == "\\" or binder == "!":
+        i = self.pos
+        kinds, values = self.kinds, self.values
+        value = values[i]
+        if value == "\\" or value == "!":
             self.pos += 1
             name = self.values[self.expect("id")]
             self.expect("punct", ":")
@@ -347,8 +353,25 @@ class _Parser:
             self.bind(name)
             body = self.parse_term()
             self.unbind(name)
-            return self.binder(Abs if binder == "\\" else Prod, name, annot, body)
-        lhs = self.parse_app()
+            return self.binder(Abs if value == "\\" else Prod, name, annot, body)
+        if (
+            kinds[i] == "id"
+            and kinds[i + 1] != "id"
+            and values[i + 1] not in _ATOM_START
+            and value not in _NOT_VARIABLES
+            and value not in self.arities
+        ):
+            # a variable that no argument follows, the commonest term and
+            # arrow domain, skips `parse_atom`
+            self.pos = i + 1
+            levels = self.scope.get(value)
+            key = (Bound, len(self.names) - 1 - levels[-1]) if levels else (Var, value)
+            lhs = self.nodes.get(key) or self.leaf(key)
+        else:
+            lhs = self.parse_atom()
+            pos = self.pos
+            if kinds[pos] == "id" or values[pos] in _ATOM_START or type(lhs) is _SymRef:
+                lhs = self.parse_app(lhs)
         if self.kinds[self.pos] == "arrow":
             self.pos += 1
             # no name reaches an arrow's binder, so it enters `names` but
@@ -413,14 +436,19 @@ class _Parser:
         key = (SymApp, name, *map(id, args))
         node = self.nodes.get(key)
         if node is None:
-            node = self.nodes[key] = SymApp(name, args)
+            node = self.constants.get(key)
+            if node is None:
+                node = SymApp(name, args)
+            self.nodes[key] = node
         return node
 
-    def parse_app(self) -> Term:
+    def parse_app(self, head: Term | _SymRef) -> Term:
+        """The application of head, the atom just parsed, to the atoms that
+        follow it; `parse_term` calls it only where one follows or head is a
+        symbol that needs arguments."""
         kinds, values = self.kinds, self.values
-        head = self.parse_atom()
         if kinds[self.pos] != "id" and values[self.pos] not in _ATOM_START:
-            args: list[Term | _SymRef] | tuple[()] = ()  # an atom alone builds no list
+            args: list[Term | _SymRef] | tuple[()] = ()  # a symbol alone builds no list
         else:
             args = [self.parse_atom()]
             while kinds[self.pos] == "id" or values[self.pos] in _ATOM_START:

@@ -506,22 +506,14 @@ def _abstract(t: Term, name: str, depth: int, memo: dict[tuple[int, int], Term])
     return out
 
 
-def lam(name: str, annot: Term, body: Term) -> Abs:
-    """Abstraction from named syntax: closes `name` in `body`."""
-    return Abs(name, annot, abstract_var(body, name))
-
-
-def pi(name: str, dom: Term, cod: Term) -> Prod:
-    return Prod(name, dom, abstract_var(cod, name))
-
-
 def arrow(dom: Term, cod: Term) -> Prod:
     """Non-dependent product; the binder is unused in the codomain."""
     return Prod("_", dom, abstract_var(cod, fresh_name("_unused")))
 
 
 def open_term(hint: str, body: Term) -> tuple[Var, Term]:
-    """Open a binder body with a fresh variable; inverse of lam/pi closing."""
+    """Open a binder body with a fresh variable; inverse of closing a
+    binder with `abstract_var`."""
     v = Var(fresh_name(hint))
     return v, instantiate(body, v)
 

@@ -22,8 +22,8 @@ ones of `pcert.terms` are checked against, `ref_print_file` and
 exporter are checked against, and `ref_inverse_term` and `ref_inverse_type`
 the reference the inverse, which builds a failure's path only on failure,
 is checked against.
-`check_wf`, `validate_signature`, `inverse_type` and `substitute` are entry
-points that only the tests use.
+`check_wf`, `validate_signature`, `inverse_type`, `substitute`, `lam` and
+`pi` are entry points that only the tests use.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from pcert.diagnostics import UNCHECKED_INPUT, fail
 from pcert.export import _LP_ID, ENCODING_MODULE, _ident
 from pcert.inverse import NotInImage
 from pcert.kernel import Kernel
+from pcert.lexer import scan
 from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
 from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
 from pcert.rewrite import Fuel, RuleSet, _as_fuel, convertible, match, normalize
@@ -68,11 +69,18 @@ from pcert.terms import (
     free_vars,
     fresh_name,
     instantiate,
-    lam,
     open_term,
-    pi,
     substitute_parallel,
 )
+
+def lam(name: str, annot: Term, body: Term) -> Abs:
+    """Abstraction from named syntax: closes `name` in `body`."""
+    return Abs(name, annot, abstract_var(body, name))
+
+
+def pi(name: str, dom: Term, cod: Term) -> Prod:
+    return Prod(name, dom, abstract_var(cod, name))
+
 
 BASE_SURFACE = """#MODE pcert
 symbol iota : Type;
@@ -761,11 +769,12 @@ def canonical_fresh_names(t: Term | bool) -> Term | bool:
 class NamedParser(_Parser):
     """The parser as it was before binder names were resolved while parsing:
     every identifier is a free `Var`, and each binder is closed afterwards
-    with `terms.lam`/`terms.pi`, which walk its body once more. It reads
+    with `lam`/`pi`, which walk its body once more. It reads
     every group's own tokens, as the parser did then."""
 
-    def __init__(self, text: str, file: str, mode: str = "pcert"):
-        super().__init__(text, file, mode, [])
+    @staticmethod
+    def tokens(text: str, file: str) -> tuple:
+        return scan(text, [], file)
 
     def parse_file(self) -> ParsedFile:
         return names_unknown(super().parse_file())
@@ -780,7 +789,7 @@ class NamedParser(_Parser):
             self.expect("punct", ".")
             body = self.parse_term()
             return lam(name, annot, body) if binder == "\\" else pi(name, annot, body)
-        lhs = self.parse_app()
+        lhs = self.parse_app(self.parse_atom())
         if self.kinds[self.pos] == "arrow":
             self.pos += 1
             return Prod("_", lhs, self.parse_term())
@@ -998,8 +1007,9 @@ class UnmemoizedParser(_Parser):
     reads no group tokens, so it parses every occurrence of a repeated
     group from its own tokens."""
 
-    def __init__(self, text: str, file: str, mode: str = "pcert"):
-        super().__init__(text, file, mode, [])
+    @staticmethod
+    def tokens(text: str, file: str) -> tuple:
+        return scan(text, [], file)
 
 
 def parse_file_unmemoized(text: str, file: str = "<input>"):

@@ -12,7 +12,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from genutil import BASE_CTX, BASE_SURFACE, EquivalenceWalker, TermGen
+from genutil import BASE_CTX, BASE_SURFACE, EquivalenceWalker, TermGen, lam
 from pcert import check_file, conv_pcert, corpus_path, parse_file
 from pcert.cli import main as cli
 from pcert.diagnostics import FuelError
@@ -29,7 +29,6 @@ from pcert.terms import (
     SymApp,
     Var,
     alpha_eq,
-    lam,
 )
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.translate import translate_ctx, translate_term

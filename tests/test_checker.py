@@ -87,12 +87,14 @@ _LF_P = "symbol P : El(arrd(T, \\_: El(T). prop));\n"
 # symbol skipped the expansion and the gate), the lf symbol `translate`'s
 # re-check reads for it (44, then 28), and a constant with a certificate of
 # a predicate on it, in pcert and as the re-check reads it (66 and 163
-# before the lf kernel replayed the head normal form of `P`'s type).
+# before the lf kernel replayed the head normal form of `P`'s type). Then
+# 21, 25, 61 and 130 before spans were resolved on demand and a lone
+# variable skipped `parse_app` and `parse_atom`, and a lone atom `parse_app`.
 FLOOR_CALLS = {
-    "pcert": ("symbol T : Type;\n", "symbol c{0} : T;\n", 21),
-    "lf": ("#MODE lf\nsymbol T : Type;\n", "symbol c{0} : El(T);\n", 25),
-    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 61),
-    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 130),
+    "pcert": ("symbol T : Type;\n", "symbol c{0} : T;\n", 18),
+    "lf": ("#MODE lf\nsymbol T : Type;\n", "symbol c{0} : El(T);\n", 21),
+    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 57),
+    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 124),
 }
 
 

@@ -29,6 +29,7 @@ from genutil import (
     EquivalenceWalker,
     TermGen,
     canonical_fresh_names,
+    lam,
     normalize_and_compare,
     ref_convertible,
     ref_normalize,
@@ -39,7 +40,7 @@ from pcert.kernel import Kernel
 from pcert.lf import KERNEL as LF_KERNEL
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel, RuleSet, normalize
-from pcert.terms import TYPE_, App, Context, SymApp, Term, Var, arrow, lam
+from pcert.terms import TYPE_, App, Context, SymApp, Term, Var, arrow
 from pcert.translate import translate_term, translate_type
 
 ORACLE_FUEL = 1_000_000

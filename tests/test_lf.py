@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import BASE_CTX, TermGen, check_wf, validate_signature
+from genutil import BASE_CTX, TermGen, check_wf, lam, validate_signature
 from pcert.cli import main
 from pcert.diagnostics import CheckError, ProtectedError
 from pcert.lf import (
@@ -37,7 +37,6 @@ from pcert.terms import (
     SymApp,
     Var,
     arrow,
-    lam,
     substitute_parallel,
 )
 from pcert.translate import translate_ctx, translate_term

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from genutil import BASE_CTX, EquivalenceWalker, TermGen, check_wf, positions, replace_at, validate_signature
+from genutil import BASE_CTX, EquivalenceWalker, TermGen, check_wf, lam, pi, positions, replace_at, validate_signature
 from pcert.diagnostics import CheckError
 from pcert.pcert import (
     KERNEL,
@@ -24,8 +24,6 @@ from pcert.terms import (
     alpha_eq,
     arrow,
     instantiate,
-    lam,
-    pi,
 )
 
 PROP, TYPE, KIND = Sort("Prop"), Sort("Type"), Sort("Kind")

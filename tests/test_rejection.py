@@ -16,11 +16,11 @@ import random
 
 from hypothesis import given, reject, settings, strategies as st
 
-from genutil import BASE_CTX, GOAL_POOL, IOTA, P_A, P_B, PQ, PROP, PSUB_P, QT, TermGen, positions, replace_at
+from genutil import BASE_CTX, GOAL_POOL, IOTA, P_A, P_B, PQ, PROP, PSUB_P, QT, TermGen, lam, positions, replace_at
 from pcert.diagnostics import CheckError, FuelError
 from pcert.lf import KERNEL as LF_KERNEL, convertible_lf
 from pcert.pcert import KERNEL as PCERT_KERNEL, conv_pcert
-from pcert.terms import Abs, Prod, SymApp, Term, Var, alpha_eq, lam
+from pcert.terms import Abs, Prod, SymApp, Term, Var, alpha_eq
 from pcert.translate import translate_ctx, translate_term, translate_type
 
 LF_CTX = translate_ctx(BASE_CTX)

@@ -14,6 +14,7 @@ from genutil import (
     EquivalenceWalker,
     TermGen,
     canonical_fresh_names,
+    lam,
     ref_convertible,
     ref_normalize,
     ref_whnf,
@@ -45,7 +46,6 @@ from pcert.terms import (
     abstract_var,
     alpha_eq,
     instantiate,
-    lam,
     open_term,
     substitute_parallel,
 )

@@ -9,6 +9,7 @@ error must be the same.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +83,16 @@ def assert_same_sharing(a: ParsedFile, b: ParsedFile) -> None:
         todo += zip(_children(x), _children(y))
 
 
+def token_starts(kinds, source) -> list[int]:
+    """The offset of every token of a scan, found a segment of the
+    source's segment table at a time."""
+    out = []
+    ends = [*source.heads[1:], len(kinds) - 1]
+    for head, offset, end in zip(source.heads, source.offsets, ends):
+        out += [m.start() for m in islice(lexer._TOKEN_RE.finditer(source.text, offset), end - head)]
+    return out + [len(source.text)]
+
+
 def expanded(kinds, values, starts, groups):
     """The token lists with each group token replaced by the tokens of the
     first occurrence it names (themselves expanded), moved to its offset."""
@@ -110,9 +121,13 @@ def expanded(kinds, values, starts, groups):
 
 def same_parse(text: str) -> None:
     """The memoizing parser reads text as the unmemoizing one does."""
-    *tokens, groups = scan(text, [])
+    plain_kinds, plain_values, groups, _ = scan(text, [])
     assert groups == {}
-    assert expanded(*scan(text, repeated_groups(text))) == tokens
+    # every token start, as the lexer once kept them
+    starts = [m.start() for m in lexer._TOKEN_RE.finditer(text, lexer._LEADING_SKIP.match(text).end())]
+    kinds, values, groups, source = scan(text, repeated_groups(text))
+    assert expanded(kinds, values, token_starts(kinds, source), groups) == [
+        plain_kinds, plain_values, [*starts, len(text)]]
     try:
         expected = parse_file_unmemoized(text, "f")
     except SurfaceError as err:
@@ -234,9 +249,9 @@ def test_repeated_groups_parse_as_without_the_memo(text):
 @pytest.mark.parametrize("text", CROSSED_GROUPS.values(), ids=CROSSED_GROUPS.keys())
 def test_a_repeat_read_otherwise_than_its_first_occurrence_is_no_group_token(text):
     repeats = repeated_groups(text)
-    kinds, _, starts, groups = scan(text, repeats)
+    kinds, _, groups, source = scan(text, repeats)
     crossed = repeats[-1][0]  # the repeat on the last line
-    assert kinds[starts.index(crossed)] == "punct"
+    assert kinds[token_starts(kinds, source).index(crossed)] == "punct"
     assert len(groups) == len(repeats) - 1  # the nested case keeps its other repeat
 
 
@@ -415,24 +430,14 @@ def test_reading_back_a_chain_translation_is_linear_in_links(monkeypatch, tmp_pa
 
 
 @pytest.mark.parametrize("source", [doubling_chain_source, shared_chain_source])
-def test_the_lexer_matches_a_number_of_tokens_linear_in_links(monkeypatch, source):
+def test_the_lexer_matches_a_number_of_tokens_linear_in_links(source):
     # the other tokens of a chain translation, most of them, are copied from
     # the earlier group with the same text
-    matched = [0]
-    match = lexer._match
-
-    def counting(text, pos, end, values, starts):
-        before = len(values)
-        match(text, pos, end, values, starts)
-        matched[0] += len(values) - before
-
-    monkeypatch.setattr(lexer, "_match", counting)
     counts = []
     for links in (8, 10, 12, 14):
         text = translation(source(links))
-        matched[0] = 0
-        scan(text, repeated_groups(text))
-        counts.append(matched[0])
+        kinds, _, groups, _ = scan(text, repeated_groups(text))
+        counts.append(len(kinds) - 1 - len(groups))  # all but eof and the group tokens
     assert len({b - a for a, b in zip(counts, counts[1:])}) == 1, counts
 
 

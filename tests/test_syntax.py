@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from genutil import (
     BASE_SURFACE,
     TermGen,
+    lam,
     parse_file_fresh,
     parse_file_named,
     parse_term_fresh,
     parse_term_named,
+    pi,
 )
 from pcert import corpus_path
 from pcert.diagnostics import SurfaceError
@@ -36,8 +38,6 @@ from pcert.terms import (
     SymApp,
     Var,
     alpha_eq,
-    lam,
-    pi,
 )
 
 CORPUS = ("prelude.pcert", "stacks.pcert", "bounded_lists.pcert", "even_numbers.pcert",

@@ -18,6 +18,8 @@ from genutil import (
     calls_made,
     positions,
     doubling_chain_source,
+    lam,
+    pi,
     ref_equal,
     ref_hash,
     ref_instantiate,
@@ -50,9 +52,7 @@ from pcert.terms import (
     free_vars,
     ident,
     instantiate,
-    lam,
     loose_bounds,
-    pi,
     substitute_parallel,
 )
 

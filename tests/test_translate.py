@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import BASE_CTX, EquivalenceWalker, TermGen, check_wf, substitute, translate_by_kernel_sorts
+from genutil import BASE_CTX, EquivalenceWalker, TermGen, check_wf, pi, substitute, translate_by_kernel_sorts
 from pcert import CheckedFile, check_file, cli, corpus_path, parse_file, terms
 from pcert.diagnostics import CheckError
 from pcert.lf import El, KERNEL as LF_KERNEL, KIND_ENC, PROP_ENC, PROP_OBJ, Prf, RULES_R, TYPE_ENC
@@ -32,7 +32,6 @@ from pcert.terms import (
     Var,
     alpha_eq,
     arrow,
-    pi,
 )
 from pcert.translate import translate_ctx, translate_term, translate_type
 
