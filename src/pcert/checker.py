@@ -6,25 +6,22 @@ are checked and then expanded transparently into every later declaration
 kernel. This is the one boundary between user input and the kernels: every
 term of a declaration passes the protected-symbol gate of the kernel's
 signature once, as written and before any kernel call, so rewriting alone
-may introduce a protected symbol. The gate is a no-op for a signature that
-protects nothing. Expansions need no second walk: each was gated when its
-definition was, and expanding only replaces variable leaves. The gate and
-the expansion each walk a distinct parsed node once per file: each keeps a
-`terms.Memo` for the file, so the gate skips nodes it has already found
-free of protected symbols and `substitute_parallel` reuses a node's earlier
-expansion, and a term the parser shared across declarations costs its
-distinct nodes, not its unshared size.
+may introduce a protected symbol. Expansions need no second walk: each was
+gated when its definition was, and expanding only replaces variable leaves.
+The gate and the expansion each keep a `terms.Memo` for the file, so each
+walks a distinct parsed node once per file.
 
-A parsed file also knows the names its terms mention (`ParsedFile.mentioned`,
-read off the parser's intern table), and two walks are skipped by them. The
-gate is skipped when no protected symbol of the signature is among them, and
-a definition is recorded for expansion only when its name is, so a file that
+Names. A parsed file knows the names its terms mention
+(`ParsedFile.mentioned`), and two walks are skipped by them. The gate is
+skipped when no protected symbol of the signature is among them, and a
+definition is recorded for expansion only when its name is, so a file that
 names no definition, such as the output of `pcert translate`, expands
 nothing. This is sound because every node of a parse, a node recalled for a
-repeated group included, was built once through the intern table, so a name
-it does not hold occurs in none of the file's terms: the gate could find no
-protected symbol and the expansion no variable to replace. A file built in
-code has no names (None) and takes both walks.
+repeated group included, was built once through the parser's intern table,
+which the names are read off, so a name the table does not hold occurs in
+none of the file's terms: the gate could find no protected symbol and the
+expansion no variable to replace. A file built in code has no names (None)
+and takes both walks.
 
 Checking yields one elaboration record per declaration: the declaration
 with every defined name expanded and, for a definition, the inferred type of
@@ -34,15 +31,8 @@ is admitted only if every name it mentions was declared before it, and names
 are unique, so later entries never change what it refers to. Translation,
 round trip and export read these records without checking again: this module
 is the only place definitions are expanded and typability is established.
-
-Expansion hands one object to every use of a definition, and the parser
-interns its nodes, so repeated text is one object too. The kernels memoize
-inference and conversion by object identity on the file's context (see
-`pcert.kernel`), so an expanded definition is inferred once per file and
-replayed at each later use, and a pair compared by an earlier assertion is
-replayed by each later one, charged the fuel that doing it again would
-spend. Each declaration still gets its own budget unless a `Fuel` is
-shared.
+Expansion hands one object to every use of a definition, so the kernels'
+memos (see `kernel`) replay it at each later use.
 """
 
 from __future__ import annotations
@@ -134,7 +124,7 @@ def check_file(parsed: ParsedFile, fuel: Fuel | int | None = None) -> CheckedFil
     for decl in parsed.decls:
         budget = shared if shared is not None else Fuel(limit)
         inferred = None
-        cls = type(decl)  # told by type, not by a `match` on class patterns, which costs more
+        cls = type(decl)
         try:
             if cls is SymbolDecl:
                 name = decl.name

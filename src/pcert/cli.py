@@ -141,11 +141,8 @@ def cmd_roundtrip(path: str, fuel: int | None) -> int:
     checked = _check_pcert("roundtrip", path, fuel)
     failures: list[str] = []
     # one translation, inversion and normalization memo each for the
-    # command: expanded bodies share their earlier definitions' objects,
-    # which are then translated, inverted and normalized once; each
-    # normalization still gets a fresh budget. The normal forms share the
-    # replayed objects, and `==` stops at shared objects, so comparing two
-    # of them takes time in their distinct nodes
+    # command, so a definition expanded into later bodies is handled once;
+    # each normalization still gets a fresh budget
     translations, inverses, normal_forms = Memo(), Memo(), Memo()
     for record in checked.decls:
         if not isinstance(record.decl, Definition):

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from .record import Frozen, Record, setters
 
-# Failure kinds. Parse-level kinds map to CLI exit code 2, the resource bounds
-# FUEL_EXHAUSTED and DEPTH_EXCEEDED to 3, PROTECTED_SYMBOL to 4; everything
-# else is a type error (exit code 1).
+# Failure kinds; `cli._exit_code` maps each to the command's exit code.
 PARSE_ERROR = "ParseError"
 ARITY_MISMATCH = "ArityMismatch"
 DUPLICATE_NAME = "DuplicateName"
@@ -28,9 +26,8 @@ WRONG_MODE = "WrongMode"
 
 
 class SourceSpan(Frozen):
-    """A place in a file. The parser makes its spans by `span_at`: such a
-    span holds the scanned text (`lexer.Source`) and a token index, and
-    finds its fields when one is first read."""
+    """A place in a file. A span from `span_at` finds its fields when one
+    is first read (see `lexer.Source`)."""
 
     __match_args__ = ("file", "line", "column", "length")
     __slots__ = (*__match_args__, "_source", "_token")
@@ -140,8 +137,8 @@ class ProtectedError(CheckError):
 
 class SurfaceError(CheckError):
     """Parse-level failure (bad token, bad declaration, bad symbol arity).
-    Its span is set once, at construction, so its text is made only when
-    asked for, and a span from the parser is resolved only if read."""
+    Its text is made only when asked for, so its span resolves only if
+    read."""
 
     def __init__(self, message: str, span: SourceSpan | None = None, kind: str = PARSE_ERROR):
         self.diagnostic = Diagnostic(kind, message, span=span)

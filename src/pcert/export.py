@@ -3,16 +3,12 @@
 Two modes: `signature` emits the encoding theory itself (the constant
 symbols, the protected certificate-free pair, and the rewrite rules) as a
 standalone module; `development` emits a checked development against that
-module, one declaration per line group. The emitted text targets the
-Lambdapi checker; beta is native there, so it appears as a comment line
-rather than a rule statement. A development renders each node once per
-precedence, from a `terms.Memo` kept for the whole development, which also
-keeps each name's Lambdapi spelling (the identifier check runs once per
-name), each node's free names, which binder names avoid, and each node's
-loose bound indices, which tell whether a binder is used (one walk of the
-distinct nodes, not one per binder). The renderer tells a node's kind
-by its type, the most frequent kind first; a leaf returns before any memo
-key is made.
+module, one declaration per line group. Beta is native to Lambdapi, so it
+appears as a comment line rather than a rule statement. A development
+renders each node once per precedence and binder names, from a `terms.Memo`
+kept for the whole development, which also keeps each name's Lambdapi
+spelling, each node's free names, which binder names avoid, and each node's
+loose bound indices, which tell whether a binder is used.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import re
 
 from .diagnostics import UNCHECKED_INPUT, fail
 from .lf import LF_SIGNATURE, RULES_R
-from .rewrite import RuleSet
 from .syntax import AssertConv, AssertJudgment, Declaration, Definition, SymbolDecl
 from .terms import (
     Abs,
@@ -29,7 +24,6 @@ from .terms import (
     Bound,
     Memo,
     Prod,
-    Signature,
     Sort,
     SymApp,
     Term,
@@ -53,17 +47,11 @@ def _ident(name: str) -> str:
 
 
 def _show(t: Term, prec: int, binders: tuple[str, ...], memo: Memo, pattern_vars: frozenset[str]) -> str:
-    """A bound variable is shown by the display name of its binder, from
-    `binders`, innermost last. Dispatched by t's type, the most frequent
-    first; a leaf returns before any memo key is made. `memo` (a
-    `terms.Memo`) renders each other node once per precedence and binder
-    names: (node, prec, binders) -> text. It also keeps each name's
-    Lambdapi spelling, keyed by the name, and each node's free names and
-    loose bound indices (`terms.free_names`, `terms.loose_bounds`), so the
-    identifier check runs once per name, and the free names and each
-    binder's dependence are found in one walk of the distinct nodes. A memo
-    serves one set of pattern variables, so the text depends on the node,
-    prec and binders alone."""
+    """The Lambdapi text of t at precedence `prec`. A bound variable is
+    shown by the display name of its binder, from `binders`, innermost last.
+    `memo` (see the module docstring) maps (node, prec, binders) to text,
+    and each name to its spelling. A memo serves one set of pattern
+    variables, so the text depends on the node, prec and binders alone."""
     cls = type(t)
     if cls is Var:
         name = t.name
@@ -88,7 +76,6 @@ def _show(t: Term, prec: int, binders: tuple[str, ...], memo: Memo, pattern_vars
         if not args:
             out = _spelled(t.sym, memo)
         else:
-            # a loop, not a generator expression: no frame of its own per argument
             shown = []
             for a in args:
                 shown.append(_show(a, _ATOM, binders, memo, pattern_vars))
@@ -133,7 +120,7 @@ def _spelled(name: str, memo: Memo) -> str:
 
 def _fresh_display(hint: str, body: Term, binders: tuple[str, ...], memo: Memo) -> str:
     """A name for the binder of body that clashes with none of its free
-    names (kept in memo, see `_show`) and with no name of the enclosing
+    names (kept in memo) and with no name of the enclosing
     `binders` it reaches. Lambdapi reads `_` in a term as a placeholder,
     so `_` names only a binder that body does not use."""
     base = hint.split("#", 1)[0]
@@ -160,14 +147,15 @@ def _telescope_type(entry) -> Term:
     return ty
 
 
-def signature_lines(sig: Signature = LF_SIGNATURE, rules: RuleSet = RULES_R) -> list[str]:
+def signature_lines() -> list[str]:
+    """The encoding module: `LF_SIGNATURE` and the rules `RULES_R`."""
     lines = [
         "// Encoding of simple type theory with predicate subtyping and",
         "// proof irrelevance, as a rewrite theory.",
         "",
     ]
-    rewritten_heads = {r.lhs.sym for r in rules.rules}
-    for name, entry in sig.items():
+    rewritten_heads = {r.lhs.sym for r in RULES_R.rules}
+    for name, entry in LF_SIGNATURE.items():
         mods = []
         if entry.protected:
             mods.append("protected")
@@ -178,7 +166,7 @@ def signature_lines(sig: Signature = LF_SIGNATURE, rules: RuleSet = RULES_R) -> 
     lines.append("")
     lines.append("// rule (beta): (λ x: T, t) u ↪ t with u for x. Beta is native to")
     lines.append("// Lambdapi; it belongs to the rewrite system alongside the six below.")
-    for rule in rules.rules:
+    for rule in RULES_R.rules:
         pvars, memo = frozenset(free_vars(rule.lhs)), Memo()
         lines.append(f"rule {_lp_term(rule.lhs, memo, pvars)} ↪ {_lp_term(rule.rhs, memo, pvars)};")
     return lines
@@ -211,10 +199,7 @@ def export_lambdapi(decls, mode: str = "development") -> str:
     """Declarations are expected to be checked; nothing is re-verified here.
     `pcert export` passes an lf file's declarations after the lf kernel has
     checked them, but a pcert file's translation without the lf re-check
-    that `pcert translate` runs. A development renders each distinct node
-    once per precedence, so the work is linear in the distinct nodes, not
-    in the size of the text, which expanded definitions can make
-    exponential."""
+    that `pcert translate` runs."""
     if mode == "signature":
         return "\n".join(signature_lines()) + "\n"
     if mode == "development":

@@ -12,11 +12,9 @@ claimed in the other direction. In particular the certificate-free pair'
 has no clause: its normal forms are deliberately not invertible.
 
 A subterm met again is inverted once per memo, a `terms.Memo` keyed by
-the subterm's identity and its role (term or type). The walk tells a
-node's kind by its type, the most frequent kind first; a variable returns
-before any memo key is made. No path is built on the way down: a failure
-returns through its ancestors, which add their labels to it, so the path
-of `NotInImage` costs only the inversions that fail.
+the subterm's identity and its role (term or type). No path is built on the
+way down: a failure returns through its ancestors, which add their labels
+to it, so the path of `NotInImage` costs only the inversions that fail.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ def inverse_term(m: Term, memo: Memo | None = None) -> Term | NotInImage:
 
 class _Miss:
     """A subterm no clause matched, with the labels of its path, innermost
-    first: each enclosing node adds its own as the failure returns through
-    it, so no path is built on the way down."""
+    first (see the module docstring)."""
 
     __slots__ = ("subterm", "labels")
 
@@ -74,14 +71,13 @@ _TYPE_ROLE = "type"  # the second half of a type inverse's memo key
 
 
 def _term(m: Term, memo: Memo) -> Term | _Miss:
-    """The term inverse of m, dispatched by its type, the most frequent
-    first. A variable returns before any memo key is made; a successful
-    inverse is remembered in memo by m's identity alone (the type inverse
-    keys by a pair). A memo lives for one call, or for every call handed
-    the same one (`pcert roundtrip` hands one to all the calls of a file).
-    Only successes are kept, so a failure is found anew by each call that
-    meets it, with that call's path; a hit is a subterm without failures,
-    so the walk meets the same first failure either way."""
+    """The term inverse of m. A successful inverse is remembered in memo by
+    m's identity alone (the type inverse keys by a pair). A memo lives for
+    one call, or for every call handed the same one (`pcert roundtrip`
+    hands one to all the calls of a file). Only successes are kept, so a
+    failure is found anew by each call that meets it, with that call's
+    path; a hit is a subterm without failures, so the walk meets the same
+    first failure either way."""
     cls = type(m)
     if cls is Var or cls is Bound:
         return m

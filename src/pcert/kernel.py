@@ -1,23 +1,20 @@
 """Algorithmic checker for a pure type system with fixed-arity symbols.
 
 Both systems share the same inference rules and the same conversion; they
-differ only in configuration: sorts, axioms, product triples, signature,
-rewrite rules and the symbol arguments conversion ignores. Inference
-synthesizes types bottom-up; the conversion rule is applied post hoc
-wherever a type is consumed (application arguments, symbol arguments,
-explicit checks).
+differ only in configuration (`SystemConfig`). Inference synthesizes types
+bottom-up; the conversion rule is applied post hoc wherever a type is
+consumed (application arguments, symbol arguments, explicit checks).
 
 Definitions reach the kernel expanded, and expansion hands one object to
-every use, so the same term comes up for inference again and again, in
-one declaration and in every later one. Inference therefore memoizes each
-non-leaf term's type by the term's identity (a `terms.Memo`), per kernel,
-on the context's table, so the memo lives for one file like the record of
-proven conversions. An entry is used only under a view that sees at least
-the rows it was made under; that is weakening, sound because rows never change
-and every binder the kernel opens has a fresh name (a context the caller
-handed in with binders of its own gets no memo). A replay returns the
-recorded type and charges, through `Fuel.charge`, the entry's *redo cost*:
-what inferring the term again would spend today. That is
+every use, so the same term comes up for inference in many declarations.
+Inference therefore memoizes each non-leaf term's type by the term's
+identity, per kernel, on the context's table (`terms.Records`), for one
+file. An entry is used only under a view that sees at least the rows it was
+made under; that is weakening, sound because rows never change and every
+binder the kernel opens has a fresh name (a context the caller handed in
+with binders of its own gets no memo). A replay follows the rule of
+`rewrite`, with the entry's *redo cost* as its steps: what inferring the
+term again would spend today. That is
 
 - every step spent while inferring it (the `whnf` of types, conversions,
   the charges of nested replays), less
@@ -30,30 +27,14 @@ what inferring the term again would spend today. That is
 The steps of each conversion are filed under the level of its pair, 1 +
 the position of the innermost binder it mentions (`Context.binder_level`),
 and an inference that began under b binders subtracts those filed at levels
-<= b during it (`_Replay`). When fewer steps remain than the redo cost, the
-term is inferred again for real, so fuel runs out at the same step on the
-same partial term as without the memo. Verdicts, fuel left and diagnostics
-are those of inferring every occurrence; only the work shrinks, to linear
-in the distinct subterms of a chain whose expansions share them.
+<= b during it (`_Replay`).
 
-Conversion keeps the same bargain across the file: `convert` hands
-`rewrite.convertible` the kernel's conversion memo on the same table, so a
-pair of objects compared in an earlier declaration is replayed at the steps
-it cost then (see `convertible`).
-
-So does the head normal form of a function's type, which the application
-rule needs: in the lf encoding a symbol typed `El(arrd(...))` becomes a
-product again at every use. A third memo on the same table maps each type
-object reduced there to (its weak head normal form, the steps reducing it
-spent), and `rewrite.whnf_replayed` charges those steps through
-`Fuel.charge`; when they do not remain the type is reduced again for real,
-so fuel runs out at the same step on the same partial term. The bargain is
-exact because an entry depends on the term and the rules alone: the kernel
-has no delta-reduction and `whnf` never reads the context, so an entry
-holds under every view and every binder, and the steps a replay charges
-are the steps reducing again would spend. A type that is neither an
-application nor a symbol application skips the memo, and so does
-`_sort_of`, whose types are nearly always sorts already; `Kernel.whnf` itself replays nothing.
+The kernel's conversion and head normal form memos, on the same table,
+replay by the rule of `rewrite` too. The application rule takes a function
+type's head normal form from the latter, since in the lf encoding a symbol
+typed `El(arrd(...))` becomes a product again at every use; an entry holds
+under every view and binder, because the kernel has no delta-reduction and
+`whnf` never reads the context. `_sort_of` and `Kernel.whnf` replay nothing.
 """
 
 from __future__ import annotations
@@ -119,23 +100,11 @@ _LEAVES = (Var, Sort, Bound)
 
 
 class _Replay:
-    """One public inference call's access to the file's inference memo.
-
-    `memo` is the kernel's inference memo on the context's table
-    (`Context.records`, a `terms.Memo`) and lives, like the record of proven
-    conversions, for one file: it maps each non-leaf term inferred to (its
-    type, the `rows` of the view it was inferred under, its redo cost). A
-    call whose context already holds binders gets no memo: their names are
-    the caller's and need not be fresh.
-
-    The ledger `low`/`total` files the steps of each conversion made inside
-    the inference by the level of the pair, 1 + the position of the
-    innermost binder it mentions (0: none); `free(b)` is the total filed at
-    levels <= b so far.
-
-    `heads` is the kernel's head normal form memo on the same table, which
-    holds under any binders (see `rewrite.whnf_replayed`).
-    """
+    """One public inference call's access to the file's memos, and its
+    ledger `low`/`total` (see the module docstring). `memo` maps each
+    non-leaf term inferred to (its type, the `rows` of the view it was
+    inferred under, its redo cost), and is None for a context that already
+    holds binders; `heads` is the head normal form memo."""
 
     __slots__ = ("memo", "heads", "low", "total")
 
@@ -147,6 +116,7 @@ class _Replay:
         self.total = 0  # steps filed at any level; all levels are < len(low)
 
     def free(self, b: int) -> int:
+        """The steps filed at levels <= b so far."""
         low = self.low
         return low[b] if b < len(low) else self.total
 
@@ -160,29 +130,27 @@ class _Replay:
 
 
 class Kernel:
+    """The checker of one system, as its `SystemConfig` sets it up."""
+
     def __init__(self, config: SystemConfig):
         self.config = config
         self.signature = config.signature
         self.rules = config.rules
         # the sort of each tag the configuration can infer, the module
-        # constant where there is one: sorts compare by value
+        # constant where there is one
         tags = (*config.axioms, *config.axioms.values(), *config.products.values())
         self.sorts = {tag: SORTS.get(tag) or Sort(tag) for tag in tags}
 
     def convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel) -> bool:
-        """Head-first conversion under this system's rules (`convertible`).
+        """Head-first conversion under this system's rules
+        (`rewrite.convertible`), with the file's conversion memo.
 
         Each pair proven convertible is recorded on ctx's table, per kernel,
         so proving it again anywhere in the same file is a lookup that
-        spends no fuel; terms keep their hashes, so the lookup hashes neither
-        side again. Only whole pairs at this entry are recorded, never
-        the comparisons inside the recursion: those still pay for every
-        step, so a term whose unfolding doubles per link still costs fuel
-        exponential in the links. `convertible` replays a repeated
-        sub-comparison from the kernel's conversion memo on the same table,
-        which lives for the file too, instead of redoing it, but charges its
-        steps again; so the time a chain of assertions takes is linear in
-        its links, though each assertion re-compares the earlier links.
+        spends no fuel. Only whole pairs at this entry are recorded, never
+        the comparisons inside the recursion: those are charged every step
+        again, so a term whose unfolding doubles per link still costs fuel
+        exponential in the links.
         """
         if a == b:
             return True
@@ -195,15 +163,13 @@ class Kernel:
         return True
 
     def whnf(self, t: Term, fuel: Fuel) -> Term:
-        """Weak head normal form under this system's rules, on the budget
-        the caller holds: `fuel` is a `Fuel` already, so it goes straight
-        to the loop `rewrite._whnf`, not through the public `rewrite.whnf`,
-        which would coerce it again."""
+        """Weak head normal form under this system's rules, on the caller's
+        `Fuel`."""
         return _whnf(self.rules, t, fuel)
 
-    # The public entry points take a `Fuel`, an int or None. A `Fuel` is
-    # coerced by an `isinstance` test in place, not a call of `_as_fuel`:
-    # `check_file` hands every entry point of a declaration one `Fuel`.
+    # The public entry points take a `Fuel`, an int or None, and test for a
+    # `Fuel` in place rather than call `_as_fuel`: `check_file` hands every
+    # entry point of a declaration one `Fuel`.
 
     def infer(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Term:
         if not isinstance(fuel, Fuel):
@@ -211,8 +177,7 @@ class Kernel:
         return self._infer(ctx, t, fuel, _Replay(self, ctx))
 
     def _infer(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
-        """Infer t's type, or replay it from the file's memo (see `_Replay`);
-        leaves bypass the memo."""
+        """Infer t's type, or replay it from the file's memo (see `_Replay`)."""
         memo = run.memo
         if memo is None or type(t) in _LEAVES:
             return self._infer_node(ctx, t, fuel, run)
@@ -226,10 +191,8 @@ class Kernel:
         return ty
 
     def _infer_node(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
-        """The inference rule at t's head; subterms go through `_infer`.
-        The head is told by `type(t)`, most frequent first, as the walks in
-        `terms` do: a `match` on class patterns costs several times more per
-        node."""
+        """The inference rule at t's head, dispatched as `terms` says;
+        subterms go through `_infer`."""
         cfg = self.config
         cls = type(t)
         if cls is Var:
@@ -325,8 +288,8 @@ class Kernel:
         raise TypeError(f"not a term: {t!r}")
 
     def _convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel, run: _Replay) -> bool:
-        """`convert` inside an inference, filing the steps it spent by the
-        innermost binder the pair mentions, for the redo costs of `_infer`."""
+        """`convert` inside an inference, filing the steps it spent in the
+        ledger of `_Replay`."""
         spent = fuel.spent
         verdict = self.convert(ctx, a, b, fuel)
         if fuel.spent != spent and run.memo is not None:
@@ -340,9 +303,8 @@ class Kernel:
         return ty.tag
 
     def sort_of(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Sort:
-        """The sort classifying t, or NotASort. Sorts compare by value, so
-        the sort is the kernel's constant for its tag (`sorts`), not a new
-        node."""
+        """The sort classifying t, or NotASort: the kernel's constant for
+        its tag (`sorts`)."""
         if not isinstance(fuel, Fuel):
             fuel = _as_fuel(fuel)
         tag = self._sort_of(ctx, t, fuel, _Replay(self, ctx))

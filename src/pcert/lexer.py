@@ -4,22 +4,22 @@ The lexer is one regex scan of the text. It skips whitespace and comments
 inside the regex, reports the first character that starts no token through a
 catch-all branch, and fills two flat lists, the kinds and values of the
 tokens, ending in an eof entry, which the parser indexes. It keeps no token
-offsets: those are read only for spans, which are made for each declaration
-and each error but resolved only when read, so `Source` finds a token's
-offset again, by matching the regex over the one segment of the text that
-holds it, and its line and column in a table of the text's newlines.
+offsets: a span finds them only when read (see `Source`).
 
-Before scanning, `repeated_groups` makes one pass left to right over the
-parentheses of the text, outside comments, and finds the parenthesised
-groups whose exact text occurred before: at each "(", it tries the groups
-closed so far that begin with the same characters, and jumps past a
-repeat, so no parenthesis inside a repeat is visited. `scan` then makes
-each repeat one token of kind "group", which names the "(" token of the
-repeat's first occurrence, instead of matching its text again, and the
-parser reads a group token from that occurrence's tokens once per binder
-frame (see `syntax._Parser`). So a text that spells out the same expanded
-definitions many times, as the output of `pcert translate` does, is read
-in time linear in its distinct groups rather than its size.
+Repeated groups. Before scanning, `repeated_groups` makes one pass left to
+right over the parentheses of the text and finds the parenthesised groups
+whose exact text occurred before. `scan` makes each such repeat one token of
+kind "group", which names the "(" token of the repeat's first occurrence,
+instead of matching its text again, when the repeat is read the way its
+first occurrence is: the tokens just before the two name the same signature
+symbol (the group is that symbol's arguments), or neither names one (the
+group is a parenthesised term). Any other repeat is matched as ordinary
+tokens. So a group token reads as its first occurrence did but for the
+binder frame, on which no parse error depends, and the parser reads it from
+that occurrence's tokens once per frame (see `syntax._Parser`). A text that
+spells out the same expanded definitions many times, as the output of
+`pcert translate` does, is read in time linear in its distinct groups
+rather than its size.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ _SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
 _TOKEN_RE = re.compile(r"""(?:([A-Za-z_][A-Za-z0-9_'?]*|:=|->|[(){}|,;:.!\\]|\#MODE)|.)""" + _SKIP, re.DOTALL)
 _LEADING_SKIP = re.compile(_SKIP)
 
-# The names of the signature symbols of both modes: a group right after a
-# symbol of the mode is read as its arguments, and after any other token as
-# a parenthesised term (see `scan`).
+# The names of the signature symbols of both modes, which decide how a group
+# is read (see the module docstring).
 SYMBOLS = frozenset(PCERT_SIGNATURE.names()) | frozenset(LF_SIGNATURE.names())
 
 # the kind of every token value that is not an identifier
@@ -72,15 +71,13 @@ def repeated_groups(text: str) -> list[tuple[int, int, int]]:
     each, in the order of the text, where `first` starts the group that
     first had the same text.
 
-    One pass goes left to right over the parentheses outside comments,
-    each found by `str.find` from the one before. At each "(", the groups
-    closed so far that begin with the same `_GROUP_MIN` characters are
-    tried with `str.startswith`; a group that matches one of them is a
-    repeat, and the search goes on from its end, so no parenthesis inside
-    a repeat is found and no text is hashed but those prefixes. Only groups
-    of at least `_GROUP_MIN` characters, nested at most `_GROUP_DEPTH`
-    deep, take part: shorter ones parse faster than they are looked up,
-    and deeper ones would be tried at every level."""
+    One pass goes left to right over the parentheses outside comments. At
+    each "(", the groups closed so far that begin with the same `_GROUP_MIN`
+    characters are tried with `str.startswith`; a repeat is skipped whole,
+    so no parenthesis inside it is visited. Only groups of at least
+    `_GROUP_MIN` characters, nested at most `_GROUP_DEPTH` deep, take part:
+    shorter ones parse faster than they are looked up, and deeper ones would
+    be tried at every level."""
     size = len(text)
     # "()" after the text: both searches find a parenthesis, and the walk
     # ends at that "("
@@ -129,24 +126,21 @@ def repeated_groups(text: str) -> list[tuple[int, int, int]]:
     return repeats
 
 
-
-
 class Source:
     """A scanned text, which finds where its tokens are only when asked.
 
     `scan` collects token values, not offsets, a segment of the text at a
     time, and records the segment table: `heads[k]` is the index of the
     first token of segment k and `offsets[k]` the offset where it starts.
-    Token i lies in the last segment whose first token is at most i, and
-    it starts where the (i - heads[k])-th match of the token regex from
-    `offsets[k]` starts: a segment starts on a token, and the regex reads
-    the text after it as the scan did. A group token is a segment of its
-    own, at the repeat's "(". The offsets of a segment's tokens are found
-    once, when a span in it is first read, and the offsets of the text's
-    newlines when the first span is, so reading every span of a file takes
-    time linear in its size. A span the parser makes holds this object and
-    a token index (`diagnostics.span_at`), not the parser, and resolves
-    itself when read."""
+    Token i starts where the (i - heads[k])-th match of the token regex from
+    `offsets[k]` starts, for the last segment k whose first token is at most
+    i: a segment starts on a token, and the regex reads the text after it as
+    the scan did. A group token is a segment of its own. A segment's offsets
+    are found when a span in it is first read, and the text's newlines when
+    the first span is, so reading every span takes time linear in the text.
+    A span the parser makes holds this object and a token index
+    (`diagnostics.span_at`), not the parser, and resolves itself when read,
+    so a file that parses and checks computes no offset, line or column."""
 
     __slots__ = ("text", "file", "heads", "offsets", "count", "starts", "newlines")
 
@@ -191,20 +185,16 @@ def scan(
 ) -> tuple[list[str], list[str], dict[int, int], Source]:
     """Kinds and values of the tokens of text, ending in eof, the group
     tokens, and the text's `Source`; a character that starts no token has
-    the kind "bad" and the value "". A repeat (see `repeated_groups`) is one
-    token of kind "group" and value "(", and the returned dict maps its
-    index to the index of the "(" token of the repeat's first occurrence,
-    whose tokens it stands for: no token of the repeat is matched or
-    copied. That holds for a repeat read the way its first occurrence is:
-    the tokens before the two name the same signature symbol, or neither
-    names one. Any other repeat is matched as ordinary tokens, so a group
-    token reads as its first occurrence did but for the binder frame, and
-    no parse error depends on the frame.
+    the kind "bad" and the value "". A repeat (see `repeated_groups`) read
+    the way its first occurrence is (see the module docstring) is one token
+    of kind "group" and value "(", and the returned dict maps its index to
+    the index of the "(" token of the repeat's first occurrence: no token of
+    the repeat is matched or copied.
 
-    The values are collected by `findall` a segment at a time, and no
-    offset is kept. Segments end at each repeat and at each first
-    occurrence, so the index of a first occurrence's "(" token is known
-    when its repeats are reached."""
+    The values are collected by `findall` a segment at a time (see
+    `Source`). Segments end at each repeat and at each first occurrence, so
+    the index of a first occurrence's "(" token is known when its repeats
+    are reached."""
     values: list[str] = []
     groups: dict[int, int] = {}
     heads: list[int] = []

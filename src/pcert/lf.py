@@ -9,9 +9,8 @@ irrelevance as rewriting.
 
 pair' is protected: it may not occur in user input, but rewriting is free to
 introduce it during conversion. The protection is configuration, a flag on
-the signature entry; `check_file` gates user input against it, with a
-`terms.Memo` of the nodes found clean for the file, and the kernel itself
-is the generic one, typing pair' like any other symbol.
+the signature entry; `check_file` gates user input against it, and the
+kernel itself is the generic one, typing pair' like any other symbol.
 """
 
 from __future__ import annotations
@@ -163,12 +162,10 @@ def assert_public(t: Term, sig: Signature = LF_SIGNATURE, clean: Memo | None = N
     """Reject terms that mention a protected symbol anywhere, binders included.
 
     The error names the first occurrence in depth-first, left-to-right order
-    by its path from the root. Only user input goes through this gate, once,
-    in `check_file`; terms produced by rewriting during conversion never do.
-    `clean` (a `terms.Memo`) holds the nodes already found free of protected
-    symbols: the walk skips them and adds each node it finds free, so a
+    by its path from the root. Only user input goes through this gate, in
+    `check_file`. `clean` (a `terms.Memo`) holds the nodes already found
+    free of protected symbols, which the walk skips and adds to, so a
     caller that hands one memo to every call walks each distinct node once.
-    Skipping a free node changes no first occurrence and no path.
     """
     protected = sig.protected
     if not protected:

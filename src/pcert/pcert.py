@@ -96,12 +96,8 @@ PCERT_CONFIG = SystemConfig(
 
 def pi_erase(t: Term) -> Term:
     """Drop the certificate of every pair, marking the remaining triple.
-
-    Conversion does not call this: it skips the certificate instead. It
-    stays public API, used by the normalize-and-compare oracle the tests
-    check conversion against and read by the benchmark's tracer
-    (perfbench/probes.py).
-    """
+    Conversion skips the certificate instead; the tests' normalize-and-compare
+    oracle and the benchmark's tracer (perfbench/probes.py) use this."""
     match t:
         case SymApp("pair", (ty, p, m, _)):
             return SymApp(ERASED_PAIR, (pi_erase(ty), pi_erase(p), pi_erase(m)))

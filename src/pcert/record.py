@@ -2,19 +2,14 @@
 fields.
 
 The package's data classes derive from `Record` instead of being generated
-by `dataclasses`: importing `dataclasses` (which imports `inspect`) and
-executing the code it generates for each class are a large share of the
-time `import pcert.cli` takes, which every run of `pcert` pays. A subclass
-lists its fields in constructor order in `__slots__` and in
-`__match_args__`, so positional `match` patterns bind them, and assigns
-them in an explicit `__init__`, the one constructor, with its keyword
-arguments and defaults.
-
-A frozen record assigns its fields through the setters of its slots
-(`setters`), module-level names bound once after the class: a setter
-bypasses the `__setattr__` that rejects assignment, as the code
-`dataclasses` generates does with `object.__setattr__`, and costs less,
-which counts for the records built once per declaration or per node.
+by `dataclasses`, whose import (with `inspect`) and generated code are a
+large share of the start-up every run of `pcert` pays. A subclass lists its
+fields in constructor order in `__slots__` and in `__match_args__`, so
+positional `match` patterns bind them, and assigns them in an explicit
+`__init__`, the one constructor. A frozen record assigns its fields through
+the setters of its slots (`setters`), bound once after the class, which
+bypass the `__setattr__` that rejects assignment and cost less than
+`object.__setattr__`.
 """
 
 from __future__ import annotations

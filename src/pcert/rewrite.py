@@ -2,34 +2,30 @@
 
 A rule set pairs built-in beta reduction with first-order rules whose left
 sides are symbol applications over pattern variables, nested at most one
-symbol deep. Rewriting is the closure of the rules by substitution and
-context. Conversion is decided head-first (`convertible`): both sides go
-to weak head normal form, heads are compared, and only agreeing heads are
-descended into, so no side is normalized in full. Full normalization is
-leftmost-outermost by default; an innermost strategy exists solely to
-cross-check confluence in tests.
+symbol deep. Conversion is decided head-first (`convertible`). Full
+normalization is leftmost-outermost by default; an innermost strategy exists
+solely to cross-check confluence in tests. `whnf` is the public entry; rule
+arguments, normalization, conversion and `Kernel.whnf` call the loop
+`_whnf` on the `Fuel` they already hold.
 
 Termination of the shipped rule sets is an open question, so every reduction
 spends from an explicit fuel budget and exhaustion is a hard error carrying
 the partially reduced term.
 
-`whnf` is only the public entry: it turns its fuel argument into a budget
-once and hands off to the private loop `_whnf`. The recursion is internal:
-rule arguments, normalization and conversion call `_whnf` directly, and so
-does `Kernel.whnf`, whose caller already holds a `Fuel`. The loop
-builds nothing for a head that is already normal (it returns its argument
-itself) and builds a symbol application's subject once per rule attempt,
-for both `match` and `Fuel.spend`. Conversion replays a repeated
-sub-comparison, outermost normalization a repeated subterm's normal
-form, and `whnf_replayed` a repeated term's weak head normal form, from a
-memo keyed by object identity (a `terms.Memo`, which holds its key nodes);
-all charge the recorded steps through `Fuel.charge` and reduce again for
-real when they do not remain. Each memo lives for one call unless the
-caller hands one in: the kernels keep one conversion and one head normal
-form memo per file on the context's table, and `roundtrip` one
-normalization memo per command. Normalization
-closes each binder body with `terms.abstract_var`, so a normal form under a
-binder keeps its sharing.
+Replay. Beta hands one argument object to every occurrence of its variable,
+and definitions reach the kernels expanded, so the same object, or pair of
+objects, comes up for reduction many times. Conversion keeps each
+sub-comparison's verdict, outermost normalization each subterm's normal
+form and `whnf_replayed` each term's weak head normal form in a
+`terms.Memo`, with the steps it spent. A repeat whose recorded steps remain
+is charged them through `Fuel.charge` and returns the recorded result;
+otherwise it is reduced again for real, so fuel runs out at the same step
+on the same partial term. An entry depends only on its key objects and the
+rules (for conversion, also the irrelevant positions), so results, fuel
+spent and fuel left are those of redoing every repeat, whatever the memo
+holds; only the work shrinks. A memo lives for one call unless the caller
+hands one in: the kernels keep a conversion and a head normal form memo per
+file (`terms.Records`), `roundtrip` a normalization memo per command.
 """
 
 from __future__ import annotations
@@ -130,6 +126,10 @@ def _check_pattern(lhs: Term, rule_name: str) -> None:
 
 
 class RewriteRule(Frozen):
+    """An oriented rule. The left side is a symbol applied to variables or
+    to symbols applied to variables, and the right side has no variable the
+    left side lacks; anything else raises BadRule."""
+
     __slots__ = __match_args__ = ("name", "lhs", "rhs")
 
     def __init__(self, name: str, lhs: SymApp, rhs: Term):
@@ -246,12 +246,11 @@ def _whnf(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
 
 
 def whnf_replayed(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Term:
-    """`_whnf` replayed from `memo` at the steps it spent when they remain,
-    else reduced again for real. Entries: t -> (its weak head normal form,
-    the steps spent reaching it); an entry depends on t and the rules alone."""
+    """`_whnf` replayed from `memo` (see the module docstring). Entries:
+    t -> (its weak head normal form, the steps spent reaching it)."""
     cls = type(t)
     if cls is not App and cls is not SymApp:
-        return t  # already normal: bypasses the memo
+        return t  # already normal
     seen = memo.get(ident(t))
     if seen is not None and fuel.charge(seen[1]):
         return seen[0]
@@ -265,7 +264,7 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Ter
     """Entries: t -> (its normal form, the steps spent reaching it)."""
     cls = type(t)
     if cls is Var or cls is Bound or cls is Sort:
-        return t  # already normal: leaves bypass the memo
+        return t  # already normal
     seen = memo.get(ident(t))
     if seen is not None and fuel.charge(seen[1]):
         return seen[0]
@@ -327,17 +326,9 @@ def normalize(
 ) -> Term:
     """Full normal form: no subterm is a redex for any rule or for beta.
 
-    Beta hands out one argument object at every occurrence of its variable,
-    so the same object can come up for normalization many times. Outermost
-    normalization memoizes each subterm's normal form and the steps it
-    cost, by the identity of the subterm: for this one call, or for every
-    call handed the same `memo` under the same rules. A repeat is charged
-    its recorded steps and returns the recorded normal form, when the steps
-    remain; when they do not, it is redone, so fuel runs out at the same
-    step on the same partial term. An entry is a function of the subterm
-    and the rules alone, so the fuel spent, the fuel left and the normal
-    form are those of normalizing every occurrence, whatever the memo
-    holds.
+    Outermost normalization replays a repeated subterm's normal form from
+    `memo` (see the module docstring), and closes each binder body with
+    `terms.abstract_var`, so a normal form keeps its sharing.
     """
     fuel = _as_fuel(fuel)
     if strategy == "outermost":
@@ -372,22 +363,8 @@ def convertible(
     further reduction. So on terms with normal forms the answer is the one
     full normalization of both sides would give (with the irrelevant
     arguments erased), and the steps spent are a subset of the steps that
-    normalization spends.
-
-    Beta hands out one argument object at every occurrence of its variable,
-    and definitions reach the kernels expanded, so the same pair of objects
-    can come up for comparison many times, in one call and in every later
-    assertion of a file. Each sub-comparison's verdict and steps are
-    memoized by the identity of both sides: for this one call, or for every
-    call handed the same `memo` with the same rules and `irrelevant` (the
-    kernels keep one per file). A repeat is charged its recorded steps
-    without being redone when they remain; when they do not, it is redone,
-    so fuel runs out at the same step on the same partial term. An entry is
-    a function of the two objects, the rules and `irrelevant` alone, so the
-    fuel spent, the fuel left and the verdict are those of redoing every
-    comparison, whatever the memo holds; only the work done shrinks, from
-    exponential to linear in the links of a chain whose unfoldings share
-    subterms.
+    normalization spends. Sub-comparisons replay from `memo` (see the module
+    docstring).
     """
     return _convert(rules, a, b, _as_fuel(fuel), irrelevant or {}, Memo() if memo is None else memo)
 
@@ -470,42 +447,14 @@ class OrthogonalityReport(Frozen):
 _report_nonlinear, _report_overlaps = setters(OrthogonalityReport)
 
 
-def _count_vars(t: Term, counts: dict[str, int]) -> None:
-    match t:
-        case Var(name):
-            counts[name] = counts.get(name, 0) + 1
-        case SymApp(_, args):
-            for a in args:
-                _count_vars(a, counts)
-        case _:
-            pass
-
-
-def _rename_apart(t: Term, suffix: str) -> Term:
-    return substitute_parallel(t, {v: Var(v + suffix) for v in free_vars(t)})
-
-
-def _unify(a: Term, b: Term, binding: dict[str, Term]) -> bool:
-    def resolve(t: Term) -> Term:
-        while isinstance(t, Var) and t.name in binding:
-            t = binding[t.name]
-        return t
-
-    a, b = resolve(a), resolve(b)
-    if isinstance(a, Var):
-        if a == b:
-            return True
-        if a.name in free_vars(b):
-            return False
-        binding[a.name] = b
+def _agree(p: Term, q: Term) -> bool:
+    """Whether two patterns agree on their symbols and arities wherever both
+    have a symbol. For left-linear patterns with no variable in common that
+    is exactly unifiability, since each variable occurs once and may take
+    any term; with a repeated variable it is only necessary."""
+    if type(p) is Var or type(q) is Var:
         return True
-    if isinstance(b, Var):
-        return _unify(b, a, binding)
-    if isinstance(a, SymApp) and isinstance(b, SymApp):
-        if a.sym != b.sym or len(a.args) != len(b.args):
-            return False
-        return all(_unify(x, y, binding) for x, y in zip(a.args, b.args))
-    return a == b
+    return p.sym == q.sym and len(p.args) == len(q.args) and all(map(_agree, p.args, q.args))
 
 
 def check_orthogonality(rules: RuleSet) -> OrthogonalityReport:
@@ -513,26 +462,27 @@ def check_orthogonality(rules: RuleSet) -> OrthogonalityReport:
 
     Beta never overlaps the symbol rules since their patterns contain no
     applications or abstractions, so only symbol/symbol critical pairs are
-    inspected. Patterns are at most two symbols deep, which keeps the
-    position walk finite.
+    inspected: two distinct rules at the root, and each rule at each symbol
+    argument of each left side, its own included. A left side is a symbol
+    applied to variables or to symbols applied to variables (`RewriteRule`),
+    so its variables form one flat list, and two left sides renamed apart
+    overlap exactly when their symbols and arities agree (`_agree`). The
+    report is that of first-order unification on left-linear rule sets;
+    with a nonlinear rule, which is reported either way, it may list
+    overlaps that unification would rule out, and `ok` is the same.
     """
     nonlinear = []
     for rule in rules.rules:
-        counts: dict[str, int] = {}
-        _count_vars(rule.lhs, counts)
-        if any(n > 1 for n in counts.values()):
+        names = [v.name for a in rule.lhs.args for v in ((a,) if type(a) is Var else a.args)]
+        if len(set(names)) != len(names):
             nonlinear.append(rule.name)
 
     overlaps = []
     for i, r1 in enumerate(rules.rules):
-        lhs1 = _rename_apart(r1.lhs, "!1")
         for j, r2 in enumerate(rules.rules):
-            lhs2 = _rename_apart(r2.lhs, "!2")
-            # root overlap (distinct rules only)
-            if i < j and _unify(lhs1, lhs2, {}):
+            if i < j and _agree(r1.lhs, r2.lhs):
                 overlaps.append((r1.name, r2.name, "root"))
-            # r2's lhs inside a non-variable proper subterm of r1's lhs
-            for pos, sub in enumerate(lhs1.args):
-                if isinstance(sub, SymApp) and _unify(sub, lhs2, {}):
+            for pos, sub in enumerate(r1.lhs.args):
+                if type(sub) is SymApp and _agree(sub, r2.lhs):
                     overlaps.append((r1.name, r2.name, f"argument {pos}"))
     return OrthogonalityReport(tuple(nonlinear), tuple(overlaps))

@@ -20,13 +20,10 @@ juxtaposition, and must be fully applied either way. In pcert mode the
 keywords Type/Kind/Prop are sort literals; in lf mode they name the nullary
 encodings of those sorts, while TYPE and KIND denote the framework sorts.
 
-The lexer (`lexer.scan`) fills two flat lists, the kinds and values of
-the tokens, which the parser indexes, and no offsets. The span of each
-declaration and of an error holds the text's `lexer.Source` and a token
-index (`diagnostics.span_at`), and finds its line and column only when
-read, so a well-formed file is parsed and checked without computing one.
-Binder names are resolved to `Bound` indices as they are parsed, so each
-binder is built once and its body is never walked again.
+The lexer (`lexer.scan`) fills the token lists the parser indexes, and a
+declaration's or an error's span resolves only when read (see
+`lexer.Source`). Binder names are resolved to `Bound` indices as they are
+parsed, so each binder is built once and its body is never walked again.
 
 Nodes are interned for one parse: every node is built through one dict
 keyed by its class, its name, index, tag or binder hint, and the ids of its
@@ -37,21 +34,13 @@ The hint is part of the key, so binders written with different names stay
 distinct objects and print with their own names. The dict is plain, not
 weak: it lives only as long as the parse, its values hold the children
 whose ids the keys are made of, and a hit costs less than building the
-node. The printer renders a node shared across the terms of a file once,
-from one `terms.Memo` per file, which also keeps each node's free names:
-the names a binder's display name must avoid are found in one walk of the
-file's distinct nodes, not one walk per printed term. The printer tells a
-node's kind by its type, the most frequent kind first, and a leaf returns
-before any memo key is made.
+node. A repeated group is read once per binder frame (see `lexer` and
+`_Parser`).
 
-Text that occurs again is also read only once: the lexer finds each
-parenthesised group whose exact text occurred before, left to right, and
-makes it one group token that names the group's first occurrence
-(`lexer.repeated_groups`, `lexer.scan`), and the parser returns the node it
-parsed from that occurrence in the same binder frame, or parses the
-occurrence's tokens in place (see `_Parser`). So reading back a
-translation that spells out an expanded definition many times takes time
-in its distinct groups, not in its size.
+The printer renders a node shared across the terms of a file once, from
+one `terms.Memo` per file, which also keeps each node's free names: the
+names a binder's display name must avoid are found in one walk of the
+file's distinct nodes, not one walk per printed term.
 """
 
 from __future__ import annotations
@@ -143,12 +132,11 @@ Declaration = Union[SymbolDecl, Definition, AssertJudgment, AssertConv]
 
 class ParsedFile(Frozen):
     """A file's mode and declarations. `mentioned` holds the names of the
-    free identifiers and signature symbols its terms contain, as the parser
-    read them off its intern table: a name outside it occurs in none of the
-    terms, so `check_file` skips the walks such a name would need. Only
-    `parse_file` fills it; a file built in code has None, unknown, and
-    takes every walk. It is derived, not part of the file's value: `==`,
-    the repr and match patterns leave it out."""
+    free identifiers and signature symbols its terms contain, read off the
+    parser's intern table, on which `check_file` relies (see `checker`).
+    Only `parse_file` fills it; a file built in code has None, unknown. It
+    is derived, not part of the file's value: `==`, the repr and match
+    patterns leave it out."""
 
     __match_args__ = ("mode", "decls", "path")
     __slots__ = (*__match_args__, "mentioned")
@@ -206,29 +194,19 @@ class _Parser:
     d enclosing binders an identifier bound at level l is `Bound(d - 1 - l)`
     and an unbound one a free `Var`.
 
-    The span memo parses each repeated group once per binder frame. The
-    lexer finds the parenthesised groups whose text occurred before, left
-    to right (`lexer.repeated_groups`), and makes each one that is read
-    the way its first occurrence was, as a parenthesised term `( ... )` or
-    as the arguments of the same symbol `s( ... )`, one token of kind
-    "group" that names the "(" token of the first occurrence
-    (`lexer.scan`). The memo's key is the index of that "(" token and the
-    frame, the tuple `names`, which fixes the index of every `Bound`
-    inside. Parsing a first occurrence stores its node. At a group token,
-    a hit returns the node stored; a miss (a new frame) parses the first
-    occurrence's tokens in place, which stores their node, and either way
-    `pos` moves past the group token. The node is the very object parsing
-    the repeat's own text would return: the parse of a group depends only
-    on its tokens, the mode, the callee and the frame, and interning
-    returns the object built from the same parts. So nothing downstream
-    can tell a hit from a parse. A parse in place cannot fail, since the
-    first occurrence parsed and no error depends on the frame, and the
-    memo holds one entry per group parsed, whatever the size of the text.
+    The span memo parses each repeated group once per binder frame. Its key
+    is the index of the "(" token a group token names (see `lexer`) and the
+    frame, the tuple `names`, which fixes the index of every `Bound` inside.
+    Parsing a first occurrence stores its node; at a group token a hit
+    returns it, and a miss (a new frame) parses the first occurrence's
+    tokens in place. The node is the very object parsing the repeat's own
+    text would return, since the parse of a group depends only on its
+    tokens, the mode, the callee and the frame, and interning returns the
+    object built from the same parts. A parse in place cannot fail: the
+    first occurrence parsed, and no error depends on the frame.
 
-    `parse_file` reads the names of the keys `(Var, name)` and `(SymApp,
-    name, ...)` of the intern table `nodes` into the file's `mentioned` (see
-    `ParsedFile`), a frozenset that keeps neither the table nor the parser
-    alive.
+    `parse_file` reads the file's `mentioned` off the intern table `nodes`,
+    into a frozenset that keeps neither the table nor the parser alive.
     """
 
     def __init__(self, text: str, file: str, mode: str = "pcert"):
@@ -391,13 +369,13 @@ class _Parser:
         self.scope[name].pop()
         self.names.pop()
 
-    # - the span memo: a repeated group is parsed once per frame -
+    # - the span memo -
 
     def recall(self, i: int, first: int, callee: str | None) -> Term:
-        """The node of group token i, read as the arguments of `callee` or,
-        for None, as a parenthesised term: the node stored for the key, or
-        else the node of its first occurrence's tokens (from token `first`)
-        parsed in place. `pos` moves past the group token."""
+        """The node of group token i, whose first occurrence's "(" is token
+        `first`, from the span memo, read as the arguments of `callee` or,
+        for None, as a parenthesised term; `pos` moves past the group
+        token."""
         node = self.parsed.get((first, *self.names))
         if node is None:
             if callee is None:
@@ -424,8 +402,7 @@ class _Parser:
         return node
 
     def binder(self, cls: type, hint: str, annot: Term, body: Term) -> Term:
-        """Abs or Prod; the hint is part of the key, so a binder keeps the
-        name it was written with."""
+        """The interned Abs or Prod."""
         key = (cls, hint, id(annot), id(body))
         node = self.nodes.get(key)
         if node is None:
@@ -541,6 +518,7 @@ class _Parser:
 
 
 def parse_file(text: str, file: str = "<input>") -> ParsedFile:
+    """The declarations of text; malformed text raises `SurfaceError`."""
     return _Parser(text, file).parse_file()
 
 
@@ -577,18 +555,15 @@ class _Printer:
     the display names of the binders in scope and the free names of the
     top-level term (`avoid`), which no display name may capture. So `memo`,
     a `terms.Memo` which callers may share across terms, is keyed by all
-    four. The same memo keeps each node's free names and loose bound
-    indices (`terms.free_names`, `terms.loose_bounds`), so the terms of one
-    printed file find their names, and whether each arrow uses its binder,
-    in one walk of its distinct nodes."""
+    four; it also keeps each node's free names and loose bound indices."""
 
     def __init__(self, term: Term, memo: Memo):
         self.avoid = free_names(term, memo)
         self.memo = memo
 
     def show(self, t: Term, prec: int, binders: tuple[str, ...]) -> str:
-        """Dispatched by t's type, the most frequent first; a leaf returns
-        before any memo key is made."""
+        """The text of t at precedence `prec`, under binders with these
+        display names, innermost last."""
         cls = type(t)
         if cls is Var:
             return t.name
@@ -616,8 +591,6 @@ class _Printer:
                     f"{self.show(pred.body, _TERM, binders + (name,))}}}"
                 )
             else:
-                # a loop, not a generator expression: no frame of its
-                # own per argument, so deep terms print as deep as they check
                 shown = []
                 for a in args:
                     shown.append(self.show(a, _TERM, binders))
@@ -670,10 +643,8 @@ def print_decl(decl: Declaration, memo: Memo | None = None) -> str:
 
 
 def print_file(parsed: ParsedFile) -> str:
-    """One memo serves the file, so a node shared across declarations,
-    such as an expanded definition in `pcert translate`'s output, is
-    rendered once: the work is linear in the distinct nodes, not in the
-    size of the text."""
+    """The file in concrete syntax. One memo serves the file, so a node
+    shared across declarations is rendered once."""
     memo = Memo()
     lines = [f"#MODE {parsed.mode}"]
     lines.extend(print_decl(d, memo) for d in parsed.decls)

@@ -6,8 +6,8 @@ binder itself keeps a display hint that is excluded from comparison. As a
 consequence structural equality (`==`) *is* alpha-equivalence. A composite
 node (`App`, `Abs`, `Prod`, `SymApp`) computes its structural hash on first
 use, from its children's hashes and without the hint, and keeps it on the
-node, so hashes respect `==` and hashing a term that shares subterms takes
-time in its distinct nodes, once per node.
+node, so hashing a term that shares subterms takes time in its distinct
+nodes.
 
 Free variables (`Var`) are named and refer to context entries or to rewrite
 pattern variables. Public API terms are expected to be locally closed: every
@@ -15,24 +15,20 @@ pattern variables. Public API terms are expected to be locally closed: every
 
 Substitution keeps sharing: `instantiate`, `abstract_var` and
 `substitute_parallel` return a node itself, not a copy, when nothing beneath
-it changed. A closed subterm is never rebuilt, so a value substituted for
-many occurrences stays one object. `==` stops at object identity and
-remembers, for one comparison, the pairs of nodes it has proven equal, so it
-compares two such terms in time linear in their shared size, however they
-were built. `free_vars` visits each shared subterm once, `free_names`
-and `loose_bounds` keep each node's free names and loose indices in a
-`Memo`, so the calls handed one (a printed file) visit each node once,
-`abstract_var` closes a shared term (a normal form) once per subterm and
-binder depth, and `instantiate` opens a binder over a shared closed term
-(an expanded definition) once per subterm and binder depth. Nothing
-depends on identity for its meaning; results are equal either way.
+it changed, so a value substituted for many occurrences stays one object.
+`==` stops at object identity and remembers, for one comparison, the pairs
+of nodes it has proven equal, so it compares two such terms in time linear
+in their shared size. Nothing depends on identity for its meaning; results
+are equal either way. Every cache that outlives one call is a `Memo`.
 
-Every cache that outlives one call is a `Memo`: a dict keyed by the
-identity of nodes (`ident`), whose entries hold the nodes their keys were
-made from, so an id cannot be reused by another node while its entry lives.
-Each memo is created where its lifetime starts (a file, a command, a
-printed file) and handed down; the walks that cache only for one call key
-by the ids of subterms of their argument, which lives for the call.
+Dispatch. The walks that every command runs (the kernels, reduction,
+substitution, the input gate, translation, the inverse and both printers)
+tell a node's kind by `type(t) is ...`, the most frequent kind first, not
+by a `match` on class patterns, which costs several times more per node; a
+walk of one term returns at a leaf (`Var` and `Bound`, and `Sort` but in
+the inverse) before any memo key is made; and translation and both printers
+walk a symbol's arguments by a loop, not a generator expression, which would
+add a frame per argument.
 """
 
 from __future__ import annotations
@@ -49,9 +45,8 @@ Term = Union["Sort", "Var", "Bound", "App", "Abs", "Prod", "SymApp"]
 
 
 class _Leaf(Frozen):
-    """Base of the leaves: `==` and hash over the one field `_value` reads.
-    The hash is that of the 1-tuple, which composite hashes are built from,
-    so hash values stay what they were."""
+    """Base of the leaves: `==` and hash over the one field `_value` reads;
+    the hash is that of the 1-tuple."""
 
     __slots__ = ()
 
@@ -101,9 +96,9 @@ class Bound(_Leaf):
 
 
 class _Node(Frozen):
-    """Base of the composite nodes: one `==`, alpha-equivalence (`_equal`),
-    and one hash, computed on first use from the fields `_key` names (hint
-    excluded) and kept on the node."""
+    """Base of the composite nodes: `==` is alpha-equivalence (`_equal`),
+    and the hash of the fields `_key` names is kept (see the module
+    docstring)."""
 
     __slots__ = ("_hash",)  # not a field: the hash once computed, else None
 
@@ -209,7 +204,7 @@ def _equal(a: Term, b: Term, proven: set[tuple[int, int]] | None) -> bool:
         elif cls is Abs:
             x, y, u, v = a.annot, b.annot, a.body, b.body
         else:
-            return a == b  # leaves
+            return a == b
         if x is y and u is v:
             return True
     key = None
@@ -256,7 +251,10 @@ class Memo(dict):
     it. Look entries up with the dict's own methods, by keys made with
     `ident`; store them with `put`, which holds the nodes a key was made
     from for as long as the memo lives, so no other node can take their
-    ids and hit an entry that is not its own."""
+    ids and hit an entry that is not its own. Each memo is created where
+    its lifetime starts (a file, a command, a printed file) and handed
+    down. A walk that caches only for one call keys by the ids of subterms
+    of its argument, which lives for the call, and needs no `Memo`."""
 
     __slots__ = ("_held",)
 
@@ -301,9 +299,7 @@ _NO_NAMES: frozenset[str] = frozenset()
 
 def free_names(t: Term, memo: Memo) -> frozenset[str]:
     """The names of the free variables of t, kept in `memo` by t's identity:
-    the calls handed one memo (a printer hands one to a whole file) visit
-    each distinct node once between them. A leaf returns before any memo
-    key is made."""
+    the calls handed one memo visit each distinct node once between them."""
     cls = type(t)
     if cls is Var:
         return frozenset((t.name,))
@@ -332,8 +328,7 @@ def loose_bounds(t: Term, memo: Memo) -> int:
     bit mask (bit k for index k), kept in `memo` under `~ident(t)`, which
     no other kind of entry uses. A product's codomain uses its binder when
     bit 0 of its mask is set, so a printer reads each arrow's dependence
-    from one walk of the file's distinct nodes, not one walk per arrow. A
-    leaf returns before any memo key is made."""
+    from one walk of the file's distinct nodes, not one walk per arrow."""
     cls = type(t)
     if cls is Bound:
         return 1 << t.index
@@ -412,19 +407,16 @@ def alpha_eq(a: Term, b: Term) -> bool:
 def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
     """Replace Bound(depth) by a locally closed value, closing the binder.
 
-    For one call, a subterm found unchanged is remembered by its identity
-    with the least depth it was found unchanged at (so it is unchanged at
-    every greater depth too), so a closed subterm met again, such as an
-    expanded definition under a binder, is walked once: the work is linear
-    in the distinct closed subterms of body. A changed subterm is rebuilt
-    at each occurrence, so the result is made of the very objects a tree
-    walk makes, and identity memos downstream hit exactly as they did.
+    For one call, a subterm found unchanged is remembered with the least
+    depth it was found unchanged at, so a closed subterm met again, such as
+    an expanded definition under a binder, is walked once. A changed
+    subterm is rebuilt at each occurrence, so the result is made of the
+    very objects a tree walk makes.
     """
     return _instantiate(body, value, depth, None)
 
 
 def _instantiate(body: Term, value: Term, depth: int, same: dict[int, int] | None) -> Term:
-    # body is a subterm of the call's argument, alive for the whole call
     cls = type(body)
     if cls is Var or cls is Sort:
         return body
@@ -461,22 +453,18 @@ def _instantiate(body: Term, value: Term, depth: int, same: dict[int, int] | Non
     return out
 
 
-def abstract_var(t: Term, name: str, depth: int = 0) -> Term:
-    """Turn free occurrences of a named variable into Bound(depth).
-
-    For one call, results are memoized by the identity of the subterm and
-    its binder depth, so a subterm met again at the same depth is closed
-    once: the work is linear in the distinct subterms of t rather than in
-    its unshared size, and the result keeps t's sharing. That matters for a
-    normal form, where beta handed one argument object to every occurrence
-    of its variable.
+def abstract_var(t: Term, name: str) -> Term:
+    """The body of a binder over t: free occurrences of `name` become
+    `Bound` indices that point at it. For one call, results are memoized by
+    the identity of the subterm and its binder depth, so the work is linear
+    in the distinct subterms of t and the result keeps t's sharing (a normal
+    form's, say, where beta handed one argument object to every occurrence
+    of its variable).
     """
-    return _abstract(t, name, depth, {})
+    return _abstract(t, name, 0, {})
 
 
 def _abstract(t: Term, name: str, depth: int, memo: dict[tuple[int, int], Term]) -> Term:
-    # t is a subterm of the call's argument, alive for the whole call, so
-    # its id is not reused while the memo lives
     cls = type(t)
     if cls is Var:
         return Bound(depth) if t.name == name else t
@@ -521,10 +509,9 @@ def open_term(hint: str, body: Term) -> tuple[Var, Term]:
 class Records:
     """What one owner (a kernel) has established under one table, so for one
     file: the pairs it has proven convertible, and its inference, conversion
-    and head normal form memos, whose entries are the owner's business.
-    Every view grown from one root shares them, and a new root or a copied
-    table starts empty, so a record never outlives the file that made it or
-    reaches another owner."""
+    and head normal form memos. Every view grown from one root shares them,
+    and a new root or a copied table starts empty, so a record never
+    outlives the file that made it or reaches another owner."""
 
     __slots__ = ("proven", "inferred", "converted", "heads")
 
@@ -553,26 +540,18 @@ class Context:
 
     A context is a view: the first `rows` rows of a table shared by every
     context that grew from the same root, followed by a short tuple of
-    `binders` opened inside a term (both read-only). The table maps each
-    name to its row, so `lookup` scans only the binders and then probes one
-    dict, rejecting rows at or past `rows` (names declared after this view
-    was taken).
+    `binders` opened inside a term (both read-only). `lookup` scans only the
+    binders and then probes the table's index, rejecting rows at or past
+    `rows` (names declared after this view was taken).
 
-    Two ways to grow, because the two kinds of entry have different
-    lifetimes. `declare` is for file-level declarations, each of which every
-    later declaration sees: it appends a row to the shared table in O(1).
-    `extend` is for binders, opened and dropped again while walking a term:
-    it leaves the table alone and copies only the short binder tuple. Both
-    raise DuplicateName on a name already in scope; at the tip, where the
-    view holds every row of the table, `declare` asks the table's index
-    and needs no `lookup`. A `declare` on a view
-    below the table's tip, or one holding binders, copies its entries into a
-    fresh table first, so views taken earlier never see the new row. Rows
-    below a view's `rows` never change, so views are immutable values; only
-    the claim on the tip takes the table's lock.
-
-    Contexts compare and hash by identity: equal entries built separately
-    are different keys.
+    `declare` adds a file-level declaration, which every later declaration
+    sees, by appending a row to the shared table in O(1); on a view below
+    the table's tip, or one holding binders, it copies the entries into a
+    fresh table first, so views taken earlier never see the new row.
+    `extend` opens a binder and copies only the binder tuple. Both raise
+    DuplicateName on a name already in scope. Rows below a view's `rows`
+    never change, so views are immutable values; only the claim on the tip
+    takes the table's lock. Contexts compare and hash by identity.
     """
 
     __slots__ = ("_table", "rows", "binders")

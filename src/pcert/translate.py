@@ -10,21 +10,15 @@ context type names, a `Bound` the one its binder's annotation names (carried
 down the recursion); anything else is a proposition. That is exact because
 pcert has no product rule into Kind: no function returns a type, and
 `fst(T, …)` is a type only when T is Prop. So no kernel is asked, nothing is
-reduced or charged to fuel, and no binder is opened. A subterm's
-translation depends only on the sorts of the enclosing binders its `Bound`s
-reach, so it is memoized by the subterm's identity and those sorts alone:
-a subterm met again, at any binder depth, is translated once per reachable
-sorts, so a term that shares subterms translates in time linear in its
-distinct subterms and its translation shares them too. The memo (a
-`terms.Memo`) lives for one call, or for every call handed the same one
-under the same context: `pcert translate`, `export` and `roundtrip` hand
-one to all the calls of a file, so a definition expanded into later
-declarations is translated once per file.
-Each walker tells a node's kind by its type (`type(m) is App`), the most
-frequent kind first, not by a `match` on class patterns, which costs
-several times more per node; a leaf (`Var`, `Bound`, a sort) returns
-before any memo key is made, and a node's reach is filed beside the
-translation entry that holds the node.
+reduced or charged to fuel, and no binder is opened.
+
+A subterm's translation depends only on the sorts of the enclosing binders
+its `Bound`s reach, so it is memoized by its identity and those sorts: a
+term that shares subterms translates once per distinct subterm and
+reachable sorts, and its translation shares them too. The memo lives for
+one call, or for every call handed the same one under the same context;
+the commands hand one to all the calls of a file.
+
 Typability is `check_file`'s obligation and `pcert translate` re-checks the
 output in the lf kernel; unchecked input fails with a diagnostic or
 translates to a term the lf kernel rejects.
@@ -50,14 +44,13 @@ Sorts = tuple[str | None, ...]  # per enclosing binder, innermost last
 def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
     """The translation of m under binders of these sorts.
 
-    A leaf returns before any memo key is made. `memo` holds two entries per
-    other subterm: by the subterm alone, how many of the enclosing binders
-    its `Bound`s reach, and by the subterm and the sorts of those binders,
-    its translation. `low[0]` is the outermost binder level (0: the
-    outermost binder of the call) any `Bound` translated so far in the
-    current subterm reaches; a subterm starts it at its own depth and hands
-    the minimum up, so the reach is found during the translation, without
-    walking the subterm again."""
+    `memo` holds two entries per non-leaf subterm: by the subterm alone,
+    how many of the enclosing binders its `Bound`s reach, and by the
+    subterm and the sorts of those binders, its translation. `low[0]` is
+    the outermost binder level (0: the outermost binder of the call) any
+    `Bound` translated so far in the current subterm reaches; a subterm
+    starts it at its own depth and hands the minimum up, so the reach is
+    found during the translation, without walking the subterm again."""
     cls = type(m)
     if cls is Var:
         return m
@@ -92,8 +85,7 @@ def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Te
 
 
 def _translate(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
-    """`_term` at a node that is not a leaf, dispatched by its type, the
-    most frequent first."""
+    """`_term` at a node that is not a leaf."""
     cls = type(m)
     if cls is App:
         return App(_term(ctx, m.fun, sorts, memo, low), _term(ctx, m.arg, sorts, memo, low))
@@ -106,7 +98,7 @@ def _translate(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) 
         sym = m.sym
         if sym not in SUBTYPE_SYMBOLS:
             raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
-        args = []  # a loop, not a generator expression: no frame of its own
+        args = []
         for a in m.args:
             args.append(_term(ctx, a, sorts, memo, low))
         return SymApp(sym, tuple(args))

@@ -19,9 +19,10 @@ interning parser and its span memo are checked against,
 `ref_instantiate` and `ref_is_nondependent` the tree walks the sharing
 ones of `pcert.terms` are checked against, `ref_print_file` and
 `ref_development_lines` the references the memoizing printer and Lambdapi
-exporter are checked against, and `ref_inverse_term` and `ref_inverse_type`
+exporter are checked against, `ref_inverse_term` and `ref_inverse_type`
 the reference the inverse, which builds a failure's path only on failure,
-is checked against.
+is checked against, and `ref_check_orthogonality` the unification-based
+report the skeleton-based `rewrite.check_orthogonality` is checked against.
 `check_wf`, `validate_signature`, `inverse_type`, `substitute`, `lam` and
 `pi` are entry points that only the tests use.
 """
@@ -42,7 +43,7 @@ from pcert.kernel import Kernel
 from pcert.lexer import scan
 from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
 from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
-from pcert.rewrite import Fuel, RuleSet, _as_fuel, convertible, match, normalize
+from pcert.rewrite import Fuel, OrthogonalityReport, RuleSet, _as_fuel, convertible, match, normalize
 from pcert.syntax import (
     AssertConv,
     AssertJudgment,
@@ -761,6 +762,72 @@ def canonical_fresh_names(t: Term | bool) -> Term | bool:
 
     walk(t)
     return ref_substitute_parallel(t, renamed)
+
+
+# --- the orthogonality reference ------------------------------------------------
+
+
+def _ref_count_vars(t: Term, counts: dict[str, int]) -> None:
+    match t:
+        case Var(name):
+            counts[name] = counts.get(name, 0) + 1
+        case SymApp(_, args):
+            for a in args:
+                _ref_count_vars(a, counts)
+        case _:
+            pass
+
+
+def _ref_rename_apart(t: Term, suffix: str) -> Term:
+    return substitute_parallel(t, {v: Var(v + suffix) for v in free_vars(t)})
+
+
+def _ref_unify(a: Term, b: Term, binding: dict[str, Term]) -> bool:
+    def resolve(t: Term) -> Term:
+        while isinstance(t, Var) and t.name in binding:
+            t = binding[t.name]
+        return t
+
+    a, b = resolve(a), resolve(b)
+    if isinstance(a, Var):
+        if a == b:
+            return True
+        if a.name in free_vars(b):
+            return False
+        binding[a.name] = b
+        return True
+    if isinstance(b, Var):
+        return _ref_unify(b, a, binding)
+    if isinstance(a, SymApp) and isinstance(b, SymApp):
+        if a.sym != b.sym or len(a.args) != len(b.args):
+            return False
+        return all(_ref_unify(x, y, binding) for x, y in zip(a.args, b.args))
+    return a == b
+
+
+def ref_check_orthogonality(rules: RuleSet) -> OrthogonalityReport:
+    """The orthogonality report by first-order unification of left sides
+    renamed apart, with an occurs check, for any first-order patterns."""
+    nonlinear = []
+    for rule in rules.rules:
+        counts: dict[str, int] = {}
+        _ref_count_vars(rule.lhs, counts)
+        if any(n > 1 for n in counts.values()):
+            nonlinear.append(rule.name)
+
+    overlaps = []
+    for i, r1 in enumerate(rules.rules):
+        lhs1 = _ref_rename_apart(r1.lhs, "!1")
+        for j, r2 in enumerate(rules.rules):
+            lhs2 = _ref_rename_apart(r2.lhs, "!2")
+            # root overlap (distinct rules only)
+            if i < j and _ref_unify(lhs1, lhs2, {}):
+                overlaps.append((r1.name, r2.name, "root"))
+            # r2's lhs inside a non-variable proper subterm of r1's lhs
+            for pos, sub in enumerate(lhs1.args):
+                if isinstance(sub, SymApp) and _ref_unify(sub, lhs2, {}):
+                    overlaps.append((r1.name, r2.name, f"argument {pos}"))
+    return OrthogonalityReport(tuple(nonlinear), tuple(overlaps))
 
 
 # --- the parsing reference --------------------------------------------------------

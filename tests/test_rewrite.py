@@ -20,7 +20,7 @@ from genutil import (
     ref_whnf,
 )
 from pcert import rewrite, terms, translate_term
-from pcert.diagnostics import FuelError
+from pcert.diagnostics import CheckError, FuelError
 from pcert.lf import KERNEL as LF_KERNEL, El, PROP_ENC, PROP_OBJ, Prf, RULES_R
 from pcert.pcert import BETA_PROJ, KERNEL as PCERT_KERNEL
 from pcert.translate import translate_type
@@ -168,13 +168,62 @@ def test_orthogonality_flags_overlap():
 
 def test_rule_construction_rejects_deep_patterns():
     deep = SymApp("f", (SymApp("g", (SymApp("h", (Var("x"),)),)),))
-    with pytest.raises(Exception):
+    with pytest.raises(CheckError) as err:
         RewriteRule("deep", deep, Var("x"))
+    assert err.value.kind == "BadRule"
 
 
 def test_rule_construction_rejects_invented_variables():
-    with pytest.raises(Exception):
+    with pytest.raises(CheckError) as err:
         RewriteRule("bad", SymApp("f", (Var("x"),)), Var("y"))
+    assert err.value.kind == "BadRule"
+
+
+# The pattern limits that `check_orthogonality` relies on: a left side is a
+# symbol applied to variables or to symbols applied to variables.
+OUTSIDE_THE_PATTERN_LIMITS = {
+    "variable": Var("x"),
+    "application": App(Var("f"), Var("x")),
+    "abstraction_argument": SymApp("f", (Abs("y", Var("T"), Bound(0)),)),
+    "application_argument": SymApp("f", (App(Var("g"), Var("x")),)),
+    "sort_argument": SymApp("f", (Sort("Type"),)),
+    "nested_constant": SymApp("f", (SymApp("g", (SymApp("c"),)),)),
+    "nested_sort": SymApp("f", (Var("x"), SymApp("g", (Var("y"), Sort("Prop"))))),
+}
+
+
+@pytest.mark.parametrize("lhs", OUTSIDE_THE_PATTERN_LIMITS.values(), ids=OUTSIDE_THE_PATTERN_LIMITS.keys())
+def test_rule_construction_rejects_patterns_outside_the_limits(lhs):
+    with pytest.raises(CheckError) as err:
+        RewriteRule("bad", lhs, SymApp("c"))
+    assert err.value.kind == "BadRule"
+
+
+# Rule sets within the pattern limits: symbols of arity 0-2 whose arities
+# may differ between occurrences, and few variables, so that overlaps and
+# repeated variables are both common.
+def _symbol_patterns(args: st.SearchStrategy) -> st.SearchStrategy:
+    symbols = st.sampled_from(["f", "g", "h"])
+    return st.builds(lambda sym, xs: SymApp(sym, tuple(xs)), symbols, st.lists(args, max_size=2))
+
+
+_PATTERN_VARS = st.sampled_from(["x", "y", "z"]).map(Var)
+_LEFT_SIDES = _symbol_patterns(st.one_of(_PATTERN_VARS, _symbol_patterns(_PATTERN_VARS)))
+PATTERN_RULE_SETS = st.lists(_LEFT_SIDES, min_size=1, max_size=4).map(
+    lambda lhss: RuleSet(tuple(RewriteRule(f"r{i}", lhs, SymApp("c")) for i, lhs in enumerate(lhss)))
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(PATTERN_RULE_SETS)
+def test_orthogonality_report_agrees_with_unification(rules):
+    report, ref = check_orthogonality(rules), genutil.ref_check_orthogonality(rules)
+    assert report.nonlinear == ref.nonlinear
+    assert report.ok == ref.ok
+    if not ref.nonlinear:
+        assert report == ref
+    else:
+        assert set(ref.overlaps) <= set(report.overlaps)
 
 
 def test_normalize_idempotent_on_random_encodings():
