@@ -1,7 +1,7 @@
 """Algorithmic checker for a pure type system with fixed-arity symbols.
 
 Both systems share the same inference rules and the same conversion; they
-differ only in configuration (`SystemConfig`). Inference synthesizes types
+differ only in the tables each hands to `Kernel`. Inference synthesizes types
 bottom-up; the conversion rule is applied post hoc wherever a type is
 consumed (application arguments, symbol arguments, explicit checks).
 
@@ -43,7 +43,6 @@ from typing import Mapping
 
 from . import diagnostics as dk
 from .diagnostics import fail
-from .record import Frozen, setters
 from .rewrite import Fuel, RuleSet, _as_fuel, _whnf, convertible, whnf_replayed
 from .terms import (
     SORTS,
@@ -62,37 +61,6 @@ from .terms import (
     instantiate,
     open_term,
     substitute_parallel,
-)
-
-
-class SystemConfig(Frozen):
-    """What sets one system apart. `axioms` maps a sort tag to the tag of
-    its type; `rules` decide conversion and expose products; `irrelevant`
-    maps a symbol to the position of the argument conversion never
-    inspects: proof irrelevance as configuration (pcert skips a pair's
-    certificate), none unless given."""
-
-    __slots__ = __match_args__ = ("name", "axioms", "products", "signature", "rules", "irrelevant")
-
-    def __init__(
-        self,
-        name: str,
-        axioms: Mapping[str, str],
-        products: Mapping[tuple[str, str], str],
-        signature: Signature,
-        rules: RuleSet,
-        irrelevant: Mapping[str, int] | None = None,
-    ):
-        _config_name(self, name)
-        _config_axioms(self, axioms)
-        _config_products(self, products)
-        _config_signature(self, signature)
-        _config_rules(self, rules)
-        _config_irrelevant(self, {} if irrelevant is None else irrelevant)
-
-
-_config_name, _config_axioms, _config_products, _config_signature, _config_rules, _config_irrelevant = (
-    setters(SystemConfig)
 )
 
 
@@ -130,15 +98,31 @@ class _Replay:
 
 
 class Kernel:
-    """The checker of one system, as its `SystemConfig` sets it up."""
+    """The checker of one system, as its tables set it up. `axioms` maps a
+    sort tag to the tag of its type and `products` a pair of sort tags to
+    the tag of their product; `rules` decide conversion and expose
+    products; `irrelevant` maps a symbol to the position of the argument
+    conversion never inspects: proof irrelevance as a table (pcert skips a
+    pair's certificate), none unless given."""
 
-    def __init__(self, config: SystemConfig):
-        self.config = config
-        self.signature = config.signature
-        self.rules = config.rules
-        # the sort of each tag the configuration can infer, the module
-        # constant where there is one
-        tags = (*config.axioms, *config.axioms.values(), *config.products.values())
+    def __init__(
+        self,
+        name: str,
+        axioms: Mapping[str, str],
+        products: Mapping[tuple[str, str], str],
+        signature: Signature,
+        rules: RuleSet,
+        irrelevant: Mapping[str, int] | None = None,
+    ):
+        self.name = name
+        self.axioms = axioms
+        self.products = products
+        self.signature = signature
+        self.rules = rules
+        self.irrelevant = {} if irrelevant is None else irrelevant
+        # the sort of each tag the tables can infer, the module constant
+        # where there is one
+        tags = (*axioms, *axioms.values(), *products.values())
         self.sorts = {tag: SORTS.get(tag) or Sort(tag) for tag in tags}
 
     def convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel) -> bool:
@@ -157,7 +141,7 @@ class Kernel:
         records = ctx.records(self)
         if (a, b) in records.proven:
             return True
-        if not convertible(self.rules, a, b, fuel, self.config.irrelevant, records.converted):
+        if not convertible(self.rules, a, b, fuel, self.irrelevant, records.converted):
             return False
         records.proven.add((a, b))
         return True
@@ -193,7 +177,6 @@ class Kernel:
     def _infer_node(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
         """The inference rule at t's head, dispatched as `terms` says;
         subterms go through `_infer`."""
-        cfg = self.config
         cls = type(t)
         if cls is Var:
             ty = ctx.lookup(t.name)
@@ -219,25 +202,30 @@ class Kernel:
                     subject=t,
                 )
             return instantiate(tf.cod, a)
-        if cls is Prod:
-            dom = t.dom
+        if cls is Prod or cls is Abs:
+            # both sort the domain, and a codomain under the opened binder:
+            # a product's body, or the type of an abstraction's body
+            dom, hint = t.dom, t.hint
             s_dom = self._sort_of(ctx, dom, fuel, run)
-            v, opened = open_term(t.hint, t.cod)
-            s_cod = self._sort_of(ctx.extend(v.name, dom), opened, fuel, run)
-            s_res = cfg.products.get((s_dom, s_cod))
+            v, cod = open_term(hint, t.body)
+            inner_ctx = ctx.extend(v.name, dom)
+            if cls is Abs:
+                cod = self._infer(inner_ctx, cod, fuel, run)
+            s_cod = self._sort_of(inner_ctx, cod, fuel, run)
+            s_res = self.products.get((s_dom, s_cod))
             if s_res is None:
                 raise fail(
                     dk.ILLEGAL_PRODUCT,
-                    f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
+                    f"no product rule for ({s_dom}, {s_cod}) in system {self.name}",
                     context=ctx,
                     subject=t,
                 )
-            return self.sorts[s_res]
+            return self.sorts[s_res] if cls is Prod else Prod(hint, dom, abstract_var(cod, v.name))
         if cls is SymApp:
             sym, args = t.sym, t.args
             entry = self.signature.get(sym)
             if entry is None:
-                raise fail(dk.UNKNOWN_SYMBOL, f"unknown symbol {sym!r} in system {cfg.name}", context=ctx, subject=t)
+                raise fail(dk.UNKNOWN_SYMBOL, f"unknown symbol {sym!r} in system {self.name}", context=ctx, subject=t)
             if len(args) != len(entry.telescope):
                 raise fail(
                     dk.ARITY_MISMATCH,
@@ -258,27 +246,12 @@ class Kernel:
                     )
                 binding[x] = arg
             return substitute_parallel(entry.result, binding)
-        if cls is Abs:
-            annot, hint = t.annot, t.hint
-            s_dom = self._sort_of(ctx, annot, fuel, run)
-            v, opened = open_term(hint, t.body)
-            inner_ctx = ctx.extend(v.name, annot)
-            body_ty = self._infer(inner_ctx, opened, fuel, run)
-            s_cod = self._sort_of(inner_ctx, body_ty, fuel, run)
-            if (s_dom, s_cod) not in cfg.products:
-                raise fail(
-                    dk.ILLEGAL_PRODUCT,
-                    f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
-                    context=ctx,
-                    subject=t,
-                )
-            return Prod(hint, annot, abstract_var(body_ty, v.name))
         if cls is Sort:
-            above = cfg.axioms.get(t.tag)
+            above = self.axioms.get(t.tag)
             if above is None:
                 raise fail(
                     dk.SORT_HAS_NO_TYPE,
-                    f"sort {t.tag} has no type in system {cfg.name}",
+                    f"sort {t.tag} has no type in system {self.name}",
                     context=ctx,
                     subject=t,
                 )

@@ -16,8 +16,8 @@ kernel itself is the generic one, typing pair' like any other symbol.
 from __future__ import annotations
 
 from .diagnostics import ProtectedError
-from .kernel import Kernel, SystemConfig
-from .rewrite import Fuel, RewriteRule, RuleSet, _as_fuel, convertible as _convertible
+from .kernel import Kernel
+from .rewrite import Fuel, RewriteRule, RuleSet, convertible as _convertible
 from .terms import (
     Abs,
     App,
@@ -149,14 +149,6 @@ def _rules() -> RuleSet:
 
 RULES_R = _rules()
 
-LF_CONFIG = SystemConfig(
-    name="lf",
-    axioms={"TYPE": "KIND"},
-    products={("TYPE", "TYPE"): "TYPE", ("TYPE", "KIND"): "KIND"},
-    signature=LF_SIGNATURE,
-    rules=RULES_R,
-)
-
 
 def assert_public(t: Term, sig: Signature = LF_SIGNATURE, clean: Memo | None = None) -> None:
     """Reject terms that mention a protected symbol anywhere, binders included.
@@ -210,11 +202,17 @@ _CHILDREN = {App: ("fun", "arg"), Abs: ("annot", "body"), Prod: ("dom", "cod")}
 
 class LfKernel(Kernel):
     def __init__(self):
-        super().__init__(LF_CONFIG)
+        super().__init__(
+            "lf",
+            axioms={"TYPE": "KIND"},
+            products={("TYPE", "TYPE"): "TYPE", ("TYPE", "KIND"): "KIND"},
+            signature=LF_SIGNATURE,
+            rules=RULES_R,
+        )
 
 
 KERNEL = LfKernel()
 
 
 def convertible_lf(a: Term, b: Term, fuel: Fuel | int | None = None) -> bool:
-    return _convertible(RULES_R, a, b, _as_fuel(fuel))
+    return _convertible(RULES_R, a, b, fuel)

@@ -16,7 +16,7 @@ beta+projection, configured to skip the certificate (fourth argument) of
 
 from __future__ import annotations
 
-from .kernel import Kernel, SystemConfig
+from .kernel import Kernel
 from .rewrite import Fuel, RewriteRule, RuleSet, _as_fuel
 from .terms import (
     Abs,
@@ -68,7 +68,7 @@ PCERT_SIGNATURE = _pcert_signature()
 
 # Projection oriented left to right; with beta this is the computational
 # fragment of the conversion. The certificate equation is not oriented here:
-# conversion skips the certificate (PCERT_CONFIG.irrelevant).
+# conversion skips the certificate (`PcertKernel`).
 PROJECTION_RULE = RewriteRule(
     "proj_pair",
     SymApp(
@@ -80,24 +80,14 @@ PROJECTION_RULE = RewriteRule(
 
 BETA_PROJ = RuleSet((PROJECTION_RULE,))
 
-PCERT_CONFIG = SystemConfig(
-    name="pcert",
-    axioms={"Prop": "Type", "Type": "Kind"},
-    products={
-        ("Prop", "Prop"): "Prop",
-        ("Type", "Type"): "Type",
-        ("Type", "Prop"): "Prop",
-    },
-    signature=PCERT_SIGNATURE,
-    rules=BETA_PROJ,
-    irrelevant={"pair": 3},
-)
-
 
 def pi_erase(t: Term) -> Term:
     """Drop the certificate of every pair, marking the remaining triple.
     Conversion skips the certificate instead; the tests' normalize-and-compare
     oracle and the benchmark's tracer (perfbench/probes.py) use this."""
+    cls = type(t)
+    if cls is Abs or cls is Prod:
+        return cls(t.hint, pi_erase(t.dom), pi_erase(t.body))
     match t:
         case SymApp("pair", (ty, p, m, _)):
             return SymApp(ERASED_PAIR, (pi_erase(ty), pi_erase(p), pi_erase(m)))
@@ -105,17 +95,20 @@ def pi_erase(t: Term) -> Term:
             return SymApp(sym, tuple(pi_erase(a) for a in args))
         case App(f, a):
             return App(pi_erase(f), pi_erase(a))
-        case Abs(hint, annot, body):
-            return Abs(hint, pi_erase(annot), pi_erase(body))
-        case Prod(hint, dom, cod):
-            return Prod(hint, pi_erase(dom), pi_erase(cod))
         case _:
             return t
 
 
 class PcertKernel(Kernel):
     def __init__(self):
-        super().__init__(PCERT_CONFIG)
+        super().__init__(
+            "pcert",
+            axioms={"Prop": "Type", "Type": "Kind"},
+            products={("Prop", "Prop"): "Prop", ("Type", "Type"): "Type", ("Type", "Prop"): "Prop"},
+            signature=PCERT_SIGNATURE,
+            rules=BETA_PROJ,
+            irrelevant={"pair": 3},
+        )
 
 
 KERNEL = PcertKernel()

@@ -6,9 +6,12 @@ by `dataclasses`, whose import (with `inspect`) and generated code are a
 large share of the start-up every run of `pcert` pays. A subclass lists its
 fields in constructor order in `__slots__` and in `__match_args__`, so
 positional `match` patterns bind them, and assigns them in an explicit
-`__init__`, the one constructor. A frozen record assigns its fields through
-the setters of its slots (`setters`), bound once after the class, which
-bypass the `__setattr__` that rejects assignment and cost less than
+`__init__`, the one constructor. A base class may own the slots of its
+subclasses, which then declare `__slots__ = ()` and may give a slot a
+second name by binding its descriptor (as `terms._Binder` does for `Abs`
+and `Prod`). A frozen record assigns its fields through the setters of its
+slots (`setters`), bound once after the class, which bypass the
+`__setattr__` that rejects assignment and cost less than
 `object.__setattr__`.
 """
 

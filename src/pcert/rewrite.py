@@ -273,14 +273,10 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Ter
     cls = type(u)
     if cls is App:
         nf = App(_normalize_outermost(rules, u.fun, fuel, memo), _normalize_outermost(rules, u.arg, fuel, memo))
-    elif cls is Abs:
+    elif cls is Abs or cls is Prod:
         v, opened = open_term(u.hint, u.body)
         inner = _normalize_outermost(rules, opened, fuel, memo)
-        nf = Abs(u.hint, _normalize_outermost(rules, u.annot, fuel, memo), abstract_var(inner, v.name))
-    elif cls is Prod:
-        v, opened = open_term(u.hint, u.cod)
-        inner = _normalize_outermost(rules, opened, fuel, memo)
-        nf = Prod(u.hint, _normalize_outermost(rules, u.dom, fuel, memo), abstract_var(inner, v.name))
+        nf = cls(u.hint, _normalize_outermost(rules, u.dom, fuel, memo), abstract_var(inner, v.name))
     elif cls is SymApp and u.args:
         args = []
         for a in u.args:
@@ -293,6 +289,11 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Ter
 
 
 def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
+    cls = type(t)
+    if cls is Abs or cls is Prod:
+        v, opened = open_term(t.hint, t.body)
+        inner = _normalize_innermost(rules, opened, fuel)
+        return cls(t.hint, _normalize_innermost(rules, t.dom, fuel), abstract_var(inner, v.name))
     match t:
         case App(f, a):
             f2 = _normalize_innermost(rules, f, fuel)
@@ -301,14 +302,6 @@ def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
                 fuel.spend(App(f2, a2))
                 return _normalize_innermost(rules, instantiate(f2.body, a2), fuel)
             return App(f2, a2)
-        case Abs(hint, annot, body):
-            v, opened = open_term(hint, body)
-            inner = _normalize_innermost(rules, opened, fuel)
-            return Abs(hint, _normalize_innermost(rules, annot, fuel), abstract_var(inner, v.name))
-        case Prod(hint, dom, cod):
-            v, opened = open_term(hint, cod)
-            inner = _normalize_innermost(rules, opened, fuel)
-            return Prod(hint, _normalize_innermost(rules, dom, fuel), abstract_var(inner, v.name))
         case SymApp(sym, args):
             t = SymApp(sym, tuple(_normalize_innermost(rules, a, fuel) for a in args))
             reduced, t = _try_rules(rules, t, fuel)
@@ -404,16 +397,12 @@ def _convert_heads(
             if i != skip and not _convert(rules, x, y, fuel, irrelevant, memo):
                 return False
         return True
-    if cls is Abs:
-        dom, body, dom2, body2 = a.annot, a.body, b.annot, b.body
-    elif cls is Prod:
-        dom, body, dom2, body2 = a.dom, a.cod, b.dom, b.cod
-    else:
+    if cls is not Abs and cls is not Prod:
         return a == b
-    if not _convert(rules, dom, dom2, fuel, irrelevant, memo):
+    if not _convert(rules, a.dom, b.dom, fuel, irrelevant, memo):
         return False
     v = Var(fresh_name(a.hint))
-    return _convert(rules, instantiate(body, v), instantiate(body2, v), fuel, irrelevant, memo)
+    return _convert(rules, instantiate(a.body, v), instantiate(b.body, v), fuel, irrelevant, memo)
 
 
 # --- orthogonality report ---------------------------------------------------

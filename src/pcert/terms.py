@@ -7,7 +7,8 @@ consequence structural equality (`==`) *is* alpha-equivalence. A composite
 node (`App`, `Abs`, `Prod`, `SymApp`) computes its structural hash on first
 use, from its children's hashes and without the hint, and keeps it on the
 node, so hashing a term that shares subterms takes time in its distinct
-nodes.
+nodes. The two binders, abstraction and product, have one layout
+(`_Binder`), so a walk that treats them alike states one binder case.
 
 Free variables (`Var`) are named and refer to context entries or to rewrite
 pattern variables. Public API terms are expected to be locally closed: every
@@ -133,29 +134,38 @@ class App(_Node):
         return f"({self.fun!r} {self.arg!r})"
 
 
-class Abs(_Node):
-    __slots__ = __match_args__ = ("hint", "annot", "body")
-    _key = attrgetter("annot", "body")
+class _Binder(_Node):
+    """Base of `Abs` and `Prod`: a display hint, the type of the bound
+    variable (`dom`) and the scope it binds in (`body`). Each subclass also
+    names two slots by their role, `Abs.annot` for `dom` and `Prod.cod` for
+    `body`; an alias is the slot's own descriptor, so reading it costs what
+    reading the slot does. A walk that treats both binders alike reads `dom`
+    and `body` and rebuilds with `cls(hint, dom, body)`, `cls` the node's
+    type."""
 
-    def __init__(self, hint: str, annot: Term, body: Term):
-        _abs_hint(self, hint)
-        _abs_annot(self, annot)
-        _abs_body(self, body)
+    __slots__ = ("hint", "dom", "body")
+    _key = attrgetter("dom", "body")
+
+    def __init__(self, hint: str, dom: Term, body: Term):
+        _binder_hint(self, hint)
+        _binder_dom(self, dom)
+        _binder_body(self, body)
         _node_hash(self, None)
+
+
+class Abs(_Binder):
+    __slots__ = ()
+    __match_args__ = ("hint", "annot", "body")
+    annot = _Binder.dom
 
     def __repr__(self) -> str:
         return f"(\\{self.hint}: {self.annot!r}. {self.body!r})"
 
 
-class Prod(_Node):
-    __slots__ = __match_args__ = ("hint", "dom", "cod")
-    _key = attrgetter("dom", "cod")
-
-    def __init__(self, hint: str, dom: Term, cod: Term):
-        _prod_hint(self, hint)
-        _prod_dom(self, dom)
-        _prod_cod(self, cod)
-        _node_hash(self, None)
+class Prod(_Binder):
+    __slots__ = ()
+    __match_args__ = ("hint", "dom", "cod")
+    cod = _Binder.body
 
     def __repr__(self) -> str:
         return f"(!{self.hint}: {self.dom!r}. {self.cod!r})"
@@ -178,8 +188,7 @@ class SymApp(_Node):
 
 (_node_hash,) = setters(_Node)
 _app_fun, _app_arg = setters(App)
-_abs_hint, _abs_annot, _abs_body = setters(Abs)
-_prod_hint, _prod_dom, _prod_cod = setters(Prod)
+_binder_hint, _binder_dom, _binder_body = setters(_Binder)
 _symapp_sym, _symapp_args = setters(SymApp)
 
 
@@ -199,10 +208,8 @@ def _equal(a: Term, b: Term, proven: set[tuple[int, int]] | None) -> bool:
     else:
         if cls is App:
             x, y, u, v = a.fun, b.fun, a.arg, b.arg
-        elif cls is Prod:
-            x, y, u, v = a.dom, b.dom, a.cod, b.cod
-        elif cls is Abs:
-            x, y, u, v = a.annot, b.annot, a.body, b.body
+        elif cls is Prod or cls is Abs:
+            x, y, u, v = a.dom, b.dom, a.body, b.body
         else:
             return a == b
         if x is y and u is v:
@@ -285,10 +292,8 @@ def free_vars(*terms: Term) -> set[str]:
             seen.add(id(t))
             if cls is App:
                 todo += (t.fun, t.arg)
-            elif cls is Abs:
-                todo += (t.annot, t.body)
-            elif cls is Prod:
-                todo += (t.dom, t.cod)
+            elif cls is Abs or cls is Prod:
+                todo += (t.dom, t.body)
             elif cls is SymApp:
                 todo += t.args
     return out
@@ -314,10 +319,8 @@ def free_names(t: Term, memo: Memo) -> frozenset[str]:
         out = _NO_NAMES
         for a in t.args:
             out = out | free_names(a, memo)
-    elif cls is Abs:
-        out = free_names(t.annot, memo) | free_names(t.body, memo)
     else:
-        out = free_names(t.dom, memo) | free_names(t.cod, memo)
+        out = free_names(t.dom, memo) | free_names(t.body, memo)
     memo[ident(t)] = out  # `put`, inlined: one call fewer per node
     memo._held.append(t)
     return out
@@ -344,10 +347,8 @@ def loose_bounds(t: Term, memo: Memo) -> int:
         out = 0
         for a in t.args:
             out |= loose_bounds(a, memo)
-    elif cls is Abs:
-        out = loose_bounds(t.annot, memo) | loose_bounds(t.body, memo) >> 1
     else:
-        out = loose_bounds(t.dom, memo) | loose_bounds(t.cod, memo) >> 1
+        out = loose_bounds(t.dom, memo) | loose_bounds(t.body, memo) >> 1
     memo[key] = out  # `put`, inlined: one call fewer per node
     memo._held.append(t)
     return out
@@ -375,12 +376,9 @@ def substitute_parallel(t: Term, mapping: dict[str, Term], memo: Memo | None = N
     if cls is App:
         fun, arg = substitute_parallel(t.fun, mapping, memo), substitute_parallel(t.arg, mapping, memo)
         out = t if fun is t.fun and arg is t.arg else App(fun, arg)
-    elif cls is Abs:
-        annot, body = substitute_parallel(t.annot, mapping, memo), substitute_parallel(t.body, mapping, memo)
-        out = t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
-    elif cls is Prod:
-        dom, cod = substitute_parallel(t.dom, mapping, memo), substitute_parallel(t.cod, mapping, memo)
-        out = t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
+    elif cls is Abs or cls is Prod:
+        dom, body = substitute_parallel(t.dom, mapping, memo), substitute_parallel(t.body, mapping, memo)
+        out = t if dom is t.dom and body is t.body else cls(t.hint, dom, body)
     elif cls is SymApp:
         args = []
         for a in t.args:
@@ -435,12 +433,9 @@ def _instantiate(body: Term, value: Term, depth: int, same: dict[int, int] | Non
     if cls is App:
         fun, arg = _instantiate(body.fun, value, depth, same), _instantiate(body.arg, value, depth, same)
         out = body if fun is body.fun and arg is body.arg else App(fun, arg)
-    elif cls is Abs:
-        annot, inner = _instantiate(body.annot, value, depth, same), _instantiate(body.body, value, depth + 1, same)
-        out = body if annot is body.annot and inner is body.body else Abs(body.hint, annot, inner)
-    elif cls is Prod:
-        dom, cod = _instantiate(body.dom, value, depth, same), _instantiate(body.cod, value, depth + 1, same)
-        out = body if dom is body.dom and cod is body.cod else Prod(body.hint, dom, cod)
+    elif cls is Abs or cls is Prod:
+        dom, inner = _instantiate(body.dom, value, depth, same), _instantiate(body.body, value, depth + 1, same)
+        out = body if dom is body.dom and inner is body.body else cls(body.hint, dom, inner)
     elif cls is SymApp:
         args = []
         for a in body.args:
@@ -479,12 +474,9 @@ def _abstract(t: Term, name: str, depth: int, memo: dict[tuple[int, int], Term])
     if cls is App:
         fun, arg = _abstract(t.fun, name, depth, memo), _abstract(t.arg, name, depth, memo)
         out = t if fun is t.fun and arg is t.arg else App(fun, arg)
-    elif cls is Abs:
-        annot, body = _abstract(t.annot, name, depth, memo), _abstract(t.body, name, depth + 1, memo)
-        out = t if annot is t.annot and body is t.body else Abs(t.hint, annot, body)
-    elif cls is Prod:
-        dom, cod = _abstract(t.dom, name, depth, memo), _abstract(t.cod, name, depth + 1, memo)
-        out = t if dom is t.dom and cod is t.cod else Prod(t.hint, dom, cod)
+    elif cls is Abs or cls is Prod:
+        dom, body = _abstract(t.dom, name, depth, memo), _abstract(t.body, name, depth + 1, memo)
+        out = t if dom is t.dom and body is t.body else cls(t.hint, dom, body)
     elif cls is SymApp:
         args = [_abstract(a, name, depth, memo) for a in t.args]
         out = t if _same(args, t.args) else SymApp(t.sym, tuple(args))

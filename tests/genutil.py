@@ -368,7 +368,7 @@ class EquivalenceWalker:
                     sort = PCERT_KERNEL.sort_of(local_ctx, ty, Fuel()).tag
                 except Exception:
                     continue
-                if (sort, sort) in PCERT_KERNEL.config.products:
+                if (sort, sort) in PCERT_KERNEL.products:
                     moves.append((path, opened, App(Abs("z", ty, Bound(0)), sub)))
         if not moves:
             return None
@@ -915,13 +915,12 @@ def parse_term_named(text: str, mode: str = "pcert") -> Term:
 
 
 def ref_infer(kernel: Kernel, ctx: Context, t: Term, fuel: Fuel) -> Term:
-    cfg = kernel.config
     match t:
         case Sort(tag):
-            above = cfg.axioms.get(tag)
+            above = kernel.axioms.get(tag)
             if above is None:
                 raise fail(
-                    dk.SORT_HAS_NO_TYPE, f"sort {tag} has no type in system {cfg.name}", context=ctx, subject=t
+                    dk.SORT_HAS_NO_TYPE, f"sort {tag} has no type in system {kernel.name}", context=ctx, subject=t
                 )
             return Sort(above)
         case Var(name):
@@ -952,10 +951,10 @@ def ref_infer(kernel: Kernel, ctx: Context, t: Term, fuel: Fuel) -> Term:
             inner_ctx = ctx.extend(v.name, annot)
             body_ty = ref_infer(kernel, inner_ctx, opened, fuel)
             s_cod = ref_sort_of(kernel, inner_ctx, body_ty, fuel)
-            if (s_dom, s_cod) not in cfg.products:
+            if (s_dom, s_cod) not in kernel.products:
                 raise fail(
                     dk.ILLEGAL_PRODUCT,
-                    f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
+                    f"no product rule for ({s_dom}, {s_cod}) in system {kernel.name}",
                     context=ctx,
                     subject=t,
                 )
@@ -964,11 +963,11 @@ def ref_infer(kernel: Kernel, ctx: Context, t: Term, fuel: Fuel) -> Term:
             s_dom = ref_sort_of(kernel, ctx, dom, fuel)
             v, opened = open_term(hint, cod)
             s_cod = ref_sort_of(kernel, ctx.extend(v.name, dom), opened, fuel)
-            s_res = cfg.products.get((s_dom, s_cod))
+            s_res = kernel.products.get((s_dom, s_cod))
             if s_res is None:
                 raise fail(
                     dk.ILLEGAL_PRODUCT,
-                    f"no product rule for ({s_dom}, {s_cod}) in system {cfg.name}",
+                    f"no product rule for ({s_dom}, {s_cod}) in system {kernel.name}",
                     context=ctx,
                     subject=t,
                 )
@@ -976,7 +975,7 @@ def ref_infer(kernel: Kernel, ctx: Context, t: Term, fuel: Fuel) -> Term:
         case SymApp(sym, args):
             entry = kernel.signature.get(sym)
             if entry is None:
-                raise fail(dk.UNKNOWN_SYMBOL, f"unknown symbol {sym!r} in system {cfg.name}", context=ctx, subject=t)
+                raise fail(dk.UNKNOWN_SYMBOL, f"unknown symbol {sym!r} in system {kernel.name}", context=ctx, subject=t)
             if len(args) != entry.arity:
                 raise fail(
                     dk.ARITY_MISMATCH,

@@ -173,12 +173,12 @@ def test_shared_chains_spend_the_reference_fuel_at_every_budget(links):
     verdicts = []
     for kernel, a, b in in_both_kernels([(u, v), (w, v)]):
         full = Fuel(ORACLE_FUEL)
-        verdicts.append(ref_convertible(kernel.rules, a, b, full, kernel.config.irrelevant))
+        verdicts.append(ref_convertible(kernel.rules, a, b, full, kernel.irrelevant))
         spent = ORACLE_FUEL - full.remaining
         for budget in range(spent + 2):
             # a fresh root context: no whole pair is proven yet
             change = _outcome(lambda f: kernel.convert(Context(), a, b, f), budget)
-            reference = _outcome(lambda f: ref_convertible(kernel.rules, a, b, f, kernel.config.irrelevant), budget)
+            reference = _outcome(lambda f: ref_convertible(kernel.rules, a, b, f, kernel.irrelevant), budget)
             assert change == reference
             assert (change[0] == "out of fuel") == (budget < spent)
     assert verdicts == [True, False, True, False]

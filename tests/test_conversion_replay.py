@@ -32,7 +32,7 @@ from pcert import checker, cli, lf, parse_file, rewrite, terms
 from pcert.checker import check_file
 from pcert.diagnostics import CheckError, ProtectedError
 from pcert.lf import LF_SIGNATURE, assert_public
-from pcert.pcert import PCERT_CONFIG
+from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel, convertible
 from pcert.syntax import ParsedFile, print_term
 from pcert.terms import Abs, App, Memo, Prod, SymApp, Term, Var
@@ -121,7 +121,7 @@ def test_a_direct_call_without_a_memo_starts_afresh_and_a_shared_one_replays(mon
     memo = Memo()
     for shared in (None, None, memo, memo):
         fuel, calls[0] = Fuel.unlimited(), 0
-        assert convertible(PCERT_CONFIG.rules, a, b, fuel, PCERT_CONFIG.irrelevant, shared)
+        assert convertible(PCERT_KERNEL.rules, a, b, fuel, PCERT_KERNEL.irrelevant, shared)
         runs.append((calls[0], fuel.spent))
     assert runs[0] == runs[1] == runs[2]
     assert runs[3] == (0, runs[0][1])  # replayed whole, charged the same steps

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from genutil import BASE_CTX, EquivalenceWalker, TermGen, check_wf, lam, pi, positions, replace_at, validate_signature
+from pcert.cli import main
 from pcert.diagnostics import CheckError
 from pcert.pcert import (
     KERNEL,
@@ -131,6 +132,25 @@ def test_infer_illegal_product():
     with pytest.raises(CheckError) as err:
         KERNEL.infer(Context(), lam("T", TYPE, Var("T")))
     assert err.value.kind == "IllegalProduct"
+
+
+@pytest.mark.parametrize(
+    "source, pair, system",
+    [
+        ("symbol A : !T: Type. T;\n", "(Kind, Type)", "pcert"),
+        ("definition d := \\T: Type. T;\n", "(Kind, Kind)", "pcert"),
+        ("#MODE lf\nsymbol A : !T: TYPE. T;\n", "(KIND, TYPE)", "lf"),
+        ("#MODE lf\ndefinition d := \\T: TYPE. T;\n", "(KIND, KIND)", "lf"),
+    ],
+    ids=["pcert-prod", "pcert-abs", "lf-prod", "lf-abs"],
+)
+def test_check_reports_the_sorts_of_an_illegal_product(source, pair, system, tmp_path, capsys):
+    # the product and the abstraction rule share one side condition and one message
+    path = tmp_path / "bad.pcert"
+    path.write_text(source)
+    assert main(["check", str(path)]) == 1
+    line = source.count("\n")
+    assert capsys.readouterr().err == f"{path}:{line}:1: IllegalProduct: no product rule for {pair} in system {system}\n"
 
 
 def test_pi_erase_identifies_swapped_proofs():

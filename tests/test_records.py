@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import pcert
+from genutil import calls_made
 from pcert.checker import CheckedFile, Elaborated
 from pcert.diagnostics import Diagnostic, SourceSpan
 from pcert.inverse import NotInImage
-from pcert.kernel import SystemConfig
+from pcert.kernel import Kernel
 from pcert.rewrite import OrthogonalityReport, RewriteRule
 from pcert.syntax import AssertConv, AssertJudgment, Definition, ParsedFile, SymbolDecl, _SymRef
 from pcert.terms import Abs, App, Bound, Prod, SigEntry, Sort, SymApp, Var
@@ -44,7 +45,6 @@ SAMPLES = [
     (CheckedFile, ("pcert", "context", ("decl",))),
     (RewriteRule, ("rule", RULE_LHS, Var("x"))),
     (OrthogonalityReport, (("rule",), (("r", "s", "root"),))),
-    (SystemConfig, ("name", "axioms", "products", "signature", "rules", "irrelevant")),
     (NotInImage, (("annot",), "subterm")),
 ]
 MUTABLE = {_SymRef, Diagnostic, CheckedFile}
@@ -117,6 +117,26 @@ def test_leaf_hash_is_the_hash_of_its_one_field_tuple(cls, value):
     assert hash(cls(value)) == hash((value,))
 
 
+BINDERS = [(Abs("x", Sort("Type"), Bound(0)), "annot", "dom"), (Prod("x", Sort("Type"), Sort("Prop")), "cod", "body")]
+
+
+@pytest.mark.parametrize("binder, alias, slot", BINDERS, ids=["Abs", "Prod"])
+def test_binders_share_one_layout_and_alias_its_slots(binder, alias, slot):
+    assert getattr(binder, alias) is getattr(binder, slot)
+    for name in ("dom", "body", "annot", "cod"):
+        with pytest.raises(AttributeError):
+            setattr(binder, name, Var("y"))
+        with pytest.raises(AttributeError):
+            delattr(binder, name)
+    # an alias is the slot's own descriptor: reading it runs no Python code
+    assert calls_made(lambda: getattr(binder, alias)) == calls_made(lambda: None)
+
+
+def test_binders_keep_their_match_args():
+    assert Abs.__match_args__ == ("hint", "annot", "body")
+    assert Prod.__match_args__ == ("hint", "dom", "cod")
+
+
 def test_repr_lists_every_field():
     span = SourceSpan("f.pcert", 2, 3)
     assert repr(span) == "SourceSpan(file='f.pcert', line=2, column=3, length=1)"
@@ -129,8 +149,8 @@ def test_rewrite_rule_validates_its_pattern():
     assert err.value.kind == "BadRule"
 
 
-def test_system_config_irrelevant_defaults_to_a_fresh_empty_mapping():
-    one, two = SystemConfig("a", {}, {}, None, None), SystemConfig("b", {}, {}, None, None)
+def test_kernel_irrelevant_defaults_to_a_fresh_empty_mapping():
+    one, two = Kernel("a", {}, {}, None, None), Kernel("b", {}, {}, None, None)
     assert one.irrelevant == {} and one.irrelevant is not two.irrelevant
 
 

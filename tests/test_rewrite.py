@@ -414,7 +414,7 @@ def _agree_at_every_budget(reference, change, exact: bool = True) -> None:
         assert kind == ("done" if budget >= spent else "out of fuel")
 
 
-RULE_SETS = ((BETA_PROJ, PCERT_KERNEL.config.irrelevant), (RULES_R, LF_KERNEL.config.irrelevant))
+RULE_SETS = ((BETA_PROJ, PCERT_KERNEL.irrelevant), (RULES_R, LF_KERNEL.irrelevant))
 
 
 @settings(max_examples=40, deadline=None)
