@@ -9,25 +9,21 @@ Definitions reach the kernel expanded, and expansion hands one object to
 every use, so the same term comes up for inference in many declarations.
 Inference therefore memoizes each non-leaf term's type by the term's
 identity, per kernel, on the context's table (`terms.Records`), for one
-file. An entry is used only under a view that sees at least the rows it was
-made under; that is weakening, sound because rows never change and every
-binder the kernel opens has a fresh name (a context the caller handed in
-with binders of its own gets no memo). A replay follows the rule of
-`rewrite`, with the entry's *redo cost* as its steps: what inferring the
-term again would spend today. That is
+file. An entry is filed only for a term inferred under no binder, so no key
+mentions a fresh name, and is used under any view that sees at least the
+rows it was made under, at any depth: that is weakening, sound because rows
+never change and a binder's name is never a row's. A replay follows the
+rule of `rewrite`, with the entry's *redo cost* as its steps: what inferring
+the term again would spend today. That is every step spent while inferring
+it (the `whnf` of types, conversions, the charges of nested replays), less
+the steps of each conversion whose pair mentions no binder: a redo meets
+that very pair again, now in the file's record of proven conversions, and
+gets it free. A pair that mentions a binder is met again under a new fresh
+name and costs its steps again.
 
-- every step spent while inferring it (the `whnf` of types, conversions,
-  the charges of nested replays), less
-- the steps of each conversion whose pair mentions no binder opened during
-  this inference: a redo meets that very pair again, now in the file's
-  record of proven conversions, and gets it free. A pair that mentions
-  such a binder is met again under a new fresh name and costs its steps
-  again.
-
-The steps of each conversion are filed under the level of its pair, 1 +
-the position of the innermost binder it mentions (`Context.binder_level`),
-and an inference that began under b binders subtracts those filed at levels
-<= b during it (`_Replay`).
+A binder body that does not mention its binder is typed in the outer
+context (strengthening), so the closed codomain of an arrow is filed and
+replayed like any term under no binder.
 
 The kernel's conversion and head normal form memos, on the same table,
 replay by the rule of `rewrite` too. The application rule takes a function
@@ -68,33 +64,19 @@ _LEAVES = (Var, Sort, Bound)
 
 
 class _Replay:
-    """One public inference call's access to the file's memos, and its
-    ledger `low`/`total` (see the module docstring). `memo` maps each
-    non-leaf term inferred to (its type, the `rows` of the view it was
-    inferred under, its redo cost), and is None for a context that already
-    holds binders; `heads` is the head normal form memo."""
+    """One public inference call's access to the file's memos (see the
+    module docstring). `memo` maps each non-leaf term inferred under no
+    binder to (its type, the `rows` of the view it was inferred under, its
+    redo cost); `heads` is the head normal form memo; `free` counts the
+    steps spent so far on conversions whose pair mentions no binder."""
 
-    __slots__ = ("memo", "heads", "low", "total")
+    __slots__ = ("memo", "heads", "free")
 
     def __init__(self, kernel: Kernel, ctx: Context):
         records = ctx.records(kernel)
-        self.memo = None if ctx.binders else records.inferred
+        self.memo = records.inferred
         self.heads = records.heads
-        self.low: list[int] = []  # low[b]: steps filed at levels <= b
-        self.total = 0  # steps filed at any level; all levels are < len(low)
-
-    def free(self, b: int) -> int:
-        """The steps filed at levels <= b so far."""
-        low = self.low
-        return low[b] if b < len(low) else self.total
-
-    def file(self, level: int, steps: int) -> None:
-        low = self.low
-        while len(low) <= level:
-            low.append(self.total)
-        for i in range(level, len(low)):
-            low[i] += steps
-        self.total += steps
+        self.free = 0
 
 
 class Kernel:
@@ -162,16 +144,16 @@ class Kernel:
 
     def _infer(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
         """Infer t's type, or replay it from the file's memo (see `_Replay`)."""
-        memo = run.memo
-        if memo is None or type(t) in _LEAVES:
+        if type(t) in _LEAVES:
             return self._infer_node(ctx, t, fuel, run)
-        seen = memo.get(ident(t))
+        seen = run.memo.get(ident(t))
         if seen is not None and ctx.rows >= seen[1] and fuel.charge(seen[2]):
             return seen[0]
-        b = len(ctx.binders)
-        spent, free = fuel.spent, run.free(b)
+        if ctx.binders:
+            return self._infer_node(ctx, t, fuel, run)
+        spent, free = fuel.spent, run.free
         ty = self._infer_node(ctx, t, fuel, run)
-        memo.put(ident(t), (ty, ctx.rows, fuel.spent - spent - (run.free(b) - free)), t)
+        run.memo.put(ident(t), (ty, ctx.rows, fuel.spent - spent - (run.free - free)), t)
         return ty
 
     def _infer_node(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
@@ -204,11 +186,13 @@ class Kernel:
             return instantiate(tf.cod, a)
         if cls is Prod or cls is Abs:
             # both sort the domain, and a codomain under the opened binder:
-            # a product's body, or the type of an abstraction's body
+            # a product's body, or the type of an abstraction's body; a body
+            # that ignores its binder comes back from `open_term` as itself
+            # and is typed in the outer context
             dom, hint = t.dom, t.hint
             s_dom = self._sort_of(ctx, dom, fuel, run)
             v, cod = open_term(hint, t.body)
-            inner_ctx = ctx.extend(v.name, dom)
+            inner_ctx = ctx if cod is t.body else ctx.extend(v.name, dom)
             if cls is Abs:
                 cod = self._infer(inner_ctx, cod, fuel, run)
             s_cod = self._sort_of(inner_ctx, cod, fuel, run)
@@ -261,12 +245,12 @@ class Kernel:
         raise TypeError(f"not a term: {t!r}")
 
     def _convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel, run: _Replay) -> bool:
-        """`convert` inside an inference, filing the steps it spent in the
-        ledger of `_Replay`."""
+        """`convert` inside an inference, counting in `run.free` the steps
+        of a pair that mentions no binder."""
         spent = fuel.spent
         verdict = self.convert(ctx, a, b, fuel)
-        if fuel.spent != spent and run.memo is not None:
-            run.file(ctx.binder_level(a, b), fuel.spent - spent)
+        if fuel.spent != spent and not ctx.mentions_binder(a, b):
+            run.free += fuel.spent - spent
         return verdict
 
     def _sort_of(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> str:

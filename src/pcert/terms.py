@@ -402,8 +402,8 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return a == b
 
 
-def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
-    """Replace Bound(depth) by a locally closed value, closing the binder.
+def instantiate(body: Term, value: Term) -> Term:
+    """Replace Bound(0) by a locally closed value, closing the binder.
 
     For one call, a subterm found unchanged is remembered with the least
     depth it was found unchanged at, so a closed subterm met again, such as
@@ -411,7 +411,7 @@ def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
     subterm is rebuilt at each occurrence, so the result is made of the
     very objects a tree walk makes.
     """
-    return _instantiate(body, value, depth, None)
+    return _instantiate(body, value, 0, None)
 
 
 def _instantiate(body: Term, value: Term, depth: int, same: dict[int, int] | None) -> Term:
@@ -595,17 +595,9 @@ class Context:
             records = self._table.records.setdefault(owner, Records())
         return records
 
-    def binder_level(self, *terms: Term) -> int:
-        """1 + the position of the innermost binder of this view that terms
-        mention; 0 when they mention none."""
-        binders = self.binders
-        if not binders:
-            return 0
-        names = free_vars(*terms)
-        for level in range(len(binders), 0, -1):
-            if binders[level - 1][0] in names:
-                return level
-        return 0
+    def mentions_binder(self, *terms: Term) -> bool:
+        """Whether terms mention a binder of this view."""
+        return bool(self.binders) and not free_vars(*terms).isdisjoint(dict(self.binders))
 
     def __iter__(self):
         return iter(self.entries)

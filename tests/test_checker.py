@@ -90,11 +90,13 @@ _LF_P = "symbol P : El(arrd(T, \\_: El(T). prop));\n"
 # before the lf kernel replayed the head normal form of `P`'s type). Then
 # 21, 25, 61 and 130 before spans were resolved on demand and a lone
 # variable skipped `parse_app` and `parse_atom`, and a lone atom `parse_app`.
+# The pairs then took 57 and 124 before inference filed memo entries only
+# under no binder and kept no ledger of binder levels.
 FLOOR_CALLS = {
     "pcert": ("symbol T : Type;\n", "symbol c{0} : T;\n", 18),
     "lf": ("#MODE lf\nsymbol T : Type;\n", "symbol c{0} : El(T);\n", 21),
-    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 57),
-    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 124),
+    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 55),
+    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 119),
 }
 
 

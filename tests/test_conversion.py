@@ -235,9 +235,9 @@ def _normalize_work(rules: RuleSet, t: Term) -> tuple[int, int]:
     calls = [0]
     original = rewrite.instantiate
 
-    def counted(body, value, depth=0):
+    def counted(body, value):
         calls[0] += 1
-        return original(body, value, depth)
+        return original(body, value)
 
     fuel = Fuel(ORACLE_FUEL)
     rewrite.instantiate = counted

@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pcert import check_file, cli, inverse, kernel, parse_file, terms, translate
 from pcert.diagnostics import UNBOUND_VARIABLE, CheckError, FuelError
 from pcert.kernel import Kernel
+from pcert.lf import KERNEL as LF_KERNEL
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel
 from pcert.syntax import ParsedFile, print_file, print_term
@@ -169,12 +170,43 @@ def test_a_replay_under_an_earlier_view_still_raises_unbound_variable():
 
 def test_binders_named_by_the_caller_are_never_replayed():
     # the caller may bind one name to different types in two views of one
-    # table, so a context holding binders gets no memo
+    # table, so inference under a context holding binders files no entry
     root = Context().declare("iota", TYPE_).declare("Q", terms.PROP)
     term = SymApp("psub", (Var("y"), Abs("z", Var("y"), Var("Q"))))
     assert PCERT_KERNEL.infer(root.extend("y", TYPE_), term) == TYPE_
     with pytest.raises(CheckError):
         PCERT_KERNEL.infer(root.extend("y", Var("iota")), term)
+
+
+# Inference files an entry only under no binder, so no key mentions a fresh
+# name; an entry under an opened binder could never be replayed.
+FILED = [(f"termgen{seed}", termgen_development(seed, 6)) for seed in (1, 7, 42)]
+FILED += [(f"uv{n}", "#MODE pcert\n" + shared_chain_source(n)) for n in (1, 4)]
+FILED += [(f"doubling{n}", doubling_chain_source(n)) for n in (1, 6)]
+
+
+@pytest.mark.parametrize(("name", "text"), FILED, ids=[name for name, _ in FILED])
+def test_no_inference_entry_is_keyed_by_a_fresh_name(name, text):
+    for source, owner in ((text, PCERT_KERNEL), (translated(text), LF_KERNEL)):
+        memo = check_file(parse_file(source, name), 0).context.records(owner).inferred
+        keys = [t for t in memo._held if terms.ident(t) in memo]
+        assert keys, name
+        assert not [t for t in keys if any("#" in v for v in terms.free_vars(t))], name
+
+
+@pytest.mark.parametrize("mode", ["pcert", "lf"])
+def test_a_body_that_ignores_its_binder_is_typed_in_the_outer_context(mode):
+    # strengthening: `g zzz` does not mention x, so it is inferred, and fails,
+    # under the declarations alone
+    text = {
+        "pcert": "symbol T : Type;\nsymbol g : T -> T;\ndefinition d := \\x: T. g zzz;\n",
+        "lf": "#MODE lf\nsymbol T : Type;\nsymbol g : El(T) -> El(T);\ndefinition d := \\x: El(T). g zzz;\n",
+    }[mode]
+    with pytest.raises(CheckError) as err:
+        check_file(parse_file(text, f"d.{mode}"))
+    assert err.value.kind == UNBOUND_VARIABLE
+    assert err.value.diagnostic.context.binders == ()
+    assert [n for n, _ in err.value.diagnostic.context] == ["T", "g"]
 
 
 # --- scaling guards: count the work, do not time it --------------------------------

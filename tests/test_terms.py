@@ -350,14 +350,15 @@ def shared_terms(draw) -> Term:
 @settings(max_examples=300, deadline=None)
 @given(shared_terms(), st.integers(0, 2), st.sampled_from((Var("v"), App(Var("f"), Var("a")), PROP)))
 def test_instantiate_and_is_nondependent_agree_with_tree_walks(body, depth, value):
-    out = instantiate(body, value, depth)
+    # `instantiate` is `_instantiate` at depth 0; deeper, as under binders
+    out = terms._instantiate(body, value, depth, None)
     expected = ref_instantiate(body, value, depth)
     assert out == expected and repr(out) == repr(expected)
     assert (not loose_bounds(body, Memo()) & 1) == ref_is_nondependent(body)  # bit 0: the binder's index
     # an unchanged subterm stays the very object wherever it occurs, and a
     # changed one is rebuilt at each occurrence, as a tree walk rebuilds it
-    unchanged = instantiate(body, value, depth) is body
-    out = instantiate(App(body, body), value, depth)
+    unchanged = terms._instantiate(body, value, depth, None) is body
+    out = terms._instantiate(App(body, body), value, depth, None)
     assert (out.fun is body) == (out.fun is out.arg) == unchanged
 
 
