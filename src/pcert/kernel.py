@@ -25,6 +25,19 @@ A binder body that does not mention its binder is typed in the outer
 context (strengthening), so the closed codomain of an arrow is filed and
 replayed like any term under no binder.
 
+Inference does not rebuild what it can read off the term, and each skip is
+exact. A body with no loose index (`terms.loose_bounds`, kept for the file
+on the same table) is neither opened nor closed: `open_term` would hand it
+back as itself, and `abstract_var` would hand back as itself the type it
+has in the outer context. Its fresh name is drawn all the same, so later
+names, and the diagnostics that print them, are those of opening it. The
+application rule returns such a codomain as it is, for the same reason.
+A symbol argument is matched against its telescope type in place
+(`terms.substituted_equals`), and the expected type is built only on a
+miss: on a hit `convert` would return at `==` before it spends fuel or
+records a pair. A bound variable is answered by one lookup, and a type
+that is already a sort is not taken to head normal form.
+
 The kernel's conversion and head normal form memos, on the same table,
 replay by the rule of `rewrite` too. The application rule takes a function
 type's head normal form from the latter, since in the lf encoding a symbol
@@ -53,29 +66,31 @@ from .terms import (
     Term,
     Var,
     abstract_var,
+    fresh_name,
     ident,
     instantiate,
+    loose_bounds,
     open_term,
     substitute_parallel,
+    substituted_equals,
 )
-
-
-_LEAVES = (Var, Sort, Bound)
 
 
 class _Replay:
     """One public inference call's access to the file's memos (see the
     module docstring). `memo` maps each non-leaf term inferred under no
     binder to (its type, the `rows` of the view it was inferred under, its
-    redo cost); `heads` is the head normal form memo; `free` counts the
-    steps spent so far on conversions whose pair mentions no binder."""
+    redo cost); `heads` is the head normal form memo; `bounds` holds the
+    loose-index masks of `terms.loose_bounds`; `free` counts the steps spent
+    so far on conversions whose pair mentions no binder."""
 
-    __slots__ = ("memo", "heads", "free")
+    __slots__ = ("memo", "heads", "bounds", "free")
 
     def __init__(self, kernel: Kernel, ctx: Context):
         records = ctx.records(kernel)
         self.memo = records.inferred
         self.heads = records.heads
+        self.bounds = records.bounds
         self.free = 0
 
 
@@ -144,7 +159,11 @@ class Kernel:
 
     def _infer(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
         """Infer t's type, or replay it from the file's memo (see `_Replay`)."""
-        if type(t) in _LEAVES:
+        cls = type(t)
+        if cls is Var:
+            ty = ctx.lookup(t.name)
+            return ty if ty is not None else self._infer_node(ctx, t, fuel, run)
+        if cls is Sort or cls is Bound:
             return self._infer_node(ctx, t, fuel, run)
         seen = run.memo.get(ident(t))
         if seen is not None and ctx.rows >= seen[1] and fuel.charge(seen[2]):
@@ -160,11 +179,8 @@ class Kernel:
         """The inference rule at t's head, dispatched as `terms` says;
         subterms go through `_infer`."""
         cls = type(t)
-        if cls is Var:
-            ty = ctx.lookup(t.name)
-            if ty is None:
-                raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {t.name!r}", context=ctx, subject=t)
-            return ty
+        if cls is Var:  # `_infer` has answered a bound one
+            raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {t.name!r}", context=ctx, subject=t)
         if cls is App:
             tf = whnf_replayed(self.rules, self._infer(ctx, t.fun, fuel, run), fuel, run.heads)
             if not isinstance(tf, Prod):
@@ -183,16 +199,22 @@ class Kernel:
                     context=ctx,
                     subject=t,
                 )
-            return instantiate(tf.cod, a)
+            cod = tf.cod
+            return instantiate(cod, a) if loose_bounds(cod, run.bounds) else cod
         if cls is Prod or cls is Abs:
             # both sort the domain, and a codomain under the opened binder:
             # a product's body, or the type of an abstraction's body; a body
-            # that ignores its binder comes back from `open_term` as itself
-            # and is typed in the outer context
-            dom, hint = t.dom, t.hint
+            # that ignores its binder is neither opened nor closed, and is
+            # typed in the outer context
+            dom, hint, cod = t.dom, t.hint, t.body
             s_dom = self._sort_of(ctx, dom, fuel, run)
-            v, cod = open_term(hint, t.body)
-            inner_ctx = ctx if cod is t.body else ctx.extend(v.name, dom)
+            opened = loose_bounds(cod, run.bounds)
+            if opened:
+                v, cod = open_term(hint, cod)
+                inner_ctx = ctx.extend(v.name, dom)
+            else:
+                fresh_name(hint)  # drawn as opening would, so later names stay the same
+                inner_ctx = ctx
             if cls is Abs:
                 cod = self._infer(inner_ctx, cod, fuel, run)
             s_cod = self._sort_of(inner_ctx, cod, fuel, run)
@@ -204,7 +226,9 @@ class Kernel:
                     context=ctx,
                     subject=t,
                 )
-            return self.sorts[s_res] if cls is Prod else Prod(hint, dom, abstract_var(cod, v.name))
+            if cls is Prod:
+                return self.sorts[s_res]
+            return Prod(hint, dom, abstract_var(cod, v.name) if opened else cod)
         if cls is SymApp:
             sym, args = t.sym, t.args
             entry = self.signature.get(sym)
@@ -219,15 +243,16 @@ class Kernel:
                 )
             binding: dict[str, Term] = {}
             for (x, ty), arg in zip(entry.telescope, args):
-                expected = substitute_parallel(ty, binding)
                 actual = self._infer(ctx, arg, fuel, run)
-                if not self._convert(ctx, actual, expected, fuel, run):
-                    raise fail(
-                        dk.DOMAIN_MISMATCH,
-                        f"argument {arg!r} of {sym!r} has type {actual!r}, expected {expected!r}",
-                        context=ctx,
-                        subject=t,
-                    )
+                if not substituted_equals(ty, binding, actual):
+                    expected = substitute_parallel(ty, binding)
+                    if not self._convert(ctx, actual, expected, fuel, run):
+                        raise fail(
+                            dk.DOMAIN_MISMATCH,
+                            f"argument {arg!r} of {sym!r} has type {actual!r}, expected {expected!r}",
+                            context=ctx,
+                            subject=t,
+                        )
                 binding[x] = arg
             return substitute_parallel(entry.result, binding)
         if cls is Sort:
@@ -254,9 +279,11 @@ class Kernel:
         return verdict
 
     def _sort_of(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> str:
-        ty = self.whnf(self._infer(ctx, t, fuel, run), fuel)
-        if not isinstance(ty, Sort):
-            raise fail(dk.NOT_A_SORT, f"type of {t!r} is {ty!r}, not a sort", context=ctx, subject=t)
+        ty = self._infer(ctx, t, fuel, run)
+        if type(ty) is not Sort:
+            ty = self.whnf(ty, fuel)
+            if type(ty) is not Sort:
+                raise fail(dk.NOT_A_SORT, f"type of {t!r} is {ty!r}, not a sort", context=ctx, subject=t)
         return ty.tag
 
     def sort_of(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Sort:

@@ -330,8 +330,9 @@ def loose_bounds(t: Term, memo: Memo) -> int:
     """The indices of the `Bound`s of t that no binder inside t binds, as a
     bit mask (bit k for index k), kept in `memo` under `~ident(t)`, which
     no other kind of entry uses. A product's codomain uses its binder when
-    bit 0 of its mask is set, so a printer reads each arrow's dependence
-    from one walk of the file's distinct nodes, not one walk per arrow."""
+    bit 0 of its mask is set, so a printer reads each arrow's dependence,
+    and the kernel whether a binder body or a codomain needs opening, from
+    one walk of the file's distinct nodes, not one walk per binder."""
     cls = type(t)
     if cls is Bound:
         return 1 << t.index
@@ -387,6 +388,31 @@ def substitute_parallel(t: Term, mapping: dict[str, Term], memo: Memo | None = N
     else:
         raise TypeError(f"not a term: {t!r}")
     return out if memo is None else memo.put(ident(t), out, t)
+
+
+def substituted_equals(t: Term, mapping: dict[str, Term], other: Term) -> bool:
+    """`substitute_parallel(t, mapping) == other`, decided without building
+    the substitution: t and other are walked side by side and mapping is
+    read at each free variable of t, whose value is compared with `==`. t
+    is walked as a tree, so it should be small, as a telescope's types are."""
+    cls = type(t)
+    if cls is Var:
+        value = mapping.get(t.name, t)
+        return value is other or value == other
+    if cls is not type(other):
+        return False
+    if cls is App:
+        return substituted_equals(t.fun, mapping, other.fun) and substituted_equals(t.arg, mapping, other.arg)
+    if cls is Abs or cls is Prod:
+        return substituted_equals(t.dom, mapping, other.dom) and substituted_equals(t.body, mapping, other.body)
+    if cls is SymApp:
+        if t.sym != other.sym or len(t.args) != len(other.args):
+            return False
+        for a, b in zip(t.args, other.args):
+            if not substituted_equals(a, mapping, b):
+                return False
+        return True
+    return t is other or t == other
 
 
 def _same(new: list[Term], old: tuple[Term, ...]) -> bool:
@@ -500,18 +526,20 @@ def open_term(hint: str, body: Term) -> tuple[Var, Term]:
 
 class Records:
     """What one owner (a kernel) has established under one table, so for one
-    file: the pairs it has proven convertible, and its inference, conversion
-    and head normal form memos. Every view grown from one root shares them,
-    and a new root or a copied table starts empty, so a record never
-    outlives the file that made it or reaches another owner."""
+    file: the pairs it has proven convertible, its inference, conversion
+    and head normal form memos, and the `loose_bounds` of what it has
+    inferred. Every view grown from one root shares them, and a new root or
+    a copied table starts empty, so a record never outlives the file that
+    made it or reaches another owner."""
 
-    __slots__ = ("proven", "inferred", "converted", "heads")
+    __slots__ = ("proven", "inferred", "converted", "heads", "bounds")
 
     def __init__(self):
         self.proven: set[tuple[Term, Term]] = set()
         self.inferred = Memo()
         self.converted = Memo()
         self.heads = Memo()
+        self.bounds = Memo()
 
 
 class _Table:

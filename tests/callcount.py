@@ -1,10 +1,10 @@
 """Python-level calls and output digests of two checkouts, side by side.
 
-    python tests/callcount.py PARENT_DIR CHANGE_DIR
+    python tests/callcount.py PARENT_DIR CHANGE_DIR [--seed 42]
 
 For each checkout, in a process of its own, runs the four commands through
-`pcert.cli.main` on the inputs of `perfbench/run.py`'s fixed rounds at seed
-42 (`FIXED_ROUNDS`, `PER_ROUND`), for every workload of `perfbench/gen.py`,
+`pcert.cli.main` on the inputs of `perfbench/run.py`'s fixed rounds at the
+seed (`FIXED_ROUNDS`, `PER_ROUND`), for every workload of `perfbench/gen.py`,
 and counts the Python-level calls (`sys.setprofile` "call" events) each
 workload×command makes. Each checkout reads its own `perfbench` for the
 inputs. Prints one row per workload×command: both counts, their difference,
@@ -18,13 +18,12 @@ collect it.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-SEED = 42
 
 # Run in a child: argv[1] is the checkout, argv[2] the seed. Prints
 # {"workload/command": [calls, digest]} as one JSON line.
@@ -75,10 +74,10 @@ print(json.dumps(out))
 """
 
 
-def measure(checkout: Path) -> dict[str, list]:
+def measure(checkout: Path, seed: int) -> dict[str, list]:
     env = dict(os.environ, PYTHONHASHSEED="0")
     env.pop("PCERT_FUEL", None)  # the default budget applies, as in perfbench
-    argv = [sys.executable, "-c", CHILD, str(checkout), str(SEED)]
+    argv = [sys.executable, "-c", CHILD, str(checkout), str(seed)]
     child = subprocess.run(argv, capture_output=True, text=True, env=env)
     if child.returncode != 0:
         raise RuntimeError(f"{checkout}: {child.stderr}")
@@ -86,10 +85,12 @@ def measure(checkout: Path) -> dict[str, list]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python tests/callcount.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
-        return 2
-    parent, change = (measure(Path(a)) for a in argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seed", type=int, default=42)
+    args = parser.parse_args(argv)
+    parent, change = (measure(checkout, args.seed) for checkout in (args.parent, args.change))
     worse = False
     print(f"{'workload/command':<24} {'parent':>9} {'change':>9} {'diff':>7} {'change %':>8}  digests")
     for key, (p_calls, p_digest) in parent.items():

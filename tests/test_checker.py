@@ -91,12 +91,17 @@ _LF_P = "symbol P : El(arrd(T, \\_: El(T). prop));\n"
 # 21, 25, 61 and 130 before spans were resolved on demand and a lone
 # variable skipped `parse_app` and `parse_atom`, and a lone atom `parse_app`.
 # The pairs then took 57 and 124 before inference filed memo entries only
-# under no binder and kept no ledger of binder levels.
+# under no binder and kept no ledger of binder levels. All four then took
+# 18, 21, 55 and 119, and a constant abstraction over a fresh symbol 65,
+# before inference answered a bound variable and a sort inline, matched
+# symbol arguments against the telescope in place and left a binder its
+# body ignores closed.
 FLOOR_CALLS = {
-    "pcert": ("symbol T : Type;\n", "symbol c{0} : T;\n", 18),
-    "lf": ("#MODE lf\nsymbol T : Type;\n", "symbol c{0} : El(T);\n", 21),
-    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 55),
-    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 119),
+    "pcert": ("symbol T : Type;\n", "symbol c{0} : T;\n", 15),
+    "lf": ("#MODE lf\nsymbol T : Type;\n", "symbol c{0} : El(T);\n", 19),
+    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 47),
+    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 115),
+    "pcert_lambda": ("symbol T : Type;\n", "symbol c{0} : T;\ndefinition k{0} := \\x: T. c{0};\n", 50),
 }
 
 

@@ -11,6 +11,7 @@ budget.
 from __future__ import annotations
 
 import contextlib
+import itertools
 
 import pytest
 from genutil import (
@@ -20,6 +21,7 @@ from genutil import (
     TermGen,
     canonical_fresh_names,
     doubling_chain_source,
+    ref_is_nondependent,
     reference_inference,
 )
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -207,6 +209,71 @@ def test_a_body_that_ignores_its_binder_is_typed_in_the_outer_context(mode):
     assert err.value.kind == UNBOUND_VARIABLE
     assert err.value.diagnostic.context.binders == ()
     assert [n for n, _ in err.value.diagnostic.context] == ["T", "g"]
+
+
+# Constant abstractions and non-dependent arrows, and one abstraction whose
+# body uses its binder (`i`'s x); `bad` fails inside two binders, the outer
+# one unused, with a diagnostic that prints a fresh name.
+UNUSED_BINDERS = {
+    "pcert": """symbol T : Type;
+symbol U : Type;
+symbol c : T;
+symbol P : T -> Prop;
+definition k := \\z: T. c;
+symbol h : T -> U -> T;
+definition i := \\x: T. \\y: U. x;
+assert \\w: T. P c : T -> Prop;
+""",
+    "lf": """#MODE lf
+symbol T : Type;
+symbol U : Type;
+symbol c : El(T);
+symbol P : El(T) -> Prop;
+definition k := \\z: El(T). c;
+symbol h : El(T) -> El(U) -> El(T);
+definition i := \\x: El(T). \\y: El(U). x;
+assert \\w: El(T). P c : El(T) -> Prop;
+""",
+}
+BAD_UNDER_TWO_BINDERS = {
+    "pcert": "definition bad := \\x: T. \\y: U. fst(T, P, y);\n",
+    "lf": "definition bad := \\x: El(T). \\y: El(U). fst(T, P, y);\n",
+}
+BAD_LINE = {
+    "pcert": "bad.pcert:9:1: DomainMismatch: argument y#10 of 'fst' has type U, expected psub(T, P)\n",
+    "lf": "bad.lf:10:1: DomainMismatch: argument y#10 of 'fst' has type El(U), expected El(psub(T, P))\n",
+}
+
+
+@pytest.mark.parametrize("mode", ["pcert", "lf"])
+def test_a_binder_its_body_ignores_is_neither_opened_nor_closed(mode, monkeypatch, tmp_path, capsys):
+    opened, closed = [], []
+    open_term, abstract_var = kernel.open_term, kernel.abstract_var
+
+    def spy_open(hint, body):
+        assert not ref_is_nondependent(body), (hint, body)
+        v, out = open_term(hint, body)
+        opened.append(v.name)
+        return v, out
+
+    def spy_close(t, name):
+        closed.append(name)
+        return abstract_var(t, name)
+
+    monkeypatch.setattr(kernel, "open_term", spy_open)
+    monkeypatch.setattr(kernel, "abstract_var", spy_close)
+    monkeypatch.setattr(terms, "_fresh_counter", itertools.count(1))
+    check_file(parse_file(UNUSED_BINDERS[mode], f"ok.{mode}"))
+    assert [name.split("#")[0] for name in opened] == ["x"]
+    assert closed == opened  # only a binder that was opened is closed
+    # every binder still draws its name, as one that opens its body does
+    assert next(terms._fresh_counter) == 9
+    path = tmp_path / f"bad.{mode}"
+    path.write_text(UNUSED_BINDERS[mode] + BAD_UNDER_TWO_BINDERS[mode])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(terms, "_fresh_counter", itertools.count(1))
+    assert cli.main(["check", path.name]) == cli.EXIT_TYPE_ERROR
+    assert capsys.readouterr().err == BAD_LINE[mode]
 
 
 # --- scaling guards: count the work, do not time it --------------------------------

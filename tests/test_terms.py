@@ -34,7 +34,8 @@ from hypothesis import given, settings, strategies as st
 from pcert import terms
 from pcert.cli import main
 from pcert.diagnostics import DUPLICATE_NAME, CheckError
-from pcert.pcert import BETA_PROJ, KERNEL as PCERT_KERNEL
+from pcert.lf import LF_SIGNATURE
+from pcert.pcert import BETA_PROJ, KERNEL as PCERT_KERNEL, PCERT_SIGNATURE
 from pcert.rewrite import normalize
 from pcert.terms import (
     Abs,
@@ -360,6 +361,69 @@ def test_instantiate_and_is_nondependent_agree_with_tree_walks(body, depth, valu
     unchanged = terms._instantiate(body, value, depth, None) is body
     out = terms._instantiate(App(body, body), value, depth, None)
     assert (out.fun is body) == (out.fun is out.arg) == unchanged
+
+
+# --- the kernel's telescope matcher ----------------------------------------------
+
+
+def _telescope_types() -> list[tuple[Term, tuple[str, ...]]]:
+    """Each telescope type and result type of both signatures, with the
+    telescope variables it may mention."""
+    out = []
+    for signature in (PCERT_SIGNATURE, LF_SIGNATURE):
+        for _, entry in signature.items():
+            names = tuple(x for x, _ in entry.telescope)
+            out += [(ty, names[:i]) for i, (_, ty) in enumerate(entry.telescope)]
+            out.append((entry.result, names))
+    return out
+
+
+TELESCOPE_TYPES = _telescope_types()
+
+
+def near_misses(t: Term):
+    """Terms one edit away from t: one more `El` around it or around a
+    subterm, a symbol or variable renamed, arguments swapped, a binder of
+    the other kind, another sort or index."""
+    yield SymApp("El", (t,))
+    cls = type(t)
+    if cls is SymApp:
+        yield SymApp(t.sym + "'", t.args)
+        if len(t.args) > 1:
+            yield SymApp(t.sym, t.args[1:] + t.args[:1])
+        for i, a in enumerate(t.args):
+            yield from (SymApp(t.sym, t.args[:i] + (e,) + t.args[i + 1 :]) for e in near_misses(a))
+    elif cls is App:
+        yield App(t.arg, t.fun)
+        yield from (App(e, t.arg) for e in near_misses(t.fun))
+        yield from (App(t.fun, e) for e in near_misses(t.arg))
+    elif cls is Abs or cls is Prod:
+        yield (Prod if cls is Abs else Abs)(t.hint, t.dom, t.body)
+        yield from (cls(t.hint, e, t.body) for e in near_misses(t.dom))
+        yield from (cls(t.hint, t.dom, e) for e in near_misses(t.body))
+    elif cls is Var:
+        yield Var(t.name + "'")
+    elif cls is Sort:
+        yield Sort("Type" if t.tag == "Prop" else "Prop")
+    else:
+        yield Bound(t.index + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TELESCOPE_TYPES), st.integers(0, 2**32 - 1), st.data())
+def test_substituted_equals_is_substitute_then_compare(typed, seed, data):
+    ty, names = typed
+    gen = TermGen(seed)
+    # a small pool, so one value may stand for several telescope variables
+    pool = [gen.some_term(3)[0], gen.some_term(2)[0], IOTA, PROP]
+    binding = {x: data.draw(st.sampled_from(pool)) for x in names}
+    exact = substitute_parallel(ty, binding)
+    rotated = {x: pool[(pool.index(v) + 1) % len(pool)] for x, v in binding.items()}
+    candidates = [exact, ref_substitute_parallel(ty, binding), rehinted(exact), substitute_parallel(ty, rotated)]
+    other = data.draw(st.sampled_from(candidates + list(near_misses(exact))))
+    found = terms.substituted_equals(ty, binding, other)
+    assert found == (substitute_parallel(ty, binding) == other)
+    assert found == ref_equal(ref_substitute_parallel(ty, binding), other)
 
 
 def _binder_over_doubling_calls(command: str, links: int, tmp_path) -> int:
