@@ -1,17 +1,24 @@
 """Lexer of the declaration language, and the repeated groups of a text.
 
-The lexer is one regex scan of the text. It skips whitespace and comments
-inside the regex, reports the first character that starts no token through a
-catch-all branch, and fills two flat lists, the kinds and values of the
-tokens, ending in an eof entry, which the parser indexes. It keeps no token
-offsets: a span finds them only when read (see `Source`).
+The lexer is one regex scan of the text with its comments blanked to
+spaces, so that every offset, line and column is the text's own. The regex,
+`[A-Za-z_][A-Za-z0-9_'?]*|:=|->|\\#MODE|[^ \\t\\r\\n]`, has no group and no
+skip: `findall` steps over whitespace by searching, and a character that
+starts no other token is a token of one character. The kind of each token
+is read off one table; an identifier is what the table lacks, and every
+ASCII character that starts no token is in it as "bad". A character beyond
+ASCII starts no token either, so text that is not ASCII has its tokens
+beyond ASCII marked "bad" by one more pass. The scan fills two flat lists,
+the kinds and values of the tokens, ending in an eof entry, which the
+parser indexes. It keeps no token offsets: a span finds them only when read
+(see `Source`).
 
-Repeated groups. Before scanning, `repeated_groups` makes one pass left to
-right over the parentheses of the text and finds the parenthesised groups
-whose exact text occurred before. `scan` makes each such repeat one token of
-kind "group", which names the "(" token of the repeat's first occurrence,
-instead of matching its text again, when the repeat is read the way its
-first occurrence is: the tokens just before the two name the same signature
+Repeated groups. `repeated_groups` makes one pass left to right over the
+parentheses of a text and finds the parenthesised groups whose exact text
+occurred before. `scan` makes each such repeat one token of kind "group",
+which names the "(" token of the repeat's first occurrence, instead of
+matching its text again, when the repeat is read the way its first
+occurrence is: the tokens just before the two name the same signature
 symbol (the group is that symbol's arguments), or neither names one (the
 group is a parenthesised term). Any other repeat is matched as ordinary
 tokens. So a group token reads as its first occurrence did but for the
@@ -19,7 +26,9 @@ binder frame, on which no parse error depends, and the parser reads it from
 that occurrence's tokens once per frame (see `syntax._Parser`). A text that
 spells out the same expanded definitions many times, as the output of
 `pcert translate` does, is read in time linear in its distinct groups
-rather than its size.
+rather than its size. The parser searches only lf text (`is_lf`): that is
+what `pcert translate` writes, while a pcert source names its definitions
+and repeats too little for the search to pay for itself.
 """
 
 from __future__ import annotations
@@ -27,20 +36,16 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from itertools import islice, repeat
+from string import ascii_letters
 
 from .lf import LF_SIGNATURE
 from .pcert import PCERT_SIGNATURE
 
 KEYWORDS = frozenset({"symbol", "definition", "assert", "convertible", "Type", "Kind", "Prop"})
 
-# Whitespace and comments after a token. Each token match ends with them, so
-# the next match starts on a token or at the end of the text.
-_SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
-
-# Group 1 is the token; a character that starts no token matches the
-# catch-all instead, and `findall` gives it the value "".
-_TOKEN_RE = re.compile(r"""(?:([A-Za-z_][A-Za-z0-9_'?]*|:=|->|[(){}|,;:.!\\]|\#MODE)|.)""" + _SKIP, re.DOTALL)
-_LEADING_SKIP = re.compile(_SKIP)
+# A token is an identifier, an operator of two or more characters, or any
+# one character but whitespace; `_KINDS` tells the last apart.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'?]*|:=|->|\#MODE|[^ \t\r\n]")
 
 # The names of the signature symbols of both modes, which decide how a group
 # is read (see the module docstring).
@@ -52,17 +57,31 @@ _KINDS = {
     ":=": "assign",
     "->": "arrow",
     "#MODE": "mode",
-    "": "bad",
+    **dict.fromkeys(set(map(chr, range(128))) - set(ascii_letters + "_"), "bad"),
     **dict.fromkeys("(){}|,;:.!\\", "punct"),
 }
 _COMMENT_RE = re.compile(r"//[^\n]*")
 _NEWLINE_RE = re.compile("\n")
+# a "#MODE lf" header: the text's first two tokens
+_LF_HEADER = re.compile(r"[ \t\r\n]*\#MODE[ \t\r\n]*lf(?![A-Za-z0-9_'?])")
 _GROUP_MIN = 24
 _GROUP_DEPTH = 64
 
 
 def _blank(comment: re.Match) -> str:
     return " " * len(comment[0])
+
+
+def blank_comments(text: str) -> str:
+    """text with each comment replaced by as many spaces; a text with no
+    comment is returned as it is."""
+    return _COMMENT_RE.sub(_blank, text) if "//" in text else text
+
+
+def is_lf(text: str, mode: str) -> bool:
+    """Whether text, with comments blanked, is read in lf mode: mode is
+    "lf" or the text starts with a "#MODE lf" header."""
+    return mode == "lf" or _LF_HEADER.match(text) is not None
 
 
 def repeated_groups(text: str) -> list[tuple[int, int, int]]:
@@ -81,7 +100,7 @@ def repeated_groups(text: str) -> list[tuple[int, int, int]]:
     size = len(text)
     # "()" after the text: both searches find a parenthesis, and the walk
     # ends at that "("
-    bare = (_COMMENT_RE.sub(_blank, text) if "//" in text else text) + "()"
+    bare = blank_comments(text) + "()"
     find = bare.find
     closed: dict[str, list[tuple[int, int]]] = {}  # prefix -> (start, end) of the groups closed so far
     opened: list[int] = []
@@ -129,12 +148,14 @@ def repeated_groups(text: str) -> list[tuple[int, int, int]]:
 class Source:
     """A scanned text, which finds where its tokens are only when asked.
 
-    `scan` collects token values, not offsets, a segment of the text at a
-    time, and records the segment table: `heads[k]` is the index of the
-    first token of segment k and `offsets[k]` the offset where it starts.
-    Token i starts where the (i - heads[k])-th match of the token regex from
-    `offsets[k]` starts, for the last segment k whose first token is at most
-    i: a segment starts on a token, and the regex reads the text after it as
+    `text` is the scanned text with its comments blanked (see the module
+    docstring), which puts every token where the text has it. `scan`
+    collects token values, not offsets, a segment of the text at a time,
+    and records the segment table: `heads[k]` is the index of the first
+    token of segment k and `offsets[k]` an offset at or before that token,
+    with no token between. Token i starts where the (i - heads[k])-th match
+    of the token regex from `offsets[k]` starts, for the last segment k
+    whose first token is at most i: the regex reads the text after it as
     the scan did. A group token is a segment of its own. A segment's offsets
     are found when a span in it is first read, and the text's newlines when
     the first span is, so reading every span takes time linear in the text.
@@ -168,11 +189,11 @@ class Source:
 
     def locate(self, i: int) -> tuple[str, int, int, int]:
         """The file, line, column and length of token i, as `SourceSpan`
-        holds them; eof and a character that starts no token have length 1."""
+        holds them; eof has length 1."""
         text = self.text
         start = self.offset(i)
         token = _TOKEN_RE.match(text, start)
-        length = len(token[1] or " ") if token else 1
+        length = token.end() - start if token else 1
         if self.newlines is None:
             self.newlines = list(map(re.Match.start, _NEWLINE_RE.finditer(text)))
         line = bisect_left(self.newlines, start)  # the newlines before the token
@@ -185,16 +206,17 @@ def scan(
 ) -> tuple[list[str], list[str], dict[int, int], Source]:
     """Kinds and values of the tokens of text, ending in eof, the group
     tokens, and the text's `Source`; a character that starts no token has
-    the kind "bad" and the value "". A repeat (see `repeated_groups`) read
-    the way its first occurrence is (see the module docstring) is one token
-    of kind "group" and value "(", and the returned dict maps its index to
-    the index of the "(" token of the repeat's first occurrence: no token of
-    the repeat is matched or copied.
+    the kind "bad". A repeat (see `repeated_groups`) read the way its first
+    occurrence is (see the module docstring) is one token of kind "group"
+    and value "(", and the returned dict maps its index to the index of the
+    "(" token of the repeat's first occurrence: no token of the repeat is
+    matched or copied.
 
     The values are collected by `findall` a segment at a time (see
     `Source`). Segments end at each repeat and at each first occurrence, so
     the index of a first occurrence's "(" token is known when its repeats
     are reached."""
+    text = blank_comments(text)
     values: list[str] = []
     groups: dict[int, int] = {}
     heads: list[int] = []
@@ -205,8 +227,7 @@ def scan(
     cuts = sorted({first for _, _, first in repeats})
     cuts.append(len(text))
     firsts: dict[int, int] = {}
-    c = 0
-    pos = _LEADING_SKIP.match(text).end()
+    c = pos = 0
     for start, end, first in repeats:
         while cuts[c] < start:
             cut = cuts[c]
@@ -229,11 +250,15 @@ def scan(
         heads.append(len(values))
         offsets.append(start)
         values.append("(")
-        pos = _LEADING_SKIP.match(text, end).end()
+        pos = end
     heads.append(len(values))
     offsets.append(pos)
     values += findall(text, pos)
     kinds = list(map(_KINDS.get, values, repeat("id")))
+    if not text.isascii():
+        # a character beyond ASCII is a token of its own, which no
+        # identifier holds
+        kinds = [kind if value.isascii() else "bad" for kind, value in zip(kinds, values)]
     for i in groups:
         kinds[i] = "group"
     source = Source(text, file, heads, offsets, len(values))

@@ -22,8 +22,14 @@ encodings of those sorts, while TYPE and KIND denote the framework sorts.
 
 The lexer (`lexer.scan`) fills the token lists the parser indexes, and a
 declaration's or an error's span resolves only when read (see
-`lexer.Source`). Binder names are resolved to `Bound` indices as they are
-parsed, so each binder is built once and its body is never walked again.
+`lexer.Source`). A character that starts no token is reported before any
+parsing, from its kind "bad" in the lexer's table. Binder names are
+resolved to `Bound` indices as they are parsed, so each binder is built
+once and its body is never walked again. `parse_term` reads the atoms of
+an application in one loop, each variable, parenthesised term and call
+in place, `parse_call` reads a variable argument in place, and a binder's
+fixed tokens are checked in place: a variable or a fixed token costs no
+Python call of its own, and each level of nested parentheses one frame.
 
 Nodes are interned for one parse: every node is built through one dict
 keyed by its class, its name, index, tag or binder hint, and the ids of its
@@ -34,8 +40,11 @@ The hint is part of the key, so binders written with different names stay
 distinct objects and print with their own names. The dict is plain, not
 weak: it lives only as long as the parse, its values hold the children
 whose ids the keys are made of, and a hit costs less than building the
-node. A repeated group is read once per binder frame (see `lexer` and
-`_Parser`).
+node. In lf text, a "#MODE lf" file or a term parsed in lf mode, a repeated
+group is read once per binder frame (see `lexer` and `_Parser`); that is
+what `pcert translate` writes and reads back. pcert text is not searched
+for repeats: a source names its definitions, so it repeats little, and
+the search would cost more than it saves.
 
 The printer renders a node shared across the terms of a file once, from
 one `terms.Memo` per file, which also keeps each node's free names: the
@@ -49,7 +58,7 @@ import re
 from typing import Union
 
 from .diagnostics import ARITY_MISMATCH, PARSE_ERROR, SourceSpan, SurfaceError, span_at
-from .lexer import KEYWORDS, SYMBOLS, repeated_groups, scan
+from .lexer import KEYWORDS, SYMBOLS, blank_comments, is_lf, repeated_groups, scan
 from .lf import KIND_ENC, LF_SIGNATURE, PROP_ENC, PROP_OBJ, TYPE_ENC, TYPE_OBJ
 from .pcert import PCERT_SIGNATURE
 from .record import Frozen, Record, setters
@@ -179,6 +188,9 @@ _CONSTANTS = {
 # values of the tokens other than identifiers that start an atom
 _ATOM_START = frozenset({"(", "{", "Type", "Kind", "Prop"})
 
+# values of the tokens that end a call's argument
+_ARGUMENT_END = frozenset({",", ")"})
+
 # the identifiers that are sorts, not variables
 _NOT_VARIABLES = frozenset({"TYPE", "KIND"})
 
@@ -194,23 +206,24 @@ class _Parser:
     d enclosing binders an identifier bound at level l is `Bound(d - 1 - l)`
     and an unbound one a free `Var`.
 
-    The span memo parses each repeated group once per binder frame. Its key
-    is the index of the "(" token a group token names (see `lexer`) and the
-    frame, the tuple `names`, which fixes the index of every `Bound` inside.
-    Parsing a first occurrence stores its node; at a group token a hit
-    returns it, and a miss (a new frame) parses the first occurrence's
-    tokens in place. The node is the very object parsing the repeat's own
-    text would return, since the parse of a group depends only on its
-    tokens, the mode, the callee and the frame, and interning returns the
-    object built from the same parts. A parse in place cannot fail: the
-    first occurrence parsed, and no error depends on the frame.
+    The span memo parses each repeated group of lf text (see `tokens`) once
+    per binder frame. Its key is the index of the "(" token a group token
+    names (see `lexer`) and the frame, the tuple `names`, which fixes the
+    index of every `Bound` inside. Parsing a first occurrence stores its
+    node; at a group token a hit returns it, and a miss (a new frame) parses
+    the first occurrence's tokens in place. The node is the very object
+    parsing the repeat's own text would return, since the parse of a group
+    depends only on its tokens, the mode, the callee and the frame, and
+    interning returns the object built from the same parts. A parse in
+    place cannot fail: the first occurrence parsed, and no error depends on
+    the frame.
 
     `parse_file` reads the file's `mentioned` off the intern table `nodes`,
     into a frozenset that keeps neither the table nor the parser alive.
     """
 
     def __init__(self, text: str, file: str, mode: str = "pcert"):
-        self.kinds, self.values, groups, self.source = self.tokens(text, file)
+        self.kinds, self.values, groups, self.source = self.tokens(text, file, mode)
         self.file = file
         self.pos = 0
         self.mode = mode
@@ -221,7 +234,6 @@ class _Parser:
         self.nodes: dict[tuple, Term] = dict(_SORT_NODES)
         if "bad" in self.kinds:
             bad = self.kinds.index("bad")
-            self.values[bad] = text[self.source.offset(bad)]
             raise self.error(f"unexpected character {self.values[bad]!r}", bad)
         # the span memo: `shared` maps each group token, and the "(" token
         # of each first occurrence, to the index of that "(" token, and
@@ -231,10 +243,11 @@ class _Parser:
         self.parsed: dict[tuple, Term] = {}
 
     @staticmethod
-    def tokens(text: str, file: str) -> tuple:
-        """`lexer.scan` of text, with the repeats `lexer.repeated_groups`
-        finds read as group tokens."""
-        return scan(text, repeated_groups(text), file)
+    def tokens(text: str, file: str, mode: str) -> tuple:
+        """`lexer.scan` of text; lf text has the repeats
+        `lexer.repeated_groups` finds read as group tokens."""
+        text = blank_comments(text)
+        return scan(text, repeated_groups(text) if is_lf(text, mode) else [], file)
 
     def error(self, message: str, i: int | None = None, kind: str = PARSE_ERROR) -> SurfaceError:
         return SurfaceError(message, span_at(self.source, self.pos if i is None else i), kind)
@@ -323,51 +336,79 @@ class _Parser:
         kinds, values = self.kinds, self.values
         value = values[i]
         if value == "\\" or value == "!":
-            self.pos += 1
-            name = self.values[self.expect("id")]
-            self.expect("punct", ":")
+            # fixed tokens are checked in place, as in `parse_decl`
+            name = values[i + 1]
+            if kinds[i + 1] != "id":
+                self.pos = i + 1
+                self.expect("id")
+            if values[i + 2] != ":":
+                self.pos = i + 2
+                self.expect("punct", ":")
+            self.pos = i + 3
             annot = self.parse_term()
-            self.expect("punct", ".")
-            self.bind(name)
-            body = self.parse_term()
-            self.unbind(name)
-            return self.binder(Abs if value == "\\" else Prod, name, annot, body)
-        if (
-            kinds[i] == "id"
-            and kinds[i + 1] != "id"
-            and values[i + 1] not in _ATOM_START
-            and value not in _NOT_VARIABLES
-            and value not in self.arities
-        ):
-            # a variable that no argument follows, the commonest term and
-            # arrow domain, skips `parse_atom`
-            self.pos = i + 1
-            levels = self.scope.get(value)
-            key = (Bound, len(self.names) - 1 - levels[-1]) if levels else (Var, value)
-            lhs = self.nodes.get(key) or self.leaf(key)
-        else:
-            lhs = self.parse_atom()
-            pos = self.pos
-            if kinds[pos] == "id" or values[pos] in _ATOM_START or type(lhs) is _SymRef:
-                lhs = self.parse_app(lhs)
-        if self.kinds[self.pos] == "arrow":
+            if values[self.pos] != ".":
+                self.expect("punct", ".")
             self.pos += 1
+            levels = self.scope.setdefault(name, [])  # enter the binder
+            levels.append(len(self.names))
+            self.names.append(name)
+            body = self.parse_term()
+            levels.pop()
+            self.names.pop()
+            return self.binder(Abs if value == "\\" else Prod, name, annot, body)
+        # the spine: an atom and the atoms applied to it; a variable, the
+        # commonest atom, a parenthesised term and a symbol's call are read
+        # in place, so that nesting costs one frame per level
+        spine = None  # the atoms before the last one, once there are two
+        while True:
+            if kinds[i] == "id" and value not in self.arities and value not in _NOT_VARIABLES:
+                levels = self.scope.get(value)
+                key = (Bound, len(self.names) - 1 - levels[-1]) if levels else (Var, value)
+                atom = self.nodes.get(key) or self.leaf(key)
+                i += 1
+            elif value == "(":  # or a group token, which names a parenthesised term
+                first = self.shared.get(i)
+                if first is not None and first != i:
+                    atom = self.recall(i, first, None)
+                    i = self.pos
+                else:
+                    self.pos = i + 1
+                    atom = self.parse_term()
+                    i = self.pos
+                    if values[i] != ")":
+                        self.expect("punct", ")")
+                    i += 1
+                    if first is not None:
+                        self.parsed[(first, *self.names)] = atom
+            elif kinds[i] == "id" and values[i + 1] == "(" and value in self.arities:
+                atom = self.parse_call(value, i)
+                i = self.pos
+            else:  # the other atoms; where none starts, `parse_atom` raises
+                self.pos = i
+                atom = self.parse_atom()
+                i = self.pos
+            value = values[i]
+            if kinds[i] != "id" and value not in _ATOM_START:
+                break
+            if spine is None:
+                spine = [atom]
+            else:
+                spine.append(atom)
+        self.pos = i
+        if spine is not None:
+            spine.append(atom)
+            atom = self.apply(spine)
+        elif type(atom) is _SymRef:
+            atom = self.apply([atom])
+        if kinds[i] == "arrow":
+            self.pos = i + 1
             # no name reaches an arrow's binder, so it enters `names` but
             # not `scope`: outer indices shift all the same
             self.names.append(None)
             cod = self.parse_term()
             self.names.pop()
-            return self.binder(Prod, "_", lhs, cod)
-        return lhs
-
-    def bind(self, name: str) -> None:
-        """Enter a binder, which binds `name`."""
-        self.scope.setdefault(name, []).append(len(self.names))
-        self.names.append(name)
-
-    def unbind(self, name: str) -> None:
-        self.scope[name].pop()
-        self.names.pop()
+            return self.binder(Prod, "_", atom, cod)
+        return atom
 
     # - the span memo -
 
@@ -376,11 +417,12 @@ class _Parser:
         `first`, from the span memo, read as the arguments of `callee` or,
         for None, as a parenthesised term; `pos` moves past the group
         token."""
-        node = self.parsed.get((first, *self.names))
+        key = (first, *self.names)
+        node = self.parsed.get(key)
         if node is None:
             if callee is None:
-                self.pos = first
-                node = self.parse_atom()
+                self.pos = first + 1
+                node = self.parsed[key] = self.parse_term()
             else:
                 node = self.parse_call(callee, first - 1)
         self.pos = i + 1
@@ -390,7 +432,7 @@ class _Parser:
 
     def leaf(self, key: tuple) -> Term:
         """The Var, Bound or Sort of key, (class, name, index or tag), on a
-        miss in the table: `parse_atom` looks the key up itself first."""
+        miss in the table: the callers look the key up themselves first."""
         node = self.nodes[key] = key[0](key[1])
         return node
 
@@ -419,25 +461,19 @@ class _Parser:
             self.nodes[key] = node
         return node
 
-    def parse_app(self, head: Term | _SymRef) -> Term:
-        """The application of head, the atom just parsed, to the atoms that
-        follow it; `parse_term` calls it only where one follows or head is a
-        symbol that needs arguments."""
-        kinds, values = self.kinds, self.values
-        if kinds[self.pos] != "id" and values[self.pos] not in _ATOM_START:
-            args: list[Term | _SymRef] | tuple[()] = ()  # a symbol alone builds no list
-        else:
-            args = [self.parse_atom()]
-            while kinds[self.pos] == "id" or values[self.pos] in _ATOM_START:
-                args.append(self.parse_atom())
-            for arg in args:
-                if isinstance(arg, _SymRef):
-                    raise self.error(
-                        f"symbol {arg.name!r} expects {self.arities[arg.name]} arguments, got 0",
-                        arg.index,
-                        ARITY_MISMATCH,
-                    )
-        if isinstance(head, _SymRef):
+    def apply(self, atoms: list[Term | _SymRef]) -> Term:
+        """The application of the first of atoms, the spine `parse_term`
+        read, to the others; a symbol that needs arguments takes them from
+        the front."""
+        head, args = atoms[0], atoms[1:]
+        for arg in args:
+            if type(arg) is _SymRef:
+                raise self.error(
+                    f"symbol {arg.name!r} expects {self.arities[arg.name]} arguments, got 0",
+                    arg.index,
+                    ARITY_MISMATCH,
+                )
+        if type(head) is _SymRef:
             arity = self.arities[head.name]
             if len(args) < arity:
                 raise self.error(
@@ -452,62 +488,67 @@ class _Parser:
         i = self.pos
         value = self.values[i]
         if self.kinds[i] == "id":
+            # a framework sort, or a symbol no "(" follows: `parse_term`
+            # reads a variable and a call in place
             self.pos = i + 1
             if value == "TYPE" or value == "KIND":
                 key = (Sort, value)
                 return self.nodes.get(key) or self.leaf(key)
-            arity = self.arities.get(value)
-            if arity is None:
-                levels = self.scope.get(value)
-                key = (Bound, len(self.names) - 1 - levels[-1]) if levels else (Var, value)
-                return self.nodes.get(key) or self.leaf(key)
-            if self.values[i + 1] == "(":
-                return self.parse_call(value, i)
-            return self.sym(value) if arity == 0 else _SymRef(value, i)
+            return self.sym(value) if self.arities[value] == 0 else _SymRef(value, i)
         if value == "Type" or value == "Kind" or value == "Prop":
             self.pos = i + 1
             if self.mode != "pcert":
                 return self.sym(value)
             key = (Sort, value)
             return self.nodes.get(key) or self.leaf(key)
-        if value == "(":
-            first = self.shared.get(i)
-            if first is not None and first != i:
-                return self.recall(i, first, None)
-            self.pos = i + 1
-            inner = self.parse_term()
-            if self.values[self.pos] != ")":
-                self.expect("punct", ")")
-            self.pos += 1
-            if first is not None:
-                self.parsed[(first, *self.names)] = inner
-            return inner
         if value == "{":
             self.pos = i + 1
             name = self.values[self.expect("id")]
             self.expect("punct", ":")
             ty = self.parse_term()
             self.expect("punct", "|")
-            self.bind(name)
+            levels = self.scope.setdefault(name, [])  # enter the binder
+            levels.append(len(self.names))
+            self.names.append(name)
             pred = self.parse_term()
-            self.unbind(name)
+            levels.pop()
+            self.names.pop()
             self.expect("punct", "}")
             return self.sym("psub", (ty, self.binder(Abs, name, ty, pred)))
         raise self.error(f"expected a term, found {value or 'end of input'!r}", i)
 
     def parse_call(self, name: str, i: int) -> Term:
-        """The call of symbol token i, whose "(" parse_atom found next."""
+        """The call of symbol token i, which a "(" follows."""
         first = self.shared.get(i + 1)
         if first is not None and first != i + 1:
             return self.recall(i + 1, first, name)
-        self.pos = i + 2
-        args = [self.parse_term()]
-        while self.values[self.pos] == ",":
-            self.pos += 1
-            args.append(self.parse_term())
-        if self.values[self.pos] != ")":
+        kinds, values = self.kinds, self.values
+        pos = i + 2
+        args = []
+        while True:
+            value = values[pos]
+            if (
+                kinds[pos] == "id"
+                and values[pos + 1] in _ARGUMENT_END
+                and value not in self.arities
+                and value not in _NOT_VARIABLES
+            ):
+                # a variable argument skips `parse_term`
+                levels = self.scope.get(value)
+                key = (Bound, len(self.names) - 1 - levels[-1]) if levels else (Var, value)
+                args.append(self.nodes.get(key) or self.leaf(key))
+                pos += 1
+            else:
+                self.pos = pos
+                args.append(self.parse_term())
+                pos = self.pos
+            if values[pos] != ",":
+                break
+            pos += 1
+        self.pos = pos
+        if values[pos] != ")":
             self.expect("punct", ")")
-        self.pos += 1
+        self.pos = pos + 1
         arity = self.arities[name]
         if len(args) != arity:
             raise self.error(f"symbol {name!r} expects {arity} arguments, got {len(args)}", i, ARITY_MISMATCH)

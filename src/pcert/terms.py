@@ -342,14 +342,26 @@ def loose_bounds(t: Term, memo: Memo) -> int:
     out = memo.get(key)
     if out is not None:
         return out
+    # a child's kind is tested before recursing, so a leaf costs no call
+    out = 0
     if cls is App:
-        out = loose_bounds(t.fun, memo) | loose_bounds(t.arg, memo)
+        children = (t.fun, t.arg)
     elif cls is SymApp:
-        out = 0
-        for a in t.args:
-            out |= loose_bounds(a, memo)
+        children = t.args
     else:
-        out = loose_bounds(t.dom, memo) | loose_bounds(t.body, memo) >> 1
+        children = (t.dom,)
+        body = t.body
+        kind = type(body)
+        if kind is Bound:
+            out = 1 << body.index >> 1
+        elif kind is not Var and kind is not Sort:
+            out = loose_bounds(body, memo) >> 1
+    for a in children:
+        kind = type(a)
+        if kind is Bound:
+            out |= 1 << a.index
+        elif kind is not Var and kind is not Sort:
+            out |= loose_bounds(a, memo)
     memo[key] = out  # `put`, inlined: one call fewer per node
     memo._held.append(t)
     return out

@@ -1,19 +1,23 @@
 """Python-level calls and output digests of two checkouts, side by side.
 
-    python tests/callcount.py PARENT_DIR CHANGE_DIR [--seed 42]
+    python tests/callcount.py PARENT_DIR CHANGE_DIR [--seeds 7 42] [--fuels 0 40 3000]
 
 For each checkout, in a process of its own, runs the four commands through
-`pcert.cli.main` on the inputs of `perfbench/run.py`'s fixed rounds at the
-seed (`FIXED_ROUNDS`, `PER_ROUND`), for every workload of `perfbench/gen.py`,
-and counts the Python-level calls (`sys.setprofile` "call" events) each
-workload×command makes. Each checkout reads its own `perfbench` for the
-inputs. Prints one row per workload×command: both counts, their difference,
-and whether one digest of exit code, stdout, stderr and artifact over its
-calls is equal on both sides. Exits 1 if a count rose or a digest differs.
-The inputs are written to a temporary directory and read from it under
-relative names, so no output depends on where it lies; nothing under
-`perfbench/` is written to. A script, not a test module: pytest does not
-collect it.
+`pcert.cli.main` on the inputs of `perfbench/run.py`'s fixed rounds
+(`FIXED_ROUNDS`, `PER_ROUND`), for every workload of `perfbench/gen.py`,
+every seed and every `--fuel` budget (0 is unlimited); an input that sets
+its own budget keeps it. The defaults make 648 calls. It counts the
+Python-level calls (`sys.setprofile` "call" events) each workload×command
+makes over the whole matrix, and digests, per call, the exit code, stdout,
+stderr, artifact, the `spent` of every `rewrite.Fuel` made during the call
+(collected by the profile hook as `Fuel.__init__` is entered, so no wrapper
+adds a call) and the fresh-name counter after it. Each checkout reads its
+own `perfbench` for the inputs. Prints one row per workload×command: both
+counts, their difference, and whether the digests are equal on both sides.
+Exits 1 if a count rose or a digest differs. The inputs are written to a
+temporary directory and read from it under relative names, so no output
+depends on where it lies; nothing under `perfbench/` is written to. A
+script, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -25,59 +29,73 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Run in a child: argv[1] is the checkout, argv[2] the seed. Prints
-# {"workload/command": [calls, digest]} as one JSON line.
+# Run in a child: argv[1] is the checkout, argv[2] the seeds and argv[3] the
+# budgets, comma-separated. Prints {"workload/command": [calls, digest]} as
+# one JSON line.
 CHILD = r"""
 import contextlib, hashlib, io, json, os, sys, tempfile
 from pathlib import Path
-root, seed = Path(sys.argv[1]).resolve(), int(sys.argv[2])
+root = Path(sys.argv[1]).resolve()
+seeds, budgets = ([int(x) for x in arg.split(",")] for arg in sys.argv[2:4])
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 from gen import COMMANDS, WORKLOADS
 from run import FIXED_ROUNDS, PER_ROUND
-from pcert import cli
+from pcert import cli, terms
+from pcert.rewrite import Fuel
 
 calls = [0]
+fuels = []
+fuel_init = Fuel.__init__.__code__
 
 def count(frame, event, arg):
     if event == "call":
         calls[0] += 1
+        if frame.f_code is fuel_init:
+            fuels.append(frame.f_locals["self"])
 
 out = {}
 with tempfile.TemporaryDirectory() as tmp:
     os.chdir(tmp)
     for workload, make in WORKLOADS.items():
-        taken = dict.fromkeys(COMMANDS, 0)
         totals = {c: [0, hashlib.sha256()] for c in COMMANDS}
-        for _ in range(FIXED_ROUNDS[workload]):
-            for command in [c for c in COMMANDS for _ in range(PER_ROUND[workload].get(c, 1))]:
-                inp = make(seed, command, taken[command])
-                taken[command] += 1
-                Path(inp.stem).write_text(inp.text, encoding="utf-8")
-                target = inp.stem + ".out"
-                argv = [command, inp.stem, *inp.extra_args] + (["-o", target] if command in ("translate", "export") else [])
-                stdout, stderr = io.StringIO(), io.StringIO()
-                calls[0] = 0
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    sys.setprofile(count)
-                    try:
-                        code = cli.main(argv)
-                    finally:
-                        sys.setprofile(None)
-                artifact = Path(target).read_bytes() if Path(target).exists() else b""
-                totals[command][0] += calls[0]
-                totals[command][1].update(f"{inp.stem} {code}\n{stdout.getvalue()}\0{stderr.getvalue()}\0".encode() + artifact + b"\0")
-                for name in (inp.stem, target):
-                    Path(name).unlink(missing_ok=True)
+        for seed in seeds:
+            for budget in budgets:
+                taken = dict.fromkeys(COMMANDS, 0)
+                for _ in range(FIXED_ROUNDS[workload]):
+                    for command in [c for c in COMMANDS for _ in range(PER_ROUND[workload].get(c, 1))]:
+                        inp = make(seed, command, taken[command])
+                        taken[command] += 1
+                        Path(inp.stem).write_text(inp.text, encoding="utf-8")
+                        target = inp.stem + ".out"
+                        argv = [command, inp.stem, "--fuel", str(budget), *inp.extra_args]
+                        argv += ["-o", target] if command in ("translate", "export") else []
+                        stdout, stderr = io.StringIO(), io.StringIO()
+                        calls[0] = 0
+                        fuels.clear()
+                        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                            sys.setprofile(count)
+                            try:
+                                code = cli.main(argv)
+                            finally:
+                                sys.setprofile(None)
+                        artifact = Path(target).read_bytes() if Path(target).exists() else b""
+                        spent = [fuel.spent for fuel in fuels]
+                        totals[command][0] += calls[0]
+                        totals[command][1].update(
+                            f"{seed} {budget} {inp.stem} {code} {spent} {terms._fresh_counter!r}\n"
+                            f"{stdout.getvalue()}\0{stderr.getvalue()}\0".encode() + artifact + b"\0")
+                        for name in (inp.stem, target):
+                            Path(name).unlink(missing_ok=True)
         for command, (n, digest) in totals.items():
             out[f"{workload}/{command}"] = [n, digest.hexdigest()]
 print(json.dumps(out))
 """
 
 
-def measure(checkout: Path, seed: int) -> dict[str, list]:
+def measure(checkout: Path, seeds: list[int], budgets: list[int]) -> dict[str, list]:
     env = dict(os.environ, PYTHONHASHSEED="0")
-    env.pop("PCERT_FUEL", None)  # the default budget applies, as in perfbench
-    argv = [sys.executable, "-c", CHILD, str(checkout), str(seed)]
+    env.pop("PCERT_FUEL", None)  # every call passes its budget
+    argv = [sys.executable, "-c", CHILD, str(checkout), ",".join(map(str, seeds)), ",".join(map(str, budgets))]
     child = subprocess.run(argv, capture_output=True, text=True, env=env)
     if child.returncode != 0:
         raise RuntimeError(f"{checkout}: {child.stderr}")
@@ -88,9 +106,10 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 42])
+    parser.add_argument("--fuels", type=int, nargs="+", default=[0, 40, 3000])
     args = parser.parse_args(argv)
-    parent, change = (measure(checkout, args.seed) for checkout in (args.parent, args.change))
+    parent, change = (measure(checkout, args.seeds, args.fuels) for checkout in (args.parent, args.change))
     worse = False
     print(f"{'workload/command':<24} {'parent':>9} {'change':>9} {'diff':>7} {'change %':>8}  digests")
     for key, (p_calls, p_digest) in parent.items():

@@ -15,8 +15,9 @@ file-wide conversion memo of `Kernel.convert` is checked against,
 `ref_equal` and `ref_hash` the references the sharing-aware `==` and the
 kept hashes of terms are checked against, `NamedParser`, `FreshParser`
 and `UnmemoizedParser` the references the scope-resolving parser, the
-interning parser and its span memo are checked against,
-`ref_instantiate` and `ref_is_nondependent` the tree walks the sharing
+interning parser and its span memo are checked against, `ref_lex` the
+reference the lexer is checked against, `ref_instantiate`,
+`ref_is_nondependent` and `ref_loose_bounds` the tree walks the sharing
 ones of `pcert.terms` are checked against, `ref_print_file` and
 `ref_development_lines` the references the memoizing printer and Lambdapi
 exporter are checked against, `ref_inverse_term` and `ref_inverse_type`
@@ -32,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import random
+import re
 import sys
 
 from pcert import Context, check_file, parse_file
@@ -576,6 +578,24 @@ def ref_is_nondependent(cod: Term, depth: int = 0) -> bool:
     return True
 
 
+def ref_loose_bounds(t: Term, depth: int = 0) -> int:
+    """The mask of `terms.loose_bounds`, bit k for each loose index k, by a
+    tree walk."""
+    match t:
+        case Bound(k):
+            return 1 << k - depth if k >= depth else 0
+        case App(fun, arg):
+            return ref_loose_bounds(fun, depth) | ref_loose_bounds(arg, depth)
+        case Abs(_, annot, body) | Prod(_, annot, body):
+            return ref_loose_bounds(annot, depth) | ref_loose_bounds(body, depth + 1)
+        case SymApp(_, args):
+            out = 0
+            for a in args:
+                out |= ref_loose_bounds(a, depth)
+            return out
+    return 0
+
+
 def ref_abstract_var(t: Term, name: str, depth: int = 0) -> Term:
     match t:
         case Var(n):
@@ -832,15 +852,42 @@ def ref_check_orthogonality(rules: RuleSet) -> OrthogonalityReport:
 
 # --- the parsing reference --------------------------------------------------------
 
+# The token regex as it was before the lexer blanked comments ahead of its
+# scan: each match skips the whitespace and comments after its token, group
+# 1 is the token, and a character that starts no token matches the
+# catch-all with group 1 empty.
+REF_SKIP = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
+REF_TOKEN_RE = re.compile(r"""(?:([A-Za-z_][A-Za-z0-9_'?]*|:=|->|[(){}|,;:.!\\]|\#MODE)|.)""" + REF_SKIP.pattern, re.DOTALL)
+_REF_KINDS = {
+    **dict.fromkeys(("symbol", "definition", "assert", "convertible", "Type", "Kind", "Prop"), "kw"),
+    ":=": "assign",
+    "->": "arrow",
+    "#MODE": "mode",
+    **dict.fromkeys("(){}|,;:.!\\", "punct"),
+}
+
+
+def ref_lex(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Kinds, values and start offsets of text's tokens by `REF_TOKEN_RE`,
+    ending in eof at the end of the text. A character that starts no token
+    has the kind "bad" and, as `lexer.scan` gives it, the value of that
+    character."""
+    kinds, values, starts = [], [], []
+    for m in REF_TOKEN_RE.finditer(text, REF_SKIP.match(text).end()):
+        kinds.append(_REF_KINDS.get(m[1], "id") if m[1] else "bad")
+        values.append(m[1] or text[m.start()])
+        starts.append(m.start())
+    return kinds + ["eof"], values + [""], starts + [len(text)]
+
 
 class NamedParser(_Parser):
     """The parser as it was before binder names were resolved while parsing:
-    every identifier is a free `Var`, and each binder is closed afterwards
-    with `lam`/`pi`, which walk its body once more. It reads
-    every group's own tokens, as the parser did then."""
+    no binder enters the scope, so every identifier is a free `Var`, and
+    each binder is closed afterwards with `lam`/`pi`, which walk its body
+    once more. It reads every group's own tokens, as the parser did then."""
 
     @staticmethod
-    def tokens(text: str, file: str) -> tuple:
+    def tokens(text: str, file: str, mode: str) -> tuple:
         return scan(text, [], file)
 
     def parse_file(self) -> ParsedFile:
@@ -856,11 +903,7 @@ class NamedParser(_Parser):
             self.expect("punct", ".")
             body = self.parse_term()
             return lam(name, annot, body) if binder == "\\" else pi(name, annot, body)
-        lhs = self.parse_app(self.parse_atom())
-        if self.kinds[self.pos] == "arrow":
-            self.pos += 1
-            return Prod("_", lhs, self.parse_term())
-        return lhs
+        return super().parse_term()  # no name is in scope: every identifier is a Var
 
     def parse_atom(self) -> Term | _SymRef:
         i = self.pos
@@ -1074,7 +1117,7 @@ class UnmemoizedParser(_Parser):
     group from its own tokens."""
 
     @staticmethod
-    def tokens(text: str, file: str) -> tuple:
+    def tokens(text: str, file: str, mode: str) -> tuple:
         return scan(text, [], file)
 
 

@@ -119,8 +119,9 @@ def test_a_trivial_declaration_costs_a_handful_of_calls(mode):
 # --- the walks a file's names let check_file skip ------------------------------------
 
 # `pair'` and the defined name `dee` occur only inside a repeated group, whose
-# repeats the lexer makes group tokens: the parser recalls their nodes, so
-# the names reach the file's `mentioned` from the first occurrence alone.
+# repeats in lf text the lexer makes group tokens: the parser recalls their
+# nodes, so the names reach the file's `mentioned` from the first occurrence
+# alone. pcert text is read without group tokens.
 PROTECTED_IN_GROUP = """#MODE lf
 symbol iota : Type;
 symbol P : El iota -> Prop;
@@ -136,10 +137,18 @@ definition dee := glue apple apple;
 definition e := glue (glue dee (glue apple apple)) (glue dee (glue apple apple));
 assert glue (glue dee (glue apple apple)) apple : iota;
 """
+DEFINED_IN_GROUP_LF = """#MODE lf
+symbol iota : Type;
+symbol apple : El iota;
+symbol glue : El iota -> El iota -> El iota;
+definition dee := glue apple apple;
+definition e := glue (glue dee (glue apple apple)) (glue dee (glue apple apple));
+assert glue (glue dee (glue apple apple)) apple : El iota;
+"""
 
 
 def test_a_protected_symbol_only_in_group_tokens_is_still_gated(tmp_path):
-    assert scan(PROTECTED_IN_GROUP, repeated_groups(PROTECTED_IN_GROUP))[3]
+    assert scan(PROTECTED_IN_GROUP, repeated_groups(PROTECTED_IN_GROUP))[2]
     parsed = parse_file(PROTECTED_IN_GROUP)
     assert "pair'" in parsed.mentioned
     # a caller cannot hand in names: a file built in code takes every walk
@@ -158,11 +167,12 @@ def test_a_protected_symbol_only_in_group_tokens_is_still_gated(tmp_path):
     assert cli.main(["check", str(path)]) == cli.EXIT_PROTECTED
 
 
-def test_a_definition_named_only_in_group_tokens_is_still_expanded():
-    assert scan(DEFINED_IN_GROUP, repeated_groups(DEFINED_IN_GROUP))[3]
-    parsed = parse_file(DEFINED_IN_GROUP)
+@pytest.mark.parametrize("text", [DEFINED_IN_GROUP, DEFINED_IN_GROUP_LF], ids=["pcert", "lf"])
+def test_a_definition_named_only_in_group_tokens_is_still_expanded(text):
+    assert scan(text, repeated_groups(text))[2]
+    parsed = parse_file(text)
     checked = check_file(parsed)
-    assert checked.decls == check_file(parse_file_unmemoized(DEFINED_IN_GROUP)).decls
+    assert checked.decls == check_file(parse_file_unmemoized(text)).decls
     assert checked.decls == check_file(names_unknown(parsed)).decls
     for record in checked.decls[4:]:  # every use of `dee` was expanded
         terms = [getattr(record.decl, f) for f in record.decl.__match_args__ if f not in ("name", "span")]

@@ -2,8 +2,9 @@
 parser makes finds its line, column and length only when it is read.
 
 The reference is the parser as it was with eager offsets: `EagerParser`
-reads the same tokens, but its spans resolve from a list of every token's
-start offset and a table of the text's newlines, both found up front.
+reads the tokens of the reference lexer, `genutil.ref_lex`, and its spans
+resolve from a list of every token's start offset and a table of the text's
+newlines, both found up front.
 Every declaration span and every parse error (kind, message and span) of
 `parse_file` must equal the reference's.
 """
@@ -18,14 +19,14 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import UnmemoizedParser, doubling_chain_source
+from genutil import UnmemoizedParser, doubling_chain_source, ref_lex
 from pcert import corpus_path, lexer, syntax
 from pcert.cli import main
 from pcert.diagnostics import SourceSpan, SurfaceError
 from pcert.lexer import scan
 from pcert.syntax import parse_file
 from test_cli import CHAIN12_FUEL, shared_chain_source
-from test_span_memo import REPEATED_GROUPS, termgen_file, translation
+from test_span_memo import REPEATED_GROUPS, as_lf, termgen_file, translation
 from test_syntax import CORPUS, mutated_corpus
 
 
@@ -34,11 +35,10 @@ class EagerSource:
     found when the text is scanned, as the lexer and the parser once kept
     them; a span's line is found by bisecting the newlines."""
 
-    def __init__(self, text: str, file: str, values: list[str]):
+    def __init__(self, text: str, file: str, values: list[str], starts: list[int]):
         self.file = file
-        skip = lexer._LEADING_SKIP.match(text).end()
-        self.starts = [m.start() for m in lexer._TOKEN_RE.finditer(text, skip)] + [len(text)]
-        self.lengths = [len(value) or 1 for value in values]  # a bad character and eof: 1
+        self.starts = starts
+        self.lengths = [len(value) or 1 for value in values]  # eof: 1
         self.newlines = [m.start() for m in re.finditer("\n", text)]
 
     def offset(self, i: int) -> int:
@@ -52,10 +52,12 @@ class EagerSource:
 
 
 class EagerParser(UnmemoizedParser):
+    """Reads the tokens of the reference lexer, `genutil.ref_lex`."""
+
     @staticmethod
-    def tokens(text: str, file: str) -> tuple:
-        kinds, values, groups, _ = scan(text, [], file)
-        return kinds, values, groups, EagerSource(text, file, values)
+    def tokens(text: str, file: str, mode: str) -> tuple:
+        kinds, values, starts = ref_lex(text)
+        return kinds, values, {}, EagerSource(text, file, values, starts)
 
 
 def outcome(parse, text: str):
@@ -90,6 +92,7 @@ def test_termgen_developments_and_their_translations_have_the_eager_spans():
 @pytest.mark.parametrize("text", REPEATED_GROUPS.values(), ids=REPEATED_GROUPS.keys())
 def test_spans_around_group_tokens_equal_the_eager_ones(text):
     same_spans(text)
+    same_spans(as_lf(text))
 
 
 LAYOUTS = {
@@ -109,6 +112,7 @@ LAYOUTS = {
 @pytest.mark.parametrize("text", LAYOUTS.values(), ids=LAYOUTS.keys())
 def test_spans_after_comments_crlf_tabs_and_bad_characters_equal_the_eager_ones(text):
     same_spans(text)
+    same_spans(as_lf(text))
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,9 +121,27 @@ def test_mutated_corpus_fails_with_the_eager_spans(text):
     same_spans(text)
 
 
+# the token alphabet, and the characters and comments around it that the
+# lexer must read as the reference does
+LEXER_PIECES = [
+    *"abxyzAZ_(){}|,;:.!\\", ":=", "->", "#MODE", "lf", "pcert", "symbol", "Type", "TYPE", "El", "pair",
+    " ", "\t", "\r", "\n", "//", "// c (\n", *"07-=#/'?", "\u00e9", "x\u00e9", "\u00e9x",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=40).map("".join))
+def test_the_lexer_reads_what_the_reference_regex_reads(text):
+    kinds, values, _, source = scan(text, [])
+    ref_kinds, ref_values, ref_starts = ref_lex(text)
+    assert (kinds, values) == (ref_kinds, ref_values)
+    assert list(map(source.offset, range(len(kinds)))) == ref_starts
+    same_spans(text)  # every error, "unexpected character" ones included, and every span
+
+
 def test_an_error_at_a_group_token_has_its_own_span():
-    text = LAYOUTS["error_at_a_group_token"]
-    assert len(scan(text, lexer.repeated_groups(text))[2]) == 1  # the repeat is a group token
+    text = as_lf(LAYOUTS["error_at_a_group_token"])  # only lf text is searched for repeats
+    assert len(syntax._Parser.tokens(text, "f", "pcert")[2]) == 1  # the header makes the repeat a group token
     with pytest.raises(SurfaceError) as err:
         parse_file(text, "f")
     assert err.value.diagnostic.span == SourceSpan("f", 2, 2, 1)

@@ -3,7 +3,8 @@
 Every test compares the memoizing parser with `genutil.UnmemoizedParser`,
 the same interning parser without group tokens or the memo: the
 declarations, their spans, the pattern of shared objects and every surface
-error must be the same.
+error must be the same. The parser searches only lf text for repeats, so
+each case is read as written and under a "#MODE lf" header (`as_lf`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from genutil import (
     parse_file_fresh,
     parse_file_unmemoized,
     parse_term_fresh,
+    ref_lex,
 )
 from pcert import check_file, corpus_path
 from pcert import lexer, syntax
@@ -123,11 +125,9 @@ def same_parse(text: str) -> None:
     """The memoizing parser reads text as the unmemoizing one does."""
     plain_kinds, plain_values, groups, _ = scan(text, [])
     assert groups == {}
-    # every token start, as the lexer once kept them
-    starts = [m.start() for m in lexer._TOKEN_RE.finditer(text, lexer._LEADING_SKIP.match(text).end())]
+    starts = ref_lex(text)[2]  # every token start, as the lexer once kept them
     kinds, values, groups, source = scan(text, repeated_groups(text))
-    assert expanded(kinds, values, token_starts(kinds, source), groups) == [
-        plain_kinds, plain_values, [*starts, len(text)]]
+    assert expanded(kinds, values, token_starts(kinds, source), groups) == [plain_kinds, plain_values, starts]
     try:
         expected = parse_file_unmemoized(text, "f")
     except SurfaceError as err:
@@ -144,6 +144,12 @@ def same_parse(text: str) -> None:
     # == leaves the names out: the intern table of either parse names just
     # what its terms hold, a recalled group's included
     assert got.mentioned == expected.mentioned == names_by_walk(got)
+
+
+def as_lf(text: str) -> str:
+    """text under a "#MODE lf" header on its first line, so that no line
+    number changes."""
+    return "#MODE lf " + text
 
 
 def translation(source: str) -> str:
@@ -244,6 +250,27 @@ REPEATED_GROUPS.update(CROSSED_GROUPS)
 @pytest.mark.parametrize("text", REPEATED_GROUPS.values(), ids=REPEATED_GROUPS.keys())
 def test_repeated_groups_parse_as_without_the_memo(text):
     same_parse(text)
+    same_parse(as_lf(text))
+
+
+PCERT_GROUPS = {name: text for name, text in REPEATED_GROUPS.items() if not text.startswith("#MODE lf")}
+
+
+@pytest.mark.parametrize("text", [*PCERT_GROUPS.values(), termgen_file(0)], ids=[*PCERT_GROUPS.keys(), "termgen"])
+def test_pcert_text_is_read_without_group_tokens(text):
+    # a pcert source names its definitions, so the parser reads its repeats
+    # as written; under a "#MODE lf" header, or as an lf term, it reads them
+    # as group tokens
+    def groups(text: str) -> dict[int, int]:  # what the parser searches is the text with comments blanked
+        bare = lexer.blank_comments(text)
+        return scan(bare, repeated_groups(bare))[2]
+
+    tokens = syntax._Parser.tokens
+    assert repeated_groups(lexer.blank_comments(text))
+    assert tokens(text, "f", "pcert")[2] == {}
+    assert tokens(text, "<term>", "lf")[2] == groups(text)
+    assert tokens(as_lf(text), "f", "pcert")[2] == groups(as_lf(text))
+    same_parse(text)
 
 
 @pytest.mark.parametrize("text", CROSSED_GROUPS.values(), ids=CROSSED_GROUPS.keys())
@@ -257,10 +284,11 @@ def test_a_repeat_read_otherwise_than_its_first_occurrence_is_no_group_token(tex
 
 @pytest.mark.parametrize("text", CROSSED_GROUPS.values(), ids=CROSSED_GROUPS.keys())
 def test_an_error_inside_a_group_parsed_in_place_has_the_span_as_written(text):
-    with pytest.raises(SurfaceError) as err:
-        parse_file(text, "f")
-    assert err.value.diagnostic.span.line == text.count("\n") + 1  # in the repeat
-    same_parse(text)
+    for case in (text, as_lf(text)):
+        with pytest.raises(SurfaceError) as err:
+            parse_file(case, "f")
+        assert err.value.diagnostic.span.line == text.count("\n") + 1  # in the repeat
+        same_parse(case)
 
 
 def _errors_raised_in_place(texts) -> int:
@@ -287,30 +315,33 @@ def _errors_raised_in_place(texts) -> int:
 
 def test_no_error_is_raised_in_a_group_parsed_in_place():
     # a repeat read as its first occurrence was parses as it did
-    assert _errors_raised_in_place([*REPEATED_GROUPS.values(), *random_texts()]) == 0
+    texts = [*REPEATED_GROUPS.values(), *random_texts()]
+    assert _errors_raised_in_place([*texts, *map(as_lf, texts)]) == 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(mutated_corpus(), fuzz_input().map(lambda data: data.decode("utf-8", "replace"))))
 def test_no_error_is_raised_in_a_group_parsed_in_place_in_fuzzed_text(text):
-    assert _errors_raised_in_place([text]) == 0
+    assert _errors_raised_in_place([text, as_lf(text)]) == 0
 
 
 def test_a_term_fails_in_a_group_parsed_in_place_as_written():
     for head in ("g ", ""):  # a first occurrence at token 0 has no token before it
         text = f"{head}(aaaaaaaaaaaaaaaaaaaaaaaa b)\n  psub(aaaaaaaaaaaaaaaaaaaaaaaa b)"
         errors = []
-        for parse in (parse_term, parse_term_fresh):
-            with pytest.raises(SurfaceError) as err:
-                parse(text)
-            errors.append((err.value.kind, str(err.value), err.value.diagnostic.span))
-        assert errors[0] == errors[1] and errors[0][2].line == 2, head
+        for mode in ("pcert", "lf"):
+            for parse in (parse_term, parse_term_fresh):
+                with pytest.raises(SurfaceError) as err:
+                    parse(text, mode)
+                errors.append((err.value.kind, str(err.value), err.value.diagnostic.span))
+        assert errors[0] == errors[1] and errors[2] == errors[3] and errors[0][2].line == 2, head
 
 
 def test_an_error_after_a_group_parsed_in_place_is_raised_as_found():
-    # the repeat is read in a new frame, from its first occurrence's tokens
+    # the repeat is read in a new frame, from its first occurrence's tokens;
+    # only lf text is searched for repeats
     group = "(f aaaaaaaaaaaaaaaaaaaaaaaa x)"
-    text = f"definition d := \\x: T. {group};\ndefinition e := \\y: T. \\x: T. {group} ;;"
+    text = f"#MODE lf definition d := \\x: T. {group};\ndefinition e := \\y: T. \\x: T. {group} ;;"
     parser = syntax._Parser(text, "f")
     with pytest.raises(SurfaceError) as err:
         parser.parse_file()
@@ -363,11 +394,12 @@ def random_texts() -> list[str]:
 def test_random_text_lexes_and_fails_as_without_the_memo():
     for text in random_texts():
         same_parse(text)
+        same_parse(as_lf(text))
 
 
 def test_a_hit_returns_the_interned_node_and_skips_the_group(monkeypatch):
     group = "(f (\\x: T. x) aaaaaaaaaaaaaaaaaaaa)"
-    text = f"definition d := g {group} {group};\nassert {group} : T;"
+    text = f"#MODE lf definition d := g {group} {group};\nassert {group} : T;"  # only lf text is searched
     hits, terms = [], [0]
     recall, read_term = syntax._Parser.recall, syntax._Parser.parse_term
 
@@ -386,7 +418,7 @@ def test_a_hit_returns_the_interned_node_and_skips_the_group(monkeypatch):
     parsed = parse_file(text)
     assert hits == [True, True]  # the first occurrence is parsed and stored, its repeats hit
     hits.clear()
-    parse_file(f"definition d := \\x: T. \\y: T. g {group} {group} {group};")
+    parse_file(f"#MODE lf definition d := \\x: T. \\y: T. g {group} {group} {group};")
     assert hits == [True, True]  # under binders too
     body = parsed.decls[0].body
     assert body.arg is body.fun.arg is parsed.decls[1].subject

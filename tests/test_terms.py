@@ -24,6 +24,7 @@ from genutil import (
     ref_hash,
     ref_instantiate,
     ref_is_nondependent,
+    ref_loose_bounds,
     ref_substitute_parallel,
     rehinted,
     substitute,
@@ -355,7 +356,9 @@ def test_instantiate_and_is_nondependent_agree_with_tree_walks(body, depth, valu
     out = terms._instantiate(body, value, depth, None)
     expected = ref_instantiate(body, value, depth)
     assert out == expected and repr(out) == repr(expected)
-    assert (not loose_bounds(body, Memo()) & 1) == ref_is_nondependent(body)  # bit 0: the binder's index
+    mask = loose_bounds(body, Memo())
+    assert mask == ref_loose_bounds(body)
+    assert (not mask & 1) == ref_is_nondependent(body)  # bit 0: the binder's index
     # an unchanged subterm stays the very object wherever it occurs, and a
     # changed one is rebuilt at each occurrence, as a tree walk rebuilds it
     unchanged = terms._instantiate(body, value, depth, None) is body
