@@ -46,10 +46,20 @@ what `pcert translate` writes and reads back. pcert text is not searched
 for repeats: a source names its definitions, so it repeats little, and
 the search would cost more than it saves.
 
-The printer renders a node shared across the terms of a file once, from
-one `terms.Memo` per file, which also keeps each node's free names: the
-names a binder's display name must avoid are found in one walk of the
-file's distinct nodes, not one walk per printed term.
+`Printer.show` is the one walk that shows terms in both concrete
+syntaxes: this one, and Lambdapi's (`export.LambdapiPrinter`). It decides
+the memo key, which products print as arrows, the placeholder an arrow's
+unused binder leaves in scope, and the parentheses. Each syntax keeps a
+table of its spellings: binder, arrow and separator tokens, the
+precedence of an arrow's codomain, a symbol application's form, the head
+it sugars as `{x: T | p}` (none in Lambdapi) and its declaration forms;
+and methods for its naming rule and its dangling index. One printer
+serves a file or a development and owns its `terms.Memo`, so a node
+shared across its terms renders once, and each node's free names and
+loose indices, which naming and arrows read, are found in one walk of
+the distinct nodes, not one walk per printed term. A name's spelling is
+filed on its first use, at its declaration if it has one, so a name seen
+again costs a dict lookup and no Python call.
 """
 
 from __future__ import annotations
@@ -580,113 +590,171 @@ _RESERVED_DISPLAY = KEYWORDS | _RESERVED_DECL_NAMES
 
 _ID_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_'?]*\Z")
 
-
-def _display_name(hint: str, taken: set[str]) -> str:
-    base = hint.split("#", 1)[0]
-    if not _ID_OK.match(base):
-        base = "x"
-    name = base
-    while name in taken or name in _RESERVED_DISPLAY:
-        name += "'"
-    return name
+_SORT_TEXT = {tag: tag for tag in SORTS}
 
 
-class _Printer:
-    """Renders one top-level term. The text of a node depends on it, `prec`,
-    the display names of the binders in scope and the free names of the
-    top-level term (`avoid`), which no display name may capture. So `memo`,
-    a `terms.Memo` which callers may share across terms, is keyed by all
-    four; it also keeps each node's free names and loose bound indices."""
+class Printer:
+    """The one walk of both concrete syntaxes, with the lf/pcert syntax's
+    table; `export.LambdapiPrinter` holds the Lambdapi one. A printer serves
+    one file or development and owns its `memo` (see the module docstring).
+    The text of a node depends on it, `prec`, the display names of the
+    binders in scope and `avoid`, the free names of the top-level term,
+    which the lf/pcert naming rule must not capture; so the memo is keyed by
+    all four, and also keeps each node's free names and loose bound
+    indices."""
 
-    def __init__(self, term: Term, memo: Memo):
-        self.avoid = free_names(term, memo)
-        self.memo = memo
+    def __init__(self):
+        self.memo = Memo()
+        self.avoid: frozenset[str] = frozenset()
+        # each name's spelling, filed by `spell` on its first use; a
+        # sort's is its tag
+        self.vars = self.syms = {}
+        self.sorts = _SORT_TEXT
+        # The table, kept on the instance: CPython 3.11 specializes loads of
+        # an instance's attributes, not of its class's. A binder is `lam` or
+        # `pi`, its name, ": ", its domain, `dot` and its body; an arrow's
+        # codomain follows `arrow` at precedence `codomain`. A symbol's
+        # arguments are shown at `call_arg`, joined by `call_sep` between
+        # `call_open` and `call_close`, and the call is parenthesised above
+        # `call_level`. `sugared` is the head shown as {x: T | p}, or None.
+        # A declaration form is its head and the text between its parts.
+        self.lam, self.pi, self.dot, self.arrow, self.codomain = "\\", "!", ". ", " -> ", _TERM
+        self.call_open, self.call_sep, self.call_close, self.call_level, self.call_arg = "(", ", ", ")", _ATOM, _TERM
+        self.sugared: str | None = "psub"
+        self.definition = ("definition ", " := ")
+        self.judgment, self.conversion = ("assert ", " : "), ("convertible ", ", ")
+
+    def term(self, t: Term) -> str:
+        """The text of the top-level term t."""
+        self.avoid = free_names(t, self.memo)
+        return self.show(t, _TERM, ())
+
+    def decl(self, decl: Declaration) -> str:
+        """The text of one declaration, in the table's forms."""
+        match decl:
+            case SymbolDecl(name, ty, _):
+                return f"symbol {self.spell(self.syms, name)} : {self.term(ty)};"
+            case Definition(name, body, ty, _):
+                head, sep = self.definition
+                annot = "" if ty is None else f" : {self.term(ty)}"
+                return f"{head}{self.spell(self.syms, name)}{annot}{sep}{self.term(body)};"
+            case AssertJudgment(subject, ty, _):
+                head, sep = self.judgment
+                return f"{head}{self.term(subject)}{sep}{self.term(ty)};"
+            case AssertConv(a, b, _):
+                head, sep = self.conversion
+                return f"{head}{self.term(a)}{sep}{self.term(b)};"
+        raise TypeError(f"not a declaration: {decl!r}")
+
+    def spell(self, names: dict[str, str], name: str) -> str:
+        """Files name's spelling, the name itself, in `names` and returns
+        it."""
+        names[name] = name
+        return name
+
+    def name(self, hint: str, body: Term, binders: tuple[str, ...]) -> str:
+        """The display name of a binder of body: an identifier that is no
+        keyword and that no enclosing binder and no free name of the
+        top-level term has."""
+        base = hint.split("#", 1)[0]
+        if not _ID_OK.match(base):
+            base = "x"
+        taken = self.avoid | set(binders)
+        name = base
+        while name in taken or name in _RESERVED_DISPLAY:
+            name += "'"
+        return name
+
+    def dangling(self, k: int, binders: tuple[str, ...]) -> str:
+        """A `Bound` that points past the term, counting no placeholder."""
+        return f"^{k - binders.count('')}"
+
+    def subset(self, carrier: Term, pred: Abs, binders: tuple[str, ...]) -> str:
+        name = self.name(pred.hint, pred.body, binders)
+        return f"{{{name}: {self.show(carrier, _TERM, binders)} | {self.show(pred.body, _TERM, binders + (name,))}}}"
 
     def show(self, t: Term, prec: int, binders: tuple[str, ...]) -> str:
         """The text of t at precedence `prec`, under binders with these
         display names, innermost last."""
         cls = type(t)
         if cls is Var:
-            return t.name
+            try:
+                return self.vars[t.name]
+            except KeyError:
+                return self.spell(self.vars, t.name)
         if cls is Bound:
             k = t.index
             # a dangling index counts no placeholder (see the Prod case)
-            return binders[-1 - k] if k < len(binders) else f"^{k - binders.count('')}"
+            return binders[-1 - k] if k < len(binders) else self.dangling(k, binders)
         if cls is Sort:
-            return t.tag
+            return self.sorts[t.tag]
         key = (ident(t), prec, binders, self.avoid)
-        seen = self.memo.get(key)
+        memo = self.memo
+        seen = memo.get(key)
         if seen is not None:
             return seen
         if cls is SymApp:
             sym, args = t.sym, t.args
+            try:
+                spelled = self.syms[sym]
+            except KeyError:
+                spelled = self.spell(self.syms, sym)
             if not args:
-                out = sym
-            elif sym == "psub" and len(args) == 2 and type(args[1]) is Abs and args[1].annot == args[0]:
+                out = spelled
+            elif sym == self.sugared and len(args) == 2 and type(args[1]) is Abs and args[1].annot == args[0]:
                 # the sugar drops the binder annotation, so it must equal the
                 # carrier or reparsing would change the term
-                pred = args[1]
-                name = _display_name(pred.hint, self.avoid | set(binders))
-                out = (
-                    f"{{{name}: {self.show(args[0], _TERM, binders)} | "
-                    f"{self.show(pred.body, _TERM, binders + (name,))}}}"
-                )
+                out = self.subset(args[0], args[1], binders)
             else:
-                shown = []
+                shown, at = [], self.call_arg
                 for a in args:
-                    shown.append(self.show(a, _TERM, binders))
-                out = f"{sym}({', '.join(shown)})"
+                    shown.append(self.show(a, at, binders))
+                body = f"{spelled}{self.call_open}{self.call_sep.join(shown)}{self.call_close}"
+                out = f"({body})" if self.call_level < prec else body
         elif cls is App:
             body = f"{self.show(t.fun, _APP, binders)} {self.show(t.arg, _ATOM, binders)}"
             out = f"({body})" if _APP < prec else body
         elif cls is Abs:
-            name = _display_name(t.hint, self.avoid | set(binders))
-            body = f"\\{name}: {self.show(t.annot, _TERM, binders)}. {self.show(t.body, _TERM, binders + (name,))}"
+            name = self.name(t.hint, t.body, binders)
+            body = (
+                f"{self.lam}{name}: {self.show(t.annot, _TERM, binders)}"
+                f"{self.dot}{self.show(t.body, _TERM, binders + (name,))}"
+            )
             out = f"({body})" if _TERM < prec else body
         elif cls is Prod:
             cod = t.cod
-            loose = loose_bounds(cod, self.memo)
+            loose = loose_bounds(cod, memo)
             if not loose & 1:
                 # an arrow: the codomain is shown as it stands, under a
                 # placeholder for the unused binder, which no display name
                 # equals; a codomain with no loose index needs none
                 inner = binders + ("",) if loose else binders
-                body = f"{self.show(t.dom, _APP, binders)} -> {self.show(cod, _TERM, inner)}"
+                body = f"{self.show(t.dom, _APP, binders)}{self.arrow}{self.show(cod, self.codomain, inner)}"
                 out = f"({body})" if _ARROW < prec else body
             else:
-                name = _display_name(t.hint, self.avoid | set(binders))
-                body = f"!{name}: {self.show(t.dom, _TERM, binders)}. {self.show(cod, _TERM, binders + (name,))}"
+                name = self.name(t.hint, cod, binders)
+                body = (
+                    f"{self.pi}{name}: {self.show(t.dom, _TERM, binders)}"
+                    f"{self.dot}{self.show(cod, _TERM, binders + (name,))}"
+                )
                 out = f"({body})" if _TERM < prec else body
         else:
             raise TypeError(f"not a term: {t!r}")
-        return self.memo.put(key, out, t)
+        return memo.put(key, out, t)
 
 
-def print_term(t: Term, memo: Memo | None = None) -> str:
-    """Concrete syntax; parse_file(print(t)) yields a term alpha-equal to t.
-    Terms printed with one `memo` render a node they share once."""
-    return _Printer(t, Memo() if memo is None else memo).show(t, _TERM, ())
+def print_term(t: Term) -> str:
+    """Concrete syntax; parse_file(print(t)) yields a term alpha-equal to t."""
+    return Printer().term(t)
 
 
-def print_decl(decl: Declaration, memo: Memo | None = None) -> str:
-    match decl:
-        case SymbolDecl(name, ty, _):
-            return f"symbol {name} : {print_term(ty, memo)};"
-        case Definition(name, body, ty, _):
-            if ty is None:
-                return f"definition {name} := {print_term(body, memo)};"
-            return f"definition {name} : {print_term(ty, memo)} := {print_term(body, memo)};"
-        case AssertJudgment(subject, ty, _):
-            return f"assert {print_term(subject, memo)} : {print_term(ty, memo)};"
-        case AssertConv(a, b, _):
-            return f"convertible {print_term(a, memo)}, {print_term(b, memo)};"
-    raise TypeError(f"not a declaration: {decl!r}")
+def print_decl(decl: Declaration) -> str:
+    return Printer().decl(decl)
 
 
 def print_file(parsed: ParsedFile) -> str:
-    """The file in concrete syntax. One memo serves the file, so a node
+    """The file in concrete syntax. One printer serves the file, so a node
     shared across declarations is rendered once."""
-    memo = Memo()
     lines = [f"#MODE {parsed.mode}"]
-    lines.extend(print_decl(d, memo) for d in parsed.decls)
+    lines.extend(map(Printer().decl, parsed.decls))
     return "\n".join(lines) + "\n"

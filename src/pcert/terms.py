@@ -23,11 +23,11 @@ in their shared size. Nothing depends on identity for its meaning; results
 are equal either way. Every cache that outlives one call is a `Memo`.
 
 Dispatch. The walks that every command runs (the kernels, reduction,
-substitution, the input gate, translation, the inverse and both printers)
+substitution, the input gate, translation, the inverse and the printer)
 tell a node's kind by `type(t) is ...`, the most frequent kind first, not
 by a `match` on class patterns, which costs several times more per node; a
 walk of one term returns at a leaf (`Var` and `Bound`, and `Sort` but in
-the inverse) before any memo key is made; and translation and both printers
+the inverse) before any memo key is made; and translation and the printer
 walk a symbol's arguments by a loop, not a generator expression, which would
 add a frame per argument.
 """

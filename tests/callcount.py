@@ -11,10 +11,14 @@ Python-level calls (`sys.setprofile` "call" events) each workload×command
 makes over the whole matrix, and digests, per call, the exit code, stdout,
 stderr, artifact, the `spent` of every `rewrite.Fuel` made during the call
 (collected by the profile hook as `Fuel.__init__` is entered, so no wrapper
-adds a call) and the fresh-name counter after it. Each checkout reads its
-own `perfbench` for the inputs. Prints one row per workload×command: both
-counts, their difference, and whether the digests are equal on both sides.
-Exits 1 if a count rose or a digest differs. The inputs are written to a
+adds a call) and the fresh names the call draws (the counter's difference),
+and per row those digests beside the counter's running total after each
+call. Each checkout reads its own `perfbench` for the inputs. Prints one
+row per workload×command: both counts, their difference, and whether the
+digests are equal on both sides; under a row that differs, the first call
+`(seed, budget, stem)` whose own digest differs, or that only the running
+total does (an earlier row drew other names). Exits 1 if a count rose or a
+digest differs. The inputs are written to a
 temporary directory and read from it under relative names, so no output
 depends on where it lies; nothing under `perfbench/` is written to. A
 script, not a test module: pytest does not collect it.
@@ -30,8 +34,8 @@ import sys
 from pathlib import Path
 
 # Run in a child: argv[1] is the checkout, argv[2] the seeds and argv[3] the
-# budgets, comma-separated. Prints {"workload/command": [calls, digest]} as
-# one JSON line.
+# budgets, comma-separated. Prints {"workload/command": [calls, digest,
+# [["seed budget stem", call digest], ...]]} as one JSON line.
 CHILD = r"""
 import contextlib, hashlib, io, json, os, sys, tempfile
 from pathlib import Path
@@ -47,6 +51,9 @@ calls = [0]
 fuels = []
 fuel_init = Fuel.__init__.__code__
 
+def fresh_count():
+    return int(repr(terms._fresh_counter)[len("count("):-1])  # the next name's number, not drawn
+
 def count(frame, event, arg):
     if event == "call":
         calls[0] += 1
@@ -57,7 +64,7 @@ out = {}
 with tempfile.TemporaryDirectory() as tmp:
     os.chdir(tmp)
     for workload, make in WORKLOADS.items():
-        totals = {c: [0, hashlib.sha256()] for c in COMMANDS}
+        totals = {c: [0, hashlib.sha256(), []] for c in COMMANDS}
         for seed in seeds:
             for budget in budgets:
                 taken = dict.fromkeys(COMMANDS, 0)
@@ -72,6 +79,7 @@ with tempfile.TemporaryDirectory() as tmp:
                         stdout, stderr = io.StringIO(), io.StringIO()
                         calls[0] = 0
                         fuels.clear()
+                        before = fresh_count()
                         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                             sys.setprofile(count)
                             try:
@@ -80,14 +88,18 @@ with tempfile.TemporaryDirectory() as tmp:
                                 sys.setprofile(None)
                         artifact = Path(target).read_bytes() if Path(target).exists() else b""
                         spent = [fuel.spent for fuel in fuels]
+                        after = fresh_count()
+                        call = hashlib.sha256(
+                            f"{code} {spent} {after - before}\n{stdout.getvalue()}\0{stderr.getvalue()}\0".encode()
+                            + artifact).hexdigest()[:16]
+                        label = f"{seed} {budget} {inp.stem}"
                         totals[command][0] += calls[0]
-                        totals[command][1].update(
-                            f"{seed} {budget} {inp.stem} {code} {spent} {terms._fresh_counter!r}\n"
-                            f"{stdout.getvalue()}\0{stderr.getvalue()}\0".encode() + artifact + b"\0")
+                        totals[command][1].update(f"{label} {call} {after}\n".encode())
+                        totals[command][2].append([label, call])
                         for name in (inp.stem, target):
                             Path(name).unlink(missing_ok=True)
-        for command, (n, digest) in totals.items():
-            out[f"{workload}/{command}"] = [n, digest.hexdigest()]
+        for command, (n, digest, per_call) in totals.items():
+            out[f"{workload}/{command}"] = [n, digest.hexdigest(), per_call]
 print(json.dumps(out))
 """
 
@@ -112,12 +124,16 @@ def main(argv: list[str]) -> int:
     parent, change = (measure(checkout, args.seeds, args.fuels) for checkout in (args.parent, args.change))
     worse = False
     print(f"{'workload/command':<24} {'parent':>9} {'change':>9} {'diff':>7} {'change %':>8}  digests")
-    for key, (p_calls, p_digest) in parent.items():
-        c_calls, c_digest = change[key]
+    for key, (p_calls, p_digest, p_per_call) in parent.items():
+        c_calls, c_digest, c_per_call = change[key]
         same = p_digest == c_digest
         worse |= c_calls > p_calls or not same
         print(f"{key:<24} {p_calls:>9} {c_calls:>9} {c_calls - p_calls:>7} {100 * (c_calls - p_calls) / p_calls:>+7.1f}%"
               f"  {'equal' if same else 'DIFFER'}")
+        if not same:
+            first = next((p for p, c in zip(p_per_call, c_per_call) if p != c), None)
+            print(f"    first differing call: (seed budget stem) {first[0]}" if first else
+                  "    no call differs: only the running fresh-name total does")
     return 1 if worse else 0
 
 

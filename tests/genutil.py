@@ -39,7 +39,7 @@ import sys
 from pcert import Context, check_file, parse_file
 from pcert import diagnostics as dk, inverse as inverse_module, kernel as kernel_module
 from pcert.diagnostics import UNCHECKED_INPUT, fail
-from pcert.export import _LP_ID, ENCODING_MODULE, _ident
+from pcert.export import _LP_ID, ENCODING_MODULE
 from pcert.inverse import NotInImage
 from pcert.kernel import Kernel
 from pcert.lexer import scan
@@ -52,7 +52,8 @@ from pcert.syntax import (
     Definition,
     ParsedFile,
     SymbolDecl,
-    _display_name,
+    _ID_OK,
+    _RESERVED_DISPLAY,
     _Parser,
     _SymRef,
 )
@@ -1237,6 +1238,22 @@ def ref_inverse_type(t: Term, path: tuple[str, ...] = ()) -> Term | NotInImage:
 # shared node again, so they take time in the size of the text.
 
 _TERM, _ARROW, _APP, _ATOM = 0, 1, 2, 3
+
+
+def _display_name(hint: str, taken: set[str]) -> str:
+    """`syntax.Printer.name`'s rule, given the names it must avoid."""
+    base = hint.split("#", 1)[0]
+    if not _ID_OK.match(base):
+        base = "x"
+    name = base
+    while name in taken or name in _RESERVED_DISPLAY:
+        name += "'"
+    return name
+
+
+def _ident(name: str) -> str:
+    """A name as Lambdapi spells it (`export.LambdapiPrinter.spell`)."""
+    return name if _LP_ID.match(name) else f"{{|{name}|}}"
 
 
 def _ref_wrap(body: str, level: int, prec: int) -> str:

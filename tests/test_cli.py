@@ -442,10 +442,12 @@ def test_roundtrip_fuel_failure_points_at_the_definition(tmp_path, capsys):
 
 
 # Emitted bytes, written by `pcert translate|export FILE -o OUT` on the
-# bundled corpus. Regenerate them only for a change meant to alter output.
+# bundled corpus and by `pcert export --signature -o OUT`, the one output
+# with pattern variables and telescope types. Regenerate them only for a
+# change meant to alter output.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(cmd, name) for name in CORPUS_PCERT for cmd in ("translate", "export")]
-GOLDEN_CASES.append(("export", "even_pair.lf"))
+GOLDEN_CASES += [("export", "even_pair.lf"), ("export", "signature")]
 
 
 @pytest.mark.parametrize(("command", "name"), GOLDEN_CASES)
@@ -453,7 +455,8 @@ def test_output_matches_golden_bytes(command, name, tmp_path):
     suffix = {"translate": "translate.lf", "export": "export.lp"}[command]
     golden = GOLDEN / f"{name.rsplit('.', 1)[0]}.{suffix}"
     out = tmp_path / "out"
-    assert main([command, corpus(name), "-o", str(out)]) == 0
+    source = "--signature" if name == "signature" else corpus(name)
+    assert main([command, source, "-o", str(out)]) == 0
     assert out.read_bytes() == golden.read_bytes()
 
 

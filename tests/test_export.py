@@ -10,6 +10,8 @@ import pytest
 from pcert import check_file, corpus_path, parse_file
 from pcert.cli import _translate_decls
 from pcert.export import export_lambdapi
+from pcert.syntax import SymbolDecl, print_term
+from pcert.terms import Abs, App, Bound, SymApp, Var
 
 
 def test_signature_export_marks_pair_prime_protected():
@@ -72,6 +74,14 @@ def test_a_used_binder_is_not_named_underscore():
     assert "symbol h : Prf (fa iota (λ x: El iota, P x));" in text
     assert "≔ λ x: El iota, λ x': El iota, P x;" in text
     assert "symbol P : El (arrd iota (λ _: El iota, prop));" in text
+
+
+def test_the_subset_sugar_is_not_lambdapi_syntax():
+    # one walk shows both syntaxes; only the lf/pcert table names a head
+    # shown as {x: T | p}
+    t = SymApp("psub", (Var("T"), Abs("x", Var("T"), App(Var("p"), Bound(0)))))
+    assert print_term(t) == "{x: T | p x}"
+    assert "symbol s : psub T (λ x: T, p x);" in export_lambdapi((SymbolDecl("s", t),))
 
 
 def test_export_is_deterministic():

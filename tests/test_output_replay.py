@@ -2,13 +2,14 @@
 
 `pcert translate`, `export` and `roundtrip` hand one translation memo to
 every translation of a file, `roundtrip` one inversion memo to every
-inversion, and the printer and the Lambdapi exporter render each shared node
-once per file. The references are per-call translation and the tree-walking
-printers `genutil.ref_print_file` and `genutil.ref_development_lines`: the
-emitted bytes must be theirs, and the work must grow linearly in the links
-of chains whose text grows exponentially. The walkers tell a node's kind by
-its type, never by a class pattern, and translating and inverting a fixed
-development stay within a number of Python calls per declaration.
+inversion, and the one walk that shows both concrete syntaxes renders each
+shared node once per file. The references are per-call translation and the
+tree-walking printers `genutil.ref_print_file` and
+`genutil.ref_development_lines`: the emitted bytes must be theirs, and the
+work must grow linearly in the links of chains whose text grows
+exponentially. The walkers tell a node's kind by its type, never by a
+class pattern, and translating and inverting a fixed development stay
+within a number of Python calls per declaration.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 from genutil import _ref_print_term, calls_made, doubling_chain_source, ref_development_lines, ref_print_file
 from hypothesis import HealthCheck, given, settings, strategies as st
 from pcert import check_file, cli, corpus_path, export, inverse, parse_file, syntax, translate
-from pcert.export import development_lines
+from pcert.export import LambdapiPrinter, development_lines
 from pcert.syntax import (
     AssertConv,
     AssertJudgment,
@@ -221,7 +222,7 @@ def rendering_calls(monkeypatch, owner, name: str, render) -> list[int]:
 
 
 def test_exporting_a_doubling_chain_is_linear_in_its_links(monkeypatch):
-    assert_linear(rendering_calls(monkeypatch, export, "_show", export.export_lambdapi))
+    assert_linear(rendering_calls(monkeypatch, syntax.Printer, "show", export.export_lambdapi))
 
 
 def print_lf(decls) -> str:
@@ -229,7 +230,7 @@ def print_lf(decls) -> str:
 
 
 def test_printing_a_doubling_chain_is_linear_in_its_links(monkeypatch):
-    assert_linear(rendering_calls(monkeypatch, syntax._Printer, "show", print_lf))
+    assert_linear(rendering_calls(monkeypatch, syntax.Printer, "show", print_lf))
 
 
 def test_roundtrip_inverts_a_shared_chain_in_work_linear_in_its_links(monkeypatch, tmp_path):
@@ -248,12 +249,14 @@ def test_roundtrip_inverts_a_shared_chain_in_work_linear_in_its_links(monkeypatc
 
 TERM_CLASSES = {"Sort", "Var", "Bound", "App", "Abs", "Prod", "SymApp"}
 
-# The per-node walkers of the output half, by module (a method as Class.name).
+# The per-node walkers of the output half, by module (a method as Class.name):
+# both concrete syntaxes are shown by one walk, and Lambdapi's naming rule
+# walks the node a binder binds in.
 WALKERS = {
     translate: ("_term", "_translate", "_sort", "_type"),
     inverse: ("_term", "_type"),
-    syntax: ("_Printer.show",),
-    export: ("_show", "_fresh_display"),
+    syntax: ("Printer.show",),
+    export: ("LambdapiPrinter.name",),
 }
 
 
@@ -312,7 +315,7 @@ def _arrow_spine(arrows: int) -> Prod:
     return t
 
 
-@pytest.mark.parametrize("printer", [print_term, lambda t: export._lp_term(t, Memo())], ids=["print_term", "export"])
+@pytest.mark.parametrize("printer", [print_term, lambda t: LambdapiPrinter().term(t)], ids=["print_term", "export"])
 def test_printing_an_arrow_spine_is_linear_in_its_arrows(printer):
     # an arrow's dependence read by a walk of its codomain made both
     # printers quadratic: 3.98x the calls for twice the arrows
