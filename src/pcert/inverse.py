@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .lf import PRODUCT_HEADS, SUBTYPE_SYMBOLS
 from .record import Frozen, setters
-from .terms import PROP, TYPE_, Abs, App, Bound, Memo, Prod, SymApp, Term, Var, ident
+from .terms import PROP, TYPE_, Abs, App, Bound, Memo, Prod, SymApp, Term, Var, ident, shown
 
 
 class NotInImage(Frozen):
@@ -35,7 +35,7 @@ class NotInImage(Frozen):
 
     def __str__(self) -> str:
         where = "/".join(self.path) if self.path else "root"
-        return f"not in the image of the translation at {where}: {self.subterm!r}"
+        return f"not in the image of the translation at {where}: {shown(self.subterm)}"
 
 
 _nii_path, _nii_subterm = setters(NotInImage)

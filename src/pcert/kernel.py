@@ -9,17 +9,19 @@ Definitions reach the kernel expanded, and expansion hands one object to
 every use, so the same term comes up for inference in many declarations.
 Inference therefore memoizes each non-leaf term's type by the term's
 identity, per kernel, on the context's table (`terms.Records`), for one
-file. An entry is filed only for a term inferred under no binder, so no key
+file, in one walk (`_infer`, laid out as `terms` says under Dispatch). An
+entry is filed only for a term inferred under no binder, so no key
 mentions a fresh name, and is used under any view that sees at least the
 rows it was made under, at any depth: that is weakening, sound because rows
 never change and a binder's name is never a row's. A replay follows the
 rule of `rewrite`, with the entry's *redo cost* as its steps: what inferring
 the term again would spend today. That is every step spent while inferring
 it (the `whnf` of types, conversions, the charges of nested replays), less
-the steps of each conversion whose pair mentions no binder: a redo meets
-that very pair again, now in the file's record of proven conversions, and
-gets it free. A pair that mentions a binder is met again under a new fresh
-name and costs its steps again.
+the steps of each conversion whose pair mentions no binder (the growth of
+`Records.free` meanwhile): a redo meets that very pair again, now in the
+file's record of proven conversions, and gets it free. A pair that
+mentions a binder is met again under a new fresh name and costs its steps
+again.
 
 A binder body that does not mention its binder is typed in the outer
 context (strengthening), so the closed codomain of an arrow is filed and
@@ -60,6 +62,7 @@ from .terms import (
     Bound,
     Context,
     Prod,
+    Records,
     Signature,
     Sort,
     SymApp,
@@ -71,27 +74,10 @@ from .terms import (
     instantiate,
     loose_bounds,
     open_term,
+    shown,
     substitute_parallel,
     substituted_equals,
 )
-
-
-class _Replay:
-    """One public inference call's access to the file's memos (see the
-    module docstring). `memo` maps each non-leaf term inferred under no
-    binder to (its type, the `rows` of the view it was inferred under, its
-    redo cost); `heads` is the head normal form memo; `bounds` holds the
-    loose-index masks of `terms.loose_bounds`; `free` counts the steps spent
-    so far on conversions whose pair mentions no binder."""
-
-    __slots__ = ("memo", "heads", "bounds", "free")
-
-    def __init__(self, kernel: Kernel, ctx: Context):
-        records = ctx.records(kernel)
-        self.memo = records.inferred
-        self.heads = records.heads
-        self.bounds = records.bounds
-        self.free = 0
 
 
 class Kernel:
@@ -155,106 +141,19 @@ class Kernel:
     def infer(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Term:
         if not isinstance(fuel, Fuel):
             fuel = _as_fuel(fuel)
-        return self._infer(ctx, t, fuel, _Replay(self, ctx))
+        return self._infer(ctx, t, fuel, ctx.records(self))
 
-    def _infer(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
-        """Infer t's type, or replay it from the file's memo (see `_Replay`)."""
+    def _infer(self, ctx: Context, t: Term, fuel: Fuel, records: Records) -> Term:
+        """Infer t's type, or replay it from the file's memo (see the module
+        docstring). `records` is this kernel's `Records` under ctx's table;
+        `records.inferred` maps a term to (its type, the `rows` of the view
+        it was inferred under, its redo cost)."""
         cls = type(t)
         if cls is Var:
             ty = ctx.lookup(t.name)
-            return ty if ty is not None else self._infer_node(ctx, t, fuel, run)
-        if cls is Sort or cls is Bound:
-            return self._infer_node(ctx, t, fuel, run)
-        seen = run.memo.get(ident(t))
-        if seen is not None and ctx.rows >= seen[1] and fuel.charge(seen[2]):
-            return seen[0]
-        if ctx.binders:
-            return self._infer_node(ctx, t, fuel, run)
-        spent, free = fuel.spent, run.free
-        ty = self._infer_node(ctx, t, fuel, run)
-        run.memo.put(ident(t), (ty, ctx.rows, fuel.spent - spent - (run.free - free)), t)
-        return ty
-
-    def _infer_node(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> Term:
-        """The inference rule at t's head, dispatched as `terms` says;
-        subterms go through `_infer`."""
-        cls = type(t)
-        if cls is Var:  # `_infer` has answered a bound one
-            raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {t.name!r}", context=ctx, subject=t)
-        if cls is App:
-            tf = whnf_replayed(self.rules, self._infer(ctx, t.fun, fuel, run), fuel, run.heads)
-            if not isinstance(tf, Prod):
-                raise fail(
-                    dk.NOT_A_FUNCTION,
-                    f"application head has non-product type {tf!r}",
-                    context=ctx,
-                    subject=t,
-                )
-            a = t.arg
-            ta = self._infer(ctx, a, fuel, run)
-            if not self._convert(ctx, ta, tf.dom, fuel, run):
-                raise fail(
-                    dk.DOMAIN_MISMATCH,
-                    f"argument type {ta!r} does not match domain {tf.dom!r}",
-                    context=ctx,
-                    subject=t,
-                )
-            cod = tf.cod
-            return instantiate(cod, a) if loose_bounds(cod, run.bounds) else cod
-        if cls is Prod or cls is Abs:
-            # both sort the domain, and a codomain under the opened binder:
-            # a product's body, or the type of an abstraction's body; a body
-            # that ignores its binder is neither opened nor closed, and is
-            # typed in the outer context
-            dom, hint, cod = t.dom, t.hint, t.body
-            s_dom = self._sort_of(ctx, dom, fuel, run)
-            opened = loose_bounds(cod, run.bounds)
-            if opened:
-                v, cod = open_term(hint, cod)
-                inner_ctx = ctx.extend(v.name, dom)
-            else:
-                fresh_name(hint)  # drawn as opening would, so later names stay the same
-                inner_ctx = ctx
-            if cls is Abs:
-                cod = self._infer(inner_ctx, cod, fuel, run)
-            s_cod = self._sort_of(inner_ctx, cod, fuel, run)
-            s_res = self.products.get((s_dom, s_cod))
-            if s_res is None:
-                raise fail(
-                    dk.ILLEGAL_PRODUCT,
-                    f"no product rule for ({s_dom}, {s_cod}) in system {self.name}",
-                    context=ctx,
-                    subject=t,
-                )
-            if cls is Prod:
-                return self.sorts[s_res]
-            return Prod(hint, dom, abstract_var(cod, v.name) if opened else cod)
-        if cls is SymApp:
-            sym, args = t.sym, t.args
-            entry = self.signature.get(sym)
-            if entry is None:
-                raise fail(dk.UNKNOWN_SYMBOL, f"unknown symbol {sym!r} in system {self.name}", context=ctx, subject=t)
-            if len(args) != len(entry.telescope):
-                raise fail(
-                    dk.ARITY_MISMATCH,
-                    f"symbol {sym!r} expects {entry.arity} arguments, got {len(args)}",
-                    context=ctx,
-                    subject=t,
-                )
-            binding: dict[str, Term] = {}
-            for (x, ty), arg in zip(entry.telescope, args):
-                actual = self._infer(ctx, arg, fuel, run)
-                if not substituted_equals(ty, binding, actual):
-                    expected = substitute_parallel(ty, binding)
-                    if not self._convert(ctx, actual, expected, fuel, run):
-                        raise fail(
-                            dk.DOMAIN_MISMATCH,
-                            f"argument {arg!r} of {sym!r} has type {actual!r}, expected {expected!r}",
-                            context=ctx,
-                            subject=t,
-                        )
-                binding[x] = arg
-            return substitute_parallel(entry.result, binding)
+            if ty is None:
+                raise fail(dk.UNBOUND_VARIABLE, f"unbound variable {t.name!r}", context=ctx, subject=t)
+            return ty
         if cls is Sort:
             above = self.axioms.get(t.tag)
             if above is None:
@@ -267,23 +166,106 @@ class Kernel:
             return self.sorts[above]
         if cls is Bound:
             raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{t.index}", context=ctx, subject=t)
-        raise TypeError(f"not a term: {t!r}")
+        seen = records.inferred.get(ident(t))
+        if seen is not None and ctx.rows >= seen[1] and fuel.charge(seen[2]):
+            return seen[0]
+        spent, free = fuel.spent, records.free
+        if cls is App:
+            tf = whnf_replayed(self.rules, self._infer(ctx, t.fun, fuel, records), fuel, records.heads)
+            if not isinstance(tf, Prod):
+                raise fail(
+                    dk.NOT_A_FUNCTION,
+                    f"application head has non-product type {shown(tf)}",
+                    context=ctx,
+                    subject=t,
+                )
+            a = t.arg
+            ta = self._infer(ctx, a, fuel, records)
+            if not self._convert(ctx, ta, tf.dom, fuel, records):
+                raise fail(
+                    dk.DOMAIN_MISMATCH,
+                    f"argument type {shown(ta)} does not match domain {shown(tf.dom)}",
+                    context=ctx,
+                    subject=t,
+                )
+            cod = tf.cod
+            ty = instantiate(cod, a) if loose_bounds(cod, records.bounds) else cod
+        elif cls is Prod or cls is Abs:
+            # both sort the domain, and a codomain under the opened binder:
+            # a product's body, or the type of an abstraction's body; a body
+            # that ignores its binder is neither opened nor closed, and is
+            # typed in the outer context
+            dom, hint, cod = t.dom, t.hint, t.body
+            s_dom = self._sort_of(ctx, dom, fuel, records)
+            opened = loose_bounds(cod, records.bounds)
+            if opened:
+                v, cod = open_term(hint, cod)
+                inner_ctx = ctx.extend(v.name, dom)
+            else:
+                fresh_name(hint)  # drawn as opening would, so later names stay the same
+                inner_ctx = ctx
+            if cls is Abs:
+                cod = self._infer(inner_ctx, cod, fuel, records)
+            s_cod = self._sort_of(inner_ctx, cod, fuel, records)
+            s_res = self.products.get((s_dom, s_cod))
+            if s_res is None:
+                raise fail(
+                    dk.ILLEGAL_PRODUCT,
+                    f"no product rule for ({s_dom}, {s_cod}) in system {self.name}",
+                    context=ctx,
+                    subject=t,
+                )
+            if cls is Prod:
+                ty = self.sorts[s_res]
+            else:
+                ty = Prod(hint, dom, abstract_var(cod, v.name) if opened else cod)
+        elif cls is SymApp:
+            sym, args = t.sym, t.args
+            entry = self.signature.get(sym)
+            if entry is None:
+                raise fail(dk.UNKNOWN_SYMBOL, f"unknown symbol {sym!r} in system {self.name}", context=ctx, subject=t)
+            if len(args) != len(entry.telescope):
+                raise fail(
+                    dk.ARITY_MISMATCH,
+                    f"symbol {sym!r} expects {entry.arity} arguments, got {len(args)}",
+                    context=ctx,
+                    subject=t,
+                )
+            binding: dict[str, Term] = {}
+            for (x, declared), arg in zip(entry.telescope, args):
+                actual = self._infer(ctx, arg, fuel, records)
+                if not substituted_equals(declared, binding, actual):
+                    expected = substitute_parallel(declared, binding)
+                    if not self._convert(ctx, actual, expected, fuel, records):
+                        raise fail(
+                            dk.DOMAIN_MISMATCH,
+                            f"argument {shown(arg)} of {sym!r} has type {shown(actual)}, expected {shown(expected)}",
+                            context=ctx,
+                            subject=t,
+                        )
+                binding[x] = arg
+            ty = substitute_parallel(entry.result, binding)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        if not ctx.binders:
+            records.inferred.put(ident(t), (ty, ctx.rows, fuel.spent - spent - (records.free - free)), t)
+        return ty
 
-    def _convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel, run: _Replay) -> bool:
-        """`convert` inside an inference, counting in `run.free` the steps
-        of a pair that mentions no binder."""
+    def _convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel, records: Records) -> bool:
+        """`convert` inside an inference, counting in `records.free` the
+        steps of a pair that mentions no binder."""
         spent = fuel.spent
         verdict = self.convert(ctx, a, b, fuel)
         if fuel.spent != spent and not ctx.mentions_binder(a, b):
-            run.free += fuel.spent - spent
+            records.free += fuel.spent - spent
         return verdict
 
-    def _sort_of(self, ctx: Context, t: Term, fuel: Fuel, run: _Replay) -> str:
-        ty = self._infer(ctx, t, fuel, run)
+    def _sort_of(self, ctx: Context, t: Term, fuel: Fuel, records: Records) -> str:
+        ty = self._infer(ctx, t, fuel, records)
         if type(ty) is not Sort:
             ty = self.whnf(ty, fuel)
             if type(ty) is not Sort:
-                raise fail(dk.NOT_A_SORT, f"type of {t!r} is {ty!r}, not a sort", context=ctx, subject=t)
+                raise fail(dk.NOT_A_SORT, f"type of {shown(t)} is {shown(ty)}, not a sort", context=ctx, subject=t)
         return ty.tag
 
     def sort_of(self, ctx: Context, t: Term, fuel: Fuel | int | None = None) -> Sort:
@@ -291,18 +273,18 @@ class Kernel:
         its tag (`sorts`)."""
         if not isinstance(fuel, Fuel):
             fuel = _as_fuel(fuel)
-        tag = self._sort_of(ctx, t, fuel, _Replay(self, ctx))
+        tag = self._sort_of(ctx, t, fuel, ctx.records(self))
         return self.sorts.get(tag) or Sort(tag)
 
     def check(self, ctx: Context, term: Term, expected: Term, fuel: Fuel | int | None = None) -> Term:
         """Infer and compare against an expected type; returns the inferred type."""
         if not isinstance(fuel, Fuel):
             fuel = _as_fuel(fuel)
-        actual = self._infer(ctx, term, fuel, _Replay(self, ctx))
+        actual = self._infer(ctx, term, fuel, ctx.records(self))
         if not self.convert(ctx, actual, expected, fuel):
             raise fail(
                 dk.TYPE_MISMATCH,
-                f"term has type {actual!r}, expected {expected!r}",
+                f"term has type {shown(actual)}, expected {shown(expected)}",
                 context=ctx,
                 subject=term,
             )

@@ -17,10 +17,11 @@ and definitions reach the kernels expanded, so the same object, or pair of
 objects, comes up for reduction many times. Conversion keeps each
 sub-comparison's verdict, outermost normalization each subterm's normal
 form and `whnf_replayed` each term's weak head normal form in a
-`terms.Memo`, with the steps it spent. A repeat whose recorded steps remain
-is charged them through `Fuel.charge` and returns the recorded result;
-otherwise it is reduced again for real, so fuel runs out at the same step
-on the same partial term. An entry depends only on its key objects and the
+`terms.Memo`, with the steps it spent; each is one function, as `terms`
+says under Dispatch. A repeat whose recorded steps remain is charged them
+through `Fuel.charge` and returns the recorded result; otherwise it is
+reduced again for real, so fuel runs out at the same step on the same
+partial term. An entry depends only on its key objects and the
 rules (for conversion, also the irrelevant positions), so results, fuel
 spent and fuel left are those of redoing every repeat, whatever the memo
 holds; only the work shrinks. A memo lives for one call unless the caller
@@ -371,38 +372,32 @@ def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[s
     if seen is not None and fuel.charge(seen[1]):
         return seen[0]
     before = fuel.spent
-    verdict = _convert_heads(rules, a, b, fuel, irrelevant, memo)
+    x, y = _whnf(rules, a, fuel), _whnf(rules, b, fuel)
+    cls = type(x)
+    if cls is not type(y):
+        verdict = False
+    elif cls is App:
+        verdict = _convert(rules, x.fun, y.fun, fuel, irrelevant, memo) and _convert(
+            rules, x.arg, y.arg, fuel, irrelevant, memo
+        )
+    elif cls is SymApp:
+        xs, ys = x.args, y.args
+        verdict = x.sym == y.sym and len(xs) == len(ys)
+        if verdict:
+            skip = irrelevant.get(x.sym)
+            for i, (u, w) in enumerate(zip(xs, ys)):
+                if i != skip and not _convert(rules, u, w, fuel, irrelevant, memo):
+                    verdict = False
+                    break
+    elif cls is Abs or cls is Prod:
+        verdict = _convert(rules, x.dom, y.dom, fuel, irrelevant, memo)
+        if verdict:
+            v = Var(fresh_name(x.hint))
+            verdict = _convert(rules, instantiate(x.body, v), instantiate(y.body, v), fuel, irrelevant, memo)
+    else:
+        verdict = x == y
     memo.put(key, (verdict, fuel.spent - before), a, b)
     return verdict
-
-
-def _convert_heads(
-    rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: Memo
-) -> bool:
-    """`_convert` once the sides differ and no memo entry can be charged."""
-    a, b = _whnf(rules, a, fuel), _whnf(rules, b, fuel)
-    cls = type(a)
-    if cls is not type(b):
-        return False
-    if cls is App:
-        return _convert(rules, a.fun, b.fun, fuel, irrelevant, memo) and _convert(
-            rules, a.arg, b.arg, fuel, irrelevant, memo
-        )
-    if cls is SymApp:
-        xs, ys = a.args, b.args
-        if a.sym != b.sym or len(xs) != len(ys):
-            return False
-        skip = irrelevant.get(a.sym)
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            if i != skip and not _convert(rules, x, y, fuel, irrelevant, memo):
-                return False
-        return True
-    if cls is not Abs and cls is not Prod:
-        return a == b
-    if not _convert(rules, a.dom, b.dom, fuel, irrelevant, memo):
-        return False
-    v = Var(fresh_name(a.hint))
-    return _convert(rules, instantiate(a.body, v), instantiate(b.body, v), fuel, irrelevant, memo)
 
 
 # --- orthogonality report ---------------------------------------------------

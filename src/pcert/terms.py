@@ -29,7 +29,10 @@ by a `match` on class patterns, which costs several times more per node; a
 walk of one term returns at a leaf (`Var` and `Bound`, and `Sort` but in
 the inverse) before any memo key is made; and translation and the printer
 walk a symbol's arguments by a loop, not a generator expression, which would
-add a frame per argument.
+add a frame per argument. A memoized walk is one function: its leaves, then
+the memo lookup, then the rules, then the filing of the entry. So a node
+costs one call and a level of nesting one frame, and the node's kind is
+told once.
 """
 
 from __future__ import annotations
@@ -114,6 +117,9 @@ class _Node(Frozen):
         h = self._hash
         return h if h is not None else _keep_hash(self)
 
+    def __repr__(self) -> str:
+        return shown(self, None)
+
 
 def _keep_hash(node: _Node) -> int:
     h = hash(node._key(node))
@@ -129,9 +135,6 @@ class App(_Node):
         _app_fun(self, fun)
         _app_arg(self, arg)
         _node_hash(self, None)
-
-    def __repr__(self) -> str:
-        return f"({self.fun!r} {self.arg!r})"
 
 
 class _Binder(_Node):
@@ -158,17 +161,11 @@ class Abs(_Binder):
     __match_args__ = ("hint", "annot", "body")
     annot = _Binder.dom
 
-    def __repr__(self) -> str:
-        return f"(\\{self.hint}: {self.annot!r}. {self.body!r})"
-
 
 class Prod(_Binder):
     __slots__ = ()
     __match_args__ = ("hint", "dom", "cod")
     cod = _Binder.body
-
-    def __repr__(self) -> str:
-        return f"(!{self.hint}: {self.dom!r}. {self.cod!r})"
 
 
 class SymApp(_Node):
@@ -179,11 +176,6 @@ class SymApp(_Node):
         _symapp_sym(self, sym)
         _symapp_args(self, args)
         _node_hash(self, None)
-
-    def __repr__(self) -> str:
-        if not self.args:
-            return self.sym
-        return f"{self.sym}({', '.join(map(repr, self.args))})"
 
 
 (_node_hash,) = setters(_Node)
@@ -230,6 +222,45 @@ def _equal(a: Term, b: Term, proven: set[tuple[int, int]] | None) -> bool:
     if key is not None:
         proven.add(key)
     return True
+
+
+SHOWN = 500  # the most characters of one term that a diagnostic prints
+
+
+def shown(t: Term, limit: int | None = SHOWN) -> str:
+    """`repr(t)`, cut after `limit` characters and then ended by `…` (None:
+    never cut). One walk over an explicit stack, which stops at the cut: a
+    term that shares subterms prints as a tree, so its text can be
+    exponentially longer than the term."""
+    parts: list[str] = []
+    size = 0
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is str:
+            part = t
+        elif cls is App:
+            todo += (")", t.arg, " ", t.fun)
+            part = "("
+        elif cls is Abs or cls is Prod:
+            todo += (")", t.body, ". ", t.dom)
+            part = f"(\\{t.hint}: " if cls is Abs else f"(!{t.hint}: "
+        elif cls is SymApp:
+            part, args = t.sym, t.args
+            if args:
+                todo.append(")")
+                for a in reversed(args[1:]):
+                    todo += (a, ", ")
+                todo.append(args[0])
+                part += "("
+        else:
+            part = repr(t)
+        parts.append(part)
+        size += len(part)
+        if limit is not None and size > limit:
+            return "".join(parts)[:limit] + "…"
+    return "".join(parts)
 
 
 PROP = Sort("Prop")
@@ -539,12 +570,14 @@ def open_term(hint: str, body: Term) -> tuple[Var, Term]:
 class Records:
     """What one owner (a kernel) has established under one table, so for one
     file: the pairs it has proven convertible, its inference, conversion
-    and head normal form memos, and the `loose_bounds` of what it has
-    inferred. Every view grown from one root shares them, and a new root or
-    a copied table starts empty, so a record never outlives the file that
-    made it or reaches another owner."""
+    and head normal form memos, the `loose_bounds` of what it has inferred,
+    and `free`, the steps spent so far on conversions inside an inference
+    whose pair mentions no binder (read only as a difference around one
+    term's inference, to give its redo cost). Every view grown from one
+    root shares them, and a new root or a copied table starts empty, so a
+    record never outlives the file that made it or reaches another owner."""
 
-    __slots__ = ("proven", "inferred", "converted", "heads", "bounds")
+    __slots__ = ("proven", "inferred", "converted", "heads", "bounds", "free")
 
     def __init__(self):
         self.proven: set[tuple[Term, Term]] = set()
@@ -552,6 +585,7 @@ class Records:
         self.converted = Memo()
         self.heads = Memo()
         self.bounds = Memo()
+        self.free = 0
 
 
 class _Table:

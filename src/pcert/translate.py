@@ -15,9 +15,10 @@ reduced or charged to fuel, and no binder is opened.
 A subterm's translation depends only on the sorts of the enclosing binders
 its `Bound`s reach, so it is memoized by its identity and those sorts: a
 term that shares subterms translates once per distinct subterm and
-reachable sorts, and its translation shares them too. The memo lives for
-one call, or for every call handed the same one under the same context;
-the commands hand one to all the calls of a file.
+reachable sorts, and its translation shares them too. `_term` is that
+memoized walk, one function as `terms` says under Dispatch. The memo lives
+for one call, or for every call handed the same one under the same
+context; the commands hand one to all the calls of a file.
 
 Typability is `check_file`'s obligation and `pcert translate` re-checks the
 output in the lf kernel; unchecked input fails with a diagnostic or
@@ -76,33 +77,22 @@ def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Te
                 low[0] = level
             return out
     outer, low[0] = low[0], depth
-    out = _translate(ctx, m, sorts, memo, low)
-    level = low[0]
-    if outer < level:
-        low[0] = outer
-    memo[ident(m)] = depth - level  # m is held by the entry put next
-    return memo.put((ident(m), sorts[level:]), out, m)
-
-
-def _translate(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
-    """`_term` at a node that is not a leaf."""
-    cls = type(m)
     if cls is App:
-        return App(_term(ctx, m.fun, sorts, memo, low), _term(ctx, m.arg, sorts, memo, low))
-    if cls is Abs:
+        out = App(_term(ctx, m.fun, sorts, memo, low), _term(ctx, m.arg, sorts, memo, low))
+    elif cls is Abs:
         annot = m.annot
         t_annot = _type(ctx, annot, sorts, memo, low)
         inner = sorts + (annot.tag if type(annot) is Sort else None,)
-        return Abs(m.hint, t_annot, _term(ctx, m.body, inner, memo, low))
-    if cls is SymApp:
+        out = Abs(m.hint, t_annot, _term(ctx, m.body, inner, memo, low))
+    elif cls is SymApp:
         sym = m.sym
         if sym not in SUBTYPE_SYMBOLS:
             raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
         args = []
         for a in m.args:
             args.append(_term(ctx, a, sorts, memo, low))
-        return SymApp(sym, tuple(args))
-    if cls is Prod:
+        out = SymApp(sym, tuple(args))
+    elif cls is Prod:
         dom = m.dom
         inner = sorts + (dom.tag if type(dom) is Sort else None,)
         t_dom, t_cod = _term(ctx, dom, sorts, memo, low), _term(ctx, m.cod, inner, memo, low)
@@ -111,8 +101,14 @@ def _translate(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) 
         if head is None:
             message = f"product over sorts ({s_dom}, {s_cod}) has no encoding"
             raise fail(dk.ILLEGAL_PRODUCT, message, context=ctx, subject=m)
-        return SymApp(head, (t_dom, Abs(m.hint, SymApp(_TYPE_FORMERS[s_dom], (t_dom,)), t_cod)))
-    raise TypeError(f"not a term: {m!r}")
+        out = SymApp(head, (t_dom, Abs(m.hint, SymApp(_TYPE_FORMERS[s_dom], (t_dom,)), t_cod)))
+    else:
+        raise TypeError(f"not a term: {m!r}")
+    level = low[0]
+    if outer < level:
+        low[0] = outer
+    memo[ident(m)] = depth - level  # m is held by the entry put next
+    return memo.put((ident(m), sorts[level:]), out, m)
 
 
 def _sort(ctx: Context, t: Term, sorts: Sorts) -> str:

@@ -1054,8 +1054,8 @@ def ref_sort_of(kernel: Kernel, ctx: Context, t: Term, fuel: Fuel) -> str:
 def reference_inference():
     """Every kernel infers through `ref_infer` inside the block."""
     saved = Kernel._infer, Kernel._sort_of
-    Kernel._infer = lambda self, ctx, t, fuel, run: ref_infer(self, ctx, t, fuel)
-    Kernel._sort_of = lambda self, ctx, t, fuel, run: ref_sort_of(self, ctx, t, fuel)
+    Kernel._infer = lambda self, ctx, t, fuel, records: ref_infer(self, ctx, t, fuel)
+    Kernel._sort_of = lambda self, ctx, t, fuel, records: ref_sort_of(self, ctx, t, fuel)
     try:
         yield
     finally:

@@ -255,6 +255,7 @@ def _applications(n: int) -> str:
     return "assert " + "f (" * n + "a" + ")" * n + " : iota;\n"
 
 
+DEEP_BASE = "symbol iota : Type;\nsymbol a : iota;\nsymbol f : iota -> iota;\n"
 DEEP_INPUTS = {
     "arrows": _arrows(2000),
     "applications": _applications(2000),
@@ -262,13 +263,17 @@ DEEP_INPUTS = {
     "normal_form_in_limit": _unfolding(15),  # 300 deep: every command exits 0
 }
 
-# The deepest arrows and applications each command passes, bisected under
-# pytest on CPython 3.11.7 with the default recursion limit of 1000, less 2%.
-# One more frame per level of a recursion would lower each by a fifth or
-# more, so a frame lost in the parser, the kernel or the printer fails here.
+# The deepest arrows and applications each command passes, as
+# `tests/depthfloors.py` bisects them outside pytest on CPython 3.11.7 with
+# the default recursion limit of 1000 (in the comments), less DEPTH_MARGIN
+# per cent: pytest's own frames take about 4 % of the depth, and 2 % is
+# slack. One more frame per level of a recursion would lower each by a
+# fifth or more, so a frame lost in the parser, the kernel or the printer
+# fails here.
+DEPTH_MARGIN = 6
 DEPTH_FLOORS = {
-    "arrows": (_arrows, {"check": 310, "translate": 232, "roundtrip": 310, "export": 310}),  # 318/237/317/318
-    "applications": (_applications, {"check": 465, "translate": 460, "roundtrip": 464, "export": 465}),  # 475/470/474/475
+    "arrows": (_arrows, {"check": 464, "translate": 307, "roundtrip": 464, "export": 462}),  # 494/327/494/492
+    "applications": (_applications, {"check": 924, "translate": 917, "roundtrip": 924, "export": 924}),  # 984/976/983/984
 }
 
 
@@ -276,8 +281,7 @@ DEPTH_FLOORS = {
 @pytest.mark.parametrize("shape", sorted(DEEP_INPUTS))
 def test_deep_input_exits_zero_or_three_without_a_traceback(tmp_path, capsys, command, shape):
     src = tmp_path / "deep.pcert"
-    base = "symbol iota : Type;\nsymbol a : iota;\nsymbol f : iota -> iota;\n"
-    src.write_text(base + DEEP_INPUTS[shape])
+    src.write_text(DEEP_BASE + DEEP_INPUTS[shape])
     out = ["-o", str(tmp_path / "deep.out")] if command in ("translate", "export") else []
     argv = [command, str(src), *out]
     code = main(argv)
@@ -288,7 +292,7 @@ def test_deep_input_exits_zero_or_three_without_a_traceback(tmp_path, capsys, co
         assert err.startswith("DepthExceeded: ") and err.count("\n") == 1
     if shape in DEPTH_FLOORS:
         make, floors = DEPTH_FLOORS[shape]
-        src.write_text(base + make(floors[command]))
+        src.write_text(DEEP_BASE + make(floors[command]))
         assert main(argv) == 0, f"{command} no longer passes {floors[command]} {shape}"
         assert capsys.readouterr().err == ""
 
@@ -298,6 +302,19 @@ def test_definition_disagreeing_with_its_annotation_exits_one(tmp_path, capsys):
     bad.write_text("symbol T : Type;\nsymbol U : Type;\nsymbol x : T;\ndefinition y : U := x;\n")
     assert main(["check", str(bad)]) == 1
     assert f"{bad}:4:1: TypeMismatch" in capsys.readouterr().err
+
+
+def test_a_diagnostic_cuts_a_shared_term_it_would_print_as_a_tree(tmp_path, capsys):
+    # the expected type expands u24 to 2^24 leaves: printed whole, the line
+    # doubles with each link
+    lines = ["symbol iota : Type;", "symbol a : iota;", "symbol g : iota -> iota -> iota;", "symbol P : iota -> Prop;"]
+    lines += ["definition u0 := a;"] + [f"definition u{i + 1} := g u{i} u{i};" for i in range(24)]
+    bad = tmp_path / "bad.pcert"
+    bad.write_text("\n".join(lines) + "\nsymbol h : P a;\nassert h : P u24;\n")
+    assert main(["check", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}:31:1: TypeMismatch: term has type (P a), expected (P ((g ((g ")
+    assert err.endswith("…\n") and len(err.encode()) < 2048
 
 
 def test_definition_annotation_is_checked_before_its_body(tmp_path, capsys):

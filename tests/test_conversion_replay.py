@@ -37,7 +37,7 @@ from pcert.rewrite import Fuel, convertible
 from pcert.syntax import ParsedFile, print_term
 from pcert.terms import Abs, App, Memo, Prod, SymApp, Term, Var
 from test_cli import shared_chain_source
-from test_replay import BINDER_DEFS, translated
+from test_replay import BINDER_DEFS, count_puts, counting_memo, translated
 
 
 def outcome(parsed: ParsedFile, budget: int, reference: bool) -> tuple:
@@ -114,11 +114,11 @@ def test_conversion_replay_matches_the_reference_on_generated_developments(seed,
 
 
 def test_a_direct_call_without_a_memo_starts_afresh_and_a_shared_one_replays(monkeypatch):
-    calls = count_calls(monkeypatch, rewrite, "_convert_heads")
+    calls = count_puts(monkeypatch, rewrite)  # the memo `convertible` makes or is handed
     checked = check_file(parse_file("#MODE pcert\n" + shared_chain_source(3)), 0)
     a, b = checked.decls[-1].decl.a, checked.decls[-1].decl.b
     runs = []
-    memo = Memo()
+    memo = rewrite.Memo()
     for shared in (None, None, memo, memo):
         fuel, calls[0] = Fuel.unlimited(), 0
         assert convertible(PCERT_KERNEL.rules, a, b, fuel, PCERT_KERNEL.irrelevant, shared)
@@ -142,8 +142,25 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
     return calls
 
 
+def count_conversion_puts(monkeypatch) -> list[int]:
+    """Count the `put`s of the conversion memo of every `Records` made from
+    now on: one per sub-comparison `check_file` works out anew."""
+    calls = [0]
+    counted_memo = counting_memo(calls)
+
+    class Counted(terms.Records):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            self.converted = counted_memo()
+
+    monkeypatch.setattr(terms, "Records", Counted)
+    return calls
+
+
 def test_conversion_work_is_linear_in_the_links_of_shared_chains(monkeypatch):
-    calls = count_calls(monkeypatch, rewrite, "_convert_heads")
+    calls = count_conversion_puts(monkeypatch)
     # the chain's text repeats every six links
     for lf_mode in (False, True):
         counts = []

@@ -291,6 +291,30 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
     return calls
 
 
+def counting_memo(calls: list[int]) -> type[terms.Memo]:
+    """A `Memo` that adds one to calls[0] per `put`. A memoized walk files
+    one entry through `put` per miss (translation's reach entry is set by
+    `[]`), so the puts of the walk's own memo count the nodes it works out
+    anew, and none of its hits."""
+
+    class Counted(terms.Memo):
+        __slots__ = ()
+
+        def put(self, key, value, *nodes):
+            calls[0] += 1
+            return terms.Memo.put(self, key, value, *nodes)
+
+    return Counted
+
+
+def count_puts(monkeypatch, owner) -> list[int]:
+    """Count the `put`s of every memo that the module `owner` makes as
+    `Memo()` from now on (see `counting_memo`)."""
+    calls = [0]
+    monkeypatch.setattr(owner, "Memo", counting_memo(calls))
+    return calls
+
+
 def infer_calls(calls: list[int], sources) -> list[int]:
     out = []
     for text in sources:
@@ -353,7 +377,7 @@ def wide_under_lambdas(depth: int, width: int) -> Term:
 
 
 def test_a_closed_subterm_is_translated_once_at_any_binder_depth(monkeypatch):
-    translations = count_calls(monkeypatch, translate, "_translate")
+    translations = count_puts(monkeypatch, translate)  # translate_term's own memo
     counts = []
     for depth, width in ((20, 20), (40, 40)):
         translations[0] = 0

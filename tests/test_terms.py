@@ -497,6 +497,30 @@ def dead_id_taken(memo: Memo) -> bool:
     return False
 
 
+def ref_repr(t: Term) -> str:
+    """`repr` as each composite node wrote it, by recursion."""
+    match t:
+        case App(f, a):
+            return f"({ref_repr(f)} {ref_repr(a)})"
+        case Abs(hint, annot, body):
+            return f"(\\{hint}: {ref_repr(annot)}. {ref_repr(body)})"
+        case Prod(hint, dom, cod):
+            return f"(!{hint}: {ref_repr(dom)}. {ref_repr(cod)})"
+        case SymApp(sym, args) if args:
+            return f"{sym}({', '.join(map(ref_repr, args))})"
+        case SymApp(sym, _):
+            return sym
+    return repr(t)  # a leaf
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_terms(), st.integers(0, 60))
+def test_a_term_is_shown_as_its_tree_and_cut_after_the_limit(t, limit):
+    text = ref_repr(t)
+    assert repr(t) == terms.shown(t, None) == text
+    assert terms.shown(t, limit) == (text if len(text) <= limit else text[:limit] + "…")
+
+
 def test_a_memo_holds_the_nodes_its_keys_were_made_from():
     assert dead_id_taken(_Forgetful())  # without holding, ids come back
     assert not dead_id_taken(Memo())
