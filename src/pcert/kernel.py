@@ -21,7 +21,10 @@ the steps of each conversion whose pair mentions no binder (the growth of
 `Records.free` meanwhile): a redo meets that very pair again, now in the
 file's record of proven conversions, and gets it free. A pair that
 mentions a binder is met again under a new fresh name and costs its steps
-again.
+again. `convert` credits `free` for every pair it proves, inside an
+inference or not; `free` is read only as a difference around one
+inference, and a failed conversion raises before any entry is filed, so
+the credit of a conversion outside an inference changes no redo cost.
 
 A binder body that does not mention its binder is typed in the outer
 context (strengthening), so the closed codomain of an arrow is filed and
@@ -54,7 +57,7 @@ from typing import Mapping
 
 from . import diagnostics as dk
 from .diagnostics import fail
-from .rewrite import Fuel, RuleSet, _as_fuel, _whnf, convertible, whnf_replayed
+from .rewrite import Fuel, RuleSet, _as_fuel, _convert, _whnf, whnf_replayed
 from .terms import (
     SORTS,
     Abs,
@@ -117,16 +120,20 @@ class Kernel:
         spends no fuel. Only whole pairs at this entry are recorded, never
         the comparisons inside the recursion: those are charged every step
         again, so a term whose unfolding doubles per link still costs fuel
-        exponential in the links.
+        exponential in the links. The steps of a proof whose pair mentions
+        no binder are counted in `records.free` (see the module docstring).
         """
         if a == b:
             return True
         records = ctx.records(self)
         if (a, b) in records.proven:
             return True
-        if not convertible(self.rules, a, b, fuel, self.irrelevant, records.converted):
+        spent = fuel.spent
+        if not _convert(self.rules, a, b, fuel, self.irrelevant, records.converted):
             return False
         records.proven.add((a, b))
+        if fuel.spent != spent and not ctx.mentions_binder(a, b):
+            records.free += fuel.spent - spent
         return True
 
     def whnf(self, t: Term, fuel: Fuel) -> Term:
@@ -181,7 +188,7 @@ class Kernel:
                 )
             a = t.arg
             ta = self._infer(ctx, a, fuel, records)
-            if not self._convert(ctx, ta, tf.dom, fuel, records):
+            if not self.convert(ctx, ta, tf.dom, fuel):
                 raise fail(
                     dk.DOMAIN_MISMATCH,
                     f"argument type {shown(ta)} does not match domain {shown(tf.dom)}",
@@ -236,7 +243,7 @@ class Kernel:
                 actual = self._infer(ctx, arg, fuel, records)
                 if not substituted_equals(declared, binding, actual):
                     expected = substitute_parallel(declared, binding)
-                    if not self._convert(ctx, actual, expected, fuel, records):
+                    if not self.convert(ctx, actual, expected, fuel):
                         raise fail(
                             dk.DOMAIN_MISMATCH,
                             f"argument {shown(arg)} of {sym!r} has type {shown(actual)}, expected {shown(expected)}",
@@ -250,15 +257,6 @@ class Kernel:
         if not ctx.binders:
             records.inferred.put(ident(t), (ty, ctx.rows, fuel.spent - spent - (records.free - free)), t)
         return ty
-
-    def _convert(self, ctx: Context, a: Term, b: Term, fuel: Fuel, records: Records) -> bool:
-        """`convert` inside an inference, counting in `records.free` the
-        steps of a pair that mentions no binder."""
-        spent = fuel.spent
-        verdict = self.convert(ctx, a, b, fuel)
-        if fuel.spent != spent and not ctx.mentions_binder(a, b):
-            records.free += fuel.spent - spent
-        return verdict
 
     def _sort_of(self, ctx: Context, t: Term, fuel: Fuel, records: Records) -> str:
         ty = self._infer(ctx, t, fuel, records)

@@ -165,31 +165,24 @@ class RuleSet:
         return f"RuleSet({[r.name for r in self.rules]})"
 
 
-def match(pattern: Term, subject: Term, binding: dict[str, Term] | None = None) -> dict[str, Term] | None:
-    """First-order matching of a rule left side against a subject."""
+def match(pattern: SymApp, subject: Term, binding: dict[str, Term] | None = None) -> dict[str, Term] | None:
+    """First-order matching of a rule left side against a subject. A left
+    side, and each argument of it that is not a variable, is a symbol
+    application (`RewriteRule`), so no other pattern reaches here."""
     if binding is None:
         binding = {}
-    cls = type(pattern)
-    if cls is SymApp:
-        if type(subject) is not SymApp or subject.sym != pattern.sym or len(subject.args) != len(pattern.args):
-            return None
-        for p, s in zip(pattern.args, subject.args):
-            if type(p) is not Var:
-                if match(p, s, binding) is None:
-                    return None
-                continue
-            seen = binding.get(p.name)  # a pattern variable, bound here without a call
-            if seen is not None and seen != s:
+    if type(subject) is not SymApp or subject.sym != pattern.sym or len(subject.args) != len(pattern.args):
+        return None
+    for p, s in zip(pattern.args, subject.args):
+        if type(p) is not Var:
+            if match(p, s, binding) is None:
                 return None
-            binding[p.name] = s
-        return binding
-    if cls is Var:
-        seen = binding.get(pattern.name)
-        if seen is not None and seen != subject:
+            continue
+        seen = binding.get(p.name)  # a pattern variable, bound here without a call
+        if seen is not None and seen != s:
             return None
-        binding[pattern.name] = subject
-        return binding
-    return binding if pattern == subject else None
+        binding[p.name] = s
+    return binding
 
 
 def _try_rules(rules: RuleSet, t: SymApp, fuel: Fuel) -> tuple[Term | None, SymApp]:

@@ -571,11 +571,12 @@ class Records:
     """What one owner (a kernel) has established under one table, so for one
     file: the pairs it has proven convertible, its inference, conversion
     and head normal form memos, the `loose_bounds` of what it has inferred,
-    and `free`, the steps spent so far on conversions inside an inference
-    whose pair mentions no binder (read only as a difference around one
-    term's inference, to give its redo cost). Every view grown from one
-    root shares them, and a new root or a copied table starts empty, so a
-    record never outlives the file that made it or reaches another owner."""
+    and `free`, the steps spent so far on proven conversions whose pair
+    mentions no binder (read only as a difference around one term's
+    inference, so a conversion outside an inference moves no redo cost).
+    Every view grown from one root shares them, and a new root or a copied
+    table starts empty, so a record never outlives the file that made it or
+    reaches another owner."""
 
     __slots__ = ("proven", "inferred", "converted", "heads", "bounds", "free")
 

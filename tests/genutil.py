@@ -45,7 +45,7 @@ from pcert.kernel import Kernel
 from pcert.lexer import scan
 from pcert.lf import El, KIND_ENC, PROP_OBJ, Prf, TYPE_ENC, TYPE_OBJ
 from pcert.pcert import KERNEL as PCERT_KERNEL, BETA_PROJ, pi_erase
-from pcert.rewrite import Fuel, OrthogonalityReport, RuleSet, _as_fuel, convertible, match, normalize
+from pcert.rewrite import Fuel, OrthogonalityReport, RuleSet, _as_fuel, match, normalize
 from pcert.syntax import (
     AssertConv,
     AssertJudgment,
@@ -1069,14 +1069,14 @@ def reference_conversion():
     runs as it did before, with whole pairs still recorded as proven."""
 
     def per_call(rules, a, b, fuel, irrelevant, memo):
-        return convertible(rules, a, b, fuel, irrelevant)
+        return saved(rules, a, b, fuel, irrelevant, Memo())
 
-    saved = kernel_module.convertible
-    kernel_module.convertible = per_call
+    saved = kernel_module._convert
+    kernel_module._convert = per_call
     try:
         yield
     finally:
-        kernel_module.convertible = saved
+        kernel_module._convert = saved
 
 
 def calls_made(fn, builtins: bool = False) -> int:

@@ -96,12 +96,13 @@ _LF_P = "symbol P : El(arrd(T, \\_: El(T). prop));\n"
 # before inference answered a bound variable and a sort inline, matched
 # symbol arguments against the telescope in place and left a binder its
 # body ignores closed. All five then took 15, 17, 45, 110 and 45 before
-# inference kept its memo and its rules in one function.
+# inference kept its memo and its rules in one function, and the pairs 42
+# and 105 before inference reached conversion through `Kernel.convert` alone.
 FLOOR_CALLS = {
     "pcert": ("symbol T : Type;\n", "symbol c{0} : T;\n", 14),
     "lf": ("#MODE lf\nsymbol T : Type;\n", "symbol c{0} : El(T);\n", 18),
-    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 44),
-    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 110),
+    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 43),
+    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 106),
     "pcert_lambda": ("symbol T : Type;\n", "symbol c{0} : T;\ndefinition k{0} := \\x: T. c{0};\n", 47),
 }
 

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcert
-from pcert import corpus_path
+from pcert import cli, corpus_path
 from pcert.cli import main
+from pcert.lf import El
+from pcert.terms import Var
 from test_syntax import mutated_corpus
 
 CORPUS_PCERT = ("prelude.pcert", "stacks.pcert", "bounded_lists.pcert", "even_numbers.pcert")
@@ -51,10 +53,36 @@ def test_check_parse_error_exits_two(tmp_path, capsys):
     assert "ArityMismatch" in capsys.readouterr().err
 
 
-def test_check_type_error_exits_one(tmp_path):
-    bad = tmp_path / "bad.pcert"
-    bad.write_text("symbol T : Type;\nsymbol x : T;\nassert x : Type;\n")
+# the two `convertible` cases are the other half of proof irrelevance:
+# certificates never block conversion, but elements still do
+TYPE_ERRORS = {
+    "assert": (
+        "bad.pcert",
+        "symbol T : Type;\nsymbol x : T;\nassert x : Type;\n",
+        "3:1: TypeMismatch: term has type T, expected Type",
+    ),
+    "convertible_pcert": (
+        "conv.pcert",
+        "symbol nat : Type;\nsymbol even : nat -> Prop;\nsymbol two : nat;\nsymbol four : nat;\n"
+        "symbol h2 : even two;\nsymbol h4 : even four;\n"
+        "convertible pair(nat, even, two, h2), pair(nat, even, four, h4);\n",
+        "7:1: NotConvertible: terms are not convertible",
+    ),
+    "convertible_lf": (
+        "conv.lf",
+        "#MODE lf\nsymbol nat : Type;\nsymbol a : El nat;\nsymbol b : El nat;\nconvertible a, b;\n",
+        "5:1: NotConvertible: terms are not convertible",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_ERRORS))
+def test_check_type_error_exits_one(tmp_path, capsys, case):
+    name, text, line = TYPE_ERRORS[case]
+    bad = tmp_path / name
+    bad.write_text(text)
     assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().err == f"{bad}:{line}\n"
 
 
 def test_translate_writes_checked_lf_file(tmp_path):
@@ -79,6 +107,29 @@ def test_translate_ill_typed_exits_one(tmp_path):
 def test_roundtrip_corpus_files(capsys):
     for name in CORPUS_PCERT:
         assert main(["roundtrip", corpus(name)]) == 0
+
+
+# A checked file cannot fail the round trip: the inverse is a left inverse
+# of the translation up to beta. So each case breaks one of the two through
+# the cli's own binding and pins the report: one line per definition, in
+# file order, and nothing on stdout.
+ROUNDTRIP_FAULTS = {
+    "translate_term": (
+        lambda ctx, t, memo: El(Var("x")),
+        "not in the image of the translation at root: El(x)",
+    ),
+    "inverse_term": (lambda m, memo: Var("zero"), "beta-normal forms differ after the round trip"),
+}
+
+
+@pytest.mark.parametrize("binding", sorted(ROUNDTRIP_FAULTS))
+def test_a_broken_round_trip_exits_five(monkeypatch, capsys, binding):
+    fault, reason = ROUNDTRIP_FAULTS[binding]
+    monkeypatch.setattr(cli, binding, fault)
+    assert main(["roundtrip", corpus("even_numbers.pcert")]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"roundtrip failure: {name}: {reason}\n" for name in ("two", "evens", "t", "t'"))
 
 
 def test_roundtrip_vacuous_on_symbol_only_file(tmp_path):
@@ -147,11 +198,19 @@ def test_missing_file_exits_two(capsys):
     assert main(["check", "no/such/file.pcert"]) == 2
 
 
-def test_duplicate_declaration_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize(
+    ("text", "line"),
+    [
+        ("symbol T : Type;\ndefinition T := Prop;\n", "2:1: DuplicateName: 'T' declared twice"),
+        ("symbol nat : Type;\nsymbol nat : Type;\n", "2:1: DuplicateName: 'nat' declared twice"),
+    ],
+    ids=["definition", "symbol"],
+)
+def test_duplicate_declaration_exits_one(tmp_path, capsys, text, line):
     dup = tmp_path / "dup.pcert"
-    dup.write_text("symbol T : Type;\ndefinition T := Prop;\n")
+    dup.write_text(text)
     assert main(["check", str(dup)]) == 1
-    assert "DuplicateName" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"{dup}:{line}\n"
 
 
 def test_type_error_diagnostic_carries_the_declaration_span(tmp_path, capsys):
@@ -198,6 +257,9 @@ def test_negative_fuel_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("PCERT_FUEL", "-3")
     assert main(["check", corpus("stacks.pcert")]) == 2
     assert capsys.readouterr().err == "ParseError: PCERT_FUEL must not be negative, got -3\n"
+    monkeypatch.setenv("PCERT_FUEL", "abc")
+    assert main(["check", corpus("stacks.pcert")]) == 2
+    assert capsys.readouterr().err == "ParseError: PCERT_FUEL must be an integer, got 'abc'\n"
 
 
 def test_non_utf8_file_exits_two(tmp_path, capsys):

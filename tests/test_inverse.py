@@ -6,13 +6,14 @@ from genutil import BASE_CTX, TermGen, inverse_type, ref_inverse_term, ref_inver
 from hypothesis import given, settings, strategies as st
 from pcert import check_file, conv_pcert, corpus_path, parse_file
 from pcert.inverse import NotInImage, inverse_term
-from pcert.lf import El, PROP_OBJ, Prf, TYPE_ENC
+from pcert.lf import RULES_R, El, PROP_OBJ, Prf, TYPE_ENC
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import RuleSet, normalize
 from pcert.terms import (
     Abs,
     App,
     Bound,
+    Context,
     Memo,
     Prod,
     Sort,
@@ -28,6 +29,15 @@ BETA = RuleSet()
 
 def test_prop_object_inverts_to_sort():
     assert inverse_term(PROP_OBJ) == Sort("Prop")
+
+
+def test_prop_annotation_inverts_to_sort():
+    # el_prop rewrites the annotation El(prop) to Prop, which the inverse
+    # reads as a type
+    t = Abs("P", Sort("Prop"), Bound(0))
+    encoded = normalize(RULES_R, translate_term(Context(), t))
+    assert encoded.dom == SymApp("Prop")
+    assert inverse_term(encoded) == t
 
 
 def test_quantifier_inverts_to_product():

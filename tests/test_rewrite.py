@@ -147,12 +147,16 @@ def test_orthogonality_of_encoding_rules():
     assert report.ok
     assert report.nonlinear == ()
     assert report.overlaps == ()
+    assert str(report) == "orthogonal: no left-linearity violations, no overlapping left sides"
 
 
 def test_orthogonality_flags_nonlinear_rule():
-    rules = RuleSet((RewriteRule("dup", SymApp("f", (Var("x"), Var("x"))), Var("x")),))
-    report = check_orthogonality(rules)
+    dup = RewriteRule("dup", SymApp("f", (Var("x"), Var("x"))), Var("x"))
+    report = check_orthogonality(RuleSet((dup,)))
     assert report.nonlinear == ("dup",)
+    other = RewriteRule("other", SymApp("f", (Var("x"), Var("y"))), Var("y"))
+    report = check_orthogonality(RuleSet((dup, other)))
+    assert str(report) == "left-linearity violation in rule 'dup'\noverlap between 'dup' and 'other' at root"
 
 
 def test_orthogonality_flags_overlap():
