@@ -37,11 +37,35 @@ back as itself, and `abstract_var` would hand back as itself the type it
 has in the outer context. Its fresh name is drawn all the same, so later
 names, and the diagnostics that print them, are those of opening it. The
 application rule returns such a codomain as it is, for the same reason.
+Opening a body and instantiating a codomain hand `terms.instantiate` the
+same masks, so a subterm with no loose index at the depth it is met at is
+handed back unwalked, as the walk would hand it back. A bound variable is
+answered by one lookup, and a type that is already a sort is not taken to
+head normal form.
+
+Both rules with arguments answer by identity the argument conversions they
+have proven before (`Records.proven_args`). The application rule files each
+conversion of an argument's type to a domain under the identities of the
+two types; it skips `convert` on a repeat, and when the two are one object.
 A symbol argument is matched against its telescope type in place
 (`terms.substituted_equals`), and the expected type is built only on a
 miss: on a hit `convert` would return at `==` before it spends fuel or
-records a pair. A bound variable is answered by one lookup, and a type
-that is already a sort is not taken to head normal form.
+records a pair. On a miss the symbol rule files each conversion it proves
+under the symbol and the identities of the argument's inferred type and of
+the earlier arguments, which fix the expected type, and answers a repeat
+without building that type. Both answers are exact: the pair `convert`
+would be handed equals one proven before, so it would return True at `==`
+or find the pair in `Records.proven`, before it spends fuel, credits
+`free` or draws a name.
+
+The symbol rule's result type is filed in `Records.results` under the
+symbol and the identities of the arguments it mentions
+(`Signature.result_args`), so applications that agree on those arguments
+share one result object, equal to what the substitution would build.
+Substituting spends no fuel and draws no name, and every memo keyed by
+identity replays exactly, so the sharing changes no outcome. A result that
+mentions no argument is the signature's own object, which the substitution
+would hand back.
 
 The kernel's conversion and head normal form memos, on the same table,
 replay by the rule of `rewrite` too. The application rule takes a function
@@ -126,12 +150,13 @@ class Kernel:
         if a == b:
             return True
         records = ctx.records(self)
-        if (a, b) in records.proven:
+        pair = (a, b)
+        if pair in records.proven:
             return True
         spent = fuel.spent
-        if not _convert(self.rules, a, b, fuel, self.irrelevant, records.converted):
+        if not _convert(self.rules, a, b, fuel, self.irrelevant, records.converted, records.bounds):
             return False
-        records.proven.add((a, b))
+        records.proven.add(pair)
         if fuel.spent != spent and not ctx.mentions_binder(a, b):
             records.free += fuel.spent - spent
         return True
@@ -174,11 +199,11 @@ class Kernel:
         if cls is Bound:
             raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{t.index}", context=ctx, subject=t)
         seen = records.inferred.get(ident(t))
-        if seen is not None and ctx.rows >= seen[1] and fuel.charge(seen[2]):
+        if seen is not None and ctx.rows >= seen[1] and (not seen[2] or fuel.charge(seen[2])):
             return seen[0]
         spent, free = fuel.spent, records.free
         if cls is App:
-            tf = whnf_replayed(self.rules, self._infer(ctx, t.fun, fuel, records), fuel, records.heads)
+            tf = whnf_replayed(self.rules, self._infer(ctx, t.fun, fuel, records), fuel, records.heads, records.bounds)
             if not isinstance(tf, Prod):
                 raise fail(
                     dk.NOT_A_FUNCTION,
@@ -188,15 +213,20 @@ class Kernel:
                 )
             a = t.arg
             ta = self._infer(ctx, a, fuel, records)
-            if not self.convert(ctx, ta, tf.dom, fuel):
-                raise fail(
-                    dk.DOMAIN_MISMATCH,
-                    f"argument type {shown(ta)} does not match domain {shown(tf.dom)}",
-                    context=ctx,
-                    subject=t,
-                )
+            dom = tf.dom
+            if ta is not dom:
+                key = (ident(ta), ident(dom))
+                if key not in records.proven_args:
+                    if not self.convert(ctx, ta, dom, fuel):
+                        raise fail(
+                            dk.DOMAIN_MISMATCH,
+                            f"argument type {shown(ta)} does not match domain {shown(dom)}",
+                            context=ctx,
+                            subject=t,
+                        )
+                    records.proven_args[key] = (ta, dom)
             cod = tf.cod
-            ty = instantiate(cod, a) if loose_bounds(cod, records.bounds) else cod
+            ty = instantiate(cod, a, records.bounds) if loose_bounds(cod, records.bounds) else cod
         elif cls is Prod or cls is Abs:
             # both sort the domain, and a codomain under the opened binder:
             # a product's body, or the type of an abstraction's body; a body
@@ -206,7 +236,7 @@ class Kernel:
             s_dom = self._sort_of(ctx, dom, fuel, records)
             opened = loose_bounds(cod, records.bounds)
             if opened:
-                v, cod = open_term(hint, cod)
+                v, cod = open_term(hint, cod, records.bounds)
                 inner_ctx = ctx.extend(v.name, dom)
             else:
                 fresh_name(hint)  # drawn as opening would, so later names stay the same
@@ -239,23 +269,36 @@ class Kernel:
                     subject=t,
                 )
             binding: dict[str, Term] = {}
-            for (x, declared), arg in zip(entry.telescope, args):
+            for i, ((x, declared), arg) in enumerate(zip(entry.telescope, args)):
                 actual = self._infer(ctx, arg, fuel, records)
                 if not substituted_equals(declared, binding, actual):
-                    expected = substitute_parallel(declared, binding)
-                    if not self.convert(ctx, actual, expected, fuel):
-                        raise fail(
-                            dk.DOMAIN_MISMATCH,
-                            f"argument {shown(arg)} of {sym!r} has type {shown(actual)}, expected {shown(expected)}",
-                            context=ctx,
-                            subject=t,
-                        )
+                    key = (sym, ident(actual), *map(ident, args[:i]))
+                    if key not in records.proven_args:
+                        expected = substitute_parallel(declared, binding)
+                        if not self.convert(ctx, actual, expected, fuel):
+                            raise fail(
+                                dk.DOMAIN_MISMATCH,
+                                f"argument {shown(arg)} of {sym!r} has type {shown(actual)}, "
+                                f"expected {shown(expected)}",
+                                context=ctx,
+                                subject=t,
+                            )
+                        records.proven_args[key] = (t, actual)
                 binding[x] = arg
-            ty = substitute_parallel(entry.result, binding)
+            used = self.signature.result_args[sym]
+            if not used:
+                ty = entry.result  # what the substitution hands back
+            else:
+                key = (sym, *map(ident, map(args.__getitem__, used)))
+                ty = records.results.get(key)
+                if ty is None:
+                    ty = records.results[key] = substitute_parallel(entry.result, binding)
         else:
             raise TypeError(f"not a term: {t!r}")
         if not ctx.binders:
-            records.inferred.put(ident(t), (ty, ctx.rows, fuel.spent - spent - (records.free - free)), t)
+            inferred = records.inferred  # `put`, inlined: one call fewer per node
+            inferred[ident(t)] = ty, ctx.rows, fuel.spent - spent - (records.free - free)
+            inferred._held.append(t)
         return ty
 
     def _sort_of(self, ctx: Context, t: Term, fuel: Fuel, records: Records) -> str:

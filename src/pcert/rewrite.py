@@ -27,6 +27,11 @@ spent and fuel left are those of redoing every repeat, whatever the memo
 holds; only the work shrinks. A memo lives for one call unless the caller
 hands one in: the kernels keep a conversion and a head normal form memo per
 file (`terms.Records`), `roundtrip` a normalization memo per command.
+
+The kernels also hand down their file's `loose_bounds` masks
+(`Records.bounds`), which the beta step and conversion's binder opening
+pass to `terms.instantiate`: a subterm known to be closed at the depth it
+is met at comes back unwalked, the very object the walk would return.
 """
 
 from __future__ import annotations
@@ -185,23 +190,30 @@ def match(pattern: SymApp, subject: Term, binding: dict[str, Term] | None = None
     return binding
 
 
-def _try_rules(rules: RuleSet, t: SymApp, fuel: Fuel) -> tuple[Term | None, SymApp]:
+def _try_rules(rules: RuleSet, t: SymApp, fuel: Fuel, bounds: Memo | None = None) -> tuple[Term | None, SymApp]:
     """One head step at a symbol application, reducing nested positions on
     demand so that rule patterns can see the head of their arguments.
 
     Returns the contractum, or None when no rule fires, together with the
     subject with its reduced arguments, which is t itself when none changed.
+    A position is reduced the first time a rule's pattern needs it, in rule
+    order, and read as it is for later rules: reducing a weak head normal
+    form again spends nothing and hands back the very object.
     """
     sym = t.sym
-    for rule in rules.rules_for(sym):
+    reduced = 0  # bit i: position i is in weak head normal form
+    for rule in rules._by_head.get(sym, ()):
         pargs = rule.lhs.args
         if len(pargs) != len(t.args):
             continue
         for i, parg in enumerate(pargs):
             if type(parg) is SymApp:
-                arg = _whnf(rules, t.args[i], fuel)
-                if arg is not t.args[i]:
-                    t = SymApp(sym, t.args[:i] + (arg,) + t.args[i + 1 :])
+                arg = t.args[i]
+                if not reduced >> i & 1:
+                    reduced |= 1 << i
+                    arg = _whnf(rules, arg, fuel, bounds)
+                    if arg is not t.args[i]:
+                        t = SymApp(sym, t.args[:i] + (arg,) + t.args[i + 1 :])
                 if type(arg) is not SymApp:
                     break
         else:
@@ -217,21 +229,21 @@ def whnf(rules: RuleSet, t: Term, fuel: Fuel | int | None = None) -> Term:
     return _whnf(rules, t, _as_fuel(fuel))
 
 
-def _whnf(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
+def _whnf(rules: RuleSet, t: Term, fuel: Fuel, bounds: Memo | None = None) -> Term:
     """`whnf` on a budget; returns t itself when its head is already normal."""
     by_head = rules._by_head
     while True:
         cls = type(t)
         if cls is App:
             f = t.fun
-            f2 = _whnf(rules, f, fuel)
+            f2 = _whnf(rules, f, fuel, bounds)
             if type(f2) is Abs:
                 fuel.spend(t)
-                t = instantiate(f2.body, t.arg)
+                t = instantiate(f2.body, t.arg, bounds)
                 continue
             return t if f2 is f else App(f2, t.arg)
         if cls is SymApp and t.sym in by_head:
-            reduced, t = _try_rules(rules, t, fuel)
+            reduced, t = _try_rules(rules, t, fuel, bounds)
             if reduced is None:
                 return t
             t = reduced
@@ -239,18 +251,19 @@ def _whnf(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
         return t
 
 
-def whnf_replayed(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Term:
+def whnf_replayed(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo, bounds: Memo | None = None) -> Term:
     """`_whnf` replayed from `memo` (see the module docstring). Entries:
     t -> (its weak head normal form, the steps spent reaching it)."""
     cls = type(t)
     if cls is not App and cls is not SymApp:
         return t  # already normal
     seen = memo.get(ident(t))
-    if seen is not None and fuel.charge(seen[1]):
+    if seen is not None and (not seen[1] or fuel.charge(seen[1])):
         return seen[0]
     before = fuel.spent
-    u = _whnf(rules, t, fuel)
-    memo.put(ident(t), (u, fuel.spent - before), t)
+    u = _whnf(rules, t, fuel, bounds)
+    memo[ident(t)] = u, fuel.spent - before  # `put`, inlined: one call fewer per node
+    memo._held.append(t)
     return u
 
 
@@ -353,40 +366,47 @@ def convertible(
     normalization spends. Sub-comparisons replay from `memo` (see the module
     docstring).
     """
+    if a == b:
+        return True
     return _convert(rules, a, b, _as_fuel(fuel), irrelevant or {}, Memo() if memo is None else memo)
 
 
-def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: Memo) -> bool:
-    """Entries: the pair (a, b) -> (verdict, steps spent)."""
-    if a == b:
-        return True
+def _convert(
+    rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: Memo, bounds: Memo | None = None
+) -> bool:
+    """Entries: the pair (a, b) -> (verdict, steps spent). The caller has
+    found a and b not equal (`==`), as each sub-comparison here does first."""
     key = (ident(a), ident(b))
     seen = memo.get(key)
-    if seen is not None and fuel.charge(seen[1]):
+    if seen is not None and (not seen[1] or fuel.charge(seen[1])):
         return seen[0]
     before = fuel.spent
-    x, y = _whnf(rules, a, fuel), _whnf(rules, b, fuel)
+    x, y = _whnf(rules, a, fuel, bounds), _whnf(rules, b, fuel, bounds)
     cls = type(x)
     if cls is not type(y):
         verdict = False
     elif cls is App:
-        verdict = _convert(rules, x.fun, y.fun, fuel, irrelevant, memo) and _convert(
-            rules, x.arg, y.arg, fuel, irrelevant, memo
-        )
+        u, w = x.fun, y.fun
+        verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo, bounds)
+        if verdict:
+            u, w = x.arg, y.arg
+            verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo, bounds)
     elif cls is SymApp:
         xs, ys = x.args, y.args
         verdict = x.sym == y.sym and len(xs) == len(ys)
         if verdict:
             skip = irrelevant.get(x.sym)
             for i, (u, w) in enumerate(zip(xs, ys)):
-                if i != skip and not _convert(rules, u, w, fuel, irrelevant, memo):
+                if i != skip and u != w and not _convert(rules, u, w, fuel, irrelevant, memo, bounds):
                     verdict = False
                     break
     elif cls is Abs or cls is Prod:
-        verdict = _convert(rules, x.dom, y.dom, fuel, irrelevant, memo)
+        u, w = x.dom, y.dom
+        verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo, bounds)
         if verdict:
             v = Var(fresh_name(x.hint))
-            verdict = _convert(rules, instantiate(x.body, v), instantiate(y.body, v), fuel, irrelevant, memo)
+            u, w = instantiate(x.body, v, bounds), instantiate(y.body, v, bounds)
+            verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo, bounds)
     else:
         verdict = x == y
     memo.put(key, (verdict, fuel.spent - before), a, b)

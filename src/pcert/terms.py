@@ -20,7 +20,10 @@ it changed, so a value substituted for many occurrences stays one object.
 `==` stops at object identity and remembers, for one comparison, the pairs
 of nodes it has proven equal, so it compares two such terms in time linear
 in their shared size. Nothing depends on identity for its meaning; results
-are equal either way. Every cache that outlives one call is a `Memo`.
+are equal either way. Every cache that outlives one call is a `Memo`, or a
+dict whose values hold the nodes its keys were made from, which costs no
+call to make (the parser's intern table, `Records.proven_args` and
+`Records.results`).
 
 Dispatch. The walks that every command runs (the kernels, reduction,
 substitution, the input gate, translation, the inverse and the printer)
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Union
 
 from .diagnostics import DUPLICATE_NAME, fail
@@ -427,7 +430,7 @@ def substitute_parallel(t: Term, mapping: dict[str, Term], memo: Memo | None = N
         args = []
         for a in t.args:
             args.append(substitute_parallel(a, mapping, memo))
-        out = t if _same(args, t.args) else SymApp(t.sym, tuple(args))
+        out = t if all(map(is_, args, t.args)) else SymApp(t.sym, tuple(args))
     else:
         raise TypeError(f"not a term: {t!r}")
     return out if memo is None else memo.put(ident(t), out, t)
@@ -458,20 +461,12 @@ def substituted_equals(t: Term, mapping: dict[str, Term], other: Term) -> bool:
     return t is other or t == other
 
 
-def _same(new: list[Term], old: tuple[Term, ...]) -> bool:
-    """True when each of new is the very object at its position in old."""
-    for n, o in zip(new, old):
-        if n is not o:
-            return False
-    return True
-
-
 def alpha_eq(a: Term, b: Term) -> bool:
     """True iff a and b differ only in bound-variable names: `a == b`."""
     return a == b
 
 
-def instantiate(body: Term, value: Term) -> Term:
+def instantiate(body: Term, value: Term, bounds: Memo | None = None) -> Term:
     """Replace Bound(0) by a locally closed value, closing the binder.
 
     For one call, a subterm found unchanged is remembered with the least
@@ -479,11 +474,18 @@ def instantiate(body: Term, value: Term) -> Term:
     an expanded definition under a binder, is walked once. A changed
     subterm is rebuilt at each occurrence, so the result is made of the
     very objects a tree walk makes.
+
+    `bounds` is a table of `loose_bounds` masks (`Records.bounds`). A
+    subterm whose mask is in it and has no index at or above the depth it
+    is met at is handed back unwalked: it holds no `Bound` the walk would
+    replace or lower, so the walk would hand back the very same object.
     """
-    return _instantiate(body, value, 0, None)
+    return _instantiate(body, value, 0, None, bounds)
 
 
-def _instantiate(body: Term, value: Term, depth: int, same: dict[int, int] | None) -> Term:
+def _instantiate(
+    body: Term, value: Term, depth: int, same: dict[int, int] | None, bounds: Memo | None = None
+) -> Term:
     cls = type(body)
     if cls is Var or cls is Sort:
         return body
@@ -492,24 +494,31 @@ def _instantiate(body: Term, value: Term, depth: int, same: dict[int, int] | Non
         if k == depth:
             return value
         return Bound(k - 1) if k > depth else body
-    if same is None:  # the outermost node, met once
-        same, key = {}, None
+    key = None
+    mask = None if bounds is None else bounds.get(~ident(body))
+    if mask is not None:
+        if not mask >> depth:
+            return body
+    elif same is None:  # the first node without a mask on this path starts the table
+        same = {}
     else:
         key = id(body)
         least = same.get(key)
         if least is not None and least <= depth:
             return body
     if cls is App:
-        fun, arg = _instantiate(body.fun, value, depth, same), _instantiate(body.arg, value, depth, same)
+        fun = _instantiate(body.fun, value, depth, same, bounds)
+        arg = _instantiate(body.arg, value, depth, same, bounds)
         out = body if fun is body.fun and arg is body.arg else App(fun, arg)
     elif cls is Abs or cls is Prod:
-        dom, inner = _instantiate(body.dom, value, depth, same), _instantiate(body.body, value, depth + 1, same)
+        dom = _instantiate(body.dom, value, depth, same, bounds)
+        inner = _instantiate(body.body, value, depth + 1, same, bounds)
         out = body if dom is body.dom and inner is body.body else cls(body.hint, dom, inner)
     elif cls is SymApp:
         args = []
         for a in body.args:
-            args.append(_instantiate(a, value, depth, same))
-        out = body if _same(args, body.args) else SymApp(body.sym, tuple(args))
+            args.append(_instantiate(a, value, depth, same, bounds))
+        out = body if all(map(is_, args, body.args)) else SymApp(body.sym, tuple(args))
     else:
         raise TypeError(f"not a term: {body!r}")
     if out is body and key is not None:
@@ -548,7 +557,7 @@ def _abstract(t: Term, name: str, depth: int, memo: dict[tuple[int, int], Term])
         out = t if dom is t.dom and body is t.body else cls(t.hint, dom, body)
     elif cls is SymApp:
         args = [_abstract(a, name, depth, memo) for a in t.args]
-        out = t if _same(args, t.args) else SymApp(t.sym, tuple(args))
+        out = t if all(map(is_, args, t.args)) else SymApp(t.sym, tuple(args))
     else:
         raise TypeError(f"not a term: {t!r}")
     memo[key] = out
@@ -560,28 +569,38 @@ def arrow(dom: Term, cod: Term) -> Prod:
     return Prod("_", dom, abstract_var(cod, fresh_name("_unused")))
 
 
-def open_term(hint: str, body: Term) -> tuple[Var, Term]:
+def open_term(hint: str, body: Term, bounds: Memo | None = None) -> tuple[Var, Term]:
     """Open a binder body with a fresh variable; inverse of closing a
-    binder with `abstract_var`."""
+    binder with `abstract_var`. `bounds` as for `instantiate`."""
     v = Var(fresh_name(hint))
-    return v, instantiate(body, v)
+    return v, instantiate(body, v, bounds)
 
 
 class Records:
     """What one owner (a kernel) has established under one table, so for one
-    file: the pairs it has proven convertible, its inference, conversion
-    and head normal form memos, the `loose_bounds` of what it has inferred,
-    and `free`, the steps spent so far on proven conversions whose pair
-    mentions no binder (read only as a difference around one term's
-    inference, so a conversion outside an inference moves no redo cost).
+    file: the pairs it has proven convertible, the argument conversions
+    its inference rules have proven, by identity (`proven_args`: a key
+    made of the `ident`s of an application's argument type and domain, or
+    of a symbol and the `ident`s of the argument's type and the earlier
+    arguments, to the nodes that keep those ids alive), the symbols'
+    result types (`results`: a key made of the symbol and the `ident`s of
+    the arguments the result mentions, to the result, which holds those
+    arguments; see `kernel` for both), its inference, conversion and head
+    normal form memos, the `loose_bounds` of
+    what it has inferred (which `instantiate` reads), and `free`, the steps
+    spent so far on proven conversions whose pair mentions no binder (read
+    only as a difference around one term's inference, so a conversion
+    outside an inference moves no redo cost).
     Every view grown from one root shares them, and a new root or a copied
     table starts empty, so a record never outlives the file that made it or
     reaches another owner."""
 
-    __slots__ = ("proven", "inferred", "converted", "heads", "bounds", "free")
+    __slots__ = ("proven", "proven_args", "results", "inferred", "converted", "heads", "bounds", "free")
 
     def __init__(self):
         self.proven: set[tuple[Term, Term]] = set()
+        self.proven_args: dict[tuple, tuple[Term, Term]] = {}
+        self.results: dict[tuple, Term] = {}
         self.inferred = Memo()
         self.converted = Memo()
         self.heads = Memo()
@@ -710,11 +729,17 @@ _entry_telescope, _entry_result, _entry_sort, _entry_protected = setters(SigEntr
 class Signature:
     """Finite mapping from symbol names to their typing entries.
     `protected` is the set of names of the protected entries, which the
-    input gate reads on every call."""
+    input gate reads on every call; `result_args` maps a name to the
+    positions of the telescope variables its result type mentions, whose
+    arguments decide the result."""
 
     def __init__(self, entries: dict[str, SigEntry]):
         self._entries = dict(entries)
         self.protected = frozenset(n for n, e in self._entries.items() if e.protected)
+        self.result_args: dict[str, tuple[int, ...]] = {}
+        for name, entry in self._entries.items():
+            mentioned = free_vars(entry.result)
+            self.result_args[name] = tuple(i for i, (x, _) in enumerate(entry.telescope) if x in mentioned)
 
     def get(self, sym: str) -> SigEntry | None:
         return self._entries.get(sym)

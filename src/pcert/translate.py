@@ -20,6 +20,14 @@ memoized walk, one function as `terms` says under Dispatch. The memo lives
 for one call, or for every call handed the same one under the same
 context; the commands hand one to all the calls of a file.
 
+The `El`/`Prf` wrapper `_type` builds around an encoded type is filed in
+the same memo under `~ident` of the encoded node, so each encoded type has
+one wrapper per memo, and both printers, whose memos are keyed by
+identity, render it once per file. That is exact: the wrapper's former is
+read off the encoded node's head or, for a free variable, off the context
+the memo is used under; a `Bound`, whose sort the enclosing binders
+decide, is wrapped anew each time.
+
 Typability is `check_file`'s obligation and `pcert translate` re-checks the
 output in the lf kernel; unchecked input fails with a diagnostic or
 translates to a term the lf kernel rejects.
@@ -137,11 +145,19 @@ def _type(ctx: Context, t: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Te
         if t.tag == "Type":
             return TYPE_ENC
     encoded = _term(ctx, t, sorts, memo, low)
+    cls = type(encoded)
+    if cls is not Bound:
+        out = memo.get(~ident(encoded))
+        if out is not None:
+            return out
     sort = _sort(ctx, encoded, sorts)
     former = _TYPE_FORMERS.get(sort)
     if former is None:
         raise fail(dk.NOT_A_SORT, f"no type translation at sort {sort}", context=ctx, subject=t)
-    return SymApp(former, (encoded,))
+    out = SymApp(former, (encoded,))
+    if cls is not Bound:
+        memo[~ident(encoded)] = out  # `put`, inlined: encoded is held by out
+    return out
 
 
 def translate_term(ctx: Context, m: Term, memo: Memo | None = None) -> Term:

@@ -1068,8 +1068,8 @@ def reference_conversion():
     memo per call, as before the memo lived for the file: `check_file` then
     runs as it did before, with whole pairs still recorded as proven."""
 
-    def per_call(rules, a, b, fuel, irrelevant, memo):
-        return saved(rules, a, b, fuel, irrelevant, Memo())
+    def per_call(rules, a, b, fuel, irrelevant, memo, *bounds):
+        return saved(rules, a, b, fuel, irrelevant, Memo(), *bounds)
 
     saved = kernel_module._convert
     kernel_module._convert = per_call

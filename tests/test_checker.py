@@ -98,12 +98,18 @@ _LF_P = "symbol P : El(arrd(T, \\_: El(T). prop));\n"
 # body ignores closed. All five then took 15, 17, 45, 110 and 45 before
 # inference kept its memo and its rules in one function, and the pairs 42
 # and 105 before inference reached conversion through `Kernel.convert` alone.
+# The lf unit, the pairs and the abstraction then took 16, 41, 101 and 42
+# before inference filed its entries inline and charged no replay of zero
+# steps, the symbol rule answered a repeated argument conversion and result
+# type by identity, `instantiate` handed back closed subterms unwalked, and a
+# rule's pattern position was reduced once per step rather than once per
+# rule.
 FLOOR_CALLS = {
     "pcert": ("symbol T : Type;\n", "symbol c{0} : T;\n", 14),
-    "lf": ("#MODE lf\nsymbol T : Type;\n", "symbol c{0} : El(T);\n", 18),
-    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 43),
-    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 106),
-    "pcert_lambda": ("symbol T : Type;\n", "symbol c{0} : T;\ndefinition k{0} := \\x: T. c{0};\n", 47),
+    "lf": ("#MODE lf\nsymbol T : Type;\n", "symbol c{0} : El(T);\n", 17),
+    "pcert_pair": ("symbol T : Type;\nsymbol P : T -> Prop;\n", "symbol c{0} : T;\nsymbol h{0} : P c{0};\n", 40),
+    "lf_pair": ("#MODE lf\nsymbol T : Type;\n" + _LF_P, "symbol c{0} : El(T);\nsymbol h{0} : Prf(P c{0});\n", 89),
+    "pcert_lambda": ("symbol T : Type;\n", "symbol c{0} : T;\ndefinition k{0} := \\x: T. c{0};\n", 46),
 }
 
 

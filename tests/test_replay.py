@@ -25,7 +25,7 @@ from genutil import (
     reference_inference,
 )
 from hypothesis import HealthCheck, given, settings, strategies as st
-from pcert import check_file, cli, inverse, kernel, parse_file, terms, translate
+from pcert import check_file, checker, cli, inverse, kernel, parse_file, terms, translate
 from pcert.diagnostics import UNBOUND_VARIABLE, CheckError, FuelError
 from pcert.kernel import Kernel
 from pcert.lf import KERNEL as LF_KERNEL
@@ -122,9 +122,9 @@ def test_function_types_replay_their_head_normal_forms_at_every_budget(monkeypat
     replayable_when_out = []
     head = kernel.whnf_replayed
 
-    def spied(rules, t, fuel, heads):
+    def spied(rules, t, fuel, heads, *bounds):
         try:
-            return head(rules, t, fuel, heads)
+            return head(rules, t, fuel, heads, *bounds)
         except FuelError:
             replayable_when_out.append(terms.ident(t) in heads)
             raise
@@ -158,6 +158,167 @@ def test_replay_matches_the_reference_on_generated_developments(seed, count):
         budgets = sorted({0, 1, needed // 3, needed // 2, needed - 1, needed, needed + 1} - {-1})
         for budget in budgets:
             assert outcome(parsed, budget, False) == outcome(parsed, budget, True), (seed, count, budget)
+
+
+# --- the identity answers against their misses -------------------------------------
+# Four answers skip work by object identity: the inference rules' proven
+# argument conversions (`Records.proven_args`), the symbol rule's result types
+# (`Records.results`), `instantiate`'s masks, and the translation's shared
+# `El`/`Prf` wrappers. Forced to miss, every one of them must leave the
+# check as it was.
+
+
+class _Forgetful(dict):
+    """A `Records.proven_args` or `Records.results` that keeps nothing, so
+    every argument conversion but of one object to itself goes through
+    `convert` again, and every result type is substituted again."""
+
+    __slots__ = ()
+
+    def __contains__(self, key) -> bool:
+        return False
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class _RecordsThatMiss(terms.Records):
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__()
+        self.proven_args, self.results = _Forgetful(), _Forgetful()
+
+
+class _NoWrappers(terms.Memo):
+    """A translation memo that never finds a wrapper it filed: the
+    wrappers' keys are its only negative ints (`~ident`)."""
+
+    __slots__ = ()
+
+    def get(self, key, default=None):
+        return default if type(key) is int and key < 0 else dict.get(self, key, default)
+
+
+_instantiate = terms._instantiate
+
+
+def _without_masks(body, value, depth, same, bounds=None):
+    return _instantiate(body, value, depth, same)
+
+
+@contextlib.contextmanager
+def identity_answers(hit: bool):
+    """Inside the block, with hit False, each identity answer misses."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not hit:
+            patch.setattr(terms, "Records", _RecordsThatMiss)
+            patch.setattr(terms, "_instantiate", _without_masks)
+            patch.setattr(cli, "Memo", _NoWrappers)
+        yield
+
+
+def per_declaration_outcome(parsed: ParsedFile, budget: int) -> tuple:
+    """Verdict, diagnostic text, each declaration's fuel spent and left,
+    and the fresh names drawn, of checking parsed with `budget` steps per
+    declaration."""
+    made = []
+
+    class Recorded(Fuel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checker, "Fuel", Recorded)
+        patch.setattr(terms, "_fresh_counter", itertools.count(1))
+        try:
+            check_file(parsed, budget)
+            verdict = "ok", ""
+        except CheckError as err:
+            verdict = err.kind, str(err.diagnostic)
+        return verdict, [(f.spent, f.remaining) for f in made], next(terms._fresh_counter)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 42])
+def test_the_identity_answers_change_no_outcome_at_any_budget(seed):
+    text = termgen_development(seed, 5)
+    checked = check_file(parse_file(text, "gen.pcert"), 0)
+    sources = {}
+    for hit in (True, False):
+        with identity_answers(hit):
+            decls = tuple(cli._translate_decls(checked))
+        lf = ParsedFile("lf", decls, "gen.lf")
+        sources[hit] = [parse_file(text, "gen.pcert"), lf, parse_file(print_file(lf), "gen.lf")]
+    assert print_file(sources[True][1]) == print_file(sources[False][1])
+    for with_hits, with_misses in zip(sources[True], sources[False]):
+        passed = False
+        budget = 1
+        while not passed:
+            with identity_answers(True):
+                hits = per_declaration_outcome(with_hits, budget)
+            with identity_answers(False):
+                misses = per_declaration_outcome(with_misses, budget)
+            assert hits == misses, (seed, budget)
+            passed = hits[0][0] == "ok"
+            budget += 1
+
+
+def test_an_argument_conversion_is_reused_only_for_the_same_earlier_arguments():
+    # `P` is a predicate on T; passed to psub over T its conversion is
+    # proven and filed, and passed over U it must be tried again, and fail
+    text = """#MODE lf
+symbol T : Type;
+symbol U : Type;
+symbol P : El(arrd(T, \\_: El(T). prop));
+definition s := psub(T, P);
+definition s2 := psub(U, P);
+"""
+    with pytest.raises(CheckError) as err:
+        check_file(parse_file(text, "p.lf"))
+    assert err.value.kind == "DomainMismatch"
+    assert "argument P of 'psub'" in str(err.value.diagnostic)
+
+
+def test_an_application_conversion_is_reused_only_for_the_same_domain():
+    # `c` fits the domain `f`'s type reduces to, a proven conversion filed
+    # under `c`'s type and that domain; `k`'s domain is another type, so
+    # `k c` must fail
+    text = """#MODE lf
+symbol T : Type;
+symbol U : Type;
+symbol c : El(T);
+symbol f : El(arrd(T, \\_: El(T). T));
+symbol k : El(arrd(U, \\_: El(U). U));
+definition x := f c;
+definition y := k c;
+"""
+    with pytest.raises(CheckError) as err:
+        check_file(parse_file(text, "a.lf"))
+    assert err.value.kind == "DomainMismatch"
+    assert "does not match domain El(U)" in str(err.value.diagnostic)
+
+
+def test_a_result_type_is_shared_only_for_the_same_arguments_it_mentions():
+    # `pair`'s result `El(psub(t, p))` mentions its first two arguments: the
+    # pair over `Q`, met first, must not lend its type to the pair over `P`
+    text = """#MODE lf
+symbol T : Type;
+symbol P : El(arrd(T, \\_: El(T). prop));
+symbol Q : El(arrd(T, \\_: El(T). prop));
+symbol c : El(T);
+symbol hp : Prf(P c);
+symbol hq : Prf(Q c);
+definition q := pair(T, Q, c, hq);
+definition bad := fst(T, Q, pair(T, P, c, hp));
+"""
+    with pytest.raises(CheckError) as err:
+        check_file(parse_file(text, "r.lf"))
+    assert err.value.kind == "DomainMismatch"
+    assert "argument pair(T, P, c, hp) of 'fst'" in str(err.value.diagnostic)
 
 
 def test_a_replay_under_an_earlier_view_still_raises_unbound_variable():
@@ -250,9 +411,9 @@ def test_a_binder_its_body_ignores_is_neither_opened_nor_closed(mode, monkeypatc
     opened, closed = [], []
     open_term, abstract_var = kernel.open_term, kernel.abstract_var
 
-    def spy_open(hint, body):
+    def spy_open(hint, body, *bounds):
         assert not ref_is_nondependent(body), (hint, body)
-        v, out = open_term(hint, body)
+        v, out = open_term(hint, body, *bounds)
         opened.append(v.name)
         return v, out
 

@@ -366,6 +366,62 @@ def test_instantiate_and_is_nondependent_agree_with_tree_walks(body, depth, valu
     assert (out.fun is body) == (out.fun is out.arg) == unchanged
 
 
+def _children_at(t: Term, depth: int) -> list[tuple[Term, int]]:
+    """t's children, each with the binder depth it is met at."""
+    if type(t) is App:
+        return [(t.fun, depth), (t.arg, depth)]
+    if type(t) in (Abs, Prod):
+        return [(t.dom, depth), (t.body, depth + 1)]
+    if type(t) is SymApp:
+        return [(a, depth) for a in t.args]
+    return []
+
+
+def assert_masks_change_nothing(body: Term, value: Term, depth: int) -> None:
+    """`instantiate` handed the `loose_bounds` masks of body's nodes gives
+    what it gives without them, and hands back the very object at every
+    node whose mask has no index at or above the depth the node is met at."""
+    masks = Memo()
+    loose_bounds(body, masks)
+    plain = terms._instantiate(body, value, depth, None)
+    masked = terms._instantiate(body, value, depth, None, masks)
+    assert masked == plain and repr(masked) == repr(plain)
+    if depth == 0:
+        assert terms.instantiate(body, value, masks) == plain
+    todo = [(body, masked, depth)]  # a node of body, the node at its place in masked
+    while todo:
+        node, out, at = todo.pop()
+        if type(node) in (Var, Sort, Bound):
+            continue
+        if not loose_bounds(node, masks) >> at:
+            assert out is node
+            continue
+        todo += [(n, o, d) for (n, d), (o, _) in zip(_children_at(node, at), _children_at(out, at))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_terms(), st.integers(0, 2), st.sampled_from((Var("v"), App(Var("f"), Var("a")), PROP)))
+def test_instantiate_with_masks_agrees_with_instantiate_without(body, depth, value):
+    assert_masks_change_nothing(body, value, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_instantiate_with_masks_agrees_on_the_binder_bodies_of_generated_terms(seed):
+    gen = TermGen(seed)
+    bodies = []
+    for _ in range(4):
+        todo = [gen.some_term(5)[0]]
+        while todo:
+            t = todo.pop()
+            if type(t) in (Abs, Prod):
+                bodies.append(t.body)
+            todo += [child for child, _ in _children_at(t, 0)]
+    for body in bodies:
+        for depth in (0, 1):
+            assert_masks_change_nothing(body, Var("v"), depth)
+
+
 # --- the kernel's telescope matcher ----------------------------------------------
 
 

@@ -273,3 +273,14 @@ def test_ill_formed_types_fail_with_a_diagnostic(ctx, t):
 def test_ill_formed_terms_fail_with_a_diagnostic(t):
     with pytest.raises(CheckError):
         translate_term(Context(), t)
+
+
+def test_a_bound_type_is_wrapped_by_its_own_binder_sort():
+    # one `^0` object is the annotation under a binder of sort Prop and under
+    # one whose annotation is no sort: the wrapper made for the first, Prf,
+    # must not answer for the second, which has no type translation
+    b0 = Bound(0)
+    t = Abs("p", PROP, Abs("h", b0, Abs("y", Var("iota"), Abs("k", b0, b0))))
+    with pytest.raises(CheckError) as err:
+        translate_term(Context().extend("iota", TYPE), t)
+    assert err.value.kind == "NotASort"
