@@ -11,12 +11,22 @@ recursion limit), 4 protected-symbol violation, 5 round-trip failure.
 Diagnostics go to stderr, artifacts to stdout or the -o path. PCERT_FUEL
 overrides the default fuel; --fuel overrides both; 0 means unlimited, which
 is dangerous because termination of the rewrite systems is not established.
+
+`main` pauses CPython's cyclic garbage collector while a command runs and
+puts it back as it found it on every exit. A large development allocates
+enough objects to set the collector off many times per command, and
+each pass would find nothing: everything pcert builds is acyclic. Terms
+are immutable DAGs, memos map nodes to results and hold no reference back
+to themselves or their owners, and the records hold tuples, so reference
+counting alone frees all of it. `tests/test_cli.py` checks that a command
+leaves no cyclic garbage behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -89,16 +99,18 @@ def _translate_decls(checked: CheckedFile) -> list[Declaration]:
     out: list[Declaration] = []
     ctx, memo = checked.context, Memo()
     for record in checked.decls:
-        match record.decl:
-            case SymbolDecl(name, ty, span):
-                out.append(SymbolDecl(name, translate_type(ctx, ty, memo), span))
-            case Definition(name, body, _, span):
-                body = translate_term(ctx, body, memo)
-                out.append(Definition(name, body, translate_type(ctx, record.inferred, memo), span))
-            case AssertJudgment(subject, ty, span):
-                out.append(AssertJudgment(translate_term(ctx, subject, memo), translate_type(ctx, ty, memo), span))
-            case AssertConv(a, b, span):
-                out.append(AssertConv(translate_term(ctx, a, memo), translate_term(ctx, b, memo), span))
+        decl = record.decl
+        cls = type(decl)
+        if cls is SymbolDecl:
+            out.append(SymbolDecl(decl.name, translate_type(ctx, decl.type, memo), decl.span))
+        elif cls is Definition:
+            body = translate_term(ctx, decl.body, memo)
+            out.append(Definition(decl.name, body, translate_type(ctx, record.inferred, memo), decl.span))
+        elif cls is AssertJudgment:
+            subject, ty = translate_term(ctx, decl.subject, memo), translate_type(ctx, decl.type, memo)
+            out.append(AssertJudgment(subject, ty, decl.span))
+        elif cls is AssertConv:
+            out.append(AssertConv(translate_term(ctx, decl.a, memo), translate_term(ctx, decl.b, memo), decl.span))
     return out
 
 
@@ -226,8 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # the cyclic collector is paused for the whole command and restored on
+    # every way out, argparse's SystemExit included (see the module docstring)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         fuel = _fuel_value(args)
         if args.command == "check":
             return cmd_check(args.file, fuel)
@@ -249,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(err, file=sys.stderr)
         return EXIT_PARSE_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -375,7 +375,11 @@ def _convert(
     rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: Memo, bounds: Memo | None = None
 ) -> bool:
     """Entries: the pair (a, b) -> (verdict, steps spent). The caller has
-    found a and b not equal (`==`), as each sub-comparison here does first."""
+    found a and b not equal (`==`), as each sub-comparison here does first.
+    Two applications of one symbol are compared argument by argument only
+    when they have as many arguments: on checked terms the signature fixes
+    each symbol's arity, so the test guards the public `convertible` on
+    unchecked terms, where `zip` would otherwise drop the surplus."""
     key = (ident(a), ident(b))
     seen = memo.get(key)
     if seen is not None and (not seen[1] or fuel.charge(seen[1])):

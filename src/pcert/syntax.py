@@ -631,19 +631,20 @@ class Printer:
 
     def decl(self, decl: Declaration) -> str:
         """The text of one declaration, in the table's forms."""
-        match decl:
-            case SymbolDecl(name, ty, _):
-                return f"symbol {self.spell(self.syms, name)} : {self.term(ty)};"
-            case Definition(name, body, ty, _):
-                head, sep = self.definition
-                annot = "" if ty is None else f" : {self.term(ty)}"
-                return f"{head}{self.spell(self.syms, name)}{annot}{sep}{self.term(body)};"
-            case AssertJudgment(subject, ty, _):
-                head, sep = self.judgment
-                return f"{head}{self.term(subject)}{sep}{self.term(ty)};"
-            case AssertConv(a, b, _):
-                head, sep = self.conversion
-                return f"{head}{self.term(a)}{sep}{self.term(b)};"
+        cls = type(decl)
+        if cls is SymbolDecl:
+            return f"symbol {self.spell(self.syms, decl.name)} : {self.term(decl.type)};"
+        if cls is Definition:
+            head, sep = self.definition
+            ty = decl.type
+            annot = "" if ty is None else f" : {self.term(ty)}"
+            return f"{head}{self.spell(self.syms, decl.name)}{annot}{sep}{self.term(decl.body)};"
+        if cls is AssertJudgment:
+            head, sep = self.judgment
+            return f"{head}{self.term(decl.subject)}{sep}{self.term(decl.type)};"
+        if cls is AssertConv:
+            head, sep = self.conversion
+            return f"{head}{self.term(decl.a)}{sep}{self.term(decl.b)};"
         raise TypeError(f"not a declaration: {decl!r}")
 
     def spell(self, names: dict[str, str], name: str) -> str:

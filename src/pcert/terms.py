@@ -35,7 +35,10 @@ walk a symbol's arguments by a loop, not a generator expression, which would
 add a frame per argument. A memoized walk is one function: its leaves, then
 the memo lookup, then the rules, then the filing of the entry. So a node
 costs one call and a level of nesting one frame, and the node's kind is
-told once.
+told once. The walks over a file's declarations (`checker.check_file`,
+the translation of checked records in `cli`, and the printer's
+`Printer.decl`) tell a declaration's kind the same way, by type tests and
+attribute reads, not by class patterns.
 """
 
 from __future__ import annotations

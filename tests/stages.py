@@ -1,15 +1,17 @@
-"""Where `translate`'s time goes, stage by stage, and the calls of its checks.
+"""Where `translate`'s or `export`'s time goes, stage by stage, and the calls of its checks.
 
-    python tests/stages.py [--checkout DIR] [--repeat 5] [--inputs 40] [--seed 42]
+    python tests/stages.py [--command translate] [--checkout DIR] [--repeat 5] [--inputs 40] [--seed 42]
 
-Runs the stages of `pcert translate` in process on the known-good
-`translate` inputs of `perfbench/gen.py` (the first `--inputs` of each
-workload whose expected exit code is 0): parse, pcert check, translate,
-print, reparse and the lf re-check, as `cli.cmd_translate` chains them
-with the default budget. Prints one row per workload with each stage's
-time in ms, the best of `--repeat` passes over all its inputs, and the
-Python-level calls (`sys.setprofile` "call" events) per declaration of the
-pcert check and of the lf re-check. DIR (default: the checkout this file
+Runs the stages of `pcert translate` or `pcert export` (`--command`) in
+process on the known-good pcert inputs of `perfbench/gen.py` for that
+command (the first `--inputs` of each workload whose expected exit code is
+0), as `cli.cmd_translate` and `cli.cmd_export` chain them with the default
+budget: parse, pcert check, translate, print, reparse and the lf re-check
+for `translate`; parse, pcert check, translate and the Lambdapi print for
+`export`. Prints one row per workload with each stage's time in ms, the
+best of `--repeat` passes over all its inputs, and the Python-level calls
+(`sys.setprofile` "call" events) per declaration of the pcert check and,
+for `translate`, of the lf re-check. DIR (default: the checkout this file
 is in) supplies `src/` and `perfbench/`, so two checkouts give comparable
 rows. A script, not a test module: pytest does not collect it.
 """
@@ -21,11 +23,15 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-STAGES = ("parse", "pcert check", "translate", "print", "reparse", "lf re-check")
+STAGES = {
+    "translate": ("parse", "pcert check", "translate", "print", "reparse", "lf re-check"),
+    "export": ("parse", "pcert check", "translate", "Lambdapi print"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--command", choices=sorted(STAGES), default="translate")
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--inputs", type=int, default=40)
@@ -37,6 +43,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from pcert.checker import check_file
     from pcert.cli import _translate_decls
+    from pcert.export import export_lambdapi
     from pcert.syntax import ParsedFile, parse_file, print_file
 
     count = [0, 0]  # the calls of the pcert check and of the lf re-check
@@ -45,9 +52,11 @@ def main(argv: list[str] | None = None) -> int:
         if event == "call":
             count[which] += 1
 
+    stages = STAGES[args.command]
+
     def run(text: str, times: list[float], counted: bool = False) -> None:
         """One input through every stage, each stage's seconds added to
-        times; counted: the two checks' calls added to `count` instead."""
+        times; counted: the checks' calls added to `count` instead."""
         nonlocal which
         marks = [perf_counter()]
         parsed = parse_file(text, "input")
@@ -57,38 +66,46 @@ def main(argv: list[str] | None = None) -> int:
         checked = check_file(parsed, None)
         sys.setprofile(None)
         marks.append(perf_counter())
-        translated = ParsedFile("lf", tuple(_translate_decls(checked)), "input")
+        decls = _translate_decls(checked)
         marks.append(perf_counter())
-        out = print_file(translated)
-        marks.append(perf_counter())
-        reparsed = parse_file(out, "input:translated")
-        marks.append(perf_counter())
-        which = 1
-        sys.setprofile(profile if counted else None)
-        check_file(reparsed, None)
-        sys.setprofile(None)
-        marks.append(perf_counter())
-        for i in range(len(STAGES)):
+        if args.command == "export":
+            export_lambdapi(decls, mode="development")
+            marks.append(perf_counter())
+        else:
+            out = print_file(ParsedFile("lf", tuple(decls), "input"))
+            marks.append(perf_counter())
+            reparsed = parse_file(out, "input:translated")
+            marks.append(perf_counter())
+            which = 1
+            sys.setprofile(profile if counted else None)
+            check_file(reparsed, None)
+            sys.setprofile(None)
+            marks.append(perf_counter())
+        for i in range(len(stages)):
             times[i] += marks[i + 1] - marks[i]
 
     which = 0
 
-    print(f"{'workload':<14} {'files':>5} " + " ".join(f"{s:>11}" for s in STAGES) + "  pcert/decl  lf/decl")
+    calls = "  pcert/decl  lf/decl" if args.command == "translate" else "  pcert/decl"
+    widths = [max(11, len(stage)) for stage in stages]
+    print(f"{'workload':<14} {'files':>5} " + " ".join(f"{s:>{w}}" for s, w in zip(stages, widths)) + calls)
     for workload, make in WORKLOADS.items():
-        inputs = [make(args.seed, "translate", i) for i in range(args.inputs)]
-        texts = [inp.text for inp in inputs if inp.expect == 0 and not inp.extra_args]
-        decls = sum(inp.decls for inp in inputs if inp.expect == 0 and not inp.extra_args)
+        inputs = [make(args.seed, args.command, i) for i in range(args.inputs)]
+        good = [inp for inp in inputs if inp.expect == 0 and not inp.extra_args and inp.stem.endswith(".pcert")]
+        texts = [inp.text for inp in good]
+        decls = sum(inp.decls for inp in good)
         count[:] = [0, 0]
         for text in texts:  # also warms module constants up
-            run(text, [0.0] * len(STAGES), counted=True)
-        best = [float("inf")] * len(STAGES)
+            run(text, [0.0] * len(stages), counted=True)
+        best = [float("inf")] * len(stages)
         for _ in range(args.repeat):
-            times = [0.0] * len(STAGES)
+            times = [0.0] * len(stages)
             for text in texts:
                 run(text, times)
             best = [min(b, t) for b, t in zip(best, times)]
-        row = " ".join(f"{1000 * t:>11.1f}" for t in best)
-        print(f"{workload:<14} {len(texts):>5} {row}  {count[0] / decls:>10.1f}  {count[1] / decls:>7.1f}", flush=True)
+        row = " ".join(f"{1000 * t:>{w}.1f}" for t, w in zip(best, widths))
+        lf = f"  {count[1] / decls:>7.1f}" if args.command == "translate" else ""
+        print(f"{workload:<14} {len(texts):>5} {row}  {count[0] / decls:>10.1f}{lf}", flush=True)
     return 0
 
 

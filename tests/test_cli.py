@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -165,14 +167,18 @@ def test_export_unchecked_input_exits_one(tmp_path):
     assert main(["export", str(bad), "-o", str(tmp_path / "out.lp")]) == 1
 
 
-def test_fuel_flag_exits_three(tmp_path, capsys):
-    slow = tmp_path / "slow.pcert"
-    slow.write_text(
+# one beta step past a budget of 1
+SLOW_SOURCE = (
         "symbol iota : Type;\n"
         "symbol a : iota;\n"
         "symbol f : iota -> iota;\n"
         "convertible (\\x: iota. f (f (f x))) ((\\x: iota. x) a), f (f (f a));\n"
-    )
+)
+
+
+def test_fuel_flag_exits_three(tmp_path, capsys):
+    slow = tmp_path / "slow.pcert"
+    slow.write_text(SLOW_SOURCE)
     assert main(["check", str(slow)]) == 0
     assert main(["check", str(slow), "--fuel", "1"]) == 3
     assert "FuelExhausted" in capsys.readouterr().err
@@ -180,12 +186,7 @@ def test_fuel_flag_exits_three(tmp_path, capsys):
 
 def test_fuel_env_override(tmp_path, monkeypatch):
     slow = tmp_path / "slow.pcert"
-    slow.write_text(
-        "symbol iota : Type;\n"
-        "symbol a : iota;\n"
-        "symbol f : iota -> iota;\n"
-        "convertible (\\x: iota. f (f (f x))) ((\\x: iota. x) a), f (f (f a));\n"
-    )
+    slow.write_text(SLOW_SOURCE)
     monkeypatch.setenv("PCERT_FUEL", "1")
     assert main(["check", str(slow)]) == 3
     monkeypatch.setenv("PCERT_FUEL", "0")  # unlimited
@@ -537,6 +538,123 @@ def test_output_matches_golden_bytes(command, name, tmp_path):
     source = "--signature" if name == "signature" else corpus(name)
     assert main([command, source, "-o", str(out)]) == 0
     assert out.read_bytes() == golden.read_bytes()
+
+
+# --- the sort tables ---------------------------------------------------------
+
+SORT_BASE = "symbol iota : Type;\nsymbol a : iota;\nsymbol P : iota -> Prop;\nsymbol ha : P a;\n"
+OF_SORT = {"Prop": "P a", "Type": "iota", "Kind": "Type"}  # a type of each sort
+INHABITANT = {"Prop": "ha", "Type": "a", "Kind": "iota"}  # a term whose type is of each sort
+# pcert's product rules, written out rather than read off the kernel, so a
+# rule added to or dropped from its table fails here
+PCERT_PRODUCTS = {("Prop", "Prop"), ("Type", "Type"), ("Type", "Prop")}
+
+
+@pytest.mark.parametrize("command", ["check", "translate"])
+@pytest.mark.parametrize("form", ["product", "abstraction"])
+@pytest.mark.parametrize(("s_dom", "s_cod"), list(itertools.product(OF_SORT, repeat=2)))
+def test_a_pair_of_sorts_is_accepted_exactly_when_pcert_has_its_product(tmp_path, capsys, command, form, s_dom, s_cod):
+    # an abstraction's type is the product of its domain and its body's type
+    if form == "product":
+        decl = f"symbol f : (!h: {OF_SORT[s_dom]}. {OF_SORT[s_cod]});"
+    else:
+        decl = f"definition f := \\h: {OF_SORT[s_dom]}. {INHABITANT[s_cod]};"
+    src = tmp_path / "sorts.pcert"
+    src.write_text(SORT_BASE + decl + "\n")
+    out = ["-o", str(tmp_path / "out.lf")] if command == "translate" else []
+    code = main([command, str(src), *out])
+    err = capsys.readouterr().err
+    if (s_dom, s_cod) in PCERT_PRODUCTS:
+        assert (code, err) == (0, "")
+    else:
+        line = f"{src}:5:1: IllegalProduct: no product rule for ({s_dom}, {s_cod}) in system pcert\n"
+        assert (code, err) == (1, line)
+
+
+# --- the paused collector -----------------------------------------------------
+
+
+def collector_cases(tmp_path: Path) -> list[tuple[list[str], int, str | None]]:
+    """Argument vector, exit code and the `ROUNDTRIP_FAULTS` binding it
+    breaks, if any, of every command over the corpus and of one input for
+    each failing exit code."""
+    texts = {
+        "type.pcert": TYPE_ERRORS["assert"][1],
+        "parse.pcert": "symbol x : fst(T);",
+        "slow.pcert": SLOW_SOURCE,
+        "deep.pcert": DEEP_BASE + _arrows(2000),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    out = str(tmp_path / "out")
+    cases = [([command, corpus(name), *(["-o", out] if command in ("translate", "export") else [])], 0, None)
+             for name in CORPUS_PCERT for command in ("check", "translate", "roundtrip", "export")]
+    cases += [(["check", corpus("even_pair.lf")], 0, None), (["export", corpus("even_pair.lf"), "-o", out], 0, None)]
+    cases += [
+        (["check", str(tmp_path / "type.pcert")], 1, None),
+        (["check", str(tmp_path / "parse.pcert")], 2, None),
+        (["check", str(tmp_path / "missing.pcert")], 2, None),
+        (["check", str(tmp_path / "slow.pcert"), "--fuel", "1"], 3, None),
+        (["check", str(tmp_path / "deep.pcert")], 3, None),
+        (["check", corpus("even_pair_forged.lf")], 4, None),
+        (["roundtrip", corpus("even_numbers.pcert")], 5, "inverse_term"),
+    ]
+    return cases
+
+
+def quiet_main(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def test_a_command_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
+    # main pauses the cyclic collector, which is sound only while reference
+    # counting frees everything a command drops: a cycle made by a later
+    # change fails here
+    cases = collector_cases(tmp_path)
+    quiet_main(cases[0][0])  # fills what a process builds once
+    for argv, code, fault in cases:
+        with monkeypatch.context() as patch:
+            if fault is not None:
+                patch.setattr(cli, fault, ROUNDTRIP_FAULTS[fault][0])
+            gc.collect()
+            assert quiet_main(argv) == code, argv
+            assert gc.collect() == 0, argv
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_pauses_the_collector_and_restores_it_on_every_exit(tmp_path, monkeypatch, enabled):
+    seen: list[bool] = []  # the collector's state inside each command
+
+    def fuel_value(args):
+        seen.append(gc.isenabled())
+        return cli_fuel_value(args)
+
+    def collector(on: bool) -> None:
+        if on:
+            gc.enable()
+        else:
+            gc.disable()
+
+    cli_fuel_value = cli._fuel_value
+    monkeypatch.setattr(cli, "_fuel_value", fuel_value)
+    was = gc.isenabled()
+    try:
+        for argv, code, fault in collector_cases(tmp_path):
+            with monkeypatch.context() as patch:
+                if fault is not None:
+                    patch.setattr(cli, fault, ROUNDTRIP_FAULTS[fault][0])
+                collector(enabled)
+                assert quiet_main(argv) == code, argv
+                assert gc.isenabled() is enabled, argv
+        for argv in (["check"], ["check", "x.pcert", "--fuel", "many"], ["nonsense"]):
+            collector(enabled)
+            with pytest.raises(SystemExit):
+                quiet_main(argv)
+            assert gc.isenabled() is enabled, argv
+    finally:
+        collector(was)
+    assert seen and not any(seen)
 
 
 # --- fuzzing the driver ------------------------------------------------------

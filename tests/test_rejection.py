@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from genutil import BASE_CTX, GOAL_POOL, IOTA, P_A, P_B, PQ, PROP, PSUB_P, QT, TermGen, lam, positions, replace_at
 from pcert.diagnostics import CheckError, FuelError
+from pcert.export import LambdapiPrinter, export_lambdapi
 from pcert.lf import KERNEL as LF_KERNEL, convertible_lf
 from pcert.pcert import KERNEL as PCERT_KERNEL, conv_pcert
-from pcert.terms import Abs, Prod, SymApp, Term, Var, alpha_eq
+from pcert.terms import Abs, Bound, Prod, SymApp, Term, Var, alpha_eq
 from pcert.translate import translate_ctx, translate_term, translate_type
 
 LF_CTX = translate_ctx(BASE_CTX)
@@ -138,3 +140,30 @@ def test_terms_pcert_tells_apart_stay_apart_after_translation(seed_a, seed_b, go
         assert not convertible_lf(*translated, FUEL)
     except FuelError:
         reject()
+
+
+# --- diagnostic kinds no command reaches on a checked file ---------------------
+# Each is raised by an entry point that trusts its caller, which the CLI never
+# hands such input; each is pinned here through both entry points that raise it.
+
+
+def _diagnostic(call) -> str:
+    with pytest.raises(CheckError) as err:
+        call()
+    return str(err.value.diagnostic)
+
+
+def test_a_symbol_outside_the_signature_is_unknown():
+    el = SymApp("El", (Var("x"),))  # an lf symbol, not a pcert one
+    assert _diagnostic(lambda: PCERT_KERNEL.infer(BASE_CTX, el)) == "UnknownSymbol: unknown symbol 'El' in system pcert"
+    assert _diagnostic(lambda: translate_term(BASE_CTX, el)) == "UnknownSymbol: symbol 'El' has no encoding"
+
+
+def test_a_dangling_bound_variable_is_not_typable():
+    for call in (lambda: PCERT_KERNEL.infer(BASE_CTX, Bound(0)), lambda: translate_term(BASE_CTX, Bound(0))):
+        assert _diagnostic(call) == "NotTypable: dangling bound variable ^0"
+
+
+def test_export_of_an_unknown_mode_or_a_pcert_sort_is_unchecked_input():
+    assert _diagnostic(lambda: export_lambdapi((), mode="bogus")) == "UncheckedInput: unknown export mode 'bogus'"
+    assert _diagnostic(lambda: LambdapiPrinter().term(PROP)) == "UncheckedInput: sort Prop has no Lambdapi syntax"

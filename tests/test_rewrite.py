@@ -123,6 +123,14 @@ def test_convertible_pair_proofs_swapped():
     assert convertible(RULES_R, a, b)
 
 
+def test_convertible_tells_apart_one_symbol_at_two_arities():
+    # unchecked terms: only the arity test keeps zip from comparing the
+    # common prefix alone
+    a, b = Var("a"), Var("b")
+    assert not convertible(RuleSet(), SymApp("f", (a,)), SymApp("f", (a, b)))
+    assert not convertible(RuleSet(), SymApp("f", (a, b)), SymApp("f", (a,)))
+
+
 def test_convertible_el_prop():
     assert convertible(RULES_R, El(PROP_OBJ), PROP_ENC)
 
