@@ -154,14 +154,19 @@ def cmd_roundtrip(path: str, fuel: int | None) -> int:
     failures: list[str] = []
     # one translation, inversion and normalization memo each for the
     # command, so a definition expanded into later bodies is handled once;
-    # each normalization still gets a fresh budget
+    # each normalization still gets a fresh budget. The inverse walks the
+    # body beside its encoding and hands back the body itself when the round
+    # trip is exact, so the body's normalization replays the first one from
+    # the memo at its root, charged the steps it recorded, and `==` returns
+    # at identity. Both are still run: a budget too small for the normal form
+    # exits 3 as before.
     translations, inverses, normal_forms = Memo(), Memo(), Memo()
     for record in checked.decls:
         if not isinstance(record.decl, Definition):
             continue
         name, body, span = record.decl.name, record.decl.body, record.decl.span
         encoded = translate_term(checked.context, body, translations)
-        back = inverse_term(encoded, inverses)
+        back = inverse_term(encoded, inverses, body)
         if isinstance(back, NotInImage):
             failures.append(f"{name}: {back}")
             continue

@@ -36,7 +36,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from itertools import islice, repeat
-from string import ascii_letters
 
 from .lf import LF_SIGNATURE
 from .pcert import PCERT_SIGNATURE
@@ -57,7 +56,7 @@ _KINDS = {
     ":=": "assign",
     "->": "arrow",
     "#MODE": "mode",
-    **dict.fromkeys(set(map(chr, range(128))) - set(ascii_letters + "_"), "bad"),
+    **dict.fromkeys((c for c in map(chr, range(128)) if not c.isalpha() and c != "_"), "bad"),
     **dict.fromkeys("(){}|,;:.!\\", "punct"),
 }
 _COMMENT_RE = re.compile(r"//[^\n]*")

@@ -32,6 +32,14 @@ The kernels also hand down their file's `loose_bounds` masks
 (`Records.bounds`), which the beta step and conversion's binder opening
 pass to `terms.instantiate`: a subterm known to be closed at the depth it
 is met at comes back unwalked, the very object the walk would return.
+Outermost normalization reads its masks from its own memo, where
+`terms.loose_bounds` files them under `~ident`, apart from the normal
+forms: its beta steps and the binders it opens pass that memo to
+`instantiate`. A binder body with no loose index is normalized as it is,
+neither opened nor closed: opening would hand it back as itself, and
+closing would hand back its normal form as itself. Its fresh name is drawn
+all the same, as `Kernel._infer` draws it, so later names are those of
+opening it.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ from .terms import (
     ident,
     instantiate,
     abstract_var,
+    loose_bounds,
     open_term,
     substitute_parallel,
 )
@@ -268,7 +277,9 @@ def whnf_replayed(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo, bounds: Memo 
 
 
 def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Term:
-    """Entries: t -> (its normal form, the steps spent reaching it)."""
+    """Entries: t -> (its normal form, the steps spent reaching it), and
+    under `~ident` the `loose_bounds` masks, which the beta step and the
+    opening of a binder read (see the module docstring)."""
     cls = type(t)
     if cls is Var or cls is Bound or cls is Sort:
         return t  # already normal
@@ -276,14 +287,19 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Ter
     if seen is not None and fuel.charge(seen[1]):
         return seen[0]
     before = fuel.spent
-    u = _whnf(rules, t, fuel)
+    u = _whnf(rules, t, fuel, memo)
     cls = type(u)
     if cls is App:
         nf = App(_normalize_outermost(rules, u.fun, fuel, memo), _normalize_outermost(rules, u.arg, fuel, memo))
     elif cls is Abs or cls is Prod:
-        v, opened = open_term(u.hint, u.body)
-        inner = _normalize_outermost(rules, opened, fuel, memo)
-        nf = cls(u.hint, _normalize_outermost(rules, u.dom, fuel, memo), abstract_var(inner, v.name))
+        hint, body = u.hint, u.body
+        if loose_bounds(body, memo):
+            v, opened = open_term(hint, body, memo)
+            inner = abstract_var(_normalize_outermost(rules, opened, fuel, memo), v.name)
+        else:
+            fresh_name(hint)  # drawn as opening would, so later names stay the same
+            inner = _normalize_outermost(rules, body, fuel, memo)
+        nf = cls(hint, _normalize_outermost(rules, u.dom, fuel, memo), inner)
     elif cls is SymApp and u.args:
         args = []
         for a in u.args:

@@ -16,12 +16,14 @@ and per row those digests beside the counter's running total after each
 call. Each checkout reads its own `perfbench` for the inputs. Prints one
 row per workload×command: both counts, their difference, and whether the
 digests are equal on both sides; under a row that differs, the first call
-`(seed, budget, stem)` whose own digest differs, or that only the running
-total does (an earlier row drew other names). Exits 1 if a count rose or a
-digest differs. The inputs are written to a
-temporary directory and read from it under relative names, so no output
-depends on where it lies; nothing under `perfbench/` is written to. A
-script, not a test module: pytest does not collect it.
+`(seed, budget, stem)` whose own digest differs and which of its parts
+differ (`PARTS`: the exit code, the output, the `Fuel.spent` list or the
+names drawn), then how many calls differ and in which parts; or that only
+the running total does (an earlier row drew other names). Exits 1 if a
+count rose or a digest differs. The inputs are written to a temporary
+directory and read from it under relative names, so no output depends on
+where it lies; nothing under `perfbench/` is written to. A script, not a
+test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from pathlib import Path
 
 # Run in a child: argv[1] is the checkout, argv[2] the seeds and argv[3] the
 # budgets, comma-separated. Prints {"workload/command": [calls, digest,
-# [["seed budget stem", call digest], ...]]} as one JSON line.
+# [["seed budget stem", call digest, part digests], ...]]} as one JSON line;
+# the part digests are those of `PARTS`, in order.
 CHILD = r"""
 import contextlib, hashlib, io, json, os, sys, tempfile
 from pathlib import Path
@@ -89,19 +92,24 @@ with tempfile.TemporaryDirectory() as tmp:
                         artifact = Path(target).read_bytes() if Path(target).exists() else b""
                         spent = [fuel.spent for fuel in fuels]
                         after = fresh_count()
-                        call = hashlib.sha256(
-                            f"{code} {spent} {after - before}\n{stdout.getvalue()}\0{stderr.getvalue()}\0".encode()
-                            + artifact).hexdigest()[:16]
+                        output = f"{stdout.getvalue()}\0{stderr.getvalue()}\0".encode() + artifact
+                        parts = [hashlib.sha256(part).hexdigest()[:16] for part in
+                                 (str(code).encode(), output, str(spent).encode(), str(after - before).encode())]
+                        call = hashlib.sha256(" ".join(parts).encode()).hexdigest()[:16]
                         label = f"{seed} {budget} {inp.stem}"
                         totals[command][0] += calls[0]
                         totals[command][1].update(f"{label} {call} {after}\n".encode())
-                        totals[command][2].append([label, call])
+                        totals[command][2].append([label, call, parts])
                         for name in (inp.stem, target):
                             Path(name).unlink(missing_ok=True)
         for command, (n, digest, per_call) in totals.items():
             out[f"{workload}/{command}"] = [n, digest.hexdigest(), per_call]
 print(json.dumps(out))
 """
+
+
+# What a call's digest is made of, in the order the child lists the parts.
+PARTS = ("exit code", "output (stdout, stderr, artifact)", "Fuel.spent list", "names drawn")
 
 
 def measure(checkout: Path, seeds: list[int], budgets: list[int]) -> dict[str, list]:
@@ -131,9 +139,18 @@ def main(argv: list[str]) -> int:
         print(f"{key:<24} {p_calls:>9} {c_calls:>9} {c_calls - p_calls:>7} {100 * (c_calls - p_calls) / p_calls:>+7.1f}%"
               f"  {'equal' if same else 'DIFFER'}")
         if not same:
-            first = next((p for p, c in zip(p_per_call, c_per_call) if p != c), None)
-            print(f"    first differing call: (seed budget stem) {first[0]}" if first else
-                  "    no call differs: only the running fresh-name total does")
+            differing = [(p, c) for p, c in zip(p_per_call, c_per_call) if p != c]
+            if not differing:
+                print("    no call differs: only the running fresh-name total does")
+            else:
+                def parts(pair):
+                    return [name for name, p, c in zip(PARTS, pair[0][2], pair[1][2]) if p != c]
+
+                seen = {name for pair in differing for name in parts(pair)}
+                print(f"    first differing call: (seed budget stem) {differing[0][0][0]}; it differs in: "
+                      f"{', '.join(parts(differing[0]))}")
+                print(f"    {len(differing)} of {len(p_per_call)} calls differ, in: "
+                      f"{', '.join(name for name in PARTS if name in seen)}")
     return 1 if worse else 0
 
 

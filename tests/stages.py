@@ -1,14 +1,19 @@
-"""Where `translate`'s or `export`'s time goes, stage by stage, and the calls of its checks.
+"""Where `translate`'s, `roundtrip`'s or `export`'s time goes, stage by stage, and the calls of its checks.
 
     python tests/stages.py [--command translate] [--checkout DIR] [--repeat 5] [--inputs 40] [--seed 42]
 
-Runs the stages of `pcert translate` or `pcert export` (`--command`) in
-process on the known-good pcert inputs of `perfbench/gen.py` for that
-command (the first `--inputs` of each workload whose expected exit code is
-0), as `cli.cmd_translate` and `cli.cmd_export` chain them with the default
-budget: parse, pcert check, translate, print, reparse and the lf re-check
-for `translate`; parse, pcert check, translate and the Lambdapi print for
-`export`. Prints one row per workload with each stage's time in ms, the
+Runs the stages of `pcert translate`, `pcert roundtrip` or `pcert export`
+(`--command`) in process on the known-good pcert inputs of
+`perfbench/gen.py` for that command (the first `--inputs` of each workload
+whose expected exit code is 0), as `cli.cmd_translate`, `cli.cmd_roundtrip`
+and `cli.cmd_export` chain them with the default budget: parse, pcert
+check, translate, print, reparse and the lf re-check for `translate`;
+parse, pcert check, then per definition translate, inverse, the first
+normalization (of the inverse) and the second (of the source) with the
+comparison, for `roundtrip`; parse, pcert check, translate and the
+Lambdapi print for `export`. A checkout whose `inverse_term` takes no
+source is run without one, as its own `cmd_roundtrip` runs it. Prints one
+row per workload with each stage's time in ms, the
 best of `--repeat` passes over all its inputs, and the Python-level calls
 (`sys.setprofile` "call" events) per declaration of the pcert check and,
 for `translate`, of the lf re-check. DIR (default: the checkout this file
@@ -19,12 +24,14 @@ rows. A script, not a test module: pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 from time import perf_counter
 
 STAGES = {
     "translate": ("parse", "pcert check", "translate", "print", "reparse", "lf re-check"),
+    "roundtrip": ("parse", "pcert check", "translate", "inverse", "normalize 1", "normalize 2 + =="),
     "export": ("parse", "pcert check", "translate", "Lambdapi print"),
 }
 
@@ -42,9 +49,15 @@ def main(argv: list[str] | None = None) -> int:
     from gen import WORKLOADS
 
     from pcert.checker import check_file
-    from pcert.cli import _translate_decls
+    from pcert.cli import BETA_ONLY, _translate_decls
     from pcert.export import export_lambdapi
-    from pcert.syntax import ParsedFile, parse_file, print_file
+    from pcert.inverse import inverse_term
+    from pcert.rewrite import normalize
+    from pcert.syntax import Definition, ParsedFile, parse_file, print_file
+    from pcert.terms import Memo
+    from pcert.translate import translate_term
+
+    beside = "source" in inspect.signature(inverse_term).parameters
 
     count = [0, 0]  # the calls of the pcert check and of the lf re-check
 
@@ -66,6 +79,11 @@ def main(argv: list[str] | None = None) -> int:
         checked = check_file(parsed, None)
         sys.setprofile(None)
         marks.append(perf_counter())
+        if args.command == "roundtrip":
+            roundtrip(checked, times)
+            times[0] += marks[1] - marks[0]
+            times[1] += marks[2] - marks[1]
+            return
         decls = _translate_decls(checked)
         marks.append(perf_counter())
         if args.command == "export":
@@ -83,6 +101,30 @@ def main(argv: list[str] | None = None) -> int:
             marks.append(perf_counter())
         for i in range(len(stages)):
             times[i] += marks[i + 1] - marks[i]
+
+    def roundtrip(checked, times: list[float]) -> None:
+        """`cli.cmd_roundtrip`'s loop over the definitions, each stage's
+        seconds added to times[2:]."""
+        translations, inverses, normal_forms = Memo(), Memo(), Memo()
+        for record in checked.decls:
+            decl = record.decl
+            if type(decl) is not Definition:
+                continue
+            body = decl.body
+            t0 = perf_counter()
+            encoded = translate_term(checked.context, body, translations)
+            t1 = perf_counter()
+            back = inverse_term(encoded, inverses, body) if beside else inverse_term(encoded, inverses)
+            t2 = perf_counter()
+            first = normalize(BETA_ONLY, back, None, memo=normal_forms)
+            t3 = perf_counter()
+            if first != normalize(BETA_ONLY, body, None, memo=normal_forms):
+                raise AssertionError(f"{decl.name}: a known-good input failed the round trip")
+            t4 = perf_counter()
+            times[2] += t1 - t0
+            times[3] += t2 - t1
+            times[4] += t3 - t2
+            times[5] += t4 - t3
 
     which = 0
 

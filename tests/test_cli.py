@@ -120,7 +120,7 @@ ROUNDTRIP_FAULTS = {
         lambda ctx, t, memo: El(Var("x")),
         "not in the image of the translation at root: El(x)",
     ),
-    "inverse_term": (lambda m, memo: Var("zero"), "beta-normal forms differ after the round trip"),
+    "inverse_term": (lambda m, memo, source: Var("zero"), "beta-normal forms differ after the round trip"),
 }
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from genutil import BASE_CTX, TermGen, inverse_type, ref_inverse_term, ref_inverse_type
+from genutil import BASE_CTX, BASE_SURFACE, GOAL_POOL, TermGen, inverse_type, ref_inverse_term, ref_inverse_type
 from hypothesis import given, settings, strategies as st
 from pcert import check_file, conv_pcert, corpus_path, parse_file
 from pcert.inverse import NotInImage, inverse_term
 from pcert.lf import RULES_R, El, PROP_OBJ, Prf, TYPE_ENC
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import RuleSet, normalize
+from pcert.syntax import Definition, print_term
 from pcert.terms import (
     Abs,
     App,
@@ -242,3 +243,106 @@ def test_failure_paths_equal_the_eager_reference(seed, spots):
     assert_same_outcome(inverse_term(encoded, memo), ref_inverse_term(encoded))
     assert_same_outcome(inverse_term(broken, memo), ref_inverse_term(broken))
     assert_same_outcome(inverse_term(App(encoded, broken), memo), ref_inverse_term(App(encoded, broken)))
+
+
+# --- the source walk: the term the encoding came from, handed back -------------------
+
+MUTANT = Var("mutant")  # no development names it
+
+
+def leaf_count(t: Term) -> int:
+    kids = children(t)
+    return sum(map(leaf_count, kids)) if kids else 1
+
+
+def with_leaf(t: Term, where: int, new: Term) -> Term:
+    """t with its leaf number `where` (preorder, as a tree) replaced by new;
+    every subterm off the path stays the same object."""
+    left = [where]
+
+    def go(s: Term) -> Term:
+        kids = list(children(s))
+        if not kids:
+            left[0] -= 1
+            return new if left[0] == -1 else s
+        for i, c in enumerate(kids):
+            if left[0] < 0:
+                break
+            kids[i] = go(c)
+        return s if all(map(lambda a, b: a is b, kids, children(s))) else rebuilt(s, kids)
+
+    return go(t)
+
+
+def assert_source_walk_is_exact(checked, where: int, bad: Term) -> int:
+    """Invert each definition of a checked file beside its body, with one
+    translation and one inverse memo for the file as `pcert roundtrip` keeps
+    them, and compare with the source-less inverse. Returns how many
+    definitions came back as their very body."""
+    ctx, translations, beside = checked.context, Memo(), Memo()
+    exact = 0
+    for record in checked.decls:
+        if type(record.decl) is not Definition:
+            continue
+        body = record.decl.body
+        encoded = translate_term(ctx, body, translations)
+        alone = inverse_term(encoded, Memo())
+        got = inverse_term(encoded, beside, body)
+        assert got == alone
+        assert (got is body) == (got == body)
+        exact += got is body
+        # a source that differs at one leaf: the same inverse, built anew
+        mutated = with_leaf(body, where % leaf_count(body), MUTANT)
+        got = inverse_term(encoded, beside, mutated)
+        assert got == alone and got is not mutated
+        assert (got is body) == (alone is body)  # a leaf body comes back as itself
+        # an encoding out of the image fails at the same path beside any source
+        broken = plant(encoded, where, bad)
+        want = ref_inverse_term(broken)
+        for source in (None, body, mutated):
+            assert_same_outcome(inverse_term(broken, beside, source), want)
+    return exact
+
+
+def test_the_source_walk_hands_back_each_corpus_definition():
+    for name in ("prelude.pcert", "stacks.pcert", "bounded_lists.pcert", "even_numbers.pcert"):
+        checked = check_file(parse_file(corpus_path(name).read_text(), name))
+        for where, bad in enumerate(OUT_OF_IMAGE):
+            exact = assert_source_walk_is_exact(checked, 7 * where + 3, bad)
+            assert exact == len(checked.definitions), name
+
+
+def test_the_source_walk_hands_back_sort_nodes_built_in_code():
+    # the parser hands out one node per sort; a term built in code need not
+    for t in (
+        Abs("P", Sort("Prop"), Bound(0)),
+        Abs("A", Sort("Type"), Abs("x", Bound(0), Bound(0))),
+        App(Var("f"), Sort("Prop")),
+    ):
+        encoded = translate_term(Context(), t)
+        assert inverse_term(encoded, Memo(), t) is t
+        assert inverse_term(encoded) == t
+
+
+def development(seed: int, count: int) -> str:
+    """`count` generated definitions, each free to use the earlier ones, so
+    that checking expands them into later bodies."""
+    gen = TermGen(seed)
+    ctx, lines = BASE_CTX, []
+    for i in range(count):
+        goal = gen.rng.choice(GOAL_POOL)
+        lines.append(f"definition d{i} := {print_term(gen.term_of(goal, 4, ctx))};")
+        ctx = ctx.declare(f"d{i}", goal)
+    return BASE_SURFACE + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    count=st.integers(1, 6),
+    where=st.integers(0, 10_000),
+    bad=st.sampled_from(OUT_OF_IMAGE),
+)
+def test_the_source_walk_hands_back_each_generated_definition(seed, count, where, bad):
+    checked = check_file(parse_file(development(seed, count), "gen"))
+    assert assert_source_walk_is_exact(checked, where, bad) == count

@@ -154,9 +154,11 @@ def test_kernel_irrelevant_defaults_to_a_fresh_empty_mapping():
     assert one.irrelevant == {} and one.irrelevant is not two.irrelevant
 
 
-def test_importing_the_cli_loads_no_dataclasses_or_inspect():
-    # both cost start-up time on every run of `pcert`
-    code = "import sys, pcert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_string():
+    # each costs start-up time on every run of `pcert`; `string` is checked
+    # against what the bare interpreter has loaded already
+    code = ("import sys; bare = set(sys.modules); import pcert.cli; "
+            "print(sorted(({'dataclasses', 'inspect'} & set(sys.modules)) | ({'string'} & (set(sys.modules) - bare))))")
     env = {**os.environ, "PYTHONPATH": str(Path(pcert.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True)
     assert out.stdout.strip() == "[]"

@@ -457,3 +457,76 @@ def test_reduction_takes_the_reference_steps_on_generated_terms(seed):
                 lambda f: convertible(rules, a, b, f, irrelevant),
                 exact=False,
             )
+
+
+# --- outermost normalization with loose-bound masks, against the tree walk ----------
+
+
+class NoReplay(terms.Memo):
+    """A normalization memo that files and hands out `loose_bounds` masks,
+    kept under `~ident` (negative keys), but never a normal form, so that
+    normalization walks its term as a tree, as the reference does."""
+
+    __slots__ = ()
+
+    def get(self, key, default=None):
+        return dict.get(self, key, default) if type(key) is int and key < 0 else default
+
+
+def _normal_outcome(run, budget: int, start: int) -> tuple:
+    """run(Fuel(budget)) with the fresh-name counter restarted at start:
+    the normal form, or the partial term fuel ran out at, the fuel spent
+    and left, and the names drawn."""
+    terms._fresh_counter = itertools.count(start)
+    fuel = Fuel(budget)
+    try:
+        kind, result = "done", run(fuel)
+    except FuelError as err:
+        kind, result = "out of fuel", err.diagnostic.subject
+    return kind, result, fuel.spent, fuel.remaining, next(terms._fresh_counter) - start
+
+
+def _masked_normalization_agrees_at_every_budget(rules: RuleSet, t: Term) -> None:
+    """From budget 0 up to the first that reaches the normal form: walked
+    as a tree, masked normalization gives the reference's result or partial
+    term, fuel spent and left, and names drawn, name for name; replaying
+    from its memo, the same up to the names of the partial term, and no
+    more names."""
+    budget = 0
+    while True:
+        start = next(terms._fresh_counter)
+        want = _normal_outcome(lambda f: ref_normalize(rules, t, f), budget, start)
+        tree = _normal_outcome(lambda f: normalize(rules, t, f, memo=NoReplay()), budget, start)
+        kind, result, spent, left, names = _normal_outcome(lambda f: normalize(rules, t, f), budget, start)
+        terms._fresh_counter = itertools.count(start + want[4] + 1)
+        assert tree == want, budget
+        assert (kind, spent, left) == (want[0], want[2], want[3]), budget
+        assert canonical_fresh_names(result) == canonical_fresh_names(want[1]), budget
+        assert names <= want[4], budget
+        if kind == "done":
+            return
+        budget += 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_masked_normalization_walks_as_the_reference_at_every_budget(seed):
+    gen = TermGen(seed)
+    m, _ = gen.some_term(5)
+    walked = EquivalenceWalker(random.Random(seed)).walk(BASE_CTX, m, 2)
+    ty = PCERT_KERNEL.infer(BASE_CTX, m)
+    for t in (m, walked, ty):
+        _masked_normalization_agrees_at_every_budget(BETA_PROJ, t)
+    for t in (translate_term(BASE_CTX, m), translate_term(BASE_CTX, walked), translate_type(BASE_CTX, ty)):
+        _masked_normalization_agrees_at_every_budget(RULES_R, t)
+
+
+def test_a_closed_binder_body_is_neither_opened_nor_closed_but_draws_its_name(monkeypatch):
+    opened = []
+    monkeypatch.setattr(rewrite, "open_term", lambda *args: opened.append(args) or open_term(*args))
+    iota = Var("iota")
+    arrows = Prod("_", iota, Prod("_", iota, iota))
+    before = next(terms._fresh_counter)
+    assert normalize(BETA, App(lam("y", iota, arrows), Var("a"))) == arrows
+    assert next(terms._fresh_counter) - before - 1 == 2  # one name per binder, opened or not
+    assert opened == []
