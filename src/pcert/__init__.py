@@ -53,13 +53,14 @@ from .terms import (
     Term,
     Var,
     alpha_eq,
-    free_vars,
+    free_names,
 )
 from .export import export_lambdapi
 from .translate import translate_ctx, translate_term, translate_type
 
 
 def corpus_path(name: str):
-    """Path to a bundled corpus file, e.g. corpus_path('stacks.pcert')."""
+    """Path to a bundled corpus file, e.g. corpus_path('stacks.pcert').
+    Library API: the acceptance criteria read the corpus through it."""
     return resources.files(__package__) / "corpus" / name
 

@@ -81,7 +81,9 @@ class CheckedFile(Record):
 
     @property
     def definitions(self) -> dict[str, tuple[Term, Term]]:
-        """Definition name -> (expanded body, its checked type), in file order."""
+        """Definition name -> (expanded body, its checked type), in file order.
+        Library API: acceptance criteria 3 and 5 read it; the commands walk
+        `decls`."""
         return {
             r.decl.name: (r.decl.body, r.decl.type if r.decl.type is not None else r.inferred)
             for r in self.decls

@@ -33,6 +33,7 @@ class SourceSpan(Frozen):
     __slots__ = (*__match_args__, "_source", "_token")
 
     def __init__(self, file: str, line: int, column: int, length: int = 1):
+        """For tests and tooling: the parser makes its spans with `span_at`."""
         _span_file(self, file)
         _span_line(self, line)
         _span_column(self, column)
@@ -141,9 +142,11 @@ class SurfaceError(CheckError):
     read."""
 
     def __init__(self, message: str, span: SourceSpan | None = None, kind: str = PARSE_ERROR):
+        """Raised by malformed text only, which no generated input is."""
         self.diagnostic = Diagnostic(kind, message, span=span)
 
     def __str__(self) -> str:
+        """For a library caller; `cli.main` prints the diagnostic itself."""
         return str(self.diagnostic)
 
 

@@ -27,7 +27,7 @@ import re
 from .diagnostics import UNCHECKED_INPUT, fail
 from .lf import LF_SIGNATURE, RULES_R
 from .syntax import _APP, _ARROW, _ATOM, _TERM, Declaration, Printer
-from .terms import Prod, Term, abstract_var, free_names, free_vars, loose_bounds
+from .terms import Memo, Prod, Term, abstract_var, free_names, loose_bounds
 
 ENCODING_MODULE = "pcert.encoding"
 
@@ -40,6 +40,7 @@ class _Sorts(dict):
     __slots__ = ()
 
     def __missing__(self, tag: str) -> str:
+        """A guard: a checked development exports no other sort."""
         raise fail(UNCHECKED_INPUT, f"sort {tag} has no Lambdapi syntax")
 
 
@@ -91,7 +92,7 @@ class LambdapiPrinter(Printer):
 
     def dangling(self, k: int, binders: tuple[str, ...]) -> str:
         """A `Bound` that points past the term, counted from outside it and
-        with no placeholder."""
+        with no placeholder. A guard: a checked term has none to print."""
         return f"?{k - len(binders) + binders.count('')}"
 
 
@@ -123,7 +124,7 @@ def signature_lines() -> list[str]:
     lines.append("// rule (beta): (λ x: T, t) u ↪ t with u for x. Beta is native to")
     lines.append("// Lambdapi; it belongs to the rewrite system alongside the six below.")
     for rule in RULES_R.rules:
-        printer = LambdapiPrinter(frozenset(free_vars(rule.lhs)))
+        printer = LambdapiPrinter(free_names(rule.lhs, Memo()))
         lines.append(f"rule {printer.term(rule.lhs)} ↪ {printer.term(rule.rhs)};")
     return lines
 

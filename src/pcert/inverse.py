@@ -49,10 +49,13 @@ class NotInImage(Frozen):
     __slots__ = __match_args__ = ("path", "subterm")
 
     def __init__(self, path: tuple[str, ...], subterm: Term):
+        """Made only for a term out of the image, which a correct
+        translation never hands `roundtrip` (tests/test_inverse.py)."""
         _nii_path(self, path)
         _nii_subterm(self, subterm)
 
     def __str__(self) -> str:
+        """What `roundtrip` reports for a term out of the image."""
         where = "/".join(self.path) if self.path else "root"
         return f"not in the image of the translation at {where}: {shown(self.subterm)}"
 
@@ -73,10 +76,12 @@ class _Miss:
     __slots__ = ("subterm", "labels")
 
     def __init__(self, subterm: Term):
+        """Made only for a term out of the image, as `NotInImage` is."""
         self.subterm, self.labels = subterm, []
 
     def at(self, *labels: str) -> _Miss:
-        """The miss seen from the parent these labels lead down from."""
+        """The miss seen from the parent these labels lead down from; reached
+        only below a miss."""
         self.labels.extend(reversed(labels))
         return self
 
@@ -93,7 +98,8 @@ _TYPE_ROLE = "type"  # the second half of a type inverse's memo key
 
 def _sort(sort: Term, source: Term | None) -> Term:
     """The sort constant an encoded sort inverts to, or the source's own
-    sort node when it has that tag."""
+    sort node when it has that tag. Reached by a definition body that holds
+    a sort, which no generated input writes (tests/test_inverse.py)."""
     return source if type(source) is Sort and source.tag == sort.tag else sort
 
 

@@ -157,13 +157,14 @@ class Kernel:
         if not _convert(self.rules, a, b, fuel, self.irrelevant, records.converted, records.bounds):
             return False
         records.proven.add(pair)
-        if fuel.spent != spent and not ctx.mentions_binder(a, b):
+        if fuel.spent != spent and not ctx.mentions_binder(records.bounds, a, b):
             records.free += fuel.spent - spent
         return True
 
     def whnf(self, t: Term, fuel: Fuel) -> Term:
         """Weak head normal form under this system's rules, on the caller's
-        `Fuel`."""
+        `Fuel`. `_sort_of` calls it on a type that is not yet a sort, which
+        no generated input has; `perfbench/probes.py` patches it."""
         return _whnf(self.rules, t, fuel)
 
     # The public entry points take a `Fuel`, an int or None, and test for a

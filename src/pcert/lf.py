@@ -215,4 +215,6 @@ KERNEL = LfKernel()
 
 
 def convertible_lf(a: Term, b: Term, fuel: Fuel | int | None = None) -> bool:
+    """Library API: acceptance criteria 4, 5 and 8 decide lf conversion
+    with it."""
     return _convertible(RULES_R, a, b, fuel)

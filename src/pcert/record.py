@@ -43,14 +43,17 @@ class Record:
             cls._compared = cls.__match_args__
 
     def _values(self) -> tuple:
+        """The compared fields, which `==` and `Frozen`'s hash read."""
         return tuple([getattr(self, name) for name in self._compared])
 
     def __eq__(self, other: object) -> bool:
+        """Value equality, as a dataclass has; the tests compare records."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
 
     def __repr__(self) -> str:
+        """The debugging surface, and a failed assertion's text."""
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
@@ -63,10 +66,14 @@ class Frozen(Record):
     __slots__ = ()
 
     def __hash__(self) -> int:
+        """Value hashing, as a frozen dataclass has; the only records the
+        commands hash are terms, which define their own."""
         return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
+        """A guard: no code assigns a field, and this keeps it so."""
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        """A guard, as `__setattr__` is."""
         raise AttributeError(f"cannot delete field {name!r}")

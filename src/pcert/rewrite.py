@@ -58,7 +58,7 @@ from .terms import (
     SymApp,
     Term,
     Var,
-    free_vars,
+    free_names,
     fresh_name,
     ident,
     instantiate,
@@ -73,6 +73,7 @@ DEFAULT_FUEL = 100_000
 
 class Fuel:
     """Budget of head-rewrite steps; exhaustion raises, never loops.
+    `Fuel(None)` is a budget without limit.
 
     `spent` counts every step spent or charged, unlimited budgets included,
     so a caller can measure what a piece of work cost by its difference.
@@ -83,10 +84,6 @@ class Fuel:
             raise ValueError("fuel must be nonnegative")
         self.remaining = remaining
         self.spent = 0
-
-    @classmethod
-    def unlimited(cls) -> Fuel:
-        return cls(None)
 
     def spend(self, at: Term) -> None:
         remaining = self.remaining
@@ -108,6 +105,7 @@ class Fuel:
         return True
 
     def __repr__(self) -> str:
+        """The debugging surface."""
         return f"Fuel({self.remaining})"
 
 
@@ -116,7 +114,7 @@ def _as_fuel(fuel: Fuel | int | None) -> Fuel:
         return fuel
     if fuel is None:
         return Fuel(DEFAULT_FUEL)
-    return Fuel.unlimited() if fuel == 0 else Fuel(fuel)
+    return Fuel(None) if fuel == 0 else Fuel(fuel)
 
 
 def _check_pattern(lhs: Term, rule_name: str) -> None:
@@ -152,7 +150,8 @@ class RewriteRule(Frozen):
         _rule_lhs(self, lhs)
         _rule_rhs(self, rhs)
         _check_pattern(self.lhs, self.name)
-        extra = free_vars(self.rhs) - free_vars(self.lhs)
+        memo = Memo()
+        extra = free_names(self.rhs, memo) - free_names(self.lhs, memo)
         if extra:
             raise fail("BadRule", f"rule {self.name!r}: right side invents variables {sorted(extra)}")
 
@@ -172,10 +171,8 @@ class RuleSet:
         for r in self.rules:
             self._by_head.setdefault(r.lhs.sym, []).append(r)
 
-    def rules_for(self, sym: str) -> list[RewriteRule]:
-        return self._by_head.get(sym, [])
-
     def __repr__(self) -> str:
+        """The debugging surface."""
         return f"RuleSet({[r.name for r in self.rules]})"
 
 
@@ -234,7 +231,8 @@ def _try_rules(rules: RuleSet, t: SymApp, fuel: Fuel, bounds: Memo | None = None
 
 
 def whnf(rules: RuleSet, t: Term, fuel: Fuel | int | None = None) -> Term:
-    """Weak head normal form: no rule and no beta redex at the head."""
+    """Weak head normal form: no rule and no beta redex at the head.
+    Library API for the tests; `perfbench/probes.py` patches it."""
     return _whnf(rules, t, _as_fuel(fuel))
 
 
@@ -312,6 +310,8 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Ter
 
 
 def _normalize_innermost(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
+    """`normalize`'s innermost strategy: acceptance criterion 7 compares it
+    with the outermost one, which the commands use."""
     cls = type(t)
     if cls is Abs or cls is Prod:
         v, opened = open_term(t.hint, t.body)
@@ -381,6 +381,9 @@ def convertible(
     arguments erased), and the steps spent are a subset of the steps that
     normalization spends. Sub-comparisons replay from `memo` (see the module
     docstring).
+
+    Library API: `lf.convertible_lf` and the tests call it; the kernels
+    call `_convert` through `Kernel.convert`.
     """
     if a == b:
         return True
@@ -443,14 +446,18 @@ class OrthogonalityReport(Frozen):
     __slots__ = __match_args__ = ("nonlinear", "overlaps")
 
     def __init__(self, nonlinear: tuple[str, ...], overlaps: tuple[tuple[str, str, str], ...]):
+        """Made by `check_orthogonality`, which only acceptance criterion 7
+        and the tests call."""
         _report_nonlinear(self, nonlinear)
         _report_overlaps(self, overlaps)
 
     @property
     def ok(self) -> bool:
+        """Whether the rules are orthogonal, as acceptance criterion 7 asks."""
         return not self.nonlinear and not self.overlaps
 
     def __str__(self) -> str:
+        """The report's text, for a failed criterion 7."""
         if self.ok:
             return "orthogonal: no left-linearity violations, no overlapping left sides"
         lines = []
@@ -468,7 +475,8 @@ def _agree(p: Term, q: Term) -> bool:
     """Whether two patterns agree on their symbols and arities wherever both
     have a symbol. For left-linear patterns with no variable in common that
     is exactly unifiability, since each variable occurs once and may take
-    any term; with a repeated variable it is only necessary."""
+    any term; with a repeated variable it is only necessary. Read by
+    `check_orthogonality` only."""
     if type(p) is Var or type(q) is Var:
         return True
     return p.sym == q.sym and len(p.args) == len(q.args) and all(map(_agree, p.args, q.args))
@@ -487,6 +495,9 @@ def check_orthogonality(rules: RuleSet) -> OrthogonalityReport:
     report is that of first-order unification on left-linear rule sets;
     with a nonlinear rule, which is reported either way, it may list
     overlaps that unification would rule out, and `ok` is the same.
+
+    Library API: acceptance criterion 7 checks the six framework rules with
+    it; the commands trust them.
     """
     nonlinear = []
     for rule in rules.rules:

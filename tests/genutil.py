@@ -70,7 +70,7 @@ from pcert.terms import (
     Var,
     abstract_var,
     alpha_eq,
-    free_vars,
+    free_names,
     fresh_name,
     instantiate,
     open_term,
@@ -643,7 +643,7 @@ def ref_match(pattern: Term, subject: Term, binding: dict[str, Term] | None = No
 
 
 def _ref_try_rules(rules: RuleSet, sym: str, args: list[Term], fuel: Fuel) -> Term | None:
-    for rule in rules.rules_for(sym):
+    for rule in (r for r in rules.rules if r.lhs.sym == sym):
         if len(rule.lhs.args) != len(args):
             continue
         ok = True
@@ -800,7 +800,7 @@ def _ref_count_vars(t: Term, counts: dict[str, int]) -> None:
 
 
 def _ref_rename_apart(t: Term, suffix: str) -> Term:
-    return substitute_parallel(t, {v: Var(v + suffix) for v in free_vars(t)})
+    return substitute_parallel(t, {v: Var(v + suffix) for v in free_names(t, Memo())})
 
 
 def _ref_unify(a: Term, b: Term, binding: dict[str, Term]) -> bool:
@@ -813,7 +813,7 @@ def _ref_unify(a: Term, b: Term, binding: dict[str, Term]) -> bool:
     if isinstance(a, Var):
         if a == b:
             return True
-        if a.name in free_vars(b):
+        if a.name in free_names(b, Memo()):
             return False
         binding[a.name] = b
         return True
@@ -1240,7 +1240,7 @@ def ref_inverse_type(t: Term, path: tuple[str, ...] = ()) -> Term | NotInImage:
 _TERM, _ARROW, _APP, _ATOM = 0, 1, 2, 3
 
 
-def _display_name(hint: str, taken: set[str]) -> str:
+def _display_name(hint: str, taken: frozenset[str]) -> str:
     """`syntax.Printer.name`'s rule, given the names it must avoid."""
     base = hint.split("#", 1)[0]
     if not _ID_OK.match(base):
@@ -1260,7 +1260,7 @@ def _ref_wrap(body: str, level: int, prec: int) -> str:
     return f"({body})" if level < prec else body
 
 
-def _ref_print(t: Term, prec: int, binders: tuple[str, ...], avoid: set[str]) -> str:
+def _ref_print(t: Term, prec: int, binders: tuple[str, ...], avoid: frozenset[str]) -> str:
     match t:
         case Sort(tag):
             return tag
@@ -1304,7 +1304,7 @@ def _ref_print(t: Term, prec: int, binders: tuple[str, ...], avoid: set[str]) ->
 
 
 def _ref_print_term(t: Term) -> str:
-    return _ref_print(t, _TERM, (), free_vars(t))
+    return _ref_print(t, _TERM, (), free_names(t, Memo()))
 
 
 def ref_print_file(parsed: ParsedFile) -> str:
@@ -1329,7 +1329,7 @@ def _ref_fresh_display(hint: str, body: Term) -> str:
     if not _LP_ID.match(base) or (base == "_" and not ref_is_nondependent(body)):
         base = "x"
     name = base
-    taken = free_vars(body)
+    taken = free_names(body, Memo())
     while name in taken:
         name += "'"
     return name

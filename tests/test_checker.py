@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from genutil import calls_made, names_unknown, parse_file_unmemoized
-from pcert import Definition, ParsedFile, SymbolDecl, check_file, cli, corpus_path, free_vars, parse_file
+from pcert import Definition, ParsedFile, SymbolDecl, check_file, cli, corpus_path, free_names, parse_file
 from pcert.diagnostics import PROTECTED_SYMBOL, CheckError
 from pcert.lexer import repeated_groups, scan
 from pcert.pcert import PcertKernel
 from pcert.syntax import print_file
+from pcert.terms import Memo
 
 
 def test_records_scope_and_expansion_over_the_corpus():
@@ -28,7 +29,7 @@ def test_records_scope_and_expansion_over_the_corpus():
             terms.append(record.inferred)
             for term in terms:
                 if term is not None:
-                    assert free_vars(term) <= {name for name, _ in declared}, (path.name, record.decl)
+                    assert free_names(term, Memo()) <= {name for name, _ in declared}, (path.name, record.decl)
             match record.decl:
                 case SymbolDecl(name, ty, _):
                     declared.append((name, ty))
@@ -184,7 +185,7 @@ def test_a_definition_named_only_in_group_tokens_is_still_expanded(text):
     assert checked.decls == check_file(names_unknown(parsed)).decls
     for record in checked.decls[4:]:  # every use of `dee` was expanded
         terms = [getattr(record.decl, f) for f in record.decl.__match_args__ if f not in ("name", "span")]
-        assert "dee" not in free_vars(*(t for t in terms if t is not None)), record.decl
+        assert not any("dee" in free_names(t, Memo()) for t in terms if t is not None), record.decl
 
 
 def test_a_file_that_names_no_definition_is_checked_as_one_that_does():

@@ -55,7 +55,7 @@ def outcome(parsed: ParsedFile, budget: int, reference: bool) -> tuple:
 
 
 def fuel_needed(parsed: ParsedFile) -> int:
-    fuel = Fuel.unlimited()
+    fuel = Fuel(None)
     with reference_conversion():
         check_file(parsed, fuel)
     return fuel.spent
@@ -120,7 +120,7 @@ def test_a_direct_call_without_a_memo_starts_afresh_and_a_shared_one_replays(mon
     runs = []
     memo = rewrite.Memo()
     for shared in (None, None, memo, memo):
-        fuel, calls[0] = Fuel.unlimited(), 0
+        fuel, calls[0] = Fuel(None), 0
         assert convertible(PCERT_KERNEL.rules, a, b, fuel, PCERT_KERNEL.irrelevant, shared)
         runs.append((calls[0], fuel.spent))
     assert runs[0] == runs[1] == runs[2]
@@ -235,7 +235,7 @@ def test_equal_chains_built_apart_compare_in_work_linear_in_their_links(mode, mo
     counts = []
     for links in (10, 20, 30, 40):  # a tree walk would visit 2^40 leaves per side
         walked[0] = 0
-        fuel = Fuel.unlimited()
+        fuel = Fuel(None)
         checked = check_file(parse_file(two_chains_source(links, mode)), fuel)
         counts.append(walked[0])
         assert fuel.spent == 0  # as when `==` walked trees

@@ -93,6 +93,17 @@ def test_a_node_inverted_as_a_term_is_still_no_type():
         assert got.path == ("arg", "annot")
 
 
+def test_a_product_annotation_fails_at_its_domain_or_its_codomain():
+    # a bare variable is no translated type; the product around it inverts
+    # part by part, so the path names the part that holds it
+    bad = Var("A")
+    for annot, part in ((Prod("y", bad, El(Var("B"))), "dom"), (Prod("y", El(Var("B")), bad), "cod")):
+        got = inverse_term(Abs("f", annot, Bound(0)))
+        assert isinstance(got, NotInImage), part
+        assert got.path == ("annot", part)
+        assert got.subterm is bad
+
+
 def test_inverse_type_el():
     assert inverse_type(El(Var("m"))) == Var("m")
 

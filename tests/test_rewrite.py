@@ -28,6 +28,7 @@ from pcert.rewrite import (
     Fuel,
     RewriteRule,
     RuleSet,
+    _as_fuel,
     check_orthogonality,
     convertible,
     match,
@@ -147,7 +148,7 @@ def test_fuel_exhaustion_is_an_error():
 
 
 def test_fuel_zero_means_unlimited_budget_object():
-    assert Fuel.unlimited().remaining is None
+    assert _as_fuel(0).remaining is None
 
 
 def test_orthogonality_of_encoding_rules():
@@ -267,7 +268,7 @@ def _one_step(rules: RuleSet, t: Term) -> Term | None:
     if isinstance(t, App) and isinstance(t.fun, Abs):
         return instantiate(t.fun.body, t.arg)
     if isinstance(t, SymApp):
-        for rule in rules.rules_for(t.sym):
+        for rule in (r for r in rules.rules if r.lhs.sym == t.sym):
             binding = match(rule.lhs, t)
             if binding is not None:
                 return substitute_parallel(rule.rhs, binding)

@@ -22,10 +22,10 @@ from pcert.diagnostics import SurfaceError
 from pcert.syntax import (
     AssertConv,
     Definition,
+    Printer,
     SymbolDecl,
     parse_file,
     parse_term,
-    print_decl,
     print_file,
     print_term,
 )
@@ -430,7 +430,7 @@ def test_alpha_equal_binders_with_different_names_stay_distinct():
     # `P x` and `P y` are one node, App(P, ^0), printed under each binder's name
     ty = parsed.decls[1].type
     assert ty.cod.dom is ty.cod.cod.cod
-    assert print_decl(parsed.decls[1]) == "symbol s : !x: T. P x -> !y: T. P y;"
+    assert Printer().decl(parsed.decls[1]) == "symbol s : !x: T. P x -> !y: T. P y;"
 
 
 @pytest.mark.parametrize("case", SURFACE_ERRORS.values(), ids=SURFACE_ERRORS.keys())

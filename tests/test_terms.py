@@ -51,7 +51,7 @@ from pcert.terms import (
     Var,
     abstract_var,
     alpha_eq,
-    free_vars,
+    free_names,
     ident,
     instantiate,
     loose_bounds,
@@ -97,7 +97,7 @@ def test_substitution_composition_law():
         t = gen.term_of(Var("iota"), 4, ctx)
         u = gen.term_of(Var("iota"), 3, BASE_CTX.extend("y", Var("iota")))
         v = gen.term_of(Var("iota"), 3, BASE_CTX)
-        assert "x" not in free_vars(v)
+        assert "x" not in free_names(v, Memo())
         left = substitute(substitute(t, ("x", u)), ("y", v))
         right = substitute(substitute(t, ("y", v)), ("x", substitute(u, ("y", v))))
         assert alpha_eq(left, right)
@@ -206,10 +206,10 @@ def test_equality_allocates_nothing_when_the_outermost_nodes_tell(monkeypatch):
 
 
 def test_free_vars():
-    assert free_vars(lam("x", T, Var("x"))) == {"T"}
-    assert free_vars(Var("x")) == {"x"}
-    assert free_vars(PROP) == set()
-    assert free_vars(pi("x", Var("A"), App(Var("x"), Var("y")))) == {"A", "y"}
+    assert free_names(lam("x", T, Var("x")), Memo()) == {"T"}
+    assert free_names(Var("x"), Memo()) == {"x"}
+    assert free_names(PROP, Memo()) == set()
+    assert free_names(pi("x", Var("A"), App(Var("x"), Var("y"))), Memo()) == {"A", "y"}
 
 
 def test_context_rejects_duplicates():

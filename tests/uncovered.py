@@ -21,6 +21,11 @@ that runs only after one (the handler in `cli.main`) can be listed although
 a test reaches it. Lines that run only in a child process are listed too,
 and a line that only some of hypothesis' random examples reach (such as a
 parse error in `syntax`) can be listed on one run and not the next.
+A trace function that is a closure over itself is a reference cycle, which
+only the cyclic collector frees; made at every call, it would leave
+garbage after each command and fail
+`test_a_command_leaves_no_cyclic_garbage`, which counts what the collector
+finds. So each file's line tracer is made once and kept for the run.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import sys
 import threading
 from pathlib import Path
 from types import CodeType
+from typing import Callable
 
 import pytest
 
@@ -57,21 +63,15 @@ class LineTracer:
     def __init__(self, package: Path):
         self.package = str(package) + os.sep
         self.ran: dict[str, set[int]] = {}
-        self.files: dict[str, str | None] = {}  # co_filename -> its real path if in the package
+        # co_filename -> the line tracer of its file if in the package, made
+        # once per file (see Limits)
+        self.local: dict[str, Callable | None] = {}
 
-    def _lines_of(self, code: CodeType) -> set[int] | None:
-        name = code.co_filename
-        if name not in self.files:
-            real = os.path.realpath(name)
-            self.files[name] = real if real.startswith(self.package) else None
-        real = self.files[name]
-        return None if real is None else self.ran.setdefault(real, set())
-
-    def trace(self, frame, event, arg):
-        lines = self._lines_of(frame.f_code)
-        if lines is None:
+    def _line_tracer(self, name: str) -> Callable | None:
+        real = os.path.realpath(name)
+        if not real.startswith(self.package):
             return None
-        lines.add(frame.f_lineno)
+        lines = self.ran.setdefault(real, set())
 
         def line(frame, event, arg):
             if event == "line":
@@ -79,6 +79,15 @@ class LineTracer:
             return line
 
         return line
+
+    def trace(self, frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in self.local:
+            self.local[name] = self._line_tracer(name)
+        local = self.local[name]
+        if local is not None:
+            local(frame, "line", arg)  # the line of the call itself
+        return local
 
     def _install(self) -> None:
         sys.settrace(self.trace)
