@@ -163,8 +163,9 @@ class Kernel:
 
     def whnf(self, t: Term, fuel: Fuel) -> Term:
         """Weak head normal form under this system's rules, on the caller's
-        `Fuel`. `_sort_of` calls it on a type that is not yet a sort, which
-        no generated input has; `perfbench/probes.py` patches it."""
+        `Fuel`. `_sort_of` calls it on a type that is not yet a sort, as
+        `pcert check` does on `symbol b : a;` after `symbol a : iota;` (a
+        NotASort); `perfbench/probes.py` patches it."""
         return _whnf(self.rules, t, fuel)
 
     # The public entry points take a `Fuel`, an int or None, and test for a

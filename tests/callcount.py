@@ -21,105 +21,91 @@ differ (`PARTS`: the exit code, the output, the `Fuel.spent` list or the
 names drawn), then how many calls differ and in which parts; or that only
 the running total does (an earlier row drew other names). Exits 1 if a
 count rose or a digest differs. The inputs are written to a temporary
-directory and read from it under relative names, so no output depends on
-where it lies; nothing under `perfbench/` is written to. A script, not a
+directory (`harness.scratch_dir`), not under `perfbench/`. A script, not a
 test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-# Run in a child: argv[1] is the checkout, argv[2] the seeds and argv[3] the
-# budgets, comma-separated. Prints {"workload/command": [calls, digest,
-# [["seed budget stem", call digest, part digests], ...]]} as one JSON line;
-# the part digests are those of `PARTS`, in order.
-CHILD = r"""
-import contextlib, hashlib, io, json, os, sys, tempfile
-from pathlib import Path
-root = Path(sys.argv[1]).resolve()
-seeds, budgets = ([int(x) for x in arg.split(",")] for arg in sys.argv[2:4])
-sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-from gen import COMMANDS, WORKLOADS
-from run import FIXED_ROUNDS, PER_ROUND
-from pcert import cli, terms
-from pcert.rewrite import Fuel
-
-calls = [0]
-fuels = []
-fuel_init = Fuel.__init__.__code__
-
-def fresh_count():
-    return int(repr(terms._fresh_counter)[len("count("):-1])  # the next name's number, not drawn
-
-def count(frame, event, arg):
-    if event == "call":
-        calls[0] += 1
-        if frame.f_code is fuel_init:
-            fuels.append(frame.f_locals["self"])
-
-out = {}
-with tempfile.TemporaryDirectory() as tmp:
-    os.chdir(tmp)
-    for workload, make in WORKLOADS.items():
-        totals = {c: [0, hashlib.sha256(), []] for c in COMMANDS}
-        for seed in seeds:
-            for budget in budgets:
-                taken = dict.fromkeys(COMMANDS, 0)
-                for _ in range(FIXED_ROUNDS[workload]):
-                    for command in [c for c in COMMANDS for _ in range(PER_ROUND[workload].get(c, 1))]:
-                        inp = make(seed, command, taken[command])
-                        taken[command] += 1
-                        Path(inp.stem).write_text(inp.text, encoding="utf-8")
-                        target = inp.stem + ".out"
-                        argv = [command, inp.stem, "--fuel", str(budget), *inp.extra_args]
-                        argv += ["-o", target] if command in ("translate", "export") else []
-                        stdout, stderr = io.StringIO(), io.StringIO()
-                        calls[0] = 0
-                        fuels.clear()
-                        before = fresh_count()
-                        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                            sys.setprofile(count)
-                            try:
-                                code = cli.main(argv)
-                            finally:
-                                sys.setprofile(None)
-                        artifact = Path(target).read_bytes() if Path(target).exists() else b""
-                        spent = [fuel.spent for fuel in fuels]
-                        after = fresh_count()
-                        output = f"{stdout.getvalue()}\0{stderr.getvalue()}\0".encode() + artifact
-                        parts = [hashlib.sha256(part).hexdigest()[:16] for part in
-                                 (str(code).encode(), output, str(spent).encode(), str(after - before).encode())]
-                        call = hashlib.sha256(" ".join(parts).encode()).hexdigest()[:16]
-                        label = f"{seed} {budget} {inp.stem}"
-                        totals[command][0] += calls[0]
-                        totals[command][1].update(f"{label} {call} {after}\n".encode())
-                        totals[command][2].append([label, call, parts])
-                        for name in (inp.stem, target):
-                            Path(name).unlink(missing_ok=True)
-        for command, (n, digest, per_call) in totals.items():
-            out[f"{workload}/{command}"] = [n, digest.hexdigest(), per_call]
-print(json.dumps(out))
-"""
-
+import harness
 
 # What a call's digest is made of, in the order the child lists the parts.
 PARTS = ("exit code", "output (stdout, stderr, artifact)", "Fuel.spent list", "names drawn")
 
 
+def child(checkout: str, seeds: str, budgets: str) -> None:
+    """`measure`'s child process: checkout supplies `src/` and `perfbench/`,
+    seeds and budgets are comma-separated. Prints {"workload/command":
+    [calls, digest, [["seed budget stem", call digest, part digests], ...]]}
+    as one JSON line; the part digests are those of `PARTS`, in order."""
+    harness.load(Path(checkout))
+    from gen import COMMANDS, WORKLOADS
+    from run import FIXED_ROUNDS, PER_ROUND
+
+    from pcert import terms
+    from pcert.rewrite import Fuel
+
+    fuels = []
+    fuel_init = Fuel.__init__.__code__
+
+    def collect(frame):
+        if frame.f_code is fuel_init:
+            fuels.append(frame.f_locals["self"])
+
+    def fresh_count():
+        return int(repr(terms._fresh_counter)[len("count("):-1])  # the next name's number, not drawn
+
+    out = {}
+    with harness.scratch_dir():
+        for workload, make in WORKLOADS.items():
+            totals = {c: [0, hashlib.sha256(), []] for c in COMMANDS}
+            for seed, budget in itertools.product(map(int, seeds.split(",")), map(int, budgets.split(","))):
+                taken = dict.fromkeys(COMMANDS, 0)
+                for _ in range(FIXED_ROUNDS[workload]):
+                    for command in [c for c in COMMANDS for _ in range(PER_ROUND[workload].get(c, 1))]:
+                        inp = make(seed, command, taken[command])
+                        taken[command] += 1
+                        argv = harness.place(command, inp, "--fuel", str(budget))
+                        calls = harness.Calls(collect)
+                        fuels.clear()
+                        before = fresh_count()
+                        code, stdout, stderr = harness.run_cli(argv, calls)
+                        target = Path(inp.stem + ".out")
+                        artifact = target.read_bytes() if target.exists() else b""
+                        spent = [fuel.spent for fuel in fuels]
+                        after = fresh_count()
+                        output = f"{stdout}\0{stderr}\0".encode() + artifact
+                        parts = [hashlib.sha256(part).hexdigest()[:16] for part in
+                                 (str(code).encode(), output, str(spent).encode(), str(after - before).encode())]
+                        call = hashlib.sha256(" ".join(parts).encode()).hexdigest()[:16]
+                        label = f"{seed} {budget} {inp.stem}"
+                        totals[command][0] += calls.n
+                        totals[command][1].update(f"{label} {call} {after}\n".encode())
+                        totals[command][2].append([label, call, parts])
+            for command, (n, digest, per_call) in totals.items():
+                out[f"{workload}/{command}"] = [n, digest.hexdigest(), per_call]
+    print(json.dumps(out))
+
+
 def measure(checkout: Path, seeds: list[int], budgets: list[int]) -> dict[str, list]:
     env = dict(os.environ, PYTHONHASHSEED="0")
     env.pop("PCERT_FUEL", None)  # every call passes its budget
-    argv = [sys.executable, "-c", CHILD, str(checkout), ",".join(map(str, seeds)), ",".join(map(str, budgets))]
-    child = subprocess.run(argv, capture_output=True, text=True, env=env)
-    if child.returncode != 0:
-        raise RuntimeError(f"{checkout}: {child.stderr}")
-    return json.loads(child.stdout.splitlines()[-1])
+    tests = str(harness.ROOT / "tests")
+    run_child = f"import sys; sys.path.insert(0, {tests!r}); import callcount; callcount.child(*sys.argv[1:])"
+    argv = [sys.executable, "-c", run_child, str(checkout), ",".join(map(str, seeds)), ",".join(map(str, budgets))]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def main(argv: list[str]) -> int:

@@ -15,37 +15,35 @@ A script, not a test module: pytest does not collect it.
 
 from __future__ import annotations
 
-import contextlib
-import io
-import tempfile
 from pathlib import Path
 
-from pcert import cli
+from harness import run_cli, scratch_dir
 from test_cli import DEEP_BASE, DEPTH_MARGIN, _applications, _arrows
 
 COMMANDS = ("check", "translate", "roundtrip", "export")
 DEEPEST = 2000  # every stage spends at least a frame per level, so this fails
 
 
-def passes(make, n: int, command: str, workdir: Path) -> bool:
-    src = workdir / "deep.pcert"
-    src.write_text(DEEP_BASE + make(n))
-    out = ["-o", str(workdir / "deep.out")] if command in ("translate", "export") else []
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main([command, str(src), *out])
-    return code == 0 and not err.getvalue()
+def passed(result: tuple[int, str, str]) -> bool:
+    code, _, err = result
+    return code == 0 and not err
 
 
-def deepest(make, command: str, workdir: Path) -> int:
+def deepest(make, command: str) -> int:
     """The largest n that passes, between 1 (which must pass) and DEEPEST
-    (which must not)."""
+    (which must not). It calls `run_cli` itself: a frame more between here
+    and `cli.main` would lower some depths found by one."""
+
+    def argv(n: int) -> list[str]:
+        Path("deep.pcert").write_text(DEEP_BASE + make(n))
+        return [command, "deep.pcert", *(["-o", "deep.out"] if command in ("translate", "export") else [])]
+
     low, high = 1, DEEPEST
-    if not passes(make, low, command, workdir) or passes(make, high, command, workdir):
+    if not passed(run_cli(argv(low))) or passed(run_cli(argv(high))):
         raise SystemExit(f"{command} on {make.__name__}: depth not bracketed by 1 and {DEEPEST}")
     while high - low > 1:
         mid = (low + high) // 2
-        if passes(make, mid, command, workdir):
+        if passed(run_cli(argv(mid))):
             low = mid
         else:
             high = mid
@@ -53,9 +51,9 @@ def deepest(make, command: str, workdir: Path) -> int:
 
 
 def main() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
+    with scratch_dir():
         for shape, make in (("arrows", _arrows), ("applications", _applications)):
-            found = [deepest(make, command, Path(tmp)) for command in COMMANDS]
+            found = [deepest(make, command) for command in COMMANDS]
             floors = ", ".join(f'"{c}": {n * (100 - DEPTH_MARGIN) // 100}' for c, n in zip(COMMANDS, found))
             print(f'    "{shape}": ({make.__name__}, {{{floors}}}),  # {"/".join(map(str, found))}')
 

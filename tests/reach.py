@@ -26,44 +26,31 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
-import inspect
-import io
 import os
 import sys
-import tempfile
-import threading
-from pathlib import Path
 from types import CodeType
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "pcert"
-COMMANDS = ("check", "translate", "roundtrip", "export")
+sys.dont_write_bytecode = True  # set before harness is imported
+import harness  # noqa: E402
 
 
-def functions(path: Path) -> list[CodeType]:
-    """The code objects of the functions in path, nested ones included and
-    comprehensions (whose names start with '<' but for a lambda's) left out."""
-    found: list[CodeType] = []
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
-    while stack:
-        code = stack.pop()
-        if code.co_flags & inspect.CO_NEWLOCALS and (code.co_name == "<lambda>" or not code.co_name.startswith("<")):
-            found.append(code)
-        stack.extend(const for const in code.co_consts if isinstance(const, CodeType))
-    return found
+def run_all(per: int, seeds: list[int], codes: collections.Counter) -> None:
+    """Every command of the module docstring, each exit code tallied in codes."""
+    from gen import COMMANDS, WORKLOADS
 
+    def run(argv: list[str]) -> None:
+        codes[harness.run_cli(argv)[0]] += 1
 
-def executable_lines(code: CodeType) -> int:
-    """The distinct lines of code's own instructions."""
-    return len({line for _, _, line in code.co_lines() if line is not None})
-
-
-def run(argv: list[str], codes: collections.Counter) -> None:
-    from pcert import cli
-
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes[cli.main(argv)] += 1
+    with harness.scratch_dir():
+        for source in sorted(str(p) for p in (harness.PACKAGE / "corpus").iterdir()):
+            for command in COMMANDS:
+                run([command, source, *(["-o", "out"] if command in ("translate", "export") else [])])
+        run(["export", "--signature", "-o", "out"])
+        for make in WORKLOADS.values():
+            for command in COMMANDS:
+                for seed in seeds:
+                    for index in range(per):
+                        run(harness.place(command, make(seed, command, index)))
 
 
 def main(argv: list[str]) -> int:
@@ -71,53 +58,24 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--per", type=int, default=40, help="inputs per workload, command and seed")
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 42])
     args = parser.parse_args(argv)
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    harness.load()
     os.environ.pop("PCERT_FUEL", None)  # every input runs at its own budget
 
-    entered: set[tuple[str, int, str]] = set()  # (file, first line, name) of each code entered
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            entered.add((code.co_filename, code.co_firstlineno, code.co_name))
-
-    sys.setprofile(profile)
-    threading.setprofile(profile)
+    entered: set[CodeType] = set()
     codes: collections.Counter = collections.Counter()
-    try:
-        from gen import WORKLOADS
-
-        with tempfile.TemporaryDirectory() as tmp:
-            os.chdir(tmp)
-            for source in sorted(str(p) for p in (PACKAGE / "corpus").iterdir()):
-                for command in COMMANDS:
-                    run([command, source, *(["-o", "out"] if command in ("translate", "export") else [])], codes)
-            run(["export", "--signature", "-o", "out"], codes)
-            for make in WORKLOADS.values():
-                for command in COMMANDS:
-                    for seed in args.seeds:
-                        for index in range(args.per):
-                            inp = make(seed, command, index)
-                            Path(inp.stem).write_text(inp.text, encoding="utf-8")
-                            out = ["-o", "out"] if command in ("translate", "export") else []
-                            run([command, inp.stem, *inp.extra_args, *out], codes)
-                            Path(inp.stem).unlink()
-            os.chdir(ROOT)
-    finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
+    harness.Calls(lambda frame: entered.add(frame.f_code)).count(run_all, args.per, args.seeds, codes)
 
     print("exit codes: " + ", ".join(f"{n} x {code}" for code, n in codes.most_common()))
-    entered_real = {(os.path.realpath(f), line, name) for f, line, name in entered}
+    entered_real = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered}
     count = lines = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(harness.PACKAGE.glob("*.py")):
         real = os.path.realpath(path)
-        missed = [c for c in functions(path) if (real, c.co_firstlineno, c.co_name) not in entered_real]
+        missed = [c for c in harness.functions(path) if (c.co_name == "<lambda>" or not c.co_name.startswith("<"))
+                  and (real, c.co_firstlineno, c.co_name) not in entered_real]  # comprehensions left out
         for code in sorted(missed, key=lambda c: c.co_firstlineno):
-            n = executable_lines(code)
+            n = len(harness.lines(code))
             count, lines = count + 1, lines + n
-            print(f"{path.relative_to(ROOT)}:{code.co_firstlineno}  {code.co_qualname}  ({n} lines)")
+            print(f"{path.relative_to(harness.ROOT)}:{code.co_firstlineno}  {code.co_qualname}  ({n} lines)")
     print(f"{count} functions, {lines} executable lines, that no call reached")
     return 0
 

@@ -2,152 +2,120 @@
 
     python tests/stages.py [--command translate] [--checkout DIR] [--repeat 5] [--inputs 40] [--seed 42]
 
-Runs the stages of `pcert translate`, `pcert roundtrip` or `pcert export`
-(`--command`) in process on the known-good pcert inputs of
-`perfbench/gen.py` for that command (the first `--inputs` of each workload
-whose expected exit code is 0), as `cli.cmd_translate`, `cli.cmd_roundtrip`
-and `cli.cmd_export` chain them with the default budget: parse, pcert
-check, translate, print, reparse and the lf re-check for `translate`;
-parse, pcert check, then per definition translate, inverse, the first
-normalization (of the inverse) and the second (of the source) with the
-comparison, for `roundtrip`; parse, pcert check, translate and the
-Lambdapi print for `export`. A checkout whose `inverse_term` takes no
-source is run without one, as its own `cmd_roundtrip` runs it. Prints one
-row per workload with each stage's time in ms, the
-best of `--repeat` passes over all its inputs, and the Python-level calls
-(`sys.setprofile` "call" events) per declaration of the pcert check and,
-for `translate`, of the lf re-check. DIR (default: the checkout this file
-is in) supplies `src/` and `perfbench/`, so two checkouts give comparable
-rows. A script, not a test module: pytest does not collect it.
+Runs `pcert.cli.main` in process, at the default budget, on the inputs of
+`perfbench/gen.py` that `known_good` picks, and times the stages it runs:
+in the `cli` module it wraps the functions `STAGES` names, so each stage is
+the CLI's own call, made with the collector paused as `cli.main` pauses it.
+`rest` is what the stages leave of `cli.main`'s time: argument parsing,
+file I/O and `roundtrip`'s comparison of normal forms. Prints one row per
+workload: each column's ms, the best of `--repeat` passes over its inputs,
+and the Python-level calls (`sys.setprofile` "call" events) per declaration
+of the pcert check and, for `translate`, of the lf re-check, counted on a
+first pass that also warms caches up. DIR (default: this checkout)
+supplies `src/` and `perfbench/`, so two checkouts give comparable rows. A
+script, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
+import itertools
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
 
+import harness
+
+# Per command, its stages in the order `cli` runs them, each with the `cli`
+# function whose calls it times. The calls of a function named for k stages
+# take turns over them: `translate`'s second `parse_file` is the reparse, and
+# `roundtrip` normalizes each definition's inverse, then its source.
 STAGES = {
-    "translate": ("parse", "pcert check", "translate", "print", "reparse", "lf re-check"),
-    "roundtrip": ("parse", "pcert check", "translate", "inverse", "normalize 1", "normalize 2 + =="),
-    "export": ("parse", "pcert check", "translate", "Lambdapi print"),
+    "translate": {"parse": "parse_file", "pcert check": "check_file", "translate": "_translate_decls",
+                  "print": "print_file", "reparse": "parse_file", "lf re-check": "check_file"},
+    "roundtrip": {"parse": "parse_file", "pcert check": "check_file", "translate": "translate_term",
+                  "inverse": "inverse_term", "normalize 1": "normalize", "normalize 2": "normalize"},
+    "export": {"parse": "parse_file", "pcert check": "check_file", "translate": "_translate_decls",
+               "Lambdapi print": "export_lambdapi"},
 }
+# The stages whose calls are counted, and their columns.
+COUNTED = {"pcert check": "pcert/decl", "lf re-check": "lf/decl"}
+
+
+def known_good(make, command: str, seed: int, count: int) -> list:
+    """Of the first count inputs that `gen` workload make gives for command,
+    the pcert ones that must exit 0 and set no arguments of their own."""
+    inputs = [make(seed, command, i) for i in range(count)]
+    return [inp for inp in inputs if inp.expect == 0 and not inp.extra_args and inp.stem.endswith(".pcert")]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--command", choices=sorted(STAGES), default="translate")
-    parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--checkout", type=Path, default=harness.ROOT)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--inputs", type=int, default=40)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
-    root = args.checkout.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    harness.load(args.checkout)
+    os.environ.pop("PCERT_FUEL", None)  # the default budget
     from gen import WORKLOADS
 
-    from pcert.checker import check_file
-    from pcert.cli import BETA_ONLY, _translate_decls
-    from pcert.export import export_lambdapi
-    from pcert.inverse import inverse_term
-    from pcert.rewrite import normalize
-    from pcert.syntax import Definition, ParsedFile, parse_file, print_file
-    from pcert.terms import Memo
-    from pcert.translate import translate_term
+    from pcert import cli
 
-    beside = "source" in inspect.signature(inverse_term).parameters
+    # a column per stage, then `cli.main`'s, whose time less the stages' is the rest
+    names, functions = [*STAGES[args.command], "rest"], [*STAGES[args.command].values(), "main"]
+    counted = [slot for slot, name in enumerate(names) if name in COUNTED]
+    spent = [0.0] * len(names)  # seconds per column over a pass
+    counters: dict[int, harness.Calls] = {}  # per counted column, on the counting pass only
 
-    count = [0, 0]  # the calls of the pcert check and of the lf re-check
+    def timed(fn, slots: list[int]):
+        turns = itertools.cycle(slots)
 
-    def profile(frame, event, arg):
-        if event == "call":
-            count[which] += 1
+        def stage(*args, **kwargs):
+            slot = next(turns)
+            counter = counters.get(slot)
+            start = perf_counter()
+            result = fn(*args, **kwargs) if counter is None else counter.count(fn, *args, **kwargs)
+            spent[slot] += perf_counter() - start
+            return result
 
-    stages = STAGES[args.command]
+        return stage
 
-    def run(text: str, times: list[float], counted: bool = False) -> None:
-        """One input through every stage, each stage's seconds added to
-        times; counted: the checks' calls added to `count` instead."""
-        nonlocal which
-        marks = [perf_counter()]
-        parsed = parse_file(text, "input")
-        marks.append(perf_counter())
-        which = 0
-        sys.setprofile(profile if counted else None)
-        checked = check_file(parsed, None)
-        sys.setprofile(None)
-        marks.append(perf_counter())
-        if args.command == "roundtrip":
-            roundtrip(checked, times)
-            times[0] += marks[1] - marks[0]
-            times[1] += marks[2] - marks[1]
-            return
-        decls = _translate_decls(checked)
-        marks.append(perf_counter())
-        if args.command == "export":
-            export_lambdapi(decls, mode="development")
-            marks.append(perf_counter())
-        else:
-            out = print_file(ParsedFile("lf", tuple(decls), "input"))
-            marks.append(perf_counter())
-            reparsed = parse_file(out, "input:translated")
-            marks.append(perf_counter())
-            which = 1
-            sys.setprofile(profile if counted else None)
-            check_file(reparsed, None)
-            sys.setprofile(None)
-            marks.append(perf_counter())
-        for i in range(len(stages)):
-            times[i] += marks[i + 1] - marks[i]
+    def run(argvs: list[list[str]]) -> None:
+        for argv in argvs:
+            code, _, err = harness.run_cli(argv)
+            if code != 0:
+                raise SystemExit(f"{argv[1]}: a known-good input exited {code}: {err}")
 
-    def roundtrip(checked, times: list[float]) -> None:
-        """`cli.cmd_roundtrip`'s loop over the definitions, each stage's
-        seconds added to times[2:]."""
-        translations, inverses, normal_forms = Memo(), Memo(), Memo()
-        for record in checked.decls:
-            decl = record.decl
-            if type(decl) is not Definition:
-                continue
-            body = decl.body
-            t0 = perf_counter()
-            encoded = translate_term(checked.context, body, translations)
-            t1 = perf_counter()
-            back = inverse_term(encoded, inverses, body) if beside else inverse_term(encoded, inverses)
-            t2 = perf_counter()
-            first = normalize(BETA_ONLY, back, None, memo=normal_forms)
-            t3 = perf_counter()
-            if first != normalize(BETA_ONLY, body, None, memo=normal_forms):
-                raise AssertionError(f"{decl.name}: a known-good input failed the round trip")
-            t4 = perf_counter()
-            times[2] += t1 - t0
-            times[3] += t2 - t1
-            times[4] += t3 - t2
-            times[5] += t4 - t3
-
-    which = 0
-
-    calls = "  pcert/decl  lf/decl" if args.command == "translate" else "  pcert/decl"
-    widths = [max(11, len(stage)) for stage in stages]
-    print(f"{'workload':<14} {'files':>5} " + " ".join(f"{s:>{w}}" for s, w in zip(stages, widths)) + calls)
-    for workload, make in WORKLOADS.items():
-        inputs = [make(args.seed, args.command, i) for i in range(args.inputs)]
-        good = [inp for inp in inputs if inp.expect == 0 and not inp.extra_args and inp.stem.endswith(".pcert")]
-        texts = [inp.text for inp in good]
-        decls = sum(inp.decls for inp in good)
-        count[:] = [0, 0]
-        for text in texts:  # also warms module constants up
-            run(text, [0.0] * len(stages), counted=True)
-        best = [float("inf")] * len(stages)
-        for _ in range(args.repeat):
-            times = [0.0] * len(stages)
-            for text in texts:
-                run(text, times)
-            best = [min(b, t) for b, t in zip(best, times)]
-        row = " ".join(f"{1000 * t:>{w}.1f}" for t, w in zip(best, widths))
-        lf = f"  {count[1] / decls:>7.1f}" if args.command == "translate" else ""
-        print(f"{workload:<14} {len(texts):>5} {row}  {count[0] / decls:>10.1f}{lf}", flush=True)
+    originals = {fn: getattr(cli, fn) for fn in functions}
+    for fn, original in originals.items():
+        setattr(cli, fn, timed(original, [slot for slot, f in enumerate(functions) if f == fn]))
+    widths = [max(11, len(name)) for name in names]
+    print(f"{'workload':<14} {'files':>5} " + " ".join(f"{n:>{w}}" for n, w in zip(names, widths))
+          + "".join(f"  {COUNTED[names[slot]]}" for slot in counted))
+    try:
+        with harness.scratch_dir():
+            for workload, make in WORKLOADS.items():
+                good = known_good(make, args.command, args.seed, args.inputs)
+                argvs = [harness.place(args.command, inp) for inp in good]
+                counters = calls = {slot: harness.Calls() for slot in counted}
+                run(argvs)
+                counters = {}
+                best = [float("inf")] * len(names)
+                for _ in range(args.repeat):
+                    spent[:] = [0.0] * len(names)
+                    run(argvs)
+                    spent[-1] -= sum(spent[:-1])
+                    best = [min(b, t) for b, t in zip(best, spent)]
+                decls = sum(inp.decls for inp in good)
+                row = " ".join(f"{1000 * t:>{w}.1f}" for t, w in zip(best, widths))
+                per_decl = "".join(f"  {calls[slot].n / decls:>{len(COUNTED[names[slot]])}.1f}" for slot in counted)
+                print(f"{workload:<14} {len(argvs):>5} {row}{per_decl}", flush=True)
+    finally:
+        for fn, original in originals.items():
+            setattr(cli, fn, original)
     return 0
 
 

@@ -75,6 +75,17 @@ TYPE_ERRORS = {
         "#MODE lf\nsymbol nat : Type;\nsymbol a : El nat;\nsymbol b : El nat;\nconvertible a, b;\n",
         "5:1: NotConvertible: terms are not convertible",
     ),
+    # a declared type that is not a sort reaches `Kernel.whnf` in both kernels
+    "not_a_sort_pcert": (
+        "sort.pcert",
+        "#MODE pcert\nsymbol iota : Type;\nsymbol a : iota;\nsymbol b : a;\n",
+        "4:1: NotASort: type of a is iota, not a sort",
+    ),
+    "not_a_sort_lf": (
+        "sort.lf",
+        "#MODE lf\nsymbol a : El(prop);\nsymbol b : a;\n",
+        "3:1: NotASort: type of a is Prop, not a sort",
+    ),
 }
 
 

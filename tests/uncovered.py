@@ -30,31 +30,17 @@ finds. So each file's line tracer is made once and kept for the run.
 
 from __future__ import annotations
 
-import inspect
 import os
 import sys
 import threading
 from pathlib import Path
-from types import CodeType
 from typing import Callable
 
-import pytest
+sys.dont_write_bytecode = True  # set before harness is imported
+import harness  # noqa: E402
+import pytest  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "pcert"
 OPTIONS = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-
-
-def executable_lines(path: Path) -> set[int]:
-    """The lines of the functions in path's code, nested ones included."""
-    lines: set[int] = set()
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
-    while stack:
-        code = stack.pop()
-        if code.co_flags & inspect.CO_NEWLOCALS:  # a function, not a module or class body
-            lines.update(line for _, _, line in code.co_lines() if line is not None)
-        stack.extend(const for const in code.co_consts if isinstance(const, CodeType))
-    return lines
 
 
 class LineTracer:
@@ -63,8 +49,7 @@ class LineTracer:
     def __init__(self, package: Path):
         self.package = str(package) + os.sep
         self.ran: dict[str, set[int]] = {}
-        # co_filename -> the line tracer of its file if in the package, made
-        # once per file (see Limits)
+        # co_filename -> its file's line tracer (made once, see Limits) or None
         self.local: dict[str, Callable | None] = {}
 
     def _line_tracer(self, name: str) -> Callable | None:
@@ -111,18 +96,17 @@ class LineTracer:
 
 
 def main(argv: list[str]) -> int:
-    sys.dont_write_bytecode = True
-    tracer = LineTracer(PACKAGE)
-    status = pytest.main(OPTIONS + (argv or [str(ROOT / "tests")]), plugins=[tracer])
+    tracer = LineTracer(harness.PACKAGE)
+    status = pytest.main(OPTIONS + (argv or [str(harness.ROOT / "tests")]), plugins=[tracer])
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(harness.PACKAGE.glob("*.py")):
         ran = tracer.ran.get(os.path.realpath(path), set())
-        missed = sorted(executable_lines(path) - ran)
+        missed = sorted(set().union(*map(harness.lines, harness.functions(path))) - ran)
         if not missed:
             continue
         total += len(missed)
         text = path.read_text(encoding="utf-8").splitlines()
-        print(f"\n{path.relative_to(ROOT)}: {len(missed)} lines")
+        print(f"\n{path.relative_to(harness.ROOT)}: {len(missed)} lines")
         for n in missed:
             print(f"{n:>6}  {text[n - 1].strip()}")
     print(f"\n{total} lines no test runs (pytest exit status {int(status)})")
