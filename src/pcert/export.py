@@ -27,7 +27,7 @@ import re
 from .diagnostics import UNCHECKED_INPUT, fail
 from .lf import LF_SIGNATURE, RULES_R
 from .syntax import _APP, _ARROW, _ATOM, _TERM, Declaration, Printer
-from .terms import Memo, Prod, Term, abstract_var, free_names, loose_bounds
+from .terms import Memo, Prod, Term, abstract_var, free_names
 
 ENCODING_MODULE = "pcert.encoding"
 
@@ -77,13 +77,12 @@ class LambdapiPrinter(Printer):
         names and with no name of the enclosing `binders` it reaches.
         Lambdapi reads `_` in a term as a placeholder, so `_` names only a
         binder that body does not use."""
-        memo = self.memo
         base = hint.split("#", 1)[0]
-        loose = loose_bounds(body, memo)
+        loose = body.loose
         if not _LP_ID.match(base) or (base == "_" and loose & 1):
             base = "x"
         name = base
-        taken = free_names(body, memo)
+        taken = free_names(body, self.memo)
         reach = loose >> 1  # bit k: the binder k levels out, binders[-1 - k]
         reached = {binders[-1 - k] for k in range(min(reach.bit_length(), len(binders))) if reach >> k & 1}
         while name in taken or name in reached:

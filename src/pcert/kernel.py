@@ -31,15 +31,12 @@ context (strengthening), so the closed codomain of an arrow is filed and
 replayed like any term under no binder.
 
 Inference does not rebuild what it can read off the term, and each skip is
-exact. A body with no loose index (`terms.loose_bounds`, kept for the file
-on the same table) is neither opened nor closed: `open_term` would hand it
-back as itself, and `abstract_var` would hand back as itself the type it
-has in the outer context. Its fresh name is drawn all the same, so later
-names, and the diagnostics that print them, are those of opening it. The
-application rule returns such a codomain as it is, for the same reason.
-Opening a body and instantiating a codomain hand `terms.instantiate` the
-same masks, so a subterm with no loose index at the depth it is met at is
-handed back unwalked, as the walk would hand it back. A bound variable is
+exact. A body with no loose index (its `loose` mask is 0, see `terms`) is
+neither opened nor closed: `open_term` would hand it back as itself, and
+`abstract_var` would hand back as itself the type it has in the outer
+context. Its fresh name is drawn all the same, so later names, and the
+diagnostics that print them, are those of opening it. The application rule
+returns such a codomain as it is, for the same reason. A bound variable is
 answered by one lookup, and a type that is already a sort is not taken to
 head normal form.
 
@@ -99,7 +96,6 @@ from .terms import (
     fresh_name,
     ident,
     instantiate,
-    loose_bounds,
     open_term,
     shown,
     substitute_parallel,
@@ -154,10 +150,10 @@ class Kernel:
         if pair in records.proven:
             return True
         spent = fuel.spent
-        if not _convert(self.rules, a, b, fuel, self.irrelevant, records.converted, records.bounds):
+        if not _convert(self.rules, a, b, fuel, self.irrelevant, records.converted):
             return False
         records.proven.add(pair)
-        if fuel.spent != spent and not ctx.mentions_binder(records.bounds, a, b):
+        if fuel.spent != spent and not ctx.mentions_binder(records.names, a, b):
             records.free += fuel.spent - spent
         return True
 
@@ -205,7 +201,7 @@ class Kernel:
             return seen[0]
         spent, free = fuel.spent, records.free
         if cls is App:
-            tf = whnf_replayed(self.rules, self._infer(ctx, t.fun, fuel, records), fuel, records.heads, records.bounds)
+            tf = whnf_replayed(self.rules, self._infer(ctx, t.fun, fuel, records), fuel, records.heads)
             if not isinstance(tf, Prod):
                 raise fail(
                     dk.NOT_A_FUNCTION,
@@ -228,7 +224,7 @@ class Kernel:
                         )
                     records.proven_args[key] = (ta, dom)
             cod = tf.cod
-            ty = instantiate(cod, a, records.bounds) if loose_bounds(cod, records.bounds) else cod
+            ty = instantiate(cod, a) if cod.loose else cod
         elif cls is Prod or cls is Abs:
             # both sort the domain, and a codomain under the opened binder:
             # a product's body, or the type of an abstraction's body; a body
@@ -236,9 +232,9 @@ class Kernel:
             # typed in the outer context
             dom, hint, cod = t.dom, t.hint, t.body
             s_dom = self._sort_of(ctx, dom, fuel, records)
-            opened = loose_bounds(cod, records.bounds)
+            opened = cod.loose
             if opened:
-                v, cod = open_term(hint, cod, records.bounds)
+                v, cod = open_term(hint, cod)
                 inner_ctx = ctx.extend(v.name, dom)
             else:
                 fresh_name(hint)  # drawn as opening would, so later names stay the same

@@ -28,18 +28,11 @@ holds; only the work shrinks. A memo lives for one call unless the caller
 hands one in: the kernels keep a conversion and a head normal form memo per
 file (`terms.Records`), `roundtrip` a normalization memo per command.
 
-The kernels also hand down their file's `loose_bounds` masks
-(`Records.bounds`), which the beta step and conversion's binder opening
-pass to `terms.instantiate`: a subterm known to be closed at the depth it
-is met at comes back unwalked, the very object the walk would return.
-Outermost normalization reads its masks from its own memo, where
-`terms.loose_bounds` files them under `~ident`, apart from the normal
-forms: its beta steps and the binders it opens pass that memo to
-`instantiate`. A binder body with no loose index is normalized as it is,
-neither opened nor closed: opening would hand it back as itself, and
-closing would hand back its normal form as itself. Its fresh name is drawn
-all the same, as `Kernel._infer` draws it, so later names are those of
-opening it.
+A binder body whose `loose` mask (see `terms`) is 0 does not mention its
+binder, and outermost normalization normalizes it as it is, neither opened
+nor closed: opening would hand it back as itself, and closing would hand
+back its normal form as itself. Its fresh name is drawn all the same, as
+`Kernel._infer` draws it, so later names are those of opening it.
 """
 
 from __future__ import annotations
@@ -63,7 +56,6 @@ from .terms import (
     ident,
     instantiate,
     abstract_var,
-    loose_bounds,
     open_term,
     substitute_parallel,
 )
@@ -196,7 +188,7 @@ def match(pattern: SymApp, subject: Term, binding: dict[str, Term] | None = None
     return binding
 
 
-def _try_rules(rules: RuleSet, t: SymApp, fuel: Fuel, bounds: Memo | None = None) -> tuple[Term | None, SymApp]:
+def _try_rules(rules: RuleSet, t: SymApp, fuel: Fuel) -> tuple[Term | None, SymApp]:
     """One head step at a symbol application, reducing nested positions on
     demand so that rule patterns can see the head of their arguments.
 
@@ -217,7 +209,7 @@ def _try_rules(rules: RuleSet, t: SymApp, fuel: Fuel, bounds: Memo | None = None
                 arg = t.args[i]
                 if not reduced >> i & 1:
                     reduced |= 1 << i
-                    arg = _whnf(rules, arg, fuel, bounds)
+                    arg = _whnf(rules, arg, fuel)
                     if arg is not t.args[i]:
                         t = SymApp(sym, t.args[:i] + (arg,) + t.args[i + 1 :])
                 if type(arg) is not SymApp:
@@ -236,21 +228,21 @@ def whnf(rules: RuleSet, t: Term, fuel: Fuel | int | None = None) -> Term:
     return _whnf(rules, t, _as_fuel(fuel))
 
 
-def _whnf(rules: RuleSet, t: Term, fuel: Fuel, bounds: Memo | None = None) -> Term:
+def _whnf(rules: RuleSet, t: Term, fuel: Fuel) -> Term:
     """`whnf` on a budget; returns t itself when its head is already normal."""
     by_head = rules._by_head
     while True:
         cls = type(t)
         if cls is App:
             f = t.fun
-            f2 = _whnf(rules, f, fuel, bounds)
+            f2 = _whnf(rules, f, fuel)
             if type(f2) is Abs:
                 fuel.spend(t)
-                t = instantiate(f2.body, t.arg, bounds)
+                t = instantiate(f2.body, t.arg)
                 continue
             return t if f2 is f else App(f2, t.arg)
         if cls is SymApp and t.sym in by_head:
-            reduced, t = _try_rules(rules, t, fuel, bounds)
+            reduced, t = _try_rules(rules, t, fuel)
             if reduced is None:
                 return t
             t = reduced
@@ -258,7 +250,7 @@ def _whnf(rules: RuleSet, t: Term, fuel: Fuel, bounds: Memo | None = None) -> Te
         return t
 
 
-def whnf_replayed(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo, bounds: Memo | None = None) -> Term:
+def whnf_replayed(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Term:
     """`_whnf` replayed from `memo` (see the module docstring). Entries:
     t -> (its weak head normal form, the steps spent reaching it)."""
     cls = type(t)
@@ -268,16 +260,14 @@ def whnf_replayed(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo, bounds: Memo 
     if seen is not None and (not seen[1] or fuel.charge(seen[1])):
         return seen[0]
     before = fuel.spent
-    u = _whnf(rules, t, fuel, bounds)
+    u = _whnf(rules, t, fuel)
     memo[ident(t)] = u, fuel.spent - before  # `put`, inlined: one call fewer per node
     memo._held.append(t)
     return u
 
 
 def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Term:
-    """Entries: t -> (its normal form, the steps spent reaching it), and
-    under `~ident` the `loose_bounds` masks, which the beta step and the
-    opening of a binder read (see the module docstring)."""
+    """Entries: t -> (its normal form, the steps spent reaching it)."""
     cls = type(t)
     if cls is Var or cls is Bound or cls is Sort:
         return t  # already normal
@@ -285,14 +275,14 @@ def _normalize_outermost(rules: RuleSet, t: Term, fuel: Fuel, memo: Memo) -> Ter
     if seen is not None and fuel.charge(seen[1]):
         return seen[0]
     before = fuel.spent
-    u = _whnf(rules, t, fuel, memo)
+    u = _whnf(rules, t, fuel)
     cls = type(u)
     if cls is App:
         nf = App(_normalize_outermost(rules, u.fun, fuel, memo), _normalize_outermost(rules, u.arg, fuel, memo))
     elif cls is Abs or cls is Prod:
         hint, body = u.hint, u.body
-        if loose_bounds(body, memo):
-            v, opened = open_term(hint, body, memo)
+        if body.loose:
+            v, opened = open_term(hint, body)
             inner = abstract_var(_normalize_outermost(rules, opened, fuel, memo), v.name)
         else:
             fresh_name(hint)  # drawn as opening would, so later names stay the same
@@ -390,9 +380,7 @@ def convertible(
     return _convert(rules, a, b, _as_fuel(fuel), irrelevant or {}, Memo() if memo is None else memo)
 
 
-def _convert(
-    rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: Memo, bounds: Memo | None = None
-) -> bool:
+def _convert(rules: RuleSet, a: Term, b: Term, fuel: Fuel, irrelevant: Mapping[str, int], memo: Memo) -> bool:
     """Entries: the pair (a, b) -> (verdict, steps spent). The caller has
     found a and b not equal (`==`), as each sub-comparison here does first.
     Two applications of one symbol are compared argument by argument only
@@ -404,32 +392,32 @@ def _convert(
     if seen is not None and (not seen[1] or fuel.charge(seen[1])):
         return seen[0]
     before = fuel.spent
-    x, y = _whnf(rules, a, fuel, bounds), _whnf(rules, b, fuel, bounds)
+    x, y = _whnf(rules, a, fuel), _whnf(rules, b, fuel)
     cls = type(x)
     if cls is not type(y):
         verdict = False
     elif cls is App:
         u, w = x.fun, y.fun
-        verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo, bounds)
+        verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo)
         if verdict:
             u, w = x.arg, y.arg
-            verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo, bounds)
+            verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo)
     elif cls is SymApp:
         xs, ys = x.args, y.args
         verdict = x.sym == y.sym and len(xs) == len(ys)
         if verdict:
             skip = irrelevant.get(x.sym)
             for i, (u, w) in enumerate(zip(xs, ys)):
-                if i != skip and u != w and not _convert(rules, u, w, fuel, irrelevant, memo, bounds):
+                if i != skip and u != w and not _convert(rules, u, w, fuel, irrelevant, memo):
                     verdict = False
                     break
     elif cls is Abs or cls is Prod:
         u, w = x.dom, y.dom
-        verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo, bounds)
+        verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo)
         if verdict:
             v = Var(fresh_name(x.hint))
-            u, w = instantiate(x.body, v, bounds), instantiate(y.body, v, bounds)
-            verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo, bounds)
+            u, w = instantiate(x.body, v), instantiate(y.body, v)
+            verdict = u == w or _convert(rules, u, w, fuel, irrelevant, memo)
     else:
         verdict = x == y
     memo.put(key, (verdict, fuel.spent - before), a, b)

@@ -55,11 +55,13 @@ precedence of an arrow's codomain, a symbol application's form, the head
 it sugars as `{x: T | p}` (none in Lambdapi) and its declaration forms;
 and methods for its naming rule and its dangling index. One printer
 serves a file or a development and owns its `terms.Memo`, so a node
-shared across its terms renders once, and each node's free names and
-loose indices, which naming and arrows read, are found in one walk of
-the distinct nodes, not one walk per printed term. A name's spelling is
-filed on its first use, at its declaration if it has one, so a name seen
-again costs a dict lookup and no Python call.
+shared across its terms renders once, and each node's free names, which
+naming reads, are found in one walk of the distinct nodes, not one walk
+per printed term. Whether a product is an arrow, and which enclosing
+binders a body reaches, are read off the node's `loose` mask (see
+`terms`). A name's spelling is filed on its first use, at its declaration
+if it has one, so a name seen again costs a dict lookup and no Python
+call.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from .terms import (
     Var,
     free_names,
     ident,
-    loose_bounds,
 )
 
 _SIGNATURES = {"pcert": PCERT_SIGNATURE, "lf": LF_SIGNATURE}
@@ -602,8 +603,7 @@ class Printer:
     The text of a node depends on it, `prec`, the display names of the
     binders in scope and `avoid`, the free names of the top-level term,
     which the lf/pcert naming rule must not capture; so the memo is keyed by
-    all four, and also keeps each node's free names and loose bound
-    indices."""
+    all four, and also keeps each node's free names."""
 
     def __init__(self):
         self.memo = Memo()
@@ -729,7 +729,7 @@ class Printer:
             out = f"({body})" if _TERM < prec else body
         elif cls is Prod:
             cod = t.cod
-            loose = loose_bounds(cod, memo)
+            loose = cod.loose
             if not loose & 1:
                 # an arrow: the codomain is shown as it stands, under a
                 # placeholder for the unused binder, which no display name

@@ -10,6 +10,18 @@ node, so hashing a term that shares subterms takes time in its distinct
 nodes. The two binders, abstraction and product, have one layout
 (`_Binder`), so a walk that treats them alike states one binder case.
 
+Each node also carries `loose`, the indices of its `Bound`s that no binder
+inside it binds, as a bit mask (bit k for index k). A constructor sets it
+from the children's masks: a `Bound`'s is bit `index`, and a `Var`'s or a
+`Sort`'s, a class attribute, is 0. Like the kept hash it is not a field, so
+`==`, the hash and the repr ignore it, and it is never assigned again. So
+whether a subterm mentions a binder is read off the node, with no walk and
+no call: `instantiate` hands back unwalked a subterm it would not change,
+the kernels and normalization neither open nor close a binder body that
+ignores its binder, a printer shows a product whose codomain ignores its
+binder as an arrow, and translation memoizes a subterm by the sorts of the
+binders it reaches.
+
 Free variables (`Var`) are named and refer to context entries or to rewrite
 pattern variables. Public API terms are expected to be locally closed: every
 `Bound` index points at an enclosing binder of the same term.
@@ -72,6 +84,7 @@ class _Leaf(Frozen):
 class Sort(_Leaf):
     __slots__ = __match_args__ = ("tag",)  # "Prop" | "Type" | "Kind" | "TYPE" | "KIND"
     _value = attrgetter("tag")
+    loose = 0
 
     def __init__(self, tag: str):
         _sort_tag(self, tag)
@@ -84,6 +97,7 @@ class Sort(_Leaf):
 class Var(_Leaf):
     __slots__ = __match_args__ = ("name",)
     _value = attrgetter("name")
+    loose = 0
 
     def __init__(self, name: str):
         _var_name(self, name)
@@ -93,25 +107,29 @@ class Var(_Leaf):
 
 
 class Bound(_Leaf):
-    __slots__ = __match_args__ = ("index",)
+    __slots__ = ("index", "loose")
+    __match_args__ = ("index",)
     _value = attrgetter("index")
 
     def __init__(self, index: int):
         _bound_index(self, index)
+        _bound_loose(self, 1 << index)
 
     def __repr__(self) -> str:
         return f"^{self.index}"
 
 
-(_sort_tag,), (_var_name,), (_bound_index,) = setters(Sort), setters(Var), setters(Bound)
+(_sort_tag,), (_var_name,) = setters(Sort), setters(Var)
+_bound_index, _bound_loose = setters(Bound)
 
 
 class _Node(Frozen):
     """Base of the composite nodes: `==` is alpha-equivalence (`_equal`),
     and the hash of the fields `_key` names is kept (see the module
-    docstring)."""
+    docstring). `loose` is set from the children's at construction."""
 
-    __slots__ = ("_hash",)  # not a field: the hash once computed, else None
+    # not fields: the hash once computed (else None), and the loose mask
+    __slots__ = ("_hash", "loose")
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -142,6 +160,7 @@ class App(_Node):
     def __init__(self, fun: Term, arg: Term):
         _app_fun(self, fun)
         _app_arg(self, arg)
+        _node_loose(self, fun.loose | arg.loose)
         _node_hash(self, None)
 
 
@@ -161,6 +180,7 @@ class _Binder(_Node):
         _binder_hint(self, hint)
         _binder_dom(self, dom)
         _binder_body(self, body)
+        _node_loose(self, dom.loose | body.loose >> 1)
         _node_hash(self, None)
 
 
@@ -183,10 +203,14 @@ class SymApp(_Node):
     def __init__(self, sym: str, args: tuple[Term, ...] = ()):
         _symapp_sym(self, sym)
         _symapp_args(self, args)
+        loose = 0
+        for a in args:
+            loose |= a.loose
+        _node_loose(self, loose)
         _node_hash(self, None)
 
 
-(_node_hash,) = setters(_Node)
+_node_hash, _node_loose = setters(_Node)
 _app_fun, _app_arg = setters(App)
 _binder_hint, _binder_dom, _binder_body = setters(_Binder)
 _symapp_sym, _symapp_args = setters(SymApp)
@@ -300,7 +324,9 @@ class Memo(dict):
     ids and hit an entry that is not its own. Each memo is created where
     its lifetime starts (a file, a command, a printed file) and handed
     down. A walk that caches only for one call keys by the ids of subterms
-    of its argument, which lives for the call, and needs no `Memo`."""
+    of its argument, which lives for the call, and needs no `Memo`. A fact
+    that depends on the node alone, its hash or its `loose` mask, is kept
+    on the node, not in a memo."""
 
     __slots__ = ("_held",)
 
@@ -338,47 +364,6 @@ def free_names(t: Term, memo: Memo) -> frozenset[str]:
     else:
         out = free_names(t.dom, memo) | free_names(t.body, memo)
     memo[ident(t)] = out  # `put`, inlined: one call fewer per node
-    memo._held.append(t)
-    return out
-
-
-def loose_bounds(t: Term, memo: Memo) -> int:
-    """The indices of the `Bound`s of t that no binder inside t binds, as a
-    bit mask (bit k for index k), kept in `memo` under `~ident(t)`, which
-    no other kind of entry uses. A product's codomain uses its binder when
-    bit 0 of its mask is set, so a printer reads each arrow's dependence,
-    and the kernel whether a binder body or a codomain needs opening, from
-    one walk of the file's distinct nodes, not one walk per binder."""
-    cls = type(t)
-    if cls is Bound:
-        return 1 << t.index
-    if cls is Var or cls is Sort:
-        return 0
-    key = ~ident(t)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    # a child's kind is tested before recursing, so a leaf costs no call
-    out = 0
-    if cls is App:
-        children = (t.fun, t.arg)
-    elif cls is SymApp:
-        children = t.args
-    else:
-        children = (t.dom,)
-        body = t.body
-        kind = type(body)
-        if kind is Bound:
-            out = 1 << body.index >> 1
-        elif kind is not Var and kind is not Sort:
-            out = loose_bounds(body, memo) >> 1
-    for a in children:
-        kind = type(a)
-        if kind is Bound:
-            out |= 1 << a.index
-        elif kind is not Var and kind is not Sort:
-            out |= loose_bounds(a, memo)
-    memo[key] = out  # `put`, inlined: one call fewer per node
     memo._held.append(t)
     return out
 
@@ -449,64 +434,33 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return a == b
 
 
-def instantiate(body: Term, value: Term, bounds: Memo | None = None) -> Term:
+def instantiate(body: Term, value: Term) -> Term:
     """Replace Bound(0) by a locally closed value, closing the binder.
 
-    For one call, a subterm found unchanged is remembered with the least
-    depth it was found unchanged at, so a closed subterm met again, such as
-    an expanded definition under a binder, is walked once. A changed
-    subterm is rebuilt at each occurrence, so the result is made of the
-    very objects a tree walk makes.
-
-    `bounds` is a table of `loose_bounds` masks (`Records.bounds`). A
-    subterm whose mask is in it and has no index at or above the depth it
-    is met at is handed back unwalked: it holds no `Bound` the walk would
-    replace or lower, so the walk would hand back the very same object.
+    A subterm whose `loose` mask has no index at or above the depth it is
+    met at is handed back unwalked: it holds no `Bound` the walk would
+    replace or lower. Any other subterm holds one, so it is rebuilt at each
+    occurrence, and the result is made of the very objects a tree walk
+    makes.
     """
-    return _instantiate(body, value, 0, None, bounds)
+    return _instantiate(body, value, 0)
 
 
-def _instantiate(
-    body: Term, value: Term, depth: int, same: dict[int, int] | None, bounds: Memo | None = None
-) -> Term:
-    cls = type(body)
-    if cls is Var or cls is Sort:
+def _instantiate(body: Term, value: Term, depth: int) -> Term:
+    if not body.loose >> depth:
         return body
+    cls = type(body)
     if cls is Bound:
         k = body.index
-        if k == depth:
-            return value
-        return Bound(k - 1) if k > depth else body
-    key = None
-    mask = None if bounds is None else bounds.get(~ident(body))
-    if mask is not None:
-        if not mask >> depth:
-            return body
-    elif same is None:  # the first node without a mask on this path starts the table
-        same = {}
-    else:
-        key = id(body)
-        least = same.get(key)
-        if least is not None and least <= depth:
-            return body
+        return value if k == depth else Bound(k - 1)
     if cls is App:
-        fun = _instantiate(body.fun, value, depth, same, bounds)
-        arg = _instantiate(body.arg, value, depth, same, bounds)
-        out = body if fun is body.fun and arg is body.arg else App(fun, arg)
-    elif cls is Abs or cls is Prod:
-        dom = _instantiate(body.dom, value, depth, same, bounds)
-        inner = _instantiate(body.body, value, depth + 1, same, bounds)
-        out = body if dom is body.dom and inner is body.body else cls(body.hint, dom, inner)
-    elif cls is SymApp:
-        args = []
-        for a in body.args:
-            args.append(_instantiate(a, value, depth, same, bounds))
-        out = body if all(map(is_, args, body.args)) else SymApp(body.sym, tuple(args))
-    else:
-        raise TypeError(f"not a term: {body!r}")
-    if out is body and key is not None:
-        same[key] = depth
-    return out
+        return App(_instantiate(body.fun, value, depth), _instantiate(body.arg, value, depth))
+    if cls is Abs or cls is Prod:
+        return cls(body.hint, _instantiate(body.dom, value, depth), _instantiate(body.body, value, depth + 1))
+    args = []
+    for a in body.args:
+        args.append(_instantiate(a, value, depth))
+    return SymApp(body.sym, tuple(args))
 
 
 def abstract_var(t: Term, name: str) -> Term:
@@ -552,11 +506,11 @@ def arrow(dom: Term, cod: Term) -> Prod:
     return Prod("_", dom, abstract_var(cod, fresh_name("_unused")))
 
 
-def open_term(hint: str, body: Term, bounds: Memo | None = None) -> tuple[Var, Term]:
+def open_term(hint: str, body: Term) -> tuple[Var, Term]:
     """Open a binder body with a fresh variable; inverse of closing a
-    binder with `abstract_var`. `bounds` as for `instantiate`."""
+    binder with `abstract_var`."""
     v = Var(fresh_name(hint))
-    return v, instantiate(body, v, bounds)
+    return v, instantiate(body, v)
 
 
 class Records:
@@ -569,17 +523,16 @@ class Records:
     result types (`results`: a key made of the symbol and the `ident`s of
     the arguments the result mentions, to the result, which holds those
     arguments; see `kernel` for both), its inference, conversion and head
-    normal form memos, `bounds`, which holds the `loose_bounds` of what it
-    has inferred (which `instantiate` reads) and the `free_names` of the
-    pairs it proves under a binder (which `Context.mentions_binder` reads),
-    and `free`, the steps spent so far on proven conversions whose pair
+    normal form memos, `names`, which holds the `free_names` of the pairs
+    it proves under a binder (which `Context.mentions_binder` reads), and
+    `free`, the steps spent so far on proven conversions whose pair
     mentions no binder (read only as a difference around one term's
     inference, so a conversion outside an inference moves no redo cost).
     Every view grown from one root shares them, and a new root or a copied
     table starts empty, so a record never outlives the file that made it or
     reaches another owner."""
 
-    __slots__ = ("proven", "proven_args", "results", "inferred", "converted", "heads", "bounds", "free")
+    __slots__ = ("proven", "proven_args", "results", "inferred", "converted", "heads", "names", "free")
 
     def __init__(self):
         self.proven: set[tuple[Term, Term]] = set()
@@ -588,7 +541,7 @@ class Records:
         self.inferred = Memo()
         self.converted = Memo()
         self.heads = Memo()
-        self.bounds = Memo()
+        self.names = Memo()
         self.free = 0
 
 
@@ -677,7 +630,7 @@ class Context:
 
     def mentions_binder(self, memo: Memo, *terms: Term) -> bool:
         """Whether terms mention a binder of this view, from the `free_names`
-        kept in memo (the kernel hands it `Records.bounds`)."""
+        kept in memo (the kernel hands it `Records.names`)."""
         if not self.binders:
             return False
         binders = dict(self.binders)

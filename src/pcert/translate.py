@@ -13,12 +13,13 @@ pcert has no product rule into Kind: no function returns a type, and
 reduced or charged to fuel, and no binder is opened.
 
 A subterm's translation depends only on the sorts of the enclosing binders
-its `Bound`s reach, so it is memoized by its identity and those sorts: a
-term that shares subterms translates once per distinct subterm and
-reachable sorts, and its translation shares them too. `_term` is that
-memoized walk, one function as `terms` says under Dispatch. The memo lives
-for one call, or for every call handed the same one under the same
-context; the commands hand one to all the calls of a file.
+its `Bound`s reach, which its `loose` mask names (see `terms`): the binders
+reached are the innermost `m.loose.bit_length()`. So it is memoized by its
+identity and those sorts: a term that shares subterms translates once per
+distinct subterm and reachable sorts, and its translation shares them too.
+`_term` is that memoized walk, one function as `terms` says under Dispatch.
+The memo lives for one call, or for every call handed the same one under
+the same context; the commands hand one to all the calls of a file.
 
 The `El`/`Prf` wrapper `_type` builds around an encoded type is filed in
 the same memo under `~ident` of the encoded node, so each encoded type has
@@ -50,60 +51,48 @@ _SORT_OBJECTS = {"Prop": PROP_OBJ, "Type": TYPE_OBJ}
 Sorts = tuple[str | None, ...]  # per enclosing binder, innermost last
 
 
-def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
-    """The translation of m under binders of these sorts.
-
-    `memo` holds two entries per non-leaf subterm: by the subterm alone,
-    how many of the enclosing binders its `Bound`s reach, and by the
-    subterm and the sorts of those binders, its translation. `low[0]` is
-    the outermost binder level (0: the outermost binder of the call) any
-    `Bound` translated so far in the current subterm reaches; a subterm
-    starts it at its own depth and hands the minimum up, so the reach is
-    found during the translation, without walking the subterm again."""
+def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo) -> Term:
+    """The translation of m under binders of these sorts. `memo` holds one
+    entry per non-leaf subterm and the sorts of the binders it reaches. A
+    subterm that reaches past `sorts` holds a dangling index, which its
+    walk raises on before the entry is filed; its key, shorter than its
+    reach, matches no entry."""
     cls = type(m)
     if cls is Var:
         return m
     depth = len(sorts)
     if cls is Bound:
-        level = depth - 1 - m.index
-        if level < 0:
+        if m.index >= depth:
             raise fail(dk.NOT_TYPABLE, f"dangling bound variable ^{m.index}", context=ctx, subject=m)
-        if level < low[0]:
-            low[0] = level
         return m
     if cls is Sort:
         out = _SORT_OBJECTS.get(m.tag)
         if out is None:
             raise fail(dk.NOT_TYPABLE, f"sort {m.tag} has no term translation", context=ctx, subject=m)
         return out
-    reach = memo.get(ident(m))
-    if reach is not None and reach <= depth:
-        level = depth - reach
-        out = memo.get((ident(m), sorts[level:]))
-        if out is not None:
-            if level < low[0]:
-                low[0] = level
-            return out
-    outer, low[0] = low[0], depth
+    key = (ident(m), sorts[depth - m.loose.bit_length() :])
+    out = memo.get(key)
+    if out is not None:
+        return out
     if cls is App:
-        out = App(_term(ctx, m.fun, sorts, memo, low), _term(ctx, m.arg, sorts, memo, low))
+        out = App(_term(ctx, m.fun, sorts, memo), _term(ctx, m.arg, sorts, memo))
     elif cls is Abs:
         annot = m.annot
-        t_annot = _type(ctx, annot, sorts, memo, low)
+        t_annot = _type(ctx, annot, sorts, memo)
         inner = sorts + (annot.tag if type(annot) is Sort else None,)
-        out = Abs(m.hint, t_annot, _term(ctx, m.body, inner, memo, low))
+        out = Abs(m.hint, t_annot, _term(ctx, m.body, inner, memo))
     elif cls is SymApp:
         sym = m.sym
         if sym not in SUBTYPE_SYMBOLS:
             raise fail(dk.UNKNOWN_SYMBOL, f"symbol {sym!r} has no encoding", context=ctx, subject=m)
         args = []
         for a in m.args:
-            args.append(_term(ctx, a, sorts, memo, low))
+            args.append(_term(ctx, a, sorts, memo))
         out = SymApp(sym, tuple(args))
     elif cls is Prod:
         dom = m.dom
         inner = sorts + (dom.tag if type(dom) is Sort else None,)
-        t_dom, t_cod = _term(ctx, dom, sorts, memo, low), _term(ctx, m.cod, inner, memo, low)
+        t_dom, t_cod = _term(ctx, dom, sorts, memo), _term(ctx, m.cod, inner, memo)
         s_dom, s_cod = _sort(ctx, t_dom, sorts), _sort(ctx, t_cod, inner)
         head = PRODUCT_HEADS.get((s_dom, s_cod))
         if head is None:
@@ -112,11 +101,7 @@ def _term(ctx: Context, m: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Te
         out = SymApp(head, (t_dom, Abs(m.hint, SymApp(_TYPE_FORMERS[s_dom], (t_dom,)), t_cod)))
     else:
         raise TypeError(f"not a term: {m!r}")
-    level = low[0]
-    if outer < level:
-        low[0] = outer
-    memo[ident(m)] = depth - level  # m is held by the entry put next
-    return memo.put((ident(m), sorts[level:]), out, m)
+    return memo.put(key, out, m)
 
 
 def _sort(ctx: Context, t: Term, sorts: Sorts) -> str:
@@ -138,13 +123,13 @@ def _sort(ctx: Context, t: Term, sorts: Sorts) -> str:
     return tag
 
 
-def _type(ctx: Context, t: Term, sorts: Sorts, memo: Memo, low: list[int]) -> Term:
+def _type(ctx: Context, t: Term, sorts: Sorts, memo: Memo) -> Term:
     if type(t) is Sort:
         if t.tag == "Kind":
             return KIND_ENC
         if t.tag == "Type":
             return TYPE_ENC
-    encoded = _term(ctx, t, sorts, memo, low)
+    encoded = _term(ctx, t, sorts, memo)
     cls = type(encoded)
     if cls is not Bound:
         out = memo.get(~ident(encoded))
@@ -164,13 +149,13 @@ def translate_term(ctx: Context, m: Term, memo: Memo | None = None) -> Term:
     """Requires m typable in ctx, which check_file's records guarantee; callers
     own that obligation, it is not re-checked here. A `memo` handed in must
     only ever have been used under ctx."""
-    return _term(ctx, m, (), Memo() if memo is None else memo, [0])
+    return _term(ctx, m, (), Memo() if memo is None else memo)
 
 
 def translate_type(ctx: Context, t: Term, memo: Memo | None = None) -> Term:
     """Requires t to be Kind or typable by a sort in ctx; `memo` as for
     translate_term."""
-    return _type(ctx, t, (), Memo() if memo is None else memo, [0])
+    return _type(ctx, t, (), Memo() if memo is None else memo)
 
 
 def translate_ctx(ctx: Context) -> Context:

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tests/depthfloors.py
 
-For the arrow and application spines of `tests/test_cli.py` (`_arrows(n)`
-and `_applications(n)` after `DEEP_BASE`), bisects the largest n that each
-of `check`, `translate`, `roundtrip` and `export` passes through
-`pcert.cli.main` with exit 0 and nothing on stderr. It runs in this
+For the arrow, application and λ spines of `tests/test_cli.py`
+(`_arrows(n)`, `_applications(n)` and `_lambdas(n)` after `DEEP_BASE`),
+bisects the largest n that each of `check`, `translate`, `roundtrip` and
+`export` passes through `pcert.cli.main` with exit 0 and nothing on
+stderr. It runs in this
 process, outside pytest, at the interpreter's default recursion limit, and
 prints one `DEPTH_FLOORS` row per spine: the depths found less
 `DEPTH_MARGIN` per cent, the share that pytest's own frames take, and the
@@ -18,7 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from harness import run_cli, scratch_dir
-from test_cli import DEEP_BASE, DEPTH_MARGIN, _applications, _arrows
+from test_cli import DEEP_BASE, DEPTH_MARGIN, _applications, _arrows, _lambdas
 
 COMMANDS = ("check", "translate", "roundtrip", "export")
 DEEPEST = 2000  # every stage spends at least a frame per level, so this fails
@@ -52,7 +53,7 @@ def deepest(make, command: str) -> int:
 
 def main() -> None:
     with scratch_dir():
-        for shape, make in (("arrows", _arrows), ("applications", _applications)):
+        for shape, make in (("arrows", _arrows), ("applications", _applications), ("lambdas", _lambdas)):
             found = [deepest(make, command) for command in COMMANDS]
             floors = ", ".join(f'"{c}": {n * (100 - DEPTH_MARGIN) // 100}' for c, n in zip(COMMANDS, found))
             print(f'    "{shape}": ({make.__name__}, {{{floors}}}),  # {"/".join(map(str, found))}')

@@ -580,7 +580,7 @@ def ref_is_nondependent(cod: Term, depth: int = 0) -> bool:
 
 
 def ref_loose_bounds(t: Term, depth: int = 0) -> int:
-    """The mask of `terms.loose_bounds`, bit k for each loose index k, by a
+    """The mask a node keeps as `loose`, bit k for each loose index k, by a
     tree walk."""
     match t:
         case Bound(k):
@@ -1068,8 +1068,8 @@ def reference_conversion():
     memo per call, as before the memo lived for the file: `check_file` then
     runs as it did before, with whole pairs still recorded as proven."""
 
-    def per_call(rules, a, b, fuel, irrelevant, memo, *bounds):
-        return saved(rules, a, b, fuel, irrelevant, Memo(), *bounds)
+    def per_call(rules, a, b, fuel, irrelevant, memo):
+        return saved(rules, a, b, fuel, irrelevant, Memo())
 
     saved = kernel_module._convert
     kernel_module._convert = per_call

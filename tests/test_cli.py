@@ -329,15 +329,20 @@ def _applications(n: int) -> str:
     return "assert " + "f (" * n + "a" + ")" * n + " : iota;\n"
 
 
+def _lambdas(n: int) -> str:
+    return "definition d := " + "".join(f"\\x{i}: iota. " for i in range(n)) + "x0;\n"
+
+
 DEEP_BASE = "symbol iota : Type;\nsymbol a : iota;\nsymbol f : iota -> iota;\n"
 DEEP_INPUTS = {
     "arrows": _arrows(2000),
     "applications": _applications(2000),
+    "lambdas": _lambdas(2000),
     "normal_form": _unfolding(100),  # 2000 deep: roundtrip exits 3, the others 0
     "normal_form_in_limit": _unfolding(15),  # 300 deep: every command exits 0
 }
 
-# The deepest arrows and applications each command passes, as
+# The deepest arrows, applications and λs each command passes, as
 # `tests/depthfloors.py` bisects them outside pytest on CPython 3.11.7 with
 # the default recursion limit of 1000 (in the comments), less DEPTH_MARGIN
 # per cent: pytest's own frames take about 4 % of the depth, and 2 % is
@@ -348,6 +353,7 @@ DEPTH_MARGIN = 6
 DEPTH_FLOORS = {
     "arrows": (_arrows, {"check": 464, "translate": 307, "roundtrip": 464, "export": 462}),  # 494/327/494/492
     "applications": (_applications, {"check": 924, "translate": 917, "roundtrip": 924, "export": 924}),  # 984/976/983/984
+    "lambdas": (_lambdas, {"check": 464, "translate": 154, "roundtrip": 464, "export": 462}),  # 494/164/494/492
 }
 
 

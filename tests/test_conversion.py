@@ -235,9 +235,9 @@ def _normalize_work(rules: RuleSet, t: Term) -> tuple[int, int]:
     calls = [0]
     original = rewrite.instantiate
 
-    def counted(body, value, *bounds):
+    def counted(body, value):
         calls[0] += 1
-        return original(body, value, *bounds)
+        return original(body, value)
 
     fuel = Fuel(ORACLE_FUEL)
     rewrite.instantiate = counted

@@ -5,8 +5,9 @@ walks each distinct node once.
 The reference is `genutil.reference_conversion`: `check_file` with a fresh
 sub-comparison memo per conversion, as before the memo lived for the file.
 Checking a file through either must give the same verdict, the same
-diagnostic, the same partial term and the same fuel left, at every budget.
-Work is counted, never timed.
+diagnostic, the same partial term and the same fuel left, at every budget,
+by the every-budget harness `test_replay` holds for both references. Work
+is counted, never timed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from genutil import (
     GOAL_POOL,
     EquivalenceWalker,
     TermGen,
-    canonical_fresh_names,
     doubling_chain_source,
     ref_substitute_parallel,
     reference_conversion,
@@ -30,57 +30,36 @@ from genutil import (
 from hypothesis import HealthCheck, given, settings, strategies as st
 from pcert import checker, cli, lf, parse_file, rewrite, terms
 from pcert.checker import check_file
-from pcert.diagnostics import CheckError, ProtectedError
+from pcert.diagnostics import ProtectedError
 from pcert.lf import LF_SIGNATURE, assert_public
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel, convertible
-from pcert.syntax import ParsedFile, print_term
+from pcert.syntax import print_term
 from pcert.terms import Abs, App, Memo, Prod, SymApp, Term, Var
 from test_cli import shared_chain_source
-from test_replay import BINDER_DEFS, count_puts, counting_memo, translated
-
-
-def outcome(parsed: ParsedFile, budget: int, reference: bool) -> tuple:
-    """Verdict, diagnostic, partial term and fuel left of checking parsed on
-    one budget shared by every declaration."""
-    fuel = Fuel(budget)
-    try:
-        with reference_conversion() if reference else contextlib.nullcontext():
-            check_file(parsed, fuel)
-    except CheckError as err:
-        subject = err.diagnostic.subject  # a term, or None
-        partial = None if subject is None else canonical_fresh_names(subject)
-        return err.kind, str(err.diagnostic), partial, fuel.remaining
-    return "ok", "", None, fuel.remaining
-
-
-def fuel_needed(parsed: ParsedFile) -> int:
-    fuel = Fuel(None)
-    with reference_conversion():
-        check_file(parsed, fuel)
-    return fuel.spent
-
-
-def assert_same_at_every_budget(text: str, name: str) -> None:
-    parsed = parse_file(text, name)
-    for budget in range(fuel_needed(parsed) + 2):
-        assert outcome(parsed, budget, False) == outcome(parsed, budget, True), (name, budget)
-
-
-CHAINS = [("uv", n, "#MODE pcert\n" + shared_chain_source(n)) for n in range(1, 6)]
-CHAINS += [("doubling", n, doubling_chain_source(n)) for n in (1, 3, 6)]
+from test_replay import (
+    BINDER_DEFS,
+    CHAINS,
+    assert_same_at_every_budget,
+    count_calls,
+    count_puts,
+    counting_memo,
+    fuel_needed,
+    outcome,
+    translated,
+)
 
 
 @pytest.mark.parametrize(("family", "links", "text"), CHAINS, ids=[f"{f}{n}" for f, n, _ in CHAINS])
 def test_file_wide_conversion_replay_spends_the_fuel_of_redoing_at_every_budget(family, links, text):
-    assert_same_at_every_budget(text, f"{family}{links}.pcert")
-    assert_same_at_every_budget(translated(text), f"{family}{links}.lf")
+    assert_same_at_every_budget(text, f"{family}{links}.pcert", reference_conversion)
+    assert_same_at_every_budget(translated(text), f"{family}{links}.lf", reference_conversion)
 
 
 def test_certificates_under_binders_are_replayed_at_the_same_fuel():
     text = BASE_SURFACE + BINDER_DEFS
-    assert_same_at_every_budget(text, "binders.pcert")
-    assert_same_at_every_budget(translated(text), "binders.lf")
+    assert_same_at_every_budget(text, "binders.pcert", reference_conversion)
+    assert_same_at_every_budget(translated(text), "binders.lf", reference_conversion)
 
 
 def convertible_development(seed: int, count: int) -> str:
@@ -107,10 +86,10 @@ def test_conversion_replay_matches_the_reference_on_generated_developments(seed,
     text = convertible_development(seed, count)
     for source in (text, translated(text)):
         parsed = parse_file(source, "gen")
-        needed = fuel_needed(parsed)
+        needed = fuel_needed(parsed, reference_conversion)
         budgets = sorted({0, 1, needed // 3, needed // 2, needed - 1, needed, needed + 1} - {-1})
         for budget in budgets:
-            assert outcome(parsed, budget, False) == outcome(parsed, budget, True), (seed, count, budget)
+            assert outcome(parsed, budget) == outcome(parsed, budget, reference_conversion), (seed, count, budget)
 
 
 def test_a_direct_call_without_a_memo_starts_afresh_and_a_shared_one_replays(monkeypatch):
@@ -128,18 +107,6 @@ def test_a_direct_call_without_a_memo_starts_afresh_and_a_shared_one_replays(mon
 
 
 # --- work counts ------------------------------------------------------------------
-
-
-def count_calls(monkeypatch, owner, name: str) -> list[int]:
-    calls = [0]
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def count_conversion_puts(monkeypatch) -> list[int]:

@@ -5,7 +5,9 @@ The reference is `genutil.ref_infer`, inference as it was before the memo:
 every occurrence is inferred again, and a conversion proven earlier in the
 file is free. Checking a file through either must give the same verdict,
 the same diagnostic, the same partial term and the same fuel left, at every
-budget.
+budget. The every-budget harness (`outcome`, `fuel_needed`,
+`assert_same_at_every_budget`, `CHAINS`) takes the reference as an
+argument, so `test_conversion_replay` runs it with `reference_conversion`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from genutil import (
     TermGen,
     canonical_fresh_names,
     doubling_chain_source,
+    ref_instantiate,
     ref_is_nondependent,
     reference_inference,
 )
@@ -32,7 +35,7 @@ from pcert.lf import KERNEL as LF_KERNEL
 from pcert.pcert import KERNEL as PCERT_KERNEL
 from pcert.rewrite import Fuel
 from pcert.syntax import ParsedFile, print_file, print_term
-from pcert.terms import TYPE_, Abs, App, Bound, Context, SymApp, Term, Var, alpha_eq
+from pcert.terms import TYPE_, Abs, App, Bound, Context, Prod, SymApp, Term, Var, alpha_eq
 from test_cli import shared_chain_source
 
 # Conversions under a binder that spend steps and mention the binder: a
@@ -47,12 +50,14 @@ definition twice := g (hh a) (hh (f b));
 """
 
 
-def outcome(parsed: ParsedFile, budget: int, reference: bool) -> tuple:
+def outcome(parsed: ParsedFile, budget: int, reference=None) -> tuple:
     """Verdict, diagnostic, partial term and fuel left of checking parsed on
-    one budget shared by every declaration."""
+    one budget shared by every declaration, inside `reference()`, a context
+    manager such as `reference_inference` or `reference_conversion`, when
+    one is given."""
     fuel = Fuel(budget)
     try:
-        with reference_inference() if reference else contextlib.nullcontext():
+        with reference() if reference else contextlib.nullcontext():
             check_file(parsed, fuel)
     except CheckError as err:
         subject = err.diagnostic.subject  # a term, or None
@@ -61,9 +66,9 @@ def outcome(parsed: ParsedFile, budget: int, reference: bool) -> tuple:
     return "ok", "", None, fuel.remaining
 
 
-def fuel_needed(parsed: ParsedFile) -> int:
+def fuel_needed(parsed: ParsedFile, reference) -> int:
     fuel = Fuel(None)
-    with reference_inference():
+    with reference():
         check_file(parsed, fuel)
     return fuel.spent
 
@@ -73,10 +78,12 @@ def translated(text: str) -> str:
     return print_file(ParsedFile("lf", tuple(cli._translate_decls(checked)), "src.pcert"))
 
 
-def assert_same_at_every_budget(text: str, name: str) -> None:
+def assert_same_at_every_budget(text: str, name: str, reference) -> None:
+    """Checking text has the outcome it has inside `reference()` at every
+    budget, up to one past the fuel the reference needs."""
     parsed = parse_file(text, name)
-    for budget in range(fuel_needed(parsed) + 2):
-        assert outcome(parsed, budget, False) == outcome(parsed, budget, True), (name, budget)
+    for budget in range(fuel_needed(parsed, reference) + 2):
+        assert outcome(parsed, budget) == outcome(parsed, budget, reference), (name, budget)
 
 
 CHAINS = [("uv", n, "#MODE pcert\n" + shared_chain_source(n)) for n in range(1, 6)]
@@ -85,16 +92,16 @@ CHAINS += [("doubling", n, doubling_chain_source(n)) for n in (1, 3, 6)]
 
 @pytest.mark.parametrize(("family", "links", "text"), CHAINS, ids=[f"{f}{n}" for f, n, _ in CHAINS])
 def test_replay_spends_the_fuel_of_inferring_again_at_every_budget(family, links, text):
-    assert_same_at_every_budget(text, f"{family}{links}.pcert")
-    assert_same_at_every_budget(translated(text), f"{family}{links}.lf")
+    assert_same_at_every_budget(text, f"{family}{links}.pcert", reference_inference)
+    assert_same_at_every_budget(translated(text), f"{family}{links}.lf", reference_inference)
 
 
 def test_the_binder_conversions_spend_fuel_and_are_replayed():
     text = BASE_SURFACE + BINDER_DEFS
     parsed = parse_file(text, "binders.pcert")
-    assert fuel_needed(parsed) > 0
-    assert_same_at_every_budget(text, "binders.pcert")
-    assert_same_at_every_budget(translated(text), "binders.lf")
+    assert fuel_needed(parsed, reference_inference) > 0
+    assert_same_at_every_budget(text, "binders.pcert", reference_inference)
+    assert_same_at_every_budget(translated(text), "binders.lf", reference_inference)
 
 
 def wide_lf_source(n: int) -> str:
@@ -122,15 +129,15 @@ def test_function_types_replay_their_head_normal_forms_at_every_budget(monkeypat
     replayable_when_out = []
     head = kernel.whnf_replayed
 
-    def spied(rules, t, fuel, heads, *bounds):
+    def spied(rules, t, fuel, heads):
         try:
-            return head(rules, t, fuel, heads, *bounds)
+            return head(rules, t, fuel, heads)
         except FuelError:
             replayable_when_out.append(terms.ident(t) in heads)
             raise
 
     monkeypatch.setattr(kernel, "whnf_replayed", spied)
-    assert_same_at_every_budget(wide_lf_source(6), "wide.lf")
+    assert_same_at_every_budget(wide_lf_source(6), "wide.lf", reference_inference)
     assert True in replayable_when_out
 
 
@@ -154,18 +161,18 @@ def test_replay_matches_the_reference_on_generated_developments(seed, count):
     text = termgen_development(seed, count)
     for source in (text, translated(text)):
         parsed = parse_file(source, "gen")
-        needed = fuel_needed(parsed)
+        needed = fuel_needed(parsed, reference_inference)
         budgets = sorted({0, 1, needed // 3, needed // 2, needed - 1, needed, needed + 1} - {-1})
         for budget in budgets:
-            assert outcome(parsed, budget, False) == outcome(parsed, budget, True), (seed, count, budget)
+            assert outcome(parsed, budget) == outcome(parsed, budget, reference_inference), (seed, count, budget)
 
 
 # --- the identity answers against their misses -------------------------------------
 # Four answers skip work by object identity: the inference rules' proven
 # argument conversions (`Records.proven_args`), the symbol rule's result types
-# (`Records.results`), `instantiate`'s masks, and the translation's shared
-# `El`/`Prf` wrappers. Forced to miss, every one of them must leave the
-# check as it was.
+# (`Records.results`), `instantiate`'s unwalked subterms, and the
+# translation's shared `El`/`Prf` wrappers. Forced to miss, every one of them
+# must leave the check as it was.
 
 
 class _Forgetful(dict):
@@ -203,11 +210,25 @@ class _NoWrappers(terms.Memo):
         return default if type(key) is int and key < 0 else dict.get(self, key, default)
 
 
-_instantiate = terms._instantiate
+def _walked(body: Term, value: Term, depth: int) -> Term:
+    """`terms._instantiate` without its masks: the tree walk
+    `ref_instantiate`, then each subterm of the result that equals the one
+    of body at its place handed back as that very object, as a walk that
+    compares what it rebuilt would hand it back."""
+    return _kept(ref_instantiate(body, value, depth), body)
 
 
-def _without_masks(body, value, depth, same, bounds=None):
-    return _instantiate(body, value, depth, same)
+def _kept(out: Term, body: Term) -> Term:
+    if out == body:
+        return body
+    cls = type(body)
+    if cls is App:
+        return App(_kept(out.fun, body.fun), _kept(out.arg, body.arg))
+    if cls is Abs or cls is Prod:
+        return cls(out.hint, _kept(out.dom, body.dom), _kept(out.body, body.body))
+    if cls is SymApp:
+        return SymApp(out.sym, tuple(map(_kept, out.args, body.args)))
+    return out  # a `Bound` replaced or lowered
 
 
 @contextlib.contextmanager
@@ -216,7 +237,7 @@ def identity_answers(hit: bool):
     with pytest.MonkeyPatch.context() as patch:
         if not hit:
             patch.setattr(terms, "Records", _RecordsThatMiss)
-            patch.setattr(terms, "_instantiate", _without_masks)
+            patch.setattr(terms, "_instantiate", _walked)
             patch.setattr(cli, "Memo", _NoWrappers)
         yield
 
@@ -411,9 +432,9 @@ def test_a_binder_its_body_ignores_is_neither_opened_nor_closed(mode, monkeypatc
     opened, closed = [], []
     open_term, abstract_var = kernel.open_term, kernel.abstract_var
 
-    def spy_open(hint, body, *bounds):
+    def spy_open(hint, body):
         assert not ref_is_nondependent(body), (hint, body)
-        v, out = open_term(hint, body, *bounds)
+        v, out = open_term(hint, body)
         opened.append(v.name)
         return v, out
 
@@ -454,9 +475,8 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
 
 def counting_memo(calls: list[int]) -> type[terms.Memo]:
     """A `Memo` that adds one to calls[0] per `put`. A memoized walk files
-    one entry through `put` per miss (translation's reach entry is set by
-    `[]`), so the puts of the walk's own memo count the nodes it works out
-    anew, and none of its hits."""
+    one entry through `put` per miss, so the puts of the walk's own memo
+    count the nodes it works out anew, and none of its hits."""
 
     class Counted(terms.Memo):
         __slots__ = ()

@@ -35,9 +35,12 @@ from hypothesis import given, settings, strategies as st
 from pcert import terms
 from pcert.cli import main
 from pcert.diagnostics import DUPLICATE_NAME, CheckError
-from pcert.lf import LF_SIGNATURE
+from pcert.inverse import inverse_term
+from pcert.lf import LF_SIGNATURE, RULES_R
 from pcert.pcert import BETA_PROJ, KERNEL as PCERT_KERNEL, PCERT_SIGNATURE
 from pcert.rewrite import normalize
+from pcert.syntax import parse_term, print_term
+from pcert.translate import translate_term, translate_type
 from pcert.terms import (
     Abs,
     App,
@@ -54,7 +57,6 @@ from pcert.terms import (
     free_names,
     ident,
     instantiate,
-    loose_bounds,
     substitute_parallel,
 )
 
@@ -353,16 +355,15 @@ def shared_terms(draw) -> Term:
 @given(shared_terms(), st.integers(0, 2), st.sampled_from((Var("v"), App(Var("f"), Var("a")), PROP)))
 def test_instantiate_and_is_nondependent_agree_with_tree_walks(body, depth, value):
     # `instantiate` is `_instantiate` at depth 0; deeper, as under binders
-    out = terms._instantiate(body, value, depth, None)
+    out = terms._instantiate(body, value, depth)
     expected = ref_instantiate(body, value, depth)
     assert out == expected and repr(out) == repr(expected)
-    mask = loose_bounds(body, Memo())
-    assert mask == ref_loose_bounds(body)
-    assert (not mask & 1) == ref_is_nondependent(body)  # bit 0: the binder's index
+    assert body.loose == ref_loose_bounds(body)
+    assert (not body.loose & 1) == ref_is_nondependent(body)  # bit 0: the binder's index
     # an unchanged subterm stays the very object wherever it occurs, and a
     # changed one is rebuilt at each occurrence, as a tree walk rebuilds it
-    unchanged = terms._instantiate(body, value, depth, None) is body
-    out = terms._instantiate(App(body, body), value, depth, None)
+    unchanged = terms._instantiate(body, value, depth) is body
+    out = terms._instantiate(App(body, body), value, depth)
     assert (out.fun is body) == (out.fun is out.arg) == unchanged
 
 
@@ -378,24 +379,24 @@ def _children_at(t: Term, depth: int) -> list[tuple[Term, int]]:
 
 
 def assert_masks_change_nothing(body: Term, value: Term, depth: int) -> None:
-    """`instantiate` handed the `loose_bounds` masks of body's nodes gives
-    what it gives without them, and hands back the very object at every
-    node whose mask has no index at or above the depth the node is met at."""
-    masks = Memo()
-    loose_bounds(body, masks)
-    plain = terms._instantiate(body, value, depth, None)
-    masked = terms._instantiate(body, value, depth, None, masks)
+    """`instantiate`, which reads each node's `loose` mask, gives what the
+    tree walk `ref_instantiate` gives, and hands back the very object at
+    every node whose tree-walked mask has no index at or above the depth
+    the node is met at."""
+    masked = terms._instantiate(body, value, depth)
+    plain = ref_instantiate(body, value, depth)
     assert masked == plain and repr(masked) == repr(plain)
     if depth == 0:
-        assert terms.instantiate(body, value, masks) == plain
+        assert terms.instantiate(body, value) == plain
     todo = [(body, masked, depth)]  # a node of body, the node at its place in masked
     while todo:
         node, out, at = todo.pop()
         if type(node) in (Var, Sort, Bound):
             continue
-        if not loose_bounds(node, masks) >> at:
+        if not ref_loose_bounds(node) >> at:
             assert out is node
             continue
+        assert out is not node
         todo += [(n, o, d) for (n, d), (o, _) in zip(_children_at(node, at), _children_at(out, at))]
 
 
@@ -420,6 +421,58 @@ def test_instantiate_with_masks_agrees_on_the_binder_bodies_of_generated_terms(s
     for body in bodies:
         for depth in (0, 1):
             assert_masks_change_nothing(body, Var("v"), depth)
+
+
+def assert_every_mask_is_the_tree_walks(t: Term) -> None:
+    """Every node reachable from t carries the mask `ref_loose_bounds`
+    computes, each distinct node checked once."""
+    seen, todo = set(), [t]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        assert node.loose == ref_loose_bounds(node), node
+        todo += [child for child, _ in _children_at(node, 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_every_node_carries_the_mask_of_its_tree_walk(seed):
+    gen = TermGen(seed)
+    m, goal = gen.some_term(5)
+    v = Var("v")
+    encoded = translate_term(BASE_CTX, m)
+    outputs = [
+        parse_term(print_term(m)),
+        parse_term(print_term(encoded), "lf"),
+        substitute_parallel(App(m, v), {"v": m, "a": Var("b")}, Memo()),
+        abstract_var(m, "a"),
+        instantiate(abstract_var(m, "a"), v),
+        normalize(BETA_PROJ, m),
+        normalize(RULES_R, encoded),
+        encoded,
+        translate_type(BASE_CTX, goal),
+        inverse_term(encoded),
+        inverse_term(encoded, Memo(), m),
+    ]
+    todo = [m]
+    while todo:  # every binder body, opened and still open
+        t = todo.pop()
+        if type(t) in (Abs, Prod):
+            outputs += [t.body, instantiate(t.body, v), abstract_var(t.body, "a")]
+        todo += [child for child, _ in _children_at(t, 0)]
+    for t in outputs:
+        assert_every_mask_is_the_tree_walks(t)
+
+
+def test_the_mask_is_no_field_and_cannot_be_assigned():
+    body = Abs("x", Var("T"), App(Bound(0), Bound(3)))
+    assert body.loose == 0b100 and Bound(3).loose == 0b1000 and Var("T").loose == Sort("Prop").loose == 0
+    assert Bound.__match_args__ == ("index",) and repr(Bound(3)) == "^3" and "loose" not in repr(body)
+    for node in (body, Bound(3), Var("T")):
+        with pytest.raises(AttributeError):
+            node.loose = 0
 
 
 # --- the kernel's telescope matcher ----------------------------------------------
